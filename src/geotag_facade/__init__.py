@@ -14,12 +14,13 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      load_category_mapping, load_detections, load_footprints,
                      load_panorama_meta)
 from .matcher import (CoarseAnnotation, ThresholdState, filter_detections,
-                      fit_threshold, generate_coarse_annotations, match_box)
+                      fit_threshold, generate_coarse_annotations, match_box,
+                      trace_panorama)
 from .metrics import (AccuracyReport, EvalBox, average_precision,
                       coarse_accuracy, coco_summary, iou_1d, iou_2d)
-from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, LocalScene,
-                         LocalXY, WallSegment, angle_to_pixel, clip_scene,
-                         geodetic_to_local, local_to_geodetic,
+from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,
+                         LocalScene, LocalXY, WallSegment, angle_to_pixel,
+                         clip_scene, geodetic_to_local, local_to_geodetic,
                          normalize_angle, pixel_to_angle)
 from .raytrace import (RayHit, RaySample, RaySweep, VisibilityInterval,
                        intervals_from_sweep, intervals_to_pixel,

@@ -15,13 +15,12 @@ from pathlib import Path
 
 from . import cocoio
 from .config import RunConfig
-from .errors import GeotagFacadeError
+from .errors import ConfigError, GeotagFacadeError
 from .ingest import (load_category_mapping, load_detections,
                      load_footprints, load_panorama_meta)
-from .matcher import generate_coarse_annotations
+from .matcher import generate_coarse_annotations, trace_panorama
 from .metrics import coarse_accuracy, coco_summary
-from .projection import clip_scene
-from .raytrace import intervals_from_sweep, intervals_to_pixel, trace_sweep
+from .projection import FootprintIndex
 from .render import render_scene_svg
 from .synth import NoiseConfig, SceneConfig, generate_scene, perturb_detections
 
@@ -31,10 +30,13 @@ EXIT_PARTIAL = 2
 
 
 def _workers() -> int:
+    raw = os.environ.get("GEOTAG_FACADE_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("GEOTAG_FACADE_WORKERS", "1")))
+        return int(raw)
     except ValueError:
-        return 1
+        raise ConfigError(
+            f"GEOTAG_FACADE_WORKERS must be an integer >= 1, got {raw!r}"
+        ) from None
 
 
 def _add_trace_args(p):
@@ -122,24 +124,17 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def trace_one(meta):
-        scene = clip_scene(footprints, meta, config.radius_m)
-        if scene.degenerate:
-            return meta, None, scene.containing_building
-        sweep = trace_sweep(scene, config.step_deg)
-        ivs = intervals_to_pixel(intervals_from_sweep(sweep), meta,
-                                 config.flip_heading)
-        return meta, ivs, None
-
+    index = FootprintIndex(footprints)
     if config.workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(trace_one, panos.metas))
+            results = list(pool.map(
+                lambda m: trace_panorama(index, m, config), panos.metas))
     else:
-        results = [trace_one(m) for m in panos.metas]
+        results = [trace_panorama(index, m, config) for m in panos.metas]
 
     skipped = []
-    for meta, ivs, blocker in results:
+    for meta, (ivs, blocker) in zip(panos.metas, results):
         if ivs is None:
             skipped.append((meta.pano_id,
                             f"camera inside footprint {blocker}"))

@@ -3,6 +3,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict, fields
 
+from .errors import ConfigError
+
+
+def rays_per_turn(step_deg: float) -> int:
+    """Rays in a full sweep at ``step_deg``; 0 when the step does not
+    tile 360 degrees exactly."""
+    count = 360.0 / step_deg
+    n = round(count)
+    return n if n >= 1 and abs(count - n) <= 1e-9 else 0
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -26,16 +36,21 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
-        if self.step_deg <= 0:
-            raise ValueError("step_deg must be positive")
+        if not self.radius_m > 0:
+            raise ConfigError(f"radius_m must be positive, got {self.radius_m}")
+        if not self.step_deg > 0:
+            raise ConfigError(f"step_deg must be positive, got {self.step_deg}")
+        if not rays_per_turn(self.step_deg):
+            raise ConfigError(f"step_deg {self.step_deg} does not divide 360")
         if self.threshold_mode not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
+            raise ConfigError(
+                f"unknown threshold_mode {self.threshold_mode!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 <= self.clip_lo <= self.clip_hi <= 1.0):
-            raise ValueError("need 0 <= clip_lo <= clip_hi <= 1")
+            raise ConfigError("need 0 <= clip_lo <= clip_hi <= 1")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -25,7 +25,7 @@ import numpy as np
 from .config import RunConfig
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d
-from .projection import clip_scene
+from .projection import FootprintIndex, clip_scene
 from .raytrace import intervals_from_sweep, intervals_to_pixel, trace_sweep
 
 DEFAULT_FIRST_THRESHOLD = 0.3
@@ -193,9 +193,13 @@ class RunReport:
         }
 
 
-def _pano_intervals(footprints, meta, config: RunConfig):
-    """Trace one panorama into pixel-space visibility intervals."""
-    scene = clip_scene(footprints, meta, config.radius_m)
+def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
+    """Trace one panorama into pixel-space visibility intervals.
+
+    Returns ``(intervals, None)``, or ``(None, building_id)`` when the
+    camera sits inside that building's footprint.
+    """
+    scene = clip_scene(index, meta, config.radius_m)
     if scene.degenerate:
         return None, scene.containing_building
     sweep = trace_sweep(scene, config.step_deg)
@@ -219,6 +223,7 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     reported.
     """
     metas = list(metas)
+    index = FootprintIndex(footprints)
     meta_ids = {m.pano_id for m in metas}
     report = RunReport(config=config.to_dict())
     for pano_id, boxes in sorted(dets.by_pano.items()):
@@ -245,10 +250,9 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                              n_panoramas=len(batch))
             if pool is not None:
                 traced = list(pool.map(
-                    lambda m: _pano_intervals(footprints, m, config), batch))
+                    lambda m: trace_panorama(index, m, config), batch))
             else:
-                traced = [_pano_intervals(footprints, m, config)
-                          for m in batch]
+                traced = [trace_panorama(index, m, config) for m in batch]
             batch_scores: list = []
             for meta, (intervals, blocker) in zip(batch, traced):
                 boxes = dets.boxes_for(meta.pano_id)

@@ -23,11 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRangeError
-from .ingest import FootprintSet, PanoramaMeta
+from .ingest import PanoramaMeta
 
 EARTH_RADIUS_KM = 6371.393
 METERS_PER_DEGREE = math.pi * EARTH_RADIUS_KM * 1000.0 / 180.0
 MAX_LOCAL_RANGE_M = 10_000.0  # beyond this the flat-plane model degrades
+# clip_scene's candidate boxes may sit this much farther than the radius:
+# it covers rounding in the per-edge distance, not any geometry
+CLIP_SLACK_M = 1e-6
 
 
 class LocalXY(NamedTuple):
@@ -43,6 +46,13 @@ def _wrap_lon(dlon: float) -> float:
     return dlon
 
 
+def _local_xy(lat, lon, lat0, lon0, cos_lat0):
+    """(x, y) meters of (lat, lon) on the plane centered at (lat0, lon0);
+    ``cos_lat0`` is ``cos(radians(lat0))``, computed once per origin."""
+    return (_wrap_lon(lon - lon0) * cos_lat0 * METERS_PER_DEGREE,
+            (lat - lat0) * METERS_PER_DEGREE)
+
+
 def geodetic_to_local(origin, point) -> LocalXY:
     """Project ``point`` onto the local plane centered at ``origin``.
 
@@ -50,10 +60,8 @@ def geodetic_to_local(origin, point) -> LocalXY:
     :class:`OutOfRangeError` when the result exceeds 10 km, where the
     small-angle model is no longer trustworthy.
     """
-    dlat = point[0] - origin[0]
-    dlon = _wrap_lon(point[1] - origin[1])
-    x = dlon * math.cos(math.radians(origin[0])) * METERS_PER_DEGREE
-    y = dlat * METERS_PER_DEGREE
+    x, y = _local_xy(point[0], point[1], origin[0], origin[1],
+                     math.cos(math.radians(origin[0])))
     if math.hypot(x, y) > MAX_LOCAL_RANGE_M:
         raise OutOfRangeError(
             f"point is {math.hypot(x, y):.0f} m from origin, "
@@ -216,15 +224,71 @@ def _ring_min_distance(xs, ys) -> float:
     return best
 
 
-def clip_scene(footprints: FootprintSet, meta: PanoramaMeta,
+class FootprintIndex:
+    """Lat/lon bounding boxes of a footprint collection, for clip_scene.
+
+    Built once per run from any iterable of footprints; holds each outer
+    ring's box as flat arrays so that one vectorised mask per camera
+    picks the few footprints that can reach it. Never modified after
+    construction, so workers may share it.
+    """
+
+    def __init__(self, footprints):
+        self.footprints = tuple(footprints)
+        lats = [[p[0] for p in fp.ring[:-1]] for fp in self.footprints]
+        lons = [[p[1] for p in fp.ring[:-1]] for fp in self.footprints]
+        self.lat_lo = np.array([min(v) for v in lats], float)
+        self.lat_hi = np.array([max(v) for v in lats], float)
+        self.lon_lo = np.array([min(v) for v in lons], float)
+        self.lon_hi = np.array([max(v) for v in lons], float)
+
+    def __len__(self) -> int:
+        return len(self.footprints)
+
+    def candidates(self, meta: PanoramaMeta, radius_m: float) -> list:
+        """Footprints that may come within ``radius_m`` of the camera or
+        hold it, in their original order.
+
+        The camera's projection is monotone in lat and in lon, so a
+        ring's vertices land inside the projection of its box, and its
+        edges with them. A box farther than ``radius_m`` (plus a rounding
+        slack) therefore holds a ring beyond the radius that cannot
+        contain the camera. Longitude differences wrap as in
+        :func:`_wrap_lon`, which is monotone only between its +-180
+        degree breaks: a box whose two edges fall on different sides of
+        a break, such as a ring straddling the antimeridian seen from
+        near it, is always kept.
+        """
+        cos_lat = math.cos(math.radians(meta.lat))
+        dlo = self.lon_lo - meta.lon
+        dhi = self.lon_hi - meta.lon
+        broken = (((dlo < -180.0) != (dhi < -180.0))
+                  | ((dlo > 180.0) != (dhi > 180.0)))
+        gx = np.maximum(_wrap_lons(dlo) * cos_lat * METERS_PER_DEGREE,
+                        -_wrap_lons(dhi) * cos_lat * METERS_PER_DEGREE)
+        gy = np.maximum((self.lat_lo - meta.lat) * METERS_PER_DEGREE,
+                        (meta.lat - self.lat_hi) * METERS_PER_DEGREE)
+        gap = np.hypot(np.maximum(gx, 0.0), np.maximum(gy, 0.0))
+        keep = broken | (gap <= radius_m + CLIP_SLACK_M)
+        return [self.footprints[i] for i in np.flatnonzero(keep)]
+
+
+def _wrap_lons(dlon: np.ndarray) -> np.ndarray:
+    """:func:`_wrap_lon` over an array."""
+    return np.where(dlon > 180.0, dlon - 360.0,
+                    np.where(dlon < -180.0, dlon + 360.0, dlon))
+
+
+def clip_scene(index: FootprintIndex, meta: PanoramaMeta,
                radius_m: float) -> LocalScene:
     """Build the local wall-segment scene for one camera.
 
     A footprint contributes all its edges when its outer ring comes
     within ``radius_m`` of the camera (intersects or lies inside the
-    disc). Footprints with any vertex beyond the flat-plane range are
-    too far to matter and are skipped. A camera strictly inside a ring
-    marks the scene degenerate.
+    disc). Only the index's candidates are projected; the rest lie
+    beyond the radius. Footprints with any vertex beyond the flat-plane
+    range are too far to matter and are skipped. A camera strictly
+    inside a ring marks the scene degenerate.
     """
     if radius_m <= 0:
         raise ValueError("radius_m must be positive")
@@ -235,11 +299,10 @@ def clip_scene(footprints: FootprintSet, meta: PanoramaMeta,
     seen = set()
     degenerate = False
     containing = None
-    for fp in footprints:
+    for fp in index.candidates(meta, radius_m):
         xs, ys, ok = [], [], True
         for (lat, lon) in fp.ring[:-1]:
-            x = _wrap_lon(lon - meta.lon) * cos_lat * METERS_PER_DEGREE
-            y = (lat - meta.lat) * METERS_PER_DEGREE
+            x, y = _local_xy(lat, lon, meta.lat, meta.lon, cos_lat)
             if math.hypot(x, y) > MAX_LOCAL_RANGE_M:
                 ok = False
                 break
@@ -247,12 +310,13 @@ def clip_scene(footprints: FootprintSet, meta: PanoramaMeta,
             ys.append(y)
         if not ok:
             continue
-        if _point_in_ring(0.0, 0.0, xs, ys) and _ring_min_distance(xs, ys) > 1e-9:
+        dmin = _ring_min_distance(xs, ys)
+        if dmin > 1e-9 and _point_in_ring(0.0, 0.0, xs, ys):
             degenerate = True
             if containing is None:
                 containing = fp.building_id
             continue
-        if _ring_min_distance(xs, ys) > radius_m:
+        if dmin > radius_m:
             continue
         if fp.building_id not in seen:
             seen.add(fp.building_id)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import rays_per_turn
 from .errors import DegenerateSceneError
 from .ingest import PanoramaMeta
 from .projection import LocalScene, WallSegment, angle_to_pixel
@@ -211,9 +212,8 @@ def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
         raise DegenerateSceneError(
             f"camera of {scene.pano_id} is inside footprint "
             f"{scene.containing_building}")
-    count = 360.0 / step_deg
-    n = round(count)
-    if n < 1 or abs(count - n) > 1e-9:
+    n = rays_per_turn(step_deg)
+    if not n:
         raise ValueError(f"step_deg {step_deg} does not divide 360")
     thetas = np.arange(n, dtype=float) * step_deg
     bidx, dist = _nearest_hits(scene, thetas)

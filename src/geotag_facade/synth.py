@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      DetectionSet, FootprintSet, LoadReport, PanoramaMeta)
-from .projection import LocalScene, clip_scene, local_to_geodetic
+from .projection import (FootprintIndex, LocalScene, clip_scene,
+                         local_to_geodetic)
 from .raytrace import (PARALLEL_EPS, TIE_EPS_M, VisibilityInterval, _runs,
                        intervals_to_pixel)
 
@@ -206,10 +207,10 @@ def oracle_visibility(scene: SyntheticScene,
                       resolution_deg: float | None = None) -> dict:
     """Exact per-camera intervals for a synthetic scene (pixel-populated)."""
     res = resolution_deg or scene.config.oracle_resolution_deg
-    fps = scene.footprint_set
+    index = FootprintIndex(scene.footprints)
     out = {}
     for meta in scene.metas:
-        local = clip_scene(fps, meta, scene.config.radius_m)
+        local = clip_scene(index, meta, scene.config.radius_m)
         ivs = oracle_intervals_for_scene(local, res)
         out[meta.pano_id] = intervals_to_pixel(ivs, meta)
     return out

@@ -3,8 +3,18 @@
 These deliberately avoid the package's own arithmetic: haversine instead
 of the flat-plane model, shift-enumeration instead of piece
 decomposition for circular overlap. They stay simple and slow.
+
+``linear_clip_scene`` is the exception: it is ``clip_scene`` as it was
+before the footprint index, projecting every footprint for every camera,
+and shares the package's per-ring helpers. It checks which footprints
+the index lets through, not the projection arithmetic.
 """
 import math
+
+from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
+                                      LocalScene, WallSegment,
+                                      _point_in_ring, _ring_min_distance,
+                                      _wrap_lon)
 
 EARTH_RADIUS_M = 6371.393 * 1000.0
 
@@ -67,3 +77,50 @@ def brute_iou_2d(box_a, box_b, width=None):
         hseg = brute_overlap_1d(ax, ax + aw, bx, bx + bw, width)
     inter = hseg * v
     return inter / (aw * ah + bw * bh - inter)
+
+
+def linear_clip_scene(footprints, meta, radius_m):
+    """Scene for one camera from a scan of every footprint."""
+    if radius_m <= 0:
+        raise ValueError("radius_m must be positive")
+    origin = (meta.lat, meta.lon)
+    cos_lat = math.cos(math.radians(meta.lat))
+    segments = []
+    buildings = []
+    seen = set()
+    degenerate = False
+    containing = None
+    for fp in footprints:
+        xs, ys, ok = [], [], True
+        for (lat, lon) in fp.ring[:-1]:
+            x = _wrap_lon(lon - meta.lon) * cos_lat * METERS_PER_DEGREE
+            y = (lat - meta.lat) * METERS_PER_DEGREE
+            if math.hypot(x, y) > MAX_LOCAL_RANGE_M:
+                ok = False
+                break
+            xs.append(x)
+            ys.append(y)
+        if not ok:
+            continue
+        if _point_in_ring(0.0, 0.0, xs, ys) and _ring_min_distance(xs, ys) > 1e-9:
+            degenerate = True
+            if containing is None:
+                containing = fp.building_id
+            continue
+        if _ring_min_distance(xs, ys) > radius_m:
+            continue
+        if fp.building_id not in seen:
+            seen.add(fp.building_id)
+            buildings.append((fp.building_id, fp.category))
+        n = len(xs)
+        for i in range(n):
+            ax, ay = xs[i], ys[i]
+            bx, by = xs[(i + 1) % n], ys[(i + 1) % n]
+            if math.hypot(bx - ax, by - ay) <= 1e-9:
+                continue
+            segments.append(WallSegment(ax=ax, ay=ay, bx=bx, by=by,
+                                        building_id=fp.building_id,
+                                        category=fp.category))
+    return LocalScene(pano_id=meta.pano_id, origin=origin, radius_m=radius_m,
+                      segments=segments, buildings=tuple(buildings),
+                      degenerate=degenerate, containing_building=containing)

@@ -17,8 +17,9 @@ from geotag_facade.ingest import DetectionSet, FootprintSet, LoadReport
 from geotag_facade.matcher import generate_coarse_annotations, match_box
 from geotag_facade.metrics import (EvalBox, average_precision,
                                    coarse_accuracy, iou_2d)
-from geotag_facade.projection import (METERS_PER_DEGREE, clip_scene,
-                                      geodetic_to_local, local_to_geodetic)
+from geotag_facade.projection import (METERS_PER_DEGREE, FootprintIndex,
+                                      clip_scene, geodetic_to_local,
+                                      local_to_geodetic)
 from geotag_facade.raytrace import VisibilityInterval, trace_sweep
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  oracle_hits, perturb_detections)
@@ -117,7 +118,7 @@ def test_criterion_2_sweep_oracle_equivalence():
     for seed in range(1000):
         n_buildings = seed % 40 + 1
         scene = geometry_scene(seed, n_buildings)
-        local = clip_scene(scene.footprint_set, scene.metas[0],
+        local = clip_scene(FootprintIndex(scene.footprints), scene.metas[0],
                            scene.config.radius_m)
         sweep = trace_sweep(local, 1.0)
         ob, od = oracle_hits(local, sweep.thetas)
@@ -164,9 +165,10 @@ def test_criterion_4_radius_monotonicity():
     for seed in range(100):
         scene = geometry_scene(3000 + seed, seed % 30 + 4)
         meta = scene.metas[0]
+        index = FootprintIndex(scene.footprints)
         sweeps = {}
         for r in radii:
-            local = clip_scene(scene.footprint_set, meta, r)
+            local = clip_scene(index, meta, r)
             sweeps[r] = trace_sweep(local, 1.0)
 
         def building_at(sweep, i):

@@ -61,6 +61,31 @@ def test_trace_missing_input_fatal(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command, flags, workers, needle", [
+    ("annotate", ["--radius", -1], None, "radius_m"),
+    ("annotate", ["--batch-size", 0], None, "batch_size"),
+    ("trace", ["--step-deg", 7], None, "does not divide 360"),
+    ("trace", [], "abc", "GEOTAG_FACADE_WORKERS"),
+], ids=["radius", "batch-size", "step-deg", "workers"])
+def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys,
+                                        monkeypatch, command, flags,
+                                        workers, needle):
+    if workers is not None:
+        monkeypatch.setenv("GEOTAG_FACADE_WORKERS", workers)
+    out = tmp_path / "o"
+    args = [command, "--footprints", scene_dir / "footprints.geojson",
+            "--metas", scene_dir / "metas.jsonl",
+            "--mapping", scene_dir / "mapping.json", "--out", out, *flags]
+    if command == "annotate":
+        args += ["--detections", scene_dir / "detections.json"]
+    rc = run(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
+    assert not out.exists()  # refused before any input was read
+
+
 def test_degenerate_scene_partial_exit(tmp_path):
     # camera sits inside the only building
     from geotag_facade.projection import local_to_geodetic

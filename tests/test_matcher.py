@@ -239,7 +239,8 @@ class TestGenerateCoarseAnnotations:
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's
         # interval and its iou_x clears the floor, re-derived from scratch
-        from geotag_facade.matcher import _midpoint_inside, _pano_intervals
+        from geotag_facade.matcher import _midpoint_inside, trace_panorama
+        from geotag_facade.projection import FootprintIndex
         from geotag_facade.metrics import iou_1d
         scene, dets = pipeline_inputs(seed=21, noise=NoiseConfig(
             shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
@@ -248,9 +249,10 @@ class TestGenerateCoarseAnnotations:
             scene.metas, scene.footprint_set, dets, config)
         assert anns
         meta_by_id = {m.pano_id: m for m in scene.metas}
+        index = FootprintIndex(scene.footprint_set)
         for a in anns:
             meta = meta_by_id[a.pano_id]
-            intervals, _ = _pano_intervals(scene.footprint_set, meta, config)
+            intervals, _ = trace_panorama(index, meta, config)
             sources = [iv for iv in intervals
                        if iv.building_id == a.building_id]
             mid = (a.x + a.w / 2.0) % meta.width

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from geotag_facade import (DegenerateSceneError, OutOfRangeError,
-                           PanoramaMeta, angle_to_pixel, clip_scene,
-                           geodetic_to_local, local_to_geodetic,
+from geotag_facade import (DegenerateSceneError, FootprintIndex,
+                           OutOfRangeError, PanoramaMeta, angle_to_pixel,
+                           clip_scene, geodetic_to_local, local_to_geodetic,
                            normalize_angle, pixel_to_angle)
 from geotag_facade.ingest import BuildingFootprint
 from geotag_facade.projection import METERS_PER_DEGREE
+from geotag_facade.synth import SceneConfig, generate_scene
 
-from oracle_utils import haversine_m
+from oracle_utils import haversine_m, linear_clip_scene
 
 
 def meta(north_px=512.0, width=2048, height=1024, lat=0.0, lon=0.0,
@@ -140,18 +141,18 @@ class TestClipScene:
     def test_far_building_excluded(self):
         fp = footprint_at(self.origin,
                           [(195, -5), (205, -5), (205, 5), (195, 5)])
-        scene = clip_scene([fp], self.cam(), 50.0)
+        scene = clip_scene(FootprintIndex([fp]), self.cam(), 50.0)
         assert scene.segments == []
 
     def test_rim_building_included(self):
         # one vertex at 49 m, the others at 60 m
         fp = footprint_at(self.origin, [(0, 49), (10, 60), (-10, 60)])
-        scene = clip_scene([fp], self.cam(), 50.0)
+        scene = clip_scene(FootprintIndex([fp]), self.cam(), 50.0)
         assert len(scene.segments) == 3
 
     def test_camera_inside_marks_degenerate(self):
         fp = footprint_at(self.origin, [(-5, -5), (5, -5), (5, 5), (-5, 5)])
-        scene = clip_scene([fp], self.cam(), 50.0)
+        scene = clip_scene(FootprintIndex([fp]), self.cam(), 50.0)
         assert scene.degenerate
         assert scene.containing_building == "b0"
         from geotag_facade import trace_sweep
@@ -169,12 +170,175 @@ class TestClipScene:
                 [(cx - s, cy - s), (cx + s, cy - s), (cx + s, cy + s),
                  (cx - s, cy + s)], building_id=f"b{i}"))
         cam = self.cam()
+        index = FootprintIndex(fps)
         prev = set()
         for r in (30.0, 50.0, 70.0, 100.0):
-            scene = clip_scene(fps, cam, r)
+            scene = clip_scene(index, cam, r)
             if scene.degenerate:
                 pytest.skip("random layout covered the camera")
             cur = {(s.building_id, s.ax, s.ay, s.bx, s.by)
                    for s in scene.segments}
             assert prev <= cur
             prev = cur
+
+
+def geo_far(origin, p):
+    """local_to_geodetic without its 10 km refusal, longitude wrapped."""
+    lat = origin[0] + p[1] / METERS_PER_DEGREE
+    lon = origin[1] + p[0] / (math.cos(math.radians(origin[0]))
+                              * METERS_PER_DEGREE)
+    return lat, (lon + 180.0) % 360.0 - 180.0
+
+
+def polygon(rng, cx, cy, size):
+    """Star-shaped ring of 3-6 vertices around (cx, cy), in local meters."""
+    angles = sorted(rng.uniform(0, 2 * math.pi)
+                    for _ in range(rng.randint(3, 6)))
+    return [(cx + size * rng.uniform(0.4, 1.0) * math.cos(a),
+             cy + size * rng.uniform(0.4, 1.0) * math.sin(a))
+            for a in angles]
+
+
+def ring_fp(geo_ring, building_id, category=1):
+    return BuildingFootprint(building_id=building_id,
+                             ring=tuple(geo_ring + [geo_ring[0]]),
+                             raw_label="x", category=category)
+
+
+class TestFootprintIndex:
+    """clip_scene through the index equals the linear scan it replaced."""
+
+    @staticmethod
+    def assert_same(fps, cam, radius_m, index=None):
+        if index is None:
+            index = FootprintIndex(fps)
+        got = clip_scene(index, cam, radius_m)
+        want = linear_clip_scene(fps, cam, radius_m)
+        assert got.segments == want.segments
+        assert got.buildings == want.buildings
+        assert got.degenerate == want.degenerate
+        assert got.containing_building == want.containing_building
+        return got
+
+    def test_len_counts_footprints(self):
+        origin = (40.0, -74.0)
+        fps = [footprint_at(origin, [(0, 10), (5, 10), (5, 15)], f"b{i}")
+               for i in range(7)]
+        assert len(FootprintIndex(fps)) == 7
+        assert len(FootprintIndex(iter(fps))) == 7
+
+    def test_seeded_random_scenes(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            origin = (rng.uniform(-80, 80), rng.uniform(-180, 180))
+            fps = []
+            for i in range(40):
+                near = rng.random() < 0.8
+                reach = rng.uniform(0, 250) if near else rng.uniform(9e3, 14e3)
+                a = rng.uniform(0, 2 * math.pi)
+                ring = polygon(rng, reach * math.cos(a), reach * math.sin(a),
+                               rng.uniform(2, 40))
+                fps.append(ring_fp([geo_far(origin, p) for p in ring],
+                                   f"b{i:02d}", i % 5 + 1))
+            index = FootprintIndex(fps)
+            for _ in range(5):
+                lat, lon = local_to_geodetic(
+                    origin, (rng.uniform(-150, 150), rng.uniform(-150, 150)))
+                for r in (5.0, 50.0, rng.uniform(1, 300)):
+                    self.assert_same(fps, meta(lat=lat, lon=lon), r, index)
+
+    def test_near_pole_wide_longitude_rings(self):
+        # near a pole a few meters span many degrees of longitude, so
+        # rings cross the +-180 wrap as seen from the camera
+        rng = random.Random(17)
+        for _ in range(30):
+            fps = []
+            for i in range(25):
+                lon0 = rng.uniform(-180, 180)
+                span = rng.choice((0.5, 20.0, 170.0, 300.0))
+                ring = [(rng.uniform(89.99, 89.9995),
+                         (lon0 + rng.uniform(0, span) + 180) % 360 - 180)
+                        for _ in range(rng.randint(3, 5))]
+                fps.append(ring_fp(ring, f"b{i:02d}"))
+            cam = meta(lat=rng.uniform(89.992, 89.999),
+                       lon=rng.uniform(-180, 180))
+            for r in (20.0, 200.0, 2000.0):
+                self.assert_same(fps, cam, r)
+
+    def test_city_grid_of_streets(self):
+        # several synthetic streets tiled 100 m apart around one origin
+        origin = (35.0, 139.0)
+        fps, cams = [], []
+        for k in range(5):
+            street = generate_scene(700 + k, SceneConfig(
+                n_buildings=40, n_cameras=6, with_ground_truth=False))
+
+            def move(p):
+                x, y = geodetic_to_local(street.origin, p)
+                return local_to_geodetic(origin, (x - 150.0, y + 100.0 * k))
+
+            fps += [ring_fp([move(p) for p in fp.ring[:-1]],
+                            f"k{k}_{fp.building_id}", fp.category)
+                    for fp in street.footprints]
+            for m in street.metas:
+                lat, lon = move((m.lat, m.lon))
+                cams.append(meta(lat=lat, lon=lon,
+                                 pano_id=f"k{k}_{m.pano_id}"))
+        index = FootprintIndex(fps)
+        kept = 0
+        for cam in cams:
+            scene = self.assert_same(fps, cam, 50.0, index)
+            assert scene.buildings and not scene.degenerate
+            kept += len(index.candidates(cam, 50.0))
+        assert kept < 0.1 * len(fps) * len(cams)
+
+    def test_camera_inside_footprint(self):
+        origin = (40.0, -74.0)
+        fps = [footprint_at(origin, [(-5, -5), (5, -5), (5, 5), (-5, 5)],
+                            "trap"),
+               footprint_at(origin, [(10, -5), (20, -5), (20, 5), (10, 5)],
+                            "next"),
+               footprint_at(origin, [(-30, -30), (30, -30), (30, 30),
+                                     (-30, 30)], "outer")]
+        scene = self.assert_same(fps, meta(lat=origin[0], lon=origin[1]),
+                                 50.0)
+        assert scene.degenerate and scene.containing_building == "trap"
+
+    def test_ring_exactly_at_radius(self):
+        from geotag_facade.projection import _local_xy, _ring_min_distance
+        origin = (51.5, -0.12)
+        cam = meta(lat=origin[0], lon=origin[1])
+        fp = footprint_at(origin, [(-4, 50), (4, 50), (4, 60), (-4, 60)])
+        cos_lat = math.cos(math.radians(cam.lat))
+        xs, ys = zip(*(_local_xy(lat, lon, cam.lat, cam.lon, cos_lat)
+                       for lat, lon in fp.ring[:-1]))
+        d = _ring_min_distance(xs, ys)
+        assert self.assert_same([fp], cam, d).buildings == (("b0", 1),)
+        assert self.assert_same([fp], cam,
+                                math.nextafter(d, 0.0)).buildings == ()
+
+    def test_footprints_beyond_flat_plane_range(self):
+        origin = (-33.9, 151.2)
+        cam = meta(lat=origin[0], lon=origin[1])
+        far = ring_fp([geo_far(origin, p) for p in
+                       [(12e3, 0), (12.01e3, 0), (12.01e3, 10)]], "far")
+        # one vertex past 10 km, one edge passing 20 m from the camera
+        long = ring_fp([geo_far(origin, p) for p in
+                        [(-100, 20), (10.5e3, 20), (10.5e3, 30)]], "long")
+        near = footprint_at(origin, [(0, 10), (5, 10), (5, 15)], "near")
+        scene = self.assert_same([far, long, near], cam, 50.0)
+        assert scene.buildings == (("near", 1),)
+
+    @pytest.mark.parametrize("cam_lon", [179.9999, -179.9999, 180.0, -180.0])
+    def test_antimeridian(self, cam_lon):
+        lat = 10.0
+        east = ring_fp([(lat + 1e-4, 179.9997), (lat + 1e-4, 179.9998),
+                        (lat + 2e-4, 179.9998)], "east")
+        west = ring_fp([(lat - 1e-4, -179.9997), (lat - 1e-4, -179.9998),
+                        (lat - 2e-4, -179.9998)], "west")
+        across = ring_fp([(lat + 3e-4, 179.99995), (lat + 3e-4, -179.99995),
+                          (lat + 4e-4, -179.99995), (lat + 4e-4, 179.99995)],
+                         "across")
+        cam = meta(lat=lat, lon=cam_lon)
+        scene = self.assert_same([east, west, across], cam, 80.0)
+        assert {b for b, _ in scene.buildings} == {"east", "west", "across"}

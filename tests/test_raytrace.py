@@ -132,11 +132,12 @@ class TestTraceSweep:
     def test_nearest_wall_by_exhaustive_scan(self):
         # every hit is minimal over a per-segment scalar scan
         from geotag_facade.synth import SceneConfig, generate_scene
-        from geotag_facade.projection import clip_scene
+        from geotag_facade.projection import FootprintIndex, clip_scene
         for s in range(5):
             sc = generate_scene(400 + s, SceneConfig(
                 n_buildings=8, n_cameras=1, with_ground_truth=False))
-            local = clip_scene(sc.footprint_set, sc.metas[0], 50.0)
+            local = clip_scene(FootprintIndex(sc.footprints), sc.metas[0],
+                               50.0)
             sweep = trace_sweep(local, 1.0)
             from geotag_facade.raytrace import heading_direction
             for i, theta in enumerate(sweep.thetas):
@@ -204,12 +205,13 @@ class TestIntervals:
         # hit angles = union of interval grid angles, intervals disjoint
         rng = np.random.default_rng(9)
         from geotag_facade.synth import SceneConfig, generate_scene
-        from geotag_facade.projection import clip_scene
+        from geotag_facade.projection import FootprintIndex, clip_scene
         for s in range(20):
             sc = generate_scene(100 + s, SceneConfig(
                 n_buildings=int(rng.integers(1, 15)), n_cameras=1,
                 with_ground_truth=False))
-            local = clip_scene(sc.footprint_set, sc.metas[0], 50.0)
+            local = clip_scene(FootprintIndex(sc.footprints), sc.metas[0],
+                               50.0)
             sweep = trace_sweep(local, 1.0)
             ivs = intervals_from_sweep(sweep)
             hit = {(float(t), sweep.buildings[b][0])

@@ -6,7 +6,8 @@ import pytest
 from geotag_facade.errors import ConfigError
 from geotag_facade.ingest import BuildingFootprint, PanoramaMeta
 from geotag_facade.metrics import iou_2d
-from geotag_facade.projection import (LocalScene, WallSegment, clip_scene,
+from geotag_facade.projection import (FootprintIndex, LocalScene,
+                                      WallSegment, clip_scene,
                                       geodetic_to_local)
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  oracle_hits, oracle_intervals_for_scene,
@@ -87,7 +88,7 @@ class TestGenerateScene:
                                raw_label="cat_1", category=1)
         meta = PanoramaMeta(pano_id="c", lat=origin[0], lon=origin[1],
                             north_px=777.0, width=2048, height=1024)
-        local = clip_scene([fp], meta, 50.0)
+        local = clip_scene(FootprintIndex([fp]), meta, 50.0)
         ivs = oracle_intervals_for_scene(local)
         from geotag_facade.raytrace import intervals_to_pixel
         iv = intervals_to_pixel(ivs, meta)[0]
@@ -99,8 +100,9 @@ class TestGenerateScene:
         for seed in range(5):
             s = generate_scene(seed, SceneConfig(n_buildings=10, n_cameras=3))
             # no camera inside a footprint, checked on the local plane
+            index = FootprintIndex(s.footprints)
             for m in s.metas:
-                local = clip_scene(s.footprint_set, m, s.config.radius_m)
+                local = clip_scene(index, m, s.config.radius_m)
                 assert not local.degenerate
             # gt boxes' horizontal extent equals the interval pixel span
             spans = {}
