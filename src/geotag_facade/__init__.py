@@ -22,9 +22,8 @@ from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,
                          LocalScene, LocalXY, WallSegment, angle_to_pixel,
                          clip_scene, geodetic_to_local, local_to_geodetic,
                          normalize_angle, pixel_to_angle)
-from .raytrace import (RayHit, RaySample, RaySweep, VisibilityInterval,
-                       intervals_from_sweep, intervals_to_pixel,
-                       ray_wall_distance, trace_sweep)
+from .raytrace import (RaySweep, VisibilityInterval, intervals_from_sweep,
+                       intervals_to_pixel, trace_sweep)
 from .synth import (GroundTruthBox, NoiseConfig, SceneConfig, SyntheticScene,
                     generate_scene, oracle_hits, oracle_visibility,
                     perturb_detections)

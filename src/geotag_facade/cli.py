@@ -194,6 +194,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.iou_thr <= 1.0:
+        raise ConfigError(f"--iou-thr must be in (0, 1], got {args.iou_thr}")
     gt_boxes, widths, _, _ = cocoio.read_coco(args.gt)
     pred_boxes, pw, _, _ = cocoio.read_coco(args.pred)
     widths.update({k: v for k, v in pw.items() if k not in widths})

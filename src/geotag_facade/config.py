@@ -42,6 +42,10 @@ class RunConfig:
             raise ConfigError(f"step_deg must be positive, got {self.step_deg}")
         if not rays_per_turn(self.step_deg):
             raise ConfigError(f"step_deg {self.step_deg} does not divide 360")
+        if not 0.0 <= self.iou_x_min < 1.0:
+            # the horizontal IoU must exceed the floor, so 1 never matches
+            raise ConfigError(
+                f"iou_x_min must be in [0, 1), got {self.iou_x_min}")
         if self.threshold_mode not in ("adaptive", "fixed"):
             raise ConfigError(
                 f"unknown threshold_mode {self.threshold_mode!r}")

@@ -201,51 +201,83 @@ def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
 # Average precision
 # ---------------------------------------------------------------------------
 
-def _match_predictions(preds, gts, iou_thr, width_by_pano):
-    """COCO-style greedy matching for one category.
+def _match_category(preds, gts, thresholds, width_by_pano) -> dict:
+    """COCO-style greedy matching of one category at each threshold.
 
     Predictions in descending score order grab the best still-free
-    ground truth in their panorama with IoU >= thr. Returns a bool
-    array: True where the prediction is a true positive.
+    ground truth in their panorama with IoU >= thr; an IoU tie goes to
+    the later ground truth. The ranking and every IoU are computed once
+    and shared by all thresholds. Returns {thr: matched}, ``matched``
+    holding the ground-truth index per rank, -1 for a false positive.
     """
     gt_by_pano: dict = {}
     for j, g in enumerate(gts):
         gt_by_pano.setdefault(g.pano_id, []).append(j)
     order = sorted(range(len(preds)),
                    key=lambda i: (-(preds[i].score or 0.0), i))
-    taken = [False] * len(gts)
-    is_tp = np.zeros(len(preds), bool)
-    matched_gt = np.full(len(preds), -1, np.int64)
+    min_thr = min(thresholds)
+    candidates = []  # per rank: (gt index, IoU) in ground-truth order
     for i in order:
         p = preds[i]
         width = (width_by_pano or {}).get(p.pano_id)
-        best_j, best_v = -1, iou_thr
-        for j in gt_by_pano.get(p.pano_id, []):
-            if taken[j]:
-                continue
-            v = iou_2d(p, gts[j], width)
-            if v >= best_v:
-                best_v, best_j = v, j
-        if best_j >= 0:
-            taken[best_j] = True
-            is_tp[i] = True
-            matched_gt[i] = best_j
-    return order, is_tp, matched_gt
+        ious = [(j, iou_2d(p, gts[j], width))
+                for j in gt_by_pano.get(p.pano_id, [])]
+        candidates.append([(j, v) for j, v in ious if v >= min_thr])
+    out = {}
+    for t in thresholds:
+        taken = [False] * len(gts)
+        matched = np.full(len(candidates), -1, np.int64)
+        for k, cands in enumerate(candidates):
+            best_j, best_v = -1, t
+            for j, v in cands:
+                if not taken[j] and v >= best_v:
+                    best_v, best_j = v, j
+            if best_j >= 0:
+                taken[best_j] = True
+                matched[k] = best_j
+        out[t] = matched
+    return out
 
 
-def _ap_from_flags(order, is_tp, n_gt) -> float:
-    if n_gt == 0:
-        return float("nan")
-    tp = np.cumsum([1.0 if is_tp[i] else 0.0 for i in order])
-    fp = np.cumsum([0.0 if is_tp[i] else 1.0 for i in order])
-    if len(tp) == 0:
+def _match_categories(preds, gts, thresholds, width_by_pano):
+    """Match every category once per threshold.
+
+    Returns ({category: (its ground truth, {thr: matched})}, excluded)
+    in sorted category order; ``excluded`` lists the categories with no
+    ground truth.
+    """
+    preds_of: dict = {}
+    for p in preds:
+        preds_of.setdefault(p.category, []).append(p)
+    gts_of: dict = {}
+    for g in gts:
+        gts_of.setdefault(g.category, []).append(g)
+    out = {}
+    excluded = []
+    for c in sorted(gts_of.keys() | preds_of.keys()):
+        if c not in gts_of:
+            excluded.append(c)
+            continue
+        out[c] = (gts_of[c], _match_category(preds_of.get(c, []), gts_of[c],
+                                             thresholds, width_by_pano))
+    return out, excluded
+
+
+def _ap_from_flags(is_tp: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP of ranked true-positive flags."""
+    if len(is_tp) == 0:
         return 0.0
+    tp = np.cumsum(is_tp, dtype=float)
+    fp = np.cumsum(~is_tp, dtype=float)
     recall = tp / n_gt
     precision = tp / (tp + fp)
+    # best precision at or after each rank; recall never decreases, so
+    # the ranks with recall >= r are those from searchsorted(recall, r) on
+    best = np.maximum.accumulate(precision[::-1])[::-1]
+    starts = np.searchsorted(recall, AP_RECALL_POINTS - 1e-12)
     ap = 0.0
-    for r in AP_RECALL_POINTS:
-        mask = recall >= r - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
+    for k in starts:  # in order: np.sum adds pairwise and moves the last bits
+        ap += best[k] if k < len(best) else 0.0
     return ap / len(AP_RECALL_POINTS)
 
 
@@ -279,41 +311,34 @@ def average_precision(preds, gts, iou_thr: float = 0.5,
     Categories with zero ground truth are excluded from the mean and
     listed. Scores matter only through their ranking.
     """
-    cats = sorted({g.category for g in gts} | {p.category for p in preds})
-    per_cat = {}
-    excluded = []
-    for c in cats:
-        c_gts = [g for g in gts if g.category == c]
-        c_preds = [p for p in preds if p.category == c]
-        if not c_gts:
-            excluded.append(c)
-            continue
-        order, is_tp, _ = _match_predictions(c_preds, c_gts, iou_thr,
-                                             width_by_pano)
-        per_cat[c] = _ap_from_flags(order, is_tp, len(c_gts))
+    matches, excluded = _match_categories(preds, gts, [iou_thr],
+                                          width_by_pano)
+    return _ap_report(matches, excluded, iou_thr)
+
+
+def _ap_report(matches, excluded, iou_thr) -> APReport:
+    per_cat = {c: _ap_from_flags(matched[iou_thr] >= 0, len(c_gts))
+               for c, (c_gts, matched) in matches.items()}
     return APReport(iou_thr=iou_thr, per_category=per_cat, excluded=excluded)
 
 
-def _bucket_ap(preds, gts, iou_thr, width_by_pano, area_lo, area_hi):
-    """AP restricted to ground truth in one area bucket.
+def _bucket_map(matches, iou_thr, area_lo, area_hi):
+    """Mean AP over categories, restricted to ground truth in one area
+    bucket; None when no category has ground truth there.
 
     Predictions matched to out-of-bucket ground truth are ignored
     rather than counted as false positives.
     """
-    cats = sorted({g.category for g in gts})
     vals = []
-    for c in cats:
-        c_gts = [g for g in gts if g.category == c]
-        c_preds = [p for p in preds if p.category == c]
-        in_bucket = [area_lo <= g.area < area_hi for g in c_gts]
-        n_gt = sum(in_bucket)
+    for c_gts, matched in matches.values():
+        in_bucket = np.array([area_lo <= g.area < area_hi for g in c_gts])
+        n_gt = int(in_bucket.sum())
         if n_gt == 0:
             continue
-        order, is_tp, matched = _match_predictions(c_preds, c_gts, iou_thr,
-                                                   width_by_pano)
-        keep_order = [i for i in order
-                      if not (is_tp[i] and not in_bucket[matched[i]])]
-        vals.append(_ap_from_flags(keep_order, is_tp, n_gt))
+        m = matched[iou_thr]
+        is_tp = m >= 0
+        keep = ~is_tp | in_bucket[m]
+        vals.append(_ap_from_flags(is_tp[keep], n_gt))
     if not vals:
         return None
     return float(np.mean(vals))
@@ -322,15 +347,16 @@ def _bucket_ap(preds, gts, iou_thr, width_by_pano, area_lo, area_hi):
 def coco_summary(preds, gts, width_by_pano: dict | None = None,
                  size_buckets: bool = True) -> dict:
     """COCO-flavored summary: mAP over 0.50:0.05:0.95, 0.50/0.75 slices,
-    per-category AP at 0.50, and optional small/medium/large buckets."""
-    grid_means = []
-    ap50 = average_precision(preds, gts, 0.5, width_by_pano)
-    for t in COCO_IOU_GRID:
-        rep = (ap50 if t == 0.5
-               else average_precision(preds, gts, t, width_by_pano))
-        if rep.mean is not None:
-            grid_means.append(rep.mean)
-    ap75 = average_precision(preds, gts, 0.75, width_by_pano)
+    per-category AP at 0.50, and optional small/medium/large buckets.
+
+    Each (category, IoU threshold) matching runs once and serves the
+    plain AP and every area bucket.
+    """
+    matches, excluded = _match_categories(preds, gts, COCO_IOU_GRID,
+                                          width_by_pano)
+    reports = {t: _ap_report(matches, excluded, t) for t in COCO_IOU_GRID}
+    grid_means = [rep.mean for rep in reports.values() if rep.mean is not None]
+    ap50, ap75 = reports[0.5], reports[0.75]
     out = {
         "mAP": float(np.mean(grid_means)) if grid_means else None,
         "mAP50": ap50.mean,
@@ -346,7 +372,7 @@ def coco_summary(preds, gts, width_by_pano: dict | None = None,
         for name, (lo, hi) in buckets.items():
             vals = []
             for t in COCO_IOU_GRID:
-                v = _bucket_ap(preds, gts, t, width_by_pano, lo, hi)
+                v = _bucket_map(matches, t, lo, hi)
                 if v is not None:
                     vals.append(v)
             out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None

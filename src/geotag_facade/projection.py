@@ -144,8 +144,6 @@ class SceneArrays:
     ny: np.ndarray
     a_dot_n: np.ndarray  # (a - origin) . n, origin is (0, 0)
     len2: np.ndarray
-    length: np.ndarray
-    bidx: np.ndarray  # index into LocalScene.buildings
     rank: np.ndarray
     rank_to_bidx: np.ndarray
 
@@ -187,8 +185,8 @@ class LocalScene:
             rank_of[i] = r
         return SceneArrays(
             ax=ax, ay=ay, ex=ex, ey=ey, nx=nx, ny=ny,
-            a_dot_n=ax * nx + ay * ny, len2=length * length, length=length,
-            bidx=bidx, rank=rank_of[bidx] if n else np.empty(0, np.int64),
+            a_dot_n=ax * nx + ay * ny, len2=length * length,
+            rank=rank_of[bidx] if n else np.empty(0, np.int64),
             rank_to_bidx=np.asarray(order, np.int64))
 
 

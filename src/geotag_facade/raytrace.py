@@ -17,7 +17,6 @@ panorama's pixel axis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,24 +24,11 @@ import numpy as np
 from .config import rays_per_turn
 from .errors import DegenerateSceneError
 from .ingest import PanoramaMeta
-from .projection import LocalScene, WallSegment, angle_to_pixel
+from .projection import LocalScene, angle_to_pixel
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
 _ANGLE_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class RayHit:
-    building_id: str
-    category: int
-    distance: float
-
-
-@dataclass(frozen=True)
-class RaySample:
-    theta: float  # degrees clockwise from north, grid point
-    hit: RayHit | None
 
 
 @dataclass
@@ -61,34 +47,6 @@ class RaySweep:
 
     def __len__(self):
         return len(self.thetas)
-
-    @property
-    def samples(self) -> list:
-        out = []
-        for theta, bi, d in zip(self.thetas, self.building_idx, self.distances):
-            hit = None
-            if bi >= 0:
-                bid, cat = self.buildings[bi]
-                hit = RayHit(building_id=bid, category=cat, distance=float(d))
-            out.append(RaySample(theta=float(theta), hit=hit))
-        return out
-
-    @classmethod
-    def from_samples(cls, samples, step_deg: float) -> "RaySweep":
-        table: dict = {}
-        bidx = np.full(len(samples), -1, np.int64)
-        dist = np.full(len(samples), np.inf)
-        for i, s in enumerate(samples):
-            if s.hit is None:
-                continue
-            key = (s.hit.building_id, s.hit.category)
-            if key not in table:
-                table[key] = len(table)
-            bidx[i] = table[key]
-            dist[i] = s.hit.distance
-        thetas = np.asarray([s.theta for s in samples], float)
-        return cls(step_deg=step_deg, thetas=thetas, building_idx=bidx,
-                   distances=dist, buildings=tuple(table))
 
 
 @dataclass(frozen=True)
@@ -124,39 +82,6 @@ class VisibilityInterval:
             "px_hi": self.px_hi,
             "min_distance": self.min_distance,
         }
-
-
-def heading_direction(theta_deg: float) -> tuple:
-    """Unit vector (east, north) of a clockwise-from-north heading."""
-    rad = math.radians(theta_deg)
-    return (math.sin(rad), math.cos(rad))
-
-
-def ray_wall_distance(origin, direction, seg: WallSegment) -> float | None:
-    """Distance along a single ray to one wall segment, or None.
-
-    ``direction`` must be a unit vector (checked to 1e-9). Returns the
-    positive ray parameter in meters when the ray meets the closed
-    segment; parallel and collinear configurations count as no hit.
-    """
-    dx, dy = direction
-    if abs(math.hypot(dx, dy) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    ex, ey = seg.bx - seg.ax, seg.by - seg.ay
-    length = math.hypot(ex, ey)
-    nx, ny = ey / length, -ex / length
-    denom = dx * nx + dy * ny
-    if abs(denom) < PARALLEL_EPS:
-        return None
-    t = ((seg.ax - origin[0]) * nx + (seg.ay - origin[1]) * ny) / denom
-    if t <= 0.0:
-        return None
-    px = origin[0] + t * dx - seg.ax
-    py = origin[1] + t * dy - seg.ay
-    s = (px * ex + py * ey) / (length * length)
-    if s < 0.0 or s > 1.0:
-        return None
-    return t
 
 
 def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
@@ -224,18 +149,15 @@ def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
 def _runs(building_idx: np.ndarray):
     """Maximal runs of equal hit index, merged across the 0-degree seam."""
     n = len(building_idx)
-    runs = []
-    i = 0
-    while i < n:
-        b = building_idx[i]
-        if b < 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and building_idx[j + 1] == b:
-            j += 1
-        runs.append([i, j, int(b)])
-        i = j + 1
+    if n == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(building_idx)) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts - 1, [n - 1]))
+    owners = building_idx[starts]
+    hit = owners >= 0
+    runs = [[int(i), int(j), int(b)]
+            for i, j, b in zip(starts[hit], ends[hit], owners[hit])]
     if (len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n - 1
             and runs[0][2] == runs[-1][2]):
         first = runs.pop(0)

@@ -8,13 +8,26 @@ decomposition for circular overlap. They stay simple and slow.
 before the footprint index, projecting every footprint for every camera,
 and shares the package's per-ring helpers. It checks which footprints
 the index lets through, not the projection arithmetic.
+
+The rest are former package code kept as references for the code that
+replaced it: the scalar ray-wall distance and the per-sample sweep view
+(``RayHit``, ``RaySample``), the loop form of the run split
+(``reference_runs``), and the AP path that reran the greedy matching for
+every AP value (``reference_average_precision``,
+``reference_coco_summary``).
 """
 import math
+from dataclasses import dataclass
 
+import numpy as np
+
+from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
+                                   MEDIUM_AREA, SMALL_AREA, APReport, iou_2d)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       LocalScene, WallSegment,
                                       _point_in_ring, _ring_min_distance,
                                       _wrap_lon)
+from geotag_facade.raytrace import PARALLEL_EPS, RaySweep
 
 EARTH_RADIUS_M = 6371.393 * 1000.0
 
@@ -124,3 +137,234 @@ def linear_clip_scene(footprints, meta, radius_m):
     return LocalScene(pano_id=meta.pano_id, origin=origin, radius_m=radius_m,
                       segments=segments, buildings=tuple(buildings),
                       degenerate=degenerate, containing_building=containing)
+
+
+def heading_direction(theta_deg: float) -> tuple:
+    """Unit vector (east, north) of a clockwise-from-north heading."""
+    rad = math.radians(theta_deg)
+    return (math.sin(rad), math.cos(rad))
+
+
+def ray_wall_distance(origin, direction, seg: WallSegment) -> float | None:
+    """Distance along a single ray to one wall segment, or None.
+
+    ``direction`` must be a unit vector (checked to 1e-9). Returns the
+    positive ray parameter in meters when the ray meets the closed
+    segment; parallel and collinear configurations count as no hit.
+    """
+    dx, dy = direction
+    if abs(math.hypot(dx, dy) - 1.0) > 1e-9:
+        raise ValueError("direction must be a unit vector")
+    ex, ey = seg.bx - seg.ax, seg.by - seg.ay
+    length = math.hypot(ex, ey)
+    nx, ny = ey / length, -ex / length
+    denom = dx * nx + dy * ny
+    if abs(denom) < PARALLEL_EPS:
+        return None
+    t = ((seg.ax - origin[0]) * nx + (seg.ay - origin[1]) * ny) / denom
+    if t <= 0.0:
+        return None
+    px = origin[0] + t * dx - seg.ax
+    py = origin[1] + t * dy - seg.ay
+    s = (px * ex + py * ey) / (length * length)
+    if s < 0.0 or s > 1.0:
+        return None
+    return t
+
+
+@dataclass(frozen=True)
+class RayHit:
+    building_id: str
+    category: int
+    distance: float
+
+
+@dataclass(frozen=True)
+class RaySample:
+    theta: float  # degrees clockwise from north, grid point
+    hit: RayHit | None
+
+
+def sweep_samples(sweep) -> list:
+    """Per-sample view of a sweep, one RaySample per grid heading."""
+    out = []
+    for theta, bi, d in zip(sweep.thetas, sweep.building_idx,
+                             sweep.distances):
+        hit = None
+        if bi >= 0:
+            bid, cat = sweep.buildings[bi]
+            hit = RayHit(building_id=bid, category=cat, distance=float(d))
+        out.append(RaySample(theta=float(theta), hit=hit))
+    return out
+
+
+def sweep_from_samples(samples, step_deg: float) -> RaySweep:
+    """A RaySweep built from per-sample hits, buildings in first-seen order."""
+    table: dict = {}
+    bidx = np.full(len(samples), -1, np.int64)
+    dist = np.full(len(samples), np.inf)
+    for i, s in enumerate(samples):
+        if s.hit is None:
+            continue
+        key = (s.hit.building_id, s.hit.category)
+        if key not in table:
+            table[key] = len(table)
+        bidx[i] = table[key]
+        dist[i] = s.hit.distance
+    thetas = np.asarray([s.theta for s in samples], float)
+    return RaySweep(step_deg=step_deg, thetas=thetas, building_idx=bidx,
+                    distances=dist, buildings=tuple(table))
+
+
+def reference_runs(building_idx: np.ndarray):
+    """Maximal runs of equal hit index, merged across the 0-degree seam."""
+    n = len(building_idx)
+    runs = []
+    i = 0
+    while i < n:
+        b = building_idx[i]
+        if b < 0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and building_idx[j + 1] == b:
+            j += 1
+        runs.append([i, j, int(b)])
+        i = j + 1
+    if (len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n - 1
+            and runs[0][2] == runs[-1][2]):
+        first = runs.pop(0)
+        runs[-1][1] = first[1]  # wrapped run: start stays, end crosses seam
+    return runs
+
+
+def _reference_match_predictions(preds, gts, iou_thr, width_by_pano):
+    """COCO-style greedy matching for one category.
+
+    Predictions in descending score order grab the best still-free
+    ground truth in their panorama with IoU >= thr. Returns a bool
+    array: True where the prediction is a true positive.
+    """
+    gt_by_pano: dict = {}
+    for j, g in enumerate(gts):
+        gt_by_pano.setdefault(g.pano_id, []).append(j)
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-(preds[i].score or 0.0), i))
+    taken = [False] * len(gts)
+    is_tp = np.zeros(len(preds), bool)
+    matched_gt = np.full(len(preds), -1, np.int64)
+    for i in order:
+        p = preds[i]
+        width = (width_by_pano or {}).get(p.pano_id)
+        best_j, best_v = -1, iou_thr
+        for j in gt_by_pano.get(p.pano_id, []):
+            if taken[j]:
+                continue
+            v = iou_2d(p, gts[j], width)
+            if v >= best_v:
+                best_v, best_j = v, j
+        if best_j >= 0:
+            taken[best_j] = True
+            is_tp[i] = True
+            matched_gt[i] = best_j
+    return order, is_tp, matched_gt
+
+
+def _reference_ap_from_flags(order, is_tp, n_gt) -> float:
+    if n_gt == 0:
+        return float("nan")
+    tp = np.cumsum([1.0 if is_tp[i] else 0.0 for i in order])
+    fp = np.cumsum([0.0 if is_tp[i] else 1.0 for i in order])
+    if len(tp) == 0:
+        return 0.0
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    ap = 0.0
+    for r in AP_RECALL_POINTS:
+        mask = recall >= r - 1e-12
+        ap += precision[mask].max() if mask.any() else 0.0
+    return ap / len(AP_RECALL_POINTS)
+
+
+def reference_average_precision(preds, gts, iou_thr: float = 0.5,
+                                width_by_pano: dict | None = None) -> APReport:
+    """101-point interpolated AP per category at one IoU threshold.
+
+    Categories with zero ground truth are excluded from the mean and
+    listed. Scores matter only through their ranking.
+    """
+    cats = sorted({g.category for g in gts} | {p.category for p in preds})
+    per_cat = {}
+    excluded = []
+    for c in cats:
+        c_gts = [g for g in gts if g.category == c]
+        c_preds = [p for p in preds if p.category == c]
+        if not c_gts:
+            excluded.append(c)
+            continue
+        order, is_tp, _ = _reference_match_predictions(
+            c_preds, c_gts, iou_thr, width_by_pano)
+        per_cat[c] = _reference_ap_from_flags(order, is_tp, len(c_gts))
+    return APReport(iou_thr=iou_thr, per_category=per_cat, excluded=excluded)
+
+
+def _reference_bucket_ap(preds, gts, iou_thr, width_by_pano, area_lo,
+                         area_hi):
+    """AP restricted to ground truth in one area bucket.
+
+    Predictions matched to out-of-bucket ground truth are ignored
+    rather than counted as false positives.
+    """
+    cats = sorted({g.category for g in gts})
+    vals = []
+    for c in cats:
+        c_gts = [g for g in gts if g.category == c]
+        c_preds = [p for p in preds if p.category == c]
+        in_bucket = [area_lo <= g.area < area_hi for g in c_gts]
+        n_gt = sum(in_bucket)
+        if n_gt == 0:
+            continue
+        order, is_tp, matched = _reference_match_predictions(
+            c_preds, c_gts, iou_thr, width_by_pano)
+        keep_order = [i for i in order
+                      if not (is_tp[i] and not in_bucket[matched[i]])]
+        vals.append(_reference_ap_from_flags(keep_order, is_tp, n_gt))
+    if not vals:
+        return None
+    return float(np.mean(vals))
+
+
+def reference_coco_summary(preds, gts, width_by_pano: dict | None = None,
+                           size_buckets: bool = True) -> dict:
+    """COCO-flavored summary: mAP over 0.50:0.05:0.95, 0.50/0.75 slices,
+    per-category AP at 0.50, and optional small/medium/large buckets."""
+    grid_means = []
+    ap50 = reference_average_precision(preds, gts, 0.5, width_by_pano)
+    for t in COCO_IOU_GRID:
+        rep = (ap50 if t == 0.5
+               else reference_average_precision(preds, gts, t,
+                                                width_by_pano))
+        if rep.mean is not None:
+            grid_means.append(rep.mean)
+    ap75 = reference_average_precision(preds, gts, 0.75, width_by_pano)
+    out = {
+        "mAP": float(np.mean(grid_means)) if grid_means else None,
+        "mAP50": ap50.mean,
+        "mAP75": ap75.mean,
+        "per_category_ap50": {str(c): v for c, v in
+                              sorted(ap50.per_category.items())},
+        "excluded_categories": ap50.excluded,
+    }
+    if size_buckets:
+        buckets = {"small": (0.0, SMALL_AREA),
+                   "medium": (SMALL_AREA, MEDIUM_AREA),
+                   "large": (MEDIUM_AREA, float("inf"))}
+        for name, (lo, hi) in buckets.items():
+            vals = []
+            for t in COCO_IOU_GRID:
+                v = _reference_bucket_ap(preds, gts, t, width_by_pano, lo,
+                                         hi)
+                if v is not None:
+                    vals.append(v)
+            out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
+    return out

@@ -66,7 +66,8 @@ def test_trace_missing_input_fatal(tmp_path):
     ("annotate", ["--batch-size", 0], None, "batch_size"),
     ("trace", ["--step-deg", 7], None, "does not divide 360"),
     ("trace", [], "abc", "GEOTAG_FACADE_WORKERS"),
-], ids=["radius", "batch-size", "step-deg", "workers"])
+    ("annotate", ["--iou-x", 1.5], None, "iou_x_min"),
+], ids=["radius", "batch-size", "step-deg", "workers", "iou-x"])
 def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                         monkeypatch, command, flags,
                                         workers, needle):
@@ -84,6 +85,28 @@ def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys,
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
     assert not out.exists()  # refused before any input was read
+
+
+def test_iou_x_min_range():
+    from geotag_facade import ConfigError, RunConfig
+    for ok in (0.0, 0.3, 0.999):
+        assert RunConfig(iou_x_min=ok).iou_x_min == ok
+    for bad in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="iou_x_min"):
+            RunConfig(iou_x_min=bad)
+
+
+@pytest.mark.parametrize("iou_thr", [0, -0.5, 1.5, "nan"])
+def test_eval_iou_thr_out_of_range(scene_dir, tmp_path, capsys, iou_thr):
+    out = tmp_path / "eval.json"
+    rc = run(["eval", "--gt", scene_dir / "gt.json",
+              "--pred", scene_dir / "gt.json", "--iou-thr", iou_thr,
+              "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "--iou-thr" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_degenerate_scene_partial_exit(tmp_path):

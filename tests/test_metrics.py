@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from geotag_facade.metrics import (EvalBox, average_precision,
+from geotag_facade import metrics
+from geotag_facade.cocoio import canonical_json
+from geotag_facade.metrics import (COCO_IOU_GRID, EvalBox, average_precision,
                                    coarse_accuracy, coco_summary, iou_1d,
                                    iou_2d)
 
-from oracle_utils import brute_iou_1d, brute_iou_2d
+from oracle_utils import (brute_iou_1d, brute_iou_2d,
+                          reference_average_precision, reference_coco_summary)
 
 W = 2048.0
 
@@ -190,3 +193,154 @@ class TestAveragePrecision:
         # boxes are 100x200 = 20000 px^2: large only
         assert summary["mAP_large"] == 1.0
         assert summary["mAP_small"] is None
+
+
+def random_boxes(rng, n, panos, cats, scored, seam=True):
+    """Boxes on a coarse grid, so equal IoUs, duplicates and exact grid
+    IoUs occur; widths reach past the seam when ``seam``."""
+    out = []
+    for _ in range(n):
+        x = rng.choice([0.0, 100.0, 150.0, 1900.0, 1990.0, 2000.0])
+        if not seam:
+            x = min(x, 1000.0)
+        # 32x32 and 96x96 sit exactly on the area bucket edges
+        w = rng.choice([10.0, 25.0, 32.0, 50.0, 60.0, 75.0, 96.0, 180.0])
+        h = rng.choice([20.0, 32.0, 96.0, 150.0])
+        score = None
+        if scored:
+            score = rng.choice([None, 0.5, 0.5, 0.9, round(rng.random(), 3)])
+        out.append(EvalBox(pano_id=rng.choice(panos), x=x,
+                           y=rng.choice([0.0, 0.0, 10.0]), w=w, h=h,
+                           category=rng.choice(cats), score=score))
+    return out
+
+
+def assert_same_as_reference(preds, gts, width_by_pano=None,
+                             size_buckets=True):
+    got = coco_summary(preds, gts, width_by_pano, size_buckets)
+    want = reference_coco_summary(preds, gts, width_by_pano, size_buckets)
+    assert canonical_json(got) == canonical_json(want)
+    for t in (0.0, 0.3, 0.75, 1.0):
+        got = average_precision(preds, gts, t, width_by_pano).to_dict()
+        want = reference_average_precision(preds, gts, t,
+                                           width_by_pano).to_dict()
+        assert canonical_json(got) == canonical_json(want)
+
+
+class TestApMatchesReference:
+    """coco_summary and average_precision against the AP path that
+    reran the greedy matching for every value."""
+
+    def test_seeded_random_sets(self):
+        rng = random.Random(11)
+        for case in range(80):
+            panos = ["a", "b", "c"][:rng.randint(1, 3)]
+            gts = random_boxes(rng, rng.randint(0, 14), panos, [1, 2, 3],
+                               scored=False, seam=case % 2 == 0)
+            # one prediction-only category; copies of ground truth give
+            # duplicate predictions on one box
+            preds = random_boxes(rng, rng.randint(0, 14), panos,
+                                 [1, 2, 3, 4], scored=True,
+                                 seam=case % 2 == 0)
+            preds += [EvalBox(g.pano_id, g.x, g.y, g.w, g.h, g.category,
+                              score=rng.choice([None, 0.5, 0.9]))
+                      for g in rng.sample(gts, min(len(gts), 3))]
+            rng.shuffle(preds)
+            widths = {p: 2048.0 for p in panos} if case % 3 else None
+            assert_same_as_reference(preds, gts, widths,
+                                     size_buckets=case % 5 != 0)
+
+    def test_iou_exactly_on_the_grid(self):
+        gt = [EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1)]
+        for t in COCO_IOU_GRID:
+            # a w-wide box inside the 100x100 ground truth has IoU w/100
+            w = round(t * 100.0)
+            pred = EvalBox("a", 0.0, 0.0, float(w), 100.0, 1, score=0.8)
+            assert iou_2d(pred, gt[0]) == t
+            assert_same_as_reference([pred], gt)
+            assert average_precision([pred], gt, t).per_category[1] == 1.0
+
+    def test_recall_on_the_101_point_grid(self):
+        # with 20 or 50 ground truth boxes, recall k/n lands on (or a
+        # rounding error away from) the 101 recall points
+        rng = random.Random(13)
+        for n_gt in (20, 50):
+            gts = [EvalBox("a", 120.0 * k, 0.0, 100.0, 100.0, 1)
+                   for k in range(n_gt)]
+            preds = [EvalBox("a", g.x, 0.0, 100.0, 100.0, 1,
+                             score=rng.random()) for g in gts[::2]]
+            preds += [EvalBox("a", 120.0 * k + 60.0, 500.0, 10.0, 10.0, 1,
+                              score=rng.random()) for k in range(n_gt // 2)]
+            assert_same_as_reference(preds, gts)
+        # recall 7/20 is one rounding error below the 0.35 point; a false
+        # positive right after the 7th hit makes that point's precision 1
+        preds = [EvalBox("a", g.x, 0.0, 100.0, 100.0, 1, score=1.0 - k / 100)
+                 for k, g in enumerate(gts[:20])]
+        preds.insert(7, EvalBox("a", 60.0, 500.0, 10.0, 10.0, 1, score=0.935))
+        assert_same_as_reference(preds, gts[:20])
+
+    def test_equal_ious_tie_to_the_later_ground_truth(self):
+        gts = [EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1),
+               EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1)]
+        preds = [EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1, score=0.9),
+                 EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1, score=0.9)]
+        assert_same_as_reference(preds, gts)
+        matched = metrics._match_category(preds, gts, [0.5], None)[0.5]
+        assert list(matched) == [1, 0]
+
+    def test_seam_wrap_with_and_without_widths(self):
+        gts = [EvalBox("a", 2000.0, 0.0, 100.0, 100.0, 1)]
+        preds = [EvalBox("a", 2010.0, 0.0, 100.0, 100.0, 1, score=0.9),
+                 EvalBox("a", 0.0, 0.0, 52.0, 100.0, 1, score=0.8)]
+        for widths in (None, {"a": 2048.0}):
+            assert_same_as_reference(preds, gts, widths)
+
+    def test_empty_sides(self):
+        boxes = [EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1, score=0.5)]
+        assert_same_as_reference([], [])
+        assert_same_as_reference([], boxes)
+        assert_same_as_reference(boxes, [])
+        assert_same_as_reference(boxes, [], size_buckets=False)
+        assert coco_summary(boxes, [])["excluded_categories"] == [1]
+
+    def test_acceptance_scene_with_noise(self):
+        from geotag_facade import RunConfig
+        from geotag_facade.ingest import FootprintSet, LoadReport
+        from geotag_facade.matcher import generate_coarse_annotations
+        from geotag_facade.synth import (NoiseConfig, SceneConfig,
+                                         generate_scene, perturb_detections)
+        scene = generate_scene(2003, SceneConfig(n_buildings=14,
+                                                 n_cameras=8))
+        dets = perturb_detections(scene, NoiseConfig(
+            shift_frac=0.05, scale_frac=0.05, fp_rate=0.3), seed=2004)
+        fset = FootprintSet(footprints=scene.footprints,
+                            report=LoadReport(path="<scene>"))
+        annotations, _ = generate_coarse_annotations(
+            scene.metas, fset, dets, RunConfig(threshold_mode="fixed",
+                                               fixed_threshold=0.05))
+        preds = [EvalBox(a.pano_id, a.x, a.y, a.w, a.h, a.category,
+                         score=a.score) for a in annotations]
+        gts = [EvalBox(g.pano_id, g.x, g.y, g.w, g.h, g.category)
+               for g in scene.gt_boxes]
+        assert preds and gts
+        widths = {m.pano_id: m.width for m in scene.metas}
+        assert_same_as_reference(preds, gts, widths)
+
+    def test_each_iou_computed_once(self, monkeypatch):
+        rng = random.Random(12)
+        panos = ["a", "b"]
+        gts = random_boxes(rng, 30, panos, [1, 2], scored=False)
+        preds = random_boxes(rng, 40, panos, [1, 2, 3], scored=True)
+        calls = []
+        real = metrics.iou_2d
+
+        def counted(a, b, width=None):
+            calls.append((id(a), id(b)))
+            return real(a, b, width)
+
+        monkeypatch.setattr(metrics, "iou_2d", counted)
+        coco_summary(preds, gts, {p: 2048.0 for p in panos})
+        pairs = sum(1 for p in preds for g in gts
+                    if (p.pano_id, p.category) == (g.pano_id, g.category))
+        assert len(calls) == len(set(calls)) <= pairs
+        assert len(calls) > 0

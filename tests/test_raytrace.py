@@ -5,10 +5,13 @@ import pytest
 
 from geotag_facade import PanoramaMeta
 from geotag_facade.projection import LocalScene, WallSegment
-from geotag_facade.raytrace import (RayHit, RaySample, RaySweep,
-                                    intervals_from_sweep, intervals_to_pixel,
-                                    ray_wall_distance, trace_sweep)
+from geotag_facade.raytrace import (_runs, intervals_from_sweep,
+                                    intervals_to_pixel, trace_sweep)
 from geotag_facade.synth import oracle_hits
+
+from oracle_utils import (RayHit, RaySample, heading_direction,
+                          ray_wall_distance, reference_runs,
+                          sweep_from_samples, sweep_samples)
 
 
 def seg(ax, ay, bx, by, building_id="B", category=1):
@@ -86,7 +89,7 @@ class TestTraceSweep:
         sweep = trace_sweep(scene_of([]), 1.0)
         assert len(sweep) == 360
         assert (sweep.building_idx == -1).all()
-        assert all(s.hit is None for s in sweep.samples)
+        assert all(s.hit is None for s in sweep_samples(sweep))
 
     def test_square_due_north(self):
         # 10 m square centered 20 m north: true extent is atan(5/15)
@@ -139,7 +142,6 @@ class TestTraceSweep:
             local = clip_scene(FootprintIndex(sc.footprints), sc.metas[0],
                                50.0)
             sweep = trace_sweep(local, 1.0)
-            from geotag_facade.raytrace import heading_direction
             for i, theta in enumerate(sweep.thetas):
                 dirv = heading_direction(theta)
                 dists = [ray_wall_distance((0.0, 0.0), dirv, g)
@@ -163,7 +165,7 @@ class TestIntervals:
         samples = [sample(t) for t in range(360)]
         for t in list(range(342, 360)) + list(range(0, 19)):
             samples[t] = sample(t, "B", 16.0)
-        sweep = RaySweep.from_samples(samples, 1.0)
+        sweep = sweep_from_samples(samples, 1.0)
         ivs = intervals_from_sweep(sweep)
         assert len(ivs) == 1
         iv = ivs[0]
@@ -178,26 +180,26 @@ class TestIntervals:
             samples[t] = sample(t, "B2", 12.0)
         for t in range(30, 40):
             samples[t] = sample(t, "B1", 11.0)
-        ivs = intervals_from_sweep(RaySweep.from_samples(samples, 1.0))
+        ivs = intervals_from_sweep(sweep_from_samples(samples, 1.0))
         assert len(ivs) == 3
         assert [iv.building_id for iv in ivs] == ["B1", "B2", "B1"]
         assert ivs[0].min_distance == 10.0
 
     def test_all_miss(self):
         samples = [sample(t) for t in range(360)]
-        assert intervals_from_sweep(RaySweep.from_samples(samples, 1.0)) == []
+        assert intervals_from_sweep(sweep_from_samples(samples, 1.0)) == []
 
     def test_samples_roundtrip(self):
         samples = [sample(t) for t in range(360)]
         samples[5] = sample(5, "B", 12.5)
         samples[6] = sample(6, "B", 11.0)
         samples[10] = sample(10, "C", 30.0, category=3)
-        sweep = RaySweep.from_samples(samples, 1.0)
-        assert sweep.samples == samples
+        sweep = sweep_from_samples(samples, 1.0)
+        assert sweep_samples(sweep) == samples
 
     def test_full_circle_single_building(self):
         samples = [sample(t, "B", 5.0) for t in range(360)]
-        ivs = intervals_from_sweep(RaySweep.from_samples(samples, 1.0))
+        ivs = intervals_from_sweep(sweep_from_samples(samples, 1.0))
         assert len(ivs) == 1
         assert (ivs[0].angle_lo, ivs[0].angle_hi) == (0.0, 359.0)
 
@@ -227,6 +229,38 @@ class TestIntervals:
             assert hit == covered
 
 
+class TestRuns:
+    """The array form of the run split against the former loop."""
+
+    def check(self, bidx):
+        bidx = np.asarray(bidx, np.int64)
+        assert _runs(bidx) == reference_runs(bidx)
+
+    def test_edge_cases(self):
+        n = 360
+        self.check([])
+        self.check([-1] * n)  # all misses
+        self.check([4] * n)  # one building all round
+        self.check([2] * 10 + [-1] * (n - 20) + [2] * 10)  # across the seam
+        self.check([2] * 10 + [-1] * (n - 20) + [3] * 10)  # two at the seam
+        self.check([2] * 10 + [5] * (n - 20) + [2] * 10)  # seam, no misses
+        self.check([i % 2 for i in range(n)])  # alternating buildings
+        self.check([(i // 3) % 2 for i in range(n)])
+        self.check([0] + [-1] * (n - 1))
+        self.check([-1] * (n - 1) + [0])
+        self.check([7])
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            owners = int(rng.integers(1, 5))
+            # runs of random length, so long runs and seam runs both occur
+            lengths = rng.integers(1, 12, size=n)
+            vals = rng.integers(-1, owners, size=n)
+            self.check(np.repeat(vals, lengths))
+
+
 class TestIntervalsToPixel:
     def iv(self, lo, hi, building="B"):
         samples = [sample(t) for t in range(360)]
@@ -234,7 +268,7 @@ class TestIntervalsToPixel:
         for k in range(span + 1):
             t = int((lo + k) % 360)
             samples[t] = sample(t, building, 10.0)
-        ivs = intervals_from_sweep(RaySweep.from_samples(samples, 1.0))
+        ivs = intervals_from_sweep(sweep_from_samples(samples, 1.0))
         assert len(ivs) == 1
         return ivs[0]
 
