@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
-from .ingest import CategoryMapping, DetectionSet
+from .errors import LoadError
+from .ingest import CategoryMapping, DetectionSet, _read_json
 from .metrics import EvalBox
 
 
@@ -95,9 +97,15 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
 def read_coco(path):
     """Read a COCO file into eval boxes plus per-panorama sizes.
 
-    Returns (boxes, width_by_pano, height_by_pano, info).
+    Returns (boxes, width_by_pano, height_by_pano, info). Raises
+    ``ParseError`` when the file is not JSON, and ``LoadError`` for an
+    annotation whose ``image_id`` names no image, whose ``bbox`` is not
+    four finite numbers with positive width and height, or that has no
+    ``category_id``.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise LoadError(f"{path}: expected a COCO object")
     pano_of = {}
     width_by_pano = {}
     height_by_pano = {}
@@ -107,10 +115,24 @@ def read_coco(path):
         width_by_pano[pano] = img.get("width")
         height_by_pano[pano] = img.get("height")
     boxes = []
-    for a in doc.get("annotations", []):
-        x, y, w, h = a["bbox"]
-        boxes.append(EvalBox(pano_id=pano_of[a["image_id"]], x=x, y=y, w=w,
-                             h=h, category=a["category_id"],
+    for i, a in enumerate(doc.get("annotations", [])):
+        pano = pano_of.get(a.get("image_id"))
+        if pano is None:
+            raise LoadError(f"{path}: annotations[{i}]: image_id "
+                            f"{a.get('image_id')!r} names no image")
+        try:
+            x, y, w, h = a.get("bbox")
+            valid = w > 0 and h > 0 and math.isfinite(x + y + w + h)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise LoadError(f"{path}: annotations[{i}]: bbox must be 4 "
+                            f"finite numbers with w > 0 and h > 0, got "
+                            f"{a.get('bbox')!r}")
+        if "category_id" not in a:
+            raise LoadError(f"{path}: annotations[{i}]: no category_id")
+        boxes.append(EvalBox(pano_id=pano, x=x, y=y, w=w, h=h,
+                             category=a["category_id"],
                              score=a.get("score")))
     return boxes, width_by_pano, height_by_pano, doc.get("info", {})
 

@@ -11,6 +11,15 @@ with ``o`` the camera, ``a`` a point on the line, ``s_hat`` the ray
 direction, and ``n_hat`` the unit normal; the hit point is then checked
 to lie within the segment. Rays parallel to a wall never hit it.
 
+A wall is tested only against the rays inside the short arc between its
+two endpoint headings, widened by one grid ray on each side; a wall that
+passes within rounding reach of the camera (an arc near 180 degrees, or
+a wall through the camera) gets every ray. On a street at 0.1 degrees
+that is about 5 % of the rays x walls product. The (ray, wall) pairs are
+evaluated in blocks of at most ``_PAIR_BLOCK``, which bounds memory, with
+the same per-pair arithmetic and the same tie rule as a dense sweep, so
+the result is bit-identical to testing every ray against every wall.
+
 Consecutive grid samples hitting the same building merge into
 :class:`VisibilityInterval` runs, which are finally mapped onto the
 panorama's pixel axis.
@@ -28,7 +37,10 @@ from .projection import LocalScene, angle_to_pixel
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
-_ANGLE_CHUNK = 4096
+_PAIR_BLOCK = 1 << 16  # candidate (ray, segment) pairs evaluated at once
+# A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
+# of its segment; this relative reach is over 400 times that.
+_ROUNDING_REACH = 1e-12
 
 
 @dataclass
@@ -84,11 +96,67 @@ class VisibilityInterval:
         }
 
 
-def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
-    """Vectorized nearest-wall query at each heading of ``thetas``.
+def _ray_runs(arr, radius_m: float, n: int):
+    """Candidate rays of each segment on the grid of ``n`` headings.
 
-    Returns (building_idx, distances) with -1/inf on miss. Ties inside
-    TIE_EPS_M go to the lexicographically smallest building id.
+    A segment not through the camera is seen over the short arc between
+    its endpoint headings, so no ray outside that arc can meet it with
+    ``t > 0`` and ``0 <= s <= 1``. The rays inside the arc are widened
+    by one grid ray on each side: a computed hit lies within rounding
+    reach of the segment, which moves its heading by far less than a
+    step while the camera is farther than ``reach / sin(step)`` from the
+    segment. A segment nearer the camera than that gets every ray. This
+    covers every arc near 180 degrees (the camera nearly on the line
+    between the endpoints, where rounding may put it on either side and
+    the short arc is ill defined), a wall through or ending at the
+    camera, and a zero-length segment.
+
+    Returns (seg, first, count): segment ``seg[k]`` is tested against
+    rays ``first[k]`` to ``first[k] + count[k] - 1``, all inside
+    ``[0, n)``; an arc across the 0-degree seam is split into two runs.
+    """
+    step = 360.0 / n
+    bx, by = arr.ax + arr.ex, arr.ay + arr.ey
+    head_a = np.degrees(np.arctan2(arr.ax, arr.ay))
+    head_b = np.degrees(np.arctan2(bx, by))
+    span = (head_b - head_a) % 360.0
+    short = span <= 180.0
+    start = np.where(short, head_a, head_b)
+    width = np.where(short, span, 360.0 - span)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.clip(-(arr.ax * arr.ex + arr.ay * arr.ey) / arr.len2, 0.0, 1.0)
+    near = np.hypot(arr.ax + u * arr.ex, arr.ay + u * arr.ey)
+    far = np.maximum(np.hypot(arr.ax, arr.ay), np.hypot(bx, by))
+    culled = (near * np.sin(np.radians(step))
+              > _ROUNDING_REACH * (far + radius_m))
+    first = np.where(culled, np.ceil(start / step) - 1.0, 0.0)
+    last = np.floor((start + width) / step) + 1.0
+    count = np.where(culled, np.minimum(last - first + 1.0, n), n)
+    first, count = first.astype(np.int64) % n, count.astype(np.int64)
+    head = np.minimum(count, n - first)
+    seam = np.flatnonzero(count > head)
+    return (np.concatenate((np.arange(len(first)), seam)),
+            np.concatenate((first, np.zeros(len(seam), np.int64))),
+            np.concatenate((head, count[seam] - head[seam])))
+
+
+def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
+    """Nearest-wall query at each heading of the sweep grid ``thetas``.
+
+    ``thetas`` must be the full grid ``k * 360 / n`` for ``k < n``. Each
+    segment is tested only against the rays of its angular span (see
+    :func:`_ray_runs`). The (ray, segment) candidate pairs are laid out
+    flat and evaluated in blocks of at most ``_PAIR_BLOCK`` pairs, so
+    memory stays bounded whatever the step and segment count. Each pair
+    runs the same elementwise ``denom``, ``t``, parallel, ``t > 0``,
+    radius and ``s`` expressions as a dense rays x segments sweep, and
+    each block is filtered down to its hits.
+
+    Returns (building_idx, distances) with -1/inf on miss. The tie rule
+    is unchanged: every hit within TIE_EPS_M of the nearest is tied, the
+    tie goes to the lexicographically smallest building id, and the
+    distance is the nearest tied hit of that building. Only minima are
+    taken, so the result does not depend on the order pairs are visited.
     """
     n = len(thetas)
     bidx = np.full(n, -1, np.int64)
@@ -96,34 +164,53 @@ def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
     arr = scene.arrays
     if len(scene.segments) == 0:
         return bidx, dist
-    big_rank = len(scene.buildings)
     rad = np.radians(thetas)
     dirs_x, dirs_y = np.sin(rad), np.cos(rad)
-    for lo in range(0, n, _ANGLE_CHUNK):
-        hi = min(lo + _ANGLE_CHUNK, n)
-        dx = dirs_x[lo:hi, None]
-        dy = dirs_y[lo:hi, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = dx * arr.nx + dy * arr.ny
-            ok = np.abs(denom) >= PARALLEL_EPS
-            t = np.where(ok, arr.a_dot_n / denom, np.inf)
-            np.logical_and(ok, t > 0.0, out=ok)
-            np.logical_and(ok, t <= scene.radius_m, out=ok)
-            t = np.where(ok, t, np.inf)
-            s = ((t * dx - arr.ax) * arr.ex
-                 + (t * dy - arr.ay) * arr.ey) / arr.len2
-            np.logical_and(ok, (s >= 0.0) & (s <= 1.0), out=ok)
-            t = np.where(ok, t, np.inf)
-        dmin = t.min(axis=1)
-        tie = t <= (dmin + TIE_EPS_M)[:, None]
-        ranks = np.where(tie, arr.rank, big_rank)
-        best_rank = ranks.min(axis=1)
-        t_best = np.where(ranks == best_rank[:, None], t, np.inf)
-        d = t_best.min(axis=1)
-        hit = np.isfinite(dmin)
-        dist[lo:hi] = np.where(hit, d, np.inf)
-        bidx[lo:hi] = np.where(hit, arr.rank_to_bidx[np.minimum(
-            best_rank, big_rank - 1)], -1)
+    seg, first, count = _ray_runs(arr, scene.radius_m, n)
+    walls = np.stack((arr.nx, arr.ny, arr.a_dot_n, arr.ax, arr.ay, arr.ex,
+                      arr.ey, arr.len2))[:, seg]
+    rank = arr.rank[seg]
+    ends = np.cumsum(count)
+    starts = ends - count
+    total = int(ends[-1])
+    dmin = np.full(n, np.inf)
+    kept = []  # per block: (ray, t, rank) of the hits that may still tie
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p1 = min(p0 + _PAIR_BLOCK, total)
+        j0 = int(np.searchsorted(ends, p0, side="right"))
+        j1 = int(np.searchsorted(starts, p1, side="left"))
+        c = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
+        ray = (np.repeat(first[j0:j1] - starts[j0:j1], c)
+               + np.arange(p0, p1))
+        dx, dy = dirs_x[ray], dirs_y[ray]
+        nx, ny, a_dot_n, ax, ay, ex, ey, len2 = np.repeat(
+            walls[:, j0:j1], c, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = dx * nx + dy * ny
+            t = a_dot_n / denom
+            s = ((t * dx - ax) * ex + (t * dy - ay) * ey) / len2
+        ok = np.abs(denom) >= PARALLEL_EPS
+        ok &= t > 0.0
+        ok &= t <= scene.radius_m
+        ok &= s >= 0.0
+        ok &= s <= 1.0
+        hit = np.flatnonzero(ok)
+        ray, t = ray[hit], t[hit]
+        hit_rank = np.repeat(rank[j0:j1], c)[hit]
+        np.minimum.at(dmin, ray, t)
+        if p1 < total:  # dmin only falls: drop hits that can no longer tie
+            hit = np.flatnonzero(t <= dmin[ray] + TIE_EPS_M)
+            ray, t, hit_rank = ray[hit], t[hit], hit_rank[hit]
+        kept.append((ray, t, hit_rank))
+    ray, t, hit_rank = (np.concatenate(a) for a in zip(*kept))
+    tie = np.flatnonzero(t <= dmin[ray] + TIE_EPS_M)
+    ray, t, hit_rank = ray[tie], t[tie], hit_rank[tie]
+    best = np.full(n, len(scene.buildings), np.int64)
+    np.minimum.at(best, ray, hit_rank)
+    won = np.flatnonzero(hit_rank == best[ray])
+    np.minimum.at(dist, ray[won], t[won])
+    hit = np.isfinite(dmin)
+    bidx[hit] = arr.rank_to_bidx[best[hit]]
     return bidx, dist
 
 

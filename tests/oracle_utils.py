@@ -11,7 +11,8 @@ the index lets through, not the projection arithmetic.
 
 The rest are former package code kept as references for the code that
 replaced it: the scalar ray-wall distance and the per-sample sweep view
-(``RayHit``, ``RaySample``), the loop form of the run split
+(``RayHit``, ``RaySample``), the dense sweep that tests every ray against
+every segment (``reference_nearest_hits``), the loop form of the run split
 (``reference_runs``), and the AP path that reran the greedy matching for
 every AP value (``reference_average_precision``,
 ``reference_coco_summary``).
@@ -27,7 +28,7 @@ from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       LocalScene, WallSegment,
                                       _point_in_ring, _ring_min_distance,
                                       _wrap_lon)
-from geotag_facade.raytrace import PARALLEL_EPS, RaySweep
+from geotag_facade.raytrace import PARALLEL_EPS, TIE_EPS_M, RaySweep
 
 EARTH_RADIUS_M = 6371.393 * 1000.0
 
@@ -214,6 +215,52 @@ def sweep_from_samples(samples, step_deg: float) -> RaySweep:
     thetas = np.asarray([s.theta for s in samples], float)
     return RaySweep(step_deg=step_deg, thetas=thetas, building_idx=bidx,
                     distances=dist, buildings=tuple(table))
+
+
+_ANGLE_CHUNK = 4096
+
+
+def reference_nearest_hits(scene: LocalScene, thetas: np.ndarray):
+    """Vectorized nearest-wall query at each heading of ``thetas``.
+
+    Returns (building_idx, distances) with -1/inf on miss. Ties inside
+    TIE_EPS_M go to the lexicographically smallest building id.
+    """
+    n = len(thetas)
+    bidx = np.full(n, -1, np.int64)
+    dist = np.full(n, np.inf)
+    arr = scene.arrays
+    if len(scene.segments) == 0:
+        return bidx, dist
+    big_rank = len(scene.buildings)
+    rad = np.radians(thetas)
+    dirs_x, dirs_y = np.sin(rad), np.cos(rad)
+    for lo in range(0, n, _ANGLE_CHUNK):
+        hi = min(lo + _ANGLE_CHUNK, n)
+        dx = dirs_x[lo:hi, None]
+        dy = dirs_y[lo:hi, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = dx * arr.nx + dy * arr.ny
+            ok = np.abs(denom) >= PARALLEL_EPS
+            t = np.where(ok, arr.a_dot_n / denom, np.inf)
+            np.logical_and(ok, t > 0.0, out=ok)
+            np.logical_and(ok, t <= scene.radius_m, out=ok)
+            t = np.where(ok, t, np.inf)
+            s = ((t * dx - arr.ax) * arr.ex
+                 + (t * dy - arr.ay) * arr.ey) / arr.len2
+            np.logical_and(ok, (s >= 0.0) & (s <= 1.0), out=ok)
+            t = np.where(ok, t, np.inf)
+        dmin = t.min(axis=1)
+        tie = t <= (dmin + TIE_EPS_M)[:, None]
+        ranks = np.where(tie, arr.rank, big_rank)
+        best_rank = ranks.min(axis=1)
+        t_best = np.where(ranks == best_rank[:, None], t, np.inf)
+        d = t_best.min(axis=1)
+        hit = np.isfinite(dmin)
+        dist[lo:hi] = np.where(hit, d, np.inf)
+        bidx[lo:hi] = np.where(hit, arr.rank_to_bidx[np.minimum(
+            best_rank, big_rank - 1)], -1)
+    return bidx, dist
 
 
 def reference_runs(building_idx: np.ndarray):

@@ -109,6 +109,50 @@ def test_eval_iou_thr_out_of_range(scene_dir, tmp_path, capsys, iou_thr):
     assert not out.exists()
 
 
+def _bad_image_id(doc):
+    doc["annotations"][0]["image_id"] = 10 ** 6
+
+
+def _bbox(value):
+    def breakage(doc):
+        doc["annotations"][0]["bbox"] = value
+    return breakage
+
+
+def _no_category(doc):
+    del doc["annotations"][0]["category_id"]
+
+
+@pytest.mark.parametrize("breakage, needle", [
+    (None, "byte offset"),
+    (_bad_image_id, "names no image"),
+    (_bbox([10, 10, 0, 50]), "bbox"),
+    (_bbox([10, 10, 50]), "bbox"),
+    (_bbox([10, float("nan"), 50, 50]), "bbox"),
+    (_no_category, "category_id"),
+], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
+        "bbox-nan", "no-category"])
+def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
+                                           breakage, needle):
+    text = (scene_dir / "gt.json").read_text()
+    if breakage is None:
+        text = text[:len(text) // 2]  # truncated
+    else:
+        doc = json.loads(text)
+        breakage(doc)
+        text = json.dumps(doc)
+    pred = tmp_path / "pred.json"
+    pred.write_text(text)
+    out = tmp_path / "eval.json"
+    rc = run(["eval", "--gt", scene_dir / "gt.json", "--pred", pred,
+              "--mode", "both", "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and needle in err and str(pred) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_degenerate_scene_partial_exit(tmp_path):
     # camera sits inside the only building
     from geotag_facade.projection import local_to_geodetic

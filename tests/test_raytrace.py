@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from geotag_facade import PanoramaMeta
+from geotag_facade import PanoramaMeta, raytrace
 from geotag_facade.projection import LocalScene, WallSegment
 from geotag_facade.raytrace import (_runs, intervals_from_sweep,
                                     intervals_to_pixel, trace_sweep)
 from geotag_facade.synth import oracle_hits
 
 from oracle_utils import (RayHit, RaySample, heading_direction,
-                          ray_wall_distance, reference_runs,
-                          sweep_from_samples, sweep_samples)
+                          ray_wall_distance, reference_nearest_hits,
+                          reference_runs, sweep_from_samples, sweep_samples)
 
 
 def seg(ax, ay, bx, by, building_id="B", category=1):
@@ -153,6 +153,169 @@ class TestTraceSweep:
                     assert within
                     assert sweep.distances[i] == pytest.approx(
                         min(within), abs=1e-9)
+
+
+def polar(r, theta_deg):
+    dx, dy = heading_direction(theta_deg)
+    return (r * dx, r * dy)
+
+
+class TestSweepMatchesReference:
+    """The angular-culled sweep against the dense every-ray, every-wall one.
+
+    Equality is exact: both kernels evaluate the same expressions for
+    every (ray, segment) pair the culled one keeps, so any pair it drops
+    that the dense one counts as a hit shows as a changed bit.
+    """
+
+    STEPS = (0.1, 0.5, 1.0, 7.5, 45.0)
+
+    def check(self, segments, step_deg, radius=50.0):
+        scene = scene_of(segments, radius=radius)
+        sweep = trace_sweep(scene, step_deg)
+        bidx, dist = reference_nearest_hits(scene, sweep.thetas)
+        assert np.array_equal(sweep.building_idx, bidx)
+        assert np.array_equal(sweep.distances, dist)
+        return sweep
+
+    def test_empty_scene(self):
+        for step in self.STEPS:
+            sweep = self.check([], step)
+            assert (sweep.building_idx == -1).all()
+
+    def test_seeded_random_scenes(self):
+        rng = np.random.default_rng(41)
+        for k in range(150):
+            segs = [seg(*rng.uniform(-60, 60, 4), f"b{rng.integers(4)}")
+                    for _ in range(int(rng.integers(1, 30)))]
+            self.check(segs, self.STEPS[k % len(self.STEPS)],
+                       radius=float(rng.choice([20.0, 50.0])))
+
+    def test_vertices_on_grid_headings(self):
+        # the grid ray through a vertex meets the wall exactly at s = 0
+        # or 1, so rounding decides the hit: the arc must keep that ray
+        rng = np.random.default_rng(42)
+        for step in self.STEPS:
+            n = round(360 / step)
+            for _ in range(40):
+                pts = [polar(float(rng.uniform(2, 60)),
+                             int(rng.integers(n)) * step) for _ in range(6)]
+                segs = [seg(*pts[i], *pts[i + 1], f"b{i % 3}")
+                        for i in range(5)]
+                self.check(segs, step)
+            # each wall spans a few grid rays, starting and ending on one
+            segs = []
+            for i in range(0, n, max(1, n // 24)):
+                a = polar(float(rng.uniform(5, 40)), i * step)
+                b = polar(float(rng.uniform(5, 40)), (i + 3) * step)
+                segs.append(seg(*a, *b, f"w{i % 5}"))
+            self.check(segs, step)
+
+    def test_walls_crossing_north(self):
+        rng = np.random.default_rng(43)
+        for step in self.STEPS:
+            segs = [seg(-3, 10, 4, 12, "a"), seg(2, -20, -1, -25, "b"),
+                    seg(*polar(20, -step), *polar(25, step), "c"),
+                    seg(*polar(30, 360 - 2 * step), *polar(30, 0), "d"),
+                    seg(*polar(35, 0), *polar(30, 3 * step), "e")]
+            for _ in range(10):
+                segs.append(seg(*polar(float(rng.uniform(3, 60)),
+                                       float(rng.uniform(-40, 0))),
+                                *polar(float(rng.uniform(3, 60)),
+                                       float(rng.uniform(0, 40))),
+                                f"r{rng.integers(3)}"))
+            self.check(segs, step)
+
+    def test_walls_through_or_near_the_camera(self):
+        # a wall through the camera, ending at it, or missing it by less
+        # than rounding: the computed side of the camera is noise, so the
+        # dense sweep's hits need not lie in the wall's angular span
+        rng = np.random.default_rng(44)
+        for step in self.STEPS:
+            for _ in range(30):
+                theta = float(rng.uniform(0, 360))
+                off = float(rng.choice([0.0, 1e-12, -1e-12, 1e-13, 1e-15]))
+                side = polar(off, theta + 90.0)
+                a, b = polar(float(rng.uniform(1, 40)), theta), polar(
+                    float(rng.uniform(1, 40)), theta + 180.0)
+                segs = [seg(a[0] + side[0], a[1] + side[1],
+                            b[0] + side[0], b[1] + side[1], "through"),
+                        seg(*polar(float(rng.uniform(1, 40)),
+                                   float(rng.uniform(0, 360))), 0.0, 0.0,
+                            "ends"),
+                        seg(0.0, 0.0, *polar(float(rng.uniform(1, 40)),
+                                             float(rng.uniform(0, 360))),
+                            "starts"),
+                        seg(*polar(1e-12, float(rng.uniform(0, 360))),
+                            *polar(float(rng.uniform(1, 40)),
+                                   float(rng.uniform(0, 360))), "near"),
+                        seg(*polar(float(rng.uniform(1, 40)), theta),
+                            *polar(float(rng.uniform(41, 60)), theta),
+                            "radial"),
+                        seg(-30, 20, 30, 20, "far")]
+                self.check(segs, step)
+
+    def test_shared_wall_breaks_ties_by_id(self):
+        wall = (-8.0, 12.0, 9.0, 14.0)
+        shifted = (-8.0, 12.0 + 5e-10, 9.0, 14.0 + 5e-10)  # inside the window
+        for step in self.STEPS:
+            sweep = self.check([seg(*wall, "zz"), seg(*wall, "aa"),
+                                seg(*shifted, "mm"),
+                                seg(-4, 26, 4, 26, "far")], step)
+            assert sweep.buildings[sweep.building_idx[0]][0] == "aa"
+            # the winner's distance is its own, not the nearest tied hit
+            self.check([seg(*wall, "bb"), seg(*shifted, "aa")], step)
+
+    def test_segments_partly_beyond_radius(self):
+        rng = np.random.default_rng(45)
+        for step in self.STEPS:
+            segs = [seg(-60, 30, 60, 30, "long"), seg(40, -10, 70, 10, "out"),
+                    seg(50.0, -5.0, 50.0, 5.0, "rim")]
+            for _ in range(10):
+                segs.append(seg(*polar(float(rng.uniform(20, 45)),
+                                       float(rng.uniform(0, 360))),
+                                *polar(float(rng.uniform(50, 90)),
+                                       float(rng.uniform(0, 360))),
+                                f"x{rng.integers(3)}"))
+            self.check(segs, step, radius=50.0)
+
+    def test_pair_blocks_split_segments(self, monkeypatch):
+        # a small block splits runs of rays mid-segment and makes later
+        # blocks lower a ray's nearest distance after earlier ones kept
+        # hits for it
+        monkeypatch.setattr(raytrace, "_PAIR_BLOCK", 97)
+        rng = np.random.default_rng(46)
+        for step in (0.5, 1.0, 7.5):
+            # a tie across blocks: the id winner "ab" is 5e-10 m farther
+            # than "yy" and comes in a later block (earlier when reversed)
+            segs = [seg(-9, -12, 9, -12, "yy"),
+                    seg(-9, -12 - 5e-10, 9, -12 - 5e-10, "ab")]
+            segs += [seg(*rng.uniform((-40, 5, -40, 5), 40),
+                         f"b{rng.integers(3)}")
+                     for _ in range(25)]  # north of the camera, clear of them
+            # every ray, run across several blocks (it starts at the camera)
+            segs += [seg(-5, 10, 5, 10, "zz"), seg(-5, 10, 5, 10, "aa"),
+                     seg(0.0, 0.0, 30.0, 5.0, "starts")]
+            self.check(segs, step)
+            self.check(segs[::-1], step)
+
+    def test_street_corridor_at_fine_step(self):
+        from geotag_facade.projection import FootprintIndex, clip_scene
+        from geotag_facade.synth import SceneConfig, generate_scene
+        sc = generate_scene(7, SceneConfig(n_buildings=24, n_cameras=6,
+                                           with_ground_truth=False))
+        index = FootprintIndex(sc.footprints)
+        for meta in sc.metas:
+            local = clip_scene(index, meta, 50.0)
+            sweep = trace_sweep(local, 0.1)
+            bidx, dist = reference_nearest_hits(local, sweep.thetas)
+            assert np.array_equal(sweep.building_idx, bidx)
+            assert np.array_equal(sweep.distances, dist)
+            assert (bidx >= 0).any()
+            # the point of the culling: each wall meets a small share of
+            # the 3,600 rays
+            _, _, count = raytrace._ray_runs(local.arrays, 50.0, 3600)
+            assert count.sum() < 0.15 * 3600 * len(local.segments)
 
 
 def sample(theta, building=None, distance=0.0, category=1):
