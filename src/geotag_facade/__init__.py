@@ -15,7 +15,7 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      load_panorama_meta)
 from .matcher import (CoarseAnnotation, ThresholdState, filter_detections,
                       fit_threshold, generate_coarse_annotations, match_box,
-                      trace_panorama)
+                      trace_panorama, trace_panoramas)
 from .metrics import (AccuracyReport, EvalBox, average_precision,
                       coarse_accuracy, coco_summary, iou_1d, iou_2d)
 from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,

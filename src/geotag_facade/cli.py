@@ -2,14 +2,17 @@
 
 Exit codes: 0 clean, 2 partial success (some panoramas skipped as
 degenerate), 1 fatal. Every artifact embeds the run configuration and
-sha256 hashes of its inputs. ``GEOTAG_FACADE_WORKERS`` sets the worker
-count for per-panorama fan-out.
+sha256 hashes of its inputs. ``trace`` and ``annotate`` trace panoramas
+in groups of cameras in one thread. ``-v`` / ``--log-level`` sends the
+package's log lines to stderr, never into an artifact; warnings show by
+default.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import logging
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,7 +21,8 @@ from .config import RunConfig
 from .errors import ConfigError, GeotagFacadeError
 from .ingest import (load_category_mapping, load_detections,
                      load_footprints, load_panorama_meta)
-from .matcher import generate_coarse_annotations, trace_panorama
+from .matcher import (generate_coarse_annotations, log_out_of_range,
+                      trace_panoramas)
 from .metrics import coarse_accuracy, coco_summary
 from .projection import FootprintIndex
 from .render import render_scene_svg
@@ -27,16 +31,7 @@ from .synth import NoiseConfig, SceneConfig, generate_scene, perturb_detections
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
-
-
-def _workers() -> int:
-    raw = os.environ.get("GEOTAG_FACADE_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"GEOTAG_FACADE_WORKERS must be an integer >= 1, got {raw!r}"
-        ) from None
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _add_trace_args(p):
@@ -59,7 +54,6 @@ def _run_config(args) -> RunConfig:
         batch_size=getattr(args, "batch_size", 64),
         seed=getattr(args, "seed", 17),
         flip_heading=getattr(args, "flip_heading", False),
-        workers=_workers(),
     )
 
 
@@ -124,14 +118,10 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    index = FootprintIndex(footprints)
-    if config.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                lambda m: trace_panorama(index, m, config), panos.metas))
-    else:
-        results = [trace_panorama(index, m, config) for m in panos.metas]
+    counts: Counter = Counter()
+    results = trace_panoramas(FootprintIndex(footprints), panos.metas, config,
+                              counts)
+    log_out_of_range(counts)
 
     skipped = []
     for meta, (ivs, blocker) in zip(panos.metas, results):
@@ -254,6 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="geotag-facade",
         description="GIS-driven coarse annotation of street-view facades")
+    ap.add_argument("-v", dest="log_level", action="store_const",
+                    const="INFO", help="same as --log-level INFO")
+    ap.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS,
+                    help="send the package's log lines at this level and "
+                         "above to stderr (default: WARNING)")
+    ap.set_defaults(log_level="WARNING")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene directory")
@@ -309,11 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except (GeotagFacadeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FATAL
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ class RunConfig:
     flip_heading: bool = False
     clip_lo: float = 0.05
     clip_hi: float = 0.9
-    workers: int = 1
 
     def __post_init__(self):
         if not self.radius_m > 0:
@@ -53,8 +52,6 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 <= self.clip_lo <= self.clip_hi <= 1.0):
             raise ConfigError("need 0 <= clip_lo <= clip_hi <= 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return asdict(self)

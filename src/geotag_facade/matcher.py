@@ -13,23 +13,35 @@ batch k is fit on the scores retained in batch k-1: a single Gaussian
 (sample mean and std), thresholded at mu - 0.5 sigma and clamped; the
 first batch uses 0.3. Batches are a deterministic seeded shuffle of the
 panoramas, so a run is reproducible end to end.
+
+Each batch is traced in groups of cameras (:func:`trace_panoramas`): one
+clip, one sweep and one run split per group, a group holding as many
+cameras as fit in ``GROUP_RAYS`` rays, which bounds its memory.
 """
 from __future__ import annotations
 
+import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d
-from .projection import FootprintIndex, clip_scene
-from .raytrace import intervals_from_sweep, intervals_to_pixel, trace_sweep
+from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
+                         clip_scene)
+from .raytrace import (intervals_from_sweep, intervals_to_pixel, sweep_grid,
+                       trace_group, trace_sweep)
+
+log = logging.getLogger(__name__)
 
 DEFAULT_FIRST_THRESHOLD = 0.3
 SIGMA_FACTOR = 0.5
+# Rays traced together: a group holds this many rays' worth of cameras,
+# and at least one. It bounds the group's arrays to a few MB.
+GROUP_RAYS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -207,6 +219,39 @@ def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
     return intervals_to_pixel(ivs, meta, config.flip_heading), None
 
 
+def trace_panoramas(index: FootprintIndex, metas, config: RunConfig,
+                    counts: Counter | None = None) -> list:
+    """Trace panoramas in groups of cameras; one result per panorama, in
+    order, each equal to :func:`trace_panorama`'s.
+
+    A group holds ``GROUP_RAYS // rays_per_turn`` cameras (at least one)
+    and is clipped, swept and split into runs with one set of array
+    operations (:func:`clip_group`, :func:`trace_group`). ``counts``, if
+    given, gains under ``"out_of_range"`` the candidate (camera,
+    footprint) pairs skipped because the ring reaches past the
+    flat-plane range.
+    """
+    metas = list(metas)
+    size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
+    grid = sweep_grid(config.step_deg, min(size, len(metas)))
+    out = []
+    for i in range(0, len(metas), size):
+        group = metas[i:i + size]
+        clip = clip_group(index, group, config.radius_m)
+        out += trace_group(clip, group, grid, config.flip_heading)
+        if counts is not None:
+            counts["out_of_range"] += clip.out_of_range
+    return out
+
+
+def log_out_of_range(counts: Counter) -> None:
+    """One WARNING line for the footprints a run skipped beyond range."""
+    if counts["out_of_range"]:
+        log.warning("skipped %d (camera, footprint) pairs: the footprint "
+                    "has a vertex beyond the %.0f m flat-plane range",
+                    counts["out_of_range"], MAX_LOCAL_RANGE_M)
+
+
 def _chunks(items, size):
     for i in range(0, len(items), size):
         yield items[i:i + size]
@@ -217,10 +262,10 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     """Run the full per-batch pipeline; returns (annotations, run report).
 
     Panoramas are shuffled with the run seed and chunked into batches.
-    Within a batch panoramas are independent (and may run on several
-    workers); the threshold update is strictly sequential across
-    batches. Detections whose panorama has no metadata are dropped and
-    reported.
+    Within a batch panoramas are independent and traced in groups
+    (:func:`trace_panoramas`); the threshold update is strictly
+    sequential across batches. Detections whose panorama has no metadata
+    are dropped and reported.
     """
     metas = list(metas)
     index = FootprintIndex(footprints)
@@ -238,53 +283,45 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                            clip_lo=config.clip_lo, clip_hi=config.clip_hi)
     annotations = []
     prev_scores: list = []
-    pool = (ThreadPoolExecutor(max_workers=config.workers)
-            if config.workers > 1 else None)
-    try:
-        for k, batch in enumerate(_chunks(order, config.batch_size)):
-            if config.threshold_mode == "adaptive":
-                state = fit_threshold(prev_scores, state)
-            else:
-                state = state.record(config.fixed_threshold)
-            br = BatchReport(batch_index=k, threshold=state.current,
-                             n_panoramas=len(batch))
-            if pool is not None:
-                traced = list(pool.map(
-                    lambda m: trace_panorama(index, m, config), batch))
-            else:
-                traced = [trace_panorama(index, m, config) for m in batch]
-            batch_scores: list = []
-            for meta, (intervals, blocker) in zip(batch, traced):
-                boxes = dets.boxes_for(meta.pano_id)
-                br.input_boxes += len(boxes)
-                if intervals is None:
-                    report.skipped_panoramas.append(
-                        (meta.pano_id, f"camera inside footprint {blocker}"))
-                    br.dropped += len(boxes)
+    counts: Counter = Counter()
+    for k, batch in enumerate(_chunks(order, config.batch_size)):
+        if config.threshold_mode == "adaptive":
+            state = fit_threshold(prev_scores, state)
+        else:
+            state = state.record(config.fixed_threshold)
+        br = BatchReport(batch_index=k, threshold=state.current,
+                         n_panoramas=len(batch))
+        traced = trace_panoramas(index, batch, config, counts)
+        batch_scores: list = []
+        for meta, (intervals, blocker) in zip(batch, traced):
+            boxes = dets.boxes_for(meta.pano_id)
+            br.input_boxes += len(boxes)
+            if intervals is None:
+                report.skipped_panoramas.append(
+                    (meta.pano_id, f"camera inside footprint {blocker}"))
+                br.dropped += len(boxes)
+                continue
+            valid = []
+            for b in boxes:
+                if b.y + b.h > meta.height + 1e-9:
+                    br.dropped += 1  # vertical extent leaves the image
+                else:
+                    valid.append(b)
+            retained = filter_detections(valid, state)
+            br.filtered_out += len(valid) - len(retained)
+            for b in retained:
+                batch_scores.append(b.score)
+                m = match_box(b, intervals, config.iou_x_min, meta.width)
+                if m is None:
+                    br.unmatched += 1
                     continue
-                valid = []
-                for b in boxes:
-                    if b.y + b.h > meta.height + 1e-9:
-                        br.dropped += 1  # vertical extent leaves the image
-                    else:
-                        valid.append(b)
-                retained = filter_detections(valid, state)
-                br.filtered_out += len(valid) - len(retained)
-                for b in retained:
-                    batch_scores.append(b.score)
-                    m = match_box(b, intervals, config.iou_x_min, meta.width)
-                    if m is None:
-                        br.unmatched += 1
-                        continue
-                    br.annotated += 1
-                    annotations.append(CoarseAnnotation(
-                        pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
-                        category=m.category, building_id=m.building_id,
-                        iou_x=m.iou_x, score=b.score))
-            prev_scores = batch_scores
-            report.batches.append(br)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                br.annotated += 1
+                annotations.append(CoarseAnnotation(
+                    pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
+                    category=m.category, building_id=m.building_id,
+                    iou_x=m.iou_x, score=b.score))
+        prev_scores = batch_scores
+        report.batches.append(br)
+    log_out_of_range(counts)
     report.threshold_history = list(state.history)
     return annotations, report

@@ -16,7 +16,7 @@ conventions live only in :func:`angle_to_pixel` / :func:`pixel_to_angle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -93,9 +93,15 @@ def normalize_angle(theta_deg: float) -> float:
 def angle_to_pixel(theta_deg: float, meta: PanoramaMeta,
                    flip_heading: bool = False) -> float:
     """Pixel column looking along heading ``theta_deg``. Fractional."""
-    span = theta_deg / 360.0 * meta.width
-    px = meta.north_px - span if flip_heading else meta.north_px + span
-    return px % meta.width
+    return heading_px(theta_deg, meta.north_px, meta.width, flip_heading)
+
+
+def heading_px(theta_deg, north_px, width, flip_heading: bool = False):
+    """:func:`angle_to_pixel` from the anchor and width; takes floats or
+    arrays alike, with the same operations in the same order."""
+    span = theta_deg / 360.0 * width
+    px = north_px - span if flip_heading else north_px + span
+    return px % width
 
 
 def pixel_to_angle(x: float, meta: PanoramaMeta,
@@ -110,6 +116,14 @@ def pixel_to_angle(x: float, meta: PanoramaMeta,
 # ---------------------------------------------------------------------------
 # Scene clipping
 # ---------------------------------------------------------------------------
+
+# np.hypot and math.hypot may differ in the last bit. A distance this
+# close to a threshold, relative to it, is recomputed with math.hypot, so
+# that every threshold decision matches the scalar form exactly.
+_HYPOT_BAND = 1e-12
+# (camera, footprint) cells of one candidate mask, which bounds its memory
+_MASK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class WallSegment:
@@ -129,123 +143,142 @@ class WallSegment:
 
 @dataclass
 class SceneArrays:
-    """Per-segment numpy views used by the sweep kernels.
+    """Walls of one camera, or of a group of cameras, for the sweep kernels.
 
-    ``rank`` is the segment's building rank under lexicographic id
-    order; distance ties between buildings break toward the smaller
-    rank for determinism.
+    ``cam`` is each wall's camera within its group (0 in a one-camera
+    scene); coordinates are in that camera's local plane. ``rank``
+    orders a camera's buildings by id, lexicographically; distance ties
+    between buildings break toward the smaller rank for determinism.
+    ``ex`` is ``bx - ax``: ``ax + ex`` need not equal ``bx``.
     """
 
+    cam: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
     ex: np.ndarray  # b - a
     ey: np.ndarray
     nx: np.ndarray  # unit normal of the supporting line
     ny: np.ndarray
-    a_dot_n: np.ndarray  # (a - origin) . n, origin is (0, 0)
+    a_dot_n: np.ndarray  # (a - origin) . n, origin is the camera
     len2: np.ndarray
     rank: np.ndarray
-    rank_to_bidx: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ax)
 
 
-@dataclass
+def wall_arrays(cam, ax, ay, bx, by, rank) -> SceneArrays:
+    """:class:`SceneArrays` from wall endpoints, the rest derived."""
+    ex, ey = bx - ax, by - ay
+    length = np.hypot(ex, ey)
+    nx, ny = ey / length, -ex / length
+    return SceneArrays(cam=cam, ax=ax, ay=ay, bx=bx, by=by, ex=ex, ey=ey,
+                       nx=nx, ny=ny, a_dot_n=ax * nx + ay * ny,
+                       len2=length * length, rank=rank)
+
+
+def _segment_arrays(segments, buildings):
+    """(arrays, rank_to_bidx) of a WallSegment list."""
+    n = len(segments)
+    ax = np.fromiter((s.ax for s in segments), float, n)
+    ay = np.fromiter((s.ay for s in segments), float, n)
+    bx = np.fromiter((s.bx for s in segments), float, n)
+    by = np.fromiter((s.by for s in segments), float, n)
+    id_of = {bid: i for i, (bid, _) in enumerate(buildings)}
+    bidx = np.fromiter((id_of[s.building_id] for s in segments), np.int64, n)
+    order = sorted(range(len(buildings)), key=lambda i: buildings[i][0])
+    rank_of = np.empty(max(len(buildings), 1), np.int64)
+    for r, i in enumerate(order):
+        rank_of[i] = r
+    rank = rank_of[bidx] if n else np.empty(0, np.int64)
+    return (wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank),
+            np.asarray(order, np.int64))
+
+
 class LocalScene:
     """All wall segments within reach of one camera, in its local plane.
 
-    Immutable after construction; safe to share read-only across
-    workers. ``degenerate`` marks a camera strictly inside a footprint;
+    Never modified after construction. ``arrays`` holds the walls, and
+    ``rank_to_bidx`` maps a wall's building rank to the building's index
+    in ``buildings``; ``segments`` lists the same walls as
+    :class:`WallSegment` objects, derived from the arrays on first use.
+    A scene built from a ``segments`` list derives its arrays from it
+    instead. ``degenerate`` marks a camera strictly inside a footprint;
     the sweep refuses such scenes.
     """
 
-    pano_id: str
-    origin: tuple  # (lat, lon) of the camera
-    radius_m: float
-    segments: list
-    buildings: tuple  # (building_id, category) per building index
-    degenerate: bool = False
-    containing_building: str | None = None
+    def __init__(self, pano_id: str, origin: tuple, radius_m: float,
+                 segments=None, buildings: tuple = (),
+                 degenerate: bool = False,
+                 containing_building: str | None = None, *,
+                 arrays: SceneArrays | None = None, rank_to_bidx=None):
+        self.pano_id = pano_id
+        self.origin = origin  # (lat, lon) of the camera
+        self.radius_m = radius_m
+        self.buildings = tuple(buildings)  # (building_id, category)
+        self.degenerate = degenerate
+        self.containing_building = containing_building
+        if segments is not None:
+            self.segments = list(segments)
+            arrays, rank_to_bidx = _segment_arrays(self.segments,
+                                                   self.buildings)
+        self.arrays = arrays
+        self.rank_to_bidx = rank_to_bidx
 
     @cached_property
-    def arrays(self) -> SceneArrays:
-        n = len(self.segments)
-        ax = np.fromiter((s.ax for s in self.segments), float, n)
-        ay = np.fromiter((s.ay for s in self.segments), float, n)
-        bx = np.fromiter((s.bx for s in self.segments), float, n)
-        by = np.fromiter((s.by for s in self.segments), float, n)
-        ex, ey = bx - ax, by - ay
-        length = np.hypot(ex, ey)
-        nx, ny = ey / length, -ex / length
-        id_of = {bid: i for i, (bid, _) in enumerate(self.buildings)}
-        bidx = np.fromiter((id_of[s.building_id] for s in self.segments),
-                           np.int64, n)
-        order = sorted(range(len(self.buildings)),
-                       key=lambda i: self.buildings[i][0])
-        rank_of = np.empty(max(len(self.buildings), 1), np.int64)
-        for r, i in enumerate(order):
-            rank_of[i] = r
-        return SceneArrays(
-            ax=ax, ay=ay, ex=ex, ey=ey, nx=nx, ny=ny,
-            a_dot_n=ax * nx + ay * ny, len2=length * length,
-            rank=rank_of[bidx] if n else np.empty(0, np.int64),
-            rank_to_bidx=np.asarray(order, np.int64))
-
-
-def _point_in_ring(px: float, py: float, xs, ys) -> bool:
-    """Even-odd test. Points on the boundary are not 'strictly inside'."""
-    inside = False
-    n = len(xs)
-    for i in range(n):
-        x1, y1 = xs[i], ys[i]
-        x2, y2 = xs[(i + 1) % n], ys[(i + 1) % n]
-        if (y1 > py) != (y2 > py):
-            t = (py - y1) / (y2 - y1)
-            if px < x1 + t * (x2 - x1):
-                inside = not inside
-    return inside
-
-
-def _ring_min_distance(xs, ys) -> float:
-    """Distance from the local origin to the nearest point of a ring."""
-    best = math.inf
-    n = len(xs)
-    for i in range(n):
-        ax, ay = xs[i], ys[i]
-        bx, by = xs[(i + 1) % n], ys[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        len2 = ex * ex + ey * ey
-        if len2 == 0.0:
-            d = math.hypot(ax, ay)
-        else:
-            t = max(0.0, min(1.0, -(ax * ex + ay * ey) / len2))
-            d = math.hypot(ax + t * ex, ay + t * ey)
-        best = min(best, d)
-    return best
+    def segments(self) -> list:
+        arr = self.arrays
+        owners = [self.buildings[b]
+                  for b in self.rank_to_bidx[arr.rank].tolist()]
+        return [WallSegment(ax, ay, bx, by, bid, cat)
+                for ax, ay, bx, by, (bid, cat)
+                in zip(arr.ax.tolist(), arr.ay.tolist(), arr.bx.tolist(),
+                       arr.by.tolist(), owners)]
 
 
 class FootprintIndex:
-    """Lat/lon bounding boxes of a footprint collection, for clip_scene.
+    """A footprint collection as flat arrays, for clipping.
 
-    Built once per run from any iterable of footprints; holds each outer
-    ring's box as flat arrays so that one vectorised mask per camera
-    picks the few footprints that can reach it. Never modified after
-    construction, so workers may share it.
+    Built once per run from any iterable of footprints. Holds every outer
+    ring's vertices (the closing one dropped) in one lat and one lon
+    array, with each ring's first vertex and vertex count, each ring's
+    lat/lon bounding box, and each footprint's building rank under
+    lexicographic id order (footprints sharing an id share a rank).
+    Never modified after construction.
     """
 
     def __init__(self, footprints):
         self.footprints = tuple(footprints)
-        lats = [[p[0] for p in fp.ring[:-1]] for fp in self.footprints]
-        lons = [[p[1] for p in fp.ring[:-1]] for fp in self.footprints]
-        self.lat_lo = np.array([min(v) for v in lats], float)
-        self.lat_hi = np.array([max(v) for v in lats], float)
-        self.lon_lo = np.array([min(v) for v in lons], float)
-        self.lon_hi = np.array([max(v) for v in lons], float)
+        fps = self.footprints
+        self.ring_len = np.fromiter((len(fp.ring) - 1 for fp in fps),
+                                    np.int64, len(fps))
+        self.ring_start = np.cumsum(self.ring_len) - self.ring_len
+        size = int(self.ring_len.sum())
+        self.lat = np.fromiter((p[0] for fp in fps for p in fp.ring[:-1]),
+                               float, size)
+        self.lon = np.fromiter((p[1] for fp in fps for p in fp.ring[:-1]),
+                               float, size)
+        if fps:
+            self.lat_lo = np.minimum.reduceat(self.lat, self.ring_start)
+            self.lat_hi = np.maximum.reduceat(self.lat, self.ring_start)
+            self.lon_lo = np.minimum.reduceat(self.lon, self.ring_start)
+            self.lon_hi = np.maximum.reduceat(self.lon, self.ring_start)
+        else:
+            self.lat_lo = self.lat_hi = self.lon_lo = self.lon_hi = self.lat
+        rank_of = {b: r for r, b in
+                   enumerate(sorted({fp.building_id for fp in fps}))}
+        self.rank = np.fromiter((rank_of[fp.building_id] for fp in fps),
+                                np.int64, len(fps))
 
     def __len__(self) -> int:
         return len(self.footprints)
 
-    def candidates(self, meta: PanoramaMeta, radius_m: float) -> list:
-        """Footprints that may come within ``radius_m`` of the camera or
-        hold it, in their original order.
+    def candidate_pairs(self, metas, radius_m: float):
+        """(camera, footprint) index arrays of the footprints that may
+        come within ``radius_m`` of each camera or hold it, camera by
+        camera, footprints in their original order.
 
         The camera's projection is monotone in lat and in lon, so a
         ring's vertices land inside the projection of its box, and its
@@ -255,20 +288,31 @@ class FootprintIndex:
         :func:`_wrap_lon`, which is monotone only between its +-180
         degree breaks: a box whose two edges fall on different sides of
         a break, such as a ring straddling the antimeridian seen from
-        near it, is always kept.
+        near it, is kept unless its north-south gap alone puts it out
+        of reach. That gap is tested first, over at most
+        ``_MASK_CELLS`` (camera, footprint) cells at a time; the rest of
+        the test runs on the pairs it passes.
         """
-        cos_lat = math.cos(math.radians(meta.lat))
-        dlo = self.lon_lo - meta.lon
-        dhi = self.lon_hi - meta.lon
+        lat, lon, cos_lat = _camera_arrays(metas)
+        reach = radius_m + CLIP_SLACK_M
+        pairs = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        step = max(1, _MASK_CELLS // max(len(self), 1))
+        for c0 in range(0, len(metas), step):
+            c = lat[c0:c0 + step, None]
+            gy = np.maximum((self.lat_lo - c) * METERS_PER_DEGREE,
+                            (c - self.lat_hi) * METERS_PER_DEGREE)
+            cam, fp = np.nonzero(gy <= reach)
+            pairs.append((cam + c0, fp, gy[cam, fp]))
+        cam, fp, gy = (np.concatenate(a) for a in zip(*pairs))
+        dlo = self.lon_lo[fp] - lon[cam]
+        dhi = self.lon_hi[fp] - lon[cam]
         broken = (((dlo < -180.0) != (dhi < -180.0))
                   | ((dlo > 180.0) != (dhi > 180.0)))
-        gx = np.maximum(_wrap_lons(dlo) * cos_lat * METERS_PER_DEGREE,
-                        -_wrap_lons(dhi) * cos_lat * METERS_PER_DEGREE)
-        gy = np.maximum((self.lat_lo - meta.lat) * METERS_PER_DEGREE,
-                        (meta.lat - self.lat_hi) * METERS_PER_DEGREE)
+        gx = np.maximum(_wrap_lons(dlo) * cos_lat[cam] * METERS_PER_DEGREE,
+                        -_wrap_lons(dhi) * cos_lat[cam] * METERS_PER_DEGREE)
         gap = np.hypot(np.maximum(gx, 0.0), np.maximum(gy, 0.0))
-        keep = broken | (gap <= radius_m + CLIP_SLACK_M)
-        return [self.footprints[i] for i in np.flatnonzero(keep)]
+        keep = np.flatnonzero(broken | (gap <= reach))
+        return cam[keep], fp[keep]
 
 
 def _wrap_lons(dlon: np.ndarray) -> np.ndarray:
@@ -277,57 +321,144 @@ def _wrap_lons(dlon: np.ndarray) -> np.ndarray:
                     np.where(dlon < -180.0, dlon + 360.0, dlon))
 
 
+def _camera_arrays(metas):
+    """(lat, lon, cos(lat)) of each camera; the cosine as math.cos gives
+    it, the one the scalar projection uses."""
+    return (np.array([m.lat for m in metas], float),
+            np.array([m.lon for m in metas], float),
+            np.array([math.cos(math.radians(m.lat)) for m in metas], float))
+
+
+def _exact_hypot(x, y, *thresholds):
+    """``np.hypot(x, y)`` with every value within ``_HYPOT_BAND`` of a
+    threshold recomputed by ``math.hypot``, so that comparing the result
+    with the thresholds decides as the scalar form does."""
+    d = np.hypot(x, y)
+    near = np.zeros(len(d), bool)
+    for thr in thresholds:
+        near |= np.abs(d - thr) <= _HYPOT_BAND * thr
+    for i in np.flatnonzero(near).tolist():
+        d[i] = math.hypot(x[i], y[i])
+    return d
+
+
+@dataclass
+class ClipGroup:
+    """The walls of a group of cameras, clipped together.
+
+    ``walls`` holds every camera's walls, camera by camera, with the
+    index's building ranks. ``kept_cam`` and ``kept_fp`` list the
+    (camera, footprint) pairs whose rings were clipped, in order.
+    ``containing`` gives, per camera, the id of the first footprint
+    strictly holding it, or None. ``out_of_range`` counts the candidate
+    (camera, footprint) pairs skipped because a vertex of the ring lies
+    beyond the flat-plane range.
+    """
+
+    index: FootprintIndex
+    radius_m: float
+    walls: SceneArrays
+    kept_cam: np.ndarray
+    kept_fp: np.ndarray
+    containing: list
+    out_of_range: int
+
+    def owners(self, cam, rank) -> list:
+        """(building_id, category) of building ``rank`` as camera ``cam``
+        sees it, per element: from the first of the building's
+        footprints that the camera keeps."""
+        stride = len(self.index) + 1
+        keys, first = np.unique(
+            self.kept_cam * stride + self.index.rank[self.kept_fp],
+            return_index=True)
+        fp = self.kept_fp[first[np.searchsorted(keys, cam * stride + rank)]]
+        fps = self.index.footprints
+        return [(fps[f].building_id, fps[f].category) for f in fp.tolist()]
+
+
+def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
+    """Clip the footprints around a group of cameras in one array pass.
+
+    Every (camera, candidate ring) pair is projected onto the camera's
+    local plane and tested at once. A ring contributes all its edges of
+    nonzero length when it comes within ``radius_m`` of the camera
+    (intersects or lies inside the disc). Rings with any vertex beyond
+    the flat-plane range are too far to matter and are skipped (and
+    counted). A camera strictly inside a ring keeps the rest of its
+    scene but is marked as held by it. The projection and each threshold
+    decision are those of the one-ring scalar form, value for value.
+    """
+    if radius_m <= 0:
+        raise ValueError("radius_m must be positive")
+    cam, fp = index.candidate_pairs(metas, radius_m)
+    count = index.ring_len[fp]
+    first = np.cumsum(count) - count  # each pair's first vertex
+    size = int(count.sum())
+    vertex = np.repeat(index.ring_start[fp] - first, count) + np.arange(size)
+    pair = np.repeat(np.arange(len(fp)), count)
+    lat0, lon0, cos_lat = (v[cam[pair]] for v in _camera_arrays(metas))
+    x = _wrap_lons(index.lon[vertex] - lon0) * cos_lat * METERS_PER_DEGREE
+    y = (index.lat[vertex] - lat0) * METERS_PER_DEGREE
+    nxt = np.arange(1, size + 1)
+    nxt[first + count - 1] = first
+    bx, by = x[nxt], y[nxt]
+    ex, ey = bx - x, by - y
+    if size:
+        far = np.logical_or.reduceat(
+            _exact_hypot(x, y, MAX_LOCAL_RANGE_M) > MAX_LOCAL_RANGE_M, first)
+        # nearest point of each edge to the camera, then of each ring
+        len2 = ex * ex + ey * ey
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(len2 == 0.0, 0.0,
+                         np.clip(-(x * ex + y * ey) / len2, 0.0, 1.0))
+            # even-odd test of the camera, the origin, against each ring
+            t = (0.0 - y) / (by - y)
+            crossing = ((y > 0.0) != (by > 0.0)) & (0.0 < x + t * (bx - x))
+        dmin = np.minimum.reduceat(
+            _exact_hypot(x + u * ex, y + u * ey, 1e-9, radius_m), first)
+        inside = np.logical_xor.reduceat(crossing, first)
+    else:
+        far = inside = np.zeros(0, bool)
+        dmin = np.zeros(0)
+    holds = ~far & (dmin > 1e-9) & inside
+    kept = ~far & ~holds & ~(dmin > radius_m)
+    containing = [None] * len(metas)
+    for c, f in zip(cam[holds].tolist(), fp[holds].tolist()):
+        if containing[c] is None:
+            containing[c] = index.footprints[f].building_id
+    edge = np.flatnonzero(kept[pair] & (_exact_hypot(ex, ey, 1e-9) > 1e-9))
+    walls = wall_arrays(cam[pair[edge]], x[edge], y[edge], bx[edge],
+                        by[edge], index.rank[fp[pair[edge]]])
+    return ClipGroup(index=index, radius_m=radius_m, walls=walls,
+                     kept_cam=cam[kept], kept_fp=fp[kept],
+                     containing=containing, out_of_range=int(far.sum()))
+
+
 def clip_scene(index: FootprintIndex, meta: PanoramaMeta,
                radius_m: float) -> LocalScene:
     """Build the local wall-segment scene for one camera.
 
-    A footprint contributes all its edges when its outer ring comes
-    within ``radius_m`` of the camera (intersects or lies inside the
-    disc). Only the index's candidates are projected; the rest lie
+    The one-camera case of :func:`clip_group`: a footprint contributes
+    all its edges when its outer ring comes within ``radius_m`` of the
+    camera. Only the index's candidates are projected; the rest lie
     beyond the radius. Footprints with any vertex beyond the flat-plane
-    range are too far to matter and are skipped. A camera strictly
-    inside a ring marks the scene degenerate.
+    range are skipped. A camera strictly inside a ring marks the scene
+    degenerate.
     """
-    if radius_m <= 0:
-        raise ValueError("radius_m must be positive")
-    origin = (meta.lat, meta.lon)
-    cos_lat = math.cos(math.radians(meta.lat))
-    segments = []
-    buildings = []
-    seen = set()
-    degenerate = False
-    containing = None
-    for fp in index.candidates(meta, radius_m):
-        xs, ys, ok = [], [], True
-        for (lat, lon) in fp.ring[:-1]:
-            x, y = _local_xy(lat, lon, meta.lat, meta.lon, cos_lat)
-            if math.hypot(x, y) > MAX_LOCAL_RANGE_M:
-                ok = False
-                break
-            xs.append(x)
-            ys.append(y)
-        if not ok:
-            continue
-        dmin = _ring_min_distance(xs, ys)
-        if dmin > 1e-9 and _point_in_ring(0.0, 0.0, xs, ys):
-            degenerate = True
-            if containing is None:
-                containing = fp.building_id
-            continue
-        if dmin > radius_m:
-            continue
+    group = clip_group(index, [meta], radius_m)
+    buildings, seen = [], {}  # building id -> index rank
+    for f in group.kept_fp.tolist():
+        fp = index.footprints[f]
         if fp.building_id not in seen:
-            seen.add(fp.building_id)
+            seen[fp.building_id] = int(index.rank[f])
             buildings.append((fp.building_id, fp.category))
-        n = len(xs)
-        for i in range(n):
-            ax, ay = xs[i], ys[i]
-            bx, by = xs[(i + 1) % n], ys[(i + 1) % n]
-            if math.hypot(bx - ax, by - ay) <= 1e-9:
-                continue
-            segments.append(WallSegment(ax=ax, ay=ay, bx=bx, by=by,
-                                        building_id=fp.building_id,
-                                        category=fp.category))
-    return LocalScene(pano_id=meta.pano_id, origin=origin, radius_m=radius_m,
-                      segments=segments, buildings=tuple(buildings),
-                      degenerate=degenerate, containing_building=containing)
+    ranks = np.fromiter(seen.values(), np.int64, len(seen))
+    order = np.argsort(ranks)
+    walls = replace(group.walls,
+                    rank=np.searchsorted(ranks[order], group.walls.rank))
+    containing = group.containing[0]
+    return LocalScene(pano_id=meta.pano_id, origin=(meta.lat, meta.lon),
+                      radius_m=radius_m, buildings=tuple(buildings),
+                      degenerate=containing is not None,
+                      containing_building=containing, arrays=walls,
+                      rank_to_bidx=order.astype(np.int64))

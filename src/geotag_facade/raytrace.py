@@ -23,21 +23,31 @@ the result is bit-identical to testing every ray against every wall.
 Consecutive grid samples hitting the same building merge into
 :class:`VisibilityInterval` runs, which are finally mapped onto the
 panorama's pixel axis.
+
+The kernels work on a group of cameras at once: ray ``k`` of the group's
+camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
+boundaries and merged across each camera's seam. :func:`trace_group`
+traces a clipped group that way; :func:`trace_sweep` and
+:func:`intervals_from_sweep` are the one-camera case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import rays_per_turn
 from .errors import DegenerateSceneError
 from .ingest import PanoramaMeta
-from .projection import LocalScene, angle_to_pixel
+from .projection import (ClipGroup, LocalScene, SceneArrays, angle_to_pixel,
+                         heading_px)
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
-_PAIR_BLOCK = 1 << 16  # candidate (ray, segment) pairs evaluated at once
+# candidate (ray, segment) pairs evaluated at once, as many as the rays of
+# a group of cameras (matcher.GROUP_RAYS): both bound the sweep's memory
+_PAIR_BLOCK = 1 << 13
 # A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
 # of its segment; this relative reach is over 400 times that.
 _ROUNDING_REACH = 1e-12
@@ -140,40 +150,63 @@ def _ray_runs(arr, radius_m: float, n: int):
             np.concatenate((head, count[seam] - head[seam])))
 
 
-def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
-    """Nearest-wall query at each heading of the sweep grid ``thetas``.
+class SweepGrid(NamedTuple):
+    """The sweep's grid headings, and their unit directions repeated once
+    per camera of a group."""
 
-    ``thetas`` must be the full grid ``k * 360 / n`` for ``k < n``. Each
-    segment is tested only against the rays of its angular span (see
-    :func:`_ray_runs`). The (ray, segment) candidate pairs are laid out
-    flat and evaluated in blocks of at most ``_PAIR_BLOCK`` pairs, so
-    memory stays bounded whatever the step and segment count. Each pair
-    runs the same elementwise ``denom``, ``t``, parallel, ``t > 0``,
-    radius and ``s`` expressions as a dense rays x segments sweep, and
-    each block is filtered down to its hits.
+    thetas: np.ndarray
+    dirs_x: np.ndarray
+    dirs_y: np.ndarray
 
-    Returns (building_idx, distances) with -1/inf on miss. The tie rule
-    is unchanged: every hit within TIE_EPS_M of the nearest is tied, the
-    tie goes to the lexicographically smallest building id, and the
-    distance is the nearest tied hit of that building. Only minima are
-    taken, so the result does not depend on the order pairs are visited.
-    """
-    n = len(thetas)
-    bidx = np.full(n, -1, np.int64)
-    dist = np.full(n, np.inf)
-    arr = scene.arrays
-    if len(scene.segments) == 0:
-        return bidx, dist
+
+def sweep_grid(step_deg: float, cameras: int = 1) -> SweepGrid:
+    """Headings ``k * step_deg`` for ``k < 360 / step_deg``, and the
+    direction table for ``cameras`` cameras."""
+    n = rays_per_turn(step_deg)
+    if not n:
+        raise ValueError(f"step_deg {step_deg} does not divide 360")
+    thetas = np.arange(n, dtype=float) * step_deg
     rad = np.radians(thetas)
-    dirs_x, dirs_y = np.sin(rad), np.cos(rad)
-    seg, first, count = _ray_runs(arr, scene.radius_m, n)
+    return SweepGrid(thetas, np.tile(np.sin(rad), cameras),
+                     np.tile(np.cos(rad), cameras))
+
+
+def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
+                  radius_m: float):
+    """Nearest-wall query at each grid heading of each camera of a group.
+
+    ``arr`` holds the walls of ``cameras`` cameras, and ``grid`` their
+    direction table; ray ``k`` of camera ``c`` is ray ``c * n + k``. Each
+    wall is tested only against its camera's rays in its angular span
+    (see :func:`_ray_runs`). The (ray, segment) candidate pairs are laid
+    out flat and evaluated in blocks of at most ``_PAIR_BLOCK`` pairs, so
+    memory stays bounded whatever the step, group and segment count.
+    Each pair runs the same elementwise ``denom``, ``t``, parallel,
+    ``t > 0``, radius and ``s`` expressions as a dense rays x segments
+    sweep, and each block is filtered down to its hits.
+
+    Returns (rank, distances) per ray, with -1/inf on miss. The tie rule
+    is unchanged: every hit within TIE_EPS_M of the nearest is tied, the
+    tie goes to the smallest building rank (the lexicographically
+    smallest id), and the distance is the nearest tied hit of that
+    building. Only minima are taken, so the result does not depend on
+    the order pairs are visited.
+    """
+    n = len(grid.thetas)
+    size = n * cameras
+    best = np.full(size, -1, np.int64)
+    dist = np.full(size, np.inf)
+    if len(arr) == 0:
+        return best, dist
+    seg, first, count = _ray_runs(arr, radius_m, n)
+    first = first + arr.cam[seg] * n
     walls = np.stack((arr.nx, arr.ny, arr.a_dot_n, arr.ax, arr.ay, arr.ex,
                       arr.ey, arr.len2))[:, seg]
     rank = arr.rank[seg]
     ends = np.cumsum(count)
     starts = ends - count
     total = int(ends[-1])
-    dmin = np.full(n, np.inf)
+    dmin = np.full(size, np.inf)
     kept = []  # per block: (ray, t, rank) of the hits that may still tie
     for p0 in range(0, total, _PAIR_BLOCK):
         p1 = min(p0 + _PAIR_BLOCK, total)
@@ -182,7 +215,7 @@ def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
         c = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
         ray = (np.repeat(first[j0:j1] - starts[j0:j1], c)
                + np.arange(p0, p1))
-        dx, dy = dirs_x[ray], dirs_y[ray]
+        dx, dy = grid.dirs_x[ray], grid.dirs_y[ray]
         nx, ny, a_dot_n, ax, ay, ex, ey, len2 = np.repeat(
             walls[:, j0:j1], c, axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -191,7 +224,7 @@ def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
             s = ((t * dx - ax) * ex + (t * dy - ay) * ey) / len2
         ok = np.abs(denom) >= PARALLEL_EPS
         ok &= t > 0.0
-        ok &= t <= scene.radius_m
+        ok &= t <= radius_m
         ok &= s >= 0.0
         ok &= s <= 1.0
         hit = np.flatnonzero(ok)
@@ -205,13 +238,13 @@ def _nearest_hits(scene: LocalScene, thetas: np.ndarray):
     ray, t, hit_rank = (np.concatenate(a) for a in zip(*kept))
     tie = np.flatnonzero(t <= dmin[ray] + TIE_EPS_M)
     ray, t, hit_rank = ray[tie], t[tie], hit_rank[tie]
-    best = np.full(n, len(scene.buildings), np.int64)
-    np.minimum.at(best, ray, hit_rank)
-    won = np.flatnonzero(hit_rank == best[ray])
+    top = np.full(size, np.iinfo(np.int64).max)
+    np.minimum.at(top, ray, hit_rank)
+    won = np.flatnonzero(hit_rank == top[ray])
     np.minimum.at(dist, ray[won], t[won])
     hit = np.isfinite(dmin)
-    bidx[hit] = arr.rank_to_bidx[best[hit]]
-    return bidx, dist
+    best[hit] = top[hit]
+    return best, dist
 
 
 def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
@@ -224,32 +257,58 @@ def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
         raise DegenerateSceneError(
             f"camera of {scene.pano_id} is inside footprint "
             f"{scene.containing_building}")
-    n = rays_per_turn(step_deg)
-    if not n:
-        raise ValueError(f"step_deg {step_deg} does not divide 360")
-    thetas = np.arange(n, dtype=float) * step_deg
-    bidx, dist = _nearest_hits(scene, thetas)
-    return RaySweep(step_deg=step_deg, thetas=thetas, building_idx=bidx,
+    grid = sweep_grid(step_deg)
+    rank, dist = nearest_walls(scene.arrays, grid, 1, scene.radius_m)
+    bidx = np.full(len(rank), -1, np.int64)
+    hit = rank >= 0
+    bidx[hit] = scene.rank_to_bidx[rank[hit]]
+    return RaySweep(step_deg=step_deg, thetas=grid.thetas, building_idx=bidx,
                     distances=dist, buildings=scene.buildings)
+
+
+def run_table(owner: np.ndarray, distances: np.ndarray, n: int):
+    """Maximal runs of equal ``owner >= 0`` within each camera's samples.
+
+    ``owner`` and ``distances`` hold ``n`` samples per camera, camera
+    after camera. Runs are cut at camera boundaries, and a camera's
+    first and last runs merge across its 0-degree seam when they have
+    the same owner. Returns (start, end, owner, min_distance) arrays in
+    sample order; a merged run keeps its later part's start and its
+    first part's end, so its ``end < start``.
+    """
+    total = len(owner)
+    empty = np.zeros(0, np.int64)
+    if total == 0:
+        return empty, empty, empty, np.zeros(0)
+    cuts = np.union1d(np.flatnonzero(np.diff(owner)) + 1,
+                      np.arange(n, total, n))
+    start = np.concatenate(([0], cuts))
+    end = np.concatenate((cuts - 1, [total - 1]))
+    low = np.minimum.reduceat(distances, start)
+    own = owner[start]
+    hit = np.flatnonzero(own >= 0)
+    start, end, own, low = start[hit], end[hit], own[hit], low[hit]
+    if len(start) == 0:
+        return start, end, own, low
+    cam = start // n
+    head = np.flatnonzero(np.diff(cam, prepend=-1))  # each camera's first
+    tail = np.append(head[1:], len(start)) - 1  # and last run
+    base = cam[head] * n
+    wrap = ((head < tail) & (start[head] == base)
+            & (end[tail] == base + n - 1) & (own[head] == own[tail]))
+    head, tail = head[wrap], tail[wrap]
+    end[tail] = end[head]
+    low[tail] = np.minimum(low[tail], low[head])
+    keep = np.ones(len(start), bool)
+    keep[head] = False
+    return start[keep], end[keep], own[keep], low[keep]
 
 
 def _runs(building_idx: np.ndarray):
     """Maximal runs of equal hit index, merged across the 0-degree seam."""
     n = len(building_idx)
-    if n == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(building_idx)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts - 1, [n - 1]))
-    owners = building_idx[starts]
-    hit = owners >= 0
-    runs = [[int(i), int(j), int(b)]
-            for i, j, b in zip(starts[hit], ends[hit], owners[hit])]
-    if (len(runs) >= 2 and runs[0][0] == 0 and runs[-1][1] == n - 1
-            and runs[0][2] == runs[-1][2]):
-        first = runs.pop(0)
-        runs[-1][1] = first[1]  # wrapped run: start stays, end crosses seam
-    return runs
+    start, end, own, _ = run_table(building_idx, np.zeros(n), n)
+    return [list(r) for r in zip(start.tolist(), end.tolist(), own.tolist())]
 
 
 def intervals_from_sweep(sweep: RaySweep) -> list:
@@ -259,19 +318,15 @@ def intervals_from_sweep(sweep: RaySweep) -> list:
     are the first and last hit grid angles of each run, not half-step
     extensions.
     """
-    n = len(sweep)
+    start, end, own, low = run_table(sweep.building_idx, sweep.distances,
+                                     len(sweep))
     out = []
-    for start, end, b in _runs(sweep.building_idx):
-        if end >= start:
-            idx = np.arange(start, end + 1)
-        else:  # run wraps past the last sample
-            idx = np.concatenate([np.arange(start, n), np.arange(0, end + 1)])
+    for s, e, b, d in zip(start.tolist(), end.tolist(), own.tolist(),
+                          low.tolist()):
         bid, cat = sweep.buildings[b]
         out.append(VisibilityInterval(
-            building_id=bid, category=cat,
-            angle_lo=float(sweep.thetas[start]),
-            angle_hi=float(sweep.thetas[end]),
-            min_distance=float(sweep.distances[idx].min())))
+            building_id=bid, category=cat, angle_lo=float(sweep.thetas[s]),
+            angle_hi=float(sweep.thetas[e]), min_distance=d))
     out.sort(key=lambda iv: (iv.angle_lo, iv.building_id))
     return out
 
@@ -287,3 +342,38 @@ def intervals_to_pixel(intervals, meta: PanoramaMeta,
             a, b = b, a
         out.append(replace(iv, px_lo=a, px_hi=b))
     return out
+
+
+def trace_group(clip: ClipGroup, metas, grid: SweepGrid,
+                flip_heading: bool = False) -> list:
+    """Pixel-space visibility intervals of every camera of a clipped
+    group, from one sweep and one run split for all of them.
+
+    ``grid`` must cover at least ``len(metas)`` cameras. Returns, per
+    camera, ``(intervals, None)``, or ``(None, building_id)`` when the
+    camera sits inside that building's footprint; the intervals equal
+    those of :func:`trace_sweep`, :func:`intervals_from_sweep` and
+    :func:`intervals_to_pixel` on the camera's own scene. Runs come in
+    sample order, which is angle order within a camera, so no sort is
+    needed.
+    """
+    n = len(grid.thetas)
+    rank, dist = nearest_walls(clip.walls, grid, len(metas), clip.radius_m)
+    start, end, own, low = run_table(rank, dist, n)
+    cam = start // n
+    angle_lo = grid.thetas[start - cam * n]
+    angle_hi = grid.thetas[end - cam * n]
+    north = np.array([m.north_px for m in metas], float)[cam]
+    width = np.array([m.width for m in metas], float)[cam]
+    px_lo = heading_px(angle_lo, north, width, flip_heading)
+    px_hi = heading_px(angle_hi, north, width, flip_heading)
+    if flip_heading:
+        px_lo, px_hi = px_hi, px_lo
+    rows = [VisibilityInterval(bid, cat, a, b, d, p, q)
+            for (bid, cat), a, b, d, p, q in zip(
+                clip.owners(cam, own), angle_lo.tolist(), angle_hi.tolist(),
+                low.tolist(), px_lo.tolist(), px_hi.tolist())]
+    bounds = np.searchsorted(cam, np.arange(len(metas) + 1)).tolist()
+    return [(rows[bounds[c]:bounds[c + 1]], None) if blocker is None
+            else (None, blocker)
+            for c, blocker in enumerate(clip.containing)]

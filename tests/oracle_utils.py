@@ -4,31 +4,31 @@ These deliberately avoid the package's own arithmetic: haversine instead
 of the flat-plane model, shift-enumeration instead of piece
 decomposition for circular overlap. They stay simple and slow.
 
-``linear_clip_scene`` is the exception: it is ``clip_scene`` as it was
-before the footprint index, projecting every footprint for every camera,
-and shares the package's per-ring helpers. It checks which footprints
-the index lets through, not the projection arithmetic.
-
 The rest are former package code kept as references for the code that
-replaced it: the scalar ray-wall distance and the per-sample sweep view
-(``RayHit``, ``RaySample``), the dense sweep that tests every ray against
-every segment (``reference_nearest_hits``), the loop form of the run split
-(``reference_runs``), and the AP path that reran the greedy matching for
-every AP value (``reference_average_precision``,
+replaced it: ``linear_clip_scene``, the scalar clip of one camera that
+projects every footprint one vertex at a time, with its per-ring helpers
+(``_point_in_ring``, ``_ring_min_distance``); the scalar ray-wall
+distance and the per-sample sweep view (``RayHit``, ``RaySample``); the
+arrays a scene's segment list gave the sweep (``reference_arrays``); the
+dense sweep that tests every ray against every segment
+(``reference_nearest_hits``); the loop form of the run split
+(``reference_runs``); the one-camera trace built from these
+(``reference_trace_panorama``); and the AP path that reran the greedy
+matching for every AP value (``reference_average_precision``,
 ``reference_coco_summary``).
 """
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, APReport, iou_2d)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
-                                      LocalScene, WallSegment,
-                                      _point_in_ring, _ring_min_distance,
-                                      _wrap_lon)
-from geotag_facade.raytrace import PARALLEL_EPS, TIE_EPS_M, RaySweep
+                                      LocalScene, WallSegment, _wrap_lon)
+from geotag_facade.raytrace import (PARALLEL_EPS, TIE_EPS_M, RaySweep,
+                                    VisibilityInterval)
 
 EARTH_RADIUS_M = 6371.393 * 1000.0
 
@@ -91,6 +91,38 @@ def brute_iou_2d(box_a, box_b, width=None):
         hseg = brute_overlap_1d(ax, ax + aw, bx, bx + bw, width)
     inter = hseg * v
     return inter / (aw * ah + bw * bh - inter)
+
+
+def _point_in_ring(px: float, py: float, xs, ys) -> bool:
+    """Even-odd test. Points on the boundary are not 'strictly inside'."""
+    inside = False
+    n = len(xs)
+    for i in range(n):
+        x1, y1 = xs[i], ys[i]
+        x2, y2 = xs[(i + 1) % n], ys[(i + 1) % n]
+        if (y1 > py) != (y2 > py):
+            t = (py - y1) / (y2 - y1)
+            if px < x1 + t * (x2 - x1):
+                inside = not inside
+    return inside
+
+
+def _ring_min_distance(xs, ys) -> float:
+    """Distance from the local origin to the nearest point of a ring."""
+    best = math.inf
+    n = len(xs)
+    for i in range(n):
+        ax, ay = xs[i], ys[i]
+        bx, by = xs[(i + 1) % n], ys[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        len2 = ex * ex + ey * ey
+        if len2 == 0.0:
+            d = math.hypot(ax, ay)
+        else:
+            t = max(0.0, min(1.0, -(ax * ex + ay * ey) / len2))
+            d = math.hypot(ax + t * ex, ay + t * ey)
+        best = min(best, d)
+    return best
 
 
 def linear_clip_scene(footprints, meta, radius_m):
@@ -220,6 +252,31 @@ def sweep_from_samples(samples, step_deg: float) -> RaySweep:
 _ANGLE_CHUNK = 4096
 
 
+def reference_arrays(scene: LocalScene):
+    """The per-segment arrays the sweep used, built from the segment list."""
+    segs = scene.segments
+    n = len(segs)
+    ax = np.fromiter((s.ax for s in segs), float, n)
+    ay = np.fromiter((s.ay for s in segs), float, n)
+    bx = np.fromiter((s.bx for s in segs), float, n)
+    by = np.fromiter((s.by for s in segs), float, n)
+    ex, ey = bx - ax, by - ay
+    length = np.hypot(ex, ey)
+    nx, ny = ey / length, -ex / length
+    id_of = {bid: i for i, (bid, _) in enumerate(scene.buildings)}
+    bidx = np.fromiter((id_of[s.building_id] for s in segs), np.int64, n)
+    order = sorted(range(len(scene.buildings)),
+                   key=lambda i: scene.buildings[i][0])
+    rank_of = np.empty(max(len(scene.buildings), 1), np.int64)
+    for r, i in enumerate(order):
+        rank_of[i] = r
+    return SimpleNamespace(
+        ax=ax, ay=ay, ex=ex, ey=ey, nx=nx, ny=ny,
+        a_dot_n=ax * nx + ay * ny, len2=length * length,
+        rank=rank_of[bidx] if n else np.empty(0, np.int64),
+        rank_to_bidx=np.asarray(order, np.int64))
+
+
 def reference_nearest_hits(scene: LocalScene, thetas: np.ndarray):
     """Vectorized nearest-wall query at each heading of ``thetas``.
 
@@ -229,7 +286,7 @@ def reference_nearest_hits(scene: LocalScene, thetas: np.ndarray):
     n = len(thetas)
     bidx = np.full(n, -1, np.int64)
     dist = np.full(n, np.inf)
-    arr = scene.arrays
+    arr = reference_arrays(scene)
     if len(scene.segments) == 0:
         return bidx, dist
     big_rank = len(scene.buildings)
@@ -283,6 +340,44 @@ def reference_runs(building_idx: np.ndarray):
         first = runs.pop(0)
         runs[-1][1] = first[1]  # wrapped run: start stays, end crosses seam
     return runs
+
+
+def reference_trace_panorama(footprints, meta, config):
+    """One panorama traced as the per-camera code did it: the scalar clip
+    of every footprint, the dense sweep, the loop run split, the interval
+    merge and the scalar pixel mapping. Returns ``(intervals, None)`` or
+    ``(None, building_id)`` like ``trace_panorama``."""
+    scene = linear_clip_scene(footprints, meta, config.radius_m)
+    if scene.degenerate:
+        return None, scene.containing_building
+    n = round(360.0 / config.step_deg)
+    thetas = np.arange(n, dtype=float) * config.step_deg
+    bidx, dist = reference_nearest_hits(scene, thetas)
+    out = []
+    for start, end, b in reference_runs(bidx):
+        if end >= start:
+            idx = np.arange(start, end + 1)
+        else:
+            idx = np.concatenate([np.arange(start, n), np.arange(0, end + 1)])
+        bid, cat = scene.buildings[b]
+        out.append(VisibilityInterval(
+            building_id=bid, category=cat, angle_lo=float(thetas[start]),
+            angle_hi=float(thetas[end]),
+            min_distance=float(dist[idx].min())))
+    out.sort(key=lambda iv: (iv.angle_lo, iv.building_id))
+    flip = config.flip_heading
+
+    def px(theta):
+        span = theta / 360.0 * meta.width
+        p = meta.north_px - span if flip else meta.north_px + span
+        return float(p % meta.width)
+
+    return [VisibilityInterval(
+        building_id=iv.building_id, category=iv.category,
+        angle_lo=iv.angle_lo, angle_hi=iv.angle_hi,
+        min_distance=iv.min_distance,
+        px_lo=px(iv.angle_hi if flip else iv.angle_lo),
+        px_hi=px(iv.angle_lo if flip else iv.angle_hi)) for iv in out], None
 
 
 def _reference_match_predictions(preds, gts, iou_thr, width_by_pano):

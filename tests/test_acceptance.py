@@ -95,8 +95,7 @@ def test_criterion_1_accuracy_regime(big_corpus):
                        width=m.width)
             assert v >= 0.85
 
-    config = RunConfig(seed=17, batch_size=64, threshold_mode="adaptive",
-                       workers=1)
+    config = RunConfig(seed=17, batch_size=64, threshold_mode="adaptive")
     t0 = time.perf_counter()
     annotations, report = generate_coarse_annotations(metas, fset, dets,
                                                       config)

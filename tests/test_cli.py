@@ -53,6 +53,95 @@ def test_trace_deterministic_bytes(scene_dir, tmp_path):
     assert outs[0] == outs[1]
 
 
+def trace_argv(scene, out, footprints=None, *flags):
+    return ["trace", "--footprints",
+            footprints or scene / "footprints.geojson",
+            "--metas", scene / "metas.jsonl",
+            "--mapping", scene / "mapping.json", "--out", out, *flags]
+
+
+def artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.json"))}
+
+
+def test_log_level_sends_log_lines_to_stderr_only(scene_dir, tmp_path,
+                                                  capsys):
+    assert run(["--log-level", "error",
+                *trace_argv(scene_dir, tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr()
+    assert run(["-v", *trace_argv(scene_dir, tmp_path / "loud")]) == 0
+    loud = capsys.readouterr()
+    assert quiet.err == ""
+    assert "INFO geotag_facade.ingest: loaded 10 footprints" in loud.err
+    assert loud.out == quiet.out.replace("quiet", "loud")
+    assert artifacts(tmp_path / "loud") == artifacts(tmp_path / "quiet")
+    # eval writes its result to stdout, which log lines never enter
+    evals = []
+    for flags in (["--log-level", "DEBUG"], []):
+        assert run([*flags, "eval", "--gt", scene_dir / "gt.json",
+                    "--pred", scene_dir / "gt.json"]) == 0
+        evals.append(capsys.readouterr().out)
+    assert evals[0] == evals[1]
+    json.loads(evals[0])
+
+
+def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
+                                                      capsys):
+    # with a 12 km radius, a copy of the street 11 km north is a candidate
+    # for every camera but lies past the 10 km flat-plane range
+    from geotag_facade.projection import METERS_PER_DEGREE
+    doc = json.loads((scene_dir / "footprints.geojson").read_text())
+    near = doc["features"]
+    shift = 11_000.0 / METERS_PER_DEGREE
+    far = [{"type": "Feature",
+            "properties": {"building_id": f["properties"]["building_id"]
+                           + "_far",
+                           "label": f["properties"]["label"]},
+            "geometry": {"type": "Polygon", "coordinates": [
+                [[lon, lat + shift] for lon, lat in ring]
+                for ring in f["geometry"]["coordinates"]]}}
+           for f in near]
+    both = tmp_path / "both.geojson"
+    both.write_text(json.dumps({"type": "FeatureCollection",
+                                "features": near + far}))
+    outs = {}
+    for name, fps in (("alone", None), ("both", both)):
+        for level in ("WARNING", "ERROR"):
+            out = tmp_path / f"{name}-{level}"
+            assert run(["--log-level", level, *trace_argv(
+                scene_dir, out, fps, "--radius", 12_000)]) == 0
+            outs[name, level] = out
+            err = capsys.readouterr().err
+            lines = [ln for ln in err.splitlines() if "flat-plane" in ln]
+            if name == "both" and level == "WARNING":
+                assert lines == [
+                    f"WARNING geotag_facade.matcher: skipped {3 * len(far)} "
+                    "(camera, footprint) pairs: the footprint has a vertex "
+                    "beyond the 10000 m flat-plane range"]
+            else:
+                assert lines == []
+    assert artifacts(outs["both", "WARNING"]) == \
+        artifacts(outs["both", "ERROR"])
+    for name, data in artifacts(outs["alone", "WARNING"]).items():
+        if name.startswith("intervals_"):
+            got = artifacts(outs["both", "WARNING"])[name]
+            assert json.loads(got)["intervals"] == \
+                json.loads(data)["intervals"]
+    # annotate says it once per run too, and labels the same boxes
+    anns = []
+    for fps in (None, both):
+        out = tmp_path / f"ann-{fps is None}"
+        argv = trace_argv(scene_dir, out, fps, "--radius", 12_000,
+                          "--batch-size", 1)
+        assert run(["annotate", *argv[1:], "--detections",
+                    scene_dir / "detections.json"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("flat-plane") == (fps is not None)
+        anns.append(json.loads((out / "coarse_annotations.json")
+                               .read_text())["annotations"])
+    assert anns[0] and anns[0] == anns[1]
+
+
 def test_trace_missing_input_fatal(tmp_path):
     rc = run(["trace", "--footprints", tmp_path / "nope.geojson",
               "--metas", tmp_path / "nope.jsonl",
@@ -61,18 +150,14 @@ def test_trace_missing_input_fatal(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("command, flags, workers, needle", [
-    ("annotate", ["--radius", -1], None, "radius_m"),
-    ("annotate", ["--batch-size", 0], None, "batch_size"),
-    ("trace", ["--step-deg", 7], None, "does not divide 360"),
-    ("trace", [], "abc", "GEOTAG_FACADE_WORKERS"),
-    ("annotate", ["--iou-x", 1.5], None, "iou_x_min"),
-], ids=["radius", "batch-size", "step-deg", "workers", "iou-x"])
-def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys,
-                                        monkeypatch, command, flags,
-                                        workers, needle):
-    if workers is not None:
-        monkeypatch.setenv("GEOTAG_FACADE_WORKERS", workers)
+@pytest.mark.parametrize("command, flags, needle", [
+    ("annotate", ["--radius", -1], "radius_m"),
+    ("annotate", ["--batch-size", 0], "batch_size"),
+    ("trace", ["--step-deg", 7], "does not divide 360"),
+    ("annotate", ["--iou-x", 1.5], "iou_x_min"),
+], ids=["radius", "batch-size", "step-deg", "iou-x"])
+def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys, command,
+                                        flags, needle):
     out = tmp_path / "o"
     args = [command, "--footprints", scene_dir / "footprints.geojson",
             "--metas", scene_dir / "metas.jsonl",

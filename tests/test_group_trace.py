@@ -1,0 +1,243 @@
+"""Group tracing equals the per-camera trace it replaced.
+
+``trace_panoramas`` clips, sweeps and splits runs for a group of cameras
+with one set of array operations. Every test here compares it, under
+several group caps, with ``reference_trace_panorama`` (the scalar clip,
+the dense sweep and the loop run split, one camera at a time) and with
+the package's own one-camera path, ``trace_panorama``: intervals,
+distances and pixel spans must be equal bit for bit.
+"""
+import math
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from geotag_facade import (FootprintIndex, PanoramaMeta, RunConfig,
+                           clip_scene, local_to_geodetic, matcher,
+                           trace_panorama, trace_panoramas)
+from geotag_facade.config import rays_per_turn
+from geotag_facade.ingest import BuildingFootprint
+from geotag_facade.projection import METERS_PER_DEGREE, _exact_hypot
+from geotag_facade.synth import SceneConfig, generate_scene
+
+from oracle_utils import _ring_min_distance, reference_trace_panorama
+
+
+def cam(x=0.0, y=0.0, pano_id=None, north_px=300.0, width=2048):
+    """A camera ``x`` m east and ``y`` m north of (0, 0)."""
+    lat, lon = local_to_geodetic((0.0, 0.0), (x, y))
+    return PanoramaMeta(pano_id=pano_id or f"c{x:+.0f}{y:+.0f}", lat=lat,
+                        lon=lon, north_px=north_px, width=width,
+                        height=width // 2)
+
+
+def fp_geo(ring, building_id, category=1):
+    """A footprint from (lat, lon) vertices."""
+    return BuildingFootprint(building_id=building_id,
+                             ring=tuple(ring) + (ring[0],), raw_label="x",
+                             category=category)
+
+
+def fp_local(pts, building_id, category=1):
+    """A footprint from vertices in meters east/north of (0, 0)."""
+    return fp_geo([local_to_geodetic((0.0, 0.0), p) for p in pts],
+                  building_id, category)
+
+
+def square(cx, cy, side, building_id, category=1):
+    h = side / 2.0
+    return fp_local([(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h),
+                     (cx - h, cy + h)], building_id, category)
+
+
+def lat_at(meters):
+    """The latitude that projects exactly ``meters`` north of a camera on
+    the equator, and the next one up, which projects one ulp past it."""
+    lat = meters / METERS_PER_DEGREE
+    for _ in range(64):
+        y = lat * METERS_PER_DEGREE
+        if y == meters:
+            break
+        lat = math.nextafter(lat, math.inf if y < meters else -math.inf)
+    beyond = math.nextafter(lat, math.inf)
+    assert lat * METERS_PER_DEGREE == meters
+    assert beyond * METERS_PER_DEGREE == math.nextafter(meters, math.inf)
+    return lat, beyond
+
+
+def caps(config):
+    """Group caps: one camera per group, three, and a whole batch."""
+    return (1, 3 * rays_per_turn(config.step_deg), 1 << 40)
+
+
+def assert_groups_match(monkeypatch, footprints, metas, config):
+    """trace_panoramas under every cap equals both one-camera paths;
+    returns the out-of-range count."""
+    index = FootprintIndex(footprints)
+    want = [reference_trace_panorama(footprints, m, config) for m in metas]
+    assert [trace_panorama(index, m, config) for m in metas] == want
+    seen = set()
+    for cap in caps(config):
+        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+        counts = Counter()
+        assert trace_panoramas(index, metas, config, counts) == want
+        seen.add(counts["out_of_range"])
+    assert len(seen) == 1
+    return seen.pop()
+
+
+@pytest.mark.parametrize("step, flip", [(1.0, False), (0.5, True),
+                                        (7.5, False)])
+def test_synthetic_streets(monkeypatch, step, flip):
+    footprints, metas = [], []
+    for seed in (3, 4):
+        sc = generate_scene(seed, SceneConfig(n_buildings=14, n_cameras=5,
+                                              with_ground_truth=False))
+        footprints += sc.footprints
+        metas += sc.metas
+    config = RunConfig(step_deg=step, flip_heading=flip)
+    assert assert_groups_match(monkeypatch, footprints, metas, config) == 0
+
+
+def test_random_layouts(monkeypatch):
+    rng = random.Random(29)
+    for trial in range(4):
+        fps = []
+        for i in range(30):
+            cx, cy = rng.uniform(-90, 90), rng.uniform(-90, 90)
+            pts = []
+            for a in sorted(rng.uniform(0, 2 * math.pi)
+                            for _ in range(rng.randint(3, 6))):
+                r = rng.uniform(2.0, 12.0)
+                pts.append((cx + r * math.cos(a), cy + r * math.sin(a)))
+            fps.append(fp_local(pts, f"b{rng.randint(0, 12):02d}",
+                                rng.randint(1, 4)))
+        metas = [cam(rng.uniform(-80, 80), rng.uniform(-80, 80),
+                     pano_id=f"t{trial}c{k}",
+                     north_px=rng.uniform(0, 2048))
+                 for k in range(9)]
+        config = RunConfig(radius_m=rng.choice((30.0, 50.0, 80.0)),
+                           step_deg=rng.choice((0.5, 1.0, 2.0)),
+                           flip_heading=bool(trial % 2))
+        assert_groups_match(monkeypatch, fps, metas, config)
+
+
+def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch):
+    fps = [square(0, 25, 10, "north"), square(0, 0, 6, "trap"),
+           square(60, 0, 8, "east"), square(60, 30, 8, "east2", 2)]
+    metas = [cam(-20, 5, "a"), cam(0, 0, "inside"), cam(3000, 0, "empty"),
+             cam(60, 12, "b"), cam(60, 0, "inside2"), cam(-3000, 0, "nil"),
+             cam(30, 10, "c")]
+    config = RunConfig()
+    assert_groups_match(monkeypatch, fps, metas, config)
+    got = trace_panoramas(FootprintIndex(fps), metas, config)
+    assert got[1] == (None, "trap") and got[4] == (None, "east")
+    assert got[2] == ([], None) and got[5] == ([], None)
+    assert all(got[k][0] for k in (0, 3, 6))
+
+
+def test_runs_across_the_seam_at_group_boundaries(monkeypatch):
+    # one long wall due north of every camera: each camera's run wraps
+    # across 0 degrees, and each camera's last ray and the next camera's
+    # first ray hit the same building, so runs must be cut between them
+    fps = [fp_local([(-200, 20), (200, 20), (200, 30), (-200, 30)], "wall"),
+           square(15, -20, 8, "south")]
+    metas = [cam(x, 0, f"s{i}") for i, x in enumerate(range(-40, 41, 10))]
+    for step in (1.0, 0.5):
+        config = RunConfig(step_deg=step)
+        assert_groups_match(monkeypatch, fps, metas, config)
+        for ivs, _ in trace_panoramas(FootprintIndex(fps), metas, config):
+            wall = [iv for iv in ivs if iv.building_id == "wall"]
+            assert len(wall) == 1 and wall[0].angle_hi < wall[0].angle_lo
+
+
+def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch):
+    # "dup" names two footprints with different categories: the west
+    # camera keeps both and labels "dup" with the first one's category,
+    # the east camera keeps only the second
+    fps = [square(-30, 10, 8, "dup", 1), square(40, 20, 8, "other", 3),
+           square(30, -15, 8, "dup", 2)]
+    metas = [cam(0, 0, "west"), cam(60, 0, "east"), cam(-10, 0, "w2")]
+    config = RunConfig()
+    assert_groups_match(monkeypatch, fps, metas, config)
+    got = dict(zip((m.pano_id for m in metas),
+                   trace_panoramas(FootprintIndex(fps), metas, config)))
+    assert {iv.category for iv in got["west"][0]
+            if iv.building_id == "dup"} == {1}
+    assert {iv.category for iv in got["east"][0]
+            if iv.building_id == "dup"} == {2}
+
+
+def test_ring_exactly_at_the_radius(monkeypatch):
+    fps = [square(10, 40, 8, "rim"), square(-20, 0, 6, "near")]
+    metas = [cam(0, 0, "a"), cam(5, -5, "b")]
+    pts = [local_to_geodetic((0.0, 0.0), p)
+           for p in [(6, 36), (14, 36), (14, 44), (6, 44)]]
+    xs, ys = zip(*((lon * METERS_PER_DEGREE, lat * METERS_PER_DEGREE)
+                   for lat, lon in pts))
+    d = _ring_min_distance(xs, ys)
+    for radius, kept in ((d, True), (math.nextafter(d, 0.0), False)):
+        config = RunConfig(radius_m=radius)
+        assert_groups_match(monkeypatch, fps, metas, config)
+        scene = clip_scene(FootprintIndex(fps), metas[0], radius)
+        assert (("rim", 1) in scene.buildings) is kept
+
+
+def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch):
+    # a thin ring from 20 m to exactly 10 km north of the camera at (0, 0)
+    # is kept; one ulp farther it is skipped and counted
+    near = 20.0 / METERS_PER_DEGREE
+    for lat, skipped in zip(lat_at(10_000.0), (0, 1)):
+        fps = [fp_geo([(near, -1e-4), (near, 1e-4), (lat, 0.0)], "long"),
+               square(-20, -10, 6, "near")]
+        metas = [cam(0, 0, "a"), cam(-20, 10, "b")]
+        config = RunConfig()
+        assert assert_groups_match(monkeypatch, fps, metas, config) \
+            == skipped
+        ivs = trace_panoramas(FootprintIndex(fps), metas, config)[0][0]
+        assert ("long" in {iv.building_id for iv in ivs}) is not skipped
+
+
+def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch):
+    # the camera at (0, 0) lies inside a ring whose north edge runs
+    # exactly 1e-9 m north of it: not strictly inside, so it is traced;
+    # one ulp farther the camera is inside and skipped
+    x = 10.0 / METERS_PER_DEGREE
+    south = -20.0 / METERS_PER_DEGREE
+    for lat, inside in zip(lat_at(1e-9), (False, True)):
+        fps = [fp_geo([(south, -x), (south, x), (lat, x), (lat, -x)],
+                      "shell"),
+               square(30, 30, 6, "other")]
+        metas = [cam(30, 10, "a"), cam(0, 0, "o"), cam(30, 50, "b")]
+        assert_groups_match(monkeypatch, fps, metas, RunConfig())
+        got = trace_panoramas(FootprintIndex(fps), metas, RunConfig())[1]
+        assert (got == (None, "shell")) is inside
+
+
+def test_edge_exactly_one_nanometre_long(monkeypatch):
+    # two vertices 1e-9 m apart make a zero-length edge, which is dropped;
+    # one ulp longer it is a wall
+    lon = 20.0 / METERS_PER_DEGREE
+    top = 10.0 / METERS_PER_DEGREE
+    for lat in lat_at(1e-9):
+        fps = [fp_geo([(0.0, lon), (lat, lon), (top, lon + top)], "tri")]
+        metas = [cam(0, 0, "a"), cam(10, -10, "b")]
+        assert_groups_match(monkeypatch, fps, metas, RunConfig())
+
+
+def test_exact_hypot_decides_like_math_hypot():
+    # pick pairs on which np.hypot and math.hypot differ, and put the
+    # threshold exactly on math.hypot's value, or one ulp to either side
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 200_000)) * 40.0
+    differ = np.flatnonzero(np.hypot(x, y) != np.array(
+        [math.hypot(a, b) for a, b in zip(x, y)]))
+    assert len(differ) > 10
+    for i in differ[:200]:
+        h = math.hypot(x[i], y[i])
+        for thr in (h, math.nextafter(h, 0.0), math.nextafter(h, math.inf)):
+            got = _exact_hypot(x[i:i + 1], y[i:i + 1], thr)[0]
+            assert (got > thr) == (h > thr)
+            assert (got <= thr) == (h <= thr)

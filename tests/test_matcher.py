@@ -225,16 +225,21 @@ class TestGenerateCoarseAnnotations:
             scene.metas, scene.footprint_set, dets, config)
         assert all(t == 0.7 for _, t in report.threshold_history)
 
-    def test_workers_do_not_change_output(self):
-        scene, dets = pipeline_inputs(noise=NoiseConfig(
+    def test_annotations_do_not_depend_on_group_cap(self, monkeypatch):
+        from geotag_facade import matcher
+        scene, dets = pipeline_inputs(n_cameras=7, noise=NoiseConfig(
             shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
-        base = RunConfig(seed=3, batch_size=2)
-        threaded = RunConfig(seed=3, batch_size=2, workers=4)
-        a1, _ = generate_coarse_annotations(scene.metas, scene.footprint_set,
-                                            dets, base)
-        a2, _ = generate_coarse_annotations(scene.metas, scene.footprint_set,
-                                            dets, threaded)
-        assert a1 == a2
+        config = RunConfig(seed=3, batch_size=5)
+        runs = []
+        # one camera per group, three, and each whole batch in one group
+        for cap in (1, 3 * 360, 1 << 40):
+            monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+            runs.append(generate_coarse_annotations(
+                scene.metas, scene.footprint_set, dets, config))
+        assert runs[0][0]
+        for anns, report in runs[1:]:
+            assert anns == runs[0][0]
+            assert report.to_dict() == runs[0][1].to_dict()
 
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's
