@@ -194,9 +194,14 @@ def cmd_eval(args) -> int:
               "input_hashes": cocoio.hash_inputs({"gt": args.gt,
                                                   "pred": args.pred})}
     if args.mode in ("accuracy", "both"):
-        rep = coarse_accuracy(pred_boxes, gt_boxes, iou_thr=args.iou_thr,
-                              width_by_pano=widths)
-        result["accuracy"] = rep.to_dict()
+        result["accuracy"] = coarse_accuracy(
+            pred_boxes, gt_boxes, iou_thr=args.iou_thr,
+            width_by_pano=widths).to_dict()
+        # the same test with the roles swapped: its total is the ground
+        # truth count, its per-category figures the coverage
+        result["recall"] = coarse_accuracy(
+            gt_boxes, pred_boxes, iou_thr=args.iou_thr,
+            width_by_pano=widths).to_dict()
     if args.mode in ("ap", "both"):
         result["ap"] = coco_summary(pred_boxes, gt_boxes,
                                     width_by_pano=widths)
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("accuracy", "ap", "both"),
                    default="both")
     p.add_argument("--iou-thr", type=float, default=0.8,
-                   help="IoU threshold for accuracy mode")
+                   help="IoU threshold for accuracy and recall")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

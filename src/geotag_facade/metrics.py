@@ -4,6 +4,13 @@ Horizontal pixel intervals live on a circle of circumference ``width``.
 A wrapped interval is written (lo, hi) with hi < lo, or equivalently as
 an overflowing (lo, hi) with hi > width; both are accepted and unrolled
 onto a shared linear domain before measuring.
+
+The evaluators score boxes as arrays: ``coarse_accuracy`` computes the
+IoU of every same-panorama pair in one call of the kernel
+``_pair_ious``, and ``coco_summary`` in one call per category. Only the
+greedy assignment walks run per pair in Python, with the tie rules of
+the scalar code they replaced. ``iou_2d`` is the kernel's one-pair
+case, so the 2-D formula exists once.
 """
 from __future__ import annotations
 
@@ -86,28 +93,64 @@ def iou_1d(a, b, width: float) -> float:
 def iou_2d(box_a, box_b, width: float | None = None) -> float:
     """Axis-aligned rectangle IoU; horizontal wrap when ``width`` given.
 
-    Boxes are (x, y, w, h) tuples or EvalBox-like objects.
+    Boxes are (x, y, w, h) tuples or EvalBox-like objects. This is the
+    one-pair case of the array kernel the evaluators use.
     """
-    ax, ay, aw, ah = _as_xywh(box_a)
-    bx, by, bw, bh = _as_xywh(box_b)
-    if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
-        raise ValueError("boxes must have positive area")
-    v_over = _overlap_1d((ay, ay + ah), (by, by + bh))
-    if width is None:
-        h_over = _overlap_1d((ax, ax + aw), (bx, bx + bw))
-        area_a, area_b = aw * ah, bw * bh
-    else:
-        h_over = wrapped_intersection(ax, ax + aw, bx, bx + bw, width)
-        area_a = min(aw, width) * ah
-        area_b = min(bw, width) * bh
-    inter = h_over * v_over
-    return inter / (area_a + area_b - inter)
+    a = np.array([_as_xywh(box_a)], dtype=float)
+    b = np.array([_as_xywh(box_b)], dtype=float)
+    w = np.array([np.nan if width is None else width], dtype=float)
+    return float(_pair_ious(a, b, w)[0])
 
 
 def _as_xywh(box):
     if hasattr(box, "w"):
         return box.x, box.y, box.w, box.h
     return tuple(float(v) for v in box)
+
+
+def _pair_ious(a: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """IoU of each aligned pair of (x, y, w, h) rows of ``a`` and ``b``.
+
+    ``width`` holds each pair's panorama width, NaN for no wrap. The
+    float operations and their order are those of the scalar formula:
+    the vertical overlap; the wrapped horizontal overlap as the sum,
+    onto 0.0, of the overlaps of the pieces (a1, b1), (a1, b2), (a2, b1),
+    (a2, b2) that ``_interval_pieces`` gives; ``min(w, width) * h`` for
+    the areas. Raises when any pair holds a box without positive area
+    or has a width that is not positive.
+    """
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    if ((aw <= 0) | (ah <= 0) | (bw <= 0) | (bh <= 0)).any():
+        raise ValueError("boxes must have positive area")
+    if (width <= 0).any():  # np.mod would give NaN and every IoU read 0
+        raise ValueError("panorama width must be positive")
+    v_over = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+    flat = np.isnan(width)
+    wrap = np.where(flat, 1.0, width)
+    h_over = np.zeros(len(width))
+    for lo_a, hi_a, has_a in _piece_arrays(ax, aw, wrap):
+        for lo_b, hi_b, has_b in _piece_arrays(bx, bw, wrap):
+            over = np.maximum(0.0, np.minimum(hi_a, hi_b)
+                              - np.maximum(lo_a, lo_b))
+            h_over += np.where(has_a & has_b, over, 0.0)
+    plain = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    h_over = np.where(flat, plain, h_over)
+    area_a = np.where(flat, aw, np.minimum(aw, wrap)) * ah
+    area_b = np.where(flat, bw, np.minimum(bw, wrap)) * bh
+    inter = h_over * v_over
+    return inter / (area_a + area_b - inter)
+
+
+def _piece_arrays(x, w, width):
+    """``_interval_pieces(x, x + w, width)`` for arrays: the two
+    (start, end, present) pieces, the second present only on a wrap."""
+    start = np.mod(x, width)
+    length = np.minimum((x + w) - x, width)  # never negative, as w > 0
+    end = start + length
+    some = length != 0.0
+    return ((start, np.minimum(end, width), some),
+            (0.0, end - width, some & (end > width)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +190,36 @@ class AccuracyReport:
         }
 
 
-def _greedy_pairs(rows, cols, iou_fn):
-    """One-to-one assignment by descending IoU; returns {row_i: (col_j, iou)}."""
-    scored = []
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            v = iou_fn(r, c)
-            if v > 0.0:
-                scored.append((v, i, j))
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    used_r, used_c = set(), set()
-    out = {}
-    for v, i, j in scored:
-        if i in used_r or j in used_c:
-            continue
-        used_r.add(i)
-        used_c.add(j)
-        out[i] = (j, v)
-    return out
+def _same_pano_pairs(rows, cols, width_by_pano):
+    """Every same-panorama (row, col) pair and its IoU.
+
+    Returns index arrays (i, j) and the IoUs, with the rows in their
+    order and each row's columns in theirs; one kernel call scores all
+    pairs. Panoramas are grouped with CSR offsets, not per-pair lists.
+    """
+    code: dict = {}
+    col_code = np.array([code.setdefault(c.pano_id, len(code)) for c in cols],
+                        dtype=np.int64)
+    none = len(code)  # a code with no columns, for rows of other panoramas
+    row_code = np.array([code.get(r.pano_id, none) for r in rows],
+                        dtype=np.int64)
+    counts = np.bincount(col_code, minlength=none + 1)
+    by_code = np.argsort(col_code, kind="stable")
+    starts = np.cumsum(counts) - counts  # each code's first slot in by_code
+    per_row = counts[row_code]
+    i = np.repeat(np.arange(len(rows)), per_row)
+    # pair k of row r takes slot starts[code of r] + (k - first pair of r)
+    shift = starts[row_code] - (np.cumsum(per_row) - per_row)
+    j = by_code[np.repeat(shift, per_row) + np.arange(len(i))]
+    widths = width_by_pano or {}
+    row_width = np.array([widths.get(r.pano_id) for r in rows], dtype=float)
+    return i, j, _pair_ious(_box_array(rows)[i], _box_array(cols)[j],
+                            row_width[i])
+
+
+def _box_array(boxes) -> np.ndarray:
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes],
+                    dtype=float).reshape(-1, 4)
 
 
 def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
@@ -174,26 +229,32 @@ def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
     An annotation counts as correct when its greedy one-to-one partner
     in the same panorama overlaps with IoU >= ``iou_thr`` and carries
     the same category. Both conditions must hold.
-    """
-    by_pano_c: dict = {}
-    for a in coarse:
-        by_pano_c.setdefault(a.pano_id, []).append(a)
-    by_pano_g: dict = {}
-    for g in gt:
-        by_pano_g.setdefault(g.pano_id, []).append(g)
 
+    One array pass computes the IoU of every same-panorama pair. The
+    pairs with IoU > 0 are then assigned greedily, in descending IoU
+    with ties to the lower annotation index, then the lower ground-truth
+    index. The indices are input positions, which keep input order
+    within a panorama, and no pair crosses panoramas, so one sort over
+    all panoramas gives each panorama's own assignment.
+    """
     report = AccuracyReport(total=len(coarse), correct=0, iou_thr=iou_thr)
     for a in coarse:
         report.per_category.setdefault(a.category, [0, 0])[1] += 1
-    for pano_id in sorted(by_pano_c):
-        anns = by_pano_c[pano_id]
-        gts = by_pano_g.get(pano_id, [])
-        width = (width_by_pano or {}).get(pano_id)
-        pairs = _greedy_pairs(anns, gts, lambda a, g: iou_2d(a, g, width))
-        for i, (j, v) in pairs.items():
-            if v >= iou_thr and anns[i].category == gts[j].category:
-                report.correct += 1
-                report.per_category[anns[i].category][0] += 1
+    i, j, v = _same_pano_pairs(coarse, gt, width_by_pano)
+    hit = v > 0.0
+    i, j, v = i[hit], j[hit], v[hit]
+    order = np.lexsort((j, i, -v))
+    used_a = [False] * len(coarse)
+    used_g = [False] * len(gt)
+    for a, g, val in zip(i[order].tolist(), j[order].tolist(),
+                         v[order].tolist()):
+        if used_a[a] or used_g[g]:
+            continue
+        used_a[a] = used_g[g] = True
+        cat = coarse[a].category
+        if val >= iou_thr and cat == gt[g].category:
+            report.correct += 1
+            report.per_category[cat][0] += 1
     return report
 
 
@@ -206,23 +267,22 @@ def _match_category(preds, gts, thresholds, width_by_pano) -> dict:
 
     Predictions in descending score order grab the best still-free
     ground truth in their panorama with IoU >= thr; an IoU tie goes to
-    the later ground truth. The ranking and every IoU are computed once
-    and shared by all thresholds. Returns {thr: matched}, ``matched``
-    holding the ground-truth index per rank, -1 for a false positive.
+    the later ground truth. The ranking is computed once, and one array
+    pass computes the IoU of every (rank, same-panorama ground truth)
+    pair; the pairs at or above the lowest threshold, split per rank in
+    ground-truth order, serve every threshold's greedy walk. Returns
+    {thr: matched}, ``matched`` holding the ground-truth index per rank,
+    -1 for a false positive.
     """
-    gt_by_pano: dict = {}
-    for j, g in enumerate(gts):
-        gt_by_pano.setdefault(g.pano_id, []).append(j)
     order = sorted(range(len(preds)),
                    key=lambda i: (-(preds[i].score or 0.0), i))
-    min_thr = min(thresholds)
-    candidates = []  # per rank: (gt index, IoU) in ground-truth order
-    for i in order:
-        p = preds[i]
-        width = (width_by_pano or {}).get(p.pano_id)
-        ious = [(j, iou_2d(p, gts[j], width))
-                for j in gt_by_pano.get(p.pano_id, [])]
-        candidates.append([(j, v) for j, v in ious if v >= min_thr])
+    ranks, js, vs = _same_pano_pairs([preds[i] for i in order], gts,
+                                     width_by_pano)
+    keep = vs >= min(thresholds)
+    candidates = [[] for _ in order]  # per rank: (gt index, IoU) in gt order
+    for k, j, v in zip(ranks[keep].tolist(), js[keep].tolist(),
+                       vs[keep].tolist()):
+        candidates[k].append((j, v))
     out = {}
     for t in thresholds:
         taken = [False] * len(gts)
@@ -322,16 +382,16 @@ def _ap_report(matches, excluded, iou_thr) -> APReport:
     return APReport(iou_thr=iou_thr, per_category=per_cat, excluded=excluded)
 
 
-def _bucket_map(matches, iou_thr, area_lo, area_hi):
+def _bucket_map(matches, in_buckets, iou_thr):
     """Mean AP over categories, restricted to ground truth in one area
-    bucket; None when no category has ground truth there.
+    bucket (``in_buckets``: per category, a flag per ground truth); None
+    when no category has ground truth there.
 
     Predictions matched to out-of-bucket ground truth are ignored
     rather than counted as false positives.
     """
     vals = []
-    for c_gts, matched in matches.values():
-        in_bucket = np.array([area_lo <= g.area < area_hi for g in c_gts])
+    for (_, matched), in_bucket in zip(matches.values(), in_buckets):
         n_gt = int(in_bucket.sum())
         if n_gt == 0:
             continue
@@ -369,10 +429,13 @@ def coco_summary(preds, gts, width_by_pano: dict | None = None,
         buckets = {"small": (0.0, SMALL_AREA),
                    "medium": (SMALL_AREA, MEDIUM_AREA),
                    "large": (MEDIUM_AREA, float("inf"))}
+        areas = [np.array([g.w * g.h for g in c_gts], dtype=float)
+                 for c_gts, _ in matches.values()]
         for name, (lo, hi) in buckets.items():
+            in_buckets = [(lo <= a) & (a < hi) for a in areas]
             vals = []
             for t in COCO_IOU_GRID:
-                v = _bucket_map(matches, t, lo, hi)
+                v = _bucket_map(matches, in_buckets, t)
                 if v is not None:
                     vals.append(v)
             out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None

@@ -13,9 +13,11 @@ arrays a scene's segment list gave the sweep (``reference_arrays``); the
 dense sweep that tests every ray against every segment
 (``reference_nearest_hits``); the loop form of the run split
 (``reference_runs``); the one-camera trace built from these
-(``reference_trace_panorama``); and the AP path that reran the greedy
+(``reference_trace_panorama``); the scalar 2-D IoU of one box pair
+(``reference_iou_2d``) and the per-panorama accuracy built on it
+(``reference_coarse_accuracy``); and the AP path that reran the greedy
 matching for every AP value (``reference_average_precision``,
-``reference_coco_summary``).
+``reference_coco_summary``), which scores pairs with the scalar IoU.
 """
 import math
 from dataclasses import dataclass
@@ -24,7 +26,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
-                                   MEDIUM_AREA, SMALL_AREA, APReport, iou_2d)
+                                   MEDIUM_AREA, SMALL_AREA, AccuracyReport,
+                                   APReport, _as_xywh, _overlap_1d,
+                                   wrapped_intersection)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       LocalScene, WallSegment, _wrap_lon)
 from geotag_facade.raytrace import (PARALLEL_EPS, TIE_EPS_M, RaySweep,
@@ -380,6 +384,72 @@ def reference_trace_panorama(footprints, meta, config):
         px_hi=px(iv.angle_lo if flip else iv.angle_hi)) for iv in out], None
 
 
+def reference_iou_2d(box_a, box_b, width=None) -> float:
+    """Axis-aligned rectangle IoU of one pair; horizontal wrap when
+    ``width`` given."""
+    ax, ay, aw, ah = _as_xywh(box_a)
+    bx, by, bw, bh = _as_xywh(box_b)
+    if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
+        raise ValueError("boxes must have positive area")
+    v_over = _overlap_1d((ay, ay + ah), (by, by + bh))
+    if width is None:
+        h_over = _overlap_1d((ax, ax + aw), (bx, bx + bw))
+        area_a, area_b = aw * ah, bw * bh
+    else:
+        h_over = wrapped_intersection(ax, ax + aw, bx, bx + bw, width)
+        area_a = min(aw, width) * ah
+        area_b = min(bw, width) * bh
+    inter = h_over * v_over
+    return inter / (area_a + area_b - inter)
+
+
+def _reference_greedy_pairs(rows, cols, iou_fn):
+    """One-to-one assignment by descending IoU; returns
+    {row_i: (col_j, iou)}."""
+    scored = []
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            v = iou_fn(r, c)
+            if v > 0.0:
+                scored.append((v, i, j))
+    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+    used_r, used_c = set(), set()
+    out = {}
+    for v, i, j in scored:
+        if i in used_r or j in used_c:
+            continue
+        used_r.add(i)
+        used_c.add(j)
+        out[i] = (j, v)
+    return out
+
+
+def reference_coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
+                              width_by_pano: dict | None = None):
+    """Annotation accuracy, one panorama and one scalar IoU at a time."""
+    by_pano_c: dict = {}
+    for a in coarse:
+        by_pano_c.setdefault(a.pano_id, []).append(a)
+    by_pano_g: dict = {}
+    for g in gt:
+        by_pano_g.setdefault(g.pano_id, []).append(g)
+
+    report = AccuracyReport(total=len(coarse), correct=0, iou_thr=iou_thr)
+    for a in coarse:
+        report.per_category.setdefault(a.category, [0, 0])[1] += 1
+    for pano_id in sorted(by_pano_c):
+        anns = by_pano_c[pano_id]
+        gts = by_pano_g.get(pano_id, [])
+        width = (width_by_pano or {}).get(pano_id)
+        pairs = _reference_greedy_pairs(
+            anns, gts, lambda a, g: reference_iou_2d(a, g, width))
+        for i, (j, v) in pairs.items():
+            if v >= iou_thr and anns[i].category == gts[j].category:
+                report.correct += 1
+                report.per_category[anns[i].category][0] += 1
+    return report
+
+
 def _reference_match_predictions(preds, gts, iou_thr, width_by_pano):
     """COCO-style greedy matching for one category.
 
@@ -402,7 +472,7 @@ def _reference_match_predictions(preds, gts, iou_thr, width_by_pano):
         for j in gt_by_pano.get(p.pano_id, []):
             if taken[j]:
                 continue
-            v = iou_2d(p, gts[j], width)
+            v = reference_iou_2d(p, gts[j], width)
             if v >= best_v:
                 best_v, best_j = v, j
         if best_j >= 0:

@@ -343,6 +343,24 @@ def test_eval_half_corrupted_labels(scene_dir, tmp_path):
         (n - corrupt) / n)
 
 
+def test_eval_recall_drops_for_a_missing_facade(scene_dir, tmp_path):
+    pred = json.loads((scene_dir / "gt.json").read_text())
+    missing = pred["annotations"].pop(0)
+    p = tmp_path / "pred.json"
+    p.write_text(json.dumps(pred))
+    ev = tmp_path / "ev.json"
+    rc = run(["eval", "--gt", scene_dir / "gt.json", "--pred", p,
+              "--mode", "accuracy", "--out", ev])
+    assert rc == 0
+    result = json.loads(ev.read_text())
+    n = len(pred["annotations"]) + 1
+    assert result["accuracy"]["accuracy"] == 1.0
+    assert result["recall"]["total"] == n
+    assert result["recall"]["accuracy"] == (n - 1) / n < 1.0
+    cat = result["recall"]["per_category"][str(missing["category_id"])]
+    assert cat["correct"] == cat["total"] - 1
+
+
 def test_eval_empty_pred_reports_undefined(scene_dir, tmp_path):
     empty = tmp_path / "empty.json"
     gt = json.loads((scene_dir / "gt.json").read_text())
@@ -354,6 +372,7 @@ def test_eval_empty_pred_reports_undefined(scene_dir, tmp_path):
     assert rc == 0
     result = json.loads(ev.read_text())
     assert result["accuracy"]["accuracy"] is None
+    assert result["recall"]["accuracy"] == 0.0
     assert all(v == 0.0 for v in result["ap"]["per_category_ap50"].values())
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from geotag_facade import metrics
@@ -9,7 +10,9 @@ from geotag_facade.metrics import (COCO_IOU_GRID, EvalBox, average_precision,
                                    iou_2d)
 
 from oracle_utils import (brute_iou_1d, brute_iou_2d,
-                          reference_average_precision, reference_coco_summary)
+                          reference_average_precision,
+                          reference_coarse_accuracy, reference_coco_summary,
+                          reference_iou_2d)
 
 W = 2048.0
 
@@ -84,6 +87,92 @@ class TestIou2d:
                 brute_iou_2d(a, b, width=W))
 
 
+def pair_ious(pairs):
+    """The kernel on (box_a, box_b, width) triples, width None for no wrap."""
+    a = np.array([metrics._as_xywh(p[0]) for p in pairs], float).reshape(-1, 4)
+    b = np.array([metrics._as_xywh(p[1]) for p in pairs], float).reshape(-1, 4)
+    w = np.array([np.nan if p[2] is None else p[2] for p in pairs], float)
+    return metrics._pair_ious(a, b, w)
+
+
+def assert_kernel_matches_reference(pairs):
+    want = [reference_iou_2d(a, b, w) for a, b, w in pairs]
+    assert np.array_equal(pair_ious(pairs), np.array(want, float))
+    assert [iou_2d(a, b, w) for a, b, w in pairs] == want
+
+
+class TestPairIousMatchReference:
+    """The array kernel is bit-identical to the scalar 2-D IoU."""
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(21)
+        pairs = []
+        for _ in range(3000):
+            def one():
+                # grid values make equal and exact IoUs; x reaches below
+                # 0 and past the width, w past the whole panorama
+                x = rng.choice([rng.uniform(-W, 2 * W), 0.0, 1990.0, -40.0,
+                                float(rng.randrange(-100, 2200))])
+                w = rng.choice([rng.uniform(0.01, 500.0), 50.0, 100.0,
+                                rng.uniform(W - 10.0, 2.5 * W)])
+                return (x, rng.choice([0.0, rng.uniform(0, 900)]), w,
+                        rng.choice([rng.uniform(0.5, 300.0), 100.0]))
+            pairs.append((one(), one(), rng.choice([None, W, 1000])))
+        assert_kernel_matches_reference(pairs)
+
+    def test_seam_forms_and_wide_boxes(self):
+        boxes = [
+            # overflowing x + w > width against a box at the seam start
+            ((2000.0, 100.0, 148.0, 50.0), (0.0, 100.0, 100.0, 50.0)),
+            # x below 0 (the interval [2000, 100) in hi < lo form) and x
+            # past the width: the start wraps by the modulo
+            ((-48.0, 100.0, 148.0, 50.0), (0.0, 100.0, 100.0, 50.0)),
+            ((W + 10.0, 0.0, 30.0, 10.0), (0.0, 0.0, 50.0, 10.0)),
+            ((2040.0, 0.0, 20.0, 10.0), (2030.0, 0.0, 30.0, 10.0)),
+            # wider than the panorama, at and off the seam
+            ((0.0, 0.0, 3000.0, 10.0), (100.0, 0.0, 50.0, 10.0)),
+            ((500.0, 0.0, 2 * W, 10.0), (2000.0, 0.0, 100.0, 10.0)),
+            ((500.0, 0.0, W, 10.0), (500.0, 0.0, W, 10.0)),
+            # zero overlap, horizontally and vertically
+            ((0.0, 0.0, 10.0, 10.0), (500.0, 0.0, 10.0, 10.0)),
+            ((0.0, 0.0, 10.0, 10.0), (0.0, 10.0, 10.0, 10.0)),
+        ]
+        pairs = [(a, b, width) for width in (W, None) for a, b in boxes]
+        assert_kernel_matches_reference(pairs)
+        assert pair_ious(pairs[-2:]).tolist() == [0.0, 0.0]
+        assert pair_ious(pairs[:1]).tolist() == [100 / 148]
+
+    def test_integer_coordinates(self):
+        rng = random.Random(22)
+        pairs = []
+        for _ in range(500):
+            a, b = (EvalBox("a", rng.randrange(-50, 2100),
+                            rng.randrange(0, 50), rng.randrange(1, 300),
+                            rng.randrange(1, 60), 1) for _ in range(2))
+            pairs.append((a, b, rng.choice([None, 2048, 2048.0])))
+        assert_kernel_matches_reference(pairs)
+
+    def test_ious_exactly_on_the_grid(self):
+        gt = (0.0, 0.0, 100.0, 100.0)
+        pairs = [((0.0, 0.0, float(round(t * 100.0)), 100.0), gt, width)
+                 for t in COCO_IOU_GRID for width in (None, W)]
+        assert_kernel_matches_reference(pairs)
+        assert pair_ious(pairs).tolist() == [t for t in COCO_IOU_GRID
+                                             for _ in range(2)]
+
+    def test_non_positive_box_raises(self):
+        good = (0.0, 0.0, 10.0, 10.0)
+        for bad in ((0.0, 0.0, 0.0, 10.0), (0.0, 0.0, 10.0, -1.0)):
+            for pair in ((bad, good, None), (good, bad, W)):
+                with pytest.raises(ValueError, match="positive area"):
+                    pair_ious([(good, good, None), pair])
+        with pytest.raises(ValueError, match="width must be positive"):
+            pair_ious([(good, good, None), (good, good, 0.0)])
+        with pytest.raises(ValueError, match="width must be positive"):
+            iou_2d(good, good, width=0)
+        assert pair_ious([]).shape == (0,)
+
+
 def box(pano, x, cat, score=None, y=100.0, w=100.0, h=200.0):
     return EvalBox(pano_id=pano, x=x, y=y, w=w, h=h, category=cat,
                    score=score)
@@ -134,6 +223,67 @@ class TestCoarseAccuracy:
             rng.shuffle(c2)
             rng.shuffle(g2)
             assert coarse_accuracy(c2, g2).accuracy == base
+
+
+def assert_accuracy_as_reference(coarse, gt, iou_thr=0.8, widths=None):
+    got = coarse_accuracy(coarse, gt, iou_thr, widths)
+    want = reference_coarse_accuracy(coarse, gt, iou_thr, widths)
+    assert got.to_dict() == want.to_dict()
+
+
+class TestCoarseAccuracyMatchesReference:
+    """coarse_accuracy against the per-panorama scalar greedy matching."""
+
+    def test_seeded_random_sets(self):
+        rng = random.Random(31)
+        for case in range(80):
+            panos = ["a", "b", "c"][:rng.randint(1, 3)]
+            gt = random_boxes(rng, rng.randint(0, 14), panos, [1, 2, 3],
+                              scored=False, seam=case % 2 == 0)
+            coarse = random_boxes(rng, rng.randint(0, 14), panos + ["d"],
+                                  [1, 2, 3, 4], scored=True,
+                                  seam=case % 2 == 0)
+            coarse += rng.sample(gt, min(len(gt), 3))
+            rng.shuffle(coarse)
+            # widths for some panoramas only: the rest do not wrap
+            widths = ({p: 2048.0 for p in panos[1:]} if case % 3 else None)
+            for thr in (0.5, 0.8, COCO_IOU_GRID[rng.randrange(10)]):
+                assert_accuracy_as_reference(coarse, gt, thr, widths)
+                assert_accuracy_as_reference(gt, coarse, thr, widths)
+
+    def test_equal_iou_ties_and_duplicates(self):
+        # one annotation overlaps two ground truths at equal IoU: the
+        # lower ground-truth index wins; duplicate annotations take one
+        # ground truth each, the earlier annotation first
+        gt = [box("a", 50, 1), box("a", -50, 2), box("a", 0, 1)]
+        coarse = [box("a", 0, 1), box("a", 0, 1), box("a", 0, 2)]
+        for widths in (None, {"a": W}):
+            for thr in (0.3, 0.8):
+                assert_accuracy_as_reference(coarse, gt, thr, widths)
+                assert_accuracy_as_reference(coarse[::-1], gt[::-1], thr,
+                                             widths)
+        assert coarse_accuracy(coarse[2:], gt[:2], 0.3).correct == 0
+        assert coarse_accuracy(coarse[2:], gt[1::-1], 0.3).correct == 1
+
+    def test_empty_and_one_sided_panoramas(self):
+        boxes = [box("a", 0, 1), box("b", 0, 2)]
+        assert_accuracy_as_reference([], [])
+        assert_accuracy_as_reference(boxes, [])
+        assert_accuracy_as_reference([], boxes)
+        assert_accuracy_as_reference(boxes, [box("b", 5, 2), box("c", 0, 2)])
+        rep = coarse_accuracy(boxes, [box("c", 0, 1)])
+        assert rep.correct == 0 and rep.total == 2
+
+    def test_non_positive_box_raises_only_when_paired(self):
+        bad = box("a", 0, 1, w=0.0)
+        for coarse, gt in (([bad], [box("a", 0, 1)]),
+                           ([box("a", 0, 1)], [bad])):
+            for fn in (coarse_accuracy, reference_coarse_accuracy):
+                with pytest.raises(ValueError, match="positive area"):
+                    fn(coarse, gt)
+        # no ground truth shares its panorama: no pair, no error
+        assert_accuracy_as_reference([bad, box("b", 0, 1)], [box("b", 0, 1)])
+        assert_accuracy_as_reference([box("b", 0, 1)], [bad, box("b", 0, 1)])
 
 
 class TestAveragePrecision:
@@ -332,15 +482,20 @@ class TestApMatchesReference:
         gts = random_boxes(rng, 30, panos, [1, 2], scored=False)
         preds = random_boxes(rng, 40, panos, [1, 2, 3], scored=True)
         calls = []
-        real = metrics.iou_2d
+        real = metrics._pair_ious
 
-        def counted(a, b, width=None):
-            calls.append((id(a), id(b)))
+        def counted(a, b, width):
+            calls.append(sorted(zip(map(tuple, a.tolist()),
+                                    map(tuple, b.tolist()))))
             return real(a, b, width)
 
-        monkeypatch.setattr(metrics, "iou_2d", counted)
+        monkeypatch.setattr(metrics, "_pair_ious", counted)
         coco_summary(preds, gts, {p: 2048.0 for p in panos})
-        pairs = sum(1 for p in preds for g in gts
-                    if (p.pano_id, p.category) == (g.pano_id, g.category))
-        assert len(calls) == len(set(calls)) <= pairs
-        assert len(calls) > 0
+        both = {p.category for p in preds} & {g.category for g in gts}
+        assert len(calls) == len(both) == 2
+        xywh = metrics._as_xywh
+        for c, got in zip(sorted(both), calls):
+            assert got == sorted((xywh(p), xywh(g)) for p in preds
+                                 for g in gts if p.category == c
+                                 and g.category == c
+                                 and p.pano_id == g.pano_id)
