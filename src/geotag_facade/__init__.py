@@ -15,13 +15,12 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      load_panorama_meta)
 from .matcher import (CoarseAnnotation, ThresholdState, filter_detections,
                       fit_threshold, generate_coarse_annotations, match_box,
-                      trace_panorama, trace_panoramas)
+                      trace_panoramas)
 from .metrics import (AccuracyReport, EvalBox, average_precision,
                       coarse_accuracy, coco_summary, iou_1d, iou_2d)
 from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,
                          LocalScene, LocalXY, WallSegment, angle_to_pixel,
-                         clip_scene, geodetic_to_local, local_to_geodetic,
-                         normalize_angle, pixel_to_angle)
+                         clip_scene, geodetic_to_local, local_to_geodetic)
 from .raytrace import (RaySweep, VisibilityInterval, intervals_from_sweep,
                        intervals_to_pixel, trace_sweep)
 from .synth import (GroundTruthBox, NoiseConfig, SceneConfig, SyntheticScene,

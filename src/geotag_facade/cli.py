@@ -13,7 +13,7 @@ import argparse
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import cocoio
@@ -39,22 +39,18 @@ def _add_trace_args(p):
     p.add_argument("--metas", required=True)
     p.add_argument("--mapping", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--radius", type=float, default=50.0)
-    p.add_argument("--step-deg", type=float, default=1.0)
+    p.add_argument("--radius", dest="radius_m", metavar="RADIUS",
+                   type=float, default=RunConfig.radius_m)
+    p.add_argument("--step-deg", type=float, default=RunConfig.step_deg)
     p.add_argument("--flip-heading", action="store_true")
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(
-        radius_m=args.radius,
-        step_deg=getattr(args, "step_deg", 1.0),
-        iou_x_min=getattr(args, "iou_x", 0.3),
-        threshold_mode=getattr(args, "threshold_mode", "adaptive"),
-        fixed_threshold=getattr(args, "fixed_threshold", 0.5),
-        batch_size=getattr(args, "batch_size", 64),
-        seed=getattr(args, "seed", 17),
-        flip_heading=getattr(args, "flip_heading", False),
-    )
+    """The run's settings from the command's flags, whose destinations
+    are RunConfig's field names; settings without a flag keep
+    RunConfig's defaults."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def cmd_synth(args) -> int:
@@ -230,7 +226,7 @@ def cmd_render(args) -> int:
         angle_lo=d["angle_lo"], angle_hi=d["angle_hi"],
         min_distance=d["min_distance"], px_lo=d.get("px_lo"),
         px_hi=d.get("px_hi")) for d in doc["intervals"]]
-    radius = doc.get("config", {}).get("radius_m", 50.0)
+    radius = doc.get("config", {}).get("radius_m", RunConfig.radius_m)
     shown = {iv.building_id for iv in ivs}
     fps = [fp for fp in footprints if fp.building_id in shown] \
         if args.only_visible else list(footprints)
@@ -277,12 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="generate coarse annotations")
     _add_trace_args(p)
     p.add_argument("--detections", required=True)
-    p.add_argument("--iou-x", type=float, default=0.3)
+    p.add_argument("--iou-x", dest="iou_x_min", metavar="IOU_X", type=float,
+                   default=RunConfig.iou_x_min)
     p.add_argument("--threshold-mode", choices=("adaptive", "fixed"),
-                   default="adaptive")
-    p.add_argument("--fixed-threshold", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=17)
+                   default=RunConfig.threshold_mode)
+    p.add_argument("--fixed-threshold", type=float,
+                   default=RunConfig.fixed_threshold)
+    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("eval", help="score annotations against ground truth")

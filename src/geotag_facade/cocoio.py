@@ -98,24 +98,40 @@ def read_coco(path):
     """Read a COCO file into eval boxes plus per-panorama sizes.
 
     Returns (boxes, width_by_pano, height_by_pano, info). Raises
-    ``ParseError`` when the file is not JSON, and ``LoadError`` for an
-    annotation whose ``image_id`` names no image, whose ``bbox`` is not
-    four finite numbers with positive width and height, or that has no
-    ``category_id``.
+    ``ParseError`` when the file is not JSON, and ``LoadError`` naming
+    the entry for an image or annotation that is not an object, an image
+    with no ``id`` or whose ``width`` is neither null nor a positive
+    finite number, and an annotation whose ``image_id`` names no image,
+    whose ``bbox`` is not four finite numbers with positive width and
+    height, or that has no ``category_id``.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise LoadError(f"{path}: expected a COCO object")
+    images, annotations = doc.get("images", []), doc.get("annotations", [])
+    if not (isinstance(images, list) and isinstance(annotations, list)):
+        raise LoadError(f"{path}: images and annotations must be lists")
     pano_of = {}
     width_by_pano = {}
     height_by_pano = {}
-    for img in doc.get("images", []):
+    for i, img in enumerate(images):
+        if not isinstance(img, dict) or "id" not in img:
+            raise LoadError(f"{path}: images[{i}]: expected an object with "
+                            f"an id, got {img!r}")
+        width = img.get("width")
+        if width is not None and (type(width) not in (int, float)
+                                  or not 0 < width < math.inf):
+            raise LoadError(f"{path}: images[{i}]: width must be null or a "
+                            f"positive finite number, got {width!r}")
         pano = img.get("pano_id") or Path(img.get("file_name", "")).stem
         pano_of[img["id"]] = pano
-        width_by_pano[pano] = img.get("width")
+        width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")
     boxes = []
-    for i, a in enumerate(doc.get("annotations", [])):
+    for i, a in enumerate(annotations):
+        if not isinstance(a, dict):
+            raise LoadError(f"{path}: annotations[{i}]: expected an object, "
+                            f"got {a!r}")
         pano = pano_of.get(a.get("image_id"))
         if pano is None:
             raise LoadError(f"{path}: annotations[{i}]: image_id "

@@ -176,11 +176,16 @@ _MIN_RING_AREA_DEG2 = 1e-16
 
 def _normalize_ring(coords):
     """GeoJSON [lon, lat] positions -> closed (lat, lon) ring, or reason."""
+    if not isinstance(coords, list):
+        return None, "ring is not a list of positions"
     pts = []
     for pos in coords:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             return None, "ring vertex is not a coordinate pair"
-        lon, lat = float(pos[0]), float(pos[1])
+        try:
+            lon, lat = float(pos[0]), float(pos[1])
+        except (TypeError, ValueError):
+            return None, "non-numeric coordinate"
         if not (math.isfinite(lat) and math.isfinite(lon)):
             return None, "non-finite coordinate"  # json.loads admits NaN
         if pts and pts[-1] == (lat, lon):
@@ -275,11 +280,17 @@ def _read_json(path):
 def load_category_mapping(path) -> CategoryMapping:
     """Load a per-city label-to-category config and check id contiguity."""
     doc = _read_json(path)
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise LoadError(f"{path}: expected an object with an 'entries' key")
-    entries = {str(k): int(v) for k, v in doc["entries"].items()}
-    default = doc.get("default")
-    default = int(default) if default is not None else None
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
+        raise LoadError(f"{path}: expected an object with an 'entries' "
+                        f"object")
+    try:
+        entries = {str(k): int(v) for k, v in doc["entries"].items()}
+        default = doc.get("default")
+        default = int(default) if default is not None else None
+        names = {int(k): str(v) for k, v in doc.get("names", {}).items()}
+    except (AttributeError, TypeError, ValueError) as e:
+        raise LoadError(f"{path}: entries, default and names need integer "
+                        f"category ids ({e})") from e
     ids = set(entries.values())
     if default is not None:
         ids.add(default)
@@ -288,7 +299,6 @@ def load_category_mapping(path) -> CategoryMapping:
     if sorted(ids) != list(range(1, max(ids) + 1)):
         raise LoadError(
             f"{path}: category ids must form a contiguous 1..K set, got {sorted(ids)}")
-    names = {int(k): str(v) for k, v in doc.get("names", {}).items()}
     return CategoryMapping(city=str(doc.get("city", "")), entries=entries,
                            default=default, names=names)
 
@@ -297,15 +307,16 @@ def _outer_rings(geometry):
     """Candidate outer rings of a feature: 1 for Polygon, k for MultiPolygon.
 
     Interior rings (holes) are ignored: street-facing walls lie on the
-    outer ring.
+    outer ring. A polygon that is not a list stands for its own outer
+    ring, which ring validation then rejects.
     """
     gtype = geometry.get("type")
+    if gtype not in ("Polygon", "MultiPolygon"):
+        return None
     coords = geometry.get("coordinates", [])
-    if gtype == "Polygon":
-        return [coords[0]] if coords else []
-    if gtype == "MultiPolygon":
-        return [poly[0] for poly in coords if poly]
-    return None
+    multi = gtype == "MultiPolygon" and isinstance(coords, list)
+    return [poly[0] if isinstance(poly, list) else poly
+            for poly in (coords if multi else [coords]) if poly]
 
 
 def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
@@ -322,11 +333,17 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
 
     out = []
     for fidx, feat in enumerate(doc.get("features", [])):
-        props = feat.get("properties") or {}
+        if not isinstance(feat, dict):
+            report.n_input += 1
+            report.reject(f"feature[{fidx}]", "feature is not an object")
+            continue
+        props = feat.get("properties")
+        props = props if isinstance(props, dict) else {}
         building_id = props.get("building_id")
         label = props.get("label")
         key = building_id if building_id is not None else f"feature[{fidx}]"
-        geometry = feat.get("geometry") or {}
+        geometry = feat.get("geometry")
+        geometry = geometry if isinstance(geometry, dict) else {}
         rings = _outer_rings(geometry)
         if rings is None:
             report.n_input += 1
@@ -387,6 +404,9 @@ def load_panorama_meta(path) -> PanoramaSet:
             except json.JSONDecodeError as e:
                 raise ParseError(path, f"line {lineno}: {e.msg}",
                                  offset=line_offset + e.pos) from e
+            if not isinstance(rec, dict):
+                report.reject(f"line {lineno}", "not an object")
+                continue
             missing = [f for f in _META_FIELDS if f not in rec]
             if missing:
                 report.reject(rec.get("pano_id", f"line {lineno}"),
@@ -397,7 +417,7 @@ def load_panorama_meta(path) -> PanoramaSet:
                 lat, lon = float(rec["lat"]), float(rec["lon"])
                 north_px = float(rec["north_px"])
                 width, height = int(rec["width"]), int(rec["height"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 report.reject(pano_id, "non-numeric field")
                 continue
             if not all(math.isfinite(v) for v in (lat, lon, north_px)):

@@ -30,10 +30,8 @@ import numpy as np
 from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d
-from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
-                         clip_scene)
-from .raytrace import (intervals_from_sweep, intervals_to_pixel, sweep_grid,
-                       trace_group, trace_sweep)
+from .projection import MAX_LOCAL_RANGE_M, FootprintIndex, clip_group
+from .raytrace import sweep_grid, trace_group
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +48,6 @@ class ThresholdState:
 
     mode: str = "adaptive"  # "adaptive" | "fixed"
     current: float = DEFAULT_FIRST_THRESHOLD
-    batch_size: int = 64
     clip_lo: float = 0.05
     clip_hi: float = 0.9
     history: tuple = ()  # (batch_index, threshold) pairs
@@ -205,30 +202,18 @@ class RunReport:
         }
 
 
-def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
-    """Trace one panorama into pixel-space visibility intervals.
-
-    Returns ``(intervals, None)``, or ``(None, building_id)`` when the
-    camera sits inside that building's footprint.
-    """
-    scene = clip_scene(index, meta, config.radius_m)
-    if scene.degenerate:
-        return None, scene.containing_building
-    sweep = trace_sweep(scene, config.step_deg)
-    ivs = intervals_from_sweep(sweep)
-    return intervals_to_pixel(ivs, meta, config.flip_heading), None
-
-
 def trace_panoramas(index: FootprintIndex, metas, config: RunConfig,
                     counts: Counter | None = None) -> list:
-    """Trace panoramas in groups of cameras; one result per panorama, in
-    order, each equal to :func:`trace_panorama`'s.
+    """Trace panoramas in groups of cameras into pixel-space visibility
+    intervals; the package's one per-panorama trace.
 
-    A group holds ``GROUP_RAYS // rays_per_turn`` cameras (at least one)
-    and is clipped, swept and split into runs with one set of array
-    operations (:func:`clip_group`, :func:`trace_group`). ``counts``, if
-    given, gains under ``"out_of_range"`` the candidate (camera,
-    footprint) pairs skipped because the ring reaches past the
+    Returns one result per panorama, in order: ``(intervals, None)``, or
+    ``(None, building_id)`` when the camera sits inside that building's
+    footprint. A group holds ``GROUP_RAYS // rays_per_turn`` cameras
+    (at least one) and is clipped, swept and split into runs with one
+    set of array operations (:func:`clip_group`, :func:`trace_group`).
+    ``counts``, if given, gains under ``"out_of_range"`` the candidate
+    (camera, footprint) pairs skipped because the ring reaches past the
     flat-plane range.
     """
     metas = list(metas)
@@ -250,11 +235,6 @@ def log_out_of_range(counts: Counter) -> None:
         log.warning("skipped %d (camera, footprint) pairs: the footprint "
                     "has a vertex beyond the %.0f m flat-plane range",
                     counts["out_of_range"], MAX_LOCAL_RANGE_M)
-
-
-def _chunks(items, size):
-    for i in range(0, len(items), size):
-        yield items[i:i + size]
 
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
@@ -279,12 +259,13 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     random.Random(config.seed).shuffle(order)
 
     state = ThresholdState(mode=config.threshold_mode,
-                           batch_size=config.batch_size,
                            clip_lo=config.clip_lo, clip_hi=config.clip_hi)
     annotations = []
     prev_scores: list = []
     counts: Counter = Counter()
-    for k, batch in enumerate(_chunks(order, config.batch_size)):
+    size = config.batch_size
+    for k, i in enumerate(range(0, len(order), size)):
+        batch = order[i:i + size]
         if config.threshold_mode == "adaptive":
             state = fit_threshold(prev_scores, state)
         else:

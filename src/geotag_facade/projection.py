@@ -11,13 +11,17 @@ Three frames are involved:
 
 Headings are degrees clockwise from true north in [0, 360). By default
 clockwise equals increasing pixel x; ``flip_heading`` reverses it. Both
-conventions live only in :func:`angle_to_pixel` / :func:`pixel_to_angle`.
+conventions live only in :func:`heading_px`, which :func:`angle_to_pixel`
+applies to one panorama.
+
+Clipping works on a group of cameras at once (:func:`clip_group`);
+:func:`clip_scene` is its one-camera view, a :class:`LocalScene` of
+wall segments.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,11 +89,6 @@ def local_to_geodetic(origin, p) -> tuple:
     return (lat, lon)
 
 
-def normalize_angle(theta_deg: float) -> float:
-    """Normalize a heading into [0, 360). Idempotent."""
-    return theta_deg % 360.0
-
-
 def angle_to_pixel(theta_deg: float, meta: PanoramaMeta,
                    flip_heading: bool = False) -> float:
     """Pixel column looking along heading ``theta_deg``. Fractional."""
@@ -102,15 +101,6 @@ def heading_px(theta_deg, north_px, width, flip_heading: bool = False):
     span = theta_deg / 360.0 * width
     px = north_px - span if flip_heading else north_px + span
     return px % width
-
-
-def pixel_to_angle(x: float, meta: PanoramaMeta,
-                   flip_heading: bool = False) -> float:
-    """Heading seen by pixel column ``x``. Inverse of angle_to_pixel."""
-    turns = (x - meta.north_px) / meta.width
-    if flip_heading:
-        turns = -turns
-    return (turns * 360.0) % 360.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +170,8 @@ def wall_arrays(cam, ax, ay, bx, by, rank) -> SceneArrays:
 
 
 def _segment_arrays(segments, buildings):
-    """(arrays, rank_to_bidx) of a WallSegment list."""
+    """(arrays, rank_to_bidx) of a WallSegment list: the one place a
+    scene's buildings are ranked, lexicographically by id."""
     n = len(segments)
     ax = np.fromiter((s.ax for s in segments), float, n)
     ay = np.fromiter((s.ay for s in segments), float, n)
@@ -188,54 +179,37 @@ def _segment_arrays(segments, buildings):
     by = np.fromiter((s.by for s in segments), float, n)
     id_of = {bid: i for i, (bid, _) in enumerate(buildings)}
     bidx = np.fromiter((id_of[s.building_id] for s in segments), np.int64, n)
-    order = sorted(range(len(buildings)), key=lambda i: buildings[i][0])
-    rank_of = np.empty(max(len(buildings), 1), np.int64)
-    for r, i in enumerate(order):
-        rank_of[i] = r
-    rank = rank_of[bidx] if n else np.empty(0, np.int64)
-    return (wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank),
-            np.asarray(order, np.int64))
+    order = np.array(sorted(range(len(buildings)),
+                            key=lambda i: buildings[i][0]), np.int64)
+    rank = np.argsort(order)[bidx]  # the inverse permutation of order
+    return wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank), order
 
 
 class LocalScene:
     """All wall segments within reach of one camera, in its local plane.
 
-    Never modified after construction. ``arrays`` holds the walls, and
-    ``rank_to_bidx`` maps a wall's building rank to the building's index
-    in ``buildings``; ``segments`` lists the same walls as
-    :class:`WallSegment` objects, derived from the arrays on first use.
-    A scene built from a ``segments`` list derives its arrays from it
-    instead. ``degenerate`` marks a camera strictly inside a footprint;
-    the sweep refuses such scenes.
+    Never modified after construction. ``buildings`` lists each
+    (building_id, category) once, and every segment's building is among
+    them. ``arrays`` holds the segments for the sweep kernels, and
+    ``rank_to_bidx`` maps a wall's building rank (its place in id order)
+    to the building's index in ``buildings``; both are derived from the
+    segments on construction. ``degenerate`` marks a camera strictly
+    inside a footprint; the sweep refuses such scenes.
     """
 
     def __init__(self, pano_id: str, origin: tuple, radius_m: float,
-                 segments=None, buildings: tuple = (),
+                 segments=(), buildings: tuple = (),
                  degenerate: bool = False,
-                 containing_building: str | None = None, *,
-                 arrays: SceneArrays | None = None, rank_to_bidx=None):
+                 containing_building: str | None = None):
         self.pano_id = pano_id
         self.origin = origin  # (lat, lon) of the camera
         self.radius_m = radius_m
+        self.segments = list(segments)
         self.buildings = tuple(buildings)  # (building_id, category)
         self.degenerate = degenerate
         self.containing_building = containing_building
-        if segments is not None:
-            self.segments = list(segments)
-            arrays, rank_to_bidx = _segment_arrays(self.segments,
-                                                   self.buildings)
-        self.arrays = arrays
-        self.rank_to_bidx = rank_to_bidx
-
-    @cached_property
-    def segments(self) -> list:
-        arr = self.arrays
-        owners = [self.buildings[b]
-                  for b in self.rank_to_bidx[arr.rank].tolist()]
-        return [WallSegment(ax, ay, bx, by, bid, cat)
-                for ax, ay, bx, by, (bid, cat)
-                in zip(arr.ax.tolist(), arr.ay.tolist(), arr.bx.tolist(),
-                       arr.by.tolist(), owners)]
+        self.arrays, self.rank_to_bidx = _segment_arrays(self.segments,
+                                                         self.buildings)
 
 
 class FootprintIndex:
@@ -438,27 +412,25 @@ def clip_scene(index: FootprintIndex, meta: PanoramaMeta,
                radius_m: float) -> LocalScene:
     """Build the local wall-segment scene for one camera.
 
-    The one-camera case of :func:`clip_group`: a footprint contributes
+    The one-camera view of :func:`clip_group`: a footprint contributes
     all its edges when its outer ring comes within ``radius_m`` of the
-    camera. Only the index's candidates are projected; the rest lie
-    beyond the radius. Footprints with any vertex beyond the flat-plane
-    range are skipped. A camera strictly inside a ring marks the scene
-    degenerate.
+    camera. Footprints with any vertex beyond the flat-plane range are
+    skipped. A camera strictly inside a ring marks the scene degenerate.
+    Segments come in wall order; buildings in the order their first
+    footprint was kept, named by that footprint.
     """
     group = clip_group(index, [meta], radius_m)
-    buildings, seen = [], {}  # building id -> index rank
-    for f in group.kept_fp.tolist():
-        fp = index.footprints[f]
-        if fp.building_id not in seen:
-            seen[fp.building_id] = int(index.rank[f])
-            buildings.append((fp.building_id, fp.category))
-    ranks = np.fromiter(seen.values(), np.int64, len(seen))
-    order = np.argsort(ranks)
-    walls = replace(group.walls,
-                    rank=np.searchsorted(ranks[order], group.walls.rank))
+    walls = group.walls
+    segments = [WallSegment(ax, ay, bx, by, bid, cat)
+                for ax, ay, bx, by, (bid, cat)
+                in zip(walls.ax.tolist(), walls.ay.tolist(),
+                       walls.bx.tolist(), walls.by.tolist(),
+                       group.owners(walls.cam, walls.rank))]
+    rank = index.rank[group.kept_fp]
+    first = np.sort(np.unique(rank, return_index=True)[1])
+    buildings = group.owners(np.zeros(len(first), np.int64), rank[first])
     containing = group.containing[0]
     return LocalScene(pano_id=meta.pano_id, origin=(meta.lat, meta.lon),
-                      radius_m=radius_m, buildings=tuple(buildings),
-                      degenerate=containing is not None,
-                      containing_building=containing, arrays=walls,
-                      rank_to_bidx=order.astype(np.int64))
+                      radius_m=radius_m, segments=segments,
+                      buildings=buildings, degenerate=containing is not None,
+                      containing_building=containing)

@@ -22,13 +22,17 @@ the result is bit-identical to testing every ray against every wall.
 
 Consecutive grid samples hitting the same building merge into
 :class:`VisibilityInterval` runs, which are finally mapped onto the
-panorama's pixel axis.
+panorama's pixel axis by :func:`projection.heading_px`, the one home of
+the heading conventions.
 
 The kernels work on a group of cameras at once: ray ``k`` of the group's
 camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
 boundaries and merged across each camera's seam. :func:`trace_group`
-traces a clipped group that way; :func:`trace_sweep` and
-:func:`intervals_from_sweep` are the one-camera case.
+traces a clipped group that way. :func:`trace_sweep`,
+:func:`intervals_from_sweep` and :func:`intervals_to_pixel` are
+one-camera views of the same kernels (:func:`nearest_walls`,
+:func:`run_table`, :func:`projection.heading_px`) on a
+:class:`LocalScene`.
 """
 from __future__ import annotations
 
@@ -304,19 +308,13 @@ def run_table(owner: np.ndarray, distances: np.ndarray, n: int):
     return start[keep], end[keep], own[keep], low[keep]
 
 
-def _runs(building_idx: np.ndarray):
-    """Maximal runs of equal hit index, merged across the 0-degree seam."""
-    n = len(building_idx)
-    start, end, own, _ = run_table(building_idx, np.zeros(n), n)
-    return [list(r) for r in zip(start.tolist(), end.tolist(), own.tolist())]
-
-
 def intervals_from_sweep(sweep: RaySweep) -> list:
     """Merge consecutive same-building samples into visibility intervals.
 
     A building split by an occluder yields several intervals. Endpoints
     are the first and last hit grid angles of each run, not half-step
-    extensions.
+    extensions. Intervals come in ascending ``angle_lo``, the sample
+    order :func:`run_table` returns them in.
     """
     start, end, own, low = run_table(sweep.building_idx, sweep.distances,
                                      len(sweep))
@@ -327,7 +325,6 @@ def intervals_from_sweep(sweep: RaySweep) -> list:
         out.append(VisibilityInterval(
             building_id=bid, category=cat, angle_lo=float(sweep.thetas[s]),
             angle_hi=float(sweep.thetas[e]), min_distance=d))
-    out.sort(key=lambda iv: (iv.angle_lo, iv.building_id))
     return out
 
 

@@ -22,8 +22,8 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      DetectionSet, FootprintSet, LoadReport, PanoramaMeta)
 from .projection import (FootprintIndex, LocalScene, clip_scene,
                          local_to_geodetic)
-from .raytrace import (PARALLEL_EPS, TIE_EPS_M, VisibilityInterval, _runs,
-                       intervals_to_pixel)
+from .raytrace import (PARALLEL_EPS, TIE_EPS_M, VisibilityInterval,
+                       intervals_to_pixel, run_table)
 
 _ORACLE_CHUNK = 4096
 BISECTION_TOL_DEG = 1e-4
@@ -91,35 +91,15 @@ class SyntheticScene:
 # Parametric ray-segment oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_arrays(scene: LocalScene):
-    cached = getattr(scene, "_parametric_arrays", None)
-    if cached is not None:
-        return cached
-    segs = scene.segments
-    n = len(segs)
-    ax = np.fromiter((s.ax for s in segs), float, n)
-    ay = np.fromiter((s.ay for s in segs), float, n)
-    ex = np.fromiter((s.bx - s.ax for s in segs), float, n)
-    ey = np.fromiter((s.by - s.ay for s in segs), float, n)
-    length = np.hypot(ex, ey)
-    ids = sorted({b for b, _ in scene.buildings})
-    rank_of = {b: r for r, b in enumerate(ids)}
-    id_to_bidx = {b: i for i, (b, _) in enumerate(scene.buildings)}
-    rank = np.fromiter((rank_of[s.building_id] for s in segs), np.int64, n)
-    rank_to_bidx = np.fromiter((id_to_bidx[b] for b in ids), np.int64,
-                               len(ids))
-    cached = (ax, ay, ex, ey, length, rank, rank_to_bidx)
-    scene._parametric_arrays = cached
-    return cached
-
-
 def oracle_hits(scene: LocalScene, thetas):
     """Nearest building per heading via parametric ray-segment solves.
 
     Same contract as the sweep engine's query (indices into
     ``scene.buildings``, -1/inf on miss) but an independent derivation:
     the ray O + t*d meets A + s*e where t and s come from 2x2 cross
-    products, accepted for 0 <= s <= 1 and 0 < t <= radius.
+    products, accepted for 0 <= s <= 1 and 0 < t <= radius. Only the
+    wall endpoints and the scene's building ranks are shared with the
+    engine.
     """
     thetas = np.asarray(thetas, float)
     n = len(thetas)
@@ -127,7 +107,9 @@ def oracle_hits(scene: LocalScene, thetas):
     dist = np.full(n, np.inf)
     if not scene.segments:
         return bidx, dist
-    ax, ay, ex, ey, length, rank, rank_to_bidx = _oracle_arrays(scene)
+    arr, rank_to_bidx = scene.arrays, scene.rank_to_bidx
+    ax, ay, ex, ey, rank = arr.ax, arr.ay, arr.ex, arr.ey, arr.rank
+    length = np.hypot(ex, ey)
     n_rank = len(rank_to_bidx)
     rad = np.radians(thetas)
     dir_x, dir_y = np.sin(rad), np.cos(rad)
@@ -181,7 +163,8 @@ def oracle_intervals_for_scene(scene: LocalScene,
     thetas = np.arange(n, dtype=float) * resolution_deg
     bidx, dist = oracle_hits(scene, thetas)
     out = []
-    for start, end, b in _runs(bidx):
+    for start, end, b, low in zip(*(a.tolist()
+                                    for a in run_table(bidx, dist, n))):
         n_run = (end - start) % n + 1
         if n_run >= n:  # the whole circle, nothing to refine
             angle_lo, angle_hi = 0.0, (n - 1) * resolution_deg
@@ -191,14 +174,10 @@ def oracle_intervals_for_scene(scene: LocalScene,
                 scene, thetas[start] - resolution_deg, thetas[start], b)
             angle_hi = _refine_boundary(
                 scene, thetas[end] + resolution_deg, thetas[end], b)
-        if end >= start:
-            idx = np.arange(start, end + 1)
-        else:
-            idx = np.concatenate([np.arange(start, n), np.arange(0, end + 1)])
         bid, cat = scene.buildings[b]
         out.append(VisibilityInterval(
             building_id=bid, category=cat, angle_lo=float(angle_lo),
-            angle_hi=float(angle_hi), min_distance=float(dist[idx].min())))
+            angle_hi=float(angle_hi), min_distance=low))
     out.sort(key=lambda iv: (iv.angle_lo, iv.building_id))
     return out
 

@@ -18,6 +18,13 @@ dense sweep that tests every ray against every segment
 (``reference_coarse_accuracy``); and the AP path that reran the greedy
 matching for every AP value (``reference_average_precision``,
 ``reference_coco_summary``), which scores pairs with the scalar IoU.
+
+Last come former exports that only tests used: the heading helpers
+``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
+package's one-camera trace (``clip_scene``, ``trace_sweep``,
+``intervals_from_sweep``, ``intervals_to_pixel``), which
+``trace_panoramas`` replaced; and ``_runs``, the run split of
+``run_table`` as a list of ``[start, end, index]``.
 """
 import math
 from dataclasses import dataclass
@@ -25,14 +32,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from geotag_facade.config import RunConfig
+from geotag_facade.ingest import PanoramaMeta
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, AccuracyReport,
                                    APReport, _as_xywh, _overlap_1d,
                                    wrapped_intersection)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
-                                      LocalScene, WallSegment, _wrap_lon)
+                                      FootprintIndex, LocalScene, WallSegment,
+                                      _wrap_lon, clip_scene)
 from geotag_facade.raytrace import (PARALLEL_EPS, TIE_EPS_M, RaySweep,
-                                    VisibilityInterval)
+                                    VisibilityInterval, intervals_from_sweep,
+                                    intervals_to_pixel, run_table,
+                                    trace_sweep)
 
 EARTH_RADIUS_M = 6371.393 * 1000.0
 
@@ -580,3 +592,38 @@ def reference_coco_summary(preds, gts, width_by_pano: dict | None = None,
                     vals.append(v)
             out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
     return out
+
+
+def normalize_angle(theta_deg: float) -> float:
+    """Normalize a heading into [0, 360). Idempotent."""
+    return theta_deg % 360.0
+
+
+def pixel_to_angle(x: float, meta: PanoramaMeta,
+                   flip_heading: bool = False) -> float:
+    """Heading seen by pixel column ``x``. Inverse of angle_to_pixel."""
+    turns = (x - meta.north_px) / meta.width
+    if flip_heading:
+        turns = -turns
+    return (turns * 360.0) % 360.0
+
+
+def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
+    """Trace one panorama into pixel-space visibility intervals.
+
+    Returns ``(intervals, None)``, or ``(None, building_id)`` when the
+    camera sits inside that building's footprint.
+    """
+    scene = clip_scene(index, meta, config.radius_m)
+    if scene.degenerate:
+        return None, scene.containing_building
+    sweep = trace_sweep(scene, config.step_deg)
+    ivs = intervals_from_sweep(sweep)
+    return intervals_to_pixel(ivs, meta, config.flip_heading), None
+
+
+def _runs(building_idx: np.ndarray):
+    """Maximal runs of equal hit index, merged across the 0-degree seam."""
+    n = len(building_idx)
+    start, end, own, _ = run_table(building_idx, np.zeros(n), n)
+    return [list(r) for r in zip(start.tolist(), end.tolist(), own.tolist())]

@@ -208,6 +208,22 @@ def _no_category(doc):
     del doc["annotations"][0]["category_id"]
 
 
+def _width(value):
+    def breakage(doc):
+        doc["images"][0]["width"] = value
+    return breakage
+
+
+def _no_image_id(doc):
+    del doc["images"][0]["id"]
+
+
+def _string_entry(name):
+    def breakage(doc):
+        doc[name][0] = "entry"
+    return breakage
+
+
 @pytest.mark.parametrize("breakage, needle", [
     (None, "byte offset"),
     (_bad_image_id, "names no image"),
@@ -215,8 +231,14 @@ def _no_category(doc):
     (_bbox([10, 10, 50]), "bbox"),
     (_bbox([10, float("nan"), 50, 50]), "bbox"),
     (_no_category, "category_id"),
+    (_width("wide"), "images[0]: width"),
+    (_width(0), "images[0]: width"),
+    (_no_image_id, "images[0]: expected an object with an id"),
+    (_string_entry("images"), "images[0]: expected an object"),
+    (_string_entry("annotations"), "annotations[0]: expected an object"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
-        "bbox-nan", "no-category"])
+        "bbox-nan", "no-category", "width-string", "width-zero",
+        "image-without-id", "image-string", "annotation-string"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -236,6 +258,75 @@ def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
     assert err.startswith("error: ") and needle in err and str(pred) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def _trace_copy(scene_dir, tmp_path, name, breakage):
+    """Run ``trace`` on copies of the scene's inputs, ``name`` changed by
+    ``breakage(text) -> text``; returns (exit code, output directory)."""
+    paths = {}
+    for n in ("footprints.geojson", "metas.jsonl", "mapping.json"):
+        text = (scene_dir / n).read_text()
+        paths[n] = tmp_path / n
+        paths[n].write_text(breakage(text) if n == name else text)
+    out = tmp_path / "o"
+    rc = run(["trace", "--footprints", paths["footprints.geojson"],
+              "--metas", paths["metas.jsonl"],
+              "--mapping", paths["mapping.json"], "--out", out])
+    return rc, out
+
+
+def _json_edit(edit):
+    def breakage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return breakage
+
+
+def _entries(value):
+    return _json_edit(lambda doc: doc.update(entries=value))
+
+
+@pytest.mark.parametrize("breakage, needle", [
+    (_entries(["cat_1", "cat_2"]), "'entries' object"),
+    (_entries({"cat_1": 1, "cat_2": "one"}), "integer category ids"),
+], ids=["entries-list", "entry-not-integer"])
+def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
+                                         breakage, needle):
+    rc, out = _trace_copy(scene_dir, tmp_path, "mapping.json", breakage)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and needle in err
+    assert str(tmp_path / "mapping.json") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def _string_feature(doc):
+    doc["features"][0] = "feature"
+
+
+def _text_vertex(doc):
+    doc["features"][0]["geometry"]["coordinates"][0][1] = ["a", "b"]
+
+
+@pytest.mark.parametrize("name, breakage, report, key, reason", [
+    ("footprints.geojson", _json_edit(_string_feature), "footprints",
+     "feature[0]", "feature is not an object"),
+    ("footprints.geojson", _json_edit(_text_vertex), "footprints",
+     "b000", "non-numeric coordinate"),
+    ("metas.jsonl", lambda text: "5\n" + text, "metas", "line 1",
+     "not an object"),
+], ids=["feature-string", "vertex-text", "meta-line-number"])
+def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,
+                                                breakage, report, key,
+                                                reason):
+    rc, out = _trace_copy(scene_dir, tmp_path, name, breakage)
+    assert rc == 0
+    load = json.loads((out / "trace_report.json").read_text())[
+        "load_reports"][report]
+    assert load["rejected"] == [{"key": key, "reason": reason}]
+    assert load["n_accepted"] == load["n_input"] - 1
 
 
 def test_degenerate_scene_partial_exit(tmp_path):

@@ -4,7 +4,7 @@
 with one set of array operations. Every test here compares it, under
 several group caps, with ``reference_trace_panorama`` (the scalar clip,
 the dense sweep and the loop run split, one camera at a time) and with
-the package's own one-camera path, ``trace_panorama``: intervals,
+the one-camera path, ``trace_panorama`` in ``oracle_utils``: intervals,
 distances and pixel spans must be equal bit for bit.
 """
 import math
@@ -16,13 +16,14 @@ import pytest
 
 from geotag_facade import (FootprintIndex, PanoramaMeta, RunConfig,
                            clip_scene, local_to_geodetic, matcher,
-                           trace_panorama, trace_panoramas)
+                           trace_panoramas)
 from geotag_facade.config import rays_per_turn
 from geotag_facade.ingest import BuildingFootprint
 from geotag_facade.projection import METERS_PER_DEGREE, _exact_hypot
 from geotag_facade.synth import SceneConfig, generate_scene
 
-from oracle_utils import _ring_min_distance, reference_trace_panorama
+from oracle_utils import (_ring_min_distance, reference_trace_panorama,
+                          trace_panorama)
 
 
 def cam(x=0.0, y=0.0, pano_id=None, north_px=300.0, width=2048):

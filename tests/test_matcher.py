@@ -244,9 +244,10 @@ class TestGenerateCoarseAnnotations:
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's
         # interval and its iou_x clears the floor, re-derived from scratch
-        from geotag_facade.matcher import _midpoint_inside, trace_panorama
+        from geotag_facade.matcher import _midpoint_inside
         from geotag_facade.projection import FootprintIndex
         from geotag_facade.metrics import iou_1d
+        from oracle_utils import trace_panorama
         scene, dets = pipeline_inputs(seed=21, noise=NoiseConfig(
             shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
         config = RunConfig(seed=9, batch_size=2)

@@ -1,17 +1,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geotag_facade import (DegenerateSceneError, FootprintIndex,
                            OutOfRangeError, PanoramaMeta, angle_to_pixel,
-                           clip_scene, geodetic_to_local, local_to_geodetic,
-                           normalize_angle, pixel_to_angle)
+                           clip_scene, geodetic_to_local, local_to_geodetic)
 from geotag_facade.ingest import BuildingFootprint
-from geotag_facade.projection import METERS_PER_DEGREE
+from geotag_facade.projection import METERS_PER_DEGREE, clip_group
 from geotag_facade.synth import SceneConfig, generate_scene
 
-from oracle_utils import haversine_m, linear_clip_scene
+from oracle_utils import (haversine_m, linear_clip_scene, normalize_angle,
+                          pixel_to_angle)
 
 
 def meta(north_px=512.0, width=2048, height=1024, lat=0.0, lon=0.0,
@@ -343,3 +344,73 @@ class TestFootprintIndex:
         cam = meta(lat=lat, lon=cam_lon)
         scene = self.assert_same([east, west, across], cam, 80.0)
         assert {b for b, _ in scene.buildings} == {"east", "west", "across"}
+
+
+class TestOneSceneForm:
+    """clip_scene's arrays are that camera's clip_group walls, and its
+    building ranks follow building-id order."""
+
+    FIELDS = ("ax", "ay", "bx", "by", "ex", "ey", "nx", "ny", "a_dot_n",
+              "len2")
+
+    def assert_one_form(self, index, cam, radius_m):
+        scene = clip_scene(index, cam, radius_m)
+        walls = clip_group(index, [cam], radius_m).walls
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(scene.arrays, name),
+                                  getattr(walls, name)), name
+        ranked = [scene.buildings[b][0] for b in scene.rank_to_bidx.tolist()]
+        assert ranked == sorted(set(ranked))
+        assert sorted(scene.rank_to_bidx.tolist()) == list(
+            range(len(scene.buildings)))
+        # each wall's rank names its segment's building, the one the
+        # index ranks it as
+        index_ids = sorted({fp.building_id for fp in index.footprints})
+        owners = [s.building_id for s in scene.segments]
+        assert [ranked[r] for r in scene.arrays.rank.tolist()] == owners
+        assert [index_ids[r] for r in walls.rank.tolist()] == owners
+        return scene
+
+    def test_seeded_random_scenes(self):
+        rng = random.Random(29)
+        walls = 0
+        for _ in range(20):
+            origin = (rng.uniform(-70, 70), rng.uniform(-180, 180))
+            fps = [ring_fp([local_to_geodetic(origin, p) for p in polygon(
+                rng, rng.uniform(-120, 120), rng.uniform(-120, 120),
+                rng.uniform(2, 30))], f"b{rng.randrange(25):02d}",
+                rng.randint(1, 5)) for _ in range(30)]
+            index = FootprintIndex(fps)
+            for _ in range(4):
+                cam = meta(lat=origin[0] + rng.uniform(-5e-4, 5e-4),
+                           lon=origin[1] + rng.uniform(-5e-4, 5e-4))
+                for r in (20.0, 60.0, 150.0):
+                    walls += len(self.assert_one_form(index, cam, r).segments)
+        assert walls > 1000
+
+    def test_corridor(self):
+        street = generate_scene(41, SceneConfig(
+            n_buildings=30, n_cameras=6, with_ground_truth=False))
+        index = FootprintIndex(street.footprints)
+        for cam in street.metas:
+            scene = self.assert_one_form(index, cam, 50.0)
+            assert len(scene.buildings) > 2
+
+    def test_id_shared_by_two_categories(self):
+        origin = (40.0, -74.0)
+        fps = [footprint_at(origin, [(10, 10), (20, 10), (20, 20), (10, 20)],
+                            "zeta", 3),
+               footprint_at(origin, [(-5, 10), (5, 10), (5, 20), (-5, 20)],
+                            "shared", 2),
+               footprint_at(origin, [(-20, -5), (-10, -5), (-10, 5),
+                                     (-20, 5)], "alpha", 1),
+               footprint_at(origin, [(-5, -20), (5, -20), (5, -10),
+                                     (-5, -10)], "shared", 4)]
+        scene = self.assert_one_form(
+            FootprintIndex(fps), meta(lat=origin[0], lon=origin[1]), 50.0)
+        # first kept order; the shared id is named by its first footprint
+        assert scene.buildings == (("zeta", 3), ("shared", 2), ("alpha", 1))
+        assert [s.category for s in scene.segments
+                if s.building_id == "shared"] == [2] * 8
+        assert scene.rank_to_bidx.tolist() == [2, 1, 0]
+

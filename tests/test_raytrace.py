@@ -5,11 +5,11 @@ import pytest
 
 from geotag_facade import PanoramaMeta, raytrace
 from geotag_facade.projection import LocalScene, WallSegment
-from geotag_facade.raytrace import (_runs, intervals_from_sweep,
+from geotag_facade.raytrace import (intervals_from_sweep,
                                     intervals_to_pixel, trace_sweep)
 from geotag_facade.synth import oracle_hits
 
-from oracle_utils import (RayHit, RaySample, heading_direction,
+from oracle_utils import (RayHit, RaySample, _runs, heading_direction,
                           ray_wall_distance, reference_nearest_hits,
                           reference_runs, sweep_from_samples, sweep_samples)
 

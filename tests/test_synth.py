@@ -9,6 +9,7 @@ from geotag_facade.metrics import iou_2d
 from geotag_facade.projection import (FootprintIndex, LocalScene,
                                       WallSegment, clip_scene,
                                       geodetic_to_local)
+from geotag_facade.raytrace import trace_sweep
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  oracle_hits, oracle_intervals_for_scene,
                                  oracle_visibility, perturb_detections)
@@ -61,6 +62,23 @@ class TestOracle:
     def test_empty_scene(self):
         bidx, dist = oracle_hits(scene_of([]), np.arange(360.0))
         assert (bidx == -1).all() and not np.isfinite(dist).any()
+
+    def test_shared_wall_goes_to_the_smaller_id(self):
+        # "zeta" is listed first, and both buildings own the wall due north
+        wall = dict(ax=-5.0, ay=20.0, bx=5.0, by=20.0)
+        segs = [WallSegment(**wall, building_id="zeta", category=1),
+                WallSegment(**wall, building_id="alpha", category=2),
+                WallSegment(ax=20.0, ay=-5.0, bx=20.0, by=5.0,
+                            building_id="zeta", category=1)]
+        scene = LocalScene(pano_id="p", origin=(0.0, 0.0), radius_m=50.0,
+                           segments=segs,
+                           buildings=(("zeta", 1), ("alpha", 2)))
+        bidx, dist = oracle_hits(scene, np.array([0.0, 10.0, 90.0, 180.0]))
+        assert bidx.tolist() == [1, 1, 0, -1]
+        assert dist[0] == pytest.approx(20.0)
+        assert dist[2] == pytest.approx(20.0)
+        sweep = trace_sweep(scene, 1.0)
+        assert sweep.building_idx[[0, 10, 90, 180]].tolist() == [1, 1, 0, -1]
 
 
 class TestGenerateScene:
