@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 from .errors import LoadError
@@ -94,16 +95,21 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
     })
 
 
+_KEY_TYPES = (int, float, str)  # the JSON values an id or a pano_id may be
+
+
 def read_coco(path):
     """Read a COCO file into eval boxes plus per-panorama sizes.
 
     Returns (boxes, width_by_pano, height_by_pano, info). Raises
     ``ParseError`` when the file is not JSON, and ``LoadError`` naming
     the entry for an image or annotation that is not an object, an image
-    with no ``id`` or whose ``width`` is neither null nor a positive
-    finite number, and an annotation whose ``image_id`` names no image,
+    whose ``id`` is missing or not a number or string, whose ``width``
+    is neither null nor a positive finite number, or whose panorama is
+    named by neither a number or string ``pano_id`` nor a string
+    ``file_name``, and an annotation whose ``image_id`` names no image,
     whose ``bbox`` is not four finite numbers with positive width and
-    height, or that has no ``category_id``.
+    height, or whose ``category_id`` is missing or not a number.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -118,12 +124,24 @@ def read_coco(path):
         if not isinstance(img, dict) or "id" not in img:
             raise LoadError(f"{path}: images[{i}]: expected an object with "
                             f"an id, got {img!r}")
+        if not isinstance(img["id"], _KEY_TYPES):
+            raise LoadError(f"{path}: images[{i}]: id must be a number or "
+                            f"a string, got {img['id']!r}")
         width = img.get("width")
         if width is not None and (type(width) not in (int, float)
-                                  or not 0 < width < math.inf):
+                                  or not 0 < width <= sys.float_info.max):
             raise LoadError(f"{path}: images[{i}]: width must be null or a "
                             f"positive finite number, got {width!r}")
-        pano = img.get("pano_id") or Path(img.get("file_name", "")).stem
+        pano = img.get("pano_id")
+        if not pano:
+            name = img.get("file_name", "")
+            if not isinstance(name, str):
+                raise LoadError(f"{path}: images[{i}]: file_name must be a "
+                                f"string, got {name!r}")
+            pano = Path(name).stem
+        elif not isinstance(pano, _KEY_TYPES):
+            raise LoadError(f"{path}: images[{i}]: pano_id must be a number "
+                            f"or a string, got {pano!r}")
         pano_of[img["id"]] = pano
         width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")
@@ -132,14 +150,16 @@ def read_coco(path):
         if not isinstance(a, dict):
             raise LoadError(f"{path}: annotations[{i}]: expected an object, "
                             f"got {a!r}")
-        pano = pano_of.get(a.get("image_id"))
+        image_id = a.get("image_id")
+        pano = (pano_of.get(image_id) if isinstance(image_id, _KEY_TYPES)
+                else None)
         if pano is None:
             raise LoadError(f"{path}: annotations[{i}]: image_id "
-                            f"{a.get('image_id')!r} names no image")
+                            f"{image_id!r} names no image")
         try:
             x, y, w, h = a.get("bbox")
             valid = w > 0 and h > 0 and math.isfinite(x + y + w + h)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
             raise LoadError(f"{path}: annotations[{i}]: bbox must be 4 "
@@ -147,6 +167,9 @@ def read_coco(path):
                             f"{a.get('bbox')!r}")
         if "category_id" not in a:
             raise LoadError(f"{path}: annotations[{i}]: no category_id")
+        if type(a["category_id"]) not in (int, float):
+            raise LoadError(f"{path}: annotations[{i}]: category_id must "
+                            f"be a number, got {a['category_id']!r}")
         boxes.append(EvalBox(pano_id=pano, x=x, y=y, w=w, h=h,
                              category=a["category_id"],
                              score=a.get("score")))

@@ -184,7 +184,7 @@ def _normalize_ring(coords):
             return None, "ring vertex is not a coordinate pair"
         try:
             lon, lat = float(pos[0]), float(pos[1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return None, "non-numeric coordinate"
         if not (math.isfinite(lat) and math.isfinite(lon)):
             return None, "non-finite coordinate"  # json.loads admits NaN
@@ -269,6 +269,12 @@ def _validate_ring(coords):
 # Loaders
 # ---------------------------------------------------------------------------
 
+def _fractional(v) -> bool:
+    """True for a finite float that is not a whole number, which
+    ``int()`` would silently truncate."""
+    return isinstance(v, float) and math.isfinite(v) and not v.is_integer()
+
+
 def _read_json(path):
     raw = Path(path).read_bytes()
     try:
@@ -283,12 +289,17 @@ def load_category_mapping(path) -> CategoryMapping:
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise LoadError(f"{path}: expected an object with an 'entries' "
                         f"object")
+    fraction = [v for v in [*doc["entries"].values(), doc.get("default")]
+                if _fractional(v)]
+    if fraction:
+        raise LoadError(f"{path}: entries, default and names need integer "
+                        f"category ids (got {fraction[0]!r})")
     try:
         entries = {str(k): int(v) for k, v in doc["entries"].items()}
         default = doc.get("default")
         default = int(default) if default is not None else None
         names = {int(k): str(v) for k, v in doc.get("names", {}).items()}
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise LoadError(f"{path}: entries, default and names need integer "
                         f"category ids ({e})") from e
     ids = set(entries.values())
@@ -413,10 +424,15 @@ def load_panorama_meta(path) -> PanoramaSet:
                               f"missing fields {missing}")
                 continue
             pano_id = str(rec["pano_id"])
+            if _fractional(rec["width"]) or _fractional(rec["height"]):
+                report.reject(pano_id, f"non-integer size "
+                              f"{rec['width']}x{rec['height']}")
+                continue
             try:
                 lat, lon = float(rec["lat"]), float(rec["lon"])
                 north_px = float(rec["north_px"])
                 width, height = int(rec["width"]), int(rec["height"])
+                float(width), float(height)  # overflows past a float's range
             except (TypeError, ValueError, OverflowError):
                 report.reject(pano_id, "non-numeric field")
                 continue
@@ -477,7 +493,7 @@ def load_detections(path) -> DetectionSet:
         try:
             x, y, w, h = (float(v) for v in bbox)
             score = float(score)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             report.reject(key, "non-numeric bbox or score")
             continue
         if not all(math.isfinite(v) for v in (x, y, w, h, score)):

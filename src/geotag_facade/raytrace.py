@@ -49,8 +49,10 @@ from .projection import (ClipGroup, LocalScene, SceneArrays, angle_to_pixel,
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
-# candidate (ray, segment) pairs evaluated at once, as many as the rays of
-# a group of cameras (matcher.GROUP_RAYS): both bound the sweep's memory
+# candidate (ray, segment) pairs evaluated at once, which bounds the
+# sweep's per-block arrays to about 1 MB; a full group (matcher.GROUP_RAYS
+# rays, about 2.5 pairs each) takes about ten blocks. Blocks twice this
+# size swept full groups 20 % slower and used 1.2 MB more.
 _PAIR_BLOCK = 1 << 13
 # A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
 # of its segment; this relative reach is over 400 times that.
@@ -175,6 +177,25 @@ def sweep_grid(step_deg: float, cameras: int = 1) -> SweepGrid:
                      np.tile(np.cos(rad), cameras))
 
 
+def _pair_hits(grid: SweepGrid, ray, walls, radius_m: float):
+    """(hit, t): the pairs ``(ray[i], walls[:, i])`` that hit their wall,
+    and the distance of each. The block's temporaries, about 1 MB, are
+    freed on return, before its hits are kept."""
+    dx, dy = grid.dirs_x[ray], grid.dirs_y[ray]
+    nx, ny, a_dot_n, ax, ay, ex, ey, len2 = walls
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = dx * nx + dy * ny
+        t = a_dot_n / denom
+        s = ((t * dx - ax) * ex + (t * dy - ay) * ey) / len2
+    ok = np.abs(denom) >= PARALLEL_EPS
+    ok &= t > 0.0
+    ok &= t <= radius_m
+    ok &= s >= 0.0
+    ok &= s <= 1.0
+    hit = np.flatnonzero(ok)
+    return hit, t[hit]
+
+
 def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
                   radius_m: float):
     """Nearest-wall query at each grid heading of each camera of a group.
@@ -187,7 +208,9 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
     memory stays bounded whatever the step, group and segment count.
     Each pair runs the same elementwise ``denom``, ``t``, parallel,
     ``t > 0``, radius and ``s`` expressions as a dense rays x segments
-    sweep, and each block is filtered down to its hits.
+    sweep, and each block keeps only the hits that may still tie. The
+    kept hits are joined and filtered one column at a time, so each is
+    held once.
 
     Returns (rank, distances) per ray, with -1/inf on miss. The tie rule
     is unchanged: every hit within TIE_EPS_M of the nearest is tied, the
@@ -198,10 +221,8 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
     """
     n = len(grid.thetas)
     size = n * cameras
-    best = np.full(size, -1, np.int64)
-    dist = np.full(size, np.inf)
     if len(arr) == 0:
-        return best, dist
+        return np.full(size, -1, np.int64), np.full(size, np.inf)
     seg, first, count = _ray_runs(arr, radius_m, n)
     first = first + arr.cam[seg] * n
     walls = np.stack((arr.nx, arr.ny, arr.a_dot_n, arr.ax, arr.ay, arr.ex,
@@ -211,7 +232,7 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
     starts = ends - count
     total = int(ends[-1])
     dmin = np.full(size, np.inf)
-    kept = []  # per block: (ray, t, rank) of the hits that may still tie
+    rays, ts, ranks = [], [], []  # per block: the hits that may still tie
     for p0 in range(0, total, _PAIR_BLOCK):
         p1 = min(p0 + _PAIR_BLOCK, total)
         j0 = int(np.searchsorted(ends, p0, side="right"))
@@ -219,36 +240,32 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
         c = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
         ray = (np.repeat(first[j0:j1] - starts[j0:j1], c)
                + np.arange(p0, p1))
-        dx, dy = grid.dirs_x[ray], grid.dirs_y[ray]
-        nx, ny, a_dot_n, ax, ay, ex, ey, len2 = np.repeat(
-            walls[:, j0:j1], c, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            denom = dx * nx + dy * ny
-            t = a_dot_n / denom
-            s = ((t * dx - ax) * ex + (t * dy - ay) * ey) / len2
-        ok = np.abs(denom) >= PARALLEL_EPS
-        ok &= t > 0.0
-        ok &= t <= radius_m
-        ok &= s >= 0.0
-        ok &= s <= 1.0
-        hit = np.flatnonzero(ok)
-        ray, t = ray[hit], t[hit]
-        hit_rank = np.repeat(rank[j0:j1], c)[hit]
+        hit, t = _pair_hits(grid, ray, np.repeat(walls[:, j0:j1], c, axis=1),
+                            radius_m)
+        ray = ray[hit]
         np.minimum.at(dmin, ray, t)
-        if p1 < total:  # dmin only falls: drop hits that can no longer tie
-            hit = np.flatnonzero(t <= dmin[ray] + TIE_EPS_M)
-            ray, t, hit_rank = ray[hit], t[hit], hit_rank[hit]
-        kept.append((ray, t, hit_rank))
-    ray, t, hit_rank = (np.concatenate(a) for a in zip(*kept))
-    tie = np.flatnonzero(t <= dmin[ray] + TIE_EPS_M)
-    ray, t, hit_rank = ray[tie], t[tie], hit_rank[tie]
+        # dmin only falls: drop hits that can no longer tie
+        keep = np.flatnonzero(t <= dmin[ray] + TIE_EPS_M)
+        rays.append(ray[keep])
+        ts.append(t[keep])
+        ranks.append(np.repeat(rank[j0:j1], c)[hit[keep]])
+    del walls
+    t = np.concatenate(ts)
+    del ts
+    ray = np.concatenate(rays)
+    del rays
+    tie = t <= dmin[ray] + TIE_EPS_M
+    t = t[tie]
+    ray = ray[tie]
+    rank = np.concatenate(ranks)[tie]
+    del ranks
     top = np.full(size, np.iinfo(np.int64).max)
-    np.minimum.at(top, ray, hit_rank)
-    won = np.flatnonzero(hit_rank == top[ray])
+    np.minimum.at(top, ray, rank)
+    won = np.flatnonzero(rank == top[ray])
+    dist = np.full(size, np.inf)
     np.minimum.at(dist, ray[won], t[won])
-    hit = np.isfinite(dmin)
-    best[hit] = top[hit]
-    return best, dist
+    top[np.isinf(dmin)] = -1
+    return top, dist
 
 
 def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:

@@ -224,6 +224,30 @@ def _string_entry(name):
     return breakage
 
 
+def _list_image_id(doc):
+    doc["annotations"][0]["image_id"] = [1]
+
+
+def _category(value):
+    def breakage(doc):
+        doc["annotations"][0]["category_id"] = value
+    return breakage
+
+
+def _image(**fields):
+    def breakage(doc):
+        doc["images"][0].update(fields)
+    return breakage
+
+
+def _number_file_name(doc):
+    del doc["images"][0]["pano_id"]
+    doc["images"][0]["file_name"] = 7
+
+
+HUGE = 10 ** 400  # an integer too large for a float
+
+
 @pytest.mark.parametrize("breakage, needle", [
     (None, "byte offset"),
     (_bad_image_id, "names no image"),
@@ -236,9 +260,20 @@ def _string_entry(name):
     (_no_image_id, "images[0]: expected an object with an id"),
     (_string_entry("images"), "images[0]: expected an object"),
     (_string_entry("annotations"), "annotations[0]: expected an object"),
+    (_bbox([10, 10, HUGE, 50]), "bbox"),
+    (_list_image_id, "annotations[0]: image_id [1] names no image"),
+    (_number_file_name, "images[0]: file_name must be a string"),
+    (_width(HUGE), "images[0]: width"),
+    (_image(id=[1]), "images[0]: id must be a number or a string"),
+    (_image(pano_id=["p"]), "images[0]: pano_id must be a number or a string"),
+    (_category("a"), "annotations[0]: category_id must be a number"),
+    (_category([1]), "annotations[0]: category_id must be a number"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
-        "image-without-id", "image-string", "annotation-string"])
+        "image-without-id", "image-string", "annotation-string",
+        "bbox-huge-int", "annotation-image-id-list", "file-name-number",
+        "width-huge-int", "image-id-list", "pano-id-list",
+        "category-string", "category-list"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -262,17 +297,22 @@ def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
 
 def _trace_copy(scene_dir, tmp_path, name, breakage):
     """Run ``trace`` on copies of the scene's inputs, ``name`` changed by
-    ``breakage(text) -> text``; returns (exit code, output directory)."""
+    ``breakage(text) -> text``, or ``annotate`` when ``name`` is the
+    detections; returns (exit code, output directory)."""
     paths = {}
-    for n in ("footprints.geojson", "metas.jsonl", "mapping.json"):
+    for n in ("footprints.geojson", "metas.jsonl", "mapping.json",
+              "detections.json"):
         text = (scene_dir / n).read_text()
         paths[n] = tmp_path / n
         paths[n].write_text(breakage(text) if n == name else text)
     out = tmp_path / "o"
-    rc = run(["trace", "--footprints", paths["footprints.geojson"],
-              "--metas", paths["metas.jsonl"],
-              "--mapping", paths["mapping.json"], "--out", out])
-    return rc, out
+    argv = ["trace", "--footprints", paths["footprints.geojson"],
+            "--metas", paths["metas.jsonl"],
+            "--mapping", paths["mapping.json"], "--out", out]
+    if name == "detections.json":
+        argv = ["annotate", *argv[1:], "--detections",
+                paths["detections.json"]]
+    return run(argv), out
 
 
 def _json_edit(edit):
@@ -290,7 +330,8 @@ def _entries(value):
 @pytest.mark.parametrize("breakage, needle", [
     (_entries(["cat_1", "cat_2"]), "'entries' object"),
     (_entries({"cat_1": 1, "cat_2": "one"}), "integer category ids"),
-], ids=["entries-list", "entry-not-integer"])
+    (_entries({"cat_1": 1.9, "cat_2": 2}), "integer category ids (got 1.9)"),
+], ids=["entries-list", "entry-not-integer", "entry-fraction"])
 def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                          breakage, needle):
     rc, out = _trace_copy(scene_dir, tmp_path, "mapping.json", breakage)
@@ -310,6 +351,21 @@ def _text_vertex(doc):
     doc["features"][0]["geometry"]["coordinates"][0][1] = ["a", "b"]
 
 
+def _huge_vertex(doc):
+    doc["features"][0]["geometry"]["coordinates"][0][1][0] = HUGE
+
+
+def _huge_bbox(doc):
+    doc[0]["bbox"][2] = HUGE
+
+
+def _first_meta(**fields):
+    def breakage(text):
+        first, rest = text.split("\n", 1)
+        return json.dumps({**json.loads(first), **fields}) + "\n" + rest
+    return breakage
+
+
 @pytest.mark.parametrize("name, breakage, report, key, reason", [
     ("footprints.geojson", _json_edit(_string_feature), "footprints",
      "feature[0]", "feature is not an object"),
@@ -317,16 +373,48 @@ def _text_vertex(doc):
      "b000", "non-numeric coordinate"),
     ("metas.jsonl", lambda text: "5\n" + text, "metas", "line 1",
      "not an object"),
-], ids=["feature-string", "vertex-text", "meta-line-number"])
+    ("footprints.geojson", _json_edit(_huge_vertex), "footprints",
+     "b000", "non-numeric coordinate"),
+    ("detections.json", _json_edit(_huge_bbox), "detections",
+     "result[0]", "non-numeric bbox or score"),
+    ("metas.jsonl", _first_meta(width=2048.5), "metas", "s00003_c00",
+     "non-integer size 2048.5x1024"),
+    ("metas.jsonl", _first_meta(width=HUGE), "metas", "s00003_c00",
+     "non-numeric field"),
+], ids=["feature-string", "vertex-text", "meta-line-number",
+        "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
+        "meta-width-huge-int"])
 def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,
                                                 breakage, report, key,
                                                 reason):
     rc, out = _trace_copy(scene_dir, tmp_path, name, breakage)
     assert rc == 0
-    load = json.loads((out / "trace_report.json").read_text())[
+    report_file = ("run_report.json" if name == "detections.json"
+                   else "trace_report.json")
+    load = json.loads((out / report_file).read_text())[
         "load_reports"][report]
     assert load["rejected"] == [{"key": key, "reason": reason}]
     assert load["n_accepted"] == load["n_input"] - 1
+
+
+def test_whole_floats_load_as_integers(scene_dir, tmp_path):
+    # a category id of 1.0 and a width of 2048.0 are whole numbers: they
+    # load as 1 and 2048 and trace as the integers do
+    def traced(sub, name, breakage):
+        (tmp_path / sub).mkdir()
+        rc, out = _trace_copy(scene_dir, tmp_path / sub, name, breakage)
+        assert rc == 0
+        docs = {p.name: json.loads(p.read_text())
+                for p in sorted(out.glob("*.json"))}
+        for doc in docs.values():
+            del doc["input_hashes"]
+        for load in docs["trace_report.json"]["load_reports"].values():
+            del load["path"]
+        return docs
+    want = traced("plain", None, None)
+    assert traced("mapping", "mapping.json", _json_edit(
+        lambda doc: doc["entries"].update(cat_1=1.0))) == want
+    assert traced("metas", "metas.jsonl", _first_meta(width=2048.0)) == want
 
 
 def test_degenerate_scene_partial_exit(tmp_path):

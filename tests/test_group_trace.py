@@ -68,9 +68,13 @@ def lat_at(meters):
     return lat, beyond
 
 
+DEFAULT_CAP = matcher.GROUP_RAYS
+
+
 def caps(config):
-    """Group caps: one camera per group, three, and a whole batch."""
-    return (1, 3 * rays_per_turn(config.step_deg), 1 << 40)
+    """Group caps: one camera per group, three, a whole batch, and the
+    default."""
+    return (1, 3 * rays_per_turn(config.step_deg), 1 << 40, DEFAULT_CAP)
 
 
 def assert_groups_match(monkeypatch, footprints, metas, config):
@@ -90,8 +94,10 @@ def assert_groups_match(monkeypatch, footprints, metas, config):
 
 
 @pytest.mark.parametrize("step, flip", [(1.0, False), (0.5, True),
-                                        (7.5, False)])
+                                        (7.5, False), (0.1, False)])
 def test_synthetic_streets(monkeypatch, step, flip):
+    # at 0.1 degrees the default cap holds 9 of the 10 cameras, and their
+    # candidate pairs span many sweep blocks
     footprints, metas = [], []
     for seed in (3, 4):
         sc = generate_scene(seed, SceneConfig(n_buildings=14, n_cameras=5,
