@@ -12,20 +12,18 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import cocoio
 from .config import RunConfig
-from .errors import ConfigError, GeotagFacadeError
+from .errors import ConfigError, GeotagFacadeError, LoadError
 from .ingest import (load_category_mapping, load_detections,
                      load_footprints, load_panorama_meta)
-from .matcher import (generate_coarse_annotations, log_out_of_range,
-                      trace_panoramas)
+from .matcher import generate_coarse_annotations, trace_panoramas
 from .metrics import coarse_accuracy, coco_summary
 from .projection import FootprintIndex
-from .render import render_scene_svg
+from .render import read_trace, render_scene_svg
 from .synth import NoiseConfig, SceneConfig, generate_scene, perturb_detections
 
 EXIT_OK = 0
@@ -114,11 +112,8 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    counts: Counter = Counter()
-    results = trace_panoramas(FootprintIndex(footprints), panos.metas, config,
-                              counts)
-    log_out_of_range(counts)
-
+    results = list(trace_panoramas(FootprintIndex(footprints), panos.metas,
+                                   config))
     skipped = []
     for meta, (ivs, blocker) in zip(panos.metas, results):
         if ivs is None:
@@ -210,28 +205,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    import json
     mapping = load_category_mapping(args.mapping)
     footprints = load_footprints(args.footprints, mapping)
     panos = load_panorama_meta(args.metas)
-    doc = json.loads(Path(args.intervals).read_text(encoding="utf-8"))
-    meta = next((m for m in panos.metas if m.pano_id == doc["pano_id"]), None)
+    pano_id, ivs, radius, trace_config = read_trace(args.intervals)
+    meta = next((m for m in panos.metas if m.pano_id == pano_id), None)
     if meta is None:
-        print(f"pano_id {doc['pano_id']!r} not found in {args.metas}",
-              file=sys.stderr)
-        return EXIT_FATAL
-    from .raytrace import VisibilityInterval
-    ivs = [VisibilityInterval(
-        building_id=d["building_id"], category=d["category"],
-        angle_lo=d["angle_lo"], angle_hi=d["angle_hi"],
-        min_distance=d["min_distance"], px_lo=d.get("px_lo"),
-        px_hi=d.get("px_hi")) for d in doc["intervals"]]
-    radius = doc.get("config", {}).get("radius_m", RunConfig.radius_m)
+        raise LoadError(f"{args.intervals}: pano_id {pano_id!r} not found "
+                        f"in {args.metas}")
     shown = {iv.building_id for iv in ivs}
     fps = [fp for fp in footprints if fp.building_id in shown] \
         if args.only_visible else list(footprints)
     provenance = cocoio.json_line({
-        "config": doc.get("config", {}),
+        "config": trace_config,
         "input_hashes": cocoio.hash_inputs({
             "footprints": args.footprints, "metas": args.metas,
             "intervals": args.intervals})})

@@ -95,7 +95,9 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
     })
 
 
-_KEY_TYPES = (int, float, str)  # the JSON values an id or a pano_id may be
+# the JSON values an id or a pano_id may be; the exact types, so that a
+# boolean, whose type subclasses int, is not one
+_KEY_TYPES = (int, float, str)
 
 
 def read_coco(path):
@@ -109,7 +111,8 @@ def read_coco(path):
     named by neither a number or string ``pano_id`` nor a string
     ``file_name``, and an annotation whose ``image_id`` names no image,
     whose ``bbox`` is not four finite numbers with positive width and
-    height, or whose ``category_id`` is missing or not a number.
+    height, or whose ``category_id`` is missing or not a number. A
+    boolean is not a number here.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -124,7 +127,7 @@ def read_coco(path):
         if not isinstance(img, dict) or "id" not in img:
             raise LoadError(f"{path}: images[{i}]: expected an object with "
                             f"an id, got {img!r}")
-        if not isinstance(img["id"], _KEY_TYPES):
+        if type(img["id"]) not in _KEY_TYPES:
             raise LoadError(f"{path}: images[{i}]: id must be a number or "
                             f"a string, got {img['id']!r}")
         width = img.get("width")
@@ -139,7 +142,7 @@ def read_coco(path):
                 raise LoadError(f"{path}: images[{i}]: file_name must be a "
                                 f"string, got {name!r}")
             pano = Path(name).stem
-        elif not isinstance(pano, _KEY_TYPES):
+        elif type(pano) not in _KEY_TYPES:
             raise LoadError(f"{path}: images[{i}]: pano_id must be a number "
                             f"or a string, got {pano!r}")
         pano_of[img["id"]] = pano
@@ -151,14 +154,15 @@ def read_coco(path):
             raise LoadError(f"{path}: annotations[{i}]: expected an object, "
                             f"got {a!r}")
         image_id = a.get("image_id")
-        pano = (pano_of.get(image_id) if isinstance(image_id, _KEY_TYPES)
+        pano = (pano_of.get(image_id) if type(image_id) in _KEY_TYPES
                 else None)
         if pano is None:
             raise LoadError(f"{path}: annotations[{i}]: image_id "
                             f"{image_id!r} names no image")
         try:
             x, y, w, h = a.get("bbox")
-            valid = w > 0 and h > 0 and math.isfinite(x + y + w + h)
+            valid = (w > 0 and h > 0 and math.isfinite(x + y + w + h)
+                     and bool not in (type(x), type(y), type(w), type(h)))
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:

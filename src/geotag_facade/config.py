@@ -1,7 +1,7 @@
 """Run configuration shared by the pipeline driver and the CLI."""
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 from .errors import ConfigError
 
@@ -55,8 +55,3 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})

@@ -183,6 +183,8 @@ def _normalize_ring(coords):
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             return None, "ring vertex is not a coordinate pair"
         try:
+            if type(pos[0]) is bool or type(pos[1]) is bool:
+                raise TypeError  # float() would read true as 1.0
             lon, lat = float(pos[0]), float(pos[1])
         except (TypeError, ValueError, OverflowError):
             return None, "non-numeric coordinate"
@@ -289,11 +291,12 @@ def load_category_mapping(path) -> CategoryMapping:
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise LoadError(f"{path}: expected an object with an 'entries' "
                         f"object")
-    fraction = [v for v in [*doc["entries"].values(), doc.get("default")]
-                if _fractional(v)]
-    if fraction:
+    # int() would truncate a fraction and read a boolean as 0 or 1
+    bad = [v for v in [*doc["entries"].values(), doc.get("default")]
+           if _fractional(v) or type(v) is bool]
+    if bad:
         raise LoadError(f"{path}: entries, default and names need integer "
-                        f"category ids (got {fraction[0]!r})")
+                        f"category ids (got {bad[0]!r})")
     try:
         entries = {str(k): int(v) for k, v in doc["entries"].items()}
         default = doc.get("default")
@@ -429,6 +432,8 @@ def load_panorama_meta(path) -> PanoramaSet:
                               f"{rec['width']}x{rec['height']}")
                 continue
             try:
+                if bool in map(type, (rec[f] for f in _META_FIELDS[1:])):
+                    raise TypeError  # float() and int() read true as 1
                 lat, lon = float(rec["lat"]), float(rec["lon"])
                 north_px = float(rec["north_px"])
                 width, height = int(rec["width"]), int(rec["height"])
@@ -491,7 +496,9 @@ def load_detections(path) -> DetectionSet:
             report.reject(key, "bbox must be [x, y, w, h]")
             continue
         try:
-            x, y, w, h = (float(v) for v in bbox)
+            if type(score) is bool or bool in map(type, bbox):
+                raise TypeError  # float() would read true as 1.0
+            x, y, w, h = map(float, bbox)
             score = float(score)
         except (TypeError, ValueError, OverflowError):
             report.reject(key, "non-numeric bbox or score")

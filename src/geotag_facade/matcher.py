@@ -14,13 +14,15 @@ batch k is fit on the scores retained in batch k-1: a single Gaussian
 first batch uses 0.3. Batches are a deterministic seeded shuffle of the
 panoramas, so a run is reproducible end to end.
 
-Each batch is traced in groups of cameras (:func:`trace_panoramas`): one
-clip, one sweep and one run split per group, a group holding as many
-cameras as fit in ``GROUP_RAYS`` rays, which bounds its memory. The cap
-weighs the fixed cost each group pays (about 0.7 ms) against the sweep's
-cache footprint. At 32,768 rays a 0.1-degree group holds 9 cameras and
-a 1-degree batch of 64 is one group. Tracing a 200-panorama street at
-0.1 degrees in batches of 64 took, in ms (2 vCPU, medians of 15):
+A run's panoramas are traced as one stream in groups of cameras
+(:func:`trace_panoramas`): one clip, one sweep and one run split per
+group, a group holding as many cameras as fit in ``GROUP_RAYS`` rays,
+which bounds its memory. Tracing does not depend on the threshold, so
+groups fill across batch boundaries. The cap weighs the fixed cost each
+group pays (about 0.7 ms) against the sweep's cache footprint. At 32,768
+rays a 0.1-degree group holds 9 cameras and a 1-degree group 91.
+Tracing a 200-panorama street at 0.1 degrees, each 64-panorama batch on
+its own, took, in ms (2 vCPU, medians of 15):
 
 =======  ==========  ====  =====  ===========  =====
 cap      candidates  clip  sweep  runs + rows  total
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,10 +95,6 @@ class CoarseAnnotation:
     building_id: str
     iou_x: float
     score: float
-
-    @property
-    def bbox(self) -> tuple:
-        return (self.x, self.y, self.w, self.h)
 
     def to_dict(self) -> dict:
         return {
@@ -221,39 +218,33 @@ class RunReport:
         }
 
 
-def trace_panoramas(index: FootprintIndex, metas, config: RunConfig,
-                    counts: Counter | None = None) -> list:
+def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
     """Trace panoramas in groups of cameras into pixel-space visibility
     intervals; the package's one per-panorama trace.
 
-    Returns one result per panorama, in order: ``(intervals, None)``, or
-    ``(None, building_id)`` when the camera sits inside that building's
-    footprint. A group holds ``GROUP_RAYS // rays_per_turn`` cameras
-    (at least one) and is clipped, swept and split into runs with one
-    set of array operations (:func:`clip_group`, :func:`trace_group`).
-    ``counts``, if given, gains under ``"out_of_range"`` the candidate
-    (camera, footprint) pairs skipped because the ring reaches past the
-    flat-plane range.
+    Yields one result per panorama, in order, as its group finishes:
+    ``(intervals, None)``, or ``(None, building_id)`` when the camera
+    sits inside that building's footprint. A group holds
+    ``GROUP_RAYS // rays_per_turn`` cameras (at least one) and is
+    clipped, swept and split into runs with one set of array operations
+    (:func:`clip_group`, :func:`trace_group`). Once the last group is
+    clipped, and before its results are yielded, one WARNING counts the
+    candidate (camera, footprint) pairs skipped because the ring reaches
+    past the flat-plane range.
     """
     metas = list(metas)
     size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
     grid = sweep_grid(config.step_deg, min(size, len(metas)))
-    out = []
+    out_of_range = 0
     for i in range(0, len(metas), size):
         group = metas[i:i + size]
         clip = clip_group(index, group, config.radius_m)
-        out += trace_group(clip, group, grid, config.flip_heading)
-        if counts is not None:
-            counts["out_of_range"] += clip.out_of_range
-    return out
-
-
-def log_out_of_range(counts: Counter) -> None:
-    """One WARNING line for the footprints a run skipped beyond range."""
-    if counts["out_of_range"]:
-        log.warning("skipped %d (camera, footprint) pairs: the footprint "
-                    "has a vertex beyond the %.0f m flat-plane range",
-                    counts["out_of_range"], MAX_LOCAL_RANGE_M)
+        out_of_range += clip.out_of_range
+        if out_of_range and i + size >= len(metas):
+            log.warning("skipped %d (camera, footprint) pairs: the footprint "
+                        "has a vertex beyond the %.0f m flat-plane range",
+                        out_of_range, MAX_LOCAL_RANGE_M)
+        yield from trace_group(clip, group, grid, config.flip_heading)
 
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
@@ -261,10 +252,10 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     """Run the full per-batch pipeline; returns (annotations, run report).
 
     Panoramas are shuffled with the run seed and chunked into batches.
-    Within a batch panoramas are independent and traced in groups
-    (:func:`trace_panoramas`); the threshold update is strictly
-    sequential across batches. Detections whose panorama has no metadata
-    are dropped and reported.
+    The shuffled run is traced as one stream (:func:`trace_panoramas`),
+    whose groups do not stop at batch boundaries; the threshold update
+    is strictly sequential across batches. Detections whose panorama has
+    no metadata are dropped and reported.
     """
     metas = list(metas)
     index = FootprintIndex(footprints)
@@ -281,7 +272,10 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                            clip_lo=config.clip_lo, clip_hi=config.clip_hi)
     annotations = []
     prev_scores: list = []
-    counts: Counter = Counter()
+    # one trace stream for the run, so groups fill across batches; zip
+    # draws from the batch first, so each batch takes exactly len(batch)
+    # results and leaves the next batch's first one in the stream
+    traced = trace_panoramas(index, order, config)
     size = config.batch_size
     for k, i in enumerate(range(0, len(order), size)):
         batch = order[i:i + size]
@@ -291,7 +285,6 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
             state = state.record(config.fixed_threshold)
         br = BatchReport(batch_index=k, threshold=state.current,
                          n_panoramas=len(batch))
-        traced = trace_panoramas(index, batch, config, counts)
         batch_scores: list = []
         for meta, (intervals, blocker) in zip(batch, traced):
             boxes = dets.boxes_for(meta.pano_id)
@@ -322,6 +315,5 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                     iou_x=m.iou_x, score=b.score))
         prev_scores = batch_scores
         report.batches.append(br)
-    log_out_of_range(counts)
     report.threshold_history = list(state.history)
     return annotations, report

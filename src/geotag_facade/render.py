@@ -4,13 +4,18 @@ Top: map view with the footprints, the camera, the field-of-view circle
 and one arc per visibility interval, color-keyed by building. Bottom:
 a strip showing the same intervals on the panorama's pixel axis, seam
 splits included. Text SVG keeps the output diffable in tests.
+:func:`read_trace` reads the ``trace`` file the diagnostic draws.
 """
 from __future__ import annotations
 
 import math
 import zlib
 
-from .projection import METERS_PER_DEGREE, _wrap_lon
+from .config import RunConfig
+from .errors import LoadError
+from .ingest import _read_json
+from .projection import _local_xy
+from .raytrace import VisibilityInterval
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -20,6 +25,61 @@ PALETTE = (
 
 def _color(building_id: str) -> str:
     return PALETTE[zlib.crc32(building_id.encode("utf-8")) % len(PALETTE)]
+
+
+def _finite(v) -> bool:
+    """True for a JSON number, not a boolean, with a finite float value."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _interval(d):
+    """One interval record of a trace file, or None when it is not one."""
+    if not (isinstance(d, dict) and isinstance(d.get("building_id"), str)
+            and type(d.get("category")) is int
+            and all(_finite(d.get(k))
+                    for k in ("angle_lo", "angle_hi", "min_distance"))
+            and all(d.get(k) is None or _finite(d[k])
+                    for k in ("px_lo", "px_hi"))):
+        return None
+    return VisibilityInterval(
+        building_id=d["building_id"], category=d["category"],
+        angle_lo=d["angle_lo"], angle_hi=d["angle_hi"],
+        min_distance=d["min_distance"], px_lo=d.get("px_lo"),
+        px_hi=d.get("px_hi"))
+
+
+def read_trace(path):
+    """Read one ``intervals_<pano>.json`` written by ``trace``; returns
+    (pano_id, intervals, radius_m, config).
+
+    Raises ``ParseError`` when the file is not JSON, and ``LoadError``
+    naming the file, and the interval if one is at fault, when the file
+    lacks a string ``pano_id``, an ``intervals`` list or a positive
+    ``config.radius_m``, or an interval lacks a string ``building_id``,
+    an integer ``category``, finite angles and ``min_distance``, or
+    null-or-finite pixel fields.
+    """
+    doc = _read_json(path)
+    if not (isinstance(doc, dict) and isinstance(doc.get("pano_id"), str)
+            and isinstance(doc.get("intervals"), list)):
+        raise LoadError(f"{path}: expected an object with a string pano_id "
+                        f"and an intervals list")
+    config = doc.get("config", {})
+    radius = (config.get("radius_m", RunConfig.radius_m)
+              if isinstance(config, dict) else None)
+    if not (_finite(radius) and radius > 0):
+        raise LoadError(f"{path}: config must be an object whose radius_m "
+                        f"is a positive finite number, got {config!r}")
+    intervals = [_interval(d) for d in doc["intervals"]]
+    if None in intervals:
+        i = intervals.index(None)
+        raise LoadError(f"{path}: intervals[{i}]: expected building_id, "
+                        f"category, angle_lo, angle_hi and min_distance, "
+                        f"got {doc['intervals'][i]!r}")
+    return doc["pano_id"], intervals, radius, config
 
 
 def _fmt(v: float) -> str:
@@ -68,8 +128,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     for fp in footprints:
         pts = []
         for (lat, lon) in fp.ring[:-1]:
-            x = _wrap_lon(lon - meta.lon) * cos_lat * METERS_PER_DEGREE
-            y = (lat - meta.lat) * METERS_PER_DEGREE
+            x, y = _local_xy(lat, lon, meta.lat, meta.lon, cos_lat)
             pts.append(f"{_fmt(cx + x * scale)},{_fmt(cy - y * scale)}")
         parts.append(
             f'<polygon class="footprint" points="{" ".join(pts)}" '

@@ -86,9 +86,10 @@ def test_log_level_sends_log_lines_to_stderr_only(scene_dir, tmp_path,
 
 
 def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
-                                                      capsys):
+                                                      capsys, monkeypatch):
     # with a 12 km radius, a copy of the street 11 km north is a candidate
     # for every camera but lies past the 10 km flat-plane range
+    from geotag_facade import matcher
     from geotag_facade.projection import METERS_PER_DEGREE
     doc = json.loads((scene_dir / "footprints.geojson").read_text())
     near = doc["features"]
@@ -104,6 +105,9 @@ def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
     both = tmp_path / "both.geojson"
     both.write_text(json.dumps({"type": "FeatureCollection",
                                 "features": near + far}))
+    warning = (f"WARNING geotag_facade.matcher: skipped {3 * len(far)} "
+               "(camera, footprint) pairs: the footprint has a vertex "
+               "beyond the 10000 m flat-plane range")
     outs = {}
     for name, fps in (("alone", None), ("both", both)):
         for level in ("WARNING", "ERROR"):
@@ -113,13 +117,8 @@ def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
             outs[name, level] = out
             err = capsys.readouterr().err
             lines = [ln for ln in err.splitlines() if "flat-plane" in ln]
-            if name == "both" and level == "WARNING":
-                assert lines == [
-                    f"WARNING geotag_facade.matcher: skipped {3 * len(far)} "
-                    "(camera, footprint) pairs: the footprint has a vertex "
-                    "beyond the 10000 m flat-plane range"]
-            else:
-                assert lines == []
+            assert lines == ([warning] if name == "both"
+                             and level == "WARNING" else [])
     assert artifacts(outs["both", "WARNING"]) == \
         artifacts(outs["both", "ERROR"])
     for name, data in artifacts(outs["alone", "WARNING"]).items():
@@ -127,19 +126,24 @@ def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
             got = artifacts(outs["both", "WARNING"])[name]
             assert json.loads(got)["intervals"] == \
                 json.loads(data)["intervals"]
-    # annotate says it once per run too, and labels the same boxes
+    # annotate says it once per run too, with the run's total, in one
+    # batch or three and in one group or three, and labels the same boxes
     anns = []
-    for fps in (None, both):
-        out = tmp_path / f"ann-{fps is None}"
+    default = matcher.GROUP_RAYS
+    for fps, batch_size, cap in ((None, 1, default), (both, 64, default),
+                                 (both, 1, default), (both, 1, 360)):
+        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+        out = tmp_path / f"ann-{len(anns)}"
         argv = trace_argv(scene_dir, out, fps, "--radius", 12_000,
-                          "--batch-size", 1)
+                          "--batch-size", batch_size)
         assert run(["annotate", *argv[1:], "--detections",
                     scene_dir / "detections.json"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("flat-plane") == (fps is not None)
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if "flat-plane" in ln]
+        assert lines == ([] if fps is None else [warning])
         anns.append(json.loads((out / "coarse_annotations.json")
                                .read_text())["annotations"])
-    assert anns[0] and anns[0] == anns[1]
+    assert anns[0] and all(a == anns[0] for a in anns[1:])
 
 
 def test_trace_missing_input_fatal(tmp_path):
@@ -224,8 +228,10 @@ def _string_entry(name):
     return breakage
 
 
-def _list_image_id(doc):
-    doc["annotations"][0]["image_id"] = [1]
+def _annotation_image_id(value):
+    def breakage(doc):
+        doc["annotations"][0]["image_id"] = value
+    return breakage
 
 
 def _category(value):
@@ -261,19 +267,26 @@ HUGE = 10 ** 400  # an integer too large for a float
     (_string_entry("images"), "images[0]: expected an object"),
     (_string_entry("annotations"), "annotations[0]: expected an object"),
     (_bbox([10, 10, HUGE, 50]), "bbox"),
-    (_list_image_id, "annotations[0]: image_id [1] names no image"),
+    (_annotation_image_id([1]), "annotations[0]: image_id [1] names no "
+                                "image"),
     (_number_file_name, "images[0]: file_name must be a string"),
     (_width(HUGE), "images[0]: width"),
     (_image(id=[1]), "images[0]: id must be a number or a string"),
     (_image(pano_id=["p"]), "images[0]: pano_id must be a number or a string"),
     (_category("a"), "annotations[0]: category_id must be a number"),
     (_category([1]), "annotations[0]: category_id must be a number"),
+    (_bbox([True, True, True, True]), "bbox"),
+    (_image(id=True), "images[0]: id must be a number or a string"),
+    (_image(pano_id=True), "images[0]: pano_id must be a number or a string"),
+    (_annotation_image_id(True), "annotations[0]: image_id True names no "
+                                 "image"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
         "image-without-id", "image-string", "annotation-string",
         "bbox-huge-int", "annotation-image-id-list", "file-name-number",
         "width-huge-int", "image-id-list", "pano-id-list",
-        "category-string", "category-list"])
+        "category-string", "category-list", "bbox-bool", "image-id-bool",
+        "pano-id-bool", "annotation-image-id-bool"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -331,7 +344,9 @@ def _entries(value):
     (_entries(["cat_1", "cat_2"]), "'entries' object"),
     (_entries({"cat_1": 1, "cat_2": "one"}), "integer category ids"),
     (_entries({"cat_1": 1.9, "cat_2": 2}), "integer category ids (got 1.9)"),
-], ids=["entries-list", "entry-not-integer", "entry-fraction"])
+    (_json_edit(lambda doc: doc["entries"].update(cat_1=True)),
+     "integer category ids (got True)"),
+], ids=["entries-list", "entry-not-integer", "entry-fraction", "entry-bool"])
 def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                          breakage, needle):
     rc, out = _trace_copy(scene_dir, tmp_path, "mapping.json", breakage)
@@ -353,6 +368,14 @@ def _text_vertex(doc):
 
 def _huge_vertex(doc):
     doc["features"][0]["geometry"]["coordinates"][0][1][0] = HUGE
+
+
+def _bool_vertex(doc):
+    doc["features"][0]["geometry"]["coordinates"][0][1] = [True, True]
+
+
+def _bool_score(doc):
+    doc[0]["score"] = True
 
 
 def _huge_bbox(doc):
@@ -381,9 +404,15 @@ def _first_meta(**fields):
      "non-integer size 2048.5x1024"),
     ("metas.jsonl", _first_meta(width=HUGE), "metas", "s00003_c00",
      "non-numeric field"),
+    ("footprints.geojson", _json_edit(_bool_vertex), "footprints",
+     "b000", "non-numeric coordinate"),
+    ("detections.json", _json_edit(_bool_score), "detections",
+     "result[0]", "non-numeric bbox or score"),
+    ("metas.jsonl", _first_meta(lat=True), "metas", "s00003_c00",
+     "non-numeric field"),
 ], ids=["feature-string", "vertex-text", "meta-line-number",
         "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
-        "meta-width-huge-int"])
+        "meta-width-huge-int", "vertex-bool", "score-bool", "meta-lat-bool"])
 def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,
                                                 breakage, report, key,
                                                 reason):
@@ -587,6 +616,41 @@ class TestRender:
         run(self.render_args(scene_dir, trace_out, s1))
         run(self.render_args(scene_dir, trace_out, s2))
         assert s1.read_bytes() == s2.read_bytes()
+
+    @pytest.mark.parametrize("breakage, needle", [
+        (lambda text: text[:len(text) // 2], "byte offset"),
+        (_json_edit(lambda doc: doc.pop("pano_id")), "string pano_id"),
+        (_json_edit(lambda doc: doc["intervals"][0].pop("category")),
+         "intervals[0]: expected building_id, category"),
+        (_json_edit(lambda doc: doc["intervals"][0].update(angle_lo="n")),
+         "intervals[0]: expected building_id, category"),
+        (_json_edit(lambda doc: doc["intervals"].append(7)),
+         "expected building_id, category, angle_lo, angle_hi and "
+         "min_distance, got 7"),
+        (_json_edit(lambda doc: doc["config"].update(radius_m="far")),
+         "radius_m is a positive finite number"),
+        (_json_edit(lambda doc: doc.update(pano_id="elsewhere")),
+         "pano_id 'elsewhere' not found in"),
+    ], ids=["invalid-json", "no-pano-id", "interval-without-category",
+            "angle-string", "interval-number", "radius-string",
+            "unknown-pano"])
+    def test_bad_intervals_file_is_a_one_line_error(self, scene_dir,
+                                                    tmp_path, capsys,
+                                                    breakage, needle):
+        trace_out = tmp_path / "t"
+        assert run(trace_argv(scene_dir, trace_out)) == 0
+        iv_file = sorted(trace_out.glob("intervals_*.json"))[0]
+        assert json.loads(iv_file.read_text())["intervals"]
+        iv_file.write_text(breakage(iv_file.read_text()))
+        svg = tmp_path / "o.svg"
+        capsys.readouterr()
+        rc = run(self.render_args(scene_dir, trace_out, svg))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(iv_file) in err
+        assert needle in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not svg.exists()
 
     def test_empty_scene_renders_camera_and_fov_only(self, tmp_path):
         d = tmp_path / "empty_scene"

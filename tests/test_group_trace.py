@@ -7,9 +7,10 @@ the dense sweep and the loop run split, one camera at a time) and with
 the one-camera path, ``trace_panorama`` in ``oracle_utils``: intervals,
 distances and pixel spans must be equal bit for bit.
 """
+import logging
 import math
 import random
-from collections import Counter
+import re
 
 import numpy as np
 import pytest
@@ -77,25 +78,37 @@ def caps(config):
     return (1, 3 * rays_per_turn(config.step_deg), 1 << 40, DEFAULT_CAP)
 
 
-def assert_groups_match(monkeypatch, footprints, metas, config):
+def out_of_range_count(caplog):
+    """The pair count of the run's one out-of-range WARNING, 0 without
+    one."""
+    found = [r for r in caplog.records if "flat-plane" in r.getMessage()]
+    assert len(found) <= 1
+    assert all(r.levelno == logging.WARNING for r in found)
+    return (int(re.match(r"skipped (\d+) ", found[0].getMessage())[1])
+            if found else 0)
+
+
+def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
     """trace_panoramas under every cap equals both one-camera paths;
-    returns the out-of-range count."""
+    returns the out-of-range count its WARNING gives."""
     index = FootprintIndex(footprints)
     want = [reference_trace_panorama(footprints, m, config) for m in metas]
     assert [trace_panorama(index, m, config) for m in metas] == want
     seen = set()
     for cap in caps(config):
         monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
-        counts = Counter()
-        assert trace_panoramas(index, metas, config, counts) == want
-        seen.add(counts["out_of_range"])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=matcher.__name__):
+            # the stream is lazy: consume it while the cap is set
+            assert list(trace_panoramas(index, metas, config)) == want
+        seen.add(out_of_range_count(caplog))
     assert len(seen) == 1
     return seen.pop()
 
 
 @pytest.mark.parametrize("step, flip", [(1.0, False), (0.5, True),
                                         (7.5, False), (0.1, False)])
-def test_synthetic_streets(monkeypatch, step, flip):
+def test_synthetic_streets(monkeypatch, caplog, step, flip):
     # at 0.1 degrees the default cap holds 9 of the 10 cameras, and their
     # candidate pairs span many sweep blocks
     footprints, metas = [], []
@@ -105,10 +118,11 @@ def test_synthetic_streets(monkeypatch, step, flip):
         footprints += sc.footprints
         metas += sc.metas
     config = RunConfig(step_deg=step, flip_heading=flip)
-    assert assert_groups_match(monkeypatch, footprints, metas, config) == 0
+    assert assert_groups_match(monkeypatch, caplog, footprints, metas,
+                               config) == 0
 
 
-def test_random_layouts(monkeypatch):
+def test_random_layouts(monkeypatch, caplog):
     rng = random.Random(29)
     for trial in range(4):
         fps = []
@@ -128,24 +142,24 @@ def test_random_layouts(monkeypatch):
         config = RunConfig(radius_m=rng.choice((30.0, 50.0, 80.0)),
                            step_deg=rng.choice((0.5, 1.0, 2.0)),
                            flip_heading=bool(trial % 2))
-        assert_groups_match(monkeypatch, fps, metas, config)
+        assert_groups_match(monkeypatch, caplog, fps, metas, config)
 
 
-def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch):
+def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch, caplog):
     fps = [square(0, 25, 10, "north"), square(0, 0, 6, "trap"),
            square(60, 0, 8, "east"), square(60, 30, 8, "east2", 2)]
     metas = [cam(-20, 5, "a"), cam(0, 0, "inside"), cam(3000, 0, "empty"),
              cam(60, 12, "b"), cam(60, 0, "inside2"), cam(-3000, 0, "nil"),
              cam(30, 10, "c")]
     config = RunConfig()
-    assert_groups_match(monkeypatch, fps, metas, config)
-    got = trace_panoramas(FootprintIndex(fps), metas, config)
+    assert_groups_match(monkeypatch, caplog, fps, metas, config)
+    got = list(trace_panoramas(FootprintIndex(fps), metas, config))
     assert got[1] == (None, "trap") and got[4] == (None, "east")
     assert got[2] == ([], None) and got[5] == ([], None)
     assert all(got[k][0] for k in (0, 3, 6))
 
 
-def test_runs_across_the_seam_at_group_boundaries(monkeypatch):
+def test_runs_across_the_seam_at_group_boundaries(monkeypatch, caplog):
     # one long wall due north of every camera: each camera's run wraps
     # across 0 degrees, and each camera's last ray and the next camera's
     # first ray hit the same building, so runs must be cut between them
@@ -154,13 +168,14 @@ def test_runs_across_the_seam_at_group_boundaries(monkeypatch):
     metas = [cam(x, 0, f"s{i}") for i, x in enumerate(range(-40, 41, 10))]
     for step in (1.0, 0.5):
         config = RunConfig(step_deg=step)
-        assert_groups_match(monkeypatch, fps, metas, config)
+        assert_groups_match(monkeypatch, caplog, fps, metas, config)
         for ivs, _ in trace_panoramas(FootprintIndex(fps), metas, config):
             wall = [iv for iv in ivs if iv.building_id == "wall"]
             assert len(wall) == 1 and wall[0].angle_hi < wall[0].angle_lo
 
 
-def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch):
+def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
+                                                                caplog):
     # "dup" names two footprints with different categories: the west
     # camera keeps both and labels "dup" with the first one's category,
     # the east camera keeps only the second
@@ -168,7 +183,7 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch):
            square(30, -15, 8, "dup", 2)]
     metas = [cam(0, 0, "west"), cam(60, 0, "east"), cam(-10, 0, "w2")]
     config = RunConfig()
-    assert_groups_match(monkeypatch, fps, metas, config)
+    assert_groups_match(monkeypatch, caplog, fps, metas, config)
     got = dict(zip((m.pano_id for m in metas),
                    trace_panoramas(FootprintIndex(fps), metas, config)))
     assert {iv.category for iv in got["west"][0]
@@ -177,7 +192,7 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch):
             if iv.building_id == "dup"} == {2}
 
 
-def test_ring_exactly_at_the_radius(monkeypatch):
+def test_ring_exactly_at_the_radius(monkeypatch, caplog):
     fps = [square(10, 40, 8, "rim"), square(-20, 0, 6, "near")]
     metas = [cam(0, 0, "a"), cam(5, -5, "b")]
     pts = [local_to_geodetic((0.0, 0.0), p)
@@ -187,12 +202,13 @@ def test_ring_exactly_at_the_radius(monkeypatch):
     d = _ring_min_distance(xs, ys)
     for radius, kept in ((d, True), (math.nextafter(d, 0.0), False)):
         config = RunConfig(radius_m=radius)
-        assert_groups_match(monkeypatch, fps, metas, config)
+        assert_groups_match(monkeypatch, caplog, fps, metas, config)
         scene = clip_scene(FootprintIndex(fps), metas[0], radius)
         assert (("rim", 1) in scene.buildings) is kept
 
 
-def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch):
+def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch,
+                                                        caplog):
     # a thin ring from 20 m to exactly 10 km north of the camera at (0, 0)
     # is kept; one ulp farther it is skipped and counted
     near = 20.0 / METERS_PER_DEGREE
@@ -201,13 +217,13 @@ def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch):
                square(-20, -10, 6, "near")]
         metas = [cam(0, 0, "a"), cam(-20, 10, "b")]
         config = RunConfig()
-        assert assert_groups_match(monkeypatch, fps, metas, config) \
-            == skipped
-        ivs = trace_panoramas(FootprintIndex(fps), metas, config)[0][0]
+        assert assert_groups_match(monkeypatch, caplog, fps, metas,
+                                   config) == skipped
+        ivs = next(trace_panoramas(FootprintIndex(fps), metas, config))[0]
         assert ("long" in {iv.building_id for iv in ivs}) is not skipped
 
 
-def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch):
+def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch, caplog):
     # the camera at (0, 0) lies inside a ring whose north edge runs
     # exactly 1e-9 m north of it: not strictly inside, so it is traced;
     # one ulp farther the camera is inside and skipped
@@ -218,12 +234,13 @@ def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch):
                       "shell"),
                square(30, 30, 6, "other")]
         metas = [cam(30, 10, "a"), cam(0, 0, "o"), cam(30, 50, "b")]
-        assert_groups_match(monkeypatch, fps, metas, RunConfig())
-        got = trace_panoramas(FootprintIndex(fps), metas, RunConfig())[1]
+        assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+        got = list(trace_panoramas(FootprintIndex(fps), metas,
+                                   RunConfig()))[1]
         assert (got == (None, "shell")) is inside
 
 
-def test_edge_exactly_one_nanometre_long(monkeypatch):
+def test_edge_exactly_one_nanometre_long(monkeypatch, caplog):
     # two vertices 1e-9 m apart make a zero-length edge, which is dropped;
     # one ulp longer it is a wall
     lon = 20.0 / METERS_PER_DEGREE
@@ -231,7 +248,7 @@ def test_edge_exactly_one_nanometre_long(monkeypatch):
     for lat in lat_at(1e-9):
         fps = [fp_geo([(0.0, lon), (lat, lon), (top, lon + top)], "tri")]
         metas = [cam(0, 0, "a"), cam(10, -10, "b")]
-        assert_groups_match(monkeypatch, fps, metas, RunConfig())
+        assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
 
 
 def test_exact_hypot_decides_like_math_hypot():

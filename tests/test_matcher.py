@@ -227,19 +227,45 @@ class TestGenerateCoarseAnnotations:
 
     def test_annotations_do_not_depend_on_group_cap(self, monkeypatch):
         from geotag_facade import matcher
-        scene, dets = pipeline_inputs(n_cameras=7, noise=NoiseConfig(
+        from geotag_facade.config import rays_per_turn
+        scene, dets = pipeline_inputs(n_cameras=12, noise=NoiseConfig(
             shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
-        config = RunConfig(seed=3, batch_size=5)
-        runs = []
-        # one camera per group, three, and each whole batch in one group
-        for cap in (1, 3 * 360, 1 << 40):
-            monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
-            runs.append(generate_coarse_annotations(
-                scene.metas, scene.footprint_set, dets, config))
-        assert runs[0][0]
-        for anns, report in runs[1:]:
-            assert anns == runs[0][0]
-            assert report.to_dict() == runs[0][1].to_dict()
+        default = matcher.GROUP_RAYS
+        for step in (1.0, 0.1):
+            config = RunConfig(seed=3, batch_size=5, step_deg=step)
+            runs = []
+            # one camera per group, three, the whole run and the default
+            # (9 cameras at 0.1 degrees): groups of 3 and 9 straddle the
+            # batches of 5
+            for cap in (1, 3 * rays_per_turn(step), 1 << 40, default):
+                monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+                runs.append(generate_coarse_annotations(
+                    scene.metas, scene.footprint_set, dets, config))
+            assert runs[0][0] and len(runs[0][1].batches) == 3
+            for anns, report in runs[1:]:
+                assert anns == runs[0][0]
+                assert report.to_dict() == runs[0][1].to_dict()
+
+    def test_groups_fill_across_batches(self, monkeypatch):
+        # 7 panoramas in batches of 2 and groups of 3 cameras: one trace
+        # stream makes ceil(7 / 3) = 3 groups, where tracing each batch on
+        # its own made 4 (2, 2, 2, 1)
+        from geotag_facade import matcher
+        scene, dets = pipeline_inputs(n_cameras=7)
+        sizes = []
+        clip_group = matcher.clip_group
+
+        def counted(index, group, radius_m):
+            sizes.append(len(group))
+            return clip_group(index, group, radius_m)
+        monkeypatch.setattr(matcher, "clip_group", counted)
+        monkeypatch.setattr(matcher, "GROUP_RAYS", 3 * 360)
+        anns, report = generate_coarse_annotations(
+            scene.metas, scene.footprint_set, dets,
+            RunConfig(seed=3, batch_size=2))
+        assert sizes == [3, 3, 1]
+        assert [b.n_panoramas for b in report.batches] == [2, 2, 2, 1]
+        assert len(anns) == len(scene.gt_boxes)
 
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's
