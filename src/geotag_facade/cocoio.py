@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import sys
 from pathlib import Path
 
 from .errors import LoadError
-from .ingest import CategoryMapping, DetectionSet, _read_json
+from .ingest import (CategoryMapping, DetectionSet, _bbox, _key, _number,
+                     _number_or_none, _numbers, _ok, _read_json)
 from .metrics import EvalBox
 
 
@@ -95,24 +94,13 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
     })
 
 
-# the JSON values an id or a pano_id may be; the exact types, so that a
-# boolean, whose type subclasses int, is not one
-_KEY_TYPES = (int, float, str)
-
-
 def read_coco(path):
     """Read a COCO file into eval boxes plus per-panorama sizes.
 
     Returns (boxes, width_by_pano, height_by_pano, info). Raises
     ``ParseError`` when the file is not JSON, and ``LoadError`` naming
-    the entry for an image or annotation that is not an object, an image
-    whose ``id`` is missing or not a number or string, whose ``width``
-    is neither null nor a positive finite number, or whose panorama is
-    named by neither a number or string ``pano_id`` nor a string
-    ``file_name``, and an annotation whose ``image_id`` names no image,
-    whose ``bbox`` is not four finite numbers with positive width and
-    height, or whose ``category_id`` is missing or not a number. A
-    boolean is not a number here.
+    the image or annotation whose field ``ingest``'s field readers
+    reject, or whose ``image_id`` names no image.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -120,62 +108,53 @@ def read_coco(path):
     images, annotations = doc.get("images", []), doc.get("annotations", [])
     if not (isinstance(images, list) and isinstance(annotations, list)):
         raise LoadError(f"{path}: images and annotations must be lists")
-    pano_of = {}
-    width_by_pano = {}
-    height_by_pano = {}
+
+    def fail(where, what, value):
+        raise LoadError(f"{path}: {where}: {what}, got {value!r}")
+
+    pano_of, width_by_pano, height_by_pano = {}, {}, {}
     for i, img in enumerate(images):
+        where = f"images[{i}]"
         if not isinstance(img, dict) or "id" not in img:
-            raise LoadError(f"{path}: images[{i}]: expected an object with "
-                            f"an id, got {img!r}")
-        if type(img["id"]) not in _KEY_TYPES:
-            raise LoadError(f"{path}: images[{i}]: id must be a number or "
-                            f"a string, got {img['id']!r}")
+            fail(where, "expected an object with an id", img)
+        if not _ok(_key, img["id"]):
+            fail(where, "id must be a number or a string", img["id"])
         width = img.get("width")
-        if width is not None and (type(width) not in (int, float)
-                                  or not 0 < width <= sys.float_info.max):
-            raise LoadError(f"{path}: images[{i}]: width must be null or a "
-                            f"positive finite number, got {width!r}")
+        if not (width is None or _ok(_numbers, width) and width > 0):
+            fail(where, "width must be null or a positive finite number",
+                 width)
         pano = img.get("pano_id")
         if not pano:
-            name = img.get("file_name", "")
-            if not isinstance(name, str):
-                raise LoadError(f"{path}: images[{i}]: file_name must be a "
-                                f"string, got {name!r}")
-            pano = Path(name).stem
-        elif type(pano) not in _KEY_TYPES:
-            raise LoadError(f"{path}: images[{i}]: pano_id must be a number "
-                            f"or a string, got {pano!r}")
+            pano = img.get("file_name", "")
+            if not isinstance(pano, str):
+                fail(where, "file_name must be a string", pano)
+            pano = Path(pano).stem
+        elif not _ok(_key, pano):
+            fail(where, "pano_id must be a number or a string", pano)
         pano_of[img["id"]] = pano
         width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")
     boxes = []
     for i, a in enumerate(annotations):
         if not isinstance(a, dict):
-            raise LoadError(f"{path}: annotations[{i}]: expected an object, "
-                            f"got {a!r}")
-        image_id = a.get("image_id")
-        pano = (pano_of.get(image_id) if type(image_id) in _KEY_TYPES
-                else None)
+            fail(f"annotations[{i}]", "expected an object", a)
+        image_id, bbox = a.get("image_id"), a.get("bbox")
+        pano = pano_of.get(image_id) if _ok(_key, image_id) else None
         if pano is None:
             raise LoadError(f"{path}: annotations[{i}]: image_id "
                             f"{image_id!r} names no image")
-        try:
-            x, y, w, h = a.get("bbox")
-            valid = (w > 0 and h > 0 and math.isfinite(x + y + w + h)
-                     and bool not in (type(x), type(y), type(w), type(h)))
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise LoadError(f"{path}: annotations[{i}]: bbox must be 4 "
-                            f"finite numbers with w > 0 and h > 0, got "
-                            f"{a.get('bbox')!r}")
+        if not (_ok(_bbox, bbox) and bbox[2] > 0 and bbox[3] > 0):
+            fail(f"annotations[{i}]", "bbox must be 4 finite numbers with "
+                 "w > 0 and h > 0", bbox)
         if "category_id" not in a:
             raise LoadError(f"{path}: annotations[{i}]: no category_id")
-        if type(a["category_id"]) not in (int, float):
-            raise LoadError(f"{path}: annotations[{i}]: category_id must "
-                            f"be a number, got {a['category_id']!r}")
-        boxes.append(EvalBox(pano_id=pano, x=x, y=y, w=w, h=h,
-                             category=a["category_id"],
+        if not _ok(_number, a["category_id"]):
+            fail(f"annotations[{i}]", "category_id must be a number",
+                 a["category_id"])
+        if not _ok(_number_or_none, a.get("score")):
+            fail(f"annotations[{i}]", "score must be null or a finite "
+                 "number", a.get("score"))
+        boxes.append(EvalBox(pano, *bbox, category=a["category_id"],
                              score=a.get("score")))
     return boxes, width_by_pano, height_by_pano, doc.get("info", {})
 

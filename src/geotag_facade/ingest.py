@@ -13,13 +13,15 @@ Four file formats enter the pipeline:
 Loaders are pure: same bytes in, same domain objects out, in the same
 order. Invalid records are rejected per record and listed in a
 :class:`LoadReport`; structural problems (malformed JSON, duplicate join
-keys) raise instead.
+keys) raise instead. Every JSON value becomes a typed field through the
+field readers below, which ``cocoio`` and ``render`` share.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,6 +170,78 @@ class DetectionSet:
 
 
 # ---------------------------------------------------------------------------
+# Field readers: how a JSON value becomes a typed field, for every input
+# ---------------------------------------------------------------------------
+
+class _FieldError(ValueError):
+    """A JSON value is not the field asked for; ``kind`` says why."""
+
+    def __init__(self, kind, value):
+        super().__init__(f"got {value!r}")
+        self.kind = kind
+
+
+def _number(v) -> float:
+    """The one rule for a number: a JSON int or float that fits a float.
+    A bool or a string is not one, though ``float()`` reads ``true`` as
+    1.0 and ``"40.7"`` as 40.7."""
+    if type(v) is float or type(v) is int and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise _FieldError("non-numeric", v)
+
+
+def _numbers(*values):
+    """``values`` as finite floats. All are read as numbers before any is
+    tested finite (``json.loads`` admits NaN and Infinity)."""
+    for v in values:  # finite floats, the common case, pass at once
+        if type(v) is not float or v - v != 0.0:
+            break
+    else:
+        return values
+    out = [_number(v) for v in values]
+    for v, f in zip(values, out):
+        if not math.isfinite(f):
+            raise _FieldError("non-finite", v)
+    return out
+
+
+def _integers(*values) -> list:
+    """``values`` as ints: finite numbers without a fractional part, which
+    ``int()`` would drop. ``2048.0`` reads as 2048."""
+    for v, f in zip(values, _numbers(*values)):
+        if not f.is_integer():
+            raise _FieldError("non-integer", v)
+    return [int(v) for v in values]
+
+
+def _key(v):
+    """Accepts a join key, such as a COCO id: a string or a number."""
+    if type(v) is not str:
+        _number(v)
+
+
+def _bbox(v, *more):
+    """A box ``[x, y, w, h]``, then ``more``, as finite floats."""
+    if type(v) is not list or len(v) != 4:
+        raise _FieldError("non-box", v)
+    return _numbers(*v, *more)
+
+
+def _number_or_none(v):
+    """An optional number, such as a COCO score: null or a finite float."""
+    return None if v is None else _numbers(v)[0]
+
+
+def _ok(reader, *values) -> bool:
+    """True when ``reader`` accepts ``values``."""
+    try:
+        reader(*values)
+    except _FieldError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Ring validation helpers
 # ---------------------------------------------------------------------------
 
@@ -183,13 +257,9 @@ def _normalize_ring(coords):
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             return None, "ring vertex is not a coordinate pair"
         try:
-            if type(pos[0]) is bool or type(pos[1]) is bool:
-                raise TypeError  # float() would read true as 1.0
-            lon, lat = float(pos[0]), float(pos[1])
-        except (TypeError, ValueError, OverflowError):
-            return None, "non-numeric coordinate"
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            return None, "non-finite coordinate"  # json.loads admits NaN
+            lon, lat = _numbers(pos[0], pos[1])
+        except _FieldError as e:
+            return None, f"{e.kind} coordinate"
         if pts and pts[-1] == (lat, lon):
             continue  # drop consecutive duplicates
         pts.append((lat, lon))
@@ -202,21 +272,14 @@ def _normalize_ring(coords):
 
 def _shoelace(pts):
     area2 = 0.0
-    n = len(pts)
-    for i in range(n):
-        y1, x1 = pts[i]
-        y2, x2 = pts[(i + 1) % n]
+    for (y1, x1), (y2, x2) in zip(pts, pts[1:] + pts[:1]):
         area2 += x1 * y2 - x2 * y1
     return 0.5 * area2
 
 
 def _orient(p, q, r):
     v = (q[1] - p[1]) * (r[0] - p[0]) - (q[0] - p[0]) * (r[1] - p[1])
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+    return (v > 0) - (v < 0)
 
 
 def _on_segment(p, q, r):
@@ -225,21 +288,13 @@ def _on_segment(p, q, r):
 
 
 def _segments_intersect(a1, a2, b1, b2):
-    o1 = _orient(a1, a2, b1)
-    o2 = _orient(a1, a2, b2)
-    o3 = _orient(b1, b2, a1)
-    o4 = _orient(b1, b2, a2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a1, a2, b1):
-        return True
-    if o2 == 0 and _on_segment(a1, a2, b2):
-        return True
-    if o3 == 0 and _on_segment(b1, b2, a1):
-        return True
-    if o4 == 0 and _on_segment(b1, b2, a2):
-        return True
-    return False
+    o1, o2 = _orient(a1, a2, b1), _orient(a1, a2, b2)
+    o3, o4 = _orient(b1, b2, a1), _orient(b1, b2, a2)
+    return ((o1 != o2 and o3 != o4)
+            or (o1 == 0 and _on_segment(a1, a2, b1))
+            or (o2 == 0 and _on_segment(a1, a2, b2))
+            or (o3 == 0 and _on_segment(b1, b2, a1))
+            or (o4 == 0 and _on_segment(b1, b2, a2)))
 
 
 def _is_simple(pts):
@@ -247,11 +302,9 @@ def _is_simple(pts):
     n = len(pts)
     for i in range(n):
         a1, a2 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex by construction
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if _segments_intersect(a1, a2, b1, b2):
+        # edges i + 1 and, for edge 0, n - 1 share a vertex with edge i
+        for j in range(i + 2, n - (i == 0)):
+            if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
                 return False
     return True
 
@@ -271,12 +324,6 @@ def _validate_ring(coords):
 # Loaders
 # ---------------------------------------------------------------------------
 
-def _fractional(v) -> bool:
-    """True for a finite float that is not a whole number, which
-    ``int()`` would silently truncate."""
-    return isinstance(v, float) and math.isfinite(v) and not v.is_integer()
-
-
 def _read_json(path):
     raw = Path(path).read_bytes()
     try:
@@ -291,18 +338,14 @@ def load_category_mapping(path) -> CategoryMapping:
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), dict):
         raise LoadError(f"{path}: expected an object with an 'entries' "
                         f"object")
-    # int() would truncate a fraction and read a boolean as 0 or 1
-    bad = [v for v in [*doc["entries"].values(), doc.get("default")]
-           if _fractional(v) or type(v) is bool]
-    if bad:
-        raise LoadError(f"{path}: entries, default and names need integer "
-                        f"category ids (got {bad[0]!r})")
+    default = doc.get("default")
     try:
-        entries = {str(k): int(v) for k, v in doc["entries"].items()}
-        default = doc.get("default")
-        default = int(default) if default is not None else None
+        entries = dict(zip(doc["entries"],
+                           _integers(*doc["entries"].values())))
+        if default is not None:
+            default, = _integers(default)
         names = {int(k): str(v) for k, v in doc.get("names", {}).items()}
-    except (AttributeError, TypeError, ValueError, OverflowError) as e:
+    except (AttributeError, ValueError) as e:  # _FieldError included
         raise LoadError(f"{path}: entries, default and names need integer "
                         f"category ids ({e})") from e
     ids = set(entries.values())
@@ -310,7 +353,7 @@ def load_category_mapping(path) -> CategoryMapping:
         ids.add(default)
     if not ids:
         raise LoadError(f"{path}: mapping has no categories")
-    if sorted(ids) != list(range(1, max(ids) + 1)):
+    if sorted(ids) != list(range(1, len(ids) + 1)):
         raise LoadError(
             f"{path}: category ids must form a contiguous 1..K set, got {sorted(ids)}")
     return CategoryMapping(city=str(doc.get("city", "")), entries=entries,
@@ -342,11 +385,12 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
     """
     doc = _read_json(path)
     report = LoadReport(path=str(path))
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if type(features) is not list or doc.get("type") != "FeatureCollection":
         raise LoadError(f"{path}: expected a GeoJSON FeatureCollection")
 
     out = []
-    for fidx, feat in enumerate(doc.get("features", [])):
+    for fidx, feat in enumerate(features):
         if not isinstance(feat, dict):
             report.n_input += 1
             report.reject(f"feature[{fidx}]", "feature is not an object")
@@ -427,22 +471,18 @@ def load_panorama_meta(path) -> PanoramaSet:
                               f"missing fields {missing}")
                 continue
             pano_id = str(rec["pano_id"])
-            if _fractional(rec["width"]) or _fractional(rec["height"]):
-                report.reject(pano_id, f"non-integer size "
-                              f"{rec['width']}x{rec['height']}")
+            try:
+                width, height = _integers(rec["width"], rec["height"])
+            except _FieldError as e:
+                report.reject(pano_id, f"non-integer size {rec['width']}x"
+                              f"{rec['height']}" if e.kind == "non-integer"
+                              else "non-numeric field")
                 continue
             try:
-                if bool in map(type, (rec[f] for f in _META_FIELDS[1:])):
-                    raise TypeError  # float() and int() read true as 1
-                lat, lon = float(rec["lat"]), float(rec["lon"])
-                north_px = float(rec["north_px"])
-                width, height = int(rec["width"]), int(rec["height"])
-                float(width), float(height)  # overflows past a float's range
-            except (TypeError, ValueError, OverflowError):
-                report.reject(pano_id, "non-numeric field")
-                continue
-            if not all(math.isfinite(v) for v in (lat, lon, north_px)):
-                report.reject(pano_id, "non-finite field")
+                lat, lon, north_px = _numbers(rec["lat"], rec["lon"],
+                                              rec["north_px"])
+            except _FieldError as e:
+                report.reject(pano_id, f"{e.kind} field")
                 continue
             if width <= 0 or height <= 0:
                 report.reject(pano_id, f"non-positive size {width}x{height}")
@@ -492,19 +532,12 @@ def load_detections(path) -> DetectionSet:
         if pano_id is None or bbox is None or score is None:
             report.reject(key, "missing pano_id/image_id, bbox, or score")
             continue
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            report.reject(key, "bbox must be [x, y, w, h]")
-            continue
         try:
-            if type(score) is bool or bool in map(type, bbox):
-                raise TypeError  # float() would read true as 1.0
-            x, y, w, h = map(float, bbox)
-            score = float(score)
-        except (TypeError, ValueError, OverflowError):
-            report.reject(key, "non-numeric bbox or score")
-            continue
-        if not all(math.isfinite(v) for v in (x, y, w, h, score)):
-            report.reject(key, "non-finite bbox or score")
+            x, y, w, h, score = _bbox(bbox, score)
+        except _FieldError as e:
+            report.reject(key, "bbox must be [x, y, w, h]"
+                          if e.kind == "non-box" else
+                          f"{e.kind} bbox or score")
             continue
         if w <= 0 or h <= 0:
             report.reject(key, f"non-positive box size {w}x{h}")

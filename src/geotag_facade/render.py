@@ -13,7 +13,8 @@ import zlib
 
 from .config import RunConfig
 from .errors import LoadError
-from .ingest import _read_json
+from .ingest import (_integers, _number_or_none, _numbers, _ok,
+                     _read_json)
 from .projection import _local_xy
 from .raytrace import VisibilityInterval
 
@@ -27,28 +28,18 @@ def _color(building_id: str) -> str:
     return PALETTE[zlib.crc32(building_id.encode("utf-8")) % len(PALETTE)]
 
 
-def _finite(v) -> bool:
-    """True for a JSON number, not a boolean, with a finite float value."""
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:
-        return False
-
-
 def _interval(d):
     """One interval record of a trace file, or None when it is not one."""
     if not (isinstance(d, dict) and isinstance(d.get("building_id"), str)
-            and type(d.get("category")) is int
-            and all(_finite(d.get(k))
-                    for k in ("angle_lo", "angle_hi", "min_distance"))
-            and all(d.get(k) is None or _finite(d[k])
-                    for k in ("px_lo", "px_hi"))):
+            and _ok(_integers, d.get("category"))
+            and _ok(_numbers, d.get("angle_lo"), d.get("angle_hi"),
+                    d.get("min_distance"))
+            and _ok(_number_or_none, d.get("px_lo"))
+            and _ok(_number_or_none, d.get("px_hi"))):
         return None
     return VisibilityInterval(
-        building_id=d["building_id"], category=d["category"],
-        angle_lo=d["angle_lo"], angle_hi=d["angle_hi"],
-        min_distance=d["min_distance"], px_lo=d.get("px_lo"),
-        px_hi=d.get("px_hi"))
+        d["building_id"], d["category"], d["angle_lo"], d["angle_hi"],
+        d["min_distance"], d.get("px_lo"), d.get("px_hi"))
 
 
 def read_trace(path):
@@ -56,11 +47,8 @@ def read_trace(path):
     (pano_id, intervals, radius_m, config).
 
     Raises ``ParseError`` when the file is not JSON, and ``LoadError``
-    naming the file, and the interval if one is at fault, when the file
-    lacks a string ``pano_id``, an ``intervals`` list or a positive
-    ``config.radius_m``, or an interval lacks a string ``building_id``,
-    an integer ``category``, finite angles and ``min_distance``, or
-    null-or-finite pixel fields.
+    naming the file (and the interval at fault) for a field that
+    ``ingest``'s field readers reject or a ``radius_m`` not above 0.
     """
     doc = _read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("pano_id"), str)
@@ -70,7 +58,7 @@ def read_trace(path):
     config = doc.get("config", {})
     radius = (config.get("radius_m", RunConfig.radius_m)
               if isinstance(config, dict) else None)
-    if not (_finite(radius) and radius > 0):
+    if not (_ok(_numbers, radius) and radius > 0):
         raise LoadError(f"{path}: config must be an object whose radius_m "
                         f"is a positive finite number, got {config!r}")
     intervals = [_interval(d) for d in doc["intervals"]]

@@ -240,6 +240,12 @@ def _category(value):
     return breakage
 
 
+def _score(value):
+    def breakage(doc):
+        doc["annotations"][0]["score"] = value
+    return breakage
+
+
 def _image(**fields):
     def breakage(doc):
         doc["images"][0].update(fields)
@@ -280,13 +286,19 @@ HUGE = 10 ** 400  # an integer too large for a float
     (_image(pano_id=True), "images[0]: pano_id must be a number or a string"),
     (_annotation_image_id(True), "annotations[0]: image_id True names no "
                                  "image"),
+    (_score("high"), "annotations[0]: score must be null or a finite number"),
+    (_score(True), "annotations[0]: score must be null or a finite number"),
+    (_score(float("nan")), "annotations[0]: score must be null or a finite "
+                           "number"),
+    (_score(HUGE), "annotations[0]: score must be null or a finite number"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
         "image-without-id", "image-string", "annotation-string",
         "bbox-huge-int", "annotation-image-id-list", "file-name-number",
         "width-huge-int", "image-id-list", "pano-id-list",
         "category-string", "category-list", "bbox-bool", "image-id-bool",
-        "pano-id-bool", "annotation-image-id-bool"])
+        "pano-id-bool", "annotation-image-id-bool", "score-string",
+        "score-bool", "score-nan", "score-huge-int"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -346,7 +358,10 @@ def _entries(value):
     (_entries({"cat_1": 1.9, "cat_2": 2}), "integer category ids (got 1.9)"),
     (_json_edit(lambda doc: doc["entries"].update(cat_1=True)),
      "integer category ids (got True)"),
-], ids=["entries-list", "entry-not-integer", "entry-fraction", "entry-bool"])
+    (_json_edit(lambda doc: doc["entries"].update(cat_1=10 ** 30)),
+     "category ids must form a contiguous 1..K set"),
+], ids=["entries-list", "entry-not-integer", "entry-fraction", "entry-bool",
+        "entry-huge"])
 def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                          breakage, needle):
     rc, out = _trace_copy(scene_dir, tmp_path, "mapping.json", breakage)
@@ -354,6 +369,26 @@ def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
     assert rc == 1
     assert err.startswith("error: ") and needle in err
     assert str(tmp_path / "mapping.json") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("breakage", [
+    _json_edit(lambda doc: doc.update(type="Feature")),
+    _json_edit(lambda doc: doc.update(features=5)),
+    _json_edit(lambda doc: doc.update(features=True)),
+    _json_edit(lambda doc: doc.update(features=None)),
+], ids=["not-a-collection", "features-number", "features-bool",
+        "features-null"])
+def test_bad_footprints_file_is_a_one_line_error(scene_dir, tmp_path, capsys,
+                                                 breakage):
+    rc, out = _trace_copy(scene_dir, tmp_path, "footprints.geojson",
+                          breakage)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "expected a GeoJSON FeatureCollection" in err
+    assert str(tmp_path / "footprints.geojson") in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
@@ -410,9 +445,14 @@ def _first_meta(**fields):
      "result[0]", "non-numeric bbox or score"),
     ("metas.jsonl", _first_meta(lat=True), "metas", "s00003_c00",
      "non-numeric field"),
+    ("metas.jsonl", _first_meta(lat="40.7"), "metas", "s00003_c00",
+     "non-numeric field"),
+    ("detections.json", _json_edit(lambda doc: doc[0].update(score="0.5")),
+     "detections", "result[0]", "non-numeric bbox or score"),
 ], ids=["feature-string", "vertex-text", "meta-line-number",
         "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
-        "meta-width-huge-int", "vertex-bool", "score-bool", "meta-lat-bool"])
+        "meta-width-huge-int", "vertex-bool", "score-bool", "meta-lat-bool",
+        "meta-lat-string", "score-string"])
 def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,
                                                 breakage, report, key,
                                                 reason):

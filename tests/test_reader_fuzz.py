@@ -1,0 +1,128 @@
+"""Contract: no input value makes a reader end in a Python traceback.
+
+The inputs of a tiny ``synth`` scene, plus one ``trace`` intervals file,
+are changed one JSON value at a time. Every value of each object is
+walked, and of each list only the first record. Each value in turn is
+replaced by every value of a fixed pool. Every reader must then return
+(rejecting bad records into its ``LoadReport``) or raise a
+``GeotagFacadeError``; a COCO file it reads must also evaluate.
+Provenance that no reader reads (a COCO ``info`` block, a trace file's
+``input_hashes`` and its config beside ``radius_m``) is dropped first,
+which keeps the walk short.
+"""
+import copy
+import json
+
+import pytest
+
+from geotag_facade import (GeotagFacadeError, coarse_accuracy, coco_summary,
+                           load_category_mapping, load_detections,
+                           load_footprints, load_panorama_meta)
+from geotag_facade.cli import main
+from geotag_facade.cocoio import read_coco
+from geotag_facade.render import read_trace
+
+POOL = [None, True, False, "x", "1.5", [], {}, -1, 0, 1.5, 10 ** 30,
+        10 ** 400, float("nan"), float("inf")]
+
+
+def _paths(doc, path=()):
+    """Every value of an object, and the first record of a list."""
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(doc, list) and doc:
+        yield from _paths(doc[0], path + (0,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz_scene")
+    assert main(["synth", "--seed", "3", "--n-buildings", "3",
+                 "--n-cameras", "1", "--out", str(d)]) == 0
+    # walk the optional mapping keys and a prediction's score too
+    mapping = json.loads((d / "mapping.json").read_text())
+    mapping.update(default=1, names={"1": "first"})
+    (d / "mapping.json").write_text(json.dumps(mapping))
+    gt = json.loads((d / "gt.json").read_text())
+    gt["annotations"][0]["score"] = 0.9
+    gt["info"] = {}
+    (d / "gt.json").write_text(json.dumps(gt))
+    assert main(["trace", "--footprints", str(d / "footprints.geojson"),
+                 "--metas", str(d / "metas.jsonl"),
+                 "--mapping", str(d / "mapping.json"),
+                 "--out", str(d / "trace")]) == 0
+    [intervals] = (d / "trace").glob("intervals_*.json")
+    doc = json.loads(intervals.read_text())
+    del doc["input_hashes"]
+    doc["config"] = {"radius_m": doc["config"]["radius_m"]}
+    intervals.write_text(json.dumps(doc))
+    return d, intervals
+
+
+def _balanced(loaded):
+    r = loaded.report
+    assert r.n_accepted + r.n_rejected == r.n_input, "unbalanced report"
+
+
+def _read_coco_and_eval(path, gt, evaluated):
+    boxes, widths, _, _ = read_coco(path)
+    read = (tuple(boxes), tuple(widths.items()))
+    if read not in evaluated:  # most mutations read the same boxes
+        evaluated.add(read)
+        coarse_accuracy(boxes, gt, width_by_pano=widths)
+        coarse_accuracy(gt, boxes, width_by_pano=widths)
+        coco_summary(boxes, gt, width_by_pano=widths)
+
+
+@pytest.mark.parametrize("name", ["footprints.geojson", "metas.jsonl",
+                                  "detections.json", "mapping.json",
+                                  "gt.json", "intervals.json"])
+def test_every_mutation_is_read_or_rejected(scene, tmp_path, name):
+    d, intervals = scene
+    mapping = load_category_mapping(d / "mapping.json")
+    gt, evaluated = read_coco(d / "gt.json")[0], set()
+    readers = {
+        "footprints.geojson": lambda p: _balanced(load_footprints(p,
+                                                                  mapping)),
+        "metas.jsonl": lambda p: _balanced(load_panorama_meta(p)),
+        "detections.json": lambda p: _balanced(load_detections(p)),
+        "mapping.json": lambda p: _balanced(load_footprints(
+            d / "footprints.geojson", load_category_mapping(p))),
+        "gt.json": lambda p: _read_coco_and_eval(p, gt, evaluated),
+        "intervals.json": read_trace,
+    }
+    source = intervals if name == "intervals.json" else d / name
+    text = source.read_text()
+    lines = name.endswith(".jsonl")
+    doc = [json.loads(ln) for ln in text.splitlines()] if lines \
+        else json.loads(text)
+    paths = list(_paths(doc[0], (0,)) if lines else _paths(doc))
+    target = tmp_path / name
+    escaped = []
+    for path in paths:
+        for value in POOL:
+            m = _mutated(doc, path, value)
+            target.write_text("".join(json.dumps(r) + "\n" for r in m)
+                              if lines else json.dumps(m))
+            try:
+                readers[name](target)
+            except GeotagFacadeError:
+                pass
+            except Exception as e:  # the contract: nothing else escapes
+                escaped.append(f"{'/'.join(map(str, path))} = {value!r}: "
+                               f"{type(e).__name__}: {e}")
+    assert len(paths) > 5
+    assert not escaped, "\n".join(escaped)
