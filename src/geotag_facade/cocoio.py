@@ -12,8 +12,8 @@ import json
 from pathlib import Path
 
 from .errors import LoadError
-from .ingest import (CategoryMapping, DetectionSet, _bbox, _key, _number,
-                     _number_or_none, _numbers, _ok, _read_json)
+from .ingest import (CategoryMapping, DetectionSet, _bbox, _integers, _key,
+                     _number_or_none, _ok, _read_json)
 from .metrics import EvalBox
 
 
@@ -43,8 +43,7 @@ def sha256_of(path) -> str:
 
 
 def hash_inputs(paths: dict) -> dict:
-    return {name: sha256_of(p) for name, p in sorted(paths.items())
-            if p is not None}
+    return {name: sha256_of(p) for name, p in sorted(paths.items())}
 
 
 def coco_images(metas) -> list:
@@ -120,8 +119,8 @@ def read_coco(path):
         if not _ok(_key, img["id"]):
             fail(where, "id must be a number or a string", img["id"])
         width = img.get("width")
-        if not (width is None or _ok(_numbers, width) and width > 0):
-            fail(where, "width must be null or a positive finite number",
+        if not (width is None or _ok(_integers, width) and width > 0):
+            fail(where, "width must be null or a positive whole number",
                  width)
         pano = img.get("pano_id")
         if not pano:
@@ -148,13 +147,13 @@ def read_coco(path):
                  "w > 0 and h > 0", bbox)
         if "category_id" not in a:
             raise LoadError(f"{path}: annotations[{i}]: no category_id")
-        if not _ok(_number, a["category_id"]):
-            fail(f"annotations[{i}]", "category_id must be a number",
-                 a["category_id"])
+        if not _ok(_integers, a["category_id"]):
+            fail(f"annotations[{i}]", "category_id must be a number with "
+                 "an exact whole value", a["category_id"])
         if not _ok(_number_or_none, a.get("score")):
             fail(f"annotations[{i}]", "score must be null or a finite "
                  "number", a.get("score"))
-        boxes.append(EvalBox(pano, *bbox, category=a["category_id"],
+        boxes.append(EvalBox(pano, *bbox, category=int(a["category_id"]),
                              score=a.get("score")))
     return boxes, width_by_pano, height_by_pano, doc.get("info", {})
 

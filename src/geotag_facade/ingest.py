@@ -207,17 +207,21 @@ def _numbers(*values):
 
 def _integers(*values) -> list:
     """``values`` as ints: finite numbers without a fractional part, which
-    ``int()`` would drop. ``2048.0`` reads as 2048."""
+    ``int()`` would drop. ``2048.0`` reads as 2048, but not a float from
+    2**53 up (``1e30``): floats there are 2 or more apart, so inexact."""
+    if all(type(v) is int and abs(v) <= sys.float_info.max for v in values):
+        return list(values)  # ints that fit a float, the common case
     for v, f in zip(values, _numbers(*values)):
-        if not f.is_integer():
+        if not f.is_integer() or type(v) is float and abs(v) >= 2.0 ** 53:
             raise _FieldError("non-integer", v)
     return [int(v) for v in values]
 
 
-def _key(v):
-    """Accepts a join key, such as a COCO id: a string or a number."""
+def _key(v) -> str:
+    """A join key, such as a pano or COCO id: a string, or a number's str()."""
     if type(v) is not str:
         _number(v)
+    return str(v)
 
 
 def _bbox(v, *more):
@@ -344,10 +348,16 @@ def load_category_mapping(path) -> CategoryMapping:
                            _integers(*doc["entries"].values())))
         if default is not None:
             default, = _integers(default)
-        names = {int(k): str(v) for k, v in doc.get("names", {}).items()}
-    except (AttributeError, ValueError) as e:  # _FieldError included
-        raise LoadError(f"{path}: entries, default and names need integer "
+    except _FieldError as e:
+        raise LoadError(f"{path}: entries and default need integer "
                         f"category ids ({e})") from e
+    names = doc.get("names", {})
+    if not isinstance(names, dict):
+        raise LoadError(f"{path}: names must be an object, got {names!r}")
+    for k, v in names.items():
+        if not (k.isascii() and k.isdigit() and type(v) is str):
+            raise LoadError(f"{path}: names must map the decimal digits of "
+                            f"a category id to a string, got {k!r}: {v!r}")
     ids = set(entries.values())
     if default is not None:
         ids.add(default)
@@ -357,7 +367,8 @@ def load_category_mapping(path) -> CategoryMapping:
         raise LoadError(
             f"{path}: category ids must form a contiguous 1..K set, got {sorted(ids)}")
     return CategoryMapping(city=str(doc.get("city", "")), entries=entries,
-                           default=default, names=names)
+                           default=default,
+                           names={int(k): v for k, v in names.items()})
 
 
 def _outer_rings(geometry):
@@ -399,7 +410,14 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
         props = props if isinstance(props, dict) else {}
         building_id = props.get("building_id")
         label = props.get("label")
-        key = building_id if building_id is not None else f"feature[{fidx}]"
+        key, bad = f"feature[{fidx}]", None
+        try:
+            key = _key(building_id)
+            raw_label = _key(label)
+        except _FieldError:
+            bad = ("missing building_id or label property"
+                   if building_id is None or label is None else
+                   "building_id and label must be strings or numbers")
         geometry = feat.get("geometry")
         geometry = geometry if isinstance(geometry, dict) else {}
         rings = _outer_rings(geometry)
@@ -415,20 +433,20 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
         for ridx, ring_coords in enumerate(rings, start=1):
             report.n_input += 1
             rkey = f"{key}#{ridx}" if multi else key
-            if building_id is None or label is None:
-                report.reject(rkey, "missing building_id or label property")
+            if bad:
+                report.reject(rkey, bad)
                 continue
             ring, reason = _validate_ring(ring_coords)
             if ring is None:
                 report.reject(rkey, reason)
                 continue
-            category = mapping.resolve(str(label))
+            category = mapping.resolve(raw_label)
             if category is None:
                 report.reject(rkey, f"label {label!r} not in mapping and no default")
                 continue
-            out.append(BuildingFootprint(
-                building_id=str(rkey) if multi else str(building_id),
-                ring=ring, raw_label=str(label), category=category))
+            out.append(BuildingFootprint(building_id=rkey, ring=ring,
+                                         raw_label=raw_label,
+                                         category=category))
     report.n_accepted = report.n_input - report.n_rejected
     log.info("loaded %d footprints from %s (%d rejected)",
              len(out), path, report.n_rejected)
@@ -470,7 +488,12 @@ def load_panorama_meta(path) -> PanoramaSet:
                 report.reject(rec.get("pano_id", f"line {lineno}"),
                               f"missing fields {missing}")
                 continue
-            pano_id = str(rec["pano_id"])
+            try:
+                pano_id = _key(rec["pano_id"])
+            except _FieldError:
+                report.reject(f"line {lineno}",
+                              "pano_id must be a string or a number")
+                continue
             try:
                 width, height = _integers(rec["width"], rec["height"])
             except _FieldError as e:
@@ -532,6 +555,9 @@ def load_detections(path) -> DetectionSet:
         if pano_id is None or bbox is None or score is None:
             report.reject(key, "missing pano_id/image_id, bbox, or score")
             continue
+        if not _ok(_key, pano_id):
+            report.reject(key, "pano_id/image_id must be a string or a number")
+            continue
         try:
             x, y, w, h, score = _bbox(bbox, score)
         except _FieldError as e:
@@ -548,7 +574,7 @@ def load_detections(path) -> DetectionSet:
         if y < 0:
             report.reject(key, f"box top {y} above the image")
             continue
-        box = DetectionBox(pano_id=str(pano_id), x=x, y=y, w=w, h=h,
+        box = DetectionBox(pano_id=_key(pano_id), x=x, y=y, w=w, h=h,
                            score=score)
         by_pano.setdefault(box.pano_id, []).append(box)
     report.n_accepted = report.n_input - report.n_rejected

@@ -8,10 +8,10 @@ category was dropped at ingest. A box earns a category when
 * the 1D IoU of box extent vs interval extent exceeds the floor
   (default 0.3, strict).
 
-Score filtering runs per batch. In adaptive mode the threshold for
-batch k is fit on the scores retained in batch k-1: a single Gaussian
-(sample mean and std), thresholded at mu - 0.5 sigma and clamped; the
-first batch uses 0.3. Batches are a deterministic seeded shuffle of the
+Score filtering runs per batch, at the threshold :func:`fit_threshold`
+computes from the run config and the scores the previous batch kept:
+in adaptive mode a single Gaussian fit, mu - 0.5 sigma, clamped; 0.3
+for the first batch. Batches are a deterministic seeded shuffle of the
 panoramas, so a run is reproducible end to end.
 
 A run's panoramas are traced as one stream in groups of cameras
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,22 +60,6 @@ SIGMA_FACTOR = 0.5
 # clipping, the sweep's set-up and the run split, and the sweep's arrays
 # grow with the group: see the module docstring for why this size.
 GROUP_RAYS = 1 << 15
-
-
-@dataclass(frozen=True)
-class ThresholdState:
-    """Current score threshold plus the history of how it evolved."""
-
-    mode: str = "adaptive"  # "adaptive" | "fixed"
-    current: float = DEFAULT_FIRST_THRESHOLD
-    clip_lo: float = 0.05
-    clip_hi: float = 0.9
-    history: tuple = ()  # (batch_index, threshold) pairs
-
-    def record(self, threshold: float) -> "ThresholdState":
-        idx = len(self.history)
-        return replace(self, current=threshold,
-                       history=self.history + ((idx, threshold),))
 
 
 @dataclass(frozen=True)
@@ -107,26 +91,25 @@ class CoarseAnnotation:
         }
 
 
-def fit_threshold(scores, state: ThresholdState) -> ThresholdState:
-    """Fit the next batch's threshold from the previous batch's scores.
-
-    Empty history (first batch) or no scores falls back to the default.
-    A single score fits with sigma 0, i.e. the threshold is the score
-    itself, clamped.
+def fit_threshold(scores, config: RunConfig) -> float:
+    """A batch's score threshold, from the scores the previous one kept:
+    ``config.fixed_threshold`` in fixed mode; else mu - 0.5 sigma of the
+    scores (sample std, 0 for one score) clamped to ``[config.clip_lo,
+    config.clip_hi]``, or the default when there are none, as at first.
     """
-    if state.mode != "adaptive":
-        raise ValueError("fit_threshold requires adaptive mode")
-    if not state.history or len(scores) == 0:
-        return state.record(DEFAULT_FIRST_THRESHOLD)
+    if config.threshold_mode == "fixed":
+        return config.fixed_threshold
+    if len(scores) == 0:
+        return DEFAULT_FIRST_THRESHOLD
     mu = float(np.mean(scores))
     sigma = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
-    thr = min(max(mu - SIGMA_FACTOR * sigma, state.clip_lo), state.clip_hi)
-    return state.record(thr)
+    return min(max(mu - SIGMA_FACTOR * sigma, config.clip_lo),
+               config.clip_hi)
 
 
-def filter_detections(boxes, state: ThresholdState) -> list:
-    """Keep boxes scoring at or above the current threshold, order kept."""
-    return [b for b in boxes if b.score >= state.current]
+def filter_detections(boxes, threshold: float) -> list:
+    """Keep boxes scoring at or above ``threshold``, order kept."""
+    return [b for b in boxes if b.score >= threshold]
 
 
 @dataclass(frozen=True)
@@ -195,7 +178,6 @@ class BatchReport:
 class RunReport:
     config: dict
     batches: list = field(default_factory=list)
-    threshold_history: list = field(default_factory=list)
     skipped_panoramas: list = field(default_factory=list)  # (pano_id, reason)
     missing_meta: dict = field(default_factory=dict)  # pano_id -> n boxes
 
@@ -206,6 +188,10 @@ class RunReport:
         tot = {k: sum(getattr(b, k) for b in self.batches) for k in keys}
         tot["dropped_missing_meta"] = sum(self.missing_meta.values())
         return tot
+
+    @property
+    def threshold_history(self) -> list:  # (batch_index, threshold) pairs
+        return [(b.batch_index, b.threshold) for b in self.batches]
 
     def to_dict(self) -> dict:
         return {
@@ -268,10 +254,8 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     order = list(metas)
     random.Random(config.seed).shuffle(order)
 
-    state = ThresholdState(mode=config.threshold_mode,
-                           clip_lo=config.clip_lo, clip_hi=config.clip_hi)
     annotations = []
-    prev_scores: list = []
+    scores: list = []  # those the previous batch kept
     # one trace stream for the run, so groups fill across batches; zip
     # draws from the batch first, so each batch takes exactly len(batch)
     # results and leaves the next batch's first one in the stream
@@ -279,13 +263,10 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     size = config.batch_size
     for k, i in enumerate(range(0, len(order), size)):
         batch = order[i:i + size]
-        if config.threshold_mode == "adaptive":
-            state = fit_threshold(prev_scores, state)
-        else:
-            state = state.record(config.fixed_threshold)
-        br = BatchReport(batch_index=k, threshold=state.current,
+        br = BatchReport(batch_index=k,
+                         threshold=fit_threshold(scores, config),
                          n_panoramas=len(batch))
-        batch_scores: list = []
+        scores = []
         for meta, (intervals, blocker) in zip(batch, traced):
             boxes = dets.boxes_for(meta.pano_id)
             br.input_boxes += len(boxes)
@@ -300,10 +281,10 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                     br.dropped += 1  # vertical extent leaves the image
                 else:
                     valid.append(b)
-            retained = filter_detections(valid, state)
+            retained = filter_detections(valid, br.threshold)
             br.filtered_out += len(valid) - len(retained)
             for b in retained:
-                batch_scores.append(b.score)
+                scores.append(b.score)
                 m = match_box(b, intervals, config.iou_x_min, meta.width)
                 if m is None:
                     br.unmatched += 1
@@ -313,7 +294,5 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                     pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
                     category=m.category, building_id=m.building_id,
                     iou_x=m.iou_x, score=b.score))
-        prev_scores = batch_scores
         report.batches.append(br)
-    report.threshold_history = list(state.history)
     return annotations, report

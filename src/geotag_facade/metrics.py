@@ -36,10 +36,6 @@ class EvalBox:
     category: int
     score: float | None = None
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 def _interval_pieces(lo: float, hi: float, width: float) -> list:
     """Unroll a circular interval into 1 or 2 linear [start, end) pieces."""
@@ -404,10 +400,9 @@ def _bucket_map(matches, in_buckets, iou_thr):
     return float(np.mean(vals))
 
 
-def coco_summary(preds, gts, width_by_pano: dict | None = None,
-                 size_buckets: bool = True) -> dict:
+def coco_summary(preds, gts, width_by_pano: dict | None = None) -> dict:
     """COCO-flavored summary: mAP over 0.50:0.05:0.95, 0.50/0.75 slices,
-    per-category AP at 0.50, and optional small/medium/large buckets.
+    per-category AP at 0.50, and small/medium/large area buckets.
 
     Each (category, IoU threshold) matching runs once and serves the
     plain AP and every area bucket.
@@ -425,18 +420,17 @@ def coco_summary(preds, gts, width_by_pano: dict | None = None,
                               sorted(ap50.per_category.items())},
         "excluded_categories": ap50.excluded,
     }
-    if size_buckets:
-        buckets = {"small": (0.0, SMALL_AREA),
-                   "medium": (SMALL_AREA, MEDIUM_AREA),
-                   "large": (MEDIUM_AREA, float("inf"))}
-        areas = [np.array([g.w * g.h for g in c_gts], dtype=float)
-                 for c_gts, _ in matches.values()]
-        for name, (lo, hi) in buckets.items():
-            in_buckets = [(lo <= a) & (a < hi) for a in areas]
-            vals = []
-            for t in COCO_IOU_GRID:
-                v = _bucket_map(matches, in_buckets, t)
-                if v is not None:
-                    vals.append(v)
-            out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
+    buckets = {"small": (0.0, SMALL_AREA),
+               "medium": (SMALL_AREA, MEDIUM_AREA),
+               "large": (MEDIUM_AREA, float("inf"))}
+    areas = [np.array([g.w * g.h for g in c_gts], dtype=float)
+             for c_gts, _ in matches.values()]
+    for name, (lo, hi) in buckets.items():
+        in_buckets = [(lo <= a) & (a < hi) for a in areas]
+        vals = []
+        for t in COCO_IOU_GRID:
+            v = _bucket_map(matches, in_buckets, t)
+            if v is not None:
+                vals.append(v)
+        out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
     return out

@@ -32,8 +32,8 @@ from .ingest import PanoramaMeta
 EARTH_RADIUS_KM = 6371.393
 METERS_PER_DEGREE = math.pi * EARTH_RADIUS_KM * 1000.0 / 180.0
 MAX_LOCAL_RANGE_M = 10_000.0  # beyond this the flat-plane model degrades
-# clip_scene's candidate boxes may sit this much farther than the radius:
-# it covers rounding in the per-edge distance, not any geometry
+# candidate_pairs keeps footprint boxes up to this much farther than the
+# radius: it covers rounding in the per-edge distance, not any geometry
 CLIP_SLACK_M = 1e-6
 
 
@@ -193,23 +193,25 @@ class LocalScene:
     them. ``arrays`` holds the segments for the sweep kernels, and
     ``rank_to_bidx`` maps a wall's building rank (its place in id order)
     to the building's index in ``buildings``; both are derived from the
-    segments on construction. ``degenerate`` marks a camera strictly
-    inside a footprint; the sweep refuses such scenes.
+    segments on construction, as is ``degenerate``: the camera is strictly
+    inside footprint ``containing_building``, and the sweep refuses it.
     """
 
     def __init__(self, pano_id: str, origin: tuple, radius_m: float,
                  segments=(), buildings: tuple = (),
-                 degenerate: bool = False,
                  containing_building: str | None = None):
         self.pano_id = pano_id
         self.origin = origin  # (lat, lon) of the camera
         self.radius_m = radius_m
         self.segments = list(segments)
         self.buildings = tuple(buildings)  # (building_id, category)
-        self.degenerate = degenerate
         self.containing_building = containing_building
         self.arrays, self.rank_to_bidx = _segment_arrays(self.segments,
                                                          self.buildings)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.containing_building is not None
 
 
 class FootprintIndex:
@@ -429,8 +431,7 @@ def clip_scene(index: FootprintIndex, meta: PanoramaMeta,
     rank = index.rank[group.kept_fp]
     first = np.sort(np.unique(rank, return_index=True)[1])
     buildings = group.owners(np.zeros(len(first), np.int64), rank[first])
-    containing = group.containing[0]
     return LocalScene(pano_id=meta.pano_id, origin=(meta.lat, meta.lon),
                       radius_m=radius_m, segments=segments,
-                      buildings=buildings, degenerate=containing is not None,
-                      containing_building=containing)
+                      buildings=buildings,
+                      containing_building=group.containing[0])

@@ -67,7 +67,6 @@ class RaySweep:
     ``buildings``; ``distances[i]`` is inf on miss.
     """
 
-    step_deg: float
     thetas: np.ndarray
     building_idx: np.ndarray
     distances: np.ndarray
@@ -283,8 +282,8 @@ def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
     bidx = np.full(len(rank), -1, np.int64)
     hit = rank >= 0
     bidx[hit] = scene.rank_to_bidx[rank[hit]]
-    return RaySweep(step_deg=step_deg, thetas=grid.thetas, building_idx=bidx,
-                    distances=dist, buildings=scene.buildings)
+    return RaySweep(thetas=grid.thetas, building_idx=bidx, distances=dist,
+                    buildings=scene.buildings)
 
 
 def run_table(owner: np.ndarray, distances: np.ndarray, n: int):

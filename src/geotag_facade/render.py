@@ -18,6 +18,7 @@ from .ingest import (_integers, _number_or_none, _numbers, _ok,
 from .projection import _local_xy
 from .raytrace import VisibilityInterval
 
+SCALE = 4.0  # map-view pixels per meter
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
@@ -87,7 +88,7 @@ def _arc_path(cx, cy, r, theta_lo, theta_hi) -> str:
 
 
 def render_scene_svg(footprints, meta, intervals, radius_m: float,
-                     scale: float = 4.0, comment: str | None = None) -> str:
+                     comment: str | None = None) -> str:
     """Render one panorama's visibility as a standalone SVG document.
 
     ``footprints`` may be empty; then only the camera marker and the
@@ -96,7 +97,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     comment so the artifact carries its provenance.
     """
     margin = 20.0
-    half = radius_m * scale + margin
+    half = radius_m * SCALE + margin
     cx = cy = half
     strip_h = 40.0
     strip_y = 2 * half + 20.0
@@ -117,14 +118,14 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
         pts = []
         for (lat, lon) in fp.ring[:-1]:
             x, y = _local_xy(lat, lon, meta.lat, meta.lon, cos_lat)
-            pts.append(f"{_fmt(cx + x * scale)},{_fmt(cy - y * scale)}")
+            pts.append(f"{_fmt(cx + x * SCALE)},{_fmt(cy - y * SCALE)}")
         parts.append(
             f'<polygon class="footprint" points="{" ".join(pts)}" '
             f'fill="{_color(fp.building_id)}" fill-opacity="0.35" '
             'stroke="#333" stroke-width="1"/>')
 
     parts.append(f'<circle class="fov" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                 f'r="{_fmt(radius_m * scale)}" fill="none" stroke="#888" '
+                 f'r="{_fmt(radius_m * SCALE)}" fill="none" stroke="#888" '
                  'stroke-dasharray="6 4" stroke-width="1"/>')
     parts.append(f'<circle class="camera" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                  'r="4" fill="black"/>')
@@ -132,7 +133,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     for iv in intervals:
         parts.append(
             f'<path class="interval-arc" d="'
-            f'{_arc_path(cx, cy, radius_m * scale * 0.96, iv.angle_lo, iv.angle_hi)}" '
+            f'{_arc_path(cx, cy, radius_m * SCALE * 0.96, iv.angle_lo, iv.angle_hi)}" '
             f'fill="none" stroke="{_color(iv.building_id)}" stroke-width="4">'
             f'<title>{iv.building_id}</title></path>')
 

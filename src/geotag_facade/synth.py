@@ -182,10 +182,9 @@ def oracle_intervals_for_scene(scene: LocalScene,
     return out
 
 
-def oracle_visibility(scene: SyntheticScene,
-                      resolution_deg: float | None = None) -> dict:
+def oracle_visibility(scene: SyntheticScene) -> dict:
     """Exact per-camera intervals for a synthetic scene (pixel-populated)."""
-    res = resolution_deg or scene.config.oracle_resolution_deg
+    res = scene.config.oracle_resolution_deg
     index = FootprintIndex(scene.footprints)
     out = {}
     for meta in scene.metas:

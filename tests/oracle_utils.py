@@ -150,7 +150,6 @@ def linear_clip_scene(footprints, meta, radius_m):
     segments = []
     buildings = []
     seen = set()
-    degenerate = False
     containing = None
     for fp in footprints:
         xs, ys, ok = [], [], True
@@ -165,7 +164,6 @@ def linear_clip_scene(footprints, meta, radius_m):
         if not ok:
             continue
         if _point_in_ring(0.0, 0.0, xs, ys) and _ring_min_distance(xs, ys) > 1e-9:
-            degenerate = True
             if containing is None:
                 containing = fp.building_id
             continue
@@ -185,7 +183,7 @@ def linear_clip_scene(footprints, meta, radius_m):
                                         category=fp.category))
     return LocalScene(pano_id=meta.pano_id, origin=origin, radius_m=radius_m,
                       segments=segments, buildings=tuple(buildings),
-                      degenerate=degenerate, containing_building=containing)
+                      containing_building=containing)
 
 
 def heading_direction(theta_deg: float) -> tuple:
@@ -247,7 +245,7 @@ def sweep_samples(sweep) -> list:
     return out
 
 
-def sweep_from_samples(samples, step_deg: float) -> RaySweep:
+def sweep_from_samples(samples) -> RaySweep:
     """A RaySweep built from per-sample hits, buildings in first-seen order."""
     table: dict = {}
     bidx = np.full(len(samples), -1, np.int64)
@@ -261,8 +259,8 @@ def sweep_from_samples(samples, step_deg: float) -> RaySweep:
         bidx[i] = table[key]
         dist[i] = s.hit.distance
     thetas = np.asarray([s.theta for s in samples], float)
-    return RaySweep(step_deg=step_deg, thetas=thetas, building_idx=bidx,
-                    distances=dist, buildings=tuple(table))
+    return RaySweep(thetas=thetas, building_idx=bidx, distances=dist,
+                    buildings=tuple(table))
 
 
 _ANGLE_CHUNK = 4096
@@ -544,7 +542,7 @@ def _reference_bucket_ap(preds, gts, iou_thr, width_by_pano, area_lo,
     for c in cats:
         c_gts = [g for g in gts if g.category == c]
         c_preds = [p for p in preds if p.category == c]
-        in_bucket = [area_lo <= g.area < area_hi for g in c_gts]
+        in_bucket = [area_lo <= g.w * g.h < area_hi for g in c_gts]
         n_gt = sum(in_bucket)
         if n_gt == 0:
             continue
@@ -558,10 +556,10 @@ def _reference_bucket_ap(preds, gts, iou_thr, width_by_pano, area_lo,
     return float(np.mean(vals))
 
 
-def reference_coco_summary(preds, gts, width_by_pano: dict | None = None,
-                           size_buckets: bool = True) -> dict:
+def reference_coco_summary(preds, gts,
+                           width_by_pano: dict | None = None) -> dict:
     """COCO-flavored summary: mAP over 0.50:0.05:0.95, 0.50/0.75 slices,
-    per-category AP at 0.50, and optional small/medium/large buckets."""
+    per-category AP at 0.50, and small/medium/large buckets."""
     grid_means = []
     ap50 = reference_average_precision(preds, gts, 0.5, width_by_pano)
     for t in COCO_IOU_GRID:
@@ -579,18 +577,17 @@ def reference_coco_summary(preds, gts, width_by_pano: dict | None = None,
                               sorted(ap50.per_category.items())},
         "excluded_categories": ap50.excluded,
     }
-    if size_buckets:
-        buckets = {"small": (0.0, SMALL_AREA),
-                   "medium": (SMALL_AREA, MEDIUM_AREA),
-                   "large": (MEDIUM_AREA, float("inf"))}
-        for name, (lo, hi) in buckets.items():
-            vals = []
-            for t in COCO_IOU_GRID:
-                v = _reference_bucket_ap(preds, gts, t, width_by_pano, lo,
-                                         hi)
-                if v is not None:
-                    vals.append(v)
-            out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
+    buckets = {"small": (0.0, SMALL_AREA),
+               "medium": (SMALL_AREA, MEDIUM_AREA),
+               "large": (MEDIUM_AREA, float("inf"))}
+    for name, (lo, hi) in buckets.items():
+        vals = []
+        for t in COCO_IOU_GRID:
+            v = _reference_bucket_ap(preds, gts, t, width_by_pano, lo,
+                                     hi)
+            if v is not None:
+                vals.append(v)
+        out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
     return out
 
 

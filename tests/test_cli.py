@@ -291,6 +291,10 @@ HUGE = 10 ** 400  # an integer too large for a float
     (_score(float("nan")), "annotations[0]: score must be null or a finite "
                            "number"),
     (_score(HUGE), "annotations[0]: score must be null or a finite number"),
+    (_category(1.5), "annotations[0]: category_id must be a number"),
+    (_category(float("nan")), "annotations[0]: category_id must be a number"),
+    (_category(1e30), "annotations[0]: category_id must be a number"),
+    (_width(1.5), "images[0]: width"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
         "image-without-id", "image-string", "annotation-string",
@@ -298,7 +302,8 @@ HUGE = 10 ** 400  # an integer too large for a float
         "width-huge-int", "image-id-list", "pano-id-list",
         "category-string", "category-list", "bbox-bool", "image-id-bool",
         "pano-id-bool", "annotation-image-id-bool", "score-string",
-        "score-bool", "score-nan", "score-huge-int"])
+        "score-bool", "score-nan", "score-huge-int", "category-fraction",
+        "category-nan", "category-huge-float", "width-fraction"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -352,6 +357,10 @@ def _entries(value):
     return _json_edit(lambda doc: doc.update(entries=value))
 
 
+def _names(value):
+    return _json_edit(lambda doc: doc.update(names=value))
+
+
 @pytest.mark.parametrize("breakage, needle", [
     (_entries(["cat_1", "cat_2"]), "'entries' object"),
     (_entries({"cat_1": 1, "cat_2": "one"}), "integer category ids"),
@@ -360,8 +369,17 @@ def _entries(value):
      "integer category ids (got True)"),
     (_json_edit(lambda doc: doc["entries"].update(cat_1=10 ** 30)),
      "category ids must form a contiguous 1..K set"),
+    (_names({"1_0": "first"}), "names must map the decimal digits of a "
+                               "category id to a string, got '1_0'"),
+    (_names({" 1": "first"}), "names must map the decimal digits of a "
+                              "category id to a string, got ' 1'"),
+    (_names({"1": ["x"]}), "names must map the decimal digits of a "
+                           "category id to a string, got '1': ['x']"),
+    (_names({"1": None}), "names must map the decimal digits of a "
+                          "category id to a string, got '1': None"),
 ], ids=["entries-list", "entry-not-integer", "entry-fraction", "entry-bool",
-        "entry-huge"])
+        "entry-huge", "names-key-underscore", "names-key-space",
+        "names-value-list", "names-value-null"])
 def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                          breakage, needle):
     rc, out = _trace_copy(scene_dir, tmp_path, "mapping.json", breakage)
@@ -417,6 +435,19 @@ def _huge_bbox(doc):
     doc[0]["bbox"][2] = HUGE
 
 
+def _first_feature_properties(**fields):
+    def edit(doc):
+        doc["features"][0]["properties"].update(fields)
+    return _json_edit(edit)
+
+
+def _first_detection_image_id(value):
+    def edit(doc):
+        del doc[0]["pano_id"]
+        doc[0]["image_id"] = value
+    return _json_edit(edit)
+
+
 def _first_meta(**fields):
     def breakage(text):
         first, rest = text.split("\n", 1)
@@ -449,10 +480,30 @@ def _first_meta(**fields):
      "non-numeric field"),
     ("detections.json", _json_edit(lambda doc: doc[0].update(score="0.5")),
      "detections", "result[0]", "non-numeric bbox or score"),
+    ("metas.jsonl", _first_meta(pano_id=None), "metas", "line 1",
+     "pano_id must be a string or a number"),
+    ("metas.jsonl", _first_meta(pano_id=True), "metas", "line 1",
+     "pano_id must be a string or a number"),
+    ("metas.jsonl", _first_meta(pano_id=[1, 2]), "metas", "line 1",
+     "pano_id must be a string or a number"),
+    ("detections.json", _json_edit(lambda doc: doc[0].update(
+        pano_id={"a": 1})), "detections", "result[0]",
+     "pano_id/image_id must be a string or a number"),
+    ("detections.json", _first_detection_image_id(False), "detections",
+     "result[0]", "pano_id/image_id must be a string or a number"),
+    ("footprints.geojson", _first_feature_properties(building_id=[1]),
+     "footprints", "feature[0]",
+     "building_id and label must be strings or numbers"),
+    ("footprints.geojson", _first_feature_properties(label={"x": 1}),
+     "footprints", "b000", "building_id and label must be strings or "
+                           "numbers"),
 ], ids=["feature-string", "vertex-text", "meta-line-number",
         "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
         "meta-width-huge-int", "vertex-bool", "score-bool", "meta-lat-bool",
-        "meta-lat-string", "score-string"])
+        "meta-lat-string", "score-string", "meta-pano-id-null",
+        "meta-pano-id-bool", "meta-pano-id-list", "detection-pano-id-object",
+        "detection-image-id-bool", "feature-building-id-list",
+        "feature-label-object"])
 def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,
                                                 breakage, report, key,
                                                 reason):
@@ -484,6 +535,20 @@ def test_whole_floats_load_as_integers(scene_dir, tmp_path):
     assert traced("mapping", "mapping.json", _json_edit(
         lambda doc: doc["entries"].update(cat_1=1.0))) == want
     assert traced("metas", "metas.jsonl", _first_meta(width=2048.0)) == want
+
+    # a COCO category_id of 3.0 is scored as category 3
+    def evaluated(name, category):
+        doc = json.loads((scene_dir / "gt.json").read_text())
+        for a in doc["annotations"]:
+            a["category_id"] = category(a["category_id"])
+        pred, out = tmp_path / f"{name}.json", tmp_path / f"eval_{name}.json"
+        pred.write_text(json.dumps(doc))
+        assert run(["eval", "--gt", scene_dir / "gt.json", "--pred", pred,
+                    "--mode", "both", "--out", out]) == 0
+        result = json.loads(out.read_text())
+        del result["pred"], result["input_hashes"]
+        return result
+    assert evaluated("floats", float) == evaluated("ints", int)
 
 
 def test_degenerate_scene_partial_exit(tmp_path):

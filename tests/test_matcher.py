@@ -4,10 +4,9 @@ import random
 import pytest
 
 from geotag_facade import RunConfig
-from geotag_facade.ingest import DetectionBox
-from geotag_facade.matcher import (ThresholdState, filter_detections,
-                                   fit_threshold, generate_coarse_annotations,
-                                   match_box)
+from geotag_facade.ingest import DetectionBox, DetectionSet, LoadReport
+from geotag_facade.matcher import (filter_detections, fit_threshold,
+                                   generate_coarse_annotations, match_box)
 from geotag_facade.raytrace import VisibilityInterval
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  perturb_detections)
@@ -29,65 +28,59 @@ def interval(px_lo, px_hi, building_id="B", category=1):
 
 class TestFitThreshold:
     def test_first_batch_default(self):
-        state = fit_threshold([], ThresholdState())
-        assert state.current == 0.3
-        assert state.history == ((0, 0.3),)
-
-    def test_first_batch_even_with_scores(self):
-        # no history yet means the default applies regardless of scores
-        state = fit_threshold([0.9, 0.9], ThresholdState())
-        assert state.current == 0.3
+        assert fit_threshold([], RunConfig()) == 0.3
 
     def test_zero_sigma(self):
-        state = fit_threshold([], ThresholdState())
-        state = fit_threshold([0.5, 0.5, 0.5], state)
-        assert state.current == 0.5
+        assert fit_threshold([0.5, 0.5, 0.5], RunConfig()) == 0.5
 
     def test_worked_example(self):
-        state = fit_threshold([], ThresholdState())
-        state = fit_threshold([0.9, 0.8, 0.1], state)
+        thr = fit_threshold([0.9, 0.8, 0.1], RunConfig())
         mu, sigma = 0.6, math.sqrt(0.19)  # sample std, ddof=1
         assert sigma == pytest.approx(0.4359, abs=1e-4)
-        assert state.current == pytest.approx(mu - 0.5 * sigma, abs=1e-12)
-        assert state.current == pytest.approx(0.3821, abs=1e-4)
+        assert thr == pytest.approx(mu - 0.5 * sigma, abs=1e-12)
+        assert thr == pytest.approx(0.3821, abs=1e-4)
 
     def test_clamping(self):
-        state = fit_threshold([], ThresholdState())
-        high = fit_threshold([0.99, 0.99, 0.99], state)
-        assert high.current == 0.9  # clip_hi
-        low = fit_threshold([0.01, 0.02, 0.01], state)
-        assert low.current == 0.05  # clip_lo
+        config = RunConfig()
+        assert fit_threshold([0.99, 0.99, 0.99], config) == 0.9  # clip_hi
+        assert fit_threshold([0.01, 0.02, 0.01], config) == 0.05  # clip_lo
+        # the clamp is the run config's
+        narrow = RunConfig(clip_lo=0.2, clip_hi=0.6)
+        assert fit_threshold([0.99, 0.99, 0.99], narrow) == 0.6
+        assert fit_threshold([0.01, 0.02, 0.01], narrow) == 0.2
 
     def test_empty_scores_after_first_falls_back(self):
-        state = fit_threshold([], ThresholdState())
-        state = fit_threshold([], state)
-        assert state.current == 0.3
-        assert [h[0] for h in state.history] == [0, 1]
+        # no detections: batch 1 retains no scores either, so it too
+        # gets the default
+        scene, _ = pipeline_inputs(n_cameras=4)
+        empty = DetectionSet(by_pano={}, report=LoadReport(path="x"))
+        _, report = generate_coarse_annotations(
+            scene.metas, scene.footprint_set, empty, RunConfig(batch_size=2))
+        assert report.threshold_history == [(0, 0.3), (1, 0.3)]
 
-    def test_requires_adaptive(self):
-        with pytest.raises(ValueError):
-            fit_threshold([], ThresholdState(mode="fixed"))
+    def test_fixed_mode_ignores_scores(self):
+        fixed = RunConfig(threshold_mode="fixed", fixed_threshold=0.7)
+        assert fit_threshold([], fixed) == 0.7
+        assert fit_threshold([0.99, 0.99, 0.99], fixed) == 0.7
+        assert fit_threshold([0.9, 0.8, 0.1], fixed) == 0.7
 
 
 class TestFilterDetections:
     def test_inclusive_threshold(self):
         boxes = [det(0, 10, s) for s in (0.2, 0.3, 0.9)]
-        state = ThresholdState(current=0.3)
-        kept = filter_detections(boxes, state)
+        kept = filter_detections(boxes, 0.3)
         assert [b.score for b in kept] == [0.3, 0.9]
 
     def test_all_filtered(self):
         boxes = [det(0, 10, 0.5)] * 3
-        assert filter_detections(boxes, ThresholdState(current=0.9)) == []
+        assert filter_detections(boxes, 0.9) == []
 
     def test_monotone_in_threshold(self):
         rng = random.Random(1)
         boxes = [det(0, 10, rng.random()) for _ in range(50)]
         for lo, hi in ((0.2, 0.5), (0.5, 0.7), (0.1, 0.9)):
-            a = set(id(b) for b in filter_detections(
-                boxes, ThresholdState(current=hi)))
-            b = set(id(b) for b in filter_detections(
-                boxes, ThresholdState(current=lo)))
+            a = set(id(b) for b in filter_detections(boxes, hi))
+            b = set(id(b) for b in filter_detections(boxes, lo))
             assert a <= b
 
 
@@ -179,7 +172,6 @@ class TestGenerateCoarseAnnotations:
 
     def test_zero_detections(self):
         scene, _ = pipeline_inputs()
-        from geotag_facade.ingest import DetectionSet, LoadReport
         empty = DetectionSet(by_pano={}, report=LoadReport(path="x"))
         anns, report = generate_coarse_annotations(
             scene.metas, scene.footprint_set, empty, RunConfig())

@@ -365,10 +365,9 @@ def random_boxes(rng, n, panos, cats, scored, seam=True):
     return out
 
 
-def assert_same_as_reference(preds, gts, width_by_pano=None,
-                             size_buckets=True):
-    got = coco_summary(preds, gts, width_by_pano, size_buckets)
-    want = reference_coco_summary(preds, gts, width_by_pano, size_buckets)
+def assert_same_as_reference(preds, gts, width_by_pano=None):
+    got = coco_summary(preds, gts, width_by_pano)
+    want = reference_coco_summary(preds, gts, width_by_pano)
     assert canonical_json(got) == canonical_json(want)
     for t in (0.0, 0.3, 0.75, 1.0):
         got = average_precision(preds, gts, t, width_by_pano).to_dict()
@@ -397,8 +396,7 @@ class TestApMatchesReference:
                       for g in rng.sample(gts, min(len(gts), 3))]
             rng.shuffle(preds)
             widths = {p: 2048.0 for p in panos} if case % 3 else None
-            assert_same_as_reference(preds, gts, widths,
-                                     size_buckets=case % 5 != 0)
+            assert_same_as_reference(preds, gts, widths)
 
     def test_iou_exactly_on_the_grid(self):
         gt = [EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1)]
@@ -450,7 +448,6 @@ class TestApMatchesReference:
         assert_same_as_reference([], [])
         assert_same_as_reference([], boxes)
         assert_same_as_reference(boxes, [])
-        assert_same_as_reference(boxes, [], size_buckets=False)
         assert coco_summary(boxes, [])["excluded_categories"] == [1]
 
     def test_acceptance_scene_with_noise(self):

@@ -328,7 +328,7 @@ class TestIntervals:
         samples = [sample(t) for t in range(360)]
         for t in list(range(342, 360)) + list(range(0, 19)):
             samples[t] = sample(t, "B", 16.0)
-        sweep = sweep_from_samples(samples, 1.0)
+        sweep = sweep_from_samples(samples)
         ivs = intervals_from_sweep(sweep)
         assert len(ivs) == 1
         iv = ivs[0]
@@ -343,26 +343,26 @@ class TestIntervals:
             samples[t] = sample(t, "B2", 12.0)
         for t in range(30, 40):
             samples[t] = sample(t, "B1", 11.0)
-        ivs = intervals_from_sweep(sweep_from_samples(samples, 1.0))
+        ivs = intervals_from_sweep(sweep_from_samples(samples))
         assert len(ivs) == 3
         assert [iv.building_id for iv in ivs] == ["B1", "B2", "B1"]
         assert ivs[0].min_distance == 10.0
 
     def test_all_miss(self):
         samples = [sample(t) for t in range(360)]
-        assert intervals_from_sweep(sweep_from_samples(samples, 1.0)) == []
+        assert intervals_from_sweep(sweep_from_samples(samples)) == []
 
     def test_samples_roundtrip(self):
         samples = [sample(t) for t in range(360)]
         samples[5] = sample(5, "B", 12.5)
         samples[6] = sample(6, "B", 11.0)
         samples[10] = sample(10, "C", 30.0, category=3)
-        sweep = sweep_from_samples(samples, 1.0)
+        sweep = sweep_from_samples(samples)
         assert sweep_samples(sweep) == samples
 
     def test_full_circle_single_building(self):
         samples = [sample(t, "B", 5.0) for t in range(360)]
-        ivs = intervals_from_sweep(sweep_from_samples(samples, 1.0))
+        ivs = intervals_from_sweep(sweep_from_samples(samples))
         assert len(ivs) == 1
         assert (ivs[0].angle_lo, ivs[0].angle_hi) == (0.0, 359.0)
 
@@ -431,7 +431,7 @@ class TestIntervalsToPixel:
         for k in range(span + 1):
             t = int((lo + k) % 360)
             samples[t] = sample(t, building, 10.0)
-        ivs = intervals_from_sweep(sweep_from_samples(samples, 1.0))
+        ivs = intervals_from_sweep(sweep_from_samples(samples))
         assert len(ivs) == 1
         return ivs[0]
 
