@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import suppress
 from pathlib import Path
 
 from .errors import LoadError
-from .ingest import (CategoryMapping, DetectionSet, _bbox, _integers, _key,
-                     _number_or_none, _ok, _read_json)
+from .ingest import (CategoryMapping, DetectionSet, _FieldError, _bbox,
+                     _integers, _key, _ok, _read_json)
 from .metrics import EvalBox
 
 
@@ -135,26 +136,31 @@ def read_coco(path):
         height_by_pano[pano] = img.get("height")
     boxes = []
     for i, a in enumerate(annotations):
+        with suppress(KeyError, TypeError, _FieldError):  # all at once
+            image_id, bbox, score = a["image_id"], a["bbox"], a.get("score")
+            _key(image_id)
+            _bbox(bbox, *(() if score is None else (score,)))
+            category, = _integers(a["category_id"])
+            if bbox[2] > 0 and bbox[3] > 0:
+                boxes.append(EvalBox(pano_of[image_id], *bbox,
+                                     category=category, score=score))
+                continue
+        where = f"annotations[{i}]"  # a bad one: name its first bad field
         if not isinstance(a, dict):
-            fail(f"annotations[{i}]", "expected an object", a)
+            fail(where, "expected an object", a)
         image_id, bbox = a.get("image_id"), a.get("bbox")
-        pano = pano_of.get(image_id) if _ok(_key, image_id) else None
-        if pano is None:
-            raise LoadError(f"{path}: annotations[{i}]: image_id "
-                            f"{image_id!r} names no image")
+        if not (_ok(_key, image_id) and image_id in pano_of):
+            raise LoadError(f"{path}: {where}: image_id {image_id!r} names "
+                            "no image")
         if not (_ok(_bbox, bbox) and bbox[2] > 0 and bbox[3] > 0):
-            fail(f"annotations[{i}]", "bbox must be 4 finite numbers with "
-                 "w > 0 and h > 0", bbox)
+            fail(where, "bbox must be 4 finite numbers with w > 0 and h > 0",
+                 bbox)
         if "category_id" not in a:
-            raise LoadError(f"{path}: annotations[{i}]: no category_id")
+            raise LoadError(f"{path}: {where}: no category_id")
         if not _ok(_integers, a["category_id"]):
-            fail(f"annotations[{i}]", "category_id must be a number with "
-                 "an exact whole value", a["category_id"])
-        if not _ok(_number_or_none, a.get("score")):
-            fail(f"annotations[{i}]", "score must be null or a finite "
-                 "number", a.get("score"))
-        boxes.append(EvalBox(pano, *bbox, category=int(a["category_id"]),
-                             score=a.get("score")))
+            fail(where, "category_id must be a number with an exact whole "
+                 "value", a["category_id"])
+        fail(where, "score must be null or a finite number", a.get("score"))
     return boxes, width_by_pano, height_by_pano, doc.get("info", {})
 
 

@@ -112,12 +112,15 @@ class LoadReport:
 
     path: str
     n_input: int = 0
-    n_accepted: int = 0
     rejected: list = field(default_factory=list)  # (key, reason)
 
     @property
     def n_rejected(self) -> int:
         return len(self.rejected)
+
+    @property
+    def n_accepted(self) -> int:
+        return self.n_input - self.n_rejected
 
     def reject(self, key, reason):
         self.rejected.append((str(key), reason))
@@ -209,8 +212,11 @@ def _integers(*values) -> list:
     """``values`` as ints: finite numbers without a fractional part, which
     ``int()`` would drop. ``2048.0`` reads as 2048, but not a float from
     2**53 up (``1e30``): floats there are 2 or more apart, so inexact."""
-    if all(type(v) is int and abs(v) <= sys.float_info.max for v in values):
-        return list(values)  # ints that fit a float, the common case
+    for v in values:  # ints that fit a float, the common case, pass at once
+        if type(v) is not int or abs(v) > sys.float_info.max:
+            break
+    else:
+        return list(values)
     for v, f in zip(values, _numbers(*values)):
         if not f.is_integer() or type(v) is float and abs(v) >= 2.0 ** 53:
             raise _FieldError("non-integer", v)
@@ -447,7 +453,6 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
             out.append(BuildingFootprint(building_id=rkey, ring=ring,
                                          raw_label=raw_label,
                                          category=category))
-    report.n_accepted = report.n_input - report.n_rejected
     log.info("loaded %d footprints from %s (%d rejected)",
              len(out), path, report.n_rejected)
     return FootprintSet(footprints=out, report=report)
@@ -483,16 +488,15 @@ def load_panorama_meta(path) -> PanoramaSet:
             if not isinstance(rec, dict):
                 report.reject(f"line {lineno}", "not an object")
                 continue
-            missing = [f for f in _META_FIELDS if f not in rec]
-            if missing:
-                report.reject(rec.get("pano_id", f"line {lineno}"),
-                              f"missing fields {missing}")
-                continue
             try:
-                pano_id = _key(rec["pano_id"])
+                pano_id = _key(rec.get("pano_id"))
             except _FieldError:
-                report.reject(f"line {lineno}",
-                              "pano_id must be a string or a number")
+                pano_id = None
+            missing = [f for f in _META_FIELDS if f not in rec]
+            if missing or pano_id is None:
+                report.reject(f"line {lineno}" if pano_id is None else pano_id,
+                              f"missing fields {missing}" if missing
+                              else "pano_id must be a string or a number")
                 continue
             try:
                 width, height = _integers(rec["width"], rec["height"])
@@ -527,7 +531,6 @@ def load_panorama_meta(path) -> PanoramaSet:
             metas.append(PanoramaMeta(pano_id=pano_id, lat=lat, lon=lon,
                                       north_px=north_px, width=width,
                                       height=height))
-    report.n_accepted = report.n_input - report.n_rejected
     return PanoramaSet(metas=metas, report=report)
 
 
@@ -577,5 +580,4 @@ def load_detections(path) -> DetectionSet:
         box = DetectionBox(pano_id=_key(pano_id), x=x, y=y, w=w, h=h,
                            score=score)
         by_pano.setdefault(box.pano_id, []).append(box)
-    report.n_accepted = report.n_input - report.n_rejected
     return DetectionSet(by_pano=by_pano, report=report)

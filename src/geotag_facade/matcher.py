@@ -22,7 +22,7 @@ groups fill across batch boundaries. The cap weighs the fixed cost each
 group pays (about 0.7 ms) against the sweep's cache footprint. At 32,768
 rays a 0.1-degree group holds 9 cameras and a 1-degree group 91.
 Tracing a 200-panorama street at 0.1 degrees, each 64-panorama batch on
-its own, took, in ms (2 vCPU, medians of 15):
+its own, took, in ms (2 vCPU, medians of 15, before back-face culling):
 
 =======  ==========  ====  =====  ===========  =====
 cap      candidates  clip  sweep  runs + rows  total
@@ -35,7 +35,7 @@ cap      candidates  clip  sweep  runs + rows  total
 Past 32,768 rays the sweep slows again, and at 65,536 the process's
 peak memory grew by 8 %. Capping by candidate (ray, wall) pairs instead
 of rays would pick the same groups: a 1-degree city and a 0.1-degree
-street both yield about 2.4 to 2.6 pairs per ray.
+street both yield about 1.2 pairs per ray (2.4 to 2.6 with back faces).
 """
 from __future__ import annotations
 

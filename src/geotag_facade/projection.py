@@ -113,6 +113,9 @@ def heading_px(theta_deg, north_px, width, flip_heading: bool = False):
 _HYPOT_BAND = 1e-12
 # (camera, footprint) cells of one candidate mask, which bounds its memory
 _MASK_CELLS = 1 << 14
+# a back face's side test, relative to |x * by| + |bx * y|: far above
+# that cross product's rounding, so a wall seen edge-on stays a front face
+_FACE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,8 @@ class SceneArrays:
     scene); coordinates are in that camera's local plane. ``rank``
     orders a camera's buildings by id, lexicographically; distance ties
     between buildings break toward the smaller rank for determinism.
-    ``ex`` is ``bx - ax``: ``ax + ex`` need not equal ``bx``.
+    ``ex`` is ``bx - ax``: ``ax + ex`` need not equal ``bx``. ``front``
+    is False for a back face, which the sweep skips (:func:`clip_group`).
     """
 
     cam: np.ndarray
@@ -154,19 +158,20 @@ class SceneArrays:
     a_dot_n: np.ndarray  # (a - origin) . n, origin is the camera
     len2: np.ndarray
     rank: np.ndarray
+    front: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ax)
 
 
-def wall_arrays(cam, ax, ay, bx, by, rank) -> SceneArrays:
+def wall_arrays(cam, ax, ay, bx, by, rank, front) -> SceneArrays:
     """:class:`SceneArrays` from wall endpoints, the rest derived."""
     ex, ey = bx - ax, by - ay
     length = np.hypot(ex, ey)
     nx, ny = ey / length, -ex / length
     return SceneArrays(cam=cam, ax=ax, ay=ay, bx=bx, by=by, ex=ex, ey=ey,
                        nx=nx, ny=ny, a_dot_n=ax * nx + ay * ny,
-                       len2=length * length, rank=rank)
+                       len2=length * length, rank=rank, front=front)
 
 
 def _segment_arrays(segments, buildings):
@@ -182,7 +187,8 @@ def _segment_arrays(segments, buildings):
     order = np.array(sorted(range(len(buildings)),
                             key=lambda i: buildings[i][0]), np.int64)
     rank = np.argsort(order)[bidx]  # the inverse permutation of order
-    return wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank), order
+    return (wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank,
+                        np.ones(n, bool)), order)
 
 
 class LocalScene:
@@ -363,6 +369,14 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
     counted). A camera strictly inside a ring keeps the rest of its
     scene but is marked as held by it. The projection and each threshold
     decision are those of the one-ring scalar form, value for value.
+    A wall is a back face (``front`` False) when its ring is strictly
+    convex and the camera lies clearly on the ring's inner side of its
+    line: a ray meets one of the ring's front faces no farther away, so
+    the sweep skips back faces with the same result. A ring keeps every
+    wall a front face when it lies within 1e-9 m of the camera, dropped
+    an edge, or has a vertex on the camera's axes, where a grid ray can
+    slip between two front faces by rounding and meet the far side (off
+    the axes that needs a vertex within about 1e-15 of a grid heading).
     """
     if radius_m <= 0:
         raise ValueError("radius_m must be positive")
@@ -379,6 +393,8 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
     nxt[first + count - 1] = first
     bx, by = x[nxt], y[nxt]
     ex, ey = bx - x, by - y
+    wall = _exact_hypot(ex, ey, 1e-9) > 1e-9
+    p, q = x * by, bx * y  # p - q: twice the signed area of (camera, a, b)
     if size:
         far = np.logical_or.reduceat(
             _exact_hypot(x, y, MAX_LOCAL_RANGE_M) > MAX_LOCAL_RANGE_M, first)
@@ -393,18 +409,27 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
         dmin = np.minimum.reduceat(
             _exact_hypot(x + u * ex, y + u * ey, 1e-9, radius_m), first)
         inside = np.logical_xor.reduceat(crossing, first)
+        # strictly convex: every turn on the side of the signed area, and
+        # one turn in all
+        sense = np.sign(np.add.reduceat(p - q, first))[pair]
+        turn = ex * ey[nxt] - ey * ex[nxt]
+        cull = (dmin > 1e-9) & np.logical_and.reduceat(
+            (turn * sense > 0.0) & wall & (x != 0.0) & (y != 0.0), first)
+        cull &= np.abs(np.add.reduceat(np.arctan2(
+            turn, ex * ex[nxt] + ey * ey[nxt]), first)) < 3.0 * np.pi
     else:
-        far = inside = np.zeros(0, bool)
-        dmin = np.zeros(0)
+        far = inside = cull = np.zeros(0, bool)
+        dmin = sense = np.zeros(0)
     holds = ~far & (dmin > 1e-9) & inside
     kept = ~far & ~holds & ~(dmin > radius_m)
     containing = [None] * len(metas)
     for c, f in zip(cam[holds].tolist(), fp[holds].tolist()):
         if containing[c] is None:
             containing[c] = index.footprints[f].building_id
-    edge = np.flatnonzero(kept[pair] & (_exact_hypot(ex, ey, 1e-9) > 1e-9))
+    back = cull[pair] & ((p - q) * sense > _FACE_MARGIN * (abs(p) + abs(q)))
+    edge = np.flatnonzero(kept[pair] & wall)
     walls = wall_arrays(cam[pair[edge]], x[edge], y[edge], bx[edge],
-                        by[edge], index.rank[fp[pair[edge]]])
+                        by[edge], index.rank[fp[pair[edge]]], ~back[edge])
     return ClipGroup(index=index, radius_m=radius_m, walls=walls,
                      kept_cam=cam[kept], kept_fp=fp[kept],
                      containing=containing, out_of_range=int(far.sum()))

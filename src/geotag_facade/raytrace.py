@@ -11,14 +11,17 @@ with ``o`` the camera, ``a`` a point on the line, ``s_hat`` the ray
 direction, and ``n_hat`` the unit normal; the hit point is then checked
 to lie within the segment. Rays parallel to a wall never hit it.
 
-A wall is tested only against the rays inside the short arc between its
-two endpoint headings, widened by one grid ray on each side; a wall that
-passes within rounding reach of the camera (an arc near 180 degrees, or
-a wall through the camera) gets every ray. On a street at 0.1 degrees
-that is about 5 % of the rays x walls product. The (ray, wall) pairs are
-evaluated in blocks of at most ``_PAIR_BLOCK``, which bounds memory, with
-the same per-pair arithmetic and the same tie rule as a dense sweep, so
-the result is bit-identical to testing every ray against every wall.
+A back face (see ``projection.clip_group``) gets no rays, as one of its
+ring's front faces is met no farther away. Every other wall is tested
+only against the rays inside the short arc between its two endpoint
+headings, widened by one grid ray on each side; a wall that passes
+within rounding reach of the camera (an arc near 180 degrees, or a wall
+through the camera) gets every ray. On a street at 0.1 degrees that is
+about 2.5 % of the rays x walls product (5 % with the back faces). The
+(ray, wall) pairs are evaluated in blocks of at most ``_PAIR_BLOCK``,
+which bounds memory, with the same per-pair arithmetic and the same tie
+rule as a dense sweep, so the result is bit-identical to testing every
+ray against every wall.
 
 Consecutive grid samples hitting the same building merge into
 :class:`VisibilityInterval` runs, which are finally mapped onto the
@@ -51,8 +54,9 @@ PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
 # candidate (ray, segment) pairs evaluated at once, which bounds the
 # sweep's per-block arrays to about 1 MB; a full group (matcher.GROUP_RAYS
-# rays, about 2.5 pairs each) takes about ten blocks. Blocks twice this
-# size swept full groups 20 % slower and used 1.2 MB more.
+# rays, about 1.2 pairs each with back faces given none) takes about five
+# blocks. Blocks twice this size swept full groups 20 % slower and used
+# 1.2 MB more, measured when a ray had about 2.5 pairs.
 _PAIR_BLOCK = 1 << 13
 # A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
 # of its segment; this relative reach is over 400 times that.
@@ -112,7 +116,8 @@ class VisibilityInterval:
 
 
 def _ray_runs(arr, radius_m: float, n: int):
-    """Candidate rays of each segment on the grid of ``n`` headings.
+    """Candidate rays of each front-face segment on the grid of ``n``
+    headings; a back face (``arr.front`` False) gets none.
 
     A segment not through the camera is seen over the short arc between
     its endpoint headings, so no ray outside that arc can meet it with
@@ -147,10 +152,12 @@ def _ray_runs(arr, radius_m: float, n: int):
     first = np.where(culled, np.ceil(start / step) - 1.0, 0.0)
     last = np.floor((start + width) / step) + 1.0
     count = np.where(culled, np.minimum(last - first + 1.0, n), n)
-    first, count = first.astype(np.int64) % n, count.astype(np.int64)
+    seg = np.flatnonzero(arr.front)  # back faces get no rays
+    first = first[seg].astype(np.int64) % n
+    count = count[seg].astype(np.int64)
     head = np.minimum(count, n - first)
     seam = np.flatnonzero(count > head)
-    return (np.concatenate((np.arange(len(first)), seam)),
+    return (np.concatenate((seg, seg[seam])),
             np.concatenate((first, np.zeros(len(seam), np.int64))),
             np.concatenate((head, count[seam] - head[seam])))
 
@@ -201,10 +208,11 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
 
     ``arr`` holds the walls of ``cameras`` cameras, and ``grid`` their
     direction table; ray ``k`` of camera ``c`` is ray ``c * n + k``. Each
-    wall is tested only against its camera's rays in its angular span
-    (see :func:`_ray_runs`). The (ray, segment) candidate pairs are laid
-    out flat and evaluated in blocks of at most ``_PAIR_BLOCK`` pairs, so
-    memory stays bounded whatever the step, group and segment count.
+    front face is tested only against its camera's rays in its angular
+    span, and a back face against none (see :func:`_ray_runs`). The (ray,
+    segment) candidate pairs are laid out flat and evaluated in blocks of
+    at most ``_PAIR_BLOCK`` pairs, so memory stays bounded whatever the
+    step, group and segment count.
     Each pair runs the same elementwise ``denom``, ``t``, parallel,
     ``t > 0``, radius and ``s`` expressions as a dense rays x segments
     sweep, and each block keeps only the hits that may still tie. The
@@ -220,9 +228,9 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
     """
     n = len(grid.thetas)
     size = n * cameras
-    if len(arr) == 0:
-        return np.full(size, -1, np.int64), np.full(size, np.inf)
     seg, first, count = _ray_runs(arr, radius_m, n)
+    if len(seg) == 0:
+        return np.full(size, -1, np.int64), np.full(size, np.inf)
     first = first + arr.cam[seg] * n
     walls = np.stack((arr.nx, arr.ny, arr.a_dot_n, arr.ax, arr.ay, arr.ex,
                       arr.ey, arr.len2))[:, seg]

@@ -83,8 +83,7 @@ class SyntheticScene:
     def footprint_set(self) -> FootprintSet:
         return FootprintSet(footprints=self.footprints,
                             report=LoadReport(path="<synthetic>",
-                                              n_input=len(self.footprints),
-                                              n_accepted=len(self.footprints)))
+                                              n_input=len(self.footprints)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,5 +418,5 @@ def perturb_detections(scene: SyntheticScene, noise: NoiseConfig,
         placed += 1
 
     total = sum(len(v) for v in by_pano.values())
-    report = LoadReport(path="<synthetic>", n_input=total, n_accepted=total)
+    report = LoadReport(path="<synthetic>", n_input=total)
     return DetectionSet(by_pano=by_pano, report=report)

@@ -56,8 +56,7 @@ def corpus(scene_seeds, n_buildings=14, n_cameras=8, noise=None,
             boxes_per_pano[g.pano_id] = boxes_per_pano.get(g.pano_id, 0) + 1
     n = sum(len(v) for v in by_pano.values())
     det_set = DetectionSet(by_pano=by_pano,
-                           report=LoadReport(path="<corpus>", n_input=n,
-                                             n_accepted=n))
+                           report=LoadReport(path="<corpus>", n_input=n))
     fset = FootprintSet(footprints=footprints,
                         report=LoadReport(path="<corpus>"))
     return metas, fset, det_set, gt_boxes, boxes_per_pano

@@ -448,10 +448,12 @@ def _first_detection_image_id(value):
     return _json_edit(edit)
 
 
-def _first_meta(**fields):
+def _first_meta(*drop, **fields):
     def breakage(text):
         first, rest = text.split("\n", 1)
-        return json.dumps({**json.loads(first), **fields}) + "\n" + rest
+        rec = {k: v for k, v in {**json.loads(first), **fields}.items()
+               if k not in drop}
+        return json.dumps(rec) + "\n" + rest
     return breakage
 
 
@@ -486,6 +488,8 @@ def _first_meta(**fields):
      "pano_id must be a string or a number"),
     ("metas.jsonl", _first_meta(pano_id=[1, 2]), "metas", "line 1",
      "pano_id must be a string or a number"),
+    ("metas.jsonl", _first_meta("lat", pano_id=[1, 2]), "metas", "line 1",
+     "missing fields ['lat']"),
     ("detections.json", _json_edit(lambda doc: doc[0].update(
         pano_id={"a": 1})), "detections", "result[0]",
      "pano_id/image_id must be a string or a number"),
@@ -501,7 +505,8 @@ def _first_meta(**fields):
         "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
         "meta-width-huge-int", "vertex-bool", "score-bool", "meta-lat-bool",
         "meta-lat-string", "score-string", "meta-pano-id-null",
-        "meta-pano-id-bool", "meta-pano-id-list", "detection-pano-id-object",
+        "meta-pano-id-bool", "meta-pano-id-list", "meta-pano-id-list-no-lat",
+        "detection-pano-id-object",
         "detection-image-id-bool", "feature-building-id-list",
         "feature-label-object"])
 def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,

@@ -11,16 +11,19 @@ import logging
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geotag_facade import (FootprintIndex, PanoramaMeta, RunConfig,
                            clip_scene, local_to_geodetic, matcher,
-                           trace_panoramas)
+                           trace_panoramas, trace_sweep)
 from geotag_facade.config import rays_per_turn
 from geotag_facade.ingest import BuildingFootprint
-from geotag_facade.projection import METERS_PER_DEGREE, _exact_hypot
+from geotag_facade.projection import (METERS_PER_DEGREE, _exact_hypot,
+                                      clip_group)
+from geotag_facade.raytrace import _ray_runs
 from geotag_facade.synth import SceneConfig, generate_scene
 
 from oracle_utils import (_ring_min_distance, reference_trace_panorama,
@@ -265,3 +268,136 @@ def test_exact_hypot_decides_like_math_hypot():
             got = _exact_hypot(x[i:i + 1], y[i:i + 1], thr)[0]
             assert (got > thr) == (h > thr)
             assert (got <= thr) == (h <= thr)
+
+
+# ---------------------------------------------------------------------------
+# Back faces: walls that can never be a ray's nearest hit get no rays
+# ---------------------------------------------------------------------------
+
+def front_walls(footprints, meta, radius_m=50.0):
+    """(front flags, (ax, ay, bx, by) per wall) of one camera's clip."""
+    walls = clip_group(FootprintIndex(footprints), [meta], radius_m).walls
+    return walls.front.tolist(), list(zip(walls.ax.tolist(),
+                                          walls.ay.tolist(),
+                                          walls.bx.tolist(),
+                                          walls.by.tolist()))
+
+
+def test_square_seen_head_on_has_one_front_wall(monkeypatch, caplog):
+    fps = [square(0, 25, 10, "sq"), square(-30, -5, 6, "side", 2)]
+    front, ends = front_walls(fps[:1], cam(0, 0))
+    assert front.count(True) == 1
+    (ax, ay, bx, by), = [e for e, f in zip(ends, front) if f]
+    assert ay == by < 21.0  # the south wall, facing the camera
+    metas = [cam(0, 0, "o"), cam(-12, 40, "nw"), cam(30, 25, "e")]
+    for step in (1.0, 0.1):
+        assert_groups_match(monkeypatch, caplog, fps, metas,
+                            RunConfig(step_deg=step))
+
+
+@pytest.mark.parametrize("pts", [
+    # an L: camera "in-l" stands in its notch, facing its inner corner
+    [(-10, 20), (10, 20), (10, 25), (1, 25), (1, 35), (-10, 35)],
+    # a five-pointed star drawn in one stroke: every turn is to the same
+    # side, but it turns twice
+    [(8 * math.sin(math.radians(a)) + 1, 8 * math.cos(math.radians(a)) + 30)
+     for a in range(0, 720, 144)],
+    # a square with a vertex on its south side, where the ring goes straight
+    [(-5, 20), (2, 20), (5, 20), (5, 30), (-5, 30)],
+], ids=["l-shape", "star", "collinear"])
+def test_rings_that_are_not_strictly_convex_keep_every_wall(monkeypatch,
+                                                            caplog, pts):
+    fps = [fp_local(pts, "ring"), square(25, 0, 6, "east", 3)]
+    metas = [cam(0, 0, "o"), cam(4, 28, "in-l"), cam(-20, 45, "nw")]
+    # a camera inside the ring keeps none of its walls
+    kept = [f for f in (front_walls(fps[:1], m)[0] for m in metas) if f]
+    assert len(kept) >= 2
+    assert all(f == [True] * len(pts) for f in kept)
+    assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+
+
+def test_ring_straddling_the_antimeridian_from_both_sides(monkeypatch,
+                                                          caplog):
+    lat, lon = 20.0 / METERS_PER_DEGREE, 5.0 / METERS_PER_DEGREE
+    fps = [fp_geo([(lat, 180.0 - lon), (lat, lon - 180.0),
+                   (2 * lat, 2 * lon - 180.0), (2 * lat, 180.0 - lon)],
+                  "dateline")]
+    metas = [PanoramaMeta(f"c{k}", lat=0.0, lon=side * (180.0 - 3 * lon),
+                          north_px=100.0, width=2048, height=1024)
+             for k, side in enumerate((1, -1))]
+    for meta in metas:
+        front, _ = front_walls(fps, meta)
+        assert len(front) == 4 and 1 <= front.count(True) <= 2
+    for step in (1.0, 0.5):
+        assert_groups_match(monkeypatch, caplog, fps, metas,
+                            RunConfig(step_deg=step))
+
+
+def test_cameras_on_and_inside_rings_in_one_group(monkeypatch, caplog):
+    # "edge" has its first wall through the camera at (0, 0): every wall
+    # is a front face there, since from the camera's spot on the ring the
+    # rays that enter it meet its far walls first
+    fps = [fp_local([(-4, -2), (6, 3), (2, 11), (-8, 6)], "edge"),
+           square(40, 0, 10, "held"), square(20, 20, 6, "other", 2)]
+    metas = [cam(20, 0, "a"), cam(0, 0, "on-edge"), cam(40, 0, "inside"),
+             cam(-15, 20, "b")]
+    front, _ = front_walls(fps[:1], metas[1])
+    assert front == [True] * 4
+    assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+    got = list(trace_panoramas(FootprintIndex(fps), metas, RunConfig()))
+    assert got[2] == (None, "held")
+    assert "edge" in {iv.building_id for iv in got[1][0]}
+
+
+def test_overlapping_rings_of_one_building(monkeypatch, caplog):
+    fps = [square(0, 25, 10, "dup"), square(4, 29, 10, "dup", 2),
+           square(-20, 25, 6, "west", 3)]
+    metas = [cam(0, 0, "s"), cam(15, 45, "ne"), cam(-8, 32, "gap"),
+             cam(20, 10, "e")]
+    assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+
+
+def _gap(theta_deg, r, half):
+    """Two points ``2 * half`` m apart across the ray at ``theta_deg``,
+    ``r`` m from the camera at (0, 0)."""
+    th = math.radians(theta_deg)
+    x, y, dx, dy = (r * math.sin(th), r * math.cos(th),
+                    half * math.cos(th), -half * math.sin(th))
+    return [(x - dx, y - dy), (x + dx, y + dy)]
+
+
+@pytest.mark.parametrize("fp, ray", [
+    # the 0-degree ray passes exactly through the vertex between the two
+    # south walls and slips between them by rounding
+    (fp_geo([(0.00017147116216552233, -4.7685269620120773e-05),
+             (0.0001695, 0.0),
+             (0.0001886754946160956, 3.9535484564431766e-05),
+             (0.0002377888755364802, 3.3389783943557736e-05),
+             (0.0002377888755364802, -4.186100846055718e-05)], "north"), 0),
+    # the 30-degree ray passes through a 0.8 nm edge, which is dropped
+    (fp_local([(2, 24), *_gap(30.0, 20.0, 0.4e-9), (18, 14), (22, 26),
+               (8, 34)], "gap"), 30),
+], ids=["vertex-due-north", "dropped-edge"])
+def test_ring_a_ray_slips_into_keeps_every_wall(monkeypatch, caplog, fp,
+                                                ray):
+    # the sweep of every wall meets the ring's far wall on that ray, well
+    # beyond its neighbour's hit on the near walls, so a convex ring with
+    # a vertex on the camera's axes or a dropped edge keeps its back faces
+    meta = cam(0, 0, "o")
+    sweep = trace_sweep(clip_scene(FootprintIndex([fp]), meta, 50.0), 1.0)
+    assert sweep.distances[ray] > 1.3 * sweep.distances[ray + 1]
+    front, _ = front_walls([fp], meta)
+    assert all(front)
+    assert_groups_match(monkeypatch, caplog, [fp], [meta, cam(5, -3, "b")],
+                        RunConfig())
+
+
+def test_back_faces_halve_the_pairs_of_a_street():
+    # at 0.1 degrees, as the benchmark's street-fine workload sweeps
+    sc = generate_scene(3, SceneConfig(n_buildings=14, n_cameras=5,
+                                       with_ground_truth=False))
+    walls = clip_group(FootprintIndex(sc.footprints), sc.metas, 50.0).walls
+    n = rays_per_turn(0.1)
+    culled = int(_ray_runs(walls, 50.0, n)[2].sum())
+    every = replace(walls, front=np.ones(len(walls), bool))
+    assert culled <= 0.55 * int(_ray_runs(every, 50.0, n)[2].sum())
