@@ -459,6 +459,8 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
 
 
 _META_FIELDS = ("pano_id", "lat", "lon", "north_px", "width", "height")
+# pixel arithmetic runs in float64, exact on whole numbers up to 2**53
+MAX_PANORAMA_SIZE = 2 ** 53
 
 
 def load_panorama_meta(path) -> PanoramaSet:
@@ -513,6 +515,9 @@ def load_panorama_meta(path) -> PanoramaSet:
                 continue
             if width <= 0 or height <= 0:
                 report.reject(pano_id, f"non-positive size {width}x{height}")
+                continue
+            if max(width, height) > MAX_PANORAMA_SIZE:
+                report.reject(pano_id, f"size {width}x{height} above 2**53")
                 continue
             if not (0.0 <= north_px < width):
                 report.reject(pano_id,

@@ -15,27 +15,22 @@ for the first batch. Batches are a deterministic seeded shuffle of the
 panoramas, so a run is reproducible end to end.
 
 A run's panoramas are traced as one stream in groups of cameras
-(:func:`trace_panoramas`): one clip, one sweep and one run split per
-group, a group holding as many cameras as fit in ``GROUP_RAYS`` rays,
-which bounds its memory. Tracing does not depend on the threshold, so
-groups fill across batch boundaries. The cap weighs the fixed cost each
-group pays (about 0.7 ms) against the sweep's cache footprint. At 32,768
-rays a 0.1-degree group holds 9 cameras and a 1-degree group 91.
-Tracing a 200-panorama street at 0.1 degrees, each 64-panorama batch on
-its own, took, in ms (2 vCPU, medians of 15, before back-face culling):
+(:func:`trace_groups`): one clip, one sweep and one run split per group,
+a group holding as many cameras as fit in ``GROUP_RAYS`` rays, which
+bounds its memory. Tracing does not depend on the threshold, so groups
+fill across batch boundaries. The cap weighs the fixed cost each group
+pays (about 0.7 ms) against the sweep's cache footprint: at 32,768 rays
+a 0.1-degree group holds 9 cameras and a 1-degree group 91. When it was
+chosen, a cap of 8,192 rays traced a 0.1-degree street 29 % slower, and
+one of 65,536 swept slower again and took 8 % more peak memory.
 
-=======  ==========  ====  =====  ===========  =====
-cap      candidates  clip  sweep  runs + rows  total
-=======  ==========  ====  =====  ===========  =====
-8,192    15.5        27.1  135.6  39.2         220
-32,768   7.4         10.2  127.6  23.0         171
-65,536   5.3         6.8   141.8  19.9         176
-=======  ==========  ====  =====  ===========  =====
-
-Past 32,768 rays the sweep slows again, and at 65,536 the process's
-peak memory grew by 8 %. Capping by candidate (ray, wall) pairs instead
-of rays would pick the same groups: a 1-degree city and a 0.1-degree
-street both yield about 1.2 pairs per ray (2.4 to 2.6 with back faces).
+Each group comes as an :class:`IntervalTable`, one array per interval
+field, and no interval row is built for annotation. A batch's boxes are
+checked and score-filtered panorama by panorama; then one array pass
+(:func:`match_batch`, :func:`match_intervals`) runs the rule above over
+every (retained box, interval) pair of the batch, whichever tables they
+are in, and names only the winners. :func:`match_box` states the same
+rule for one box over interval rows.
 """
 from __future__ import annotations
 
@@ -47,8 +42,9 @@ import numpy as np
 
 from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
-from .metrics import iou_1d
-from .projection import MAX_LOCAL_RANGE_M, FootprintIndex, clip_group
+from .metrics import iou_1d, iou_1d_arrays
+from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
+                         footprint_names)
 from .raytrace import sweep_grid, trace_group
 
 log = logging.getLogger(__name__)
@@ -155,6 +151,88 @@ def match_box(box: DetectionBox, intervals, iou_min: float,
     return best
 
 
+def match_intervals(x, w, width, first, count, px_lo, px_hi, rank,
+                    iou_min: float):
+    """:func:`match_box` for many boxes at once, in one array pass.
+
+    Box ``i`` spans ``x[i]`` to ``x[i] + w[i]`` on a panorama of
+    ``width[i]`` pixels, and its panorama's intervals are rows
+    ``first[i]`` to ``first[i] + count[i] - 1`` of the ``px_lo``,
+    ``px_hi`` and ``rank`` columns. Every (box, interval) pair runs the
+    strict wrapped-midpoint test of :func:`_midpoint_inside`; the pairs
+    inside run :func:`iou_1d`'s float operations
+    (:func:`metrics.iou_1d_arrays`), so an empty span is never divided
+    by. Each box keeps its pair of highest IoU above ``iou_min``
+    (strict), ties to the smaller building rank (id order) and then the
+    earlier row, as :func:`match_box` does.
+
+    Returns (box, row, iou) arrays of the winners, in box order; a box
+    without one is absent.
+    """
+    ends = np.cumsum(count)
+    box = np.repeat(np.arange(len(x)), count)
+    row = (np.repeat(first - (ends - count), count)
+           + np.arange(ends[-1] if len(ends) else 0))
+    pano_w = width[box]
+    mid = np.mod(x + w / 2.0, width)[box]
+    lo = np.mod(px_lo[row], pano_w)
+    hi = np.mod(px_hi[row], pano_w)
+    inside = np.where(lo < hi, (lo < mid) & (mid < hi),
+                      (mid > lo) | (mid < hi))
+    keep = np.flatnonzero(inside & (lo != hi))
+    box, row = box[keep], row[keep]
+    iou = iou_1d_arrays(x[box], x[box] + w[box], px_lo[row], px_hi[row],
+                        pano_w[keep])
+    keep = np.flatnonzero(iou > iou_min)
+    box, row, iou = box[keep], row[keep], iou[keep]
+    order = np.lexsort((rank[row], -iou, box))
+    box, row, iou = box[order], row[order], iou[order]
+    won = np.flatnonzero(np.diff(box, prepend=-1))
+    return box[won], row[won], iou[won]
+
+
+def match_batch(work, iou_min: float) -> list:
+    """Match every retained box of a batch with one
+    :func:`match_intervals` pass over the batch's interval tables.
+
+    ``work`` holds, per panorama, ``(boxes, width, table, camera)``: its
+    retained boxes, its image width, and the :class:`IntervalTable` and
+    camera its intervals are in; a batch may span several tables, as
+    trace groups straddle batches. Returns ``(box, building_id,
+    category, iou)`` per matched box, in box order; the names are read
+    only for these winners.
+    """
+    boxes, widths, first, count, nbox = [], [], [], [], []
+    tables, base = [], {}  # the batch's tables, and each one's first row
+    rows = 0
+    for bs, width, table, c in work:
+        if id(table) not in base:
+            base[id(table)] = rows
+            tables.append(table)
+            rows += len(table.rank)
+        lo, hi = table.offsets[c:c + 2].tolist()
+        first.append(base[id(table)] + lo)
+        count.append(hi - lo)
+        nbox.append(len(bs))
+        widths.append(width)
+        boxes.extend(bs)
+    if not boxes:
+        return []
+    nbox = np.array(nbox)
+    won, row, iou = match_intervals(
+        np.fromiter((b.x for b in boxes), float, len(boxes)),
+        np.fromiter((b.w for b in boxes), float, len(boxes)),
+        np.repeat(np.array(widths, float), nbox),
+        np.repeat(np.array(first, np.int64), nbox),
+        np.repeat(np.array(count, np.int64), nbox),
+        *(np.concatenate([getattr(t, col) for t in tables])
+          for col in ("px_lo", "px_hi", "rank")), iou_min)
+    owner = np.concatenate([t.owner for t in tables])[row]
+    names = footprint_names(tables[0].footprints, owner)
+    return [(boxes[b], bid, cat, v) for b, (bid, cat), v
+            in zip(won.tolist(), names, iou.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # Batch pipeline
 # ---------------------------------------------------------------------------
@@ -204,19 +282,17 @@ class RunReport:
         }
 
 
-def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
-    """Trace panoramas in groups of cameras into pixel-space visibility
-    intervals; the package's one per-panorama trace.
+def trace_groups(index: FootprintIndex, metas, config: RunConfig):
+    """Trace panoramas in groups of cameras into interval tables; the
+    run's one trace stream.
 
-    Yields one result per panorama, in order, as its group finishes:
-    ``(intervals, None)``, or ``(None, building_id)`` when the camera
-    sits inside that building's footprint. A group holds
+    Yields one :class:`IntervalTable` per group, in order. A group holds
     ``GROUP_RAYS // rays_per_turn`` cameras (at least one) and is
     clipped, swept and split into runs with one set of array operations
-    (:func:`clip_group`, :func:`trace_group`). Once the last group is
-    clipped, and before its results are yielded, one WARNING counts the
-    candidate (camera, footprint) pairs skipped because the ring reaches
-    past the flat-plane range.
+    (:func:`clip_group`, :func:`trace_group`); no interval row is built.
+    Once the last group is clipped, and before its table is yielded, one
+    WARNING counts the candidate (camera, footprint) pairs skipped
+    because the ring reaches past the flat-plane range.
     """
     metas = list(metas)
     size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
@@ -230,7 +306,21 @@ def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
             log.warning("skipped %d (camera, footprint) pairs: the footprint "
                         "has a vertex beyond the %.0f m flat-plane range",
                         out_of_range, MAX_LOCAL_RANGE_M)
-        yield from trace_group(clip, group, grid, config.flip_heading)
+        yield trace_group(clip, group, grid, config.flip_heading)
+
+
+def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
+    """Trace panoramas into pixel-space visibility intervals; the
+    package's one per-panorama trace, a row view of :func:`trace_groups`.
+
+    Yields one result per panorama, in order, as its group finishes:
+    ``(intervals, None)`` with the intervals as
+    :class:`VisibilityInterval` rows, or ``(None, building_id)`` when
+    the camera sits inside that building's footprint. The WARNING is
+    :func:`trace_groups`'.
+    """
+    for table in trace_groups(index, metas, config):
+        yield from table.panoramas()
 
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
@@ -238,10 +328,13 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     """Run the full per-batch pipeline; returns (annotations, run report).
 
     Panoramas are shuffled with the run seed and chunked into batches.
-    The shuffled run is traced as one stream (:func:`trace_panoramas`),
-    whose groups do not stop at batch boundaries; the threshold update
-    is strictly sequential across batches. Detections whose panorama has
-    no metadata are dropped and reported.
+    The shuffled run is traced as one stream of interval tables
+    (:func:`trace_groups`), whose groups do not stop at batch
+    boundaries; the threshold update is strictly sequential across
+    batches. Each panorama's boxes are checked and score-filtered in
+    turn, then all the batch's retained boxes are matched in one pass
+    (:func:`match_batch`). Detections whose panorama has no metadata are
+    dropped and reported.
     """
     metas = list(metas)
     index = FootprintIndex(footprints)
@@ -258,8 +351,9 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     scores: list = []  # those the previous batch kept
     # one trace stream for the run, so groups fill across batches; zip
     # draws from the batch first, so each batch takes exactly len(batch)
-    # results and leaves the next batch's first one in the stream
-    traced = trace_panoramas(index, order, config)
+    # panoramas and leaves the next batch's first one in the stream
+    traced = ((table, c) for table in trace_groups(index, order, config)
+              for c in range(len(table.containing)))
     size = config.batch_size
     for k, i in enumerate(range(0, len(order), size)):
         batch = order[i:i + size]
@@ -267,10 +361,12 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                          threshold=fit_threshold(scores, config),
                          n_panoramas=len(batch))
         scores = []
-        for meta, (intervals, blocker) in zip(batch, traced):
+        work = []  # (retained boxes, width, table, camera) per panorama
+        for meta, (table, c) in zip(batch, traced):
             boxes = dets.boxes_for(meta.pano_id)
             br.input_boxes += len(boxes)
-            if intervals is None:
+            blocker = table.containing[c]
+            if blocker is not None:
                 report.skipped_panoramas.append(
                     (meta.pano_id, f"camera inside footprint {blocker}"))
                 br.dropped += len(boxes)
@@ -283,16 +379,15 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                     valid.append(b)
             retained = filter_detections(valid, br.threshold)
             br.filtered_out += len(valid) - len(retained)
-            for b in retained:
-                scores.append(b.score)
-                m = match_box(b, intervals, config.iou_x_min, meta.width)
-                if m is None:
-                    br.unmatched += 1
-                    continue
-                br.annotated += 1
-                annotations.append(CoarseAnnotation(
-                    pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
-                    category=m.category, building_id=m.building_id,
-                    iou_x=m.iou_x, score=b.score))
+            scores.extend(b.score for b in retained)
+            work.append((retained, meta.width, table, c))
+        matched = match_batch(work, config.iou_x_min)
+        br.annotated = len(matched)
+        br.unmatched = len(scores) - len(matched)
+        annotations.extend(
+            CoarseAnnotation(pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
+                             category=cat, building_id=bid, iou_x=iou,
+                             score=b.score)
+            for b, bid, cat, iou in matched)
         report.batches.append(br)
     return annotations, report

@@ -10,7 +10,9 @@ IoU of every same-panorama pair in one call of the kernel
 ``_pair_ious``, and ``coco_summary`` in one call per category. Only the
 greedy assignment walks run per pair in Python, with the tie rules of
 the scalar code they replaced. ``iou_2d`` is the kernel's one-pair
-case, so the 2-D formula exists once.
+case, so the 2-D formula exists once. ``iou_1d_arrays`` is ``iou_1d``
+over arrays, for the matcher's batch pass; it shares the wrapped
+overlap with the 2-D kernel.
 """
 from __future__ import annotations
 
@@ -86,6 +88,23 @@ def iou_1d(a, b, width: float) -> float:
     return inter / union
 
 
+def iou_1d_arrays(a_lo, a_hi, b_lo, b_hi, width) -> np.ndarray:
+    """:func:`iou_1d` of each aligned pair of intervals ``(a_lo[i],
+    a_hi[i])`` and ``(b_lo[i], b_hi[i])`` on a circle of ``width[i]``.
+
+    The float operations and their order are the scalar ones: the
+    overlap is summed onto 0.0 over the piece pairs in
+    :func:`wrapped_intersection`'s order, and the union is the two
+    lengths less the overlap. Raises as :func:`iou_1d` does.
+    """
+    inter = _wrapped_overlap(a_lo, a_hi, b_lo, b_hi, width)
+    union = (_length_arrays(a_lo, a_hi, width)
+             + _length_arrays(b_lo, b_hi, width) - inter)
+    if (union <= 0.0).any():
+        raise ValueError("degenerate intervals: zero-length union")
+    return inter / union
+
+
 def iou_2d(box_a, box_b, width: float | None = None) -> float:
     """Axis-aligned rectangle IoU; horizontal wrap when ``width`` given.
 
@@ -124,12 +143,7 @@ def _pair_ious(a: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
     v_over = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
     flat = np.isnan(width)
     wrap = np.where(flat, 1.0, width)
-    h_over = np.zeros(len(width))
-    for lo_a, hi_a, has_a in _piece_arrays(ax, aw, wrap):
-        for lo_b, hi_b, has_b in _piece_arrays(bx, bw, wrap):
-            over = np.maximum(0.0, np.minimum(hi_a, hi_b)
-                              - np.maximum(lo_a, lo_b))
-            h_over += np.where(has_a & has_b, over, 0.0)
+    h_over = _wrapped_overlap(ax, ax + aw, bx, bx + bw, wrap)
     plain = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
     h_over = np.where(flat, plain, h_over)
     area_a = np.where(flat, aw, np.minimum(aw, wrap)) * ah
@@ -138,15 +152,35 @@ def _pair_ious(a: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
     return inter / (area_a + area_b - inter)
 
 
-def _piece_arrays(x, w, width):
-    """``_interval_pieces(x, x + w, width)`` for arrays: the two
+def _length_arrays(lo, hi, width):
+    """``_interval_length`` for arrays."""
+    raw = hi - lo
+    return np.minimum(np.where(raw < 0, np.mod(raw, width), raw), width)
+
+
+def _piece_arrays(lo, hi, width):
+    """``_interval_pieces(lo, hi, width)`` for arrays: the two
     (start, end, present) pieces, the second present only on a wrap."""
-    start = np.mod(x, width)
-    length = np.minimum((x + w) - x, width)  # never negative, as w > 0
+    start = np.mod(lo, width)
+    length = _length_arrays(lo, hi, width)
     end = start + length
     some = length != 0.0
     return ((start, np.minimum(end, width), some),
             (0.0, end - width, some & (end > width)))
+
+
+def _wrapped_overlap(a_lo, a_hi, b_lo, b_hi, width):
+    """:func:`wrapped_intersection` for arrays: the overlaps of the
+    pieces (a1, b1), (a1, b2), (a2, b1), (a2, b2) summed onto 0.0 in that
+    order, an absent piece adding 0.0."""
+    pieces_b = _piece_arrays(b_lo, b_hi, width)
+    total = np.zeros(len(width))
+    for lo_a, hi_a, has_a in _piece_arrays(a_lo, a_hi, width):
+        for lo_b, hi_b, has_b in pieces_b:
+            over = np.maximum(0.0, np.minimum(hi_a, hi_b)
+                              - np.maximum(lo_a, lo_b))
+            total += np.where(has_a & has_b, over, 0.0)
+    return total
 
 
 # ---------------------------------------------------------------------------

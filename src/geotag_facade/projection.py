@@ -324,6 +324,13 @@ def _exact_hypot(x, y, *thresholds):
     return d
 
 
+def footprint_names(footprints, fp) -> list:
+    """(building_id, category) of ``footprints[f]`` for each ``f`` of the
+    index array ``fp``."""
+    return [(footprints[f].building_id, footprints[f].category)
+            for f in fp.tolist()]
+
+
 @dataclass
 class ClipGroup:
     """The walls of a group of cameras, clipped together.
@@ -345,17 +352,21 @@ class ClipGroup:
     containing: list
     out_of_range: int
 
-    def owners(self, cam, rank) -> list:
-        """(building_id, category) of building ``rank`` as camera ``cam``
-        sees it, per element: from the first of the building's
-        footprints that the camera keeps."""
+    def owner_fp(self, cam, rank) -> np.ndarray:
+        """The footprint that names building ``rank`` as camera ``cam``
+        sees it, per element: the first of the building's footprints
+        that the camera keeps."""
         stride = len(self.index) + 1
         keys, first = np.unique(
             self.kept_cam * stride + self.index.rank[self.kept_fp],
             return_index=True)
-        fp = self.kept_fp[first[np.searchsorted(keys, cam * stride + rank)]]
-        fps = self.index.footprints
-        return [(fps[f].building_id, fps[f].category) for f in fp.tolist()]
+        return self.kept_fp[first[np.searchsorted(keys,
+                                                  cam * stride + rank)]]
+
+    def owners(self, cam, rank) -> list:
+        """(building_id, category) of each :meth:`owner_fp`."""
+        return footprint_names(self.index.footprints,
+                               self.owner_fp(cam, rank))
 
 
 def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:

@@ -23,19 +23,23 @@ which bounds memory, with the same per-pair arithmetic and the same tie
 rule as a dense sweep, so the result is bit-identical to testing every
 ray against every wall.
 
-Consecutive grid samples hitting the same building merge into
-:class:`VisibilityInterval` runs, which are finally mapped onto the
-panorama's pixel axis by :func:`projection.heading_px`, the one home of
-the heading conventions.
+Consecutive grid samples hitting the same building merge into runs,
+visibility intervals, which are finally mapped onto the panorama's pixel
+axis by :func:`projection.heading_px`, the one home of the heading
+conventions.
 
 The kernels work on a group of cameras at once: ray ``k`` of the group's
 camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
 boundaries and merged across each camera's seam. :func:`trace_group`
-traces a clipped group that way. :func:`trace_sweep`,
-:func:`intervals_from_sweep` and :func:`intervals_to_pixel` are
-one-camera views of the same kernels (:func:`nearest_walls`,
-:func:`run_table`, :func:`projection.heading_px`) on a
-:class:`LocalScene`.
+traces a clipped group that way into an :class:`IntervalTable`, one
+array per interval field, which the matcher reads as arrays.
+:func:`trace_sweep`, :func:`intervals_from_sweep` and
+:func:`intervals_to_pixel` are one-camera views of the same kernels
+(:func:`nearest_walls`, :func:`run_table`, :func:`projection.heading_px`)
+on a :class:`LocalScene`. :class:`VisibilityInterval` rows are built
+from arrays by :func:`interval_rows`, only where intervals are written
+or read one by one: :meth:`IntervalTable.panoramas` and
+:func:`intervals_from_sweep`.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from .config import rays_per_turn
 from .errors import DegenerateSceneError
 from .ingest import PanoramaMeta
 from .projection import (ClipGroup, LocalScene, SceneArrays, angle_to_pixel,
-                         heading_px)
+                         footprint_names, heading_px)
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
@@ -87,8 +91,9 @@ class VisibilityInterval:
     ``angle_lo``/``angle_hi`` are the first and last hit grid angles of
     the run on the wrapped circle (``angle_hi < angle_lo`` means the run
     crosses 0 degrees). Pixel fields are populated by
-    :func:`intervals_to_pixel`; ``px_hi < px_lo`` likewise means the
-    pixel span crosses the image seam.
+    :func:`intervals_to_pixel`, or come from an :class:`IntervalTable`;
+    ``px_hi < px_lo`` likewise means the pixel span crosses the image
+    seam.
     """
 
     building_id: str
@@ -113,6 +118,58 @@ class VisibilityInterval:
             "px_hi": self.px_hi,
             "min_distance": self.min_distance,
         }
+
+
+def interval_rows(owners, angle_lo, angle_hi, min_distance, px_lo=None,
+                  px_hi=None) -> list:
+    """:class:`VisibilityInterval` rows from interval columns, the one
+    place rows are built. ``owners`` gives each row's (building_id,
+    category); without pixel columns the pixel fields stay None."""
+    px = (zip(px_lo.tolist(), px_hi.tolist()) if px_lo is not None
+          else [(None, None)] * len(owners))
+    return [VisibilityInterval(bid, cat, a, b, d, p, q)
+            for (bid, cat), a, b, d, (p, q) in zip(
+                owners, angle_lo.tolist(), angle_hi.tolist(),
+                min_distance.tolist(), px)]
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalTable:
+    """The pixel-space visibility intervals of a traced group of cameras,
+    one array per field.
+
+    Camera ``c``'s intervals are rows ``offsets[c]`` to ``offsets[c + 1]
+    - 1``, in angle order. Per row, ``rank`` is the building's rank in
+    id order (which breaks ties) and ``owner`` the index in
+    ``footprints`` of the footprint that names the building and its
+    category (:meth:`ClipGroup.owner_fp`); the other columns are the
+    :class:`VisibilityInterval` fields. ``containing`` gives, per camera,
+    the id of the footprint strictly holding it, or None; the rows of a
+    held camera are never read.
+    """
+
+    footprints: tuple
+    containing: list
+    offsets: np.ndarray
+    rank: np.ndarray
+    owner: np.ndarray
+    angle_lo: np.ndarray
+    angle_hi: np.ndarray
+    min_distance: np.ndarray
+    px_lo: np.ndarray
+    px_hi: np.ndarray
+
+    def panoramas(self) -> list:
+        """Per camera, ``(intervals, None)`` with the intervals as rows,
+        or ``(None, building_id)`` when the camera sits inside that
+        building's footprint."""
+        rows = interval_rows(footprint_names(self.footprints, self.owner),
+                             self.angle_lo, self.angle_hi, self.min_distance,
+                             self.px_lo, self.px_hi)
+        bounds = self.offsets.tolist()
+        return [(rows[bounds[c]:bounds[c + 1]], None) if blocker is None
+                else (None, blocker)
+                for c, blocker in enumerate(self.containing)]
 
 
 def _ray_runs(arr, radius_m: float, n: int):
@@ -342,14 +399,8 @@ def intervals_from_sweep(sweep: RaySweep) -> list:
     """
     start, end, own, low = run_table(sweep.building_idx, sweep.distances,
                                      len(sweep))
-    out = []
-    for s, e, b, d in zip(start.tolist(), end.tolist(), own.tolist(),
-                          low.tolist()):
-        bid, cat = sweep.buildings[b]
-        out.append(VisibilityInterval(
-            building_id=bid, category=cat, angle_lo=float(sweep.thetas[s]),
-            angle_hi=float(sweep.thetas[e]), min_distance=d))
-    return out
+    return interval_rows([sweep.buildings[b] for b in own.tolist()],
+                         sweep.thetas[start], sweep.thetas[end], low)
 
 
 def intervals_to_pixel(intervals, meta: PanoramaMeta,
@@ -366,17 +417,17 @@ def intervals_to_pixel(intervals, meta: PanoramaMeta,
 
 
 def trace_group(clip: ClipGroup, metas, grid: SweepGrid,
-                flip_heading: bool = False) -> list:
-    """Pixel-space visibility intervals of every camera of a clipped
-    group, from one sweep and one run split for all of them.
+                flip_heading: bool = False) -> IntervalTable:
+    """The pixel-space visibility intervals of every camera of a clipped
+    group, from one sweep and one run split for all of them, as one
+    :class:`IntervalTable`.
 
-    ``grid`` must cover at least ``len(metas)`` cameras. Returns, per
-    camera, ``(intervals, None)``, or ``(None, building_id)`` when the
-    camera sits inside that building's footprint; the intervals equal
-    those of :func:`trace_sweep`, :func:`intervals_from_sweep` and
+    ``grid`` must cover at least ``len(metas)`` cameras. A camera's rows
+    equal, as :meth:`IntervalTable.panoramas` gives them, the intervals
+    of :func:`trace_sweep`, :func:`intervals_from_sweep` and
     :func:`intervals_to_pixel` on the camera's own scene. Runs come in
     sample order, which is angle order within a camera, so no sort is
-    needed.
+    needed. No row object is built here.
     """
     n = len(grid.thetas)
     rank, dist = nearest_walls(clip.walls, grid, len(metas), clip.radius_m)
@@ -390,11 +441,8 @@ def trace_group(clip: ClipGroup, metas, grid: SweepGrid,
     px_hi = heading_px(angle_hi, north, width, flip_heading)
     if flip_heading:
         px_lo, px_hi = px_hi, px_lo
-    rows = [VisibilityInterval(bid, cat, a, b, d, p, q)
-            for (bid, cat), a, b, d, p, q in zip(
-                clip.owners(cam, own), angle_lo.tolist(), angle_hi.tolist(),
-                low.tolist(), px_lo.tolist(), px_hi.tolist())]
-    bounds = np.searchsorted(cam, np.arange(len(metas) + 1)).tolist()
-    return [(rows[bounds[c]:bounds[c + 1]], None) if blocker is None
-            else (None, blocker)
-            for c, blocker in enumerate(clip.containing)]
+    return IntervalTable(
+        footprints=clip.index.footprints, containing=clip.containing,
+        offsets=np.searchsorted(cam, np.arange(len(metas) + 1)), rank=own,
+        owner=clip.owner_fp(cam, own), angle_lo=angle_lo, angle_hi=angle_hi,
+        min_distance=low, px_lo=px_lo, px_hi=px_hi)

@@ -23,10 +23,13 @@ Last come former exports that only tests used: the heading helpers
 ``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
 package's one-camera trace (``clip_scene``, ``trace_sweep``,
 ``intervals_from_sweep``, ``intervals_to_pixel``), which
-``trace_panoramas`` replaced; and ``_runs``, the run split of
-``run_table`` as a list of ``[start, end, index]``.
+``trace_panoramas`` replaced; ``reference_annotations``, the annotate
+driver that traced each panorama on its own and matched box by box with
+``match_box``, which the batch pass replaced; and ``_runs``, the run
+split of ``run_table`` as a list of ``[start, end, index]``.
 """
 import math
+import random
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -34,6 +37,9 @@ import numpy as np
 
 from geotag_facade.config import RunConfig
 from geotag_facade.ingest import PanoramaMeta
+from geotag_facade.matcher import (BatchReport, CoarseAnnotation, RunReport,
+                                   filter_detections, fit_threshold,
+                                   match_box)
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, AccuracyReport,
                                    APReport, _as_xywh, _overlap_1d,
@@ -617,6 +623,55 @@ def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
     sweep = trace_sweep(scene, config.step_deg)
     ivs = intervals_from_sweep(sweep)
     return intervals_to_pixel(ivs, meta, config.flip_heading), None
+
+
+def reference_annotations(metas, footprints, dets, config: RunConfig):
+    """``generate_coarse_annotations`` box by box: each panorama traced on
+    its own (:func:`trace_panorama`) and each retained box matched by
+    ``match_box`` over its interval rows. Returns (annotations, run
+    report)."""
+    index = FootprintIndex(footprints)
+    meta_ids = {m.pano_id for m in metas}
+    report = RunReport(config=config.to_dict())
+    for pano_id, boxes in sorted(dets.by_pano.items()):
+        if pano_id not in meta_ids:
+            report.missing_meta[pano_id] = len(boxes)
+    order = list(metas)
+    random.Random(config.seed).shuffle(order)
+    annotations, scores = [], []
+    size = config.batch_size
+    for k, i in enumerate(range(0, len(order), size)):
+        batch = order[i:i + size]
+        br = BatchReport(batch_index=k,
+                         threshold=fit_threshold(scores, config),
+                         n_panoramas=len(batch))
+        scores = []
+        for meta in batch:
+            intervals, blocker = trace_panorama(index, meta, config)
+            boxes = dets.boxes_for(meta.pano_id)
+            br.input_boxes += len(boxes)
+            if intervals is None:
+                report.skipped_panoramas.append(
+                    (meta.pano_id, f"camera inside footprint {blocker}"))
+                br.dropped += len(boxes)
+                continue
+            valid = [b for b in boxes if b.y + b.h <= meta.height + 1e-9]
+            br.dropped += len(boxes) - len(valid)
+            retained = filter_detections(valid, br.threshold)
+            br.filtered_out += len(valid) - len(retained)
+            for b in retained:
+                scores.append(b.score)
+                m = match_box(b, intervals, config.iou_x_min, meta.width)
+                if m is None:
+                    br.unmatched += 1
+                    continue
+                br.annotated += 1
+                annotations.append(CoarseAnnotation(
+                    pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
+                    category=m.category, building_id=m.building_id,
+                    iou_x=m.iou_x, score=b.score))
+        report.batches.append(br)
+    return annotations, report
 
 
 def _runs(building_idx: np.ndarray):

@@ -472,6 +472,10 @@ def _first_meta(*drop, **fields):
      "non-integer size 2048.5x1024"),
     ("metas.jsonl", _first_meta(width=HUGE), "metas", "s00003_c00",
      "non-numeric field"),
+    ("metas.jsonl", _first_meta(width=10 ** 30), "metas", "s00003_c00",
+     f"size {10 ** 30}x1024 above 2**53"),
+    ("metas.jsonl", _first_meta(width=2 ** 54, height=2 ** 53), "metas",
+     "s00003_c00", f"size {2 ** 54}x{2 ** 53} above 2**53"),
     ("footprints.geojson", _json_edit(_bool_vertex), "footprints",
      "b000", "non-numeric coordinate"),
     ("detections.json", _json_edit(_bool_score), "detections",
@@ -503,7 +507,9 @@ def _first_meta(*drop, **fields):
                            "numbers"),
 ], ids=["feature-string", "vertex-text", "meta-line-number",
         "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
-        "meta-width-huge-int", "vertex-bool", "score-bool", "meta-lat-bool",
+        "meta-width-huge-int", "meta-width-above-2-53",
+        "meta-size-2-to-1-above-2-53", "vertex-bool", "score-bool",
+        "meta-lat-bool",
         "meta-lat-string", "score-string", "meta-pano-id-null",
         "meta-pano-id-bool", "meta-pano-id-list", "meta-pano-id-list-no-lat",
         "detection-pano-id-object",

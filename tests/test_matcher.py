@@ -1,17 +1,21 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from geotag_facade import RunConfig
 from geotag_facade.ingest import DetectionBox, DetectionSet, LoadReport
-from geotag_facade.matcher import (filter_detections, fit_threshold,
-                                   generate_coarse_annotations, match_box)
-from geotag_facade.raytrace import VisibilityInterval
+from geotag_facade.matcher import (MatchResult, filter_detections,
+                                   fit_threshold, generate_coarse_annotations,
+                                   match_batch, match_box)
+from geotag_facade.raytrace import IntervalTable, VisibilityInterval
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  perturb_detections)
 
-from oracle_utils import brute_iou_1d, brute_midpoint_inside
+from oracle_utils import (brute_iou_1d, brute_midpoint_inside,
+                          reference_annotations)
 
 W = 2048.0
 
@@ -24,6 +28,41 @@ def interval(px_lo, px_hi, building_id="B", category=1):
     return VisibilityInterval(building_id=building_id, category=category,
                               angle_lo=0.0, angle_hi=0.0, min_distance=10.0,
                               px_lo=px_lo, px_hi=px_hi)
+
+
+def table_of(*cameras, footprints=None):
+    """An IntervalTable holding each camera's interval rows. Each row is
+    its own owner, as it has the building_id and category a footprint
+    names: ``footprints``, shared by the tables of a run, holds every
+    row, by default this table's."""
+    rows = [iv for ivs in cameras for iv in ivs]
+    footprints = tuple(rows) if footprints is None else footprints
+    ids = sorted({iv.building_id for iv in footprints})
+    where = {id(iv): i for i, iv in enumerate(footprints)}
+
+    def column(name):
+        return np.array([getattr(iv, name) for iv in rows], float)
+    return IntervalTable(
+        footprints=footprints, containing=[None] * len(cameras),
+        offsets=np.cumsum([0] + [len(ivs) for ivs in cameras]),
+        rank=np.array([ids.index(iv.building_id) for iv in rows], np.int64),
+        owner=np.array([where[id(iv)] for iv in rows], np.int64),
+        angle_lo=column("angle_lo"), angle_hi=column("angle_hi"),
+        min_distance=column("min_distance"), px_lo=column("px_lo"),
+        px_hi=column("px_hi"))
+
+
+def batch_match_box(box, intervals, iou_min, width):
+    """``match_box`` through the batch pass: a batch of one box, which
+    must raise no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matched = match_batch([([box], width, table_of(intervals), 0)],
+                              iou_min)
+    if not matched:
+        return None
+    (_, building_id, category, iou), = matched
+    return MatchResult(building_id=building_id, category=category, iou_x=iou)
 
 
 class TestFitThreshold:
@@ -85,38 +124,49 @@ class TestFilterDetections:
 
 
 class TestMatchBox:
+    """The matching rule, through the per-box ``match_box``."""
+
+    match = staticmethod(match_box)
+
     def test_clear_match(self):
-        m = match_box(det(950, 200), [interval(900, 1200)], 0.3, W)
+        m = self.match(det(950, 200), [interval(900, 1200)], 0.3, W)
         assert m is not None
         assert m.building_id == "B"
         assert m.iou_x == pytest.approx(200 / 300)
 
     def test_low_iou_no_match(self):
-        m = match_box(det(1020, 10), [interval(900, 1200)], 0.3, W)
+        m = self.match(det(1020, 10), [interval(900, 1200)], 0.3, W)
         assert m is None  # midpoint inside but IoU ~0.033
 
     def test_wrapped_interval_match(self):
         # interval [2000, 2048) u [0, 100), box [0, 100]
-        m = match_box(det(0, 100), [interval(2000.0, 100.0)], 0.3, W)
+        m = self.match(det(0, 100), [interval(2000.0, 100.0)], 0.3, W)
         assert m is not None
         assert m.iou_x == pytest.approx(100 / 148)
 
     def test_midpoint_strictly_required(self):
         # midpoint lands exactly on the interval edge: strict rule says no
-        m = match_box(det(800, 200), [interval(900, 1200)], 0.3, W)
+        m = self.match(det(800, 200), [interval(900, 1200)], 0.3, W)
         assert m is None
+
+    def test_iou_at_the_floor_is_not_enough(self):
+        # 300 / 1000 rounds to the float 0.3: the floor is strict
+        assert self.match(det(0, 300), [interval(0, 1000)], 0.3, W) is None
+        assert self.match(det(0, 302), [interval(0, 1000)], 0.3,
+                          W) is not None
 
     def test_midpoint_in_gap(self):
         ivs = [interval(100, 200, "A"), interval(300, 400, "B")]
-        assert match_box(det(210, 60), ivs, 0.3, W) is None
+        assert self.match(det(210, 60), ivs, 0.3, W) is None
 
     def test_argmax_iou_wins(self):
         ivs = [interval(900, 1200, "A"), interval(1000, 1120, "B", category=2)]
-        m = match_box(det(1000, 120), ivs, 0.3, W)
+        m = self.match(det(1000, 120), ivs, 0.3, W)
         assert m.building_id == "B" and m.category == 2
 
     def test_category_comes_from_interval(self):
-        m = match_box(det(950, 200), [interval(900, 1200, category=4)], 0.3, W)
+        m = self.match(det(950, 200), [interval(900, 1200, category=4)],
+                       0.3, W)
         assert m.category == 4
 
     def test_against_brute_force(self):
@@ -127,11 +177,150 @@ class TestMatchBox:
             x = rng.uniform(-W, W)
             w = rng.uniform(1, 600)
             iv = interval(lo, hi)
-            m = match_box(det(x, w), [iv], 0.3, W)
+            m = self.match(det(x, w), [iv], 0.3, W)
             mid = (x + w / 2.0) % W
             want = (brute_midpoint_inside(lo, hi, mid, W)
                     and brute_iou_1d(x, x + w, lo, hi, W) > 0.3)
             assert (m is not None) == want
+
+    def test_box_across_the_seam(self):
+        # box [2000, 2048) u [0, 52) in [1990, 2048) u [0, 90), the span
+        # written wrapped and overflowing, and the box from either side
+        for box in (det(2000, 100), det(-48, 100)):
+            for iv in (interval(1990.0, 90.0), interval(1990.0, 2138.0)):
+                m = self.match(box, [iv], 0.3, W)
+                assert m.iou_x == pytest.approx(100 / 148)
+
+    def test_empty_span_holds_nothing(self):
+        # ends equal mod the width: an empty span, though hi - lo may read
+        # as the whole circle, of which the box would cover 59 %
+        for lo, hi in ((300.0, 300.0), (300.0, 300.0 + W),
+                       (300.0 + W, 300.0)):
+            assert self.match(det(0, 1200), [interval(lo, hi)], 0.3, W) is None
+
+    def test_equal_iou_goes_to_the_smaller_id(self):
+        # ids order as strings: "10" comes before "9"
+        ivs = [interval(900, 1200, "B", 2), interval(900, 1200, "A", 1),
+               interval(900, 1200, "C", 3)]
+        m = self.match(det(950, 200), ivs, 0.3, W)
+        assert (m.building_id, m.category) == ("A", 1)
+        ivs = [interval(900, 1200, "9", 2), interval(900, 1200, "10", 1)]
+        assert self.match(det(950, 200), ivs, 0.3, W).building_id == "10"
+
+    def test_building_split_in_two(self):
+        # an occluder Z splits A; the box's midpoint lies in A's second part
+        ivs = [interval(100, 300, "A"), interval(400, 500, "Z"),
+               interval(500, 700, "A")]
+        m = self.match(det(520, 160), ivs, 0.3, W)
+        assert m.building_id == "A"
+        assert m.iou_x == pytest.approx(160 / 200)
+
+    def test_midpoint_on_either_end(self):
+        # each box would have IoU 0.5 but its midpoint is an end of the
+        # span: plain, then wrapped; one pixel inwards it matches
+        for box, iv, inwards in ((det(900, 600), interval(900, 1200), -1),
+                                 (det(600, 600), interval(900, 1200), 1),
+                                 (det(1852, 296), interval(2000, 100), 1),
+                                 (det(-48, 296), interval(2000, 100), -1)):
+            assert self.match(box, [iv], 0.3, W) is None
+            moved = det(box.x + inwards, box.w)
+            assert self.match(moved, [iv], 0.3, W) is not None
+
+
+class TestMatchBatch(TestMatchBox):
+    """Every :class:`TestMatchBox` case through the batch pass."""
+
+    match = staticmethod(batch_match_box)
+
+
+def random_panorama(rng, width):
+    """Interval rows and boxes of one panorama, rich in what array code
+    gets wrong: spans across the seam, empty spans, equal spans of two
+    buildings, a building in two parts, and box midpoints on span ends
+    (whole-pixel ends make those exact)."""
+    ivs = []
+    for _ in range(rng.randint(0, 6)):
+        whole = rng.random() < 0.5
+        lo = float(rng.randrange(width)) if whole else rng.uniform(0, width)
+        kind = rng.random()
+        if kind < 0.1:
+            hi = lo
+        elif kind < 0.2:
+            hi = lo + width
+        else:
+            span = rng.randrange(1, width // 2) if whole \
+                else rng.uniform(1, width / 2)
+            hi = (lo + span) % width
+        bid = rng.choice("ABCDE")
+        ivs.append(interval(lo, hi, bid, category=ord(bid) % 5 + 1))
+        if rng.random() < 0.2:  # the same span, another building
+            other = rng.choice("ABCDE")
+            ivs.append(interval(lo, hi, other, category=ord(other) % 5 + 1))
+        if rng.random() < 0.2:  # the building's second part
+            lo2 = float(rng.randrange(width))
+            ivs.append(interval(lo2, (lo2 + rng.randrange(1, 200)) % width,
+                                bid, category=ord(bid) % 5 + 1))
+    boxes = []
+    for _ in range(rng.randint(0, 8)):
+        if ivs and rng.random() < 0.3:  # the midpoint on a span end
+            iv = rng.choice(ivs)
+            half = float(rng.randrange(1, width // 4))
+            boxes.append(det(rng.choice((iv.px_lo, iv.px_hi)) - half,
+                             2 * half))
+        else:
+            boxes.append(det(rng.uniform(-width, width),
+                             rng.uniform(1, width / 3)))
+    return width, ivs, boxes
+
+
+BATCH_SEEDS = range(30)
+
+
+@pytest.mark.parametrize("seed", BATCH_SEEDS)
+def test_batch_equals_match_box_on_seeded_batches(seed):
+    # one batch of panoramas of different widths, split over two tables
+    # as a trace group straddling batches splits it; some panoramas have
+    # no box or no interval
+    rng = random.Random(seed)
+    panos = [random_panorama(rng, rng.choice((512, 2048, 3000, 4096)))
+             for _ in range(rng.randint(2, 12))]
+    cut = rng.randint(0, len(panos))
+    rows = tuple(iv for _, ivs, _ in panos for iv in ivs)
+    first = table_of(*[ivs for _, ivs, _ in panos[:cut]], footprints=rows)
+    second = table_of(*[ivs for _, ivs, _ in panos[cut:]], footprints=rows)
+    work = [(boxes, width, first, c) if c < cut
+            else (boxes, width, second, c - cut)
+            for c, (width, _, boxes) in enumerate(panos)]
+    want = [(b, m.building_id, m.category, m.iou_x)
+            for width, ivs, boxes in panos for b in boxes
+            for m in [match_box(b, ivs, 0.3, width)] if m is not None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert match_batch(work, 0.3) == want
+
+
+def test_seeded_batches_hold_every_case():
+    # the seeded batches above do reach the cases they are built for
+    seen = {"wrapped span": 0, "empty span": 0, "tie": 0, "on an end": 0,
+            "match": 0}
+    for seed in BATCH_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(rng.randint(2, 12)):
+            width, ivs, boxes = random_panorama(
+                rng, rng.choice((512, 2048, 3000, 4096)))
+            for iv in ivs:
+                lo, hi = iv.px_lo % width, iv.px_hi % width
+                seen["empty span"] += lo == hi
+                seen["wrapped span"] += hi < lo
+            for b in boxes:
+                mid = (b.x + b.w / 2.0) % width
+                seen["on an end"] += any(
+                    mid in (iv.px_lo % width, iv.px_hi % width) for iv in ivs)
+                ious = [m.iou_x for m in (match_box(b, [iv], 0.3, width)
+                                          for iv in ivs) if m]
+                seen["match"] += bool(ious)
+                seen["tie"] += len(ious) > len(set(ious))
+    assert min(seen.values()) >= 5, seen
 
 
 def pipeline_inputs(seed=11, n_buildings=10, n_cameras=3, noise=None):
@@ -234,9 +423,35 @@ class TestGenerateCoarseAnnotations:
                 runs.append(generate_coarse_annotations(
                     scene.metas, scene.footprint_set, dets, config))
             assert runs[0][0] and len(runs[0][1].batches) == 3
-            for anns, report in runs[1:]:
-                assert anns == runs[0][0]
-                assert report.to_dict() == runs[0][1].to_dict()
+            want, want_report = reference_annotations(
+                scene.metas, scene.footprint_set, dets, config)
+            for anns, report in runs:
+                assert anns == want
+                assert report.to_dict() == want_report.to_dict()
+
+    def test_annotate_builds_no_rows_and_matches_in_batches(self,
+                                                            monkeypatch):
+        # 7 panoramas in batches of 3 and groups of 2: the batch pass
+        # reads tables across group and batch boundaries, and builds no
+        # interval row and calls no per-box match on the way
+        from geotag_facade import matcher, raytrace
+        scene, dets = pipeline_inputs(n_cameras=7, noise=NoiseConfig(
+            shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
+        config = RunConfig(seed=3, batch_size=3)
+        want, want_report = reference_annotations(
+            scene.metas, scene.footprint_set, dets, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("annotate went through rows")
+        monkeypatch.setattr(raytrace, "VisibilityInterval", refuse)
+        monkeypatch.setattr(matcher, "match_box", refuse)
+        monkeypatch.setattr(matcher, "GROUP_RAYS", 2 * 360)
+        anns, report = generate_coarse_annotations(
+            scene.metas, scene.footprint_set, dets, config)
+        assert [b.n_panoramas for b in report.batches] == [3, 3, 1]
+        assert len(want) > 10
+        assert anns == want
+        assert report.to_dict() == want_report.to_dict()
 
     def test_groups_fill_across_batches(self, monkeypatch):
         # 7 panoramas in batches of 2 and groups of 3 cameras: one trace

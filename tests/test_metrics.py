@@ -51,6 +51,33 @@ class TestIou1d:
             assert 0.0 <= v1 <= 1.0
             assert v1 == pytest.approx(brute_iou_1d(*a, *b, W))
 
+    def test_arrays_equal_the_scalar_bit_for_bit(self):
+        # spans of every length up to the circle, both written wrapped
+        # and overflowing; long spans overlap in all four piece pairs,
+        # where the summing order shows in the last bit
+        rng = random.Random(3)
+        pairs = []
+        for _ in range(20000):
+            width = rng.choice((512.0, 2048.0, 3000.0))
+            spans = []
+            for _ in range(2):
+                lo = rng.uniform(-width, 2 * width)
+                length = rng.uniform(0.5, width) if rng.random() < 0.5 \
+                    else rng.uniform(width / 2, width)
+                hi = lo + length
+                spans += [lo, hi if rng.random() < 0.5 else hi % width]
+            pairs.append((*spans, width))
+        a_lo, a_hi, b_lo, b_hi, width = np.array(pairs).T
+        got = metrics.iou_1d_arrays(a_lo, a_hi, b_lo, b_hi, width)
+        want = [iou_1d((p[0], p[1]), (p[2], p[3]), p[4]) for p in pairs]
+        assert got.tolist() == want
+
+    def test_arrays_raise_on_a_zero_length_union(self):
+        with pytest.raises(ValueError, match="zero-length union"):
+            metrics.iou_1d_arrays(np.array([1.0, 5.0]), np.array([2.0, 5.0]),
+                                  np.array([1.0, 9.0]), np.array([3.0, 9.0]),
+                                  np.array([W, W]))
+
 
 class TestIou2d:
     def test_identical(self):
