@@ -14,7 +14,10 @@ Loaders are pure: same bytes in, same domain objects out, in the same
 order. Invalid records are rejected per record and listed in a
 :class:`LoadReport`; structural problems (malformed JSON, duplicate join
 keys) raise instead. Every JSON value becomes a typed field through the
-field readers below, which ``cocoio`` and ``render`` share.
+field readers below, which ``cocoio`` and ``render`` share. Footprint
+rings arrive as arrays: every ring is read into one flat vertex array
+and checked there, all rings at once, and a :class:`FootprintSet` holds
+the accepted ones as they are.
 """
 from __future__ import annotations
 
@@ -23,7 +26,11 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, product
 from pathlib import Path
+
+import numpy as np
 
 from .errors import LoadError, ParseError
 
@@ -34,7 +41,7 @@ log = logging.getLogger(__name__)
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildingFootprint:
     """One building outer ring in WGS84 with a resolved function category.
 
@@ -48,7 +55,7 @@ class BuildingFootprint:
     category: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PanoramaMeta:
     """Camera position plus the pixel geometry of one panorama.
 
@@ -64,7 +71,7 @@ class PanoramaMeta:
     height: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionBox:
     """A facade bounding box with its detector confidence.
 
@@ -135,13 +142,47 @@ class LoadReport:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class FootprintSet:
-    footprints: list
+    """Footprints in input order, as flat vertex arrays.
+
+    Footprint ``i`` is ``building_ids[i]``, ``raw_labels[i]`` and
+    ``categories[i]``; its outer ring is the next ``ring_len[i]``
+    vertices of ``lat`` and ``lon`` (degrees), the closing one dropped.
+    ``footprints`` derives the records once.
+    """
+
+    building_ids: list
+    raw_labels: list
+    categories: list
+    lat: np.ndarray
+    lon: np.ndarray
+    ring_len: np.ndarray
     report: LoadReport
 
+    @classmethod
+    def of(cls, footprints) -> "FootprintSet":
+        """The set of ``footprints`` (closed rings), all counted accepted."""
+        fps = list(footprints)
+        lat, lon = (np.array([p[k] for fp in fps for p in fp.ring[:-1]],
+                             float) for k in (0, 1))
+        return cls([fp.building_id for fp in fps],
+                   [fp.raw_label for fp in fps], [fp.category for fp in fps],
+                   lat, lon, np.array([len(fp.ring) - 1 for fp in fps], int),
+                   LoadReport(path="<records>", n_input=len(fps)))
+
+    @cached_property
+    def footprints(self) -> list:
+        lat, lon = self.lat.tolist(), self.lon.tolist()
+        end = np.cumsum(self.ring_len).tolist()
+        rings = [tuple(zip(lat[i:j], lon[i:j])) for i, j in zip([0] + end, end)]
+        return [BuildingFootprint(bid, ring + ring[:1], label, category)
+                for bid, ring, label, category in zip(
+                    self.building_ids, rings, self.raw_labels,
+                    self.categories)]
+
     def __len__(self):
-        return len(self.footprints)
+        return len(self.building_ids)
 
     def __iter__(self):
         return iter(self.footprints)
@@ -252,82 +293,136 @@ def _ok(reader, *values) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Ring validation helpers
+# Ring validation, over every ring at once
 # ---------------------------------------------------------------------------
 
 _MIN_RING_AREA_DEG2 = 1e-16
+# (ring, edge pair) cells of one block of the simple-ring test, which
+# bounds its memory
+_PAIR_CELLS = 1 << 16
+_RING_REASONS = (None, "non-finite coordinate",
+                 "ring has fewer than 3 distinct vertices",
+                 "ring has zero area", "ring is self-intersecting")
 
 
-def _normalize_ring(coords):
-    """GeoJSON [lon, lat] positions -> closed (lat, lon) ring, or reason."""
-    if not isinstance(coords, list):
-        return None, "ring is not a list of positions"
-    pts = []
-    for pos in coords:
-        if not isinstance(pos, (list, tuple)) or len(pos) < 2:
-            return None, "ring vertex is not a coordinate pair"
-        try:
-            lon, lat = _numbers(pos[0], pos[1])
-        except _FieldError as e:
-            return None, f"{e.kind} coordinate"
-        if pts and pts[-1] == (lat, lon):
-            continue  # drop consecutive duplicates
-        pts.append((lat, lon))
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts.pop()
-    if len(pts) < 3:
-        return None, "ring has fewer than 3 distinct vertices"
-    return pts, None
+def _read_rings(rings):
+    """Rings of GeoJSON [lon, lat] positions as one flat float list, with
+    each ring's position count and reason: None, or its first bad
+    position's (then a count of 0). Only a position's first two values
+    count, each read by :func:`_number`; NaN and infinity are left to
+    :func:`_check_rings`. Rings of float pairs take one pass in all."""
+    if {*map(type, rings)} <= {list}:
+        positions = [*chain.from_iterable(rings)]
+        if {*map(type, positions)} <= {list} and \
+                {*map(len, positions)} <= {2}:
+            values = [*chain.from_iterable(positions)]
+            if {*map(type, values)} <= {float}:
+                return values, [*map(len, rings)], [None] * len(rings)
+    values, count, reasons = [], [], []
+    for coords in rings:
+        ring, reason = [], None
+        if not isinstance(coords, list):
+            reason, coords = "ring is not a list of positions", ()
+        for pos in coords:
+            if not isinstance(pos, (list, tuple)) or len(pos) < 2:
+                reason = "ring vertex is not a coordinate pair"
+                break
+            try:
+                ring += _numbers(pos[0], pos[1])
+            except _FieldError as e:
+                reason = f"{e.kind} coordinate"
+                break
+        ring = [] if reason else ring
+        values += ring
+        count.append(len(ring) // 2)
+        reasons.append(reason)
+    return values, count, reasons
 
 
-def _shoelace(pts):
-    area2 = 0.0
-    for (y1, x1), (y2, x2) in zip(pts, pts[1:] + pts[:1]):
-        area2 += x1 * y2 - x2 * y1
-    return 0.5 * area2
+def _check_rings(values, count):
+    """Check the rings of :func:`_read_rings` all at once, each float
+    operation that of the one-ring rule, in its order.
+
+    A ring needs finite values. Consecutive duplicate vertices go (the
+    first stays), then a last vertex equal to the first. At least 3 must
+    be left, the shoelace area (summed left to right) must reach 1e-16
+    square degrees, and no two non-adjacent edges may meet. Returns each
+    ring's reason (None if accepted), the lat and lon of the vertices
+    accepted rings keep, and each ring's count of those.
+    """
+    count = np.array(count, np.int64)
+    lon, lat = np.fromiter(values, float, len(values)).reshape(-1, 2).T
+    ring = np.repeat(np.arange(len(count)), count)
+    bad = ~(np.isfinite(lat) & np.isfinite(lon))
+    code = (np.bincount(ring, bad, len(count)) > 0).astype(np.int64)
+    keep = code[ring] == 0  # then drop a vertex equal to the one before
+    keep[1:] &= ((lat[1:] != lat[:-1]) | (lon[1:] != lon[:-1])
+                 | (ring[1:] != ring[:-1]))
+    kept = np.bincount(ring[keep], minlength=len(count))
+    # then a last vertex equal to the first, which is always kept
+    r = np.flatnonzero(kept >= 2)
+    first = (np.cumsum(count) - count)[r]
+    last = np.flatnonzero(keep)[np.cumsum(kept)[r] - 1]
+    closed = (lat[first] == lat[last]) & (lon[first] == lon[last])
+    keep[last[closed]] = False
+    kept[r[closed]] -= 1
+    code[(code == 0) & (kept < 3)] = 2
+    idx, first = np.flatnonzero(keep), np.cumsum(kept) - kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in np.unique(kept[code == 0]).tolist():  # rings of m vertices
+            rows = np.flatnonzero((code == 0) & (kept == m))
+            y, x = (v[idx[first[rows, None] + np.arange(m)]]
+                    for v in (lat, lon))
+            area2 = np.cumsum(x * np.roll(y, -1, 1) - np.roll(x, -1, 1) * y,
+                              axis=1)[:, -1]
+            code[rows] = np.where(np.abs(0.5 * area2) < _MIN_RING_AREA_DEG2,
+                                  3, np.where(_simple(y, x), 0, 4))
+    keep &= code[ring] == 0
+    kept[code != 0] = 0
+    return ([_RING_REASONS[c] for c in code.tolist()], lat[keep], lon[keep],
+            kept)
+
+
+def _edge_pairs(m, i0, i1):
+    """Vertex indices (i, i + 1, j, j + 1, mod m) of the edge pairs of an
+    m-vertex ring that share no vertex, with i in [i0, i1) and j > i."""
+    i = np.arange(i0, i1)
+    n = np.maximum(m - (i == 0) - i - 2, 0)
+    i = np.repeat(i, n)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n) + i + 2
+    return i, (i + 1) % m, j, (j + 1) % m
 
 
 def _orient(p, q, r):
+    """Sign of the turn p -> q -> r of (lat, lon) arrays; 0 on NaN."""
     v = (q[1] - p[1]) * (r[0] - p[0]) - (q[0] - p[0]) * (r[1] - p[1])
-    return (v > 0) - (v < 0)
+    return (v > 0).view(np.int8) - (v < 0).view(np.int8)
 
 
-def _on_segment(p, q, r):
-    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+def _on_box(p, q, r):
+    return ((np.minimum(p[0], q[0]) <= r[0]) & (r[0] <= np.maximum(p[0], q[0]))
+            & (np.minimum(p[1], q[1]) <= r[1])
+            & (r[1] <= np.maximum(p[1], q[1])))
 
 
-def _segments_intersect(a1, a2, b1, b2):
-    o1, o2 = _orient(a1, a2, b1), _orient(a1, a2, b2)
-    o3, o4 = _orient(b1, b2, a1), _orient(b1, b2, a2)
-    return ((o1 != o2 and o3 != o4)
-            or (o1 == 0 and _on_segment(a1, a2, b1))
-            or (o2 == 0 and _on_segment(a1, a2, b2))
-            or (o3 == 0 and _on_segment(b1, b2, a1))
-            or (o4 == 0 and _on_segment(b1, b2, a2)))
-
-
-def _is_simple(pts):
-    """True when no two non-adjacent ring edges intersect or touch."""
-    n = len(pts)
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        # edges i + 1 and, for edge 0, n - 1 share a vertex with edge i
-        for j in range(i + 2, n - (i == 0)):
-            if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
-                return False
-    return True
-
-
-def _validate_ring(coords):
-    pts, reason = _normalize_ring(coords)
-    if pts is None:
-        return None, reason
-    if abs(_shoelace(pts)) < _MIN_RING_AREA_DEG2:
-        return None, "ring has zero area"
-    if not _is_simple(pts):
-        return None, "ring is self-intersecting"
-    return tuple(pts + [pts[0]]), None
+def _simple(lat, lon):
+    """Per row of (rings, m) vertex arrays: no two edges that share no
+    vertex meet or touch. Blocks of rings and edges bound the memory."""
+    rows, m = lat.shape
+    size = max(1, _PAIR_CELLS // m)  # rings per block
+    step = max(1, _PAIR_CELLS // (min(rows, size) * m))  # edges per block
+    ok = np.ones(rows, bool)
+    for r0, i0 in product(range(0, rows, size), range(0, m, step)):
+        a, b, c, d = ((lat[r0:r0 + size, k], lon[r0:r0 + size, k])
+                      for k in _edge_pairs(m, i0, min(i0 + step, m)))
+        o1, o2 = _orient(a, b, c), _orient(a, b, d)
+        o3, o4 = _orient(c, d, a), _orient(c, d, b)
+        ok[r0:r0 + size] &= ~(((o1 != o2) & (o3 != o4))
+                              | ((o1 == 0) & _on_box(a, b, c))
+                              | ((o2 == 0) & _on_box(a, b, d))
+                              | ((o3 == 0) & _on_box(c, d, a))
+                              | ((o4 == 0) & _on_box(c, d, b))).any(axis=1)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +494,8 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
     MultiPolygon features are split into one footprint per outer ring,
     ``building_id`` suffixed ``#1``, ``#2``, ... Records failing ring
     invariants or lacking a mappable label are rejected into the report.
+    The rings are read, then checked, all at once (:func:`_read_rings`,
+    :func:`_check_rings`).
     """
     doc = _read_json(path)
     report = LoadReport(path=str(path))
@@ -406,17 +503,18 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
     if type(features) is not list or doc.get("type") != "FeatureCollection":
         raise LoadError(f"{path}: expected a GeoJSON FeatureCollection")
 
-    out = []
+    records = []  # [key, reason, raw_label, label] per input record
+    rings, parsed = [], []  # each ring to read and its record's index
     for fidx, feat in enumerate(features):
         if not isinstance(feat, dict):
-            report.n_input += 1
-            report.reject(f"feature[{fidx}]", "feature is not an object")
+            records.append([f"feature[{fidx}]", "feature is not an object",
+                            None, None])
             continue
         props = feat.get("properties")
         props = props if isinstance(props, dict) else {}
         building_id = props.get("building_id")
         label = props.get("label")
-        key, bad = f"feature[{fidx}]", None
+        key = raw_label = bad = None
         try:
             key = _key(building_id)
             raw_label = _key(label)
@@ -424,38 +522,45 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
             bad = ("missing building_id or label property"
                    if building_id is None or label is None else
                    "building_id and label must be strings or numbers")
+        key = f"feature[{fidx}]" if key is None else key
         geometry = feat.get("geometry")
         geometry = geometry if isinstance(geometry, dict) else {}
-        rings = _outer_rings(geometry)
-        if rings is None:
-            report.n_input += 1
-            report.reject(key, f"unsupported geometry type {geometry.get('type')!r}")
+        coords = _outer_rings(geometry)
+        if not coords:
+            records.append([key, "feature has no coordinates" if coords == []
+                            else f"unsupported geometry type "
+                                 f"{geometry.get('type')!r}", None, None])
             continue
-        if not rings:
-            report.n_input += 1
-            report.reject(key, "feature has no coordinates")
-            continue
-        multi = len(rings) > 1
-        for ridx, ring_coords in enumerate(rings, start=1):
-            report.n_input += 1
-            rkey = f"{key}#{ridx}" if multi else key
-            if bad:
-                report.reject(rkey, bad)
-                continue
-            ring, reason = _validate_ring(ring_coords)
-            if ring is None:
-                report.reject(rkey, reason)
-                continue
+        for ridx, ring in enumerate(coords, start=1):
+            if not bad:
+                parsed.append(len(records))
+                rings.append(ring)
+            records.append([f"{key}#{ridx}" if len(coords) > 1 else key, bad,
+                            raw_label, label])
+
+    values, count, read = _read_rings(rings)
+    checked, lat, lon, kept = _check_rings(values, count)
+    for r, reason, check in zip(parsed, read, checked):
+        records[r][1] = reason or check
+    accepted = []
+    for rec in records:
+        key, reason, raw_label, label = rec
+        if reason is None:
             category = mapping.resolve(raw_label)
-            if category is None:
-                report.reject(rkey, f"label {label!r} not in mapping and no default")
+            if category is not None:
+                accepted.append((key, raw_label, category))
                 continue
-            out.append(BuildingFootprint(building_id=rkey, ring=ring,
-                                         raw_label=raw_label,
-                                         category=category))
+            rec[1] = reason = f"label {label!r} not in mapping and no default"
+        report.reject(key, reason)
+    report.n_input = len(records)
+    ids, raw_labels, categories = (list(f) for f in zip(*accepted)) \
+        if accepted else ([], [], [])
+    ok = np.array([records[r][1] is None for r in parsed], bool)
+    keep = np.repeat(ok, kept)
     log.info("loaded %d footprints from %s (%d rejected)",
-             len(out), path, report.n_rejected)
-    return FootprintSet(footprints=out, report=report)
+             len(ids), path, report.n_rejected)
+    return FootprintSet(ids, raw_labels, categories, lat[keep], lon[keep],
+                        kept[ok], report)
 
 
 _META_FIELDS = ("pano_id", "lat", "lon", "north_px", "width", "height")

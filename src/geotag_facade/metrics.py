@@ -26,7 +26,7 @@ SMALL_AREA = 32.0 ** 2
 MEDIUM_AREA = 96.0 ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalBox:
     """One annotation as the evaluator sees it."""
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRangeError
-from .ingest import PanoramaMeta
+from .ingest import FootprintSet, PanoramaMeta
 
 EARTH_RADIUS_KM = 6371.393
 METERS_PER_DEGREE = math.pi * EARTH_RADIUS_KM * 1000.0 / 180.0
@@ -221,38 +221,33 @@ class LocalScene:
 
 
 class FootprintIndex:
-    """A footprint collection as flat arrays, for clipping.
+    """A footprint set's rings, ready for clipping.
 
-    Built once per run from any iterable of footprints. Holds every outer
-    ring's vertices (the closing one dropped) in one lat and one lon
-    array, with each ring's first vertex and vertex count, each ring's
-    lat/lon bounding box, and each footprint's building rank under
-    lexicographic id order (footprints sharing an id share a rank).
-    Never modified after construction.
+    Built once per run from a :class:`FootprintSet`, whose flat vertex
+    arrays it takes as they are: every outer ring's vertices (the
+    closing one dropped) in one lat and one lon array, with each ring's
+    first vertex and vertex count. Adds each ring's lat/lon bounding box
+    and each footprint's building rank under lexicographic id order
+    (footprints sharing an id share a rank). Never modified after
+    construction.
     """
 
-    def __init__(self, footprints):
-        self.footprints = tuple(footprints)
-        fps = self.footprints
-        self.ring_len = np.fromiter((len(fp.ring) - 1 for fp in fps),
-                                    np.int64, len(fps))
+    def __init__(self, footprints: FootprintSet):
+        self.footprints = footprints
+        self.lat, self.lon = footprints.lat, footprints.lon
+        self.ring_len = footprints.ring_len
         self.ring_start = np.cumsum(self.ring_len) - self.ring_len
-        size = int(self.ring_len.sum())
-        self.lat = np.fromiter((p[0] for fp in fps for p in fp.ring[:-1]),
-                               float, size)
-        self.lon = np.fromiter((p[1] for fp in fps for p in fp.ring[:-1]),
-                               float, size)
-        if fps:
+        if len(footprints):
             self.lat_lo = np.minimum.reduceat(self.lat, self.ring_start)
             self.lat_hi = np.maximum.reduceat(self.lat, self.ring_start)
             self.lon_lo = np.minimum.reduceat(self.lon, self.ring_start)
             self.lon_hi = np.maximum.reduceat(self.lon, self.ring_start)
         else:
             self.lat_lo = self.lat_hi = self.lon_lo = self.lon_hi = self.lat
-        rank_of = {b: r for r, b in
-                   enumerate(sorted({fp.building_id for fp in fps}))}
-        self.rank = np.fromiter((rank_of[fp.building_id] for fp in fps),
-                                np.int64, len(fps))
+        ids = footprints.building_ids
+        rank_of = {b: r for r, b in enumerate(sorted(set(ids)))}
+        self.rank = np.fromiter(map(rank_of.__getitem__, ids), np.int64,
+                                len(ids))
 
     def __len__(self) -> int:
         return len(self.footprints)
@@ -324,11 +319,11 @@ def _exact_hypot(x, y, *thresholds):
     return d
 
 
-def footprint_names(footprints, fp) -> list:
-    """(building_id, category) of ``footprints[f]`` for each ``f`` of the
+def footprint_names(footprints: FootprintSet, fp) -> list:
+    """(building_id, category) of footprint ``f`` for each ``f`` of the
     index array ``fp``."""
-    return [(footprints[f].building_id, footprints[f].category)
-            for f in fp.tolist()]
+    ids, categories = footprints.building_ids, footprints.categories
+    return [(ids[f], categories[f]) for f in fp.tolist()]
 
 
 @dataclass
@@ -436,7 +431,7 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
     containing = [None] * len(metas)
     for c, f in zip(cam[holds].tolist(), fp[holds].tolist()):
         if containing[c] is None:
-            containing[c] = index.footprints[f].building_id
+            containing[c] = index.footprints.building_ids[f]
     back = cull[pair] & ((p - q) * sense > _FACE_MARGIN * (abs(p) + abs(q)))
     edge = np.flatnonzero(kept[pair] & wall)
     walls = wall_arrays(cam[pair[edge]], x[edge], y[edge], bx[edge],

@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import rays_per_turn
 from .errors import DegenerateSceneError
-from .ingest import PanoramaMeta
+from .ingest import FootprintSet, PanoramaMeta
 from .projection import (ClipGroup, LocalScene, SceneArrays, angle_to_pixel,
                          footprint_names, heading_px)
 
@@ -148,7 +148,7 @@ class IntervalTable:
     held camera are never read.
     """
 
-    footprints: tuple
+    footprints: FootprintSet
     containing: list
     offsets: np.ndarray
     rank: np.ndarray

@@ -81,9 +81,7 @@ class SyntheticScene:
 
     @property
     def footprint_set(self) -> FootprintSet:
-        return FootprintSet(footprints=self.footprints,
-                            report=LoadReport(path="<synthetic>",
-                                              n_input=len(self.footprints)))
+        return FootprintSet.of(self.footprints)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def oracle_intervals_for_scene(scene: LocalScene,
 def oracle_visibility(scene: SyntheticScene) -> dict:
     """Exact per-camera intervals for a synthetic scene (pixel-populated)."""
     res = scene.config.oracle_resolution_deg
-    index = FootprintIndex(scene.footprints)
+    index = FootprintIndex(scene.footprint_set)
     out = {}
     for meta in scene.metas:
         local = clip_scene(index, meta, scene.config.radius_m)

@@ -25,18 +25,27 @@ package's one-camera trace (``clip_scene``, ``trace_sweep``,
 ``intervals_from_sweep``, ``intervals_to_pixel``), which
 ``trace_panoramas`` replaced; ``reference_annotations``, the annotate
 driver that traced each panorama on its own and matched box by box with
-``match_box``, which the batch pass replaced; and ``_runs``, the run
-split of ``run_table`` as a list of ``[start, end, index]``.
+``match_box``, which the batch pass replaced; ``_runs``, the run
+split of ``run_table`` as a list of ``[start, end, index]``; and the
+scalar ring checks (``_normalize_ring``, ``_shoelace``, ``_orient``,
+``_on_segment``, ``_segments_intersect``, ``_is_simple``,
+``_validate_ring``) with the loader that ran them one ring at a time
+(``reference_load_footprints``), which the array pass over every ring
+replaced.
 """
+import json
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from geotag_facade.config import RunConfig
-from geotag_facade.ingest import PanoramaMeta
+from geotag_facade.ingest import (_MIN_RING_AREA_DEG2, BuildingFootprint,
+                                  LoadReport, PanoramaMeta, _FieldError, _key,
+                                  _numbers, _outer_rings)
 from geotag_facade.matcher import (BatchReport, CoarseAnnotation, RunReport,
                                    filter_detections, fit_threshold,
                                    match_box)
@@ -679,3 +688,132 @@ def _runs(building_idx: np.ndarray):
     n = len(building_idx)
     start, end, own, _ = run_table(building_idx, np.zeros(n), n)
     return [list(r) for r in zip(start.tolist(), end.tolist(), own.tolist())]
+
+
+def _normalize_ring(coords):
+    """GeoJSON [lon, lat] positions -> closed (lat, lon) ring, or reason."""
+    if not isinstance(coords, list):
+        return None, "ring is not a list of positions"
+    pts = []
+    for pos in coords:
+        if not isinstance(pos, (list, tuple)) or len(pos) < 2:
+            return None, "ring vertex is not a coordinate pair"
+        try:
+            lon, lat = _numbers(pos[0], pos[1])
+        except _FieldError as e:
+            return None, f"{e.kind} coordinate"
+        if pts and pts[-1] == (lat, lon):
+            continue  # drop consecutive duplicates
+        pts.append((lat, lon))
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 3:
+        return None, "ring has fewer than 3 distinct vertices"
+    return pts, None
+
+
+def _shoelace(pts):
+    area2 = 0.0
+    for (y1, x1), (y2, x2) in zip(pts, pts[1:] + pts[:1]):
+        area2 += x1 * y2 - x2 * y1
+    return 0.5 * area2
+
+
+def _orient(p, q, r):
+    v = (q[1] - p[1]) * (r[0] - p[0]) - (q[0] - p[0]) * (r[1] - p[1])
+    return (v > 0) - (v < 0)
+
+
+def _on_segment(p, q, r):
+    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+
+def _segments_intersect(a1, a2, b1, b2):
+    o1, o2 = _orient(a1, a2, b1), _orient(a1, a2, b2)
+    o3, o4 = _orient(b1, b2, a1), _orient(b1, b2, a2)
+    return ((o1 != o2 and o3 != o4)
+            or (o1 == 0 and _on_segment(a1, a2, b1))
+            or (o2 == 0 and _on_segment(a1, a2, b2))
+            or (o3 == 0 and _on_segment(b1, b2, a1))
+            or (o4 == 0 and _on_segment(b1, b2, a2)))
+
+
+def _is_simple(pts):
+    """True when no two non-adjacent ring edges intersect or touch."""
+    n = len(pts)
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        # edges i + 1 and, for edge 0, n - 1 share a vertex with edge i
+        for j in range(i + 2, n - (i == 0)):
+            if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
+                return False
+    return True
+
+
+def _validate_ring(coords):
+    pts, reason = _normalize_ring(coords)
+    if pts is None:
+        return None, reason
+    if abs(_shoelace(pts)) < _MIN_RING_AREA_DEG2:
+        return None, "ring has zero area"
+    if not _is_simple(pts):
+        return None, "ring is self-intersecting"
+    return tuple(pts + [pts[0]]), None
+
+
+def reference_load_footprints(path, mapping):
+    """``load_footprints`` one record at a time, each ring checked by
+    ``_validate_ring`` as it comes. Returns (footprints, report)."""
+    doc = json.loads(Path(path).read_bytes())
+    report = LoadReport(path=str(path))
+    out = []
+    for fidx, feat in enumerate(doc["features"]):
+        if not isinstance(feat, dict):
+            report.n_input += 1
+            report.reject(f"feature[{fidx}]", "feature is not an object")
+            continue
+        props = feat.get("properties")
+        props = props if isinstance(props, dict) else {}
+        building_id = props.get("building_id")
+        label = props.get("label")
+        key, bad = f"feature[{fidx}]", None
+        try:
+            key = _key(building_id)
+            raw_label = _key(label)
+        except _FieldError:
+            bad = ("missing building_id or label property"
+                   if building_id is None or label is None else
+                   "building_id and label must be strings or numbers")
+        geometry = feat.get("geometry")
+        geometry = geometry if isinstance(geometry, dict) else {}
+        rings = _outer_rings(geometry)
+        if rings is None:
+            report.n_input += 1
+            report.reject(key, f"unsupported geometry type "
+                               f"{geometry.get('type')!r}")
+            continue
+        if not rings:
+            report.n_input += 1
+            report.reject(key, "feature has no coordinates")
+            continue
+        multi = len(rings) > 1
+        for ridx, ring_coords in enumerate(rings, start=1):
+            report.n_input += 1
+            rkey = f"{key}#{ridx}" if multi else key
+            if bad:
+                report.reject(rkey, bad)
+                continue
+            ring, reason = _validate_ring(ring_coords)
+            if ring is None:
+                report.reject(rkey, reason)
+                continue
+            category = mapping.resolve(raw_label)
+            if category is None:
+                report.reject(rkey,
+                              f"label {label!r} not in mapping and no default")
+                continue
+            out.append(BuildingFootprint(building_id=rkey, ring=ring,
+                                         raw_label=raw_label,
+                                         category=category))
+    return out, report

@@ -57,8 +57,7 @@ def corpus(scene_seeds, n_buildings=14, n_cameras=8, noise=None,
     n = sum(len(v) for v in by_pano.values())
     det_set = DetectionSet(by_pano=by_pano,
                            report=LoadReport(path="<corpus>", n_input=n))
-    fset = FootprintSet(footprints=footprints,
-                        report=LoadReport(path="<corpus>"))
+    fset = FootprintSet.of(footprints)
     return metas, fset, det_set, gt_boxes, boxes_per_pano
 
 
@@ -116,7 +115,7 @@ def test_criterion_2_sweep_oracle_equivalence():
     for seed in range(1000):
         n_buildings = seed % 40 + 1
         scene = geometry_scene(seed, n_buildings)
-        local = clip_scene(FootprintIndex(scene.footprints), scene.metas[0],
+        local = clip_scene(FootprintIndex(scene.footprint_set), scene.metas[0],
                            scene.config.radius_m)
         sweep = trace_sweep(local, 1.0)
         ob, od = oracle_hits(local, sweep.thetas)
@@ -163,7 +162,7 @@ def test_criterion_4_radius_monotonicity():
     for seed in range(100):
         scene = geometry_scene(3000 + seed, seed % 30 + 4)
         meta = scene.metas[0]
-        index = FootprintIndex(scene.footprints)
+        index = FootprintIndex(scene.footprint_set)
         sweeps = {}
         for r in radii:
             local = clip_scene(index, meta, r)

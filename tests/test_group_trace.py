@@ -20,7 +20,7 @@ from geotag_facade import (FootprintIndex, PanoramaMeta, RunConfig,
                            clip_scene, local_to_geodetic, matcher,
                            trace_panoramas, trace_sweep)
 from geotag_facade.config import rays_per_turn
-from geotag_facade.ingest import BuildingFootprint
+from geotag_facade.ingest import BuildingFootprint, FootprintSet
 from geotag_facade.projection import (METERS_PER_DEGREE, _exact_hypot,
                                       clip_group)
 from geotag_facade.raytrace import _ray_runs
@@ -94,7 +94,7 @@ def out_of_range_count(caplog):
 def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
     """trace_panoramas under every cap equals both one-camera paths;
     returns the out-of-range count its WARNING gives."""
-    index = FootprintIndex(footprints)
+    index = FootprintIndex(FootprintSet.of(footprints))
     want = [reference_trace_panorama(footprints, m, config) for m in metas]
     assert [trace_panorama(index, m, config) for m in metas] == want
     seen = set()
@@ -156,7 +156,8 @@ def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch, caplog):
              cam(30, 10, "c")]
     config = RunConfig()
     assert_groups_match(monkeypatch, caplog, fps, metas, config)
-    got = list(trace_panoramas(FootprintIndex(fps), metas, config))
+    got = list(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
+                               config))
     assert got[1] == (None, "trap") and got[4] == (None, "east")
     assert got[2] == ([], None) and got[5] == ([], None)
     assert all(got[k][0] for k in (0, 3, 6))
@@ -172,7 +173,8 @@ def test_runs_across_the_seam_at_group_boundaries(monkeypatch, caplog):
     for step in (1.0, 0.5):
         config = RunConfig(step_deg=step)
         assert_groups_match(monkeypatch, caplog, fps, metas, config)
-        for ivs, _ in trace_panoramas(FootprintIndex(fps), metas, config):
+        for ivs, _ in trace_panoramas(FootprintIndex(FootprintSet.of(fps)),
+                                      metas, config):
             wall = [iv for iv in ivs if iv.building_id == "wall"]
             assert len(wall) == 1 and wall[0].angle_hi < wall[0].angle_lo
 
@@ -188,7 +190,8 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
     config = RunConfig()
     assert_groups_match(monkeypatch, caplog, fps, metas, config)
     got = dict(zip((m.pano_id for m in metas),
-                   trace_panoramas(FootprintIndex(fps), metas, config)))
+                   trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
+                                   config)))
     assert {iv.category for iv in got["west"][0]
             if iv.building_id == "dup"} == {1}
     assert {iv.category for iv in got["east"][0]
@@ -206,7 +209,8 @@ def test_ring_exactly_at_the_radius(monkeypatch, caplog):
     for radius, kept in ((d, True), (math.nextafter(d, 0.0), False)):
         config = RunConfig(radius_m=radius)
         assert_groups_match(monkeypatch, caplog, fps, metas, config)
-        scene = clip_scene(FootprintIndex(fps), metas[0], radius)
+        scene = clip_scene(FootprintIndex(FootprintSet.of(fps)), metas[0],
+                           radius)
         assert (("rim", 1) in scene.buildings) is kept
 
 
@@ -222,7 +226,8 @@ def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch,
         config = RunConfig()
         assert assert_groups_match(monkeypatch, caplog, fps, metas,
                                    config) == skipped
-        ivs = next(trace_panoramas(FootprintIndex(fps), metas, config))[0]
+        ivs = next(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
+                                   config))[0]
         assert ("long" in {iv.building_id for iv in ivs}) is not skipped
 
 
@@ -238,7 +243,7 @@ def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch, caplog):
                square(30, 30, 6, "other")]
         metas = [cam(30, 10, "a"), cam(0, 0, "o"), cam(30, 50, "b")]
         assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
-        got = list(trace_panoramas(FootprintIndex(fps), metas,
+        got = list(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
                                    RunConfig()))[1]
         assert (got == (None, "shell")) is inside
 
@@ -276,7 +281,8 @@ def test_exact_hypot_decides_like_math_hypot():
 
 def front_walls(footprints, meta, radius_m=50.0):
     """(front flags, (ax, ay, bx, by) per wall) of one camera's clip."""
-    walls = clip_group(FootprintIndex(footprints), [meta], radius_m).walls
+    walls = clip_group(FootprintIndex(FootprintSet.of(footprints)), [meta],
+                       radius_m).walls
     return walls.front.tolist(), list(zip(walls.ax.tolist(),
                                           walls.ay.tolist(),
                                           walls.bx.tolist(),
@@ -344,7 +350,8 @@ def test_cameras_on_and_inside_rings_in_one_group(monkeypatch, caplog):
     front, _ = front_walls(fps[:1], metas[1])
     assert front == [True] * 4
     assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
-    got = list(trace_panoramas(FootprintIndex(fps), metas, RunConfig()))
+    got = list(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
+                               RunConfig()))
     assert got[2] == (None, "held")
     assert "edge" in {iv.building_id for iv in got[1][0]}
 
@@ -384,7 +391,8 @@ def test_ring_a_ray_slips_into_keeps_every_wall(monkeypatch, caplog, fp,
     # beyond its neighbour's hit on the near walls, so a convex ring with
     # a vertex on the camera's axes or a dropped edge keeps its back faces
     meta = cam(0, 0, "o")
-    sweep = trace_sweep(clip_scene(FootprintIndex([fp]), meta, 50.0), 1.0)
+    sweep = trace_sweep(clip_scene(FootprintIndex(FootprintSet.of([fp])), meta,
+                                   50.0), 1.0)
     assert sweep.distances[ray] > 1.3 * sweep.distances[ray + 1]
     front, _ = front_walls([fp], meta)
     assert all(front)
@@ -396,7 +404,7 @@ def test_back_faces_halve_the_pairs_of_a_street():
     # at 0.1 degrees, as the benchmark's street-fine workload sweeps
     sc = generate_scene(3, SceneConfig(n_buildings=14, n_cameras=5,
                                        with_ground_truth=False))
-    walls = clip_group(FootprintIndex(sc.footprints), sc.metas, 50.0).walls
+    walls = clip_group(FootprintIndex(sc.footprint_set), sc.metas, 50.0).walls
     n = rays_per_turn(0.1)
     culled = int(_ray_runs(walls, 50.0, n)[2].sum())
     every = replace(walls, front=np.ones(len(walls), bool))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -7,6 +8,8 @@ import pytest
 from geotag_facade import (CategoryMapping, LoadError, ParseError,
                            load_category_mapping, load_detections,
                            load_footprints, load_panorama_meta)
+
+from oracle_utils import reference_load_footprints
 
 
 def write(tmp_path, name, obj):
@@ -136,7 +139,7 @@ class TestFootprints:
         assert fs.report.n_input == 60
         assert len(fs) == fs.report.n_accepted
         # every accepted footprint satisfies the ring invariants
-        from geotag_facade.ingest import _validate_ring
+        from oracle_utils import _validate_ring
         for fp in fs:
             assert fp.ring[0] == fp.ring[-1]
             assert len(set(fp.ring[:-1])) >= 3
@@ -152,6 +155,169 @@ class TestFootprints:
         a = load_footprints(p, MAPPING)
         b = load_footprints(p, MAPPING)
         assert a.footprints == b.footprints
+
+
+BAD_VALUES = {"nan": float("nan"), "inf": float("inf"), "string": "40.7",
+              "bool": True, "huge": 10 ** 400}
+
+
+def ring_cases():
+    """Named rings for the ring checks, as GeoJSON [lon, lat] lists."""
+    sq = [[0.0, 0.0], [1e-3, 0.0], [1e-3, 1e-3], [0.0, 1e-3]]
+    circle = [[math.cos(k * 2 * math.pi / 400) * 1e-3,
+               math.sin(k * 2 * math.pi / 400) * 1e-3] for k in range(400)]
+    crossed = list(circle)
+    crossed[150], crossed[250] = crossed[250], crossed[150]
+    cases = {
+        "square-closed": sq + sq[:1], "square-unclosed": sq,
+        "square-doubly-closed": sq + sq[:1] + sq[:1],
+        "square-closed-twice-round": sq + sq + sq[:1],
+        "bow-tie": [[0, 0], [2e-3, 2e-3], [2e-3, 0], [0, 1e-3], [0, 0]],
+        "touching-vertex-on-edge": [[0, 0], [4e-3, 0], [4e-3, 4e-3],
+                                    [2e-3, 0], [0, 4e-3]],
+        "touching-at-a-vertex": [[0, 0], [2e-3, 0], [1e-3, 1e-3],
+                                 [2e-3, 2e-3], [0, 2e-3], [1e-3, 1e-3]],
+        "collinear": [[0, 0], [1e-3, 0], [2e-3, 0], [3e-3, 0]],
+        # two edges on one line meet, and no other pair does
+        "collinear-edges-overlap": [[2e-3, 0], [0, 3e-3], [2e-3, 1e-3],
+                                    [1e-3, 2e-3], [3e-3, 0]],
+        "collinear-edges-touch": [[1e-3, 3e-3], [1e-3, 1e-3], [1e-3, 2e-3],
+                                  [1e-3, 0], [2e-3, 2e-3], [2e-3, 3e-3]],
+        "collinear-edges-touch-at-one-lat": [
+            [3e-3, 1e-3], [1e-3, 1e-3], [2e-3, 1e-3], [0, 1e-3],
+            [2e-3, 2e-3], [3e-3, 2e-3]],
+        # areas of 0.75 and 1.5 times the 1e-16 square-degree floor
+        "tiny-area": [[0, 0], [1e-8, 0], [0, 1.5e-8]],
+        "small-area": [[0, 0], [1e-8, 0], [0, 3e-8]],
+        "collinear-back-and-forth": [[0, 0], [2e-3, 0], [1e-3, 0]],
+        "spike": [[0, 0], [2e-3, 0], [2e-3, 2e-3], [2e-3, 3e-3],
+                  [2e-3, 2e-3], [0, 2e-3]],
+        "duplicates": [sq[0], sq[0], sq[1], sq[1], sq[1], sq[2], sq[3],
+                       sq[3], sq[0], sq[0]],
+        "zero-then-minus-zero": [[0.0, 0.0], [-0.0, 0.0], [1e-3, 0.0],
+                                 [1e-3, 1e-3], [0.0, -0.0]],
+        "minus-zero-then-zero": [[-0.0, -0.0], [0.0, 0.0], [1e-3, 0.0],
+                                 [1e-3, 1e-3], [0.0, 1e-3], [0.0, 0.0]],
+        "one-point": [[1e-3, 2e-3]] * 5, "one-position": [[1e-3, 2e-3]],
+        "two-points": [[0, 0], [1e-3, 0], [0, 0], [1e-3, 0]],
+        "empty": [], "not-a-list": "ring", "position-not-a-list": [
+            [0, 0], {"lon": 1}, [1e-3, 1e-3]],
+        "three-element-positions": [p + [12.5] for p in sq],
+        "one-element-position": [[0, 0], [1e-3], [1e-3, 1e-3], [0, 1e-3]],
+        "integer-ring": [[0, 0], [3, 0], [3, 3], [0, 3], [0, 0]],
+        "huge-ring": [[1e300, 1e300], [-1e300, 1e300], [-1e300, -1e300],
+                      [1e300, -1e300]],
+        "circle-400": circle, "circle-400-crossed": crossed,
+    }
+    for a, b in itertools.permutations(BAD_VALUES, 2):
+        ring = [list(p) for p in sq]
+        # the first bad vertex names the reason
+        ring[1][1], ring[3][0] = BAD_VALUES[a], BAD_VALUES[b]
+        cases[f"bad-{a}-before-{b}"] = ring
+        ring = [list(p) for p in sq]
+        ring[2] = [BAD_VALUES[a], BAD_VALUES[b]]  # one position holds both
+        cases[f"bad-pair-{a}-{b}"] = ring
+    return cases
+
+
+def grid_value(rng):
+    """A coordinate on a coarse grid; zero as 0.0, -0.0 or the int 0."""
+    v = rng.randint(-2, 2) * 1e-4
+    return v if v else rng.choice((0.0, -0.0, 0))
+
+
+def random_ring(rng):
+    """A short ring on a coarse grid: many collinear, touching,
+    crossing and repeated vertices, some closed, some not."""
+    ring = [[grid_value(rng), grid_value(rng)]
+            for _ in range(rng.randint(0, 9))]
+    if ring and rng.random() < 0.5:
+        ring.append(list(ring[0]))
+    if ring and rng.random() < 0.1:
+        ring[rng.randrange(len(ring))][rng.randrange(2)] = rng.choice(
+            list(BAD_VALUES.values()))
+    return ring
+
+
+def parity_collection(seed):
+    """Named and seeded rings as Polygons and MultiPolygons, among
+    features with bad ids, labels and geometry."""
+    rng = random.Random(seed)
+    rings = list(ring_cases().items())
+    rings += [(f"r{k}", random_ring(rng)) for k in range(300)]
+    rng.shuffle(rings)
+    feats = []
+    while rings:
+        kind = rng.randrange(10)
+        if kind < 5:
+            name, ring = rings.pop()
+            feats.append(feature(name, ring, label=rng.choice(
+                ("R1", "R2", "R1", "zz"))))
+        elif kind < 8:
+            polys = [[rings.pop()[1]] for _ in range(min(len(rings),
+                                                         rng.randint(1, 4)))]
+            feats.append(feature(f"m{len(feats)}", None,
+                                 gtype="MultiPolygon"))
+            feats[-1]["geometry"]["coordinates"] = polys
+        else:
+            feats.append(rng.choice([
+                feature(None, rings.pop()[1]), feature(7, rings.pop()[1],
+                                                       label=[1]),
+                feature("p", rings.pop()[1], gtype="Point"), "feature",
+                {"type": "Feature", "properties": {"building_id": "x",
+                                                   "label": "R1"}}]))
+    return {"type": "FeatureCollection", "features": feats}
+
+
+class TestRingChecksAgainstScalar:
+    """The array pass over every ring equals the one-ring reference."""
+
+    @staticmethod
+    def assert_same(path):
+        fs = load_footprints(path, MAPPING)
+        want, report = reference_load_footprints(path, MAPPING)
+        # repr tells -0.0 from 0.0
+        assert [(fp.building_id, repr(fp.ring), fp.raw_label, fp.category)
+                for fp in fs] == [
+            (fp.building_id, repr(fp.ring), fp.raw_label, fp.category)
+            for fp in want]
+        assert fs.report.to_dict() == report.to_dict()
+        return fs, report
+
+    def test_named_cases(self, tmp_path):
+        cases = ring_cases()
+        fc = {"type": "FeatureCollection", "features": [
+            feature(name, ring) for name, ring in cases.items()]}
+        fs, report = self.assert_same(write(tmp_path, "f.json", fc))
+        accepted = {fp.building_id for fp in fs}
+        assert {"square-closed", "square-unclosed", "square-doubly-closed",
+                "three-element-positions", "zero-then-minus-zero",
+                "minus-zero-then-zero", "integer-ring", "huge-ring",
+                "small-area", "circle-400"} <= accepted
+        reasons = dict(report.rejected)
+        assert reasons["bow-tie"] == "ring is self-intersecting"
+        assert reasons["circle-400-crossed"] == "ring is self-intersecting"
+        assert reasons["collinear"] == "ring has zero area"
+        assert reasons["tiny-area"] == "ring has zero area"
+        assert {reasons["collinear-edges-overlap"],
+                reasons["collinear-edges-touch"],
+                reasons["collinear-edges-touch-at-one-lat"]} == {
+            "ring is self-intersecting"}
+        assert reasons["bad-nan-before-string"] == "non-finite coordinate"
+        assert reasons["bad-huge-before-inf"] == "non-numeric coordinate"
+        assert reasons["bad-pair-inf-bool"] == "non-numeric coordinate"
+        ring = {fp.building_id: fp.ring for fp in fs}
+        assert repr(ring["zero-then-minus-zero"][0]) == "(0.0, 0.0)"
+        assert repr(ring["minus-zero-then-zero"][0]) == "(-0.0, -0.0)"
+
+    @pytest.mark.parametrize("cells", [None, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_collections(self, tmp_path, monkeypatch, seed, cells):
+        if cells is not None:  # one ring and one edge per block
+            monkeypatch.setattr("geotag_facade.ingest._PAIR_CELLS", cells)
+        fs, report = self.assert_same(write(tmp_path, "f.json",
+                                            parity_collection(seed)))
+        assert len(fs) > 20 and len({r for _, r in report.rejected}) >= 9
 
 
 def meta_line(pano_id="a", lat=40.7, lon=-74.0, north_px=512, width=2048,

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,16 +35,20 @@ def table_of(*cameras, footprints=None):
     """An IntervalTable holding each camera's interval rows. Each row is
     its own owner, as it has the building_id and category a footprint
     names: ``footprints``, shared by the tables of a run, holds every
-    row, by default this table's."""
+    row, by default this table's, and the table names them as a
+    footprint set does."""
     rows = [iv for ivs in cameras for iv in ivs]
     footprints = tuple(rows) if footprints is None else footprints
     ids = sorted({iv.building_id for iv in footprints})
     where = {id(iv): i for i, iv in enumerate(footprints)}
+    names = SimpleNamespace(
+        building_ids=[iv.building_id for iv in footprints],
+        categories=[iv.category for iv in footprints])
 
     def column(name):
         return np.array([getattr(iv, name) for iv in rows], float)
     return IntervalTable(
-        footprints=footprints, containing=[None] * len(cameras),
+        footprints=names, containing=[None] * len(cameras),
         offsets=np.cumsum([0] + [len(ivs) for ivs in cameras]),
         rank=np.array([ids.index(iv.building_id) for iv in rows], np.int64),
         owner=np.array([where[id(iv)] for iv in rows], np.int64),
@@ -516,7 +521,7 @@ class TestGenerateCoarseAnnotations:
                                raw_label="x", category=1)
         meta = PanoramaMeta(pano_id="inside", lat=origin[0], lon=origin[1],
                             north_px=0.0, width=2048, height=1024)
-        fps = FootprintSet(footprints=[fp], report=LoadReport(path="x"))
+        fps = FootprintSet.of([fp])
         dets = DetectionSet(by_pano={"inside": [det(0, 10, pano="inside")]},
                             report=LoadReport(path="x"))
         anns, report = generate_coarse_annotations([meta], fps, dets,

@@ -479,7 +479,7 @@ class TestApMatchesReference:
 
     def test_acceptance_scene_with_noise(self):
         from geotag_facade import RunConfig
-        from geotag_facade.ingest import FootprintSet, LoadReport
+        from geotag_facade.ingest import FootprintSet
         from geotag_facade.matcher import generate_coarse_annotations
         from geotag_facade.synth import (NoiseConfig, SceneConfig,
                                          generate_scene, perturb_detections)
@@ -487,8 +487,7 @@ class TestApMatchesReference:
                                                  n_cameras=8))
         dets = perturb_detections(scene, NoiseConfig(
             shift_frac=0.05, scale_frac=0.05, fp_rate=0.3), seed=2004)
-        fset = FootprintSet(footprints=scene.footprints,
-                            report=LoadReport(path="<scene>"))
+        fset = FootprintSet.of(scene.footprints)
         annotations, _ = generate_coarse_annotations(
             scene.metas, fset, dets, RunConfig(threshold_mode="fixed",
                                                fixed_threshold=0.05))

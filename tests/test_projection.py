@@ -7,7 +7,7 @@ import pytest
 from geotag_facade import (DegenerateSceneError, FootprintIndex,
                            OutOfRangeError, PanoramaMeta, angle_to_pixel,
                            clip_scene, geodetic_to_local, local_to_geodetic)
-from geotag_facade.ingest import BuildingFootprint
+from geotag_facade.ingest import BuildingFootprint, FootprintSet
 from geotag_facade.projection import METERS_PER_DEGREE, clip_group
 from geotag_facade.synth import SceneConfig, generate_scene
 
@@ -142,18 +142,21 @@ class TestClipScene:
     def test_far_building_excluded(self):
         fp = footprint_at(self.origin,
                           [(195, -5), (205, -5), (205, 5), (195, 5)])
-        scene = clip_scene(FootprintIndex([fp]), self.cam(), 50.0)
+        scene = clip_scene(FootprintIndex(FootprintSet.of([fp])), self.cam(),
+                           50.0)
         assert scene.segments == []
 
     def test_rim_building_included(self):
         # one vertex at 49 m, the others at 60 m
         fp = footprint_at(self.origin, [(0, 49), (10, 60), (-10, 60)])
-        scene = clip_scene(FootprintIndex([fp]), self.cam(), 50.0)
+        scene = clip_scene(FootprintIndex(FootprintSet.of([fp])), self.cam(),
+                           50.0)
         assert len(scene.segments) == 3
 
     def test_camera_inside_marks_degenerate(self):
         fp = footprint_at(self.origin, [(-5, -5), (5, -5), (5, 5), (-5, 5)])
-        scene = clip_scene(FootprintIndex([fp]), self.cam(), 50.0)
+        scene = clip_scene(FootprintIndex(FootprintSet.of([fp])), self.cam(),
+                           50.0)
         assert scene.degenerate
         assert scene.containing_building == "b0"
         from geotag_facade import trace_sweep
@@ -171,7 +174,7 @@ class TestClipScene:
                 [(cx - s, cy - s), (cx + s, cy - s), (cx + s, cy + s),
                  (cx - s, cy + s)], building_id=f"b{i}"))
         cam = self.cam()
-        index = FootprintIndex(fps)
+        index = FootprintIndex(FootprintSet.of(fps))
         prev = set()
         for r in (30.0, 50.0, 70.0, 100.0):
             scene = clip_scene(index, cam, r)
@@ -212,7 +215,7 @@ class TestFootprintIndex:
     @staticmethod
     def assert_same(fps, cam, radius_m, index=None):
         if index is None:
-            index = FootprintIndex(fps)
+            index = FootprintIndex(FootprintSet.of(fps))
         got = clip_scene(index, cam, radius_m)
         want = linear_clip_scene(fps, cam, radius_m)
         assert got.segments == want.segments
@@ -225,8 +228,8 @@ class TestFootprintIndex:
         origin = (40.0, -74.0)
         fps = [footprint_at(origin, [(0, 10), (5, 10), (5, 15)], f"b{i}")
                for i in range(7)]
-        assert len(FootprintIndex(fps)) == 7
-        assert len(FootprintIndex(iter(fps))) == 7
+        assert len(FootprintIndex(FootprintSet.of(fps))) == 7
+        assert len(FootprintIndex(FootprintSet.of(iter(fps)))) == 7
 
     def test_seeded_random_scenes(self):
         rng = random.Random(13)
@@ -241,7 +244,7 @@ class TestFootprintIndex:
                                rng.uniform(2, 40))
                 fps.append(ring_fp([geo_far(origin, p) for p in ring],
                                    f"b{i:02d}", i % 5 + 1))
-            index = FootprintIndex(fps)
+            index = FootprintIndex(FootprintSet.of(fps))
             for _ in range(5):
                 lat, lon = local_to_geodetic(
                     origin, (rng.uniform(-150, 150), rng.uniform(-150, 150)))
@@ -285,7 +288,7 @@ class TestFootprintIndex:
                 lat, lon = move((m.lat, m.lon))
                 cams.append(meta(lat=lat, lon=lon,
                                  pano_id=f"k{k}_{m.pano_id}"))
-        index = FootprintIndex(fps)
+        index = FootprintIndex(FootprintSet.of(fps))
         kept = 0
         for cam in cams:
             scene = self.assert_same(fps, cam, 50.0, index)
@@ -380,7 +383,7 @@ class TestOneSceneForm:
                 rng, rng.uniform(-120, 120), rng.uniform(-120, 120),
                 rng.uniform(2, 30))], f"b{rng.randrange(25):02d}",
                 rng.randint(1, 5)) for _ in range(30)]
-            index = FootprintIndex(fps)
+            index = FootprintIndex(FootprintSet.of(fps))
             for _ in range(4):
                 cam = meta(lat=origin[0] + rng.uniform(-5e-4, 5e-4),
                            lon=origin[1] + rng.uniform(-5e-4, 5e-4))
@@ -391,7 +394,7 @@ class TestOneSceneForm:
     def test_corridor(self):
         street = generate_scene(41, SceneConfig(
             n_buildings=30, n_cameras=6, with_ground_truth=False))
-        index = FootprintIndex(street.footprints)
+        index = FootprintIndex(street.footprint_set)
         for cam in street.metas:
             scene = self.assert_one_form(index, cam, 50.0)
             assert len(scene.buildings) > 2
@@ -407,7 +410,8 @@ class TestOneSceneForm:
                footprint_at(origin, [(-5, -20), (5, -20), (5, -10),
                                      (-5, -10)], "shared", 4)]
         scene = self.assert_one_form(
-            FootprintIndex(fps), meta(lat=origin[0], lon=origin[1]), 50.0)
+            FootprintIndex(FootprintSet.of(fps)),
+            meta(lat=origin[0], lon=origin[1]), 50.0)
         # first kept order; the shared id is named by its first footprint
         assert scene.buildings == (("zeta", 3), ("shared", 2), ("alpha", 1))
         assert [s.category for s in scene.segments

@@ -139,7 +139,7 @@ class TestTraceSweep:
         for s in range(5):
             sc = generate_scene(400 + s, SceneConfig(
                 n_buildings=8, n_cameras=1, with_ground_truth=False))
-            local = clip_scene(FootprintIndex(sc.footprints), sc.metas[0],
+            local = clip_scene(FootprintIndex(sc.footprint_set), sc.metas[0],
                                50.0)
             sweep = trace_sweep(local, 1.0)
             for i, theta in enumerate(sweep.thetas):
@@ -304,7 +304,7 @@ class TestSweepMatchesReference:
         from geotag_facade.synth import SceneConfig, generate_scene
         sc = generate_scene(7, SceneConfig(n_buildings=24, n_cameras=6,
                                            with_ground_truth=False))
-        index = FootprintIndex(sc.footprints)
+        index = FootprintIndex(sc.footprint_set)
         for meta in sc.metas:
             local = clip_scene(index, meta, 50.0)
             sweep = trace_sweep(local, 0.1)
@@ -375,7 +375,7 @@ class TestIntervals:
             sc = generate_scene(100 + s, SceneConfig(
                 n_buildings=int(rng.integers(1, 15)), n_cameras=1,
                 with_ground_truth=False))
-            local = clip_scene(FootprintIndex(sc.footprints), sc.metas[0],
+            local = clip_scene(FootprintIndex(sc.footprint_set), sc.metas[0],
                                50.0)
             sweep = trace_sweep(local, 1.0)
             ivs = intervals_from_sweep(sweep)

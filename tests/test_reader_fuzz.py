@@ -8,7 +8,10 @@ replaced by every value of a fixed pool. Every reader must then return
 ``GeotagFacadeError``; a COCO file it reads must also evaluate.
 Provenance that no reader reads (a COCO ``info`` block, a trace file's
 ``input_hashes`` and its config beside ``radius_m``) is dropped first,
-which keeps the walk short.
+which keeps the walk short. Every vertex of the first footprint ring,
+not only its first, is also replaced by pool values and by positions of
+one, three and ragged values. Wherever the footprint reader returns, it
+must equal the one-ring reference loader, report and rings alike.
 """
 import copy
 import json
@@ -21,6 +24,8 @@ from geotag_facade import (GeotagFacadeError, coarse_accuracy, coco_summary,
 from geotag_facade.cli import main
 from geotag_facade.cocoio import read_coco
 from geotag_facade.render import read_trace
+
+from oracle_utils import reference_load_footprints
 
 POOL = [None, True, False, "x", "1.5", [], {}, -1, 0, 1.5, 10 ** 30,
         10 ** 400, float("nan"), float("inf")]
@@ -77,6 +82,17 @@ def _balanced(loaded):
     assert r.n_accepted + r.n_rejected == r.n_input, "unbalanced report"
 
 
+def _footprints_as_reference(path, mapping):
+    """load_footprints, which must equal the one-ring reference loader
+    wherever it returns."""
+    fs = load_footprints(path, mapping)
+    _balanced(fs)
+    want, report = reference_load_footprints(path, mapping)
+    assert fs.report.to_dict() == report.to_dict()
+    assert [repr(fp) for fp in fs] == [repr(fp) for fp in want]
+    return fs
+
+
 def _read_coco_and_eval(path, gt, evaluated):
     boxes, widths, _, _ = read_coco(path)
     read = (tuple(boxes), tuple(widths.items()))
@@ -95,12 +111,12 @@ def test_every_mutation_is_read_or_rejected(scene, tmp_path, name):
     mapping = load_category_mapping(d / "mapping.json")
     gt, evaluated = read_coco(d / "gt.json")[0], set()
     readers = {
-        "footprints.geojson": lambda p: _balanced(load_footprints(p,
-                                                                  mapping)),
+        "footprints.geojson": lambda p: _footprints_as_reference(p,
+                                                                 mapping),
         "metas.jsonl": lambda p: _balanced(load_panorama_meta(p)),
         "detections.json": lambda p: _balanced(load_detections(p)),
-        "mapping.json": lambda p: _balanced(load_footprints(
-            d / "footprints.geojson", load_category_mapping(p))),
+        "mapping.json": lambda p: _footprints_as_reference(
+            d / "footprints.geojson", load_category_mapping(p)),
         "gt.json": lambda p: _read_coco_and_eval(p, gt, evaluated),
         "intervals.json": read_trace,
     }
@@ -125,4 +141,44 @@ def test_every_mutation_is_read_or_rejected(scene, tmp_path, name):
                 escaped.append(f"{'/'.join(map(str, path))} = {value!r}: "
                                f"{type(e).__name__}: {e}")
     assert len(paths) > 5
+    assert not escaped, "\n".join(escaped)
+
+
+def _vertex_variants(lon, lat):
+    """Replacements for one vertex: each pool value, and positions of one
+    value, of three values and of ragged shape."""
+    for v in POOL:
+        yield v
+        yield [v]
+        yield [lon, v]
+        yield [v, lat]
+        yield [lon, lat, v]
+        yield [v, v, v]
+    yield from ([lon, [lat]], [[lon], lat], [[lon, lat]], [[lon], [lat]],
+                [lon, lat, [lat]], [lon, lat, lon, lat])
+
+
+def test_every_vertex_mutation_is_read_or_rejected(scene, tmp_path):
+    # any vertex, the closing one included, not only the walk's first
+    d, _ = scene
+    mapping = load_category_mapping(d / "mapping.json")
+    doc = json.loads((d / "footprints.geojson").read_text())
+    ring = doc["features"][0]["geometry"]["coordinates"][0]
+    target = tmp_path / "footprints.geojson"
+    escaped, rejected = [], 0
+    for k, (lon, lat) in enumerate(ring):
+        for variant in _vertex_variants(lon, lat):
+            m = copy.deepcopy(doc)
+            m["features"][0]["geometry"]["coordinates"][0][k] = variant
+            target.write_text(json.dumps(m))
+            try:
+                fs = _footprints_as_reference(target, mapping)
+            except GeotagFacadeError:
+                continue
+            except Exception as e:  # the contract: nothing else escapes
+                escaped.append(f"vertex {k} = {variant!r}: "
+                               f"{type(e).__name__}: {e}")
+                continue
+            rejected += fs.report.n_rejected
+    assert len(ring) >= 4 and rejected > 50
     assert not escaped, "\n".join(escaped)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from geotag_facade.errors import ConfigError
-from geotag_facade.ingest import BuildingFootprint, PanoramaMeta
+from geotag_facade.ingest import (BuildingFootprint, FootprintSet,
+                                  PanoramaMeta)
 from geotag_facade.metrics import iou_2d
 from geotag_facade.projection import (FootprintIndex, LocalScene,
                                       WallSegment, clip_scene,
@@ -106,7 +107,7 @@ class TestGenerateScene:
                                raw_label="cat_1", category=1)
         meta = PanoramaMeta(pano_id="c", lat=origin[0], lon=origin[1],
                             north_px=777.0, width=2048, height=1024)
-        local = clip_scene(FootprintIndex([fp]), meta, 50.0)
+        local = clip_scene(FootprintIndex(FootprintSet.of([fp])), meta, 50.0)
         ivs = oracle_intervals_for_scene(local)
         from geotag_facade.raytrace import intervals_to_pixel
         iv = intervals_to_pixel(ivs, meta)[0]
@@ -118,7 +119,7 @@ class TestGenerateScene:
         for seed in range(5):
             s = generate_scene(seed, SceneConfig(n_buildings=10, n_cameras=3))
             # no camera inside a footprint, checked on the local plane
-            index = FootprintIndex(s.footprints)
+            index = FootprintIndex(s.footprint_set)
             for m in s.metas:
                 local = clip_scene(index, m, s.config.radius_m)
                 assert not local.degenerate
