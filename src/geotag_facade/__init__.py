@@ -13,8 +13,8 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      DetectionSet, FootprintSet, PanoramaMeta, PanoramaSet,
                      load_category_mapping, load_detections, load_footprints,
                      load_panorama_meta)
-from .matcher import (CoarseAnnotation, filter_detections, fit_threshold,
-                      generate_coarse_annotations, match_box,
+from .matcher import (AnnotationSet, CoarseAnnotation, filter_detections,
+                      fit_threshold, generate_coarse_annotations, match_box,
                       trace_panoramas)
 from .metrics import (AccuracyReport, EvalBox, average_precision,
                       coarse_accuracy, coco_summary, iou_1d, iou_2d)

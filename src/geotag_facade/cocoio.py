@@ -1,20 +1,25 @@
 """COCO-style annotation files: deterministic writers and readers.
 
 All writers emit canonical JSON (sorted keys, fixed separators, trailing
-newline) so identical runs produce identical bytes. The ``info`` block
-of every artifact carries the run configuration and sha256 hashes of
-the inputs it came from.
+newline) so identical runs produce identical bytes; :func:`write_coco`
+lays its annotations out from templates, to the same bytes. The
+``info`` block of every artifact carries the run configuration and
+sha256 hashes of the inputs it came from.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from contextlib import suppress
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import is_not, mul
 from pathlib import Path
 
 from .errors import LoadError
 from .ingest import (CategoryMapping, DetectionSet, _FieldError, _bbox,
                      _integers, _key, _ok, _read_json)
+from .matcher import AnnotationSet
 from .metrics import EvalBox
 
 
@@ -62,36 +67,59 @@ def coco_categories(mapping: CategoryMapping) -> list:
             for c in mapping.category_ids]
 
 
+# an annotation's keys in canonical (sorted) order, and the optional ones
+_ANNOTATION_KEYS = ("area", "bbox", "building_id", "category_id", "id",
+                    "image_id", "iou_x", "iscrowd", "score")
+_OPTIONAL = ("building_id", "iou_x", "score")
+
+
+@lru_cache(maxsize=None)
+def _template(present: tuple) -> str:
+    """One annotation laid out as :func:`canonical_json` lays it out in
+    the list, ``present`` saying which optional keys it has: ``%s`` for
+    each value, and ``%.0s``, which writes nothing, for each one absent."""
+    lines, absent, has = [], "", dict(zip(_OPTIONAL, present))
+    for key in _ANNOTATION_KEYS:
+        if not has.get(key, True):
+            absent += "%.0s"
+            continue
+        value = {"bbox": "[\n" + ",\n".join(["    %s"] * 4) + "\n   ]",
+                 "iscrowd": "0"}.get(key, "%s")
+        lines.append(f'{absent}   "{key}": {value}')
+        absent = ""
+    return "  {\n" + ",\n".join(lines) + "\n" + absent + "  }"
+
+
 def write_coco(path, metas, annotations, mapping: CategoryMapping,
                info: dict | None = None) -> None:
-    """Write boxes (anything with pano_id/x/y/w/h/category) as COCO JSON.
+    """Write boxes as COCO JSON, byte for byte as :func:`write_json`.
 
-    Optional ``score``, ``building_id`` and ``iou_x`` attributes are
-    carried through when present.
+    ``annotations`` is an :class:`AnnotationSet` or rows with
+    pano_id/x/y/w/h/category; optional ``score``, ``building_id`` and
+    ``iou_x`` fields are carried through when not None. Each annotation
+    is laid out from the template of its optional keys, and all their
+    scalars are encoded in one call of json's C encoder, whose output
+    separates them by newlines (an encoded scalar holds none).
     """
+    anns = annotations if isinstance(annotations, AnnotationSet) \
+        else AnnotationSet.of(annotations)
     images = coco_images(metas)
     image_id = {img["pano_id"]: img["id"] for img in images}
-    anns = []
-    for j, a in enumerate(annotations):
-        rec = {
-            "id": j + 1,
-            "image_id": image_id[a.pano_id],
-            "bbox": [a.x, a.y, a.w, a.h],
-            "area": a.w * a.h,
-            "iscrowd": 0,
-            "category_id": a.category,
-        }
-        for opt in ("score", "building_id", "iou_x"):
-            v = getattr(a, opt, None)
-            if v is not None:
-                rec[opt] = v
-        anns.append(rec)
-    write_json(path, {
-        "info": info or {},
-        "images": images,
-        "annotations": anns,
-        "categories": coco_categories(mapping),
-    })
+    body = "[]"
+    if len(anns):  # values in _ANNOTATION_KEYS order, iscrowd aside
+        values = json.dumps([*chain.from_iterable(zip(
+            map(mul, anns.w, anns.h), anns.x, anns.y, anns.w, anns.h,
+            anns.building_id, anns.category, range(1, len(anns) + 1),
+            map(image_id.__getitem__, anns.pano_id), anns.iou_x,
+            anns.score))], separators=("\n", ":"), default=_plain)
+        present = zip(*(map(is_not, getattr(anns, key), repeat(None))
+                        for key in _OPTIONAL))
+        body = "[\n" + ",\n".join(map(_template, present)) % tuple(
+            values[1:-1].split("\n")) + "\n ]"
+    rest = canonical_json({"info": info or {}, "images": images,
+                           "categories": coco_categories(mapping)})
+    Path(path).write_text('{\n "annotations": ' + body + ",\n" + rest[2:],
+                          encoding="utf-8")
 
 
 def read_coco(path):

@@ -17,7 +17,9 @@ keys) raise instead. Every JSON value becomes a typed field through the
 field readers below, which ``cocoio`` and ``render`` share. Footprint
 rings arrive as arrays: every ring is read into one flat vertex array
 and checked there, all rings at once, and a :class:`FootprintSet` holds
-the accepted ones as they are.
+the accepted ones as they are. A :class:`DetectionSet` holds the
+accepted boxes as columns, grouped by panorama; neither set builds a
+record unless one is asked for.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +203,53 @@ class PanoramaSet:
         return iter(self.metas)
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionSet:
-    by_pano: dict  # pano_id -> list of DetectionBox, input order kept
+    """Detector boxes grouped by panorama, as columns.
+
+    Panorama ``pano_ids[k]`` (in order of first appearance) holds rows
+    ``offsets[k]`` to ``offsets[k + 1] - 1`` of the float64 ``x``, ``y``,
+    ``w``, ``h`` and ``score`` columns, in input order. ``by_pano``
+    derives the records once.
+    """
+
+    pano_ids: list
+    offsets: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    score: np.ndarray
     report: LoadReport
+
+    @classmethod
+    def _grouped(cls, keys, boxes, report) -> "DetectionSet":
+        """Boxes ``(x, y, w, h, score)`` of panoramas ``keys``, grouped."""
+        group: dict = {}
+        k = np.array([group.setdefault(p, len(group)) for p in keys], np.int64)
+        cols = np.array(boxes, float).reshape(-1, 5)[np.argsort(k, kind="stable")]
+        offsets = np.cumsum([0, *np.bincount(k, minlength=len(group))])
+        return cls(list(group), offsets, *cols.T, report)
+
+    @classmethod
+    def of(cls, boxes) -> "DetectionSet":
+        """The set of ``boxes`` (records), all counted accepted."""
+        boxes = list(boxes)
+        return cls._grouped([b.pano_id for b in boxes],
+                            [(b.x, b.y, b.w, b.h, b.score) for b in boxes],
+                            LoadReport(path="<records>", n_input=len(boxes)))
+
+    @cached_property
+    def by_pano(self) -> dict:  # pano_id -> list of DetectionBox
+        off = self.offsets.tolist()
+        cols = [c.tolist() for c in (self.x, self.y, self.w, self.h,
+                                     self.score)]
+        return {p: [DetectionBox(p, *v) for v in zip(*(c[i:j] for c in cols))]
+                for p, i, j in zip(self.pano_ids, off, off[1:])}
 
     @property
     def n_boxes(self) -> int:
-        return sum(len(v) for v in self.by_pano.values())
+        return len(self.x)
 
     def boxes_for(self, pano_id: str) -> list:
         return self.by_pano.get(pano_id, [])
@@ -310,12 +352,14 @@ def _read_rings(rings):
     each ring's position count and reason: None, or its first bad
     position's (then a count of 0). Only a position's first two values
     count, each read by :func:`_number`; NaN and infinity are left to
-    :func:`_check_rings`. Rings of float pairs take one pass in all."""
+    :func:`_check_rings`. Rings whose positions start with two floats
+    take one pass in all."""
     if {*map(type, rings)} <= {list}:
         positions = [*chain.from_iterable(rings)]
         if {*map(type, positions)} <= {list} and \
-                {*map(len, positions)} <= {2}:
-            values = [*chain.from_iterable(positions)]
+                min(size := {*map(len, positions)}, default=2) >= 2:
+            values = [*chain.from_iterable(positions if size <= {2} else
+                                           map(itemgetter(0, 1), positions))]
             if {*map(type, values)} <= {float}:
                 return values, [*map(len, rings)], [None] * len(rings)
     values, count, reasons = [], [], []
@@ -655,7 +699,7 @@ def load_detections(path) -> DetectionSet:
     report = LoadReport(path=str(path))
     if not isinstance(doc, list):
         raise LoadError(f"{path}: expected a JSON array of detection results")
-    by_pano: dict = {}
+    keys, boxes = [], []  # each accepted box's panorama and values
     for idx, rec in enumerate(doc):
         report.n_input += 1
         key = f"result[{idx}]"
@@ -687,7 +731,6 @@ def load_detections(path) -> DetectionSet:
         if y < 0:
             report.reject(key, f"box top {y} above the image")
             continue
-        box = DetectionBox(pano_id=_key(pano_id), x=x, y=y, w=w, h=h,
-                           score=score)
-        by_pano.setdefault(box.pano_id, []).append(box)
-    return DetectionSet(by_pano=by_pano, report=report)
+        keys.append(_key(pano_id))
+        boxes.append((x, y, w, h, score))
+    return DetectionSet._grouped(keys, boxes, report)

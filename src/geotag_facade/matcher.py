@@ -25,26 +25,28 @@ chosen, a cap of 8,192 rays traced a 0.1-degree street 29 % slower, and
 one of 65,536 swept slower again and took 8 % more peak memory.
 
 Each group comes as an :class:`IntervalTable`, one array per interval
-field, and no interval row is built for annotation. A batch's boxes are
-checked and score-filtered panorama by panorama; then one array pass
-(:func:`match_batch`, :func:`match_intervals`) runs the rule above over
-every (retained box, interval) pair of the batch, whichever tables they
-are in, and names only the winners. :func:`match_box` states the same
-rule for one box over interval rows.
+field, and no interval row is built for annotation. Boxes stay rows of
+the :class:`DetectionSet`'s columns: a batch's boxes are checked and
+score-filtered as array masks; then one array pass (:func:`match_batch`,
+:func:`match_intervals`) runs the rule above over every (retained box,
+interval) pair of the batch, whichever tables they are in. The run's
+matches come back as an :class:`AnnotationSet`, columns whose
+:class:`CoarseAnnotation` rows are built only if read.
+:func:`match_box` states the same rule for one box over interval rows.
 """
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d, iou_1d_arrays
-from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
-                         footprint_names)
+from .projection import MAX_LOCAL_RANGE_M, FootprintIndex, clip_group
 from .raytrace import sweep_grid, trace_group
 
 log = logging.getLogger(__name__)
@@ -58,7 +60,7 @@ SIGMA_FACTOR = 0.5
 GROUP_RAYS = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoarseAnnotation:
     """A detector box labeled with a GIS-derived category.
 
@@ -85,6 +87,55 @@ class CoarseAnnotation:
             "iou_x": self.iou_x,
             "score": self.score,
         }
+
+
+@dataclass(eq=False)
+class AnnotationSet:
+    """Annotations in emit order, one list per :class:`CoarseAnnotation`
+    field. Iterating or indexing gives the rows, derived once; setting a
+    row writes its fields into the lists. The set equals any sequence of
+    the same rows.
+    """
+
+    pano_id: list
+    x: list
+    y: list
+    w: list
+    h: list
+    category: list
+    building_id: list
+    iou_x: list
+    score: list
+
+    @classmethod
+    def of(cls, rows) -> "AnnotationSet":
+        """The set of ``rows``, anything with the fields; a field a row
+        lacks, as a ground-truth box lacks ``score``, reads None."""
+        rows = list(rows)
+        return cls(*([getattr(a, f.name, None) for a in rows]
+                     for f in fields(cls)))
+
+    @cached_property
+    def rows(self) -> list:
+        return [*map(CoarseAnnotation, *(getattr(self, f.name)
+                                          for f in fields(self)))]
+
+    def __len__(self):
+        return len(self.pano_id)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __setitem__(self, i, row):
+        for f in fields(self):
+            getattr(self, f.name)[i] = getattr(row, f.name)
+        self.__dict__.pop("rows", None)
+
+    def __eq__(self, other):
+        return self.rows == list(other)
 
 
 def fit_threshold(scores, config: RunConfig) -> float:
@@ -191,21 +242,22 @@ def match_intervals(x, w, width, first, count, px_lo, px_hi, rank,
     return box[won], row[won], iou[won]
 
 
-def match_batch(work, iou_min: float) -> list:
-    """Match every retained box of a batch with one
-    :func:`match_intervals` pass over the batch's interval tables.
+def match_batch(x, w, work, iou_min: float):
+    """Match a batch's retained boxes with one :func:`match_intervals`
+    pass over the batch's interval tables.
 
-    ``work`` holds, per panorama, ``(boxes, width, table, camera)``: its
-    retained boxes, its image width, and the :class:`IntervalTable` and
-    camera its intervals are in; a batch may span several tables, as
-    trace groups straddle batches. Returns ``(box, building_id,
-    category, iou)`` per matched box, in box order; the names are read
-    only for these winners.
+    ``x`` and ``w`` hold the boxes, panorama by panorama. ``work`` holds,
+    per panorama, ``(n, width, table, camera)``: its count of those
+    boxes, its image width, and the :class:`IntervalTable` and camera its
+    intervals are in; a batch may span several tables, as trace groups
+    straddle batches. Returns the (box, owner, iou) arrays of the
+    winners, in box order, with ``owner`` the winning interval's
+    footprint.
     """
-    boxes, widths, first, count, nbox = [], [], [], [], []
+    widths, first, count, nbox = [], [], [], []
     tables, base = [], {}  # the batch's tables, and each one's first row
     rows = 0
-    for bs, width, table, c in work:
+    for n, width, table, c in work:
         if id(table) not in base:
             base[id(table)] = rows
             tables.append(table)
@@ -213,24 +265,17 @@ def match_batch(work, iou_min: float) -> list:
         lo, hi = table.offsets[c:c + 2].tolist()
         first.append(base[id(table)] + lo)
         count.append(hi - lo)
-        nbox.append(len(bs))
+        nbox.append(n)
         widths.append(width)
-        boxes.extend(bs)
-    if not boxes:
-        return []
-    nbox = np.array(nbox)
+    if not len(x):
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     won, row, iou = match_intervals(
-        np.fromiter((b.x for b in boxes), float, len(boxes)),
-        np.fromiter((b.w for b in boxes), float, len(boxes)),
-        np.repeat(np.array(widths, float), nbox),
+        x, w, np.repeat(np.array(widths, float), nbox),
         np.repeat(np.array(first, np.int64), nbox),
         np.repeat(np.array(count, np.int64), nbox),
         *(np.concatenate([getattr(t, col) for t in tables])
           for col in ("px_lo", "px_hi", "rank")), iou_min)
-    owner = np.concatenate([t.owner for t in tables])[row]
-    names = footprint_names(tables[0].footprints, owner)
-    return [(boxes[b], bid, cat, v) for b, (bid, cat), v
-            in zip(won.tolist(), names, iou.tolist())]
+    return won, np.concatenate([t.owner for t in tables])[row], iou
 
 
 # ---------------------------------------------------------------------------
@@ -325,30 +370,34 @@ def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
                                 dets: DetectionSet, config: RunConfig):
-    """Run the full per-batch pipeline; returns (annotations, run report).
+    """Run the full per-batch pipeline; returns (annotations, run report),
+    the annotations as an :class:`AnnotationSet`.
 
     Panoramas are shuffled with the run seed and chunked into batches.
     The shuffled run is traced as one stream of interval tables
     (:func:`trace_groups`), whose groups do not stop at batch
     boundaries; the threshold update is strictly sequential across
-    batches. Each panorama's boxes are checked and score-filtered in
-    turn, then all the batch's retained boxes are matched in one pass
-    (:func:`match_batch`). Detections whose panorama has no metadata are
-    dropped and reported.
+    batches. A batch's boxes are checked and score-filtered as array
+    masks over their panoramas' rows of ``dets``, then matched in one
+    pass (:func:`match_batch`). Detections whose panorama has no
+    metadata are dropped and reported.
     """
     metas = list(metas)
     index = FootprintIndex(footprints)
     meta_ids = {m.pano_id for m in metas}
     report = RunReport(config=config.to_dict())
-    for pano_id, boxes in sorted(dets.by_pano.items()):
+    off = dets.offsets.tolist()  # each panorama's first row and box count
+    span = {p: (i, j - i) for p, i, j in zip(dets.pano_ids, off, off[1:])}
+    for pano_id, (_, n) in sorted(span.items()):
         if pano_id not in meta_ids:
-            report.missing_meta[pano_id] = len(boxes)
+            report.missing_meta[pano_id] = n
 
     order = list(metas)
     random.Random(config.seed).shuffle(order)
 
-    annotations = []
-    scores: list = []  # those the previous batch kept
+    won, owners, ious = [], [], []  # each match's row of dets, footprint
+    # and IoU
+    scores = dets.score[:0]  # those the previous batch kept
     # one trace stream for the run, so groups fill across batches; zip
     # draws from the batch first, so each batch takes exactly len(batch)
     # panoramas and leaves the next batch's first one in the stream
@@ -360,34 +409,45 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
         br = BatchReport(batch_index=k,
                          threshold=fit_threshold(scores, config),
                          n_panoramas=len(batch))
-        scores = []
-        work = []  # (retained boxes, width, table, camera) per panorama
+        spans, work = [], []  # per traced panorama: its first row, box
+        # count and box bottom limit; its (width, table, camera)
         for meta, (table, c) in zip(batch, traced):
-            boxes = dets.boxes_for(meta.pano_id)
-            br.input_boxes += len(boxes)
+            first, n = span.get(meta.pano_id, (0, 0))
+            br.input_boxes += n
             blocker = table.containing[c]
             if blocker is not None:
                 report.skipped_panoramas.append(
                     (meta.pano_id, f"camera inside footprint {blocker}"))
-                br.dropped += len(boxes)
+                br.dropped += n
                 continue
-            valid = []
-            for b in boxes:
-                if b.y + b.h > meta.height + 1e-9:
-                    br.dropped += 1  # vertical extent leaves the image
-                else:
-                    valid.append(b)
-            retained = filter_detections(valid, br.threshold)
-            br.filtered_out += len(valid) - len(retained)
-            scores.extend(b.score for b in retained)
-            work.append((retained, meta.width, table, c))
-        matched = match_batch(work, config.iou_x_min)
-        br.annotated = len(matched)
-        br.unmatched = len(scores) - len(matched)
-        annotations.extend(
-            CoarseAnnotation(pano_id=b.pano_id, x=b.x, y=b.y, w=b.w, h=b.h,
-                             category=cat, building_id=bid, iou_x=iou,
-                             score=b.score)
-            for b, bid, cat, iou in matched)
+            spans.append((first, n, meta.height + 1e-9))
+            work.append((meta.width, table, c))
+        first, n, limit = (np.array(v) for v in zip(*spans)) if spans \
+            else (np.zeros(0, np.int64),) * 3
+        pano = np.repeat(np.arange(len(n)), n)
+        rows = np.repeat(first - np.cumsum(n) + n, n) + np.arange(len(pano))
+        # a box's vertical extent must stay in the image
+        valid = ~(dets.y[rows] + dets.h[rows] > limit[pano])
+        kept = valid & (dets.score[rows] >= br.threshold)
+        br.dropped += len(rows) - np.count_nonzero(valid)
+        br.filtered_out += np.count_nonzero(valid) - np.count_nonzero(kept)
+        n = np.bincount(pano[kept], minlength=len(n)).tolist()
+        rows = rows[kept]
+        scores = dets.score[rows]
+        box, owner, iou = match_batch(
+            dets.x[rows], dets.w[rows],
+            [(m, *w) for m, w in zip(n, work)], config.iou_x_min)
+        br.annotated = len(box)
+        br.unmatched = len(rows) - len(box)
+        won += rows[box].tolist()
+        owners += owner.tolist()
+        ious += iou.tolist()
         report.batches.append(br)
-    return annotations, report
+    rows = np.array(won, np.int64)
+    pano = np.repeat(np.arange(len(dets.pano_ids)), np.diff(dets.offsets))
+    ids, categories = footprints.building_ids, footprints.categories
+    return AnnotationSet(
+        [dets.pano_ids[p] for p in pano[rows].tolist()],
+        *(c[rows].tolist() for c in (dets.x, dets.y, dets.w, dets.h)),
+        [categories[f] for f in owners], [ids[f] for f in owners], ious,
+        dets.score[rows].tolist()), report

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
-                     DetectionSet, FootprintSet, LoadReport, PanoramaMeta)
+                     DetectionSet, FootprintSet, PanoramaMeta)
 from .projection import (FootprintIndex, LocalScene, clip_scene,
                          local_to_geodetic)
 from .raytrace import (PARALLEL_EPS, TIE_EPS_M, VisibilityInterval,
@@ -415,6 +415,4 @@ def perturb_detections(scene: SyntheticScene, noise: NoiseConfig,
             w=w, h=float(min(h, H - y_top)), score=score))
         placed += 1
 
-    total = sum(len(v) for v in by_pano.values())
-    report = LoadReport(path="<synthetic>", n_input=total)
-    return DetectionSet(by_pano=by_pano, report=report)
+    return DetectionSet.of(b for boxes in by_pano.values() for b in boxes)

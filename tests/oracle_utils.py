@@ -31,6 +31,11 @@ scalar ring checks (``_normalize_ring``, ``_shoelace``, ``_orient``,
 ``_on_segment``, ``_segments_intersect``, ``_is_simple``,
 ``_validate_ring``) with the loader that ran them one ring at a time
 (``reference_load_footprints``), which the array pass over every ring
+replaced; the detection loader that built one ``DetectionBox`` per
+record (``reference_load_detections``), which the columns replaced,
+with ``load_detections_as_reference``, which checks ``load_detections``
+against it; and the COCO writer that built one dict per annotation for
+``json`` to indent (``reference_write_coco``), which the templates
 replaced.
 """
 import json
@@ -41,11 +46,16 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from geotag_facade.cocoio import (coco_categories, coco_images,
+                                  write_json)
 from geotag_facade.config import RunConfig
+from geotag_facade.errors import GeotagFacadeError, LoadError
 from geotag_facade.ingest import (_MIN_RING_AREA_DEG2, BuildingFootprint,
-                                  LoadReport, PanoramaMeta, _FieldError, _key,
-                                  _numbers, _outer_rings)
+                                  DetectionBox, LoadReport, PanoramaMeta,
+                                  _bbox, _FieldError, _key, _numbers, _ok,
+                                  _outer_rings, _read_json, load_detections)
 from geotag_facade.matcher import (BatchReport, CoarseAnnotation, RunReport,
                                    filter_detections, fit_threshold,
                                    match_box)
@@ -817,3 +827,103 @@ def reference_load_footprints(path, mapping):
                                          raw_label=raw_label,
                                          category=category))
     return out, report
+
+
+def reference_load_detections(path):
+    """``load_detections`` building one ``DetectionBox`` per accepted
+    record, grouped by panorama as it comes. Returns (by_pano, report)."""
+    doc = _read_json(path)
+    report = LoadReport(path=str(path))
+    if not isinstance(doc, list):
+        raise LoadError(f"{path}: expected a JSON array of detection results")
+    by_pano: dict = {}
+    for idx, rec in enumerate(doc):
+        report.n_input += 1
+        key = f"result[{idx}]"
+        if not isinstance(rec, dict):
+            report.reject(key, "not an object")
+            continue
+        pano_id = rec.get("pano_id", rec.get("image_id"))
+        bbox = rec.get("bbox")
+        score = rec.get("score")
+        if pano_id is None or bbox is None or score is None:
+            report.reject(key, "missing pano_id/image_id, bbox, or score")
+            continue
+        if not _ok(_key, pano_id):
+            report.reject(key, "pano_id/image_id must be a string or a number")
+            continue
+        try:
+            x, y, w, h, score = _bbox(bbox, score)
+        except _FieldError as e:
+            report.reject(key, "bbox must be [x, y, w, h]"
+                          if e.kind == "non-box" else
+                          f"{e.kind} bbox or score")
+            continue
+        if w <= 0 or h <= 0:
+            report.reject(key, f"non-positive box size {w}x{h}")
+            continue
+        if not (0.0 <= score <= 1.0):
+            report.reject(key, f"score {score} outside [0, 1]")
+            continue
+        if y < 0:
+            report.reject(key, f"box top {y} above the image")
+            continue
+        box = DetectionBox(pano_id=_key(pano_id), x=x, y=y, w=w, h=h,
+                           score=score)
+        by_pano.setdefault(box.pano_id, []).append(box)
+    return by_pano, report
+
+
+def load_detections_as_reference(path):
+    """``load_detections``, checked against the reference loader: the
+    same error, or equal columns, derived rows and report."""
+    try:
+        want, report = reference_load_detections(path)
+    except GeotagFacadeError as e:
+        with pytest.raises(type(e)) as got:
+            load_detections(path)
+        assert str(got.value) == str(e)
+        raise
+    ds = load_detections(path)
+    assert ds.report.to_dict() == report.to_dict()
+    assert list(ds.by_pano.items()) == list(want.items())
+    assert ds.pano_ids == list(want)
+    assert ds.offsets.tolist() == np.cumsum(
+        [0, *map(len, want.values())]).tolist()
+    rows = [b for boxes in want.values() for b in boxes]
+    for col in ("x", "y", "w", "h", "score"):
+        assert getattr(ds, col).dtype == np.float64
+        assert repr(getattr(ds, col).tolist()) == repr(
+            [getattr(b, col) for b in rows])
+    return ds
+
+
+def reference_write_coco(path, metas, annotations, mapping,
+                         info: dict | None = None) -> None:
+    """``write_coco`` building one dict per annotation, written by
+    ``write_json``: anything with pano_id/x/y/w/h/category, with the
+    optional ``score``, ``building_id`` and ``iou_x`` carried through
+    when present."""
+    images = coco_images(metas)
+    image_id = {img["pano_id"]: img["id"] for img in images}
+    anns = []
+    for j, a in enumerate(annotations):
+        rec = {
+            "id": j + 1,
+            "image_id": image_id[a.pano_id],
+            "bbox": [a.x, a.y, a.w, a.h],
+            "area": a.w * a.h,
+            "iscrowd": 0,
+            "category_id": a.category,
+        }
+        for opt in ("score", "building_id", "iou_x"):
+            v = getattr(a, opt, None)
+            if v is not None:
+                rec[opt] = v
+        anns.append(rec)
+    write_json(path, {
+        "info": info or {},
+        "images": images,
+        "annotations": anns,
+        "categories": coco_categories(mapping),
+    })

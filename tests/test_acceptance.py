@@ -13,8 +13,9 @@ import pytest
 from geotag_facade import RunConfig
 from geotag_facade.cli import main as cli_main
 from geotag_facade.cocoio import canonical_json
-from geotag_facade.ingest import DetectionSet, FootprintSet, LoadReport
-from geotag_facade.matcher import generate_coarse_annotations, match_box
+from geotag_facade.ingest import DetectionSet, FootprintSet
+from geotag_facade.matcher import (generate_coarse_annotations, match_box,
+                                   match_intervals)
 from geotag_facade.metrics import (EvalBox, average_precision,
                                    coarse_accuracy, iou_2d)
 from geotag_facade.projection import (METERS_PER_DEGREE, FootprintIndex,
@@ -40,8 +41,7 @@ def geometry_scene(seed, n_buildings, n_cameras=1):
 def corpus(scene_seeds, n_buildings=14, n_cameras=8, noise=None,
            det_seed_offset=50_000):
     """Merge several scenes into one multi-panorama corpus."""
-    metas, footprints, gt_boxes = [], [], []
-    by_pano = {}
+    metas, footprints, gt_boxes, boxes = [], [], [], []
     boxes_per_pano = {}
     for seed in scene_seeds:
         scene = generate_scene(seed, SceneConfig(
@@ -51,12 +51,10 @@ def corpus(scene_seeds, n_buildings=14, n_cameras=8, noise=None,
         gt_boxes.extend(scene.gt_boxes)
         dets = perturb_detections(scene, noise or NoiseConfig(),
                                   seed=seed + det_seed_offset)
-        by_pano.update(dets.by_pano)
+        boxes += (b for bs in dets.by_pano.values() for b in bs)
         for g in scene.gt_boxes:
             boxes_per_pano[g.pano_id] = boxes_per_pano.get(g.pano_id, 0) + 1
-    n = sum(len(v) for v in by_pano.values())
-    det_set = DetectionSet(by_pano=by_pano,
-                           report=LoadReport(path="<corpus>", n_input=n))
+    det_set = DetectionSet.of(boxes)
     fset = FootprintSet.of(footprints)
     return metas, fset, det_set, gt_boxes, boxes_per_pano
 
@@ -195,6 +193,7 @@ def test_criterion_5_matching_rule_exactness():
     rng = random.Random(505)
     width = 2048.0
     disagreements = 0
+    pairs, wants = [], []
     for _ in range(100_000):
         lo = rng.uniform(0, width)
         hi = (lo + rng.uniform(0, width - 1)) % width
@@ -211,9 +210,22 @@ def test_criterion_5_matching_rule_exactness():
                 and brute_iou_1d(x, x + w, lo, hi, width) > 0.3)
         if got != want:
             disagreements += 1
+        pairs.append((lo, hi, x, w))
+        wants.append(want)
     assert disagreements == 0
+    # the same pairs through the batch rule annotate runs, in one
+    # match_intervals call: each box is its own panorama with one interval
+    lo, hi, x, w = (np.array(c) for c in zip(*pairs))
+    n = len(pairs)
+    won, _, _ = match_intervals(x, w, np.full(n, width), np.arange(n),
+                                np.ones(n, np.int64), lo, hi,
+                                np.zeros(n, np.int64), 0.3)
+    got = np.zeros(n, bool)
+    got[won] = True
+    assert np.count_nonzero(got != np.array(wants)) == 0
     ok(5, "10^5 random (box, interval) pairs incl. seam wraps: "
-          "zero disagreements with the unrolled-axis rule")
+          "zero disagreements with the unrolled-axis rule, box by box "
+          "and in one batch pass")
 
 
 def test_criterion_6_decoupling_invariance(tmp_path):

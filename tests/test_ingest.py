@@ -3,13 +3,15 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from geotag_facade import (CategoryMapping, LoadError, ParseError,
-                           load_category_mapping, load_detections,
+from geotag_facade import (CategoryMapping, DetectionSet, LoadError,
+                           ParseError, load_category_mapping,
                            load_footprints, load_panorama_meta)
 
-from oracle_utils import reference_load_footprints
+from oracle_utils import (load_detections_as_reference,
+                          reference_load_footprints)
 
 
 def write(tmp_path, name, obj):
@@ -319,6 +321,39 @@ class TestRingChecksAgainstScalar:
                                             parity_collection(seed)))
         assert len(fs) > 20 and len({r for _, r in report.rejected}) >= 9
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_positions_beyond_two_values_take_the_one_pass_read(
+            self, tmp_path, monkeypatch, seed):
+        # rings whose positions all start with two floats, some of them
+        # [lon, lat, z] and some of mixed length: the read is one pass
+        # (no value goes through the per-vertex reader) and reads only
+        # the first two values of each position, as that reader does
+        rng = random.Random(seed)
+        rings = [r for r in [*ring_cases().values()]
+                 + [random_ring(rng) for _ in range(300)]
+                 if isinstance(r, list) and r and all(
+                     isinstance(q, list) and len(q) == 2
+                     and {type(q[0]), type(q[1])} <= {float} for q in r)]
+        extra = ([], [0.0], [12.5], ["z"], [None], [1.5, {}], [[1.0]])
+        uniform = [0.0]
+        feats = []
+        for k, ring in enumerate(rings):
+            if k % 3 == 0:  # every position [lon, lat, z]
+                ring = [q + uniform for q in ring]
+            elif k % 3 == 1:  # positions of mixed length
+                ring = [q + rng.choice(extra) for q in ring]
+            feats.append(feature(f"r{k}", ring, label=rng.choice(
+                ("R1", "R2", "zz"))))
+        path = write(tmp_path, "f.json", {"type": "FeatureCollection",
+                                          "features": feats})
+
+        def refuse(*values):
+            raise AssertionError("a ring was read vertex by vertex")
+        monkeypatch.setattr("geotag_facade.ingest._numbers", refuse)
+        fs, report = self.assert_same(path)
+        assert len(rings) > 100 and len(fs) >= 10
+        assert len({r for _, r in report.rejected}) >= 4
+
 
 def meta_line(pano_id="a", lat=40.7, lon=-74.0, north_px=512, width=2048,
               height=1024):
@@ -379,44 +414,76 @@ class TestDetections:
     def test_grouping(self, tmp_path):
         p = write(tmp_path, "d.json",
                   [det("a"), det("a", (0, 0, 5, 5), 0.5), det("b")])
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         assert {k: len(v) for k, v in ds.by_pano.items()} == {"a": 2, "b": 1}
         assert ds.n_boxes == 3
 
     def test_category_discarded(self, tmp_path):
         p = write(tmp_path, "d.json", [det(category_id=4)])
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         box = ds.boxes_for("a")[0]
         assert not hasattr(box, "category_id") and not hasattr(box, "category")
 
     def test_negative_size_rejected(self, tmp_path):
         p = write(tmp_path, "d.json", [det(bbox=(10, 10, -5, 20))])
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         assert ds.n_boxes == 0 and ds.report.n_rejected == 1
 
     def test_score_out_of_range_rejected(self, tmp_path):
         p = write(tmp_path, "d.json", [det(score=1.5), det(score=-0.1)])
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         assert ds.n_boxes == 0 and ds.report.n_rejected == 2
 
     def test_image_id_alias(self, tmp_path):
         p = write(tmp_path, "d.json",
                   [{"image_id": "z", "bbox": [0, 0, 5, 5], "score": 0.5}])
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         assert ds.boxes_for("z")
 
     def test_counts_balance(self, tmp_path):
         p = write(tmp_path, "d.json",
                   [det(), det(score=2.0), det(bbox=(0, 0, 0, 5)), det("b")])
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         assert ds.report.n_accepted + ds.report.n_rejected == ds.report.n_input == 4
 
     def test_nan_bbox_rejected(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text('[{"pano_id": "a", "bbox": [NaN, 0, 10, 10], '
                      '"score": 0.5}]')
-        ds = load_detections(p)
+        ds = load_detections_as_reference(p)
         assert ds.n_boxes == 0 and ds.report.n_rejected == 1
+
+    def test_not_an_array_errors_as_the_reference_does(self, tmp_path):
+        p = write(tmp_path, "d.json", {"pano_id": "a"})
+        with pytest.raises(LoadError):
+            load_detections_as_reference(p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_interleaved_panoramas(self, tmp_path, seed):
+        # boxes of six panoramas interleave, with rejected records among
+        # them: each panorama keeps its boxes in input order, and the
+        # panoramas come in order of first appearance
+        rng = random.Random(seed)
+        recs = []
+        for _ in range(400):
+            pano = rng.choice(["p3", "p1", "p0", 7, "p2", "\u00e9"])
+            rec = det(pano, [rng.choice((rng.uniform(0, 2048), 0, -0.0,
+                                         2.5e-7)) for _ in range(2)]
+                      + [rng.uniform(1, 300), rng.uniform(1, 200)],
+                      rng.random())
+            if rng.random() < 0.1:
+                rec[rng.choice(["bbox", "score", "pano_id"])] = rng.choice(
+                    [None, -1, 2.0, "x", [1, 2], float("nan")])
+            if rng.random() < 0.2:
+                rec = {"image_id": rec.pop("pano_id"), **rec}
+            recs.append(rec)
+        ds = load_detections_as_reference(write(tmp_path, "d.json", recs))
+        assert len(ds.pano_ids) >= 6 and ds.pano_ids != sorted(ds.pano_ids)
+        assert 300 < ds.n_boxes < 400
+        again = DetectionSet.of(b for bs in ds.by_pano.values() for b in bs)
+        assert again.pano_ids == ds.pano_ids
+        assert all(np.array_equal(getattr(again, c), getattr(ds, c))
+                   for c in ("offsets", "x", "y", "w", "h", "score"))
 
 
 class TestCategoryMapping:

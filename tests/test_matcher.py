@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from geotag_facade import RunConfig
-from geotag_facade.ingest import DetectionBox, DetectionSet, LoadReport
+from geotag_facade.ingest import DetectionBox, DetectionSet
 from geotag_facade.matcher import (MatchResult, filter_detections,
                                    fit_threshold, generate_coarse_annotations,
                                    match_batch, match_box)
+from geotag_facade.projection import footprint_names
 from geotag_facade.raytrace import IntervalTable, VisibilityInterval
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  perturb_detections)
@@ -60,14 +61,16 @@ def table_of(*cameras, footprints=None):
 def batch_match_box(box, intervals, iou_min, width):
     """``match_box`` through the batch pass: a batch of one box, which
     must raise no numpy warning."""
+    table = table_of(intervals)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        matched = match_batch([([box], width, table_of(intervals), 0)],
-                              iou_min)
-    if not matched:
+        won, owner, iou = match_batch(np.array([box.x]), np.array([box.w]),
+                                      [(1, width, table, 0)], iou_min)
+    if not len(won):
         return None
-    (_, building_id, category, iou), = matched
-    return MatchResult(building_id=building_id, category=category, iou_x=iou)
+    (building_id, category), = footprint_names(table.footprints, owner)
+    return MatchResult(building_id=building_id, category=category,
+                       iou_x=float(iou[0]))
 
 
 class TestFitThreshold:
@@ -97,7 +100,7 @@ class TestFitThreshold:
         # no detections: batch 1 retains no scores either, so it too
         # gets the default
         scene, _ = pipeline_inputs(n_cameras=4)
-        empty = DetectionSet(by_pano={}, report=LoadReport(path="x"))
+        empty = DetectionSet.of([])
         _, report = generate_coarse_annotations(
             scene.metas, scene.footprint_set, empty, RunConfig(batch_size=2))
         assert report.threshold_history == [(0, 0.3), (1, 0.3)]
@@ -293,15 +296,21 @@ def test_batch_equals_match_box_on_seeded_batches(seed):
     rows = tuple(iv for _, ivs, _ in panos for iv in ivs)
     first = table_of(*[ivs for _, ivs, _ in panos[:cut]], footprints=rows)
     second = table_of(*[ivs for _, ivs, _ in panos[cut:]], footprints=rows)
-    work = [(boxes, width, first, c) if c < cut
-            else (boxes, width, second, c - cut)
+    work = [(len(boxes), width, first, c) if c < cut
+            else (len(boxes), width, second, c - cut)
             for c, (width, _, boxes) in enumerate(panos)]
+    boxes = [b for _, _, bs in panos for b in bs]
     want = [(b, m.building_id, m.category, m.iou_x)
             for width, ivs, boxes in panos for b in boxes
             for m in [match_box(b, ivs, 0.3, width)] if m is not None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert match_batch(work, 0.3) == want
+        won, owner, iou = match_batch(np.array([b.x for b in boxes]),
+                                      np.array([b.w for b in boxes]),
+                                      work, 0.3)
+    names = footprint_names(first.footprints, owner)
+    assert [(boxes[i], bid, cat, v) for i, (bid, cat), v
+            in zip(won.tolist(), names, iou.tolist())] == want
 
 
 def test_seeded_batches_hold_every_case():
@@ -366,7 +375,7 @@ class TestGenerateCoarseAnnotations:
 
     def test_zero_detections(self):
         scene, _ = pipeline_inputs()
-        empty = DetectionSet(by_pano={}, report=LoadReport(path="x"))
+        empty = DetectionSet.of([])
         anns, report = generate_coarse_annotations(
             scene.metas, scene.footprint_set, empty, RunConfig())
         assert anns == []
@@ -387,7 +396,8 @@ class TestGenerateCoarseAnnotations:
 
     def test_missing_meta_reported(self):
         scene, dets = pipeline_inputs()
-        dets.by_pano["ghost"] = [det(0, 10, pano="ghost")]
+        dets = DetectionSet.of([*(b for bs in dets.by_pano.values()
+                                  for b in bs), det(0, 10, pano="ghost")])
         anns, report = generate_coarse_annotations(
             scene.metas, scene.footprint_set, dets, RunConfig())
         assert report.missing_meta == {"ghost": 1}
@@ -511,8 +521,7 @@ class TestGenerateCoarseAnnotations:
 
     def test_degenerate_scene_skipped(self):
         from geotag_facade.ingest import (BuildingFootprint, DetectionSet,
-                                          FootprintSet, LoadReport,
-                                          PanoramaMeta)
+                                          FootprintSet, PanoramaMeta)
         from geotag_facade.projection import local_to_geodetic
         origin = (40.0, -74.0)
         ring = [local_to_geodetic(origin, p)
@@ -522,8 +531,7 @@ class TestGenerateCoarseAnnotations:
         meta = PanoramaMeta(pano_id="inside", lat=origin[0], lon=origin[1],
                             north_px=0.0, width=2048, height=1024)
         fps = FootprintSet.of([fp])
-        dets = DetectionSet(by_pano={"inside": [det(0, 10, pano="inside")]},
-                            report=LoadReport(path="x"))
+        dets = DetectionSet.of([det(0, 10, pano="inside")])
         anns, report = generate_coarse_annotations([meta], fps, dets,
                                                    RunConfig())
         assert anns == []

@@ -11,7 +11,9 @@ Provenance that no reader reads (a COCO ``info`` block, a trace file's
 which keeps the walk short. Every vertex of the first footprint ring,
 not only its first, is also replaced by pool values and by positions of
 one, three and ragged values. Wherever the footprint reader returns, it
-must equal the one-ring reference loader, report and rings alike.
+must equal the one-ring reference loader, report and rings alike; the
+detection reader must equal the record-by-record reference loader,
+columns, rows and report alike, or raise its error.
 """
 import copy
 import json
@@ -19,13 +21,14 @@ import json
 import pytest
 
 from geotag_facade import (GeotagFacadeError, coarse_accuracy, coco_summary,
-                           load_category_mapping, load_detections,
-                           load_footprints, load_panorama_meta)
+                           load_category_mapping, load_footprints,
+                           load_panorama_meta)
 from geotag_facade.cli import main
 from geotag_facade.cocoio import read_coco
 from geotag_facade.render import read_trace
 
-from oracle_utils import reference_load_footprints
+from oracle_utils import (load_detections_as_reference,
+                          reference_load_footprints)
 
 POOL = [None, True, False, "x", "1.5", [], {}, -1, 0, 1.5, 10 ** 30,
         10 ** 400, float("nan"), float("inf")]
@@ -114,7 +117,8 @@ def test_every_mutation_is_read_or_rejected(scene, tmp_path, name):
         "footprints.geojson": lambda p: _footprints_as_reference(p,
                                                                  mapping),
         "metas.jsonl": lambda p: _balanced(load_panorama_meta(p)),
-        "detections.json": lambda p: _balanced(load_detections(p)),
+        "detections.json": lambda p: _balanced(
+            load_detections_as_reference(p)),
         "mapping.json": lambda p: _footprints_as_reference(
             d / "footprints.geojson", load_category_mapping(p)),
         "gt.json": lambda p: _read_coco_and_eval(p, gt, evaluated),
