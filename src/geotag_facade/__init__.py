@@ -14,10 +14,10 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      load_category_mapping, load_detections, load_footprints,
                      load_panorama_meta)
 from .matcher import (AnnotationSet, CoarseAnnotation, filter_detections,
-                      fit_threshold, generate_coarse_annotations, match_box,
+                      fit_threshold, generate_coarse_annotations,
                       trace_panoramas)
 from .metrics import (AccuracyReport, EvalBox, average_precision,
-                      coarse_accuracy, coco_summary, iou_1d, iou_2d)
+                      coarse_accuracy, coco_summary, iou_2d)
 from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,
                          LocalScene, LocalXY, WallSegment, angle_to_pixel,
                          clip_scene, geodetic_to_local, local_to_geodetic)

@@ -127,8 +127,8 @@ def read_coco(path):
 
     Returns (boxes, width_by_pano, height_by_pano, info). Raises
     ``ParseError`` when the file is not JSON, and ``LoadError`` naming
-    the image or annotation whose field ``ingest``'s field readers
-    reject, or whose ``image_id`` names no image.
+    the entry whose field ``ingest``'s field readers reject, whose id
+    repeats an earlier image's, or whose ``image_id`` names no image.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -147,6 +147,8 @@ def read_coco(path):
             fail(where, "expected an object with an id", img)
         if not _ok(_key, img["id"]):
             fail(where, "id must be a number or a string", img["id"])
+        if img["id"] in pano_of:
+            fail(where, "id must be unique", img["id"])
         width = img.get("width")
         if not (width is None or _ok(_integers, width) and width > 0):
             fail(where, "width must be null or a positive whole number",

@@ -32,7 +32,7 @@ score-filtered as array masks; then one array pass (:func:`match_batch`,
 interval) pair of the batch, whichever tables they are in. The run's
 matches come back as an :class:`AnnotationSet`, columns whose
 :class:`CoarseAnnotation` rows are built only if read.
-:func:`match_box` states the same rule for one box over interval rows.
+:func:`match_box` is the rule's one-box case, over interval rows.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
-from .metrics import iou_1d, iou_1d_arrays
+from .metrics import iou_1d_arrays
 from .projection import MAX_LOCAL_RANGE_M, FootprintIndex, clip_group
 from .raytrace import sweep_grid, trace_group
 
@@ -166,56 +166,41 @@ class MatchResult:
     iou_x: float
 
 
-def _midpoint_inside(lo: float, hi: float, mid: float, width: float) -> bool:
-    """Strict containment on the wrapped pixel axis; empty spans hold nothing."""
-    lo, hi = lo % width, hi % width
-    if lo == hi:
-        return False
-    if lo < hi:
-        return lo < mid < hi
-    return mid > lo or mid < hi
-
-
 def match_box(box: DetectionBox, intervals, iou_min: float,
               width: float) -> MatchResult | None:
-    """Match one box against the panorama's visibility intervals.
-
-    Candidates are intervals strictly containing the box midpoint; the
-    winner is the candidate with the highest 1D IoU above ``iou_min``
-    (strict), ties to the smaller building id. None when nothing
-    qualifies.
-    """
-    mid = (box.x + box.w / 2.0) % width
-    best = None
-    best_key = None
-    for iv in intervals:
-        if not _midpoint_inside(iv.px_lo, iv.px_hi, mid, width):
-            continue
-        iou = iou_1d((box.x, box.x + box.w), (iv.px_lo, iv.px_hi), width)
-        if iou <= iou_min:
-            continue
-        key = (-iou, iv.building_id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = MatchResult(building_id=iv.building_id,
-                               category=iv.category, iou_x=iou)
-    return best
+    """Match one box against a panorama's visibility interval rows, as
+    the one-box case of :func:`match_intervals`: ties go to the smaller
+    building id, then the earlier row. None when nothing qualifies."""
+    ivs = list(intervals)
+    rank = {b: r for r, b in enumerate(sorted({iv.building_id for iv in ivs}))}
+    won, row, iou = match_intervals(
+        np.array([box.x], float), np.array([box.w], float),
+        np.array([width], float), np.zeros(1, np.int64), np.array([len(ivs)]),
+        np.array([iv.px_lo for iv in ivs], float),
+        np.array([iv.px_hi for iv in ivs], float),
+        np.array([rank[iv.building_id] for iv in ivs], np.int64), iou_min)
+    if not len(won):
+        return None
+    iv = ivs[row[0]]
+    return MatchResult(building_id=iv.building_id, category=iv.category,
+                       iou_x=float(iou[0]))
 
 
 def match_intervals(x, w, width, first, count, px_lo, px_hi, rank,
                     iou_min: float):
-    """:func:`match_box` for many boxes at once, in one array pass.
+    """The matching rule, for many boxes at once in one array pass.
 
     Box ``i`` spans ``x[i]`` to ``x[i] + w[i]`` on a panorama of
     ``width[i]`` pixels, and its panorama's intervals are rows
     ``first[i]`` to ``first[i] + count[i] - 1`` of the ``px_lo``,
-    ``px_hi`` and ``rank`` columns. Every (box, interval) pair runs the
-    strict wrapped-midpoint test of :func:`_midpoint_inside`; the pairs
-    inside run :func:`iou_1d`'s float operations
-    (:func:`metrics.iou_1d_arrays`), so an empty span is never divided
-    by. Each box keeps its pair of highest IoU above ``iou_min``
-    (strict), ties to the smaller building rank (id order) and then the
-    earlier row, as :func:`match_box` does.
+    ``px_hi`` and ``rank`` columns. A pair's interval must strictly
+    contain the box's midpoint on the wrapped pixel axis, and an empty
+    span (ends equal modulo the width) holds nothing; the pairs inside
+    take their 1D IoU (:func:`metrics.iou_1d_arrays`), so an empty span
+    is never divided by. Each box keeps its pair of highest IoU above
+    ``iou_min`` (strict), ties to the smaller building rank (id order)
+    and then the earlier row. ``reference_match_box`` in
+    ``tests/oracle_utils.py`` is the scalar form the tests hold it to.
 
     Returns (box, row, iou) arrays of the winners, in box order; a box
     without one is absent.

@@ -10,9 +10,10 @@ IoU of every same-panorama pair in one call of the kernel
 ``_pair_ious``, and ``coco_summary`` in one call per category. Only the
 greedy assignment walks run per pair in Python, with the tie rules of
 the scalar code they replaced. ``iou_2d`` is the kernel's one-pair
-case, so the 2-D formula exists once. ``iou_1d_arrays`` is ``iou_1d``
-over arrays, for the matcher's batch pass; it shares the wrapped
-overlap with the 2-D kernel.
+case, so the 2-D formula exists once. ``iou_1d_arrays``, the matcher's
+1-D IoU, is the only one, and it shares the wrapped overlap with the
+2-D kernel. The scalar forms of both kernels are test references in
+``tests/oracle_utils.py``.
 """
 from __future__ import annotations
 
@@ -39,63 +40,13 @@ class EvalBox:
     score: float | None = None
 
 
-def _interval_pieces(lo: float, hi: float, width: float) -> list:
-    """Unroll a circular interval into 1 or 2 linear [start, end) pieces."""
-    start = lo % width
-    raw = hi - lo
-    if raw < 0:
-        raw %= width
-    length = min(raw, width)
-    if length == 0.0:
-        return []
-    end = start + length
-    if end <= width:
-        return [(start, end)]
-    return [(start, width), (0.0, end - width)]
-
-
-def _interval_length(lo: float, hi: float, width: float) -> float:
-    raw = hi - lo
-    if raw < 0:
-        raw %= width
-    return min(raw, width)
-
-
-def _overlap_1d(a, b) -> float:
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
-def wrapped_intersection(a_lo, a_hi, b_lo, b_hi, width) -> float:
-    """Total overlap length of two circular intervals (may be 2 pieces)."""
-    total = 0.0
-    for pa in _interval_pieces(a_lo, a_hi, width):
-        for pb in _interval_pieces(b_lo, b_hi, width):
-            total += _overlap_1d(pa, pb)
-    return total
-
-
-def iou_1d(a, b, width: float) -> float:
-    """Intersection over union of two circular pixel intervals.
-
-    ``a`` and ``b`` are (lo, hi) pairs. Raises on a zero-length union
-    (both intervals degenerate).
-    """
-    inter = wrapped_intersection(a[0], a[1], b[0], b[1], width)
-    union = (_interval_length(a[0], a[1], width)
-             + _interval_length(b[0], b[1], width) - inter)
-    if union <= 0.0:
-        raise ValueError("degenerate intervals: zero-length union")
-    return inter / union
-
-
 def iou_1d_arrays(a_lo, a_hi, b_lo, b_hi, width) -> np.ndarray:
-    """:func:`iou_1d` of each aligned pair of intervals ``(a_lo[i],
-    a_hi[i])`` and ``(b_lo[i], b_hi[i])`` on a circle of ``width[i]``.
-
-    The float operations and their order are the scalar ones: the
-    overlap is summed onto 0.0 over the piece pairs in
-    :func:`wrapped_intersection`'s order, and the union is the two
-    lengths less the overlap. Raises as :func:`iou_1d` does.
+    """1D IoU of each aligned pair of circular pixel intervals
+    ``(a_lo[i], a_hi[i])`` and ``(b_lo[i], b_hi[i])`` on a circle of
+    ``width[i]``: the overlap summed onto 0.0 over the piece pairs
+    (:func:`_wrapped_overlap`), over the two lengths less the overlap.
+    These are the float operations, in order, of the scalar ``iou_1d``
+    in ``tests/oracle_utils.py``. Raises on a zero-length union.
     """
     inter = _wrapped_overlap(a_lo, a_hi, b_lo, b_hi, width)
     union = (_length_arrays(a_lo, a_hi, width)
@@ -130,8 +81,9 @@ def _pair_ious(a: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
     float operations and their order are those of the scalar formula:
     the vertical overlap; the wrapped horizontal overlap as the sum,
     onto 0.0, of the overlaps of the pieces (a1, b1), (a1, b2), (a2, b1),
-    (a2, b2) that ``_interval_pieces`` gives; ``min(w, width) * h`` for
-    the areas. Raises when any pair holds a box without positive area
+    (a2, b2) that :func:`_piece_arrays` gives; ``min(w, width) * h`` for
+    the areas. ``reference_iou_2d`` in ``tests/oracle_utils.py`` is that
+    formula. Raises when any pair holds a box without positive area
     or has a width that is not positive.
     """
     ax, ay, aw, ah = a.T
@@ -153,14 +105,16 @@ def _pair_ious(a: np.ndarray, b: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 
 def _length_arrays(lo, hi, width):
-    """``_interval_length`` for arrays."""
+    """Circular interval lengths (``_interval_length`` in
+    ``tests/oracle_utils.py``, over arrays)."""
     raw = hi - lo
     return np.minimum(np.where(raw < 0, np.mod(raw, width), raw), width)
 
 
 def _piece_arrays(lo, hi, width):
-    """``_interval_pieces(lo, hi, width)`` for arrays: the two
-    (start, end, present) pieces, the second present only on a wrap."""
+    """The two (start, end, present) linear pieces of each circular
+    interval, the second present only on a wrap (``_interval_pieces``
+    in ``tests/oracle_utils.py``, over arrays)."""
     start = np.mod(lo, width)
     length = _length_arrays(lo, hi, width)
     end = start + length
@@ -170,9 +124,10 @@ def _piece_arrays(lo, hi, width):
 
 
 def _wrapped_overlap(a_lo, a_hi, b_lo, b_hi, width):
-    """:func:`wrapped_intersection` for arrays: the overlaps of the
-    pieces (a1, b1), (a1, b2), (a2, b1), (a2, b2) summed onto 0.0 in that
-    order, an absent piece adding 0.0."""
+    """Total overlap of each aligned pair of circular intervals: the
+    overlaps of the pieces (a1, b1), (a1, b2), (a2, b1), (a2, b2) summed
+    onto 0.0 in that order, an absent piece adding 0.0, as
+    ``wrapped_intersection`` in ``tests/oracle_utils.py`` sums them."""
     pieces_b = _piece_arrays(b_lo, b_hi, width)
     total = np.zeros(len(width))
     for lo_a, hi_a, has_a in _piece_arrays(a_lo, a_hi, width):

@@ -15,17 +15,24 @@ dense sweep that tests every ray against every segment
 (``reference_runs``); the one-camera trace built from these
 (``reference_trace_panorama``); the scalar 2-D IoU of one box pair
 (``reference_iou_2d``) and the per-panorama accuracy built on it
-(``reference_coarse_accuracy``); and the AP path that reran the greedy
+(``reference_coarse_accuracy``); the AP path that reran the greedy
 matching for every AP value (``reference_average_precision``,
-``reference_coco_summary``), which scores pairs with the scalar IoU.
+``reference_coco_summary``), which scores pairs with the scalar IoU;
+and the scalar 1-D IoU chain (``iou_1d``, ``wrapped_intersection``,
+``_interval_pieces``, ``_interval_length``, ``_overlap_1d``), which
+``iou_1d_arrays`` replaced and ``reference_iou_2d`` builds on.
 
 Last come former exports that only tests used: the heading helpers
 ``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
 package's one-camera trace (``clip_scene``, ``trace_sweep``,
 ``intervals_from_sweep``, ``intervals_to_pixel``), which
-``trace_panoramas`` replaced; ``reference_annotations``, the annotate
-driver that traced each panorama on its own and matched box by box with
-``match_box``, which the batch pass replaced; ``_runs``, the run
+``trace_panoramas`` replaced; the per-box matching rule
+(``reference_match_box``, the former ``match_box``, with
+``_midpoint_inside``), which ``match_intervals`` replaced, so that the
+package's ``match_box`` is now its one-box case;
+``reference_annotations``, the annotate pipeline that traced each
+panorama on its own and matched box by box with
+``reference_match_box``, which the batch pass replaced; ``_runs``, the run
 split of ``run_table`` as a list of ``[start, end, index]``; and the
 scalar ring checks (``_normalize_ring``, ``_shoelace``, ``_orient``,
 ``_on_segment``, ``_segments_intersect``, ``_is_simple``,
@@ -56,13 +63,12 @@ from geotag_facade.ingest import (_MIN_RING_AREA_DEG2, BuildingFootprint,
                                   DetectionBox, LoadReport, PanoramaMeta,
                                   _bbox, _FieldError, _key, _numbers, _ok,
                                   _outer_rings, _read_json, load_detections)
-from geotag_facade.matcher import (BatchReport, CoarseAnnotation, RunReport,
-                                   filter_detections, fit_threshold,
-                                   match_box)
+from geotag_facade.matcher import (BatchReport, CoarseAnnotation,
+                                   MatchResult, RunReport, filter_detections,
+                                   fit_threshold)
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, AccuracyReport,
-                                   APReport, _as_xywh, _overlap_1d,
-                                   wrapped_intersection)
+                                   APReport, _as_xywh)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       FootprintIndex, LocalScene, WallSegment,
                                       _wrap_lon, clip_scene)
@@ -419,6 +425,55 @@ def reference_trace_panorama(footprints, meta, config):
         px_hi=px(iv.angle_lo if flip else iv.angle_hi)) for iv in out], None
 
 
+def _interval_pieces(lo: float, hi: float, width: float) -> list:
+    """Unroll a circular interval into 1 or 2 linear [start, end) pieces."""
+    start = lo % width
+    raw = hi - lo
+    if raw < 0:
+        raw %= width
+    length = min(raw, width)
+    if length == 0.0:
+        return []
+    end = start + length
+    if end <= width:
+        return [(start, end)]
+    return [(start, width), (0.0, end - width)]
+
+
+def _interval_length(lo: float, hi: float, width: float) -> float:
+    raw = hi - lo
+    if raw < 0:
+        raw %= width
+    return min(raw, width)
+
+
+def _overlap_1d(a, b) -> float:
+    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+
+
+def wrapped_intersection(a_lo, a_hi, b_lo, b_hi, width) -> float:
+    """Total overlap length of two circular intervals (may be 2 pieces)."""
+    total = 0.0
+    for pa in _interval_pieces(a_lo, a_hi, width):
+        for pb in _interval_pieces(b_lo, b_hi, width):
+            total += _overlap_1d(pa, pb)
+    return total
+
+
+def iou_1d(a, b, width: float) -> float:
+    """Intersection over union of two circular pixel intervals.
+
+    ``a`` and ``b`` are (lo, hi) pairs. Raises on a zero-length union
+    (both intervals degenerate).
+    """
+    inter = wrapped_intersection(a[0], a[1], b[0], b[1], width)
+    union = (_interval_length(a[0], a[1], width)
+             + _interval_length(b[0], b[1], width) - inter)
+    if union <= 0.0:
+        raise ValueError("degenerate intervals: zero-length union")
+    return inter / union
+
+
 def reference_iou_2d(box_a, box_b, width=None) -> float:
     """Axis-aligned rectangle IoU of one pair; horizontal wrap when
     ``width`` given."""
@@ -524,12 +579,12 @@ def _reference_ap_from_flags(order, is_tp, n_gt) -> float:
     fp = np.cumsum([0.0 if is_tp[i] else 1.0 for i in order])
     if len(tp) == 0:
         return 0.0
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
+    recall = (tp / n_gt).tolist()
+    precision = (tp / (tp + fp)).tolist()
     ap = 0.0
-    for r in AP_RECALL_POINTS:
-        mask = recall >= r - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
+    for r in AP_RECALL_POINTS.tolist():
+        r -= 1e-12
+        ap += max([p for q, p in zip(recall, precision) if q >= r] or [0.0])
     return ap / len(AP_RECALL_POINTS)
 
 
@@ -644,11 +699,47 @@ def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
     return intervals_to_pixel(ivs, meta, config.flip_heading), None
 
 
+def _midpoint_inside(lo: float, hi: float, mid: float, width: float) -> bool:
+    """Strict containment on the wrapped pixel axis; empty spans hold nothing."""
+    lo, hi = lo % width, hi % width
+    if lo == hi:
+        return False
+    if lo < hi:
+        return lo < mid < hi
+    return mid > lo or mid < hi
+
+
+def reference_match_box(box: DetectionBox, intervals, iou_min: float,
+                        width: float) -> MatchResult | None:
+    """Match one box against the panorama's visibility intervals.
+
+    Candidates are intervals strictly containing the box midpoint; the
+    winner is the candidate with the highest 1D IoU above ``iou_min``
+    (strict), ties to the smaller building id. None when nothing
+    qualifies.
+    """
+    mid = (box.x + box.w / 2.0) % width
+    best = None
+    best_key = None
+    for iv in intervals:
+        if not _midpoint_inside(iv.px_lo, iv.px_hi, mid, width):
+            continue
+        iou = iou_1d((box.x, box.x + box.w), (iv.px_lo, iv.px_hi), width)
+        if iou <= iou_min:
+            continue
+        key = (-iou, iv.building_id)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = MatchResult(building_id=iv.building_id,
+                               category=iv.category, iou_x=iou)
+    return best
+
+
 def reference_annotations(metas, footprints, dets, config: RunConfig):
     """``generate_coarse_annotations`` box by box: each panorama traced on
     its own (:func:`trace_panorama`) and each retained box matched by
-    ``match_box`` over its interval rows. Returns (annotations, run
-    report)."""
+    :func:`reference_match_box` over its interval rows. Returns
+    (annotations, run report)."""
     index = FootprintIndex(footprints)
     meta_ids = {m.pano_id for m in metas}
     report = RunReport(config=config.to_dict())
@@ -680,7 +771,8 @@ def reference_annotations(metas, footprints, dets, config: RunConfig):
             br.filtered_out += len(valid) - len(retained)
             for b in retained:
                 scores.append(b.score)
-                m = match_box(b, intervals, config.iou_x_min, meta.width)
+                m = reference_match_box(b, intervals, config.iou_x_min,
+                                        meta.width)
                 if m is None:
                     br.unmatched += 1
                     continue

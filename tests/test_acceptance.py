@@ -14,14 +14,13 @@ from geotag_facade import RunConfig
 from geotag_facade.cli import main as cli_main
 from geotag_facade.cocoio import canonical_json
 from geotag_facade.ingest import DetectionSet, FootprintSet
-from geotag_facade.matcher import (generate_coarse_annotations, match_box,
-                                   match_intervals)
+from geotag_facade.matcher import generate_coarse_annotations, match_intervals
 from geotag_facade.metrics import (EvalBox, average_precision,
                                    coarse_accuracy, iou_2d)
 from geotag_facade.projection import (METERS_PER_DEGREE, FootprintIndex,
                                       clip_scene, geodetic_to_local,
                                       local_to_geodetic)
-from geotag_facade.raytrace import VisibilityInterval, trace_sweep
+from geotag_facade.raytrace import trace_sweep
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  oracle_hits, perturb_detections)
 
@@ -190,31 +189,20 @@ def test_criterion_4_radius_monotonicity():
 
 
 def test_criterion_5_matching_rule_exactness():
+    # the matching rule annotate runs, in one match_intervals call over
+    # 100,000 random pairs: each box is its own panorama with one interval
     rng = random.Random(505)
     width = 2048.0
-    disagreements = 0
     pairs, wants = [], []
     for _ in range(100_000):
         lo = rng.uniform(0, width)
         hi = (lo + rng.uniform(0, width - 1)) % width
         x = rng.uniform(-width, 2 * width)
         w = rng.uniform(1.0, 0.9 * width)
-        iv = VisibilityInterval(building_id="B", category=1, angle_lo=0.0,
-                                angle_hi=0.0, min_distance=1.0, px_lo=lo,
-                                px_hi=hi)
-        from geotag_facade.ingest import DetectionBox
-        box = DetectionBox(pano_id="p", x=x, y=0.0, w=w, h=10.0, score=1.0)
-        got = match_box(box, [iv], 0.3, width) is not None
         mid = (x + w / 2.0) % width
-        want = (brute_midpoint_inside(lo, hi, mid, width)
-                and brute_iou_1d(x, x + w, lo, hi, width) > 0.3)
-        if got != want:
-            disagreements += 1
         pairs.append((lo, hi, x, w))
-        wants.append(want)
-    assert disagreements == 0
-    # the same pairs through the batch rule annotate runs, in one
-    # match_intervals call: each box is its own panorama with one interval
+        wants.append(brute_midpoint_inside(lo, hi, mid, width)
+                     and brute_iou_1d(x, x + w, lo, hi, width) > 0.3)
     lo, hi, x, w = (np.array(c) for c in zip(*pairs))
     n = len(pairs)
     won, _, _ = match_intervals(x, w, np.full(n, width), np.arange(n),
@@ -224,8 +212,7 @@ def test_criterion_5_matching_rule_exactness():
     got[won] = True
     assert np.count_nonzero(got != np.array(wants)) == 0
     ok(5, "10^5 random (box, interval) pairs incl. seam wraps: "
-          "zero disagreements with the unrolled-axis rule, box by box "
-          "and in one batch pass")
+          "zero disagreements with the unrolled-axis rule in one batch pass")
 
 
 def test_criterion_6_decoupling_invariance(tmp_path):

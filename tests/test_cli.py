@@ -257,6 +257,12 @@ def _number_file_name(doc):
     doc["images"][0]["file_name"] = 7
 
 
+def _duplicate_image_id(doc):
+    # image 2 takes image 1's id, which would move image 1's boxes
+    assert doc["images"][0]["id"] == 1
+    doc["images"][1]["id"] = 1
+
+
 HUGE = 10 ** 400  # an integer too large for a float
 
 
@@ -295,6 +301,7 @@ HUGE = 10 ** 400  # an integer too large for a float
     (_category(float("nan")), "annotations[0]: category_id must be a number"),
     (_category(1e30), "annotations[0]: category_id must be a number"),
     (_width(1.5), "images[0]: width"),
+    (_duplicate_image_id, "images[1]: id must be unique, got 1"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
         "image-without-id", "image-string", "annotation-string",
@@ -303,7 +310,8 @@ HUGE = 10 ** 400  # an integer too large for a float
         "category-string", "category-list", "bbox-bool", "image-id-bool",
         "pano-id-bool", "annotation-image-id-bool", "score-string",
         "score-bool", "score-nan", "score-huge-int", "category-fraction",
-        "category-nan", "category-huge-float", "width-fraction"])
+        "category-nan", "category-huge-float", "width-fraction",
+        "duplicate-image-id"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()

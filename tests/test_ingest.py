@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,3 +503,18 @@ class TestCategoryMapping:
         p = write(tmp_path, "m.json", {"entries": {"a": 1, "b": 3}})
         with pytest.raises(LoadError):
             load_category_mapping(p)
+
+
+# the city mappings shipped in configs/, and each one's category count
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CITY_CATEGORIES = {"boston": 5, "los_angeles": 5, "new_york": 6}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shipped_city_mapping(path):
+    m = load_category_mapping(path)
+    assert m.city == path.stem
+    assert m.category_ids == list(range(1, CITY_CATEGORIES[path.stem] + 1))
+    for c in m.category_ids:
+        assert c in m.names and m.name_of(c) != f"category_{c}"

@@ -16,8 +16,9 @@ from geotag_facade.raytrace import IntervalTable, VisibilityInterval
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
                                  perturb_detections)
 
-from oracle_utils import (brute_iou_1d, brute_midpoint_inside,
-                          reference_annotations)
+from oracle_utils import (_midpoint_inside, brute_iou_1d,
+                          brute_midpoint_inside, iou_1d, reference_annotations,
+                          reference_match_box)
 
 W = 2048.0
 
@@ -132,7 +133,8 @@ class TestFilterDetections:
 
 
 class TestMatchBox:
-    """The matching rule, through the per-box ``match_box``."""
+    """The matching rule, through ``match_box``, the one-box case of the
+    batch pass."""
 
     match = staticmethod(match_box)
 
@@ -241,6 +243,13 @@ class TestMatchBatch(TestMatchBox):
     match = staticmethod(batch_match_box)
 
 
+class TestReferenceMatchBox(TestMatchBox):
+    """Every :class:`TestMatchBox` case through the scalar reference that
+    the seeded batches and ``reference_annotations`` compare against."""
+
+    match = staticmethod(reference_match_box)
+
+
 def random_panorama(rng, width):
     """Interval rows and boxes of one panorama, rich in what array code
     gets wrong: spans across the seam, empty spans, equal spans of two
@@ -302,7 +311,8 @@ def test_batch_equals_match_box_on_seeded_batches(seed):
     boxes = [b for _, _, bs in panos for b in bs]
     want = [(b, m.building_id, m.category, m.iou_x)
             for width, ivs, boxes in panos for b in boxes
-            for m in [match_box(b, ivs, 0.3, width)] if m is not None]
+            for m in [reference_match_box(b, ivs, 0.3, width)]
+            if m is not None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         won, owner, iou = match_batch(np.array([b.x for b in boxes]),
@@ -330,8 +340,9 @@ def test_seeded_batches_hold_every_case():
                 mid = (b.x + b.w / 2.0) % width
                 seen["on an end"] += any(
                     mid in (iv.px_lo % width, iv.px_hi % width) for iv in ivs)
-                ious = [m.iou_x for m in (match_box(b, [iv], 0.3, width)
-                                          for iv in ivs) if m]
+                ious = [m.iou_x for iv in ivs
+                        for m in [reference_match_box(b, [iv], 0.3, width)]
+                        if m]
                 seen["match"] += bool(ious)
                 seen["tie"] += len(ious) > len(set(ious))
     assert min(seen.values()) >= 5, seen
@@ -492,9 +503,7 @@ class TestGenerateCoarseAnnotations:
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's
         # interval and its iou_x clears the floor, re-derived from scratch
-        from geotag_facade.matcher import _midpoint_inside
         from geotag_facade.projection import FootprintIndex
-        from geotag_facade.metrics import iou_1d
         from oracle_utils import trace_panorama
         scene, dets = pipeline_inputs(seed=21, noise=NoiseConfig(
             shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))

@@ -6,10 +6,9 @@ import pytest
 from geotag_facade import metrics
 from geotag_facade.cocoio import canonical_json
 from geotag_facade.metrics import (COCO_IOU_GRID, EvalBox, average_precision,
-                                   coarse_accuracy, coco_summary, iou_1d,
-                                   iou_2d)
+                                   coarse_accuracy, coco_summary, iou_2d)
 
-from oracle_utils import (brute_iou_1d, brute_iou_2d,
+from oracle_utils import (brute_iou_1d, brute_iou_2d, iou_1d,
                           reference_average_precision,
                           reference_coarse_accuracy, reference_coco_summary,
                           reference_iou_2d)
@@ -17,27 +16,36 @@ from oracle_utils import (brute_iou_1d, brute_iou_2d,
 W = 2048.0
 
 
+def pair_iou(a, b, width):
+    """The package's 1D IoU of one pair of (lo, hi) intervals."""
+    return float(metrics.iou_1d_arrays(
+        *(np.array([v], float) for v in (*a, *b, width)))[0])
+
+
 class TestIou1d:
+    """The package's 1D IoU, ``iou_1d_arrays``, one pair at a time and
+    against the scalar reference ``iou_1d``."""
+
     def test_identical(self):
-        assert iou_1d((100, 200), (100, 200), W) == 1.0
+        assert pair_iou((100, 200), (100, 200), W) == 1.0
 
     def test_partial(self):
-        assert iou_1d((100, 200), (150, 250), W) == pytest.approx(50 / 150)
+        assert pair_iou((100, 200), (150, 250), W) == pytest.approx(50 / 150)
 
     def test_disjoint(self):
-        assert iou_1d((0, 10), (500, 600), W) == 0.0
+        assert pair_iou((0, 10), (500, 600), W) == 0.0
 
     def test_wrapped_vs_box_at_seam(self):
         # interval [2000, 2048) u [0, 100), box [0, 100]
-        assert iou_1d((2000, 100), (0, 100), W) == pytest.approx(100 / 148)
+        assert pair_iou((2000, 100), (0, 100), W) == pytest.approx(100 / 148)
 
     def test_overflow_representation(self):
         # hi > width means the same wrapped interval
-        assert iou_1d((2000, 2148), (0, 100), W) == pytest.approx(100 / 148)
+        assert pair_iou((2000, 2148), (0, 100), W) == pytest.approx(100 / 148)
 
     def test_degenerate_union_raises(self):
         with pytest.raises(ValueError):
-            iou_1d((5, 5), (9, 9), W)
+            pair_iou((5, 5), (9, 9), W)
 
     def test_symmetry_and_bounds_random(self):
         rng = random.Random(1)
@@ -46,7 +54,7 @@ class TestIou1d:
             b = (rng.uniform(0, W), rng.uniform(0, W))
             if a[0] == a[1] and b[0] == b[1]:
                 continue
-            v1, v2 = iou_1d(a, b, W), iou_1d(b, a, W)
+            v1, v2 = pair_iou(a, b, W), pair_iou(b, a, W)
             assert v1 == pytest.approx(v2)
             assert 0.0 <= v1 <= 1.0
             assert v1 == pytest.approx(brute_iou_1d(*a, *b, W))
