@@ -16,7 +16,7 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
 from .matcher import (AnnotationSet, CoarseAnnotation, filter_detections,
                       fit_threshold, generate_coarse_annotations,
                       trace_panoramas)
-from .metrics import (AccuracyReport, EvalBox, average_precision,
+from .metrics import (AccuracyReport, EvalBox, EvalBoxSet, average_precision,
                       coarse_accuracy, coco_summary, iou_2d)
 from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,
                          LocalScene, LocalXY, WallSegment, angle_to_pixel,

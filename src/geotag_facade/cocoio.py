@@ -16,11 +16,13 @@ from itertools import chain, repeat
 from operator import is_not, mul
 from pathlib import Path
 
+import numpy as np
+
 from .errors import LoadError
 from .ingest import (CategoryMapping, DetectionSet, _FieldError, _bbox,
                      _integers, _key, _ok, _read_json)
 from .matcher import AnnotationSet
-from .metrics import EvalBox
+from .metrics import EvalBoxSet
 
 
 def _plain(v):
@@ -123,12 +125,14 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
 
 
 def read_coco(path):
-    """Read a COCO file into eval boxes plus per-panorama sizes.
+    """Read a COCO file into eval box columns plus per-panorama sizes.
 
-    Returns (boxes, width_by_pano, height_by_pano, info). Raises
-    ``ParseError`` when the file is not JSON, and ``LoadError`` naming
-    the entry whose field ``ingest``'s field readers reject, whose id
-    repeats an earlier image's, or whose ``image_id`` names no image.
+    Returns (boxes, width_by_pano, height_by_pano, info), ``boxes`` an
+    :class:`EvalBoxSet` whose ``EvalBox`` rows are built only if read.
+    Raises ``ParseError`` when the file is not JSON, and ``LoadError``
+    naming the entry whose field ``ingest``'s field readers reject,
+    whose id or panorama repeats an earlier image's, or whose
+    ``image_id`` names no image.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -161,10 +165,12 @@ def read_coco(path):
             pano = Path(pano).stem
         elif not _ok(_key, pano):
             fail(where, "pano_id must be a number or a string", pano)
+        if pano in width_by_pano:  # its boxes would join the other's
+            fail(where, "pano_id must be unique", pano)
         pano_of[img["id"]] = pano
         width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")
-    boxes = []
+    panos, boxes, categories, scores = [], [], [], []
     for i, a in enumerate(annotations):
         with suppress(KeyError, TypeError, _FieldError):  # all at once
             image_id, bbox, score = a["image_id"], a["bbox"], a.get("score")
@@ -172,8 +178,10 @@ def read_coco(path):
             _bbox(bbox, *(() if score is None else (score,)))
             category, = _integers(a["category_id"])
             if bbox[2] > 0 and bbox[3] > 0:
-                boxes.append(EvalBox(pano_of[image_id], *bbox,
-                                     category=category, score=score))
+                panos.append(pano_of[image_id])
+                boxes.append(bbox)
+                categories.append(category)
+                scores.append(score)
                 continue
         where = f"annotations[{i}]"  # a bad one: name its first bad field
         if not isinstance(a, dict):
@@ -191,7 +199,9 @@ def read_coco(path):
             fail(where, "category_id must be a number with an exact whole "
                  "value", a["category_id"])
         fail(where, "score must be null or a finite number", a.get("score"))
-    return boxes, width_by_pano, height_by_pano, doc.get("info", {})
+    x, y, w, h = np.array(boxes, float).reshape(-1, 4).T
+    return (EvalBoxSet(panos, x, y, w, h, categories, np.array(scores, float)),
+            width_by_pano, height_by_pano, doc.get("info", {}))
 
 
 def write_detections(path, dets: DetectionSet, category_count: int,

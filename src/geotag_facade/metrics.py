@@ -5,19 +5,28 @@ A wrapped interval is written (lo, hi) with hi < lo, or equivalently as
 an overflowing (lo, hi) with hi > width; both are accepted and unrolled
 onto a shared linear domain before measuring.
 
-The evaluators score boxes as arrays: ``coarse_accuracy`` computes the
-IoU of every same-panorama pair in one call of the kernel
-``_pair_ious``, and ``coco_summary`` in one call per category. Only the
-greedy assignment walks run per pair in Python, with the tie rules of
-the scalar code they replaced. ``iou_2d`` is the kernel's one-pair
-case, so the 2-D formula exists once. ``iou_1d_arrays``, the matcher's
-1-D IoU, is the only one, and it shares the wrapped overlap with the
-2-D kernel. The scalar forms of both kernels are test references in
-``tests/oracle_utils.py``.
+The evaluators read boxes as columns, an :class:`EvalBoxSet`: the one
+``read_coco`` returns, or one read from another column set (such as an
+``AnnotationSet``) or from rows. Panoramas and categories become
+integer codes, and one call of the kernel ``_pair_ious`` scores every
+pair that shares a panorama (and, for AP, a category). The greedy
+assignments keep the tie rules of the scalar code they replaced.
+Accuracy walks its pairs in Python; the AP matching walks only the
+ranked predictions that want a ground truth another one also wants,
+and the rest take their best candidate in one array pass. Every
+(category, IoU threshold, area bucket) AP curve is then scored in one
+batched array pass. ``iou_2d`` is the kernel's one-pair case, so the 2-D
+formula exists once. ``iou_1d_arrays``, the matcher's 1-D IoU, is the
+only one, and it shares the wrapped overlap with the 2-D kernel. The
+scalar forms of the kernels, the matching and the AP are test
+references in ``tests/oracle_utils.py``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +47,65 @@ class EvalBox:
     h: float
     category: int
     score: float | None = None
+
+
+@dataclass(eq=False)
+class EvalBoxSet:
+    """Eval boxes as columns: ``pano_id`` and ``category`` lists, and
+    float64 ``x``, ``y``, ``w``, ``h`` and ``score`` arrays, NaN where a
+    box has no score. Iterating or indexing gives :class:`EvalBox` rows,
+    derived once; the set equals any sequence of the same rows.
+    """
+
+    pano_id: list
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    category: list
+    score: np.ndarray
+
+    @classmethod
+    def of(cls, boxes) -> "EvalBoxSet":
+        """``boxes`` as a set: a set as it is; else the columns of a column
+        set (anything with a ``pano_id`` column, such as an
+        ``AnnotationSet``) or of rows, read one list per field. A missing
+        ``score`` reads None."""
+        if isinstance(boxes, cls):
+            return boxes
+        if not hasattr(boxes, "pano_id"):
+            rows = list(boxes)
+            boxes = SimpleNamespace(
+                pano_id=[b.pano_id for b in rows], x=[b.x for b in rows],
+                y=[b.y for b in rows], w=[b.w for b in rows],
+                h=[b.h for b in rows], category=[b.category for b in rows],
+                score=[getattr(b, "score", None) for b in rows])
+        score = getattr(boxes, "score", [None] * len(boxes.pano_id))
+        return cls(list(boxes.pano_id),
+                   *(np.array(getattr(boxes, k), float) for k in "xywh"),
+                   list(boxes.category), np.array(score, float))
+
+    @cached_property
+    def rows(self) -> list:
+        score = [None if s != s else s for s in self.score.tolist()]
+        return [*map(EvalBox, self.pano_id, self.x.tolist(), self.y.tolist(),
+                     self.w.tolist(), self.h.tolist(), self.category, score)]
+
+    def __len__(self):
+        return len(self.pano_id)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other):
+        return self.rows == list(other)
+
+    @property
+    def xywh(self) -> np.ndarray:
+        return np.column_stack((self.x, self.y, self.w, self.h))
 
 
 def iou_1d_arrays(a_lo, a_hi, b_lo, b_hi, width) -> np.ndarray:
@@ -139,6 +207,45 @@ def _wrapped_overlap(a_lo, a_hi, b_lo, b_hi, width):
 
 
 # ---------------------------------------------------------------------------
+# Pairs by code
+# ---------------------------------------------------------------------------
+
+def _codes(a: EvalBoxSet, b: EvalBoxSet, column: str, ordered=False):
+    """Codes of ``column`` over both sets in one numbering: (a's codes,
+    b's codes, the values by code), the values sorted when ``ordered``."""
+    values = [*getattr(a, column), *getattr(b, column)]
+    distinct = [*dict.fromkeys(values)]
+    if ordered:
+        distinct.sort()
+    code = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+    return codes[:len(a)], codes[len(a):], distinct
+
+
+def _pairs(row_key: np.ndarray, col_key: np.ndarray, n_keys: int):
+    """Every (row, col) pair with equal keys in ``range(n_keys)``, as
+    index arrays (i, j): the rows in order, and each row's columns in
+    theirs. Keys are grouped with CSR offsets, not per-pair lists."""
+    counts = np.bincount(col_key, minlength=n_keys)
+    by_key = np.argsort(col_key, kind="stable")
+    starts = np.cumsum(counts) - counts  # each key's first slot in by_key
+    per_row = counts[row_key]
+    i = np.repeat(np.arange(len(row_key)), per_row)
+    # pair k of row r takes slot starts[key of r] + (k - first pair of r)
+    shift = starts[row_key] - (np.cumsum(per_row) - per_row)
+    return i, by_key[np.repeat(shift, per_row) + np.arange(len(i))]
+
+
+def _ious(rows: EvalBoxSet, cols: EvalBoxSet, i, j, row_pano, panos,
+          width_by_pano):
+    """IoU of each pair (rows[i], cols[j]), at the width of the row's
+    panorama, ``panos[row_pano[i]]``."""
+    widths = width_by_pano or {}
+    width = np.array([widths.get(p) for p in panos], float)[row_pano[i]]
+    return _pair_ious(rows.xywh[i], cols.xywh[j], width)
+
+
+# ---------------------------------------------------------------------------
 # Coarse-annotation accuracy
 # ---------------------------------------------------------------------------
 
@@ -175,45 +282,14 @@ class AccuracyReport:
         }
 
 
-def _same_pano_pairs(rows, cols, width_by_pano):
-    """Every same-panorama (row, col) pair and its IoU.
-
-    Returns index arrays (i, j) and the IoUs, with the rows in their
-    order and each row's columns in theirs; one kernel call scores all
-    pairs. Panoramas are grouped with CSR offsets, not per-pair lists.
-    """
-    code: dict = {}
-    col_code = np.array([code.setdefault(c.pano_id, len(code)) for c in cols],
-                        dtype=np.int64)
-    none = len(code)  # a code with no columns, for rows of other panoramas
-    row_code = np.array([code.get(r.pano_id, none) for r in rows],
-                        dtype=np.int64)
-    counts = np.bincount(col_code, minlength=none + 1)
-    by_code = np.argsort(col_code, kind="stable")
-    starts = np.cumsum(counts) - counts  # each code's first slot in by_code
-    per_row = counts[row_code]
-    i = np.repeat(np.arange(len(rows)), per_row)
-    # pair k of row r takes slot starts[code of r] + (k - first pair of r)
-    shift = starts[row_code] - (np.cumsum(per_row) - per_row)
-    j = by_code[np.repeat(shift, per_row) + np.arange(len(i))]
-    widths = width_by_pano or {}
-    row_width = np.array([widths.get(r.pano_id) for r in rows], dtype=float)
-    return i, j, _pair_ious(_box_array(rows)[i], _box_array(cols)[j],
-                            row_width[i])
-
-
-def _box_array(boxes) -> np.ndarray:
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes],
-                    dtype=float).reshape(-1, 4)
-
-
 def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
                     width_by_pano: dict | None = None) -> AccuracyReport:
     """Score coarse annotations against ground truth, one panorama at a time.
 
     An annotation counts as correct when its greedy one-to-one partner
     in the same panorama overlaps with IoU >= ``iou_thr`` and carries
-    the same category. Both conditions must hold.
+    the same category. Both conditions must hold. Either side is an
+    :class:`EvalBoxSet`, another column set or rows.
 
     One array pass computes the IoU of every same-panorama pair. The
     pairs with IoU > 0 are then assigned greedily, in descending IoU
@@ -222,24 +298,27 @@ def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
     within a panorama, and no pair crosses panoramas, so one sort over
     all panoramas gives each panorama's own assignment.
     """
+    coarse, gt = EvalBoxSet.of(coarse), EvalBoxSet.of(gt)
     report = AccuracyReport(total=len(coarse), correct=0, iou_thr=iou_thr)
-    for a in coarse:
-        report.per_category.setdefault(a.category, [0, 0])[1] += 1
-    i, j, v = _same_pano_pairs(coarse, gt, width_by_pano)
+    report.per_category = {c: [0, n] for c, n in
+                           Counter(coarse.category).items()}
+    a_pano, g_pano, panos = _codes(coarse, gt, "pano_id")
+    i, j = _pairs(a_pano, g_pano, len(panos))
+    v = _ious(coarse, gt, i, j, a_pano, panos, width_by_pano)
     hit = v > 0.0
-    i, j, v = i[hit], j[hit], v[hit]
-    order = np.lexsort((j, i, -v))
-    used_a = [False] * len(coarse)
-    used_g = [False] * len(gt)
-    for a, g, val in zip(i[order].tolist(), j[order].tolist(),
-                         v[order].tolist()):
-        if used_a[a] or used_g[g]:
-            continue
-        used_a[a] = used_g[g] = True
-        cat = coarse[a].category
-        if val >= iou_thr and cat == gt[g].category:
-            report.correct += 1
-            report.per_category[cat][0] += 1
+    order = np.lexsort((j[hit], i[hit], -v[hit]))
+    i, j, v = i[hit][order], j[hit][order], v[hit][order]
+    used_a, used_g, kept = set(), set(), []
+    for k, a, g in zip(range(len(i)), i.tolist(), j.tolist()):
+        if a not in used_a and g not in used_g:
+            used_a.add(a)
+            used_g.add(g)
+            kept.append(k)
+    i, j, v = i[kept], j[kept], v[kept]
+    a_cat, g_cat, _ = _codes(coarse, gt, "category")
+    for a in i[(v >= iou_thr) & (a_cat[i] == g_cat[j])].tolist():
+        report.correct += 1
+        report.per_category[coarse.category[a]][0] += 1
     return report
 
 
@@ -247,83 +326,133 @@ def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
 # Average precision
 # ---------------------------------------------------------------------------
 
-def _match_category(preds, gts, thresholds, width_by_pano) -> dict:
-    """COCO-style greedy matching of one category at each threshold.
+def _match(preds: EvalBoxSet, gts: EvalBoxSet, thresholds,
+           width_by_pano) -> tuple:
+    """COCO-style greedy matching of every category at each threshold.
 
-    Predictions in descending score order grab the best still-free
-    ground truth in their panorama with IoU >= thr; an IoU tie goes to
-    the later ground truth. The ranking is computed once, and one array
-    pass computes the IoU of every (rank, same-panorama ground truth)
-    pair; the pairs at or above the lowest threshold, split per rank in
-    ground-truth order, serve every threshold's greedy walk. Returns
-    {thr: matched}, ``matched`` holding the ground-truth index per rank,
-    -1 for a false positive.
+    Each category's predictions, in descending score order (no score
+    ranks as 0.0), grab the best still-free ground truth of their
+    category in their panorama with IoU >= thr; an IoU tie goes to the
+    later ground truth. One array pass computes the IoU of every (rank,
+    same-panorama, same-category ground truth) pair. At each threshold
+    a rank none of whose candidates another rank wants takes its best
+    candidate; only the other ranks are walked, in rank order.
+
+    Returns (cats, p_cat, g_cat, ranked, {thr: matched}): the categories
+    in sorted order, each prediction's and ground truth's index into
+    them, the predictions in rank order (by category, then score, then
+    input order), and per threshold the ground-truth index matched by
+    each rank, -1 for a false positive.
     """
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-(preds[i].score or 0.0), i))
-    ranks, js, vs = _same_pano_pairs([preds[i] for i in order], gts,
-                                     width_by_pano)
-    keep = vs >= min(thresholds)
-    candidates = [[] for _ in order]  # per rank: (gt index, IoU) in gt order
-    for k, j, v in zip(ranks[keep].tolist(), js[keep].tolist(),
-                       vs[keep].tolist()):
-        candidates[k].append((j, v))
+    p_cat, g_cat, cats = _codes(preds, gts, "category", ordered=True)
+    p_pano, g_pano, panos = _codes(preds, gts, "pano_id")
+    ranked = np.lexsort((-np.nan_to_num(preds.score, nan=0.0), p_cat))
+    n_cat = len(cats)
+    i, j = _pairs((p_pano * n_cat + p_cat)[ranked], g_pano * n_cat + g_cat,
+                  len(panos) * n_cat)
+    v = _ious(preds, gts, ranked[i], j, p_pano, panos, width_by_pano)
     out = {}
     for t in thresholds:
-        taken = [False] * len(gts)
-        matched = np.full(len(candidates), -1, np.int64)
-        for k, cands in enumerate(candidates):
+        cand = v >= t
+        ci, cj, cv = i[cand], j[cand], v[cand]
+        contested = np.zeros(len(ranked), bool)
+        contested[ci[np.bincount(cj, minlength=len(gts))[cj] > 1]] = True
+        walk = contested[ci]
+        matched = np.full(len(ranked), -1, np.int64)
+        # the best candidate, the later ground truth on a tie: the last
+        # of a rank's candidates (in ground-truth order) at its top IoU
+        ui, uj, uv = ci[~walk], cj[~walk], cv[~walk]
+        firsts = np.flatnonzero(np.diff(ui, prepend=-1))
+        top = np.repeat(np.maximum.reduceat(uv, firsts),
+                        np.diff(firsts, append=len(ui)))
+        at = np.where(uv == top, np.arange(len(ui)), -1)
+        matched[ui[firsts]] = uj[np.maximum.reduceat(at, firsts)]
+        wk = ci[walk]
+        firsts = np.flatnonzero(np.diff(wk, prepend=-1))
+        js, vs = cj[walk].tolist(), cv[walk].tolist()
+        taken = set()
+        for k, lo, hi in zip(wk[firsts].tolist(), firsts.tolist(),
+                             [*firsts[1:].tolist(), len(js)]):
             best_j, best_v = -1, t
-            for j, v in cands:
-                if not taken[j] and v >= best_v:
-                    best_v, best_j = v, j
+            for jj, vv in zip(js[lo:hi], vs[lo:hi]):
+                if jj not in taken and vv >= best_v:
+                    best_v, best_j = vv, jj
             if best_j >= 0:
-                taken[best_j] = True
+                taken.add(best_j)
                 matched[k] = best_j
         out[t] = matched
+    return cats, p_cat, g_cat, ranked, out
+
+
+def _batched_ap(flags: np.ndarray, lengths: np.ndarray,
+                n_gt: np.ndarray) -> np.ndarray:
+    """101-point interpolated AP of curves of ranked true-positive
+    ``flags`` laid end to end, curve c of ``lengths[c]`` flags and
+    ``n_gt[c]`` >= 1 ground truth, each with the float operations, in
+    order, of ``_reference_ap_from_flags`` in ``tests/oracle_utils.py``:
+    the 101 points' best precisions summed in point order, over 101."""
+    n_curves = len(lengths)
+    ends = np.cumsum(lengths)
+    base = ends - lengths
+    cum = np.append(0, np.cumsum(flags))  # true positives before each flag
+    tp_before, n_tp = cum[base], cum[ends] - cum[base]
+    curve = np.repeat(np.arange(n_curves), lengths)
+    rank = np.arange(len(flags)) - base[curve]
+    # tp + fp is rank + 1 exactly, as integers held in floats are
+    precision = (cum[1:] - tp_before[curve]).astype(float) / (rank + 1)
+    # a rank's recall reaches a point once its tp reaches the least
+    # count whose recall does; that is at the count-th true positive
+    need = np.empty((n_curves, len(AP_RECALL_POINTS)), np.int64)
+    for n in np.unique(n_gt).tolist():
+        need[n_gt == n] = np.searchsorted(np.arange(n + 1) / n,
+                                          AP_RECALL_POINTS - 1e-12)
+    tp_at = np.append(np.flatnonzero(flags), 0)
+    nth = tp_at[np.minimum(tp_before[:, None] + need - 1, len(tp_at) - 1)]
+    start = np.where(need == 0, 0, np.where(need <= n_tp[:, None],
+                                            nth - base[:, None],
+                                            lengths[:, None]))
+    # the best precision from each point's first rank on: the maximum of
+    # each block between consecutive first ranks, then a running maximum
+    # from the last point back; 0.0 past a curve's end
+    idx = (base[:, None] + start).ravel()
+    ext = np.append(precision, 0.0)
+    block = np.maximum.reduceat(ext, idx)
+    block[idx == np.append(idx[1:], len(ext))] = 0.0
+    best = np.maximum.accumulate(block.reshape(need.shape)[:, ::-1],
+                                 axis=1)[:, ::-1]
+    return np.cumsum(best, axis=1)[:, -1] / len(AP_RECALL_POINTS)
+
+
+def _category_aps(match, gt_masks) -> list:
+    """Per threshold of ``match`` (:func:`_match`), per ground-truth
+    mask of ``gt_masks``: {category: AP} over the categories, sorted,
+    with ground truth in the mask, all curves scored in one batch.
+    Predictions matched to ground truth outside the mask are ignored
+    rather than counted as false positives."""
+    cats, p_cat, g_cat, ranked, matched = match
+    rank_cat = p_cat[ranked]
+    matched, masks = np.array([*matched.values()]), np.array(gt_masks)
+    n_t, n_m, n_c = len(matched), len(masks), len(cats)
+    # n_gt[b, c]: ground truth of category c in mask b
+    n_gt = np.array([np.bincount(g_cat[m], minlength=n_c) for m in masks])
+    tp = matched >= 0
+    # (threshold, mask, rank): a false positive, or matched in the mask
+    # (-1 reads the padding column), of a category with ground truth there
+    in_mask = np.append(masks, np.zeros((n_m, 1), bool), axis=1)[:, matched]
+    keep = ((~tp[:, None] | in_mask.transpose(1, 0, 2))
+            & (n_gt[:, rank_cat] > 0)[None])
+    flags = np.broadcast_to(tp[:, None], keep.shape)[keep]
+    curve = (np.arange(n_t * n_m)[:, None] * n_c
+             + rank_cat[None]).reshape(keep.shape)
+    lengths = np.bincount(curve[keep], minlength=n_t * n_m * n_c)
+    has = np.broadcast_to(n_gt > 0, (n_t, n_m, n_c)).ravel()
+    aps = _batched_ap(flags, lengths[has],
+                      np.broadcast_to(n_gt, (n_t, n_m, n_c)).ravel()[has])
+    out = [[{} for _ in range(n_m)] for _ in range(n_t)]
+    for k, ap in zip(np.flatnonzero(has).tolist(), aps.tolist()):
+        t, rest = divmod(k, n_m * n_c)
+        out[t][rest // n_c][cats[rest % n_c]] = ap
     return out
-
-
-def _match_categories(preds, gts, thresholds, width_by_pano):
-    """Match every category once per threshold.
-
-    Returns ({category: (its ground truth, {thr: matched})}, excluded)
-    in sorted category order; ``excluded`` lists the categories with no
-    ground truth.
-    """
-    preds_of: dict = {}
-    for p in preds:
-        preds_of.setdefault(p.category, []).append(p)
-    gts_of: dict = {}
-    for g in gts:
-        gts_of.setdefault(g.category, []).append(g)
-    out = {}
-    excluded = []
-    for c in sorted(gts_of.keys() | preds_of.keys()):
-        if c not in gts_of:
-            excluded.append(c)
-            continue
-        out[c] = (gts_of[c], _match_category(preds_of.get(c, []), gts_of[c],
-                                             thresholds, width_by_pano))
-    return out, excluded
-
-
-def _ap_from_flags(is_tp: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated AP of ranked true-positive flags."""
-    if len(is_tp) == 0:
-        return 0.0
-    tp = np.cumsum(is_tp, dtype=float)
-    fp = np.cumsum(~is_tp, dtype=float)
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    # best precision at or after each rank; recall never decreases, so
-    # the ranks with recall >= r are those from searchsorted(recall, r) on
-    best = np.maximum.accumulate(precision[::-1])[::-1]
-    starts = np.searchsorted(recall, AP_RECALL_POINTS - 1e-12)
-    ap = 0.0
-    for k in starts:  # in order: np.sum adds pairwise and moves the last bits
-        ap += best[k] if k < len(best) else 0.0
-    return ap / len(AP_RECALL_POINTS)
 
 
 @dataclass
@@ -356,49 +485,34 @@ def average_precision(preds, gts, iou_thr: float = 0.5,
     Categories with zero ground truth are excluded from the mean and
     listed. Scores matter only through their ranking.
     """
-    matches, excluded = _match_categories(preds, gts, [iou_thr],
-                                          width_by_pano)
-    return _ap_report(matches, excluded, iou_thr)
-
-
-def _ap_report(matches, excluded, iou_thr) -> APReport:
-    per_cat = {c: _ap_from_flags(matched[iou_thr] >= 0, len(c_gts))
-               for c, (c_gts, matched) in matches.items()}
-    return APReport(iou_thr=iou_thr, per_category=per_cat, excluded=excluded)
-
-
-def _bucket_map(matches, in_buckets, iou_thr):
-    """Mean AP over categories, restricted to ground truth in one area
-    bucket (``in_buckets``: per category, a flag per ground truth); None
-    when no category has ground truth there.
-
-    Predictions matched to out-of-bucket ground truth are ignored
-    rather than counted as false positives.
-    """
-    vals = []
-    for (_, matched), in_bucket in zip(matches.values(), in_buckets):
-        n_gt = int(in_bucket.sum())
-        if n_gt == 0:
-            continue
-        m = matched[iou_thr]
-        is_tp = m >= 0
-        keep = ~is_tp | in_bucket[m]
-        vals.append(_ap_from_flags(is_tp[keep], n_gt))
-    if not vals:
-        return None
-    return float(np.mean(vals))
+    preds, gts = EvalBoxSet.of(preds), EvalBoxSet.of(gts)
+    match = _match(preds, gts, [iou_thr], width_by_pano)
+    [[per_cat]] = _category_aps(match, [np.ones(len(gts), bool)])
+    return APReport(iou_thr=iou_thr, per_category=per_cat,
+                    excluded=[c for c in match[0] if c not in per_cat])
 
 
 def coco_summary(preds, gts, width_by_pano: dict | None = None) -> dict:
     """COCO-flavored summary: mAP over 0.50:0.05:0.95, 0.50/0.75 slices,
     per-category AP at 0.50, and small/medium/large area buckets.
 
-    Each (category, IoU threshold) matching runs once and serves the
-    plain AP and every area bucket.
+    One matching of every category at every IoU threshold serves the
+    plain AP and every area bucket, and one batched pass scores all
+    their curves.
     """
-    matches, excluded = _match_categories(preds, gts, COCO_IOU_GRID,
-                                          width_by_pano)
-    reports = {t: _ap_report(matches, excluded, t) for t in COCO_IOU_GRID}
+    preds, gts = EvalBoxSet.of(preds), EvalBoxSet.of(gts)
+    match = _match(preds, gts, COCO_IOU_GRID, width_by_pano)
+    with np.errstate(over="ignore"):  # an area past the float range is large
+        area = gts.w * gts.h
+    buckets = {"small": (0.0, SMALL_AREA),
+               "medium": (SMALL_AREA, MEDIUM_AREA),
+               "large": (MEDIUM_AREA, float("inf"))}
+    masks = [np.ones(len(gts), bool)]
+    masks += [(lo <= area) & (area < hi) for lo, hi in buckets.values()]
+    aps = _category_aps(match, masks)
+    excluded = [c for c in match[0] if c not in aps[0][0]]
+    reports = {t: APReport(t, per_t[0], excluded)
+               for t, per_t in zip(COCO_IOU_GRID, aps)}
     grid_means = [rep.mean for rep in reports.values() if rep.mean is not None]
     ap50, ap75 = reports[0.5], reports[0.75]
     out = {
@@ -409,17 +523,8 @@ def coco_summary(preds, gts, width_by_pano: dict | None = None) -> dict:
                               sorted(ap50.per_category.items())},
         "excluded_categories": ap50.excluded,
     }
-    buckets = {"small": (0.0, SMALL_AREA),
-               "medium": (SMALL_AREA, MEDIUM_AREA),
-               "large": (MEDIUM_AREA, float("inf"))}
-    areas = [np.array([g.w * g.h for g in c_gts], dtype=float)
-             for c_gts, _ in matches.values()]
-    for name, (lo, hi) in buckets.items():
-        in_buckets = [(lo <= a) & (a < hi) for a in areas]
-        vals = []
-        for t in COCO_IOU_GRID:
-            v = _bucket_map(matches, in_buckets, t)
-            if v is not None:
-                vals.append(v)
+    for b, name in enumerate(buckets, start=1):
+        vals = [float(np.mean([*per_t[b].values()])) for per_t in aps
+                if per_t[b]]
         out[f"mAP_{name}"] = float(np.mean(vals)) if vals else None
     return out

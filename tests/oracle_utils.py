@@ -41,13 +41,15 @@ scalar ring checks (``_normalize_ring``, ``_shoelace``, ``_orient``,
 replaced; the detection loader that built one ``DetectionBox`` per
 record (``reference_load_detections``), which the columns replaced,
 with ``load_detections_as_reference``, which checks ``load_detections``
-against it; and the COCO writer that built one dict per annotation for
+against it; the COCO writer that built one dict per annotation for
 ``json`` to indent (``reference_write_coco``), which the templates
-replaced.
+replaced; and the COCO reader that built one ``EvalBox`` per annotation
+(``reference_read_coco``), which the box columns replaced.
 """
 import json
 import math
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -61,14 +63,15 @@ from geotag_facade.config import RunConfig
 from geotag_facade.errors import GeotagFacadeError, LoadError
 from geotag_facade.ingest import (_MIN_RING_AREA_DEG2, BuildingFootprint,
                                   DetectionBox, LoadReport, PanoramaMeta,
-                                  _bbox, _FieldError, _key, _numbers, _ok,
-                                  _outer_rings, _read_json, load_detections)
+                                  _bbox, _FieldError, _integers, _key,
+                                  _numbers, _ok, _outer_rings, _read_json,
+                                  load_detections)
 from geotag_facade.matcher import (BatchReport, CoarseAnnotation,
                                    MatchResult, RunReport, filter_detections,
                                    fit_threshold)
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, AccuracyReport,
-                                   APReport, _as_xywh)
+                                   APReport, EvalBox, _as_xywh)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       FootprintIndex, LocalScene, WallSegment,
                                       _wrap_lon, clip_scene)
@@ -1019,3 +1022,76 @@ def reference_write_coco(path, metas, annotations, mapping,
         "annotations": anns,
         "categories": coco_categories(mapping),
     })
+
+
+def reference_read_coco(path):
+    """Read a COCO file into eval boxes plus per-panorama sizes, one
+    ``EvalBox`` per annotation (the former ``read_coco``).
+
+    Returns (boxes, width_by_pano, height_by_pano, info). Raises
+    ``ParseError`` when the file is not JSON, and ``LoadError`` naming
+    the entry whose field ``ingest``'s field readers reject, whose id
+    repeats an earlier image's, or whose ``image_id`` names no image.
+    """
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise LoadError(f"{path}: expected a COCO object")
+    images, annotations = doc.get("images", []), doc.get("annotations", [])
+    if not (isinstance(images, list) and isinstance(annotations, list)):
+        raise LoadError(f"{path}: images and annotations must be lists")
+
+    def fail(where, what, value):
+        raise LoadError(f"{path}: {where}: {what}, got {value!r}")
+
+    pano_of, width_by_pano, height_by_pano = {}, {}, {}
+    for i, img in enumerate(images):
+        where = f"images[{i}]"
+        if not isinstance(img, dict) or "id" not in img:
+            fail(where, "expected an object with an id", img)
+        if not _ok(_key, img["id"]):
+            fail(where, "id must be a number or a string", img["id"])
+        if img["id"] in pano_of:
+            fail(where, "id must be unique", img["id"])
+        width = img.get("width")
+        if not (width is None or _ok(_integers, width) and width > 0):
+            fail(where, "width must be null or a positive whole number",
+                 width)
+        pano = img.get("pano_id")
+        if not pano:
+            pano = img.get("file_name", "")
+            if not isinstance(pano, str):
+                fail(where, "file_name must be a string", pano)
+            pano = Path(pano).stem
+        elif not _ok(_key, pano):
+            fail(where, "pano_id must be a number or a string", pano)
+        pano_of[img["id"]] = pano
+        width_by_pano[pano] = width
+        height_by_pano[pano] = img.get("height")
+    boxes = []
+    for i, a in enumerate(annotations):
+        with suppress(KeyError, TypeError, _FieldError):  # all at once
+            image_id, bbox, score = a["image_id"], a["bbox"], a.get("score")
+            _key(image_id)
+            _bbox(bbox, *(() if score is None else (score,)))
+            category, = _integers(a["category_id"])
+            if bbox[2] > 0 and bbox[3] > 0:
+                boxes.append(EvalBox(pano_of[image_id], *bbox,
+                                     category=category, score=score))
+                continue
+        where = f"annotations[{i}]"  # a bad one: name its first bad field
+        if not isinstance(a, dict):
+            fail(where, "expected an object", a)
+        image_id, bbox = a.get("image_id"), a.get("bbox")
+        if not (_ok(_key, image_id) and image_id in pano_of):
+            raise LoadError(f"{path}: {where}: image_id {image_id!r} names "
+                            "no image")
+        if not (_ok(_bbox, bbox) and bbox[2] > 0 and bbox[3] > 0):
+            fail(where, "bbox must be 4 finite numbers with w > 0 and h > 0",
+                 bbox)
+        if "category_id" not in a:
+            raise LoadError(f"{path}: {where}: no category_id")
+        if not _ok(_integers, a["category_id"]):
+            fail(where, "category_id must be a number with an exact whole "
+                 "value", a["category_id"])
+        fail(where, "score must be null or a finite number", a.get("score"))
+    return boxes, width_by_pano, height_by_pano, doc.get("info", {})

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from geotag_facade.cli import main
+from geotag_facade.cocoio import canonical_json
 
 
 def run(args):
@@ -263,6 +264,16 @@ def _duplicate_image_id(doc):
     doc["images"][1]["id"] = 1
 
 
+def _duplicate_pano_id(doc):
+    # image 2 takes image 1's panorama, which would merge their boxes
+    doc["images"][1]["pano_id"] = doc["images"][0]["pano_id"]
+
+
+def _duplicate_file_name_stem(doc):
+    doc["images"][1]["pano_id"] = None
+    doc["images"][1]["file_name"] = f"{doc['images'][0]['pano_id']}.png"
+
+
 HUGE = 10 ** 400  # an integer too large for a float
 
 
@@ -302,6 +313,9 @@ HUGE = 10 ** 400  # an integer too large for a float
     (_category(1e30), "annotations[0]: category_id must be a number"),
     (_width(1.5), "images[0]: width"),
     (_duplicate_image_id, "images[1]: id must be unique, got 1"),
+    (_duplicate_pano_id, "images[1]: pano_id must be unique, got 's00003_c00'"),
+    (_duplicate_file_name_stem, "images[1]: pano_id must be unique, got "
+                                "'s00003_c00'"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
         "image-without-id", "image-string", "annotation-string",
@@ -311,7 +325,8 @@ HUGE = 10 ** 400  # an integer too large for a float
         "pano-id-bool", "annotation-image-id-bool", "score-string",
         "score-bool", "score-nan", "score-huge-int", "category-fraction",
         "category-nan", "category-huge-float", "width-fraction",
-        "duplicate-image-id"])
+        "duplicate-image-id", "duplicate-pano-id",
+        "duplicate-file-name-stem"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -331,6 +346,26 @@ def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
     assert err.startswith("error: ") and needle in err and str(pred) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_eval_reads_an_integer_bbox_as_its_float(scene_dir, tmp_path,
+                                                 capsys):
+    # a ground-truth box whose area overflows a float, spelled as
+    # integers and as floats: both evaluate, to the same bytes
+    doc = json.loads((scene_dir / "gt.json").read_text())
+    blocks = []
+    for name, side in (("int", 10 ** 160), ("float", 1e160)):
+        doc["annotations"][0]["bbox"] = [0, 0, side, side]
+        gt, out = tmp_path / f"{name}.json", tmp_path / f"eval_{name}.json"
+        gt.write_text(json.dumps(doc))
+        rc = run(["eval", "--gt", gt, "--pred", scene_dir / "gt.json",
+                  "--mode", "both", "--out", out])
+        assert rc == 0 and capsys.readouterr().err == ""
+        result = json.loads(out.read_text())
+        blocks.append(canonical_json({k: result[k] for k in
+                                      ("accuracy", "recall", "ap")}))
+    assert str(10 ** 160) in (tmp_path / "int.json").read_text()
+    assert blocks[0] == blocks[1]
 
 
 def _trace_copy(scene_dir, tmp_path, name, breakage):

@@ -1,14 +1,18 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geotag_facade import metrics
 from geotag_facade.cocoio import canonical_json
-from geotag_facade.metrics import (COCO_IOU_GRID, EvalBox, average_precision,
-                                   coarse_accuracy, coco_summary, iou_2d)
+from geotag_facade.metrics import (COCO_IOU_GRID, EvalBox, EvalBoxSet,
+                                   average_precision, coarse_accuracy,
+                                   coco_summary, iou_2d)
 
-from oracle_utils import (brute_iou_1d, brute_iou_2d, iou_1d,
+from oracle_utils import (_reference_ap_from_flags, brute_iou_1d,
+                          brute_iou_2d, iou_1d,
                           reference_average_precision,
                           reference_coarse_accuracy, reference_coco_summary,
                           reference_iou_2d)
@@ -468,8 +472,11 @@ class TestApMatchesReference:
         preds = [EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1, score=0.9),
                  EvalBox("a", 0.0, 0.0, 100.0, 100.0, 1, score=0.9)]
         assert_same_as_reference(preds, gts)
-        matched = metrics._match_category(preds, gts, [0.5], None)[0.5]
-        assert list(matched) == [1, 0]
+        # both ranks want both ground truths, so the walk decides
+        assert matched_at(preds, gts, 0.5) == [1, 0]
+        # one rank wants both alone and takes its best at once
+        assert_same_as_reference(preds[:1], gts)
+        assert matched_at(preds[:1], gts, 0.5) == [1]
 
     def test_seam_wrap_with_and_without_widths(self):
         gts = [EvalBox("a", 2000.0, 0.0, 100.0, 100.0, 1)]
@@ -512,21 +519,170 @@ class TestApMatchesReference:
         panos = ["a", "b"]
         gts = random_boxes(rng, 30, panos, [1, 2], scored=False)
         preds = random_boxes(rng, 40, panos, [1, 2, 3], scored=True)
+        # a y of its own per box, so that a scored pair names its boxes
+        gts = [replace(g, y=g.y + k / 64) for k, g in enumerate(gts)]
+        preds = [replace(p, y=p.y + (k + 30) / 64)
+                 for k, p in enumerate(preds)]
         calls = []
         real = metrics._pair_ious
 
         def counted(a, b, width):
-            calls.append(sorted(zip(map(tuple, a.tolist()),
-                                    map(tuple, b.tolist()))))
+            calls.append(list(zip(map(tuple, a.tolist()),
+                                  map(tuple, b.tolist()))))
             return real(a, b, width)
 
         monkeypatch.setattr(metrics, "_pair_ious", counted)
         coco_summary(preds, gts, {p: 2048.0 for p in panos})
         both = {p.category for p in preds} & {g.category for g in gts}
-        assert len(calls) == len(both) == 2
+        assert both == {1, 2}
+        assert len(calls) == 1  # one kernel call for every category
         xywh = metrics._as_xywh
-        for c, got in zip(sorted(both), calls):
-            assert got == sorted((xywh(p), xywh(g)) for p in preds
-                                 for g in gts if p.category == c
-                                 and g.category == c
-                                 and p.pano_id == g.pano_id)
+        want = Counter((xywh(p), xywh(g)) for p in preds for g in gts
+                       if p.category == g.category
+                       and p.pano_id == g.pano_id)
+        assert set(want.values()) == {1} and len(want) > 100
+        assert Counter(calls[0]) == want
+
+
+def matched_at(preds, gts, t):
+    """The ground truth each ranked prediction matches at ``t``, -1 for
+    none, of one category's boxes."""
+    match = metrics._match(EvalBoxSet.of(preds), EvalBoxSet.of(gts), [t],
+                           None)
+    return match[-1][t].tolist()
+
+
+def ap_reference_cases():
+    """The seeded sets of ``TestApMatchesReference.test_seeded_random_sets``
+    as (preds, gts, widths)."""
+    rng = random.Random(11)
+    for case in range(80):
+        panos = ["a", "b", "c"][:rng.randint(1, 3)]
+        gts = random_boxes(rng, rng.randint(0, 14), panos, [1, 2, 3],
+                           scored=False, seam=case % 2 == 0)
+        preds = random_boxes(rng, rng.randint(0, 14), panos, [1, 2, 3, 4],
+                             scored=True, seam=case % 2 == 0)
+        preds += [EvalBox(g.pano_id, g.x, g.y, g.w, g.h, g.category,
+                          score=rng.choice([None, 0.5, 0.9]))
+                  for g in rng.sample(gts, min(len(gts), 3))]
+        rng.shuffle(preds)
+        yield preds, gts, {p: 2048.0 for p in panos} if case % 3 else None
+
+
+def acceptance_scene_boxes():
+    """The noisy acceptance scene of ``TestApMatchesReference``: its
+    annotations as an ``AnnotationSet``, the same as ``EvalBox`` rows, the
+    ground truth as rows, and the panorama widths."""
+    from geotag_facade import RunConfig
+    from geotag_facade.ingest import FootprintSet
+    from geotag_facade.matcher import generate_coarse_annotations
+    from geotag_facade.synth import (NoiseConfig, SceneConfig,
+                                     generate_scene, perturb_detections)
+    scene = generate_scene(2003, SceneConfig(n_buildings=14, n_cameras=8))
+    dets = perturb_detections(scene, NoiseConfig(
+        shift_frac=0.05, scale_frac=0.05, fp_rate=0.3), seed=2004)
+    annotations, _ = generate_coarse_annotations(
+        scene.metas, FootprintSet.of(scene.footprints), dets,
+        RunConfig(threshold_mode="fixed", fixed_threshold=0.05))
+    preds = [EvalBox(a.pano_id, a.x, a.y, a.w, a.h, a.category,
+                     score=a.score) for a in annotations]
+    gts = [EvalBox(g.pano_id, g.x, g.y, g.w, g.h, g.category)
+           for g in scene.gt_boxes]
+    return annotations, preds, gts, {m.pano_id: m.width for m in scene.metas}
+
+
+def contested_cases(rng):
+    """Ground truth boxes 100 x 100 with an exact and shifted copies as
+    predictions: a copy shifted by d has IoU (100 - d) / (100 + d), so its
+    ground truth is contested at the thresholds up to that IoU and not
+    above; at a 60 px spacing a copy also reaches the next box."""
+    spacing = rng.choice([150.0, 60.0])
+    gts, preds = [], []
+    for k in range(rng.randint(1, 8)):
+        g = EvalBox(rng.choice("ab"), spacing * k, 0.0, 100.0, 100.0,
+                    rng.choice([1, 2]))
+        gts.append(g)
+        for d in [0.0] + [rng.choice([0.0, 5.0, 10.0, 20.0, 30.0,
+                                      rng.uniform(0.0, 40.0)])
+                          for _ in range(rng.randint(0, 3))]:
+            preds.append(replace(g, x=g.x + d, score=rng.choice(
+                [None, 0.5, 0.9, round(rng.random(), 2)])))
+    rng.shuffle(preds)
+    return preds, gts, rng.choice([None, {"a": 2048.0, "b": 2048.0}])
+
+
+def wanted_by(preds, gts, t):
+    """For each ground truth box, the predictions of its category and
+    panorama with IoU >= ``t``."""
+    return [sum(p.category == g.category and p.pano_id == g.pano_id
+                and iou_2d(p, g) >= t for p in preds) for g in gts]
+
+
+def eval_reports(preds, gts, widths):
+    """Every evaluator's report, as canonical JSON."""
+    return canonical_json({
+        "accuracy": coarse_accuracy(preds, gts, 0.8, widths).to_dict(),
+        "recall": coarse_accuracy(gts, preds, 0.5, widths).to_dict(),
+        "ap": coco_summary(preds, gts, widths),
+        "ap_at": [average_precision(preds, gts, t, widths).to_dict()
+                  for t in (0.3, 0.75)]})
+
+
+def assert_columns_as_rows(preds, gts, widths=None):
+    """Every evaluator reports the same on rows as on column sets, on the
+    prediction side, the ground-truth side and both."""
+    want = eval_reports(preds, gts, widths)
+    cols_p, cols_g = EvalBoxSet.of(preds), EvalBoxSet.of(gts)
+    assert cols_p == preds and cols_g == gts
+    for p, g in ((cols_p, gts), (preds, cols_g), (cols_p, cols_g)):
+        assert eval_reports(p, g, widths) == want
+
+
+class TestColumnsMatchRows:
+    """The evaluators read column sets as they read rows."""
+
+    def test_reference_seeds(self):
+        for preds, gts, widths in ap_reference_cases():
+            assert_columns_as_rows(preds, gts, widths)
+
+    def test_acceptance_scene(self):
+        annotations, preds, gts, widths = acceptance_scene_boxes()
+        assert_columns_as_rows(preds, gts, widths)
+        # an AnnotationSet, another kind of column set, reads as its rows
+        assert eval_reports(annotations, gts, widths) == eval_reports(
+            preds, gts, widths)
+
+    def test_contested_at_some_thresholds(self):
+        rng = random.Random(17)
+        seen = Counter()
+        for _ in range(60):
+            preds, gts, widths = contested_cases(rng)
+            assert_same_as_reference(preds, gts, widths)
+            assert_columns_as_rows(preds, gts, widths)
+            for low, high in zip(wanted_by(preds, gts, 0.5),
+                                 wanted_by(preds, gts, 0.9)):
+                seen[low > 1, high > 1] += 1
+        # contested at 0.5 only, at both, and at neither
+        assert min(seen[True, False], seen[True, True],
+                   seen[False, False]) > 10
+
+
+def test_batched_ap_equals_the_reference_bit_for_bit():
+    rng = random.Random(41)
+    for _ in range(400):
+        curves = []
+        for _ in range(rng.randint(0, 6)):
+            hit = rng.choice([0.0, 0.3, 0.7, 1.0])
+            flags = [rng.random() < hit for _ in range(rng.choice(
+                [0, 1, 2, 7, rng.randint(0, 60)]))]
+            # 20 and 50 ground truth put recall on the 101-point grid
+            n_gt = max(1, sum(flags) + rng.choice([0, 0, 1, 5]))
+            curves.append((flags, rng.choice([n_gt, n_gt, 20, 50])
+                           if sum(flags) <= 20 else n_gt))
+        got = metrics._batched_ap(
+            np.array([f for flags, _ in curves for f in flags], bool),
+            np.array([len(flags) for flags, _ in curves], np.int64),
+            np.array([n for _, n in curves], np.int64))
+        want = [_reference_ap_from_flags(range(len(flags)), flags, n)
+                for flags, n in curves]
+        assert got.tolist() == want

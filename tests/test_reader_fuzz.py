@@ -13,7 +13,10 @@ not only its first, is also replaced by pool values and by positions of
 one, three and ragged values. Wherever the footprint reader returns, it
 must equal the one-ring reference loader, report and rings alike; the
 detection reader must equal the record-by-record reference loader,
-columns, rows and report alike, or raise its error.
+columns, rows and report alike, or raise its error. The COCO reader
+must give the rows, sizes and info of the one-``EvalBox``-per-annotation
+reference reader, or raise its error, under every mutation of the COCO
+file.
 """
 import copy
 import json
@@ -25,10 +28,11 @@ from geotag_facade import (GeotagFacadeError, coarse_accuracy, coco_summary,
                            load_panorama_meta)
 from geotag_facade.cli import main
 from geotag_facade.cocoio import read_coco
+from geotag_facade.metrics import EvalBox
 from geotag_facade.render import read_trace
 
 from oracle_utils import (load_detections_as_reference,
-                          reference_load_footprints)
+                          reference_load_footprints, reference_read_coco)
 
 POOL = [None, True, False, "x", "1.5", [], {}, -1, 0, 1.5, 10 ** 30,
         10 ** 400, float("nan"), float("inf")]
@@ -146,6 +150,36 @@ def test_every_mutation_is_read_or_rejected(scene, tmp_path, name):
                                f"{type(e).__name__}: {e}")
     assert len(paths) > 5
     assert not escaped, "\n".join(escaped)
+
+
+def _read_as_floats(reader, path):
+    """``reader``'s result with the box fields as floats, as the columns
+    hold them, or its error."""
+    try:
+        boxes, *rest = reader(path)
+    except GeotagFacadeError as e:
+        return type(e), str(e)
+    return [EvalBox(b.pano_id, *map(float, (b.x, b.y, b.w, b.h)), b.category,
+                    None if b.score is None else float(b.score))
+            for b in boxes], *rest
+
+
+def test_read_coco_equals_the_reference_reader(scene, tmp_path):
+    d, _ = scene
+    boxes, *rest = read_coco(d / "gt.json")
+    want, *want_rest = reference_read_coco(d / "gt.json")
+    assert boxes == want and len(boxes) == 3 and rest == want_rest
+    doc = json.loads((d / "gt.json").read_text())
+    target = tmp_path / "gt.json"
+    outcomes = set()
+    for path in _paths(doc):
+        for value in POOL:
+            target.write_text(json.dumps(_mutated(doc, path, value)))
+            got = _read_as_floats(read_coco, target)
+            assert got == _read_as_floats(reference_read_coco, target), \
+                f"{'/'.join(map(str, path))} = {value!r}"
+            outcomes.add(isinstance(got[0], type))
+    assert outcomes == {True, False}  # some read, some rejected
 
 
 def _vertex_variants(lon, lat):
