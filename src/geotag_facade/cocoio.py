@@ -165,6 +165,7 @@ def read_coco(path):
             pano = Path(pano).stem
         elif not _ok(_key, pano):
             fail(where, "pano_id must be a number or a string", pano)
+        pano = _key(pano)  # a number by its str(), as the loaders key it
         if pano in width_by_pano:  # its boxes would join the other's
             fail(where, "pano_id must be unique", pano)
         pano_of[img["id"]] = pano

@@ -251,9 +251,6 @@ class DetectionSet:
     def n_boxes(self) -> int:
         return len(self.x)
 
-    def boxes_for(self, pano_id: str) -> list:
-        return self.by_pano.get(pano_id, [])
-
 
 # ---------------------------------------------------------------------------
 # Field readers: how a JSON value becomes a typed field, for every input

@@ -14,25 +14,24 @@ in adaptive mode a single Gaussian fit, mu - 0.5 sigma, clamped; 0.3
 for the first batch. Batches are a deterministic seeded shuffle of the
 panoramas, so a run is reproducible end to end.
 
-A run's panoramas are traced as one stream in groups of cameras
-(:func:`trace_groups`): one clip, one sweep and one run split per group,
-a group holding as many cameras as fit in ``GROUP_RAYS`` rays, which
-bounds its memory. Tracing does not depend on the threshold, so groups
-fill across batch boundaries. The cap weighs the fixed cost each group
-pays (about 0.7 ms) against the sweep's cache footprint: at 32,768 rays
-a 0.1-degree group holds 9 cameras and a 1-degree group 91. When it was
-chosen, a cap of 8,192 rays traced a 0.1-degree street 29 % slower, and
-one of 65,536 swept slower again and took 8 % more peak memory.
-
-Each group comes as an :class:`IntervalTable`, one array per interval
-field, and no interval row is built for annotation. Boxes stay rows of
-the :class:`DetectionSet`'s columns: a batch's boxes are checked and
-score-filtered as array masks; then one array pass (:func:`match_batch`,
-:func:`match_intervals`) runs the rule above over every (retained box,
-interval) pair of the batch, whichever tables they are in. The run's
-matches come back as an :class:`AnnotationSet`, columns whose
-:class:`CoarseAnnotation` rows are built only if read.
-:func:`match_box` is the rule's one-box case, over interval rows.
+Annotate runs in three passes. :func:`trace_run` traces the shuffled
+run into one :class:`IntervalTable`, in groups of cameras: one clip, one
+sweep and one run split per group, a group holding as many cameras as
+fit in ``GROUP_RAYS`` rays, which bounds the sweep's memory; only the
+run's interval columns are held whole. The cap weighs the fixed cost
+each group pays (about 0.7 ms) against the sweep's cache footprint: at
+32,768 rays a 0.1-degree group holds 9 cameras and a 1-degree group 91.
+When it was chosen, a cap of 8,192 rays traced a 0.1-degree street 29 %
+slower, and one of 65,536 swept slower again and took 8 % more peak
+memory. Then the boxes, rows of the :class:`DetectionSet`'s columns,
+are checked and score-filtered batch by batch as array masks; a
+batch's threshold depends on the scores the previous batch kept, never
+on a match. Last, one array pass (:func:`match_intervals`) runs the
+rule above over every (kept box, interval) pair of the run. The matches
+come back as an :class:`AnnotationSet`, columns whose
+:class:`CoarseAnnotation` rows are built only if read. No interval row
+is built for annotation; :func:`match_box` is the rule's one-box case,
+over interval rows.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d_arrays
 from .projection import MAX_LOCAL_RANGE_M, FootprintIndex, clip_group
-from .raytrace import sweep_grid, trace_group
+from .raytrace import IntervalTable, sweep_grid, trace_group
 
 log = logging.getLogger(__name__)
 
@@ -227,42 +226,6 @@ def match_intervals(x, w, width, first, count, px_lo, px_hi, rank,
     return box[won], row[won], iou[won]
 
 
-def match_batch(x, w, work, iou_min: float):
-    """Match a batch's retained boxes with one :func:`match_intervals`
-    pass over the batch's interval tables.
-
-    ``x`` and ``w`` hold the boxes, panorama by panorama. ``work`` holds,
-    per panorama, ``(n, width, table, camera)``: its count of those
-    boxes, its image width, and the :class:`IntervalTable` and camera its
-    intervals are in; a batch may span several tables, as trace groups
-    straddle batches. Returns the (box, owner, iou) arrays of the
-    winners, in box order, with ``owner`` the winning interval's
-    footprint.
-    """
-    widths, first, count, nbox = [], [], [], []
-    tables, base = [], {}  # the batch's tables, and each one's first row
-    rows = 0
-    for n, width, table, c in work:
-        if id(table) not in base:
-            base[id(table)] = rows
-            tables.append(table)
-            rows += len(table.rank)
-        lo, hi = table.offsets[c:c + 2].tolist()
-        first.append(base[id(table)] + lo)
-        count.append(hi - lo)
-        nbox.append(n)
-        widths.append(width)
-    if not len(x):
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    won, row, iou = match_intervals(
-        x, w, np.repeat(np.array(widths, float), nbox),
-        np.repeat(np.array(first, np.int64), nbox),
-        np.repeat(np.array(count, np.int64), nbox),
-        *(np.concatenate([getattr(t, col) for t in tables])
-          for col in ("px_lo", "px_hi", "rank")), iou_min)
-    return won, np.concatenate([t.owner for t in tables])[row], iou
-
-
 # ---------------------------------------------------------------------------
 # Batch pipeline
 # ---------------------------------------------------------------------------
@@ -312,63 +275,71 @@ class RunReport:
         }
 
 
-def trace_groups(index: FootprintIndex, metas, config: RunConfig):
-    """Trace panoramas in groups of cameras into interval tables; the
-    run's one trace stream.
+def trace_run(index: FootprintIndex, metas, config: RunConfig
+              ) -> IntervalTable:
+    """Trace a run's panoramas into one :class:`IntervalTable`; camera
+    ``c`` is ``metas[c]``.
 
-    Yields one :class:`IntervalTable` per group, in order. A group holds
-    ``GROUP_RAYS // rays_per_turn`` cameras (at least one) and is
-    clipped, swept and split into runs with one set of array operations
-    (:func:`clip_group`, :func:`trace_group`); no interval row is built.
-    Once the last group is clipped, and before its table is yielded, one
-    WARNING counts the candidate (camera, footprint) pairs skipped
-    because the ring reaches past the flat-plane range.
+    The cameras are traced in groups of ``GROUP_RAYS // rays_per_turn``
+    (at least one), each clipped, swept and split into runs with one set
+    of array operations (:func:`clip_group`, :func:`trace_group`); no
+    interval row is built. One WARNING counts the candidate (camera,
+    footprint) pairs skipped because the ring reaches past the
+    flat-plane range.
     """
     metas = list(metas)
     size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
     grid = sweep_grid(config.step_deg, min(size, len(metas)))
-    out_of_range = 0
+    tables, out_of_range = [], 0
     for i in range(0, len(metas), size):
         group = metas[i:i + size]
         clip = clip_group(index, group, config.radius_m)
         out_of_range += clip.out_of_range
-        if out_of_range and i + size >= len(metas):
-            log.warning("skipped %d (camera, footprint) pairs: the footprint "
-                        "has a vertex beyond the %.0f m flat-plane range",
-                        out_of_range, MAX_LOCAL_RANGE_M)
-        yield trace_group(clip, group, grid, config.flip_heading)
+        tables.append(trace_group(clip, group, grid, config.flip_heading))
+    if out_of_range:
+        log.warning("skipped %d (camera, footprint) pairs: the footprint "
+                    "has a vertex beyond the %.0f m flat-plane range",
+                    out_of_range, MAX_LOCAL_RANGE_M)
+    base = np.cumsum([0, *(len(t.rank) for t in tables)])
+    return IntervalTable(
+        footprints=index.footprints,
+        containing=[b for t in tables for b in t.containing],
+        offsets=np.concatenate([base[:1], *(t.offsets[1:] + b
+                                            for t, b in zip(tables, base))]),
+        # the empty seed gives a run of no camera its empty columns
+        **{c: np.concatenate([np.zeros(0, np.int64),
+                              *(getattr(t, c) for t in tables)])
+           for c in ("rank", "owner", "angle_lo", "angle_hi", "min_distance",
+                     "px_lo", "px_hi")})
 
 
 def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
     """Trace panoramas into pixel-space visibility intervals; the
-    package's one per-panorama trace, a row view of :func:`trace_groups`.
+    package's one per-panorama trace, a row view of :func:`trace_run`.
 
-    Yields one result per panorama, in order, as its group finishes:
-    ``(intervals, None)`` with the intervals as
-    :class:`VisibilityInterval` rows, or ``(None, building_id)`` when
-    the camera sits inside that building's footprint. The WARNING is
-    :func:`trace_groups`'.
+    Yields one result per panorama, in order: ``(intervals, None)`` with
+    the intervals as :class:`VisibilityInterval` rows, or ``(None,
+    building_id)`` when the camera sits inside that building's
+    footprint. The run is traced at the first ``next()``.
     """
-    for table in trace_groups(index, metas, config):
-        yield from table.panoramas()
+    yield from trace_run(index, metas, config).panoramas()
 
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
                                 dets: DetectionSet, config: RunConfig):
-    """Run the full per-batch pipeline; returns (annotations, run report),
-    the annotations as an :class:`AnnotationSet`.
+    """Run the full pipeline; returns (annotations, run report), the
+    annotations as an :class:`AnnotationSet`.
 
-    Panoramas are shuffled with the run seed and chunked into batches.
-    The shuffled run is traced as one stream of interval tables
-    (:func:`trace_groups`), whose groups do not stop at batch
-    boundaries; the threshold update is strictly sequential across
-    batches. A batch's boxes are checked and score-filtered as array
-    masks over their panoramas' rows of ``dets``, then matched in one
-    pass (:func:`match_batch`). Detections whose panorama has no
+    Panoramas are shuffled with the run seed, traced as one table
+    (:func:`trace_run`) and chunked into batches. A box is dropped when
+    its camera is held by a footprint or its vertical extent leaves the
+    image. Batch by batch, strictly in order, the rest are filtered at
+    the threshold :func:`fit_threshold` fits to the scores the previous
+    batch kept. Every kept box of the run is then matched in one
+    :func:`match_intervals` pass. Detections whose panorama has no
     metadata are dropped and reported.
     """
     metas = list(metas)
-    index = FootprintIndex(footprints)
     meta_ids = {m.pano_id for m in metas}
     report = RunReport(config=config.to_dict())
     off = dets.offsets.tolist()  # each panorama's first row and box count
@@ -379,60 +350,52 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
 
     order = list(metas)
     random.Random(config.seed).shuffle(order)
+    table = trace_run(FootprintIndex(footprints), order, config)
+    report.skipped_panoramas = [
+        (m.pano_id, f"camera inside footprint {blocker}")
+        for m, blocker in zip(order, table.containing) if blocker is not None]
 
-    won, owners, ious = [], [], []  # each match's row of dets, footprint
-    # and IoU
-    scores = dets.score[:0]  # those the previous batch kept
-    # one trace stream for the run, so groups fill across batches; zip
-    # draws from the batch first, so each batch takes exactly len(batch)
-    # panoramas and leaves the next batch's first one in the stream
-    traced = ((table, c) for table in trace_groups(index, order, config)
-              for c in range(len(table.containing)))
+    # each box of the run, camera by camera: its row of dets and camera
+    first, n = np.array([span.get(m.pano_id, (0, 0)) for m in order],
+                        np.int64).reshape(-1, 2).T
+    start = np.cumsum(n) - n
+    cam = np.repeat(np.arange(len(order)), n)
+    rows = np.repeat(first - start, n) + np.arange(len(cam))
+    held = np.array([b is not None for b in table.containing], bool)
+    limit = np.array([m.height for m in order], float) + 1e-9
+    # a box's vertical extent must stay in the image
+    valid = ~(held[cam] | (dets.y[rows] + dets.h[rows] > limit[cam]))
+    score = dets.score[rows]
+    kept = valid.copy()
     size = config.batch_size
-    for k, i in enumerate(range(0, len(order), size)):
-        batch = order[i:i + size]
-        br = BatchReport(batch_index=k,
-                         threshold=fit_threshold(scores, config),
-                         n_panoramas=len(batch))
-        spans, work = [], []  # per traced panorama: its first row, box
-        # count and box bottom limit; its (width, table, camera)
-        for meta, (table, c) in zip(batch, traced):
-            first, n = span.get(meta.pano_id, (0, 0))
-            br.input_boxes += n
-            blocker = table.containing[c]
-            if blocker is not None:
-                report.skipped_panoramas.append(
-                    (meta.pano_id, f"camera inside footprint {blocker}"))
-                br.dropped += n
-                continue
-            spans.append((first, n, meta.height + 1e-9))
-            work.append((meta.width, table, c))
-        first, n, limit = (np.array(v) for v in zip(*spans)) if spans \
-            else (np.zeros(0, np.int64),) * 3
-        pano = np.repeat(np.arange(len(n)), n)
-        rows = np.repeat(first - np.cumsum(n) + n, n) + np.arange(len(pano))
-        # a box's vertical extent must stay in the image
-        valid = ~(dets.y[rows] + dets.h[rows] > limit[pano])
-        kept = valid & (dets.score[rows] >= br.threshold)
-        br.dropped += len(rows) - np.count_nonzero(valid)
-        br.filtered_out += np.count_nonzero(valid) - np.count_nonzero(kept)
-        n = np.bincount(pano[kept], minlength=len(n)).tolist()
-        rows = rows[kept]
-        scores = dets.score[rows]
-        box, owner, iou = match_batch(
-            dets.x[rows], dets.w[rows],
-            [(m, *w) for m, w in zip(n, work)], config.iou_x_min)
-        br.annotated = len(box)
-        br.unmatched = len(rows) - len(box)
-        won += rows[box].tolist()
-        owners += owner.tolist()
-        ious += iou.tolist()
-        report.batches.append(br)
-    rows = np.array(won, np.int64)
+    bounds = [*start[::size].tolist(), len(cam)]  # each batch's first box
+    thresholds, scores = [], score[:0]  # those the previous batch kept
+    for lo, hi in zip(bounds, bounds[1:]):
+        thresholds.append(fit_threshold(scores, config))
+        kept[lo:hi] &= score[lo:hi] >= thresholds[-1]
+        scores = score[lo:hi][kept[lo:hi]]
+
+    rows, on = rows[kept], cam[kept]
+    box, row, iou = match_intervals(
+        dets.x[rows], dets.w[rows],
+        np.array([m.width for m in order], float)[on], table.offsets[on],
+        np.diff(table.offsets)[on], table.px_lo, table.px_hi, table.rank,
+        config.iou_x_min)
+
+    def per_batch(cams):  # a count per batch, of cameras or their boxes
+        return np.bincount(cams // size, minlength=len(thresholds)).tolist()
+    annotated = per_batch(on[box])
+    report.batches = [  # the counts in BatchReport's field order
+        BatchReport(k, *c) for k, c in enumerate(zip(
+            thresholds, per_batch(np.arange(len(order))), per_batch(cam),
+            per_batch(cam[valid & ~kept]),
+            np.subtract(per_batch(on), annotated).tolist(), annotated,
+            per_batch(cam[~valid])))]
+    rows, owners = rows[box], table.owner[row].tolist()
     pano = np.repeat(np.arange(len(dets.pano_ids)), np.diff(dets.offsets))
     ids, categories = footprints.building_ids, footprints.categories
     return AnnotationSet(
         [dets.pano_ids[p] for p in pano[rows].tolist()],
         *(c[rows].tolist() for c in (dets.x, dets.y, dets.w, dets.h)),
-        [categories[f] for f in owners], [ids[f] for f in owners], ious,
-        dets.score[rows].tolist()), report
+        [categories[f] for f in owners], [ids[f] for f in owners],
+        iou.tolist(), dets.score[rows].tolist()), report

@@ -135,8 +135,8 @@ def interval_rows(owners, angle_lo, angle_hi, min_distance, px_lo=None,
 
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
-    """The pixel-space visibility intervals of a traced group of cameras,
-    one array per field.
+    """The pixel-space visibility intervals of a run's or a group's
+    cameras, one array per field.
 
     Camera ``c``'s intervals are rows ``offsets[c]`` to ``offsets[c + 1]
     - 1``, in angle order. Per row, ``rank`` is the building's rank in

@@ -761,7 +761,7 @@ def reference_annotations(metas, footprints, dets, config: RunConfig):
         scores = []
         for meta in batch:
             intervals, blocker = trace_panorama(index, meta, config)
-            boxes = dets.boxes_for(meta.pano_id)
+            boxes = dets.by_pano.get(meta.pano_id, [])
             br.input_boxes += len(boxes)
             if intervals is None:
                 report.skipped_panoramas.append(
@@ -1064,6 +1064,7 @@ def reference_read_coco(path):
             pano = Path(pano).stem
         elif not _ok(_key, pano):
             fail(where, "pano_id must be a number or a string", pano)
+        pano = _key(pano)  # a number by its str(), as the loaders key it
         pano_of[img["id"]] = pano
         width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")

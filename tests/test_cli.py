@@ -743,6 +743,24 @@ def test_eval_empty_pred_reports_undefined(scene_dir, tmp_path):
     assert all(v == 0.0 for v in result["ap"]["per_category_ap50"].values())
 
 
+def test_eval_joins_a_number_pano_id_to_its_str(tmp_path):
+    # the loaders key a number by its str(): gt's panorama 7 is pred's "7"
+    def coco(pano_id, **score):
+        return {"images": [{"id": 1, "pano_id": pano_id, "width": 2048,
+                            "height": 1024}],
+                "annotations": [{"image_id": 1, "bbox": [100, 100, 100, 100],
+                                 "category_id": 1, **score}]}
+    gt, pred, ev = (tmp_path / n for n in ("gt.json", "pred.json", "ev.json"))
+    gt.write_text(json.dumps(coco(7)))
+    pred.write_text(json.dumps(coco("7", score=0.9)))
+    rc = run(["eval", "--gt", gt, "--pred", pred, "--mode", "accuracy",
+              "--out", ev])
+    assert rc == 0
+    result = json.loads(ev.read_text())
+    assert result["accuracy"]["accuracy"] == result["recall"]["accuracy"] \
+        == 1.0
+
+
 class TestRender:
     def render_args(self, scene_dir, trace_out, svg):
         iv_file = sorted(Path(trace_out).glob("intervals_*.json"))[0]

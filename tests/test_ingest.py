@@ -422,7 +422,7 @@ class TestDetections:
     def test_category_discarded(self, tmp_path):
         p = write(tmp_path, "d.json", [det(category_id=4)])
         ds = load_detections_as_reference(p)
-        box = ds.boxes_for("a")[0]
+        box = ds.by_pano["a"][0]
         assert not hasattr(box, "category_id") and not hasattr(box, "category")
 
     def test_negative_size_rejected(self, tmp_path):
@@ -439,7 +439,7 @@ class TestDetections:
         p = write(tmp_path, "d.json",
                   [{"image_id": "z", "bbox": [0, 0, 5, 5], "score": 0.5}])
         ds = load_detections_as_reference(p)
-        assert ds.boxes_for("z")
+        assert ds.by_pano["z"]
 
     def test_counts_balance(self, tmp_path):
         p = write(tmp_path, "d.json",

@@ -10,7 +10,7 @@ from geotag_facade import RunConfig
 from geotag_facade.ingest import DetectionBox, DetectionSet
 from geotag_facade.matcher import (MatchResult, filter_detections,
                                    fit_threshold, generate_coarse_annotations,
-                                   match_batch, match_box)
+                                   match_box, match_intervals)
 from geotag_facade.projection import footprint_names
 from geotag_facade.raytrace import IntervalTable, VisibilityInterval
 from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
@@ -33,19 +33,14 @@ def interval(px_lo, px_hi, building_id="B", category=1):
                               px_lo=px_lo, px_hi=px_hi)
 
 
-def table_of(*cameras, footprints=None):
+def table_of(*cameras):
     """An IntervalTable holding each camera's interval rows. Each row is
     its own owner, as it has the building_id and category a footprint
-    names: ``footprints``, shared by the tables of a run, holds every
-    row, by default this table's, and the table names them as a
-    footprint set does."""
+    names, and the table names its rows as a footprint set does."""
     rows = [iv for ivs in cameras for iv in ivs]
-    footprints = tuple(rows) if footprints is None else footprints
-    ids = sorted({iv.building_id for iv in footprints})
-    where = {id(iv): i for i, iv in enumerate(footprints)}
-    names = SimpleNamespace(
-        building_ids=[iv.building_id for iv in footprints],
-        categories=[iv.category for iv in footprints])
+    ids = sorted({iv.building_id for iv in rows})
+    names = SimpleNamespace(building_ids=[iv.building_id for iv in rows],
+                            categories=[iv.category for iv in rows])
 
     def column(name):
         return np.array([getattr(iv, name) for iv in rows], float)
@@ -53,20 +48,30 @@ def table_of(*cameras, footprints=None):
         footprints=names, containing=[None] * len(cameras),
         offsets=np.cumsum([0] + [len(ivs) for ivs in cameras]),
         rank=np.array([ids.index(iv.building_id) for iv in rows], np.int64),
-        owner=np.array([where[id(iv)] for iv in rows], np.int64),
-        angle_lo=column("angle_lo"), angle_hi=column("angle_hi"),
-        min_distance=column("min_distance"), px_lo=column("px_lo"),
-        px_hi=column("px_hi"))
+        owner=np.arange(len(rows)), angle_lo=column("angle_lo"),
+        angle_hi=column("angle_hi"), min_distance=column("min_distance"),
+        px_lo=column("px_lo"), px_hi=column("px_hi"))
+
+
+def match_table(boxes, cams, widths, table, iou_min=0.3):
+    """One ``match_intervals`` pass over ``table``, as annotate runs it:
+    box ``i`` lies on camera ``cams[i]`` of ``widths[i]`` pixels. Raises
+    on any numpy warning. Returns (box, owner, iou) of the winners."""
+    cams = np.array(cams, np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        won, row, iou = match_intervals(
+            np.array([b.x for b in boxes], float),
+            np.array([b.w for b in boxes], float), np.array(widths, float),
+            table.offsets[cams], np.diff(table.offsets)[cams], table.px_lo,
+            table.px_hi, table.rank, iou_min)
+    return won, table.owner[row], iou
 
 
 def batch_match_box(box, intervals, iou_min, width):
-    """``match_box`` through the batch pass: a batch of one box, which
-    must raise no numpy warning."""
+    """``match_box`` through annotate's pass: a run of one box."""
     table = table_of(intervals)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        won, owner, iou = match_batch(np.array([box.x]), np.array([box.w]),
-                                      [(1, width, table, 0)], iou_min)
+    won, owner, iou = match_table([box], [0], [width], table, iou_min)
     if not len(won):
         return None
     (building_id, category), = footprint_names(table.footprints, owner)
@@ -238,7 +243,7 @@ class TestMatchBox:
 
 
 class TestMatchBatch(TestMatchBox):
-    """Every :class:`TestMatchBox` case through the batch pass."""
+    """Every :class:`TestMatchBox` case through annotate's one pass."""
 
     match = staticmethod(batch_match_box)
 
@@ -295,30 +300,22 @@ BATCH_SEEDS = range(30)
 
 @pytest.mark.parametrize("seed", BATCH_SEEDS)
 def test_batch_equals_match_box_on_seeded_batches(seed):
-    # one batch of panoramas of different widths, split over two tables
-    # as a trace group straddling batches splits it; some panoramas have
-    # no box or no interval
+    # one pass over the panoramas of one table, of different widths; some
+    # panoramas have no box or no interval
     rng = random.Random(seed)
     panos = [random_panorama(rng, rng.choice((512, 2048, 3000, 4096)))
              for _ in range(rng.randint(2, 12))]
-    cut = rng.randint(0, len(panos))
-    rows = tuple(iv for _, ivs, _ in panos for iv in ivs)
-    first = table_of(*[ivs for _, ivs, _ in panos[:cut]], footprints=rows)
-    second = table_of(*[ivs for _, ivs, _ in panos[cut:]], footprints=rows)
-    work = [(len(boxes), width, first, c) if c < cut
-            else (len(boxes), width, second, c - cut)
-            for c, (width, _, boxes) in enumerate(panos)]
-    boxes = [b for _, _, bs in panos for b in bs]
+    table = table_of(*[ivs for _, ivs, _ in panos])
+    on = [(b, c, width) for c, (width, _, boxes) in enumerate(panos)
+          for b in boxes]
     want = [(b, m.building_id, m.category, m.iou_x)
             for width, ivs, boxes in panos for b in boxes
             for m in [reference_match_box(b, ivs, 0.3, width)]
             if m is not None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        won, owner, iou = match_batch(np.array([b.x for b in boxes]),
-                                      np.array([b.w for b in boxes]),
-                                      work, 0.3)
-    names = footprint_names(first.footprints, owner)
+    boxes = [b for b, _, _ in on]
+    won, owner, iou = match_table(boxes, [c for _, c, _ in on],
+                                  [w for _, _, w in on], table)
+    names = footprint_names(table.footprints, owner)
     assert [(boxes[i], bid, cat, v) for i, (bid, cat), v
             in zip(won.tolist(), names, iou.tolist())] == want
 
@@ -414,6 +411,26 @@ class TestGenerateCoarseAnnotations:
         assert report.missing_meta == {"ghost": 1}
         assert all(a.pano_id != "ghost" for a in anns)
 
+    def test_report_counts_are_plain_ints(self):
+        # a filtered box and a dropped one: every count the report hands
+        # a library caller is an int, not a numpy scalar
+        scene, dets = pipeline_inputs(n_cameras=4)
+        pano = scene.metas[0].pano_id
+        dets = DetectionSet.of([*(b for bs in dets.by_pano.values()
+                                  for b in bs),
+                                det(0, 10, score=0.1, pano=pano),
+                                det(0, 10, pano=pano, h=5000.0)])
+        _, report = generate_coarse_annotations(
+            scene.metas, scene.footprint_set, dets,
+            RunConfig(batch_size=3, threshold_mode="fixed",
+                      fixed_threshold=0.5))
+        d = report.to_dict()
+        assert d["totals"]["filtered_out"] == d["totals"]["dropped"] == 1
+        counts = [*d["totals"].values(),
+                  *(v for b in d["batches"] for k, v in b.items()
+                    if k != "threshold")]
+        assert all(type(v) is int for v in counts), counts
+
     def test_batch_thresholds_recorded(self):
         scene, dets = pipeline_inputs(n_cameras=6)
         config = RunConfig(seed=1, batch_size=2, threshold_mode="adaptive")
@@ -457,8 +474,8 @@ class TestGenerateCoarseAnnotations:
 
     def test_annotate_builds_no_rows_and_matches_in_batches(self,
                                                             monkeypatch):
-        # 7 panoramas in batches of 3 and groups of 2: the batch pass
-        # reads tables across group and batch boundaries, and builds no
+        # 7 panoramas in batches of 3 and groups of 2: annotate reads the
+        # run's table across group and batch boundaries, and builds no
         # interval row and calls no per-box match on the way
         from geotag_facade import matcher, raytrace
         scene, dets = pipeline_inputs(n_cameras=7, noise=NoiseConfig(
@@ -479,10 +496,57 @@ class TestGenerateCoarseAnnotations:
         assert anns == want
         assert report.to_dict() == want_report.to_dict()
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 7, 100])
+    def test_one_match_pass_per_run(self, monkeypatch, batch_size):
+        # whatever the batches and the groups, annotate matches every
+        # kept box of the run in one match_intervals call
+        from geotag_facade import matcher
+        scene, dets = pipeline_inputs(n_cameras=7, noise=NoiseConfig(
+            shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
+        config = RunConfig(seed=3, batch_size=batch_size)
+        want, want_report = reference_annotations(
+            scene.metas, scene.footprint_set, dets, config)
+        calls = []
+        match_intervals = matcher.match_intervals
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return match_intervals(*args)
+        monkeypatch.setattr(matcher, "match_intervals", counted)
+        for cap in (1, 2 * 360, 1 << 40):
+            monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+            calls.clear()
+            anns, report = generate_coarse_annotations(
+                scene.metas, scene.footprint_set, dets, config)
+            assert len(calls) == 1
+            assert calls[0] == sum(b.input_boxes - b.filtered_out - b.dropped
+                                   for b in report.batches)
+            assert len(want) > 10 and anns == want
+            assert report.to_dict() == want_report.to_dict()
+
+    def test_no_panoramas(self):
+        # an empty run traces to an empty table: no batch, and every box
+        # is reported under missing_meta
+        from geotag_facade.matcher import trace_panoramas, trace_run
+        from geotag_facade.projection import FootprintIndex
+        scene, dets = pipeline_inputs()
+        index = FootprintIndex(scene.footprint_set)
+        table = trace_run(index, [], RunConfig())
+        assert table.containing == [] and table.offsets.tolist() == [0]
+        assert len(table.px_lo) == len(table.owner) == 0
+        assert table.panoramas() == []
+        assert list(trace_panoramas(index, [], RunConfig())) == []
+        anns, report = generate_coarse_annotations(
+            [], scene.footprint_set, dets, RunConfig())
+        assert anns == [] and report.batches == []
+        assert report.missing_meta == {p: len(bs)
+                                       for p, bs in dets.by_pano.items()}
+        assert report.totals["dropped_missing_meta"] == dets.n_boxes > 0
+
     def test_groups_fill_across_batches(self, monkeypatch):
-        # 7 panoramas in batches of 2 and groups of 3 cameras: one trace
-        # stream makes ceil(7 / 3) = 3 groups, where tracing each batch on
-        # its own made 4 (2, 2, 2, 1)
+        # 7 panoramas in batches of 2 and groups of 3 cameras: tracing the
+        # run as one table makes ceil(7 / 3) = 3 groups, where tracing
+        # each batch on its own made 4 (2, 2, 2, 1)
         from geotag_facade import matcher
         scene, dets = pipeline_inputs(n_cameras=7)
         sizes = []
