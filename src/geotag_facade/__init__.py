@@ -14,8 +14,7 @@ from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      load_category_mapping, load_detections, load_footprints,
                      load_panorama_meta)
 from .matcher import (AnnotationSet, CoarseAnnotation, filter_detections,
-                      fit_threshold, generate_coarse_annotations,
-                      trace_panoramas)
+                      fit_threshold, generate_coarse_annotations, trace_run)
 from .metrics import (AccuracyReport, EvalBox, EvalBoxSet, average_precision,
                       coarse_accuracy, coco_summary, iou_2d)
 from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,

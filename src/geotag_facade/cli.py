@@ -20,7 +20,7 @@ from .config import RunConfig
 from .errors import ConfigError, GeotagFacadeError, LoadError
 from .ingest import (load_category_mapping, load_detections,
                      load_footprints, load_panorama_meta)
-from .matcher import generate_coarse_annotations, trace_panoramas
+from .matcher import generate_coarse_annotations, trace_run
 from .metrics import coarse_accuracy, coco_summary
 from .projection import FootprintIndex
 from .render import read_trace, render_scene_svg
@@ -112,8 +112,8 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    results = list(trace_panoramas(FootprintIndex(footprints), panos.metas,
-                                   config))
+    results = trace_run(FootprintIndex(footprints), panos.metas,
+                        config).panoramas()
     skipped = []
     for meta, (ivs, blocker) in zip(panos.metas, results):
         if ivs is None:

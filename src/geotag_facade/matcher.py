@@ -15,15 +15,15 @@ for the first batch. Batches are a deterministic seeded shuffle of the
 panoramas, so a run is reproducible end to end.
 
 Annotate runs in three passes. :func:`trace_run` traces the shuffled
-run into one :class:`IntervalTable`, in groups of cameras: one clip, one
-sweep and one run split per group, a group holding as many cameras as
-fit in ``GROUP_RAYS`` rays, which bounds the sweep's memory; only the
-run's interval columns are held whole. The cap weighs the fixed cost
-each group pays (about 0.7 ms) against the sweep's cache footprint: at
-32,768 rays a 0.1-degree group holds 9 cameras and a 1-degree group 91.
-When it was chosen, a cap of 8,192 rays traced a 0.1-degree street 29 %
-slower, and one of 65,536 swept slower again and took 8 % more peak
-memory. Then the boxes, rows of the :class:`DetectionSet`'s columns,
+run into one :class:`IntervalTable`: one clip, sweep and run split per
+group of cameras, as many as fit in ``GROUP_RAYS`` rays, which bounds
+the sweep's memory, then one pixel mapping for the run, whose interval
+columns are held whole. The cap weighs the fixed cost each group pays
+(about 0.7 ms) against the sweep's cache footprint: at 32,768 rays a
+0.1-degree group holds 9 cameras and a 1-degree group 91. When it was
+chosen, a cap of 8,192 rays traced a 0.1-degree street 29 % slower,
+and one of 65,536 swept slower again and took 8 % more peak memory.
+Then the boxes, rows of the :class:`DetectionSet`'s columns,
 are checked and score-filtered batch by batch as array masks; a
 batch's threshold depends on the scores the previous batch kept, never
 on a match. Last, one array pass (:func:`match_intervals`) runs the
@@ -45,8 +45,9 @@ import numpy as np
 from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d_arrays
-from .projection import MAX_LOCAL_RANGE_M, FootprintIndex, clip_group
-from .raytrace import IntervalTable, sweep_grid, trace_group
+from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
+                         heading_px)
+from .raytrace import IntervalTable, nearest_walls, run_table, sweep_grid
 
 log = logging.getLogger(__name__)
 
@@ -277,52 +278,52 @@ class RunReport:
 
 def trace_run(index: FootprintIndex, metas, config: RunConfig
               ) -> IntervalTable:
-    """Trace a run's panoramas into one :class:`IntervalTable`; camera
-    ``c`` is ``metas[c]``.
+    """Trace a run's panoramas into one :class:`IntervalTable`, camera
+    ``c`` being ``metas[c]``; the package's one per-panorama trace, whose
+    rows :meth:`IntervalTable.panoramas` gives.
 
-    The cameras are traced in groups of ``GROUP_RAYS // rays_per_turn``
-    (at least one), each clipped, swept and split into runs with one set
-    of array operations (:func:`clip_group`, :func:`trace_group`); no
-    interval row is built. One WARNING counts the candidate (camera,
-    footprint) pairs skipped because the ring reaches past the
-    flat-plane range.
+    The cameras are clipped (:func:`clip_group`), swept
+    (:func:`nearest_walls`) and split into runs (:func:`run_table`) in
+    groups of ``GROUP_RAYS // rays_per_turn`` (at least one); then one
+    pass maps every run onto its panorama's pixels. No interval row is
+    built. One WARNING counts the candidate (camera, footprint) pairs
+    skipped because the ring reaches past the flat-plane range.
     """
     metas = list(metas)
     size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
     grid = sweep_grid(config.step_deg, min(size, len(metas)))
-    tables, out_of_range = [], 0
+    n = len(grid.thetas)
+    containing, out_of_range = [], 0
+    # each run's first and last sample in the run's sweep, building rank,
+    # owning footprint and distance, after the columns' empty seed
+    runs = [(np.zeros(0, np.int64),) * 5]
     for i in range(0, len(metas), size):
         group = metas[i:i + size]
         clip = clip_group(index, group, config.radius_m)
+        containing += clip.containing
         out_of_range += clip.out_of_range
-        tables.append(trace_group(clip, group, grid, config.flip_heading))
+        # unbound, the sweep's per-ray columns are freed before the next clip
+        start, end, own, low = run_table(*nearest_walls(
+            clip.walls, grid, len(group), config.radius_m), n)
+        runs.append((start + i * n, end + i * n, own,
+                     clip.owner_fp(start // n, own), low))
     if out_of_range:
         log.warning("skipped %d (camera, footprint) pairs: the footprint "
                     "has a vertex beyond the %.0f m flat-plane range",
                     out_of_range, MAX_LOCAL_RANGE_M)
-    base = np.cumsum([0, *(len(t.rank) for t in tables)])
+    start, end, rank, owner, low = map(np.concatenate, zip(*runs))
+    cam = start // n
+    angle_lo, angle_hi = grid.thetas[start % n], grid.thetas[end % n]
+    north = np.array([m.north_px for m in metas], float)[cam]
+    width = np.array([m.width for m in metas], float)[cam]
+    px = [heading_px(a, north, width, config.flip_heading)
+          for a in (angle_lo, angle_hi)]
+    px_lo, px_hi = px[::-1] if config.flip_heading else px
     return IntervalTable(
-        footprints=index.footprints,
-        containing=[b for t in tables for b in t.containing],
-        offsets=np.concatenate([base[:1], *(t.offsets[1:] + b
-                                            for t, b in zip(tables, base))]),
-        # the empty seed gives a run of no camera its empty columns
-        **{c: np.concatenate([np.zeros(0, np.int64),
-                              *(getattr(t, c) for t in tables)])
-           for c in ("rank", "owner", "angle_lo", "angle_hi", "min_distance",
-                     "px_lo", "px_hi")})
-
-
-def trace_panoramas(index: FootprintIndex, metas, config: RunConfig):
-    """Trace panoramas into pixel-space visibility intervals; the
-    package's one per-panorama trace, a row view of :func:`trace_run`.
-
-    Yields one result per panorama, in order: ``(intervals, None)`` with
-    the intervals as :class:`VisibilityInterval` rows, or ``(None,
-    building_id)`` when the camera sits inside that building's
-    footprint. The run is traced at the first ``next()``.
-    """
-    yield from trace_run(index, metas, config).panoramas()
+        footprints=index.footprints, containing=containing,
+        offsets=np.searchsorted(cam, np.arange(len(metas) + 1)), rank=rank,
+        owner=owner, angle_lo=angle_lo, angle_hi=angle_hi, min_distance=low,
+        px_lo=px_lo, px_hi=px_hi)
 
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
@@ -339,16 +340,14 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     :func:`match_intervals` pass. Detections whose panorama has no
     metadata are dropped and reported.
     """
-    metas = list(metas)
-    meta_ids = {m.pano_id for m in metas}
+    order = list(metas)
+    meta_ids = {m.pano_id for m in order}
     report = RunReport(config=config.to_dict())
     off = dets.offsets.tolist()  # each panorama's first row and box count
     span = {p: (i, j - i) for p, i, j in zip(dets.pano_ids, off, off[1:])}
-    for pano_id, (_, n) in sorted(span.items()):
-        if pano_id not in meta_ids:
-            report.missing_meta[pano_id] = n
+    report.missing_meta = {p: n for p, (_, n) in sorted(span.items())
+                           if p not in meta_ids}
 
-    order = list(metas)
     random.Random(config.seed).shuffle(order)
     table = trace_run(FootprintIndex(footprints), order, config)
     report.skipped_panoramas = [
@@ -391,11 +390,10 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
             per_batch(cam[valid & ~kept]),
             np.subtract(per_batch(on), annotated).tolist(), annotated,
             per_batch(cam[~valid])))]
-    rows, owners = rows[box], table.owner[row].tolist()
-    pano = np.repeat(np.arange(len(dets.pano_ids)), np.diff(dets.offsets))
+    rows, on, owners = rows[box], on[box], table.owner[row].tolist()
     ids, categories = footprints.building_ids, footprints.categories
     return AnnotationSet(
-        [dets.pano_ids[p] for p in pano[rows].tolist()],
+        [order[c].pano_id for c in on.tolist()],
         *(c[rows].tolist() for c in (dets.x, dets.y, dets.w, dets.h)),
         [categories[f] for f in owners], [ids[f] for f in owners],
         iou.tolist(), dets.score[rows].tolist()), report

@@ -340,7 +340,6 @@ class ClipGroup:
     """
 
     index: FootprintIndex
-    radius_m: float
     walls: SceneArrays
     kept_cam: np.ndarray
     kept_fp: np.ndarray
@@ -436,9 +435,9 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
     edge = np.flatnonzero(kept[pair] & wall)
     walls = wall_arrays(cam[pair[edge]], x[edge], y[edge], bx[edge],
                         by[edge], index.rank[fp[pair[edge]]], ~back[edge])
-    return ClipGroup(index=index, radius_m=radius_m, walls=walls,
-                     kept_cam=cam[kept], kept_fp=fp[kept],
-                     containing=containing, out_of_range=int(far.sum()))
+    return ClipGroup(index=index, walls=walls, kept_cam=cam[kept],
+                     kept_fp=fp[kept], containing=containing,
+                     out_of_range=int(far.sum()))
 
 
 def clip_scene(index: FootprintIndex, meta: PanoramaMeta,

@@ -30,9 +30,9 @@ conventions.
 
 The kernels work on a group of cameras at once: ray ``k`` of the group's
 camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
-boundaries and merged across each camera's seam. :func:`trace_group`
-traces a clipped group that way into an :class:`IntervalTable`, one
-array per interval field, which the matcher reads as arrays.
+boundaries and merged across each camera's seam. ``matcher.trace_run``
+traces a run's cameras that way, group by group, into one
+:class:`IntervalTable`, one array per interval field.
 :func:`trace_sweep`, :func:`intervals_from_sweep` and
 :func:`intervals_to_pixel` are one-camera views of the same kernels
 (:func:`nearest_walls`, :func:`run_table`, :func:`projection.heading_px`)
@@ -51,8 +51,8 @@ import numpy as np
 from .config import rays_per_turn
 from .errors import DegenerateSceneError
 from .ingest import FootprintSet, PanoramaMeta
-from .projection import (ClipGroup, LocalScene, SceneArrays, angle_to_pixel,
-                         footprint_names, heading_px)
+from .projection import (LocalScene, SceneArrays, angle_to_pixel,
+                         footprint_names)
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
@@ -135,8 +135,8 @@ def interval_rows(owners, angle_lo, angle_hi, min_distance, px_lo=None,
 
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
-    """The pixel-space visibility intervals of a run's or a group's
-    cameras, one array per field.
+    """The pixel-space visibility intervals of a run's cameras, one array
+    per field.
 
     Camera ``c``'s intervals are rows ``offsets[c]`` to ``offsets[c + 1]
     - 1``, in angle order. Per row, ``rank`` is the building's rank in
@@ -414,35 +414,3 @@ def intervals_to_pixel(intervals, meta: PanoramaMeta,
             a, b = b, a
         out.append(replace(iv, px_lo=a, px_hi=b))
     return out
-
-
-def trace_group(clip: ClipGroup, metas, grid: SweepGrid,
-                flip_heading: bool = False) -> IntervalTable:
-    """The pixel-space visibility intervals of every camera of a clipped
-    group, from one sweep and one run split for all of them, as one
-    :class:`IntervalTable`.
-
-    ``grid`` must cover at least ``len(metas)`` cameras. A camera's rows
-    equal, as :meth:`IntervalTable.panoramas` gives them, the intervals
-    of :func:`trace_sweep`, :func:`intervals_from_sweep` and
-    :func:`intervals_to_pixel` on the camera's own scene. Runs come in
-    sample order, which is angle order within a camera, so no sort is
-    needed. No row object is built here.
-    """
-    n = len(grid.thetas)
-    rank, dist = nearest_walls(clip.walls, grid, len(metas), clip.radius_m)
-    start, end, own, low = run_table(rank, dist, n)
-    cam = start // n
-    angle_lo = grid.thetas[start - cam * n]
-    angle_hi = grid.thetas[end - cam * n]
-    north = np.array([m.north_px for m in metas], float)[cam]
-    width = np.array([m.width for m in metas], float)[cam]
-    px_lo = heading_px(angle_lo, north, width, flip_heading)
-    px_hi = heading_px(angle_hi, north, width, flip_heading)
-    if flip_heading:
-        px_lo, px_hi = px_hi, px_lo
-    return IntervalTable(
-        footprints=clip.index.footprints, containing=clip.containing,
-        offsets=np.searchsorted(cam, np.arange(len(metas) + 1)), rank=own,
-        owner=clip.owner_fp(cam, own), angle_lo=angle_lo, angle_hi=angle_hi,
-        min_distance=low, px_lo=px_lo, px_hi=px_hi)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import rays_per_turn
 from .errors import ConfigError
 from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      DetectionSet, FootprintSet, PanoramaMeta)
@@ -55,6 +56,10 @@ class SceneConfig:
         if self.category_weights is not None and \
                 len(self.category_weights) != self.category_count:
             raise ConfigError("category_weights length must equal category_count")
+        res = self.oracle_resolution_deg
+        if not (res > 0 and rays_per_turn(res)):
+            raise ConfigError(f"oracle_resolution_deg {res} does not divide "
+                              "360")
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,9 @@ def _refine_boundary(scene, theta_out, theta_in, target) -> float:
 def oracle_intervals_for_scene(scene: LocalScene,
                                resolution_deg: float = 0.01) -> list:
     """Dense sweep plus bisection-refined interval endpoints."""
-    count = 360.0 / resolution_deg
-    n = round(count)
-    if abs(count - n) > 1e-6:
-        raise ValueError("resolution must divide 360")
+    n = rays_per_turn(resolution_deg)
+    if not n:
+        raise ValueError(f"resolution {resolution_deg} does not divide 360")
     thetas = np.arange(n, dtype=float) * resolution_deg
     bidx, dist = oracle_hits(scene, thetas)
     out = []

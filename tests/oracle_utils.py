@@ -26,7 +26,7 @@ Last come former exports that only tests used: the heading helpers
 ``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
 package's one-camera trace (``clip_scene``, ``trace_sweep``,
 ``intervals_from_sweep``, ``intervals_to_pixel``), which
-``trace_panoramas`` replaced; the per-box matching rule
+``trace_run`` replaced; the per-box matching rule
 (``reference_match_box``, the former ``match_box``, with
 ``_midpoint_inside``), which ``match_intervals`` replaced, so that the
 package's ``match_box`` is now its one-box case;
@@ -1050,7 +1050,8 @@ def reference_read_coco(path):
             fail(where, "expected an object with an id", img)
         if not _ok(_key, img["id"]):
             fail(where, "id must be a number or a string", img["id"])
-        if img["id"] in pano_of:
+        image = _key(img["id"])  # 1 and "1" name one image, 1.0 another
+        if image in pano_of:
             fail(where, "id must be unique", img["id"])
         width = img.get("width")
         if not (width is None or _ok(_integers, width) and width > 0):
@@ -1065,14 +1066,14 @@ def reference_read_coco(path):
         elif not _ok(_key, pano):
             fail(where, "pano_id must be a number or a string", pano)
         pano = _key(pano)  # a number by its str(), as the loaders key it
-        pano_of[img["id"]] = pano
+        pano_of[image] = pano
         width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")
     boxes = []
     for i, a in enumerate(annotations):
         with suppress(KeyError, TypeError, _FieldError):  # all at once
             image_id, bbox, score = a["image_id"], a["bbox"], a.get("score")
-            _key(image_id)
+            image_id = _key(image_id)
             _bbox(bbox, *(() if score is None else (score,)))
             category, = _integers(a["category_id"])
             if bbox[2] > 0 and bbox[3] > 0:
@@ -1083,7 +1084,7 @@ def reference_read_coco(path):
         if not isinstance(a, dict):
             fail(where, "expected an object", a)
         image_id, bbox = a.get("image_id"), a.get("bbox")
-        if not (_ok(_key, image_id) and image_id in pano_of):
+        if not (_ok(_key, image_id) and _key(image_id) in pano_of):
             raise LoadError(f"{path}: {where}: image_id {image_id!r} names "
                             "no image")
         if not (_ok(_bbox, bbox) and bbox[2] > 0 and bbox[3] > 0):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from geotag_facade.cli import main
-from geotag_facade.cocoio import canonical_json
+from geotag_facade.cocoio import canonical_json, read_coco
 
 
 def run(args):
@@ -759,6 +759,35 @@ def test_eval_joins_a_number_pano_id_to_its_str(tmp_path):
     result = json.loads(ev.read_text())
     assert result["accuracy"]["accuracy"] == result["recall"]["accuracy"] \
         == 1.0
+
+
+def test_eval_keys_image_ids_by_their_str(tmp_path, capsys):
+    # image_id "1" names image 1, and image 1.0 is another image ("1.0")
+    def coco(**score):
+        return {"images": [{"id": i, "pano_id": p, "width": 2048,
+                            "height": 1024}
+                           for i, p in ((1, "a"), (1.0, "b"), ("x", "c"))],
+                "annotations": [{"image_id": i, "bbox": [x, 100, 100, 100],
+                                 "category_id": c, **score}
+                                for i, x, c in (("1", 100, 1), (1.0, 400, 2),
+                                                (1, 700, 3), ("x", 900, 1))]}
+    gt, pred, ev = (tmp_path / n for n in ("gt.json", "pred.json", "ev.json"))
+    gt.write_text(json.dumps(coco()))
+    pred.write_text(json.dumps(coco(score=0.9)))
+    rc = run(["eval", "--gt", gt, "--pred", pred, "--mode", "accuracy",
+              "--out", ev])
+    assert rc == 0, capsys.readouterr().err
+    boxes = read_coco(gt)[0]
+    assert [b.pano_id for b in boxes] == ["a", "b", "a", "c"]
+    result = json.loads(ev.read_text())
+    assert result["accuracy"]["accuracy"] == result["recall"]["accuracy"] \
+        == 1.0
+    doc = coco()
+    doc["images"][1]["id"] = "1"
+    gt.write_text(json.dumps(doc))
+    assert run(["eval", "--gt", gt, "--pred", pred, "--mode", "accuracy",
+                "--out", ev]) == 1
+    assert "images[1]: id must be unique, got '1'" in capsys.readouterr().err
 
 
 class TestRender:

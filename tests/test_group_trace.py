@@ -1,11 +1,14 @@
 """Group tracing equals the per-camera trace it replaced.
 
-``trace_panoramas`` clips, sweeps and splits runs for a group of cameras
-with one set of array operations. Every test here compares it, under
-several group caps, with ``reference_trace_panorama`` (the scalar clip,
-the dense sweep and the loop run split, one camera at a time) and with
-the one-camera path, ``trace_panorama`` in ``oracle_utils``: intervals,
-distances and pixel spans must be equal bit for bit.
+``matcher.trace_run`` clips, sweeps and splits runs for a group of
+cameras with one set of array operations, and maps the whole run onto
+pixels in one pass. Every test here compares the rows of its table
+(``trace_run(...).panoramas()``), under several group caps, with
+``reference_trace_panorama`` (the scalar clip, the dense sweep and the
+loop run split, one camera at a time) and with the one-camera path,
+``trace_panorama`` in ``oracle_utils``: intervals, distances and pixel
+spans must be equal bit for bit. ``test_run_table_columns_under_every_cap``
+compares the table itself, column by column, across caps.
 """
 import logging
 import math
@@ -18,7 +21,7 @@ import pytest
 
 from geotag_facade import (FootprintIndex, PanoramaMeta, RunConfig,
                            clip_scene, local_to_geodetic, matcher,
-                           trace_panoramas, trace_sweep)
+                           trace_run, trace_sweep)
 from geotag_facade.config import rays_per_turn
 from geotag_facade.ingest import BuildingFootprint, FootprintSet
 from geotag_facade.projection import (METERS_PER_DEGREE, _exact_hypot,
@@ -92,7 +95,7 @@ def out_of_range_count(caplog):
 
 
 def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
-    """trace_panoramas under every cap equals both one-camera paths;
+    """trace_run's rows under every cap equal both one-camera paths;
     returns the out-of-range count its WARNING gives."""
     index = FootprintIndex(FootprintSet.of(footprints))
     want = [reference_trace_panorama(footprints, m, config) for m in metas]
@@ -102,8 +105,7 @@ def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
         monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger=matcher.__name__):
-            # the stream is lazy: consume it while the cap is set
-            assert list(trace_panoramas(index, metas, config)) == want
+            assert trace_run(index, metas, config).panoramas() == want
         seen.add(out_of_range_count(caplog))
     assert len(seen) == 1
     return seen.pop()
@@ -123,6 +125,40 @@ def test_synthetic_streets(monkeypatch, caplog, step, flip):
     config = RunConfig(step_deg=step, flip_heading=flip)
     assert assert_groups_match(monkeypatch, caplog, footprints, metas,
                                config) == 0
+
+
+TABLE_COLUMNS = ("offsets", "rank", "owner", "angle_lo", "angle_hi",
+                 "min_distance", "px_lo", "px_hi")
+
+
+@pytest.mark.parametrize("step, flip", [(1.0, False), (1.0, True),
+                                        (0.1, False), (0.1, True)])
+def test_run_table_columns_under_every_cap(monkeypatch, step, flip):
+    # the columns panoramas() leaves out (offsets, rank) too: the table is
+    # the same, column by column, whatever the groups
+    footprints, metas = [], []
+    for seed in (5, 6):
+        sc = generate_scene(seed, SceneConfig(n_buildings=14, n_cameras=5,
+                                              with_ground_truth=False))
+        footprints += sc.footprints
+        metas += sc.metas
+    lat, lon = np.mean(footprints[0].ring[:-1], axis=0)
+    metas.insert(3, replace(metas[0], pano_id="held", lat=lat, lon=lon))
+    index = FootprintIndex(FootprintSet.of(footprints))
+    config = RunConfig(step_deg=step, flip_heading=flip)
+    tables = []
+    for cap in (1, 720, 1 << 40):
+        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+        tables.append(trace_run(index, metas, config))
+    want = tables[-1]
+    assert want.containing[3] == footprints[0].building_id
+    assert want.containing.count(None) == len(metas) - 1
+    assert len(want.offsets) == len(metas) + 1 and len(want.rank) > 50
+    for got in tables[:-1]:
+        assert got.containing == want.containing
+        for name in TABLE_COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_random_layouts(monkeypatch, caplog):
@@ -156,8 +192,8 @@ def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch, caplog):
              cam(30, 10, "c")]
     config = RunConfig()
     assert_groups_match(monkeypatch, caplog, fps, metas, config)
-    got = list(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
-                               config))
+    got = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
+                    config).panoramas()
     assert got[1] == (None, "trap") and got[4] == (None, "east")
     assert got[2] == ([], None) and got[5] == ([], None)
     assert all(got[k][0] for k in (0, 3, 6))
@@ -173,8 +209,8 @@ def test_runs_across_the_seam_at_group_boundaries(monkeypatch, caplog):
     for step in (1.0, 0.5):
         config = RunConfig(step_deg=step)
         assert_groups_match(monkeypatch, caplog, fps, metas, config)
-        for ivs, _ in trace_panoramas(FootprintIndex(FootprintSet.of(fps)),
-                                      metas, config):
+        for ivs, _ in trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
+                                config).panoramas():
             wall = [iv for iv in ivs if iv.building_id == "wall"]
             assert len(wall) == 1 and wall[0].angle_hi < wall[0].angle_lo
 
@@ -190,8 +226,8 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
     config = RunConfig()
     assert_groups_match(monkeypatch, caplog, fps, metas, config)
     got = dict(zip((m.pano_id for m in metas),
-                   trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
-                                   config)))
+                   trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
+                             config).panoramas()))
     assert {iv.category for iv in got["west"][0]
             if iv.building_id == "dup"} == {1}
     assert {iv.category for iv in got["east"][0]
@@ -226,8 +262,8 @@ def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch,
         config = RunConfig()
         assert assert_groups_match(monkeypatch, caplog, fps, metas,
                                    config) == skipped
-        ivs = next(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
-                                   config))[0]
+        ivs = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
+                        config).panoramas()[0][0]
         assert ("long" in {iv.building_id for iv in ivs}) is not skipped
 
 
@@ -243,8 +279,8 @@ def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch, caplog):
                square(30, 30, 6, "other")]
         metas = [cam(30, 10, "a"), cam(0, 0, "o"), cam(30, 50, "b")]
         assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
-        got = list(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
-                                   RunConfig()))[1]
+        got = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
+                        RunConfig()).panoramas()[1]
         assert (got == (None, "shell")) is inside
 
 
@@ -350,8 +386,8 @@ def test_cameras_on_and_inside_rings_in_one_group(monkeypatch, caplog):
     front, _ = front_walls(fps[:1], metas[1])
     assert front == [True] * 4
     assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
-    got = list(trace_panoramas(FootprintIndex(FootprintSet.of(fps)), metas,
-                               RunConfig()))
+    got = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
+                    RunConfig()).panoramas()
     assert got[2] == (None, "held")
     assert "edge" in {iv.building_id for iv in got[1][0]}
 

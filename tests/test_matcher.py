@@ -527,7 +527,7 @@ class TestGenerateCoarseAnnotations:
     def test_no_panoramas(self):
         # an empty run traces to an empty table: no batch, and every box
         # is reported under missing_meta
-        from geotag_facade.matcher import trace_panoramas, trace_run
+        from geotag_facade.matcher import trace_run
         from geotag_facade.projection import FootprintIndex
         scene, dets = pipeline_inputs()
         index = FootprintIndex(scene.footprint_set)
@@ -535,7 +535,6 @@ class TestGenerateCoarseAnnotations:
         assert table.containing == [] and table.offsets.tolist() == [0]
         assert len(table.px_lo) == len(table.owner) == 0
         assert table.panoramas() == []
-        assert list(trace_panoramas(index, [], RunConfig())) == []
         anns, report = generate_coarse_annotations(
             [], scene.footprint_set, dets, RunConfig())
         assert anns == [] and report.batches == []

@@ -152,6 +152,16 @@ class TestGenerateScene:
         with pytest.raises(ConfigError):
             SceneConfig(corridor_width=4.0)
 
+    @pytest.mark.parametrize("res", [7.0, 0.007, 0.0, -1.0, math.nan,
+                                     math.inf])
+    def test_oracle_resolution_must_divide_360(self, res):
+        # a step that does not tile the circle is a config error, not a
+        # ValueError from the oracle once the scene is built
+        with pytest.raises(ConfigError, match="does not divide 360"):
+            SceneConfig(oracle_resolution_deg=res)
+        for ok in (0.01, 0.1, 7.5):
+            SceneConfig(oracle_resolution_deg=ok)
+
     def test_oracle_visibility_roundtrip_from_files(self, tmp_path):
         # serialize the scene, reload through the loaders, oracle agrees
         import json
