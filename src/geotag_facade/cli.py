@@ -20,10 +20,10 @@ from .config import RunConfig
 from .errors import ConfigError, GeotagFacadeError, LoadError
 from .ingest import (load_category_mapping, load_detections,
                      load_footprints, load_panorama_meta)
-from .matcher import generate_coarse_annotations, trace_run
+from .matcher import generate_coarse_annotations, held_panoramas, trace_run
 from .metrics import coarse_accuracy, coco_summary
 from .projection import FootprintIndex
-from .render import read_trace, render_scene_svg
+from .render import render_scene_svg
 from .synth import NoiseConfig, SceneConfig, generate_scene, perturb_detections
 
 EXIT_OK = 0
@@ -112,20 +112,10 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    results = trace_run(FootprintIndex(footprints), panos.metas,
-                        config).panoramas()
-    skipped = []
-    for meta, (ivs, blocker) in zip(panos.metas, results):
-        if ivs is None:
-            skipped.append((meta.pano_id,
-                            f"camera inside footprint {blocker}"))
-            continue
-        cocoio.write_json(out / f"intervals_{meta.pano_id}.json", {
-            "pano_id": meta.pano_id,
-            "config": config.to_dict(),
-            "input_hashes": hashes,
-            "intervals": [iv.to_dict() for iv in ivs],
-        })
+    table = trace_run(FootprintIndex(footprints), panos.metas, config)
+    cocoio.write_trace(out, panos.metas, table, footprints,
+                       config.to_dict(), hashes)
+    skipped = held_panoramas(panos.metas, table.containing)
     cocoio.write_json(out / "trace_report.json", {
         "config": config.to_dict(),
         "input_hashes": hashes,
@@ -208,7 +198,7 @@ def cmd_render(args) -> int:
     mapping = load_category_mapping(args.mapping)
     footprints = load_footprints(args.footprints, mapping)
     panos = load_panorama_meta(args.metas)
-    pano_id, ivs, radius, trace_config = read_trace(args.intervals)
+    pano_id, ivs, radius, trace_config = cocoio.read_trace(args.intervals)
     meta = next((m for m in panos.metas if m.pano_id == pano_id), None)
     if meta is None:
         raise LoadError(f"{args.intervals}: pano_id {pano_id!r} not found "

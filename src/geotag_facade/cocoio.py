@@ -1,10 +1,12 @@
-"""COCO-style annotation files: deterministic writers and readers.
+"""The package's files: deterministic writers and readers.
 
 All writers emit canonical JSON (sorted keys, fixed separators, trailing
 newline) so identical runs produce identical bytes; :func:`write_coco`
-lays its annotations out from templates, to the same bytes. The
-``info`` block of every artifact carries the run configuration and
-sha256 hashes of the inputs it came from.
+lays its annotations out from templates, to the same bytes. Every
+artifact carries the run configuration and sha256 hashes of the inputs
+it came from, a COCO file in its ``info`` block. Only this module knows
+the trace file layout: :func:`write_trace` writes it from a run's
+interval columns, and :func:`read_trace` reads it back as rows.
 """
 from __future__ import annotations
 
@@ -18,11 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import LoadError
 from .ingest import (CategoryMapping, DetectionSet, _FieldError, _bbox,
-                     _integers, _key, _ok, _read_json)
+                     _integers, _key, _number_or_none, _numbers, _ok,
+                     _read_json)
 from .matcher import AnnotationSet
 from .metrics import EvalBoxSet
+from .projection import footprint_names
+from .raytrace import IntervalTable, VisibilityInterval
 
 
 def _plain(v):
@@ -226,3 +232,68 @@ def write_detections(path, dets: DetectionSet, category_count: int,
                 "category_id": rng.randint(1, max(category_count, 1)),
             })
     write_json(path, records)
+
+
+def write_trace(out, metas, table: IntervalTable, footprints, config: dict,
+                input_hashes: dict) -> None:
+    """Write ``intervals_<pano>.json`` into directory ``out`` for each
+    camera of ``table`` (camera ``c`` is ``metas[c]``) that no footprint
+    holds, straight from the table's columns; ``footprints``, the run's
+    set, names each row's owner. No interval row is built."""
+    records = [{"building_id": bid, "category": cat, "angle_lo": a,
+                "angle_hi": b, "px_lo": p, "px_hi": q, "min_distance": d}
+               for (bid, cat), a, b, p, q, d in zip(
+                   footprint_names(footprints, table.owner),
+                   table.angle_lo.tolist(), table.angle_hi.tolist(),
+                   table.px_lo.tolist(), table.px_hi.tolist(),
+                   table.min_distance.tolist())]
+    bounds = table.offsets.tolist()
+    for c, (meta, blocker) in enumerate(zip(metas, table.containing)):
+        if blocker is None:
+            write_json(Path(out) / f"intervals_{meta.pano_id}.json", {
+                "pano_id": meta.pano_id, "config": config,
+                "input_hashes": input_hashes,
+                "intervals": records[bounds[c]:bounds[c + 1]]})
+
+
+def _interval(d):
+    """One interval record of a trace file, or None when it is not one."""
+    if not (isinstance(d, dict) and isinstance(d.get("building_id"), str)
+            and _ok(_integers, d.get("category"))
+            and _ok(_numbers, d.get("angle_lo"), d.get("angle_hi"),
+                    d.get("min_distance"))
+            and _ok(_number_or_none, d.get("px_lo"))
+            and _ok(_number_or_none, d.get("px_hi"))):
+        return None
+    return VisibilityInterval(
+        d["building_id"], d["category"], d["angle_lo"], d["angle_hi"],
+        d["min_distance"], d.get("px_lo"), d.get("px_hi"))
+
+
+def read_trace(path):
+    """Read one ``intervals_<pano>.json`` written by :func:`write_trace`;
+    returns (pano_id, intervals, radius_m, config), the intervals as
+    :class:`VisibilityInterval` rows.
+
+    Raises ``ParseError`` when the file is not JSON, and ``LoadError``
+    naming the file (and the interval at fault) for a field that
+    ``ingest``'s field readers reject or a ``radius_m`` not above 0.
+    """
+    doc = _read_json(path)
+    if not (isinstance(doc, dict) and isinstance(doc.get("pano_id"), str)
+            and isinstance(doc.get("intervals"), list)):
+        raise LoadError(f"{path}: expected an object with a string pano_id "
+                        f"and an intervals list")
+    config = doc.get("config", {})
+    radius = (config.get("radius_m", RunConfig.radius_m)
+              if isinstance(config, dict) else None)
+    if not (_ok(_numbers, radius) and radius > 0):
+        raise LoadError(f"{path}: config must be an object whose radius_m "
+                        f"is a positive finite number, got {config!r}")
+    intervals = [_interval(d) for d in doc["intervals"]]
+    if None in intervals:
+        i = intervals.index(None)
+        raise LoadError(f"{path}: intervals[{i}]: expected building_id, "
+                        f"category, angle_lo, angle_hi and min_distance, "
+                        f"got {doc['intervals'][i]!r}")
+    return doc["pano_id"], intervals, radius, config

@@ -12,7 +12,9 @@ Score filtering runs per batch, at the threshold :func:`fit_threshold`
 computes from the run config and the scores the previous batch kept:
 in adaptive mode a single Gaussian fit, mu - 0.5 sigma, clamped; 0.3
 for the first batch. Batches are a deterministic seeded shuffle of the
-panoramas, so a run is reproducible end to end.
+panoramas in the order they are given, so a run is reproducible end to
+end; in adaptive mode, where a batch's threshold depends on the batch
+before, the annotations depend on that order too.
 
 Annotate runs in three passes. :func:`trace_run` traces the shuffled
 run into one :class:`IntervalTable`: one clip, sweep and run split per
@@ -31,7 +33,9 @@ rule above over every (kept box, interval) pair of the run. The matches
 come back as an :class:`AnnotationSet`, columns whose
 :class:`CoarseAnnotation` rows are built only if read. No interval row
 is built for annotation; :func:`match_box` is the rule's one-box case,
-over interval rows.
+over interval rows. The ``trace`` command writes the same table as it
+is (``cocoio.write_trace``), and :func:`held_panoramas` names the
+cameras that both skip.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from .config import RunConfig, rays_per_turn
 from .ingest import DetectionBox, DetectionSet, FootprintSet
 from .metrics import iou_1d_arrays
 from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
-                         heading_px)
+                         pixel_span)
 from .raytrace import IntervalTable, nearest_walls, run_table, sweep_grid
 
 log = logging.getLogger(__name__)
@@ -279,8 +283,8 @@ class RunReport:
 def trace_run(index: FootprintIndex, metas, config: RunConfig
               ) -> IntervalTable:
     """Trace a run's panoramas into one :class:`IntervalTable`, camera
-    ``c`` being ``metas[c]``; the package's one per-panorama trace, whose
-    rows :meth:`IntervalTable.panoramas` gives.
+    ``c`` being ``metas[c]``; the package's one per-panorama trace, which
+    annotation matches and the ``trace`` command writes.
 
     The cameras are clipped (:func:`clip_group`), swept
     (:func:`nearest_walls`) and split into runs (:func:`run_table`) in
@@ -316,14 +320,20 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
     angle_lo, angle_hi = grid.thetas[start % n], grid.thetas[end % n]
     north = np.array([m.north_px for m in metas], float)[cam]
     width = np.array([m.width for m in metas], float)[cam]
-    px = [heading_px(a, north, width, config.flip_heading)
-          for a in (angle_lo, angle_hi)]
-    px_lo, px_hi = px[::-1] if config.flip_heading else px
+    px_lo, px_hi = pixel_span(angle_lo, angle_hi, north, width,
+                              config.flip_heading)
     return IntervalTable(
-        footprints=index.footprints, containing=containing,
+        containing=containing,
         offsets=np.searchsorted(cam, np.arange(len(metas) + 1)), rank=rank,
         owner=owner, angle_lo=angle_lo, angle_hi=angle_hi, min_distance=low,
         px_lo=px_lo, px_hi=px_hi)
+
+
+def held_panoramas(metas, containing) -> list:
+    """``(pano_id, reason)`` of each camera of ``metas`` that a footprint
+    holds (``containing``): the panoramas a run skips, in order."""
+    return [(m.pano_id, f"camera inside footprint {blocker}")
+            for m, blocker in zip(metas, containing) if blocker is not None]
 
 
 def generate_coarse_annotations(metas, footprints: FootprintSet,
@@ -350,9 +360,7 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
 
     random.Random(config.seed).shuffle(order)
     table = trace_run(FootprintIndex(footprints), order, config)
-    report.skipped_panoramas = [
-        (m.pano_id, f"camera inside footprint {blocker}")
-        for m, blocker in zip(order, table.containing) if blocker is not None]
+    report.skipped_panoramas = held_panoramas(order, table.containing)
 
     # each box of the run, camera by camera: its row of dets and camera
     first, n = np.array([span.get(m.pano_id, (0, 0)) for m in order],

@@ -12,7 +12,8 @@ Three frames are involved:
 Headings are degrees clockwise from true north in [0, 360). By default
 clockwise equals increasing pixel x; ``flip_heading`` reverses it. Both
 conventions live only in :func:`heading_px`, which :func:`angle_to_pixel`
-applies to one panorama.
+applies to one panorama, and :func:`pixel_span`, which maps a run of
+headings onto a span of increasing pixel x through it.
 
 Clipping works on a group of cameras at once (:func:`clip_group`);
 :func:`clip_scene` is its one-camera view, a :class:`LocalScene` of
@@ -101,6 +102,16 @@ def heading_px(theta_deg, north_px, width, flip_heading: bool = False):
     span = theta_deg / 360.0 * width
     px = north_px - span if flip_heading else north_px + span
     return px % width
+
+
+def pixel_span(angle_lo, angle_hi, north_px, width,
+               flip_heading: bool = False):
+    """(px_lo, px_hi): the headings ``angle_lo`` to ``angle_hi`` as a
+    span of increasing pixel x, by :func:`heading_px`; a flipped heading
+    runs the other way, so its ends swap. Floats or arrays alike."""
+    lo = heading_px(angle_lo, north_px, width, flip_heading)
+    hi = heading_px(angle_hi, north_px, width, flip_heading)
+    return (hi, lo) if flip_heading else (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,13 @@ The kernels work on a group of cameras at once: ray ``k`` of the group's
 camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
 boundaries and merged across each camera's seam. ``matcher.trace_run``
 traces a run's cameras that way, group by group, into one
-:class:`IntervalTable`, one array per interval field.
+:class:`IntervalTable`, one array per interval field, which annotation
+matches and ``cocoio.write_trace`` writes as it is.
 :func:`trace_sweep`, :func:`intervals_from_sweep` and
 :func:`intervals_to_pixel` are one-camera views of the same kernels
-(:func:`nearest_walls`, :func:`run_table`, :func:`projection.heading_px`)
-on a :class:`LocalScene`. :class:`VisibilityInterval` rows are built
-from arrays by :func:`interval_rows`, only where intervals are written
-or read one by one: :meth:`IntervalTable.panoramas` and
-:func:`intervals_from_sweep`.
+(:func:`nearest_walls`, :func:`run_table`, :func:`projection.pixel_span`)
+on a :class:`LocalScene`; they, and ``cocoio.read_trace``, are where
+:class:`VisibilityInterval` rows are built.
 """
 from __future__ import annotations
 
@@ -50,9 +49,8 @@ import numpy as np
 
 from .config import rays_per_turn
 from .errors import DegenerateSceneError
-from .ingest import FootprintSet, PanoramaMeta
-from .projection import (LocalScene, SceneArrays, angle_to_pixel,
-                         footprint_names)
+from .ingest import PanoramaMeta
+from .projection import LocalScene, SceneArrays, pixel_span
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
@@ -91,9 +89,9 @@ class VisibilityInterval:
     ``angle_lo``/``angle_hi`` are the first and last hit grid angles of
     the run on the wrapped circle (``angle_hi < angle_lo`` means the run
     crosses 0 degrees). Pixel fields are populated by
-    :func:`intervals_to_pixel`, or come from an :class:`IntervalTable`;
-    ``px_hi < px_lo`` likewise means the pixel span crosses the image
-    seam.
+    :func:`intervals_to_pixel`, or read from a trace file
+    (``cocoio.read_trace``); ``px_hi < px_lo`` likewise means the pixel
+    span crosses the image seam.
     """
 
     building_id: str
@@ -108,30 +106,6 @@ class VisibilityInterval:
     def width_deg(self) -> float:
         return (self.angle_hi - self.angle_lo) % 360.0
 
-    def to_dict(self) -> dict:
-        return {
-            "building_id": self.building_id,
-            "category": self.category,
-            "angle_lo": self.angle_lo,
-            "angle_hi": self.angle_hi,
-            "px_lo": self.px_lo,
-            "px_hi": self.px_hi,
-            "min_distance": self.min_distance,
-        }
-
-
-def interval_rows(owners, angle_lo, angle_hi, min_distance, px_lo=None,
-                  px_hi=None) -> list:
-    """:class:`VisibilityInterval` rows from interval columns, the one
-    place rows are built. ``owners`` gives each row's (building_id,
-    category); without pixel columns the pixel fields stay None."""
-    px = (zip(px_lo.tolist(), px_hi.tolist()) if px_lo is not None
-          else [(None, None)] * len(owners))
-    return [VisibilityInterval(bid, cat, a, b, d, p, q)
-            for (bid, cat), a, b, d, (p, q) in zip(
-                owners, angle_lo.tolist(), angle_hi.tolist(),
-                min_distance.tolist(), px)]
-
 
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
@@ -140,15 +114,15 @@ class IntervalTable:
 
     Camera ``c``'s intervals are rows ``offsets[c]`` to ``offsets[c + 1]
     - 1``, in angle order. Per row, ``rank`` is the building's rank in
-    id order (which breaks ties) and ``owner`` the index in
-    ``footprints`` of the footprint that names the building and its
-    category (:meth:`ClipGroup.owner_fp`); the other columns are the
-    :class:`VisibilityInterval` fields. ``containing`` gives, per camera,
-    the id of the footprint strictly holding it, or None; the rows of a
-    held camera are never read.
+    id order (which breaks ties) and ``owner`` the index, in the run's
+    footprint set, of the footprint that names the building and its
+    category (:meth:`ClipGroup.owner_fp`;
+    :func:`projection.footprint_names` gives the names); the other
+    columns are the :class:`VisibilityInterval` fields. ``containing``
+    gives, per camera, the id of the footprint strictly holding it, or
+    None; the rows of a held camera are never read.
     """
 
-    footprints: FootprintSet
     containing: list
     offsets: np.ndarray
     rank: np.ndarray
@@ -158,18 +132,6 @@ class IntervalTable:
     min_distance: np.ndarray
     px_lo: np.ndarray
     px_hi: np.ndarray
-
-    def panoramas(self) -> list:
-        """Per camera, ``(intervals, None)`` with the intervals as rows,
-        or ``(None, building_id)`` when the camera sits inside that
-        building's footprint."""
-        rows = interval_rows(footprint_names(self.footprints, self.owner),
-                             self.angle_lo, self.angle_hi, self.min_distance,
-                             self.px_lo, self.px_hi)
-        bounds = self.offsets.tolist()
-        return [(rows[bounds[c]:bounds[c + 1]], None) if blocker is None
-                else (None, blocker)
-                for c, blocker in enumerate(self.containing)]
 
 
 def _ray_runs(arr, radius_m: float, n: int):
@@ -399,18 +361,20 @@ def intervals_from_sweep(sweep: RaySweep) -> list:
     """
     start, end, own, low = run_table(sweep.building_idx, sweep.distances,
                                      len(sweep))
-    return interval_rows([sweep.buildings[b] for b in own.tolist()],
-                         sweep.thetas[start], sweep.thetas[end], low)
+    return [VisibilityInterval(bid, cat, a, b, d)
+            for (bid, cat), a, b, d in zip(
+                [sweep.buildings[b] for b in own.tolist()],
+                sweep.thetas[start].tolist(), sweep.thetas[end].tolist(),
+                low.tolist())]
 
 
 def intervals_to_pixel(intervals, meta: PanoramaMeta,
                        flip_heading: bool = False) -> list:
-    """Populate pixel spans; the span always runs in increasing pixel x."""
+    """Populate pixel spans (:func:`projection.pixel_span`); the span
+    always runs in increasing pixel x."""
     out = []
     for iv in intervals:
-        a = float(angle_to_pixel(iv.angle_lo, meta, flip_heading))
-        b = float(angle_to_pixel(iv.angle_hi, meta, flip_heading))
-        if flip_heading:
-            a, b = b, a
-        out.append(replace(iv, px_lo=a, px_hi=b))
+        a, b = pixel_span(iv.angle_lo, iv.angle_hi, meta.north_px,
+                          meta.width, flip_heading)
+        out.append(replace(iv, px_lo=float(a), px_hi=float(b)))
     return out

@@ -3,20 +3,16 @@
 Top: map view with the footprints, the camera, the field-of-view circle
 and one arc per visibility interval, color-keyed by building. Bottom:
 a strip showing the same intervals on the panorama's pixel axis, seam
-splits included. Text SVG keeps the output diffable in tests.
-:func:`read_trace` reads the ``trace`` file the diagnostic draws.
+splits included. Text SVG keeps the output diffable in tests. The
+intervals come as rows, such as ``cocoio.read_trace`` reads from a
+``trace`` file; this module only draws.
 """
 from __future__ import annotations
 
 import math
 import zlib
 
-from .config import RunConfig
-from .errors import LoadError
-from .ingest import (_integers, _number_or_none, _numbers, _ok,
-                     _read_json)
 from .projection import _local_xy
-from .raytrace import VisibilityInterval
 
 SCALE = 4.0  # map-view pixels per meter
 PALETTE = (
@@ -27,48 +23,6 @@ PALETTE = (
 
 def _color(building_id: str) -> str:
     return PALETTE[zlib.crc32(building_id.encode("utf-8")) % len(PALETTE)]
-
-
-def _interval(d):
-    """One interval record of a trace file, or None when it is not one."""
-    if not (isinstance(d, dict) and isinstance(d.get("building_id"), str)
-            and _ok(_integers, d.get("category"))
-            and _ok(_numbers, d.get("angle_lo"), d.get("angle_hi"),
-                    d.get("min_distance"))
-            and _ok(_number_or_none, d.get("px_lo"))
-            and _ok(_number_or_none, d.get("px_hi"))):
-        return None
-    return VisibilityInterval(
-        d["building_id"], d["category"], d["angle_lo"], d["angle_hi"],
-        d["min_distance"], d.get("px_lo"), d.get("px_hi"))
-
-
-def read_trace(path):
-    """Read one ``intervals_<pano>.json`` written by ``trace``; returns
-    (pano_id, intervals, radius_m, config).
-
-    Raises ``ParseError`` when the file is not JSON, and ``LoadError``
-    naming the file (and the interval at fault) for a field that
-    ``ingest``'s field readers reject or a ``radius_m`` not above 0.
-    """
-    doc = _read_json(path)
-    if not (isinstance(doc, dict) and isinstance(doc.get("pano_id"), str)
-            and isinstance(doc.get("intervals"), list)):
-        raise LoadError(f"{path}: expected an object with a string pano_id "
-                        f"and an intervals list")
-    config = doc.get("config", {})
-    radius = (config.get("radius_m", RunConfig.radius_m)
-              if isinstance(config, dict) else None)
-    if not (_ok(_numbers, radius) and radius > 0):
-        raise LoadError(f"{path}: config must be an object whose radius_m "
-                        f"is a positive finite number, got {config!r}")
-    intervals = [_interval(d) for d in doc["intervals"]]
-    if None in intervals:
-        i = intervals.index(None)
-        raise LoadError(f"{path}: intervals[{i}]: expected building_id, "
-                        f"category, angle_lo, angle_hi and min_distance, "
-                        f"got {doc['intervals'][i]!r}")
-    return doc["pano_id"], intervals, radius, config
 
 
 def _fmt(v: float) -> str:

@@ -26,7 +26,12 @@ Last come former exports that only tests used: the heading helpers
 ``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
 package's one-camera trace (``clip_scene``, ``trace_sweep``,
 ``intervals_from_sweep``, ``intervals_to_pixel``), which
-``trace_run`` replaced; the per-box matching rule
+``trace_run`` replaced; the rows of ``trace_run``'s table
+(``table_rows``, the former ``IntervalTable.panoramas``, and
+``trace_rows``), with the trace file writer that went through them
+(``reference_write_trace``, over ``interval_dict``, the former
+``VisibilityInterval.to_dict``), which ``cocoio.write_trace``
+replaced; the per-box matching rule
 (``reference_match_box``, the former ``match_box``, with
 ``_midpoint_inside``), which ``match_intervals`` replaced, so that the
 package's ``match_box`` is now its one-box case;
@@ -68,13 +73,13 @@ from geotag_facade.ingest import (_MIN_RING_AREA_DEG2, BuildingFootprint,
                                   load_detections)
 from geotag_facade.matcher import (BatchReport, CoarseAnnotation,
                                    MatchResult, RunReport, filter_detections,
-                                   fit_threshold)
+                                   fit_threshold, trace_run)
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, AccuracyReport,
                                    APReport, EvalBox, _as_xywh)
 from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       FootprintIndex, LocalScene, WallSegment,
-                                      _wrap_lon, clip_scene)
+                                      _wrap_lon, clip_scene, footprint_names)
 from geotag_facade.raytrace import (PARALLEL_EPS, TIE_EPS_M, RaySweep,
                                     VisibilityInterval, intervals_from_sweep,
                                     intervals_to_pixel, run_table,
@@ -700,6 +705,49 @@ def trace_panorama(index: FootprintIndex, meta, config: RunConfig):
     sweep = trace_sweep(scene, config.step_deg)
     ivs = intervals_from_sweep(sweep)
     return intervals_to_pixel(ivs, meta, config.flip_heading), None
+
+
+def table_rows(table, footprints) -> list:
+    """Per camera of an ``IntervalTable``, ``(intervals, None)`` with the
+    intervals as rows, or ``(None, building_id)`` when the camera sits
+    inside that building's footprint; ``footprints`` is the run's set,
+    which names each row's owner."""
+    rows = [VisibilityInterval(bid, cat, a, b, d, p, q)
+            for (bid, cat), a, b, d, p, q in zip(
+                footprint_names(footprints, table.owner),
+                table.angle_lo.tolist(), table.angle_hi.tolist(),
+                table.min_distance.tolist(), table.px_lo.tolist(),
+                table.px_hi.tolist())]
+    bounds = table.offsets.tolist()
+    return [(rows[bounds[c]:bounds[c + 1]], None) if blocker is None
+            else (None, blocker)
+            for c, blocker in enumerate(table.containing)]
+
+
+def trace_rows(index: FootprintIndex, metas, config: RunConfig) -> list:
+    """``trace_run``'s table as rows, camera by camera (:func:`table_rows`)."""
+    return table_rows(trace_run(index, metas, config), index.footprints)
+
+
+def interval_dict(iv) -> dict:
+    """One interval row as the trace file records it."""
+    return {"building_id": iv.building_id, "category": iv.category,
+            "angle_lo": iv.angle_lo, "angle_hi": iv.angle_hi,
+            "px_lo": iv.px_lo, "px_hi": iv.px_hi,
+            "min_distance": iv.min_distance}
+
+
+def reference_write_trace(out, metas, table, footprints, config: dict,
+                          input_hashes: dict) -> None:
+    """``write_trace`` through rows: each traced camera's rows
+    (:func:`table_rows`), one dict each (:func:`interval_dict`), written
+    by ``write_json``."""
+    for meta, (ivs, _) in zip(metas, table_rows(table, footprints)):
+        if ivs is not None:
+            write_json(Path(out) / f"intervals_{meta.pano_id}.json", {
+                "pano_id": meta.pano_id, "config": config,
+                "input_hashes": input_hashes,
+                "intervals": [interval_dict(iv) for iv in ivs]})
 
 
 def _midpoint_inside(lo: float, hi: float, mid: float, width: float) -> bool:

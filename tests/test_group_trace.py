@@ -3,7 +3,7 @@
 ``matcher.trace_run`` clips, sweeps and splits runs for a group of
 cameras with one set of array operations, and maps the whole run onto
 pixels in one pass. Every test here compares the rows of its table
-(``trace_run(...).panoramas()``), under several group caps, with
+(``trace_rows`` in ``oracle_utils``), under several group caps, with
 ``reference_trace_panorama`` (the scalar clip, the dense sweep and the
 loop run split, one camera at a time) and with the one-camera path,
 ``trace_panorama`` in ``oracle_utils``: intervals, distances and pixel
@@ -30,7 +30,7 @@ from geotag_facade.raytrace import _ray_runs
 from geotag_facade.synth import SceneConfig, generate_scene
 
 from oracle_utils import (_ring_min_distance, reference_trace_panorama,
-                          trace_panorama)
+                          trace_panorama, trace_rows)
 
 
 def cam(x=0.0, y=0.0, pano_id=None, north_px=300.0, width=2048):
@@ -105,7 +105,7 @@ def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
         monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger=matcher.__name__):
-            assert trace_run(index, metas, config).panoramas() == want
+            assert trace_rows(index, metas, config) == want
         seen.add(out_of_range_count(caplog))
     assert len(seen) == 1
     return seen.pop()
@@ -134,7 +134,7 @@ TABLE_COLUMNS = ("offsets", "rank", "owner", "angle_lo", "angle_hi",
 @pytest.mark.parametrize("step, flip", [(1.0, False), (1.0, True),
                                         (0.1, False), (0.1, True)])
 def test_run_table_columns_under_every_cap(monkeypatch, step, flip):
-    # the columns panoramas() leaves out (offsets, rank) too: the table is
+    # the columns the rows leave out (offsets, rank) too: the table is
     # the same, column by column, whatever the groups
     footprints, metas = [], []
     for seed in (5, 6):
@@ -192,8 +192,8 @@ def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch, caplog):
              cam(30, 10, "c")]
     config = RunConfig()
     assert_groups_match(monkeypatch, caplog, fps, metas, config)
-    got = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
-                    config).panoramas()
+    got = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
+                     config)
     assert got[1] == (None, "trap") and got[4] == (None, "east")
     assert got[2] == ([], None) and got[5] == ([], None)
     assert all(got[k][0] for k in (0, 3, 6))
@@ -209,8 +209,8 @@ def test_runs_across_the_seam_at_group_boundaries(monkeypatch, caplog):
     for step in (1.0, 0.5):
         config = RunConfig(step_deg=step)
         assert_groups_match(monkeypatch, caplog, fps, metas, config)
-        for ivs, _ in trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
-                                config).panoramas():
+        for ivs, _ in trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
+                                 config):
             wall = [iv for iv in ivs if iv.building_id == "wall"]
             assert len(wall) == 1 and wall[0].angle_hi < wall[0].angle_lo
 
@@ -226,8 +226,8 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
     config = RunConfig()
     assert_groups_match(monkeypatch, caplog, fps, metas, config)
     got = dict(zip((m.pano_id for m in metas),
-                   trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
-                             config).panoramas()))
+                   trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
+                              config)))
     assert {iv.category for iv in got["west"][0]
             if iv.building_id == "dup"} == {1}
     assert {iv.category for iv in got["east"][0]
@@ -262,8 +262,8 @@ def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch,
         config = RunConfig()
         assert assert_groups_match(monkeypatch, caplog, fps, metas,
                                    config) == skipped
-        ivs = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
-                        config).panoramas()[0][0]
+        ivs = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
+                         config)[0][0]
         assert ("long" in {iv.building_id for iv in ivs}) is not skipped
 
 
@@ -279,8 +279,8 @@ def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch, caplog):
                square(30, 30, 6, "other")]
         metas = [cam(30, 10, "a"), cam(0, 0, "o"), cam(30, 50, "b")]
         assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
-        got = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
-                        RunConfig()).panoramas()[1]
+        got = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
+                         RunConfig())[1]
         assert (got == (None, "shell")) is inside
 
 
@@ -386,8 +386,8 @@ def test_cameras_on_and_inside_rings_in_one_group(monkeypatch, caplog):
     front, _ = front_walls(fps[:1], metas[1])
     assert front == [True] * 4
     assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
-    got = trace_run(FootprintIndex(FootprintSet.of(fps)), metas,
-                    RunConfig()).panoramas()
+    got = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
+                     RunConfig())
     assert got[2] == (None, "held")
     assert "edge" in {iv.building_id for iv in got[1][0]}
 

@@ -18,7 +18,7 @@ from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
 
 from oracle_utils import (_midpoint_inside, brute_iou_1d,
                           brute_midpoint_inside, iou_1d, reference_annotations,
-                          reference_match_box)
+                          reference_match_box, table_rows)
 
 W = 2048.0
 
@@ -34,9 +34,10 @@ def interval(px_lo, px_hi, building_id="B", category=1):
 
 
 def table_of(*cameras):
-    """An IntervalTable holding each camera's interval rows. Each row is
-    its own owner, as it has the building_id and category a footprint
-    names, and the table names its rows as a footprint set does."""
+    """An IntervalTable holding each camera's interval rows, and the
+    owners it names. Each row is its own owner, as it has the
+    building_id and category a footprint names, and ``names`` names the
+    rows as a footprint set does."""
     rows = [iv for ivs in cameras for iv in ivs]
     ids = sorted({iv.building_id for iv in rows})
     names = SimpleNamespace(building_ids=[iv.building_id for iv in rows],
@@ -45,12 +46,12 @@ def table_of(*cameras):
     def column(name):
         return np.array([getattr(iv, name) for iv in rows], float)
     return IntervalTable(
-        footprints=names, containing=[None] * len(cameras),
+        containing=[None] * len(cameras),
         offsets=np.cumsum([0] + [len(ivs) for ivs in cameras]),
         rank=np.array([ids.index(iv.building_id) for iv in rows], np.int64),
         owner=np.arange(len(rows)), angle_lo=column("angle_lo"),
         angle_hi=column("angle_hi"), min_distance=column("min_distance"),
-        px_lo=column("px_lo"), px_hi=column("px_hi"))
+        px_lo=column("px_lo"), px_hi=column("px_hi")), names
 
 
 def match_table(boxes, cams, widths, table, iou_min=0.3):
@@ -70,11 +71,11 @@ def match_table(boxes, cams, widths, table, iou_min=0.3):
 
 def batch_match_box(box, intervals, iou_min, width):
     """``match_box`` through annotate's pass: a run of one box."""
-    table = table_of(intervals)
+    table, names = table_of(intervals)
     won, owner, iou = match_table([box], [0], [width], table, iou_min)
     if not len(won):
         return None
-    (building_id, category), = footprint_names(table.footprints, owner)
+    (building_id, category), = footprint_names(names, owner)
     return MatchResult(building_id=building_id, category=category,
                        iou_x=float(iou[0]))
 
@@ -305,7 +306,7 @@ def test_batch_equals_match_box_on_seeded_batches(seed):
     rng = random.Random(seed)
     panos = [random_panorama(rng, rng.choice((512, 2048, 3000, 4096)))
              for _ in range(rng.randint(2, 12))]
-    table = table_of(*[ivs for _, ivs, _ in panos])
+    table, names = table_of(*[ivs for _, ivs, _ in panos])
     on = [(b, c, width) for c, (width, _, boxes) in enumerate(panos)
           for b in boxes]
     want = [(b, m.building_id, m.category, m.iou_x)
@@ -315,7 +316,7 @@ def test_batch_equals_match_box_on_seeded_batches(seed):
     boxes = [b for b, _, _ in on]
     won, owner, iou = match_table(boxes, [c for _, c, _ in on],
                                   [w for _, _, w in on], table)
-    names = footprint_names(table.footprints, owner)
+    names = footprint_names(names, owner)
     assert [(boxes[i], bid, cat, v) for i, (bid, cat), v
             in zip(won.tolist(), names, iou.tolist())] == want
 
@@ -534,7 +535,7 @@ class TestGenerateCoarseAnnotations:
         table = trace_run(index, [], RunConfig())
         assert table.containing == [] and table.offsets.tolist() == [0]
         assert len(table.px_lo) == len(table.owner) == 0
-        assert table.panoramas() == []
+        assert table_rows(table, index.footprints) == []
         anns, report = generate_coarse_annotations(
             [], scene.footprint_set, dets, RunConfig())
         assert anns == [] and report.batches == []

@@ -27,9 +27,8 @@ from geotag_facade import (GeotagFacadeError, coarse_accuracy, coco_summary,
                            load_category_mapping, load_footprints,
                            load_panorama_meta)
 from geotag_facade.cli import main
-from geotag_facade.cocoio import read_coco
+from geotag_facade.cocoio import read_coco, read_trace
 from geotag_facade.metrics import EvalBox
-from geotag_facade.render import read_trace
 
 from oracle_utils import (load_detections_as_reference,
                           reference_load_footprints, reference_read_coco)
