@@ -9,7 +9,8 @@ category was dropped at ingest. A box earns a category when
   (default 0.3, strict).
 
 Score filtering runs per batch, at the threshold :func:`fit_threshold`
-computes from the run config and the scores the previous batch kept:
+computes from the run config and the scores the previous batch kept,
+in value order, so that the order of the boxes moves no threshold:
 in adaptive mode a single Gaussian fit, mu - 0.5 sigma, clamped; 0.3
 for the first batch. Batches are a deterministic seeded shuffle of the
 panoramas in the order they are given, so a run is reproducible end to
@@ -346,7 +347,7 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     its camera is held by a footprint or its vertical extent leaves the
     image. Batch by batch, strictly in order, the rest are filtered at
     the threshold :func:`fit_threshold` fits to the scores the previous
-    batch kept. Every kept box of the run is then matched in one
+    batch kept, sorted. Every kept box of the run is then matched in one
     :func:`match_intervals` pass. Detections whose panorama has no
     metadata are dropped and reported.
     """
@@ -380,7 +381,8 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     for lo, hi in zip(bounds, bounds[1:]):
         thresholds.append(fit_threshold(scores, config))
         kept[lo:hi] &= score[lo:hi] >= thresholds[-1]
-        scores = score[lo:hi][kept[lo:hi]]
+        # in value order, so that the fit's sums do not hang on box order
+        scores = np.sort(score[lo:hi][kept[lo:hi]])
 
     rows, on = rows[kept], cam[kept]
     box, row, iou = match_intervals(

@@ -8,18 +8,20 @@ onto a shared linear domain before measuring.
 The evaluators read boxes as columns, an :class:`EvalBoxSet`: the one
 ``read_coco`` returns, or one read from another column set (such as an
 ``AnnotationSet``) or from rows. Panoramas and categories become
-integer codes, and one call of the kernel ``_pair_ious`` scores every
-pair that shares a panorama (and, for AP, a category). The greedy
-assignments keep the tie rules of the scalar code they replaced.
-Accuracy walks its pairs in Python; the AP matching walks only the
-ranked predictions that want a ground truth another one also wants,
-and the rest take their best candidate in one array pass. Every
-(category, IoU threshold, area bucket) AP curve is then scored in one
-batched array pass. ``iou_2d`` is the kernel's one-pair case, so the 2-D
-formula exists once. ``iou_1d_arrays``, the matcher's 1-D IoU, is the
-only one, and it shares the wrapped overlap with the 2-D kernel. The
-scalar forms of the kernels, the matching and the AP are test
-references in ``tests/oracle_utils.py``.
+integer codes, and one call of the kernel ``_pair_ious`` scores the
+pairs: for accuracy, those of a panorama whose horizontal spans overlap,
+found by a sort and sweep (``_overlapping``); for AP, every pair that
+shares a panorama and a category. The greedy assignments keep the tie
+rules of the scalar code they replaced. Accuracy walks its pairs in
+Python; the AP matching walks only the ranked predictions that want a
+ground truth another one also wants, and the rest take their best
+candidate in one array pass. Every (category, IoU threshold, area
+bucket) AP curve is then scored in one batched array pass. ``iou_2d``
+is the kernel's one-pair case, so the 2-D formula exists once.
+``iou_1d_arrays``, the matcher's 1-D IoU, is the only one, and it
+shares the wrapped overlap with the 2-D kernel. The scalar forms of
+the kernels, the matching and the AP are test references in
+``tests/oracle_utils.py``.
 """
 from __future__ import annotations
 
@@ -236,13 +238,81 @@ def _pairs(row_key: np.ndarray, col_key: np.ndarray, n_keys: int):
     return i, by_key[np.repeat(shift, per_row) + np.arange(len(i))]
 
 
+def _pano_widths(panos, width_by_pano) -> np.ndarray:
+    """The width of each of ``panos``, NaN (no wrap) where none is given."""
+    widths = width_by_pano or {}
+    return np.array([widths.get(p) for p in panos], float)
+
+
 def _ious(rows: EvalBoxSet, cols: EvalBoxSet, i, j, row_pano, panos,
           width_by_pano):
     """IoU of each pair (rows[i], cols[j]), at the width of the row's
     panorama, ``panos[row_pano[i]]``."""
-    widths = width_by_pano or {}
-    width = np.array([widths.get(p) for p in panos], float)[row_pano[i]]
+    width = _pano_widths(panos, width_by_pano)[row_pano[i]]
     return _pair_ious(rows.xywh[i], cols.xywh[j], width)
+
+
+def _overlapping(rows: EvalBoxSet, cols: EvalBoxSet, row_pano, col_pano,
+                 width):
+    """Every pair (rows[i], cols[j]) of one panorama whose horizontal
+    overlap, as :func:`_pair_ious` measures it, is positive: index arrays
+    (i, j) sorted by i, then j. ``width`` holds each panorama's width by
+    code, NaN for no wrap. Raises as the kernel would on the pairs of
+    every panorama both sides share.
+
+    Each box becomes the kernel's linear pieces: its two
+    :func:`_piece_arrays` pieces at its panorama's width, or its plain
+    span where there is none. The kernel's overlap is positive exactly
+    when two of the pair's pieces overlap. So the pieces of both sides
+    are sorted together by (panorama, start), and one
+    ``np.searchsorted`` per piece finds the pieces after it that start
+    before it ends: each overlapping pair of pieces once.
+    """
+    n = len(width)
+    shared = (np.bincount(row_pano, minlength=n) > 0) \
+        & (np.bincount(col_pano, minlength=n) > 0)
+    for boxes, pano in ((rows, row_pano), (cols, col_pano)):
+        if (shared[pano] & ((boxes.w <= 0) | (boxes.h <= 0))).any():
+            raise ValueError("boxes must have positive area")
+    if (width[shared] <= 0).any():
+        raise ValueError("panorama width must be positive")
+    # the boxes of both sides as one set, rows first
+    pano = np.concatenate((row_pano, col_pano))
+    x = np.concatenate((rows.x, cols.x))
+    x_hi = x + np.concatenate((rows.w, cols.w))
+    w, use = width[pano], shared[pano]
+    flat = np.isnan(w)
+    # the kernel's wrap of 1.0 where there is no width, and where no pair
+    # is measured, whose width may be anything
+    (lo1, hi1, has1), (_, hi2, has2) = _piece_arrays(
+        x, x_hi, np.where(flat | ~use, 1.0, w))
+    lo = np.concatenate((np.where(flat, x, lo1), np.zeros(len(x))))
+    hi = np.concatenate((np.where(flat, x_hi, hi1), hi2))
+    box = np.tile(np.arange(len(x)), 2)
+    keep = np.flatnonzero(np.concatenate((flat | has1, ~flat & has2))
+                          & (hi > lo))
+    key = _complex(pano[box[keep]], lo[keep])
+    order = np.argsort(key)  # by panorama, then start
+    key, hi, box = key[order], hi[keep][order], box[keep][order]
+    # each piece meets the pieces after it that start before it ends
+    count = np.searchsorted(key, _complex(key.real, hi)) - np.arange(
+        1, len(key) + 1)
+    first = np.repeat(np.arange(len(key)), count)
+    a = box[first]
+    b = box[np.arange(len(first)) - np.repeat(np.cumsum(count) - count,
+                                              count) + first + 1]
+    is_row = a < len(rows)
+    cross = np.flatnonzero(is_row != (b < len(rows)))
+    i = np.where(is_row, a, b)[cross]
+    j = np.where(is_row, b, a)[cross] - len(rows)
+    return np.divmod(np.unique(i * len(cols) + j), max(len(cols), 1))
+
+
+def _complex(real, imag) -> np.ndarray:
+    """Complex numbers from their parts, which sort by ``real``, then
+    ``imag``; made without arithmetic, in which an infinite ``imag``
+    would give a NaN."""
+    return np.stack((real.astype(float), imag), axis=-1).view(complex)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +361,22 @@ def coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
     the same category. Both conditions must hold. Either side is an
     :class:`EvalBoxSet`, another column set or rows.
 
-    One array pass computes the IoU of every same-panorama pair. The
-    pairs with IoU > 0 are then assigned greedily, in descending IoU
-    with ties to the lower annotation index, then the lower ground-truth
-    index. The indices are input positions, which keep input order
-    within a panorama, and no pair crosses panoramas, so one sort over
-    all panoramas gives each panorama's own assignment.
+    One array pass computes the IoU of every same-panorama pair whose
+    horizontal spans overlap (:func:`_overlapping`), which are the pairs
+    that can score above 0. The pairs with IoU > 0 are then assigned
+    greedily, in descending IoU with ties to the lower annotation index,
+    then the lower ground-truth index. The indices are input positions,
+    which keep input order within a panorama, and no pair crosses
+    panoramas, so one sort over all panoramas gives each panorama's own
+    assignment.
     """
     coarse, gt = EvalBoxSet.of(coarse), EvalBoxSet.of(gt)
     report = AccuracyReport(total=len(coarse), correct=0, iou_thr=iou_thr)
     report.per_category = {c: [0, n] for c, n in
                            Counter(coarse.category).items()}
     a_pano, g_pano, panos = _codes(coarse, gt, "pano_id")
-    i, j = _pairs(a_pano, g_pano, len(panos))
+    i, j = _overlapping(coarse, gt, a_pano, g_pano,
+                        _pano_widths(panos, width_by_pano))
     v = _ious(coarse, gt, i, j, a_pano, panos, width_by_pano)
     hit = v > 0.0
     order = np.lexsort((j[hit], i[hit], -v[hit]))

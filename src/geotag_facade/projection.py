@@ -124,6 +124,28 @@ def pixel_span(angle_lo, angle_hi, north_px, width,
 _HYPOT_BAND = 1e-12
 # (camera, footprint) cells of one candidate mask, which bounds its memory
 _MASK_CELLS = 1 << 14
+# A group of at most this many (camera, footprint) pairs takes one mask,
+# which costs it less than the cells' fixed cost of about 0.1 ms: on
+# 2 vCPU the cells took 126 us against the mask's 101 us at 1,350 pairs
+# and 124 against 61 at 2,000, but 156 against 203 at 4,050.
+_MASK_GROUP_CELLS = 1 << 11
+# The candidate lookup's grid, in degrees of latitude and of longitude: a
+# box is filed under the cell of its south-west corner.
+_CELL_DEG = 2.5e-4
+_CELL_COLS = int(360.0 / _CELL_DEG) + 2  # a row's columns, and a spare
+# A box taller or wider than this, or reaching past +-90 or +-180 degrees,
+# is filed under no cell, and every camera tests it by the mask: the bound
+# keeps the cells a camera looks up few.
+_CELL_BOX_DEG = 4 * _CELL_DEG
+# A camera whose longitude reach, with the widest filed box, comes to
+# this, or whose reach runs past +-180 degrees, tests every box by the
+# mask: near a pole the reach has no bound, and across +-180 the wrap
+# breaks the columns' order. Below it the camera's antipodal meridian,
+# where a box's wrapped longitudes break, lies far outside its reach.
+_CELL_REACH_DEG = 1.0
+# A cell range reaches this much past its bounds in degrees: many times
+# the rounding of those bounds and of the exact test (about 1e-13).
+_CELL_SLACK_DEG = 1e-9
 # a back face's side test, relative to |x * by| + |bx * y|: far above
 # that cross product's rounding, so a wall seen edge-on stays a front face
 _FACE_MARGIN = 1e-9
@@ -239,8 +261,12 @@ class FootprintIndex:
     closing one dropped) in one lat and one lon array, with each ring's
     first vertex and vertex count. Adds each ring's lat/lon bounding box
     and each footprint's building rank under lexicographic id order
-    (footprints sharing an id share a rank). Never modified after
-    construction.
+    (footprints sharing an id share a rank). Files each box that fits a
+    cell of ``_CELL_DEG`` degrees under the cell of its south-west
+    corner: ``cell_key`` is the boxes' cell keys (row, then column),
+    sorted, and ``cell_fp`` their footprints, which
+    :meth:`candidate_pairs` searches; ``unfiled`` lists the rest. Never
+    modified after construction.
     """
 
     def __init__(self, footprints: FootprintSet):
@@ -259,6 +285,22 @@ class FootprintIndex:
         rank_of = {b: r for r, b in enumerate(sorted(set(ids)))}
         self.rank = np.fromiter(map(rank_of.__getitem__, ids), np.int64,
                                 len(ids))
+        # each box that fits, filed under the cell of its south-west corner
+        height, width = self.lat_hi - self.lat_lo, self.lon_hi - self.lon_lo
+        filed = ((height <= _CELL_BOX_DEG) & (width <= _CELL_BOX_DEG)
+                 & (self.lat_lo >= -90.0) & (self.lat_hi <= 90.0)
+                 & (self.lon_lo >= -180.0) & (self.lon_hi <= 180.0))
+        self.unfiled = np.flatnonzero(~filed)
+        fp = np.flatnonzero(filed)
+        col = _cell(self.lon_lo[fp] + 180.0)
+        key = _cell(self.lat_lo[fp] + 90.0) * _CELL_COLS + col
+        order = np.argsort(key, kind="stable")
+        self.cell_key, self.cell_fp = key[order], fp[order]
+        # the tallest and the widest filed box, and the columns filed in
+        self.box_h = float(height[fp].max(initial=0.0))
+        self.box_w = float(width[fp].max(initial=0.0))
+        self.cols = (int(col.min(initial=_CELL_COLS)),
+                     int(col.max(initial=-1)))
 
     def __len__(self) -> int:
         return len(self.footprints)
@@ -277,21 +319,32 @@ class FootprintIndex:
         degree breaks: a box whose two edges fall on different sides of
         a break, such as a ring straddling the antimeridian seen from
         near it, is kept unless its north-south gap alone puts it out
-        of reach. That gap is tested first, over at most
-        ``_MASK_CELLS`` (camera, footprint) cells at a time; the rest of
-        the test runs on the pairs it passes.
+        of reach. That gap is tested first, on the pairs the cells name
+        (:meth:`_cell_pairs`); the rest of the test runs on the pairs it
+        passes. A group of at most ``_MASK_GROUP_CELLS`` (camera,
+        footprint) pairs, where the cells' fixed cost is the larger,
+        tests every pair's gap by one mask (:meth:`_mask_pairs`) instead.
+        Either way every pair the test can keep is tested, so the result
+        is the same; ``reference_candidate_pairs`` in
+        ``tests/oracle_utils.py``, the mask over every pair, is the form
+        the tests hold it to.
         """
         lat, lon, cos_lat = _camera_arrays(metas)
         reach = radius_m + CLIP_SLACK_M
-        pairs = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-        step = max(1, _MASK_CELLS // max(len(self), 1))
-        for c0 in range(0, len(metas), step):
-            c = lat[c0:c0 + step, None]
-            gy = np.maximum((self.lat_lo - c) * METERS_PER_DEGREE,
-                            (c - self.lat_hi) * METERS_PER_DEGREE)
-            cam, fp = np.nonzero(gy <= reach)
-            pairs.append((cam + c0, fp, gy[cam, fp]))
-        cam, fp, gy = (np.concatenate(a) for a in zip(*pairs))
+        if len(metas) * len(self) <= _MASK_GROUP_CELLS:
+            return self._kept(self._mask_pairs(
+                lat, np.arange(len(metas)), reach), lon, cos_lat, reach)
+        cam, fp = self._kept(self._cell_pairs(lat, lon, cos_lat, reach),
+                             lon, cos_lat, reach)
+        order = np.argsort(cam * len(self) + fp)
+        return cam[order], fp[order]
+
+    def _kept(self, pairs, lon, cos_lat, reach: float):
+        """(cam, fp) of the ``pairs`` chunks (:meth:`_mask_pairs`) that
+        pass the rest of the test, in their order."""
+        cam, fp, gy = (np.concatenate(a) for a in zip(
+            (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+            *pairs))
         dlo = self.lon_lo[fp] - lon[cam]
         dhi = self.lon_hi[fp] - lon[cam]
         broken = (((dlo < -180.0) != (dhi < -180.0))
@@ -301,6 +354,84 @@ class FootprintIndex:
         gap = np.hypot(np.maximum(gx, 0.0), np.maximum(gy, 0.0))
         keep = np.flatnonzero(broken | (gap <= reach))
         return cam[keep], fp[keep]
+
+    def _cell_pairs(self, lat, lon, cos_lat, reach: float) -> list:
+        """[(cam, fp, gy)] chunks, as :meth:`_mask_pairs` gives them, of
+        the cameras at ``lat`` and ``lon`` and the boxes within ``reach``
+        of them north to south, in no particular order.
+
+        A camera within the cells' bounds (``_CELL_REACH_DEG``) looks its
+        filed boxes up with one ``np.searchsorted`` range per cell row,
+        over the columns its reach, the widest box and a slack span, and
+        one more over the few columns about its antipodal meridian, where
+        a box's wrapped longitudes break; a box filed under no cell is
+        tested by the mask. Any other camera tests every box by the mask.
+        """
+        # a box whose corner lies west of a reach spans up to this into it
+        pad = self.box_w + _CELL_SLACK_DEG
+        reach_lat = reach / METERS_PER_DEGREE
+        reach_lon = min(reach_lat, _CELL_REACH_DEG) / cos_lat
+        # in degrees east of -180 and north of -90, as the cells count them
+        west = lon + 180.0 - reach_lon - pad
+        east = lon + 180.0 + reach_lon + _CELL_SLACK_DEG
+        filed = ((np.abs(lat) <= 90.0) & (west > 0.0) & (east < 360.0)
+                 & (reach_lon < _CELL_REACH_DEG - pad))
+        cams = np.flatnonzero(filed)
+        anti = lon % 360.0  # the antipodal meridian
+        south = lat + 90.0 - (reach_lat + self.box_h + _CELL_SLACK_DEG)
+        north = lat + 90.0 + (reach_lat + _CELL_SLACK_DEG)
+        edge = _cell(np.stack((west, anti - pad, east, anti + _CELL_SLACK_DEG,
+                               south, north))[:, cams])
+        # each (side, camera) range of columns: the reach, then the antipode
+        lo = np.maximum(edge[:2].ravel(), self.cols[0])
+        hi = np.minimum(edge[2:4].ravel(), self.cols[1])
+        side = np.flatnonzero(lo <= hi)
+        c = side % len(cams)
+        rows = (edge[5] - edge[4] + 1)[c]
+        row = np.repeat(edge[4][c] - (np.cumsum(rows) - rows), rows)
+        row += np.arange(len(row))
+        key = row * _CELL_COLS
+        start, end = np.searchsorted(self.cell_key, np.concatenate((
+            key + np.repeat(lo[side], rows),
+            key + np.repeat(hi[side] + 1, rows)))).reshape(2, -1)
+        count = end - start
+        at = np.repeat(start - (np.cumsum(count) - count), count)
+        at += np.arange(len(at))
+        cam = np.repeat(np.repeat(cams[c], rows), count)
+        fp = self.cell_fp[at]
+        gy = np.maximum((self.lat_lo[fp] - lat[cam]) * METERS_PER_DEGREE,
+                        (lat[cam] - self.lat_hi[fp]) * METERS_PER_DEGREE)
+        near = np.flatnonzero(gy <= reach)
+        return [(cam[near], fp[near], gy[near]),
+                *self._mask_pairs(lat, cams, reach, self.unfiled),
+                *self._mask_pairs(lat, np.flatnonzero(~filed), reach)]
+
+    def _mask_pairs(self, lat, cams, reach: float, fps=None) -> list:
+        """[(cam, fp, gy)] chunks of the (camera, footprint) pairs of
+        ``cams`` x ``fps`` (every footprint if None), in that order, whose
+        north-south gap ``gy`` is within ``reach``: one mask per chunk of
+        at most ``_MASK_CELLS`` cells."""
+        if not len(cams):
+            return []
+        if fps is None:
+            fps = np.arange(len(self))
+        lat_lo, lat_hi = self.lat_lo[fps], self.lat_hi[fps]
+        step = max(1, _MASK_CELLS // max(len(fps), 1))
+        pairs = []
+        for c0 in range(0, len(cams) if len(fps) else 0, step):
+            c = lat[cams[c0:c0 + step], None]
+            gy = np.maximum((lat_lo - c) * METERS_PER_DEGREE,
+                            (c - lat_hi) * METERS_PER_DEGREE).ravel()
+            at = np.flatnonzero(gy <= reach)
+            cam, fp = np.divmod(at, len(fps))
+            pairs.append((cams[c0 + cam], fps[fp], gy[at]))
+        return pairs
+
+
+def _cell(deg) -> np.ndarray:
+    """The cell row of each of ``deg`` degrees north of -90, or its
+    column if east of -180; monotone in ``deg``."""
+    return np.floor(deg / _CELL_DEG).astype(np.int64)
 
 
 def _wrap_lons(dlon: np.ndarray) -> np.ndarray:

@@ -7,20 +7,25 @@ decomposition for circular overlap. They stay simple and slow.
 The rest are former package code kept as references for the code that
 replaced it: ``linear_clip_scene``, the scalar clip of one camera that
 projects every footprint one vertex at a time, with its per-ring helpers
-(``_point_in_ring``, ``_ring_min_distance``); the scalar ray-wall
-distance and the per-sample sweep view (``RayHit``, ``RaySample``); the
-arrays a scene's segment list gave the sweep (``reference_arrays``); the
-dense sweep that tests every ray against every segment
-(``reference_nearest_hits``); the loop form of the run split
-(``reference_runs``); the one-camera trace built from these
+(``_point_in_ring``, ``_ring_min_distance``); the candidate mask over
+every (camera, footprint) pair (``reference_candidate_pairs``), which
+the cell lookup of ``FootprintIndex.candidate_pairs`` replaced; the
+scalar ray-wall distance and the per-sample sweep view (``RayHit``,
+``RaySample``); the arrays a scene's segment list gave the sweep
+(``reference_arrays``); the dense sweep that tests every ray against
+every segment (``reference_nearest_hits``); the loop form of the run
+split (``reference_runs``); the one-camera trace built from these
 (``reference_trace_panorama``); the scalar 2-D IoU of one box pair
 (``reference_iou_2d``) and the per-panorama accuracy built on it
-(``reference_coarse_accuracy``); the AP path that reran the greedy
-matching for every AP value (``reference_average_precision``,
-``reference_coco_summary``), which scores pairs with the scalar IoU;
-and the scalar 1-D IoU chain (``iou_1d``, ``wrapped_intersection``,
-``_interval_pieces``, ``_interval_length``, ``_overlap_1d``), which
-``iou_1d_arrays`` replaced and ``reference_iou_2d`` builds on.
+(``reference_coarse_accuracy``); the accuracy that scored every
+same-panorama pair in one kernel call (``all_pairs_coarse_accuracy``),
+which the sweep over overlapping spans replaced; the AP path that
+reran the greedy matching for every AP value
+(``reference_average_precision``, ``reference_coco_summary``), which
+scores pairs with the scalar IoU; and the scalar 1-D IoU chain
+(``iou_1d``, ``wrapped_intersection``, ``_interval_pieces``,
+``_interval_length``, ``_overlap_1d``), which ``iou_1d_arrays``
+replaced and ``reference_iou_2d`` builds on.
 
 Last come former exports that only tests used: the heading helpers
 ``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
@@ -54,6 +59,7 @@ replaced; and the COCO reader that built one ``EvalBox`` per annotation
 import json
 import math
 import random
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,10 +82,13 @@ from geotag_facade.matcher import (BatchReport, CoarseAnnotation,
                                    fit_threshold, trace_run)
 from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
                                    MEDIUM_AREA, SMALL_AREA, AccuracyReport,
-                                   APReport, EvalBox, _as_xywh)
-from geotag_facade.projection import (MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
+                                   APReport, EvalBox, EvalBoxSet, _as_xywh,
+                                   _codes, _ious, _pairs)
+from geotag_facade.projection import (_MASK_CELLS, CLIP_SLACK_M,
+                                      MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       FootprintIndex, LocalScene, WallSegment,
-                                      _wrap_lon, clip_scene, footprint_names)
+                                      _camera_arrays, _wrap_lon, _wrap_lons,
+                                      clip_scene, footprint_names)
 from geotag_facade.raytrace import (PARALLEL_EPS, TIE_EPS_M, RaySweep,
                                     VisibilityInterval, intervals_from_sweep,
                                     intervals_to_pixel, run_table,
@@ -223,6 +232,46 @@ def linear_clip_scene(footprints, meta, radius_m):
     return LocalScene(pano_id=meta.pano_id, origin=origin, radius_m=radius_m,
                       segments=segments, buildings=tuple(buildings),
                       containing_building=containing)
+
+
+def reference_candidate_pairs(index: FootprintIndex, metas, radius_m: float):
+    """(camera, footprint) index arrays of the footprints that may
+    come within ``radius_m`` of each camera or hold it, camera by
+    camera, footprints in their original order.
+
+    The camera's projection is monotone in lat and in lon, so a
+    ring's vertices land inside the projection of its box, and its
+    edges with them. A box farther than ``radius_m`` (plus a rounding
+    slack) therefore holds a ring beyond the radius that cannot
+    contain the camera. Longitude differences wrap as in
+    :func:`_wrap_lon`, which is monotone only between its +-180
+    degree breaks: a box whose two edges fall on different sides of
+    a break, such as a ring straddling the antimeridian seen from
+    near it, is kept unless its north-south gap alone puts it out
+    of reach. That gap is tested first, over at most
+    ``_MASK_CELLS`` (camera, footprint) cells at a time; the rest of
+    the test runs on the pairs it passes.
+    """
+    lat, lon, cos_lat = _camera_arrays(metas)
+    reach = radius_m + CLIP_SLACK_M
+    pairs = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    step = max(1, _MASK_CELLS // max(len(index), 1))
+    for c0 in range(0, len(metas), step):
+        c = lat[c0:c0 + step, None]
+        gy = np.maximum((index.lat_lo - c) * METERS_PER_DEGREE,
+                        (c - index.lat_hi) * METERS_PER_DEGREE)
+        cam, fp = np.nonzero(gy <= reach)
+        pairs.append((cam + c0, fp, gy[cam, fp]))
+    cam, fp, gy = (np.concatenate(a) for a in zip(*pairs))
+    dlo = index.lon_lo[fp] - lon[cam]
+    dhi = index.lon_hi[fp] - lon[cam]
+    broken = (((dlo < -180.0) != (dhi < -180.0))
+              | ((dlo > 180.0) != (dhi > 180.0)))
+    gx = np.maximum(_wrap_lons(dlo) * cos_lat[cam] * METERS_PER_DEGREE,
+                    -_wrap_lons(dhi) * cos_lat[cam] * METERS_PER_DEGREE)
+    gap = np.hypot(np.maximum(gx, 0.0), np.maximum(gy, 0.0))
+    keep = np.flatnonzero(broken | (gap <= reach))
+    return cam[keep], fp[keep]
 
 
 def heading_direction(theta_deg: float) -> tuple:
@@ -548,6 +597,43 @@ def reference_coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
     return report
 
 
+def all_pairs_coarse_accuracy(coarse, gt, iou_thr: float = 0.8,
+                              width_by_pano: dict | None = None
+                              ) -> AccuracyReport:
+    """``coarse_accuracy`` as it scored every same-panorama pair, before
+    it handed the kernel only the pairs whose spans overlap.
+
+    One array pass computes the IoU of every same-panorama pair. The
+    pairs with IoU > 0 are then assigned greedily, in descending IoU
+    with ties to the lower annotation index, then the lower ground-truth
+    index. The indices are input positions, which keep input order
+    within a panorama, and no pair crosses panoramas, so one sort over
+    all panoramas gives each panorama's own assignment.
+    """
+    coarse, gt = EvalBoxSet.of(coarse), EvalBoxSet.of(gt)
+    report = AccuracyReport(total=len(coarse), correct=0, iou_thr=iou_thr)
+    report.per_category = {c: [0, n] for c, n in
+                           Counter(coarse.category).items()}
+    a_pano, g_pano, panos = _codes(coarse, gt, "pano_id")
+    i, j = _pairs(a_pano, g_pano, len(panos))
+    v = _ious(coarse, gt, i, j, a_pano, panos, width_by_pano)
+    hit = v > 0.0
+    order = np.lexsort((j[hit], i[hit], -v[hit]))
+    i, j, v = i[hit][order], j[hit][order], v[hit][order]
+    used_a, used_g, kept = set(), set(), []
+    for k, a, g in zip(range(len(i)), i.tolist(), j.tolist()):
+        if a not in used_a and g not in used_g:
+            used_a.add(a)
+            used_g.add(g)
+            kept.append(k)
+    i, j, v = i[kept], j[kept], v[kept]
+    a_cat, g_cat, _ = _codes(coarse, gt, "category")
+    for a in i[(v >= iou_thr) & (a_cat[i] == g_cat[j])].tolist():
+        report.correct += 1
+        report.per_category[coarse.category[a]][0] += 1
+    return report
+
+
 def _reference_match_predictions(preds, gts, iou_thr, width_by_pano):
     """COCO-style greedy matching for one category.
 
@@ -789,8 +875,9 @@ def reference_match_box(box: DetectionBox, intervals, iou_min: float,
 def reference_annotations(metas, footprints, dets, config: RunConfig):
     """``generate_coarse_annotations`` box by box: each panorama traced on
     its own (:func:`trace_panorama`) and each retained box matched by
-    :func:`reference_match_box` over its interval rows. Returns
-    (annotations, run report)."""
+    :func:`reference_match_box` over its interval rows; each batch's
+    threshold fitted to the scores the previous batch retained, sorted.
+    Returns (annotations, run report)."""
     index = FootprintIndex(footprints)
     meta_ids = {m.pano_id for m in metas}
     report = RunReport(config=config.to_dict())
@@ -804,7 +891,7 @@ def reference_annotations(metas, footprints, dets, config: RunConfig):
     for k, i in enumerate(range(0, len(order), size)):
         batch = order[i:i + size]
         br = BatchReport(batch_index=k,
-                         threshold=fit_threshold(scores, config),
+                         threshold=fit_threshold(sorted(scores), config),
                          n_panoramas=len(batch))
         scores = []
         for meta in batch:

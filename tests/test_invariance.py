@@ -15,9 +15,9 @@ run on the original:
   threshold comes from the batch before, and the batches are a seeded
   shuffle of the panoramas in line order;
 * the order of the detection records, within and across panoramas,
-  leaves the annotation set equal in both modes. An adaptive threshold
-  may still move in its last bit, as the scores a batch kept are summed
-  in another order; on this scene that moves no box.
+  leaves the annotation set equal in both modes, and every adaptive
+  threshold equal to the last bit: the fit takes the scores a batch
+  kept in value order, so its sums round alike.
 """
 import json
 import random
@@ -139,3 +139,13 @@ def test_detection_order_leaves_the_set(scene, tmp_path, config):
             shuffled(scene, tmp_path, "detections.json", seed), config)
         assert annotation_set(got) == annotation_set(want)
         assert report.totals == want_report.totals
+
+
+def test_detection_order_leaves_the_adaptive_thresholds(scene, tmp_path):
+    # the fit sees the kept scores in value order, so its sums round alike
+    want = annotate(scene, MODES[0])[1].threshold_history
+    assert len({t for _, t in want}) > 2
+    for seed in range(1, 9):
+        report = annotate(shuffled(scene, tmp_path, "detections.json", seed),
+                          MODES[0])[1]
+        assert report.threshold_history == want

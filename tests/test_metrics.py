@@ -11,7 +11,8 @@ from geotag_facade.metrics import (COCO_IOU_GRID, EvalBox, EvalBoxSet,
                                    average_precision, coarse_accuracy,
                                    coco_summary, iou_2d)
 
-from oracle_utils import (_reference_ap_from_flags, brute_iou_1d,
+from oracle_utils import (_reference_ap_from_flags,
+                          all_pairs_coarse_accuracy, brute_iou_1d,
                           brute_iou_2d, iou_1d,
                           reference_average_precision,
                           reference_coarse_accuracy, reference_coco_summary,
@@ -323,6 +324,77 @@ class TestCoarseAccuracyMatchesReference:
         # no ground truth shares its panorama: no pair, no error
         assert_accuracy_as_reference([bad, box("b", 0, 1)], [box("b", 0, 1)])
         assert_accuracy_as_reference([box("b", 0, 1)], [bad, box("b", 0, 1)])
+
+
+def overlap_cases():
+    """Seeded box sets over four panoramas, as (coarse, gt, widths): x on
+    and off the seam, boxes across it and as wide as the panorama or
+    wider, at a panorama width of 2048, 100, or none (no wrap)."""
+    rng = random.Random(53)
+    for _ in range(60):
+        def boxes(n):
+            return [EvalBox(
+                pano_id=rng.choice("abcd"),
+                x=rng.choice([rng.uniform(-3000.0, 5000.0),
+                              rng.uniform(1900.0, 2100.0),
+                              float(rng.randrange(0, 2048, 16)),
+                              rng.choice([0.0, 2048.0, -48.0, 99.0])]),
+                y=float(rng.randrange(0, 64, 8)),
+                w=rng.choice([rng.uniform(1.0, 300.0), 16.0, 48.0, 100.0,
+                              2048.0, rng.uniform(2000.0, 5000.0)]),
+                h=float(rng.choice([8, 32, 64])),
+                category=rng.randint(1, 3)) for _ in range(n)]
+        coarse, gt = boxes(rng.randint(0, 40)), boxes(rng.randint(0, 40))
+        coarse += rng.sample(gt, min(len(gt), 5))
+        widths = {p: w for p, w in zip("abcd", rng.sample(
+            [2048.0, 2048.0, 100.0, None], 4)) if w is not None}
+        yield coarse, gt, rng.choice([widths, None])
+
+
+class TestAccuracyScoresOverlapsOnly:
+    """coarse_accuracy scores only the pairs whose spans overlap, and
+    reports what scoring every same-panorama pair reports."""
+
+    def test_reports_equal_the_all_pairs_form(self):
+        for coarse, gt, widths in overlap_cases():
+            for a, b in ((coarse, gt), (gt, coarse)):
+                for thr in (0.3, 0.8):
+                    assert canonical_json(
+                        coarse_accuracy(a, b, thr, widths).to_dict()
+                    ) == canonical_json(
+                        all_pairs_coarse_accuracy(a, b, thr,
+                                                  widths).to_dict())
+
+    def test_pairs_are_those_of_positive_horizontal_overlap(self):
+        # with every box one pixel tall at y 0, a pair's IoU is positive
+        # exactly when its horizontal overlap is
+        seen = Counter()
+        for coarse, gt, widths in overlap_cases():
+            a, b = (EvalBoxSet.of([replace(box, y=0.0, h=1.0)
+                                   for box in boxes])
+                    for boxes in (coarse, gt))
+            a_pano, b_pano, panos = metrics._codes(a, b, "pano_id")
+            i, j = metrics._pairs(a_pano, b_pano, len(panos))
+            hit = metrics._ious(a, b, i, j, a_pano, panos, widths) > 0.0
+            got = metrics._overlapping(a, b, a_pano, b_pano,
+                                       metrics._pano_widths(panos, widths))
+            assert [x.tolist() for x in got] == [i[hit].tolist(),
+                                                 j[hit].tolist()]
+            seen["pairs"] += len(i)
+            seen["overlaps"] += int(hit.sum())
+        assert 0 < seen["overlaps"] < seen["pairs"] / 2, seen
+
+    def test_errors_only_on_shared_panoramas(self):
+        bad_w = box("a", 0, 1, w=0.0)
+        good = box("a", 500, 1)
+        with pytest.raises(ValueError, match="positive area"):
+            coarse_accuracy([bad_w], [good])  # no overlap, still paired
+        with pytest.raises(ValueError, match="width must be positive"):
+            coarse_accuracy([good], [box("a", 1500, 1)], 0.8, {"a": 0.0})
+        # a panorama only one side has is never measured
+        rep = coarse_accuracy([box("b", 0, 1), bad_w], [box("b", 0, 1)],
+                              0.8, {"a": 0.0, "b": W})
+        assert rep.correct == 1 and rep.total == 2
 
 
 class TestAveragePrecision:

@@ -7,12 +7,13 @@ import pytest
 from geotag_facade import (DegenerateSceneError, FootprintIndex,
                            OutOfRangeError, PanoramaMeta, angle_to_pixel,
                            clip_scene, geodetic_to_local, local_to_geodetic)
+from geotag_facade import projection
 from geotag_facade.ingest import BuildingFootprint, FootprintSet
 from geotag_facade.projection import METERS_PER_DEGREE, clip_group
 from geotag_facade.synth import SceneConfig, generate_scene
 
 from oracle_utils import (haversine_m, linear_clip_scene, normalize_angle,
-                          pixel_to_angle)
+                          pixel_to_angle, reference_candidate_pairs)
 
 
 def meta(north_px=512.0, width=2048, height=1024, lat=0.0, lon=0.0,
@@ -209,13 +210,33 @@ def ring_fp(geo_ring, building_id, category=1):
                              raw_label="x", category=category)
 
 
+def assert_pairs_match(index, cams, radius_m):
+    """candidate_pairs equals reference_candidate_pairs, array for array
+    and dtype for dtype: as the group takes it, through the cells
+    whatever its size, and through the cells with the masks of unfiled
+    boxes and out-of-bounds cameras cut into chunks of 7 cells."""
+    want = reference_candidate_pairs(index, cams, radius_m)
+    for group_cells, mask_cells in ((projection._MASK_GROUP_CELLS,
+                                     projection._MASK_CELLS),
+                                    (-1, projection._MASK_CELLS), (-1, 7)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projection, "_MASK_GROUP_CELLS", group_cells)
+            mp.setattr(projection, "_MASK_CELLS", mask_cells)
+            got = index.candidate_pairs(cams, radius_m)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    return want
+
+
 class TestFootprintIndex:
-    """clip_scene through the index equals the linear scan it replaced."""
+    """clip_scene through the index equals the linear scan it replaced,
+    and the candidate lookup equals the mask over every pair."""
 
     @staticmethod
     def assert_same(fps, cam, radius_m, index=None):
         if index is None:
             index = FootprintIndex(FootprintSet.of(fps))
+        assert_pairs_match(index, [cam], radius_m)
         got = clip_scene(index, cam, radius_m)
         want = linear_clip_scene(fps, cam, radius_m)
         assert got.segments == want.segments
@@ -245,11 +266,15 @@ class TestFootprintIndex:
                 fps.append(ring_fp([geo_far(origin, p) for p in ring],
                                    f"b{i:02d}", i % 5 + 1))
             index = FootprintIndex(FootprintSet.of(fps))
+            cams = []
             for _ in range(5):
                 lat, lon = local_to_geodetic(
                     origin, (rng.uniform(-150, 150), rng.uniform(-150, 150)))
+                cams.append(meta(lat=lat, lon=lon))
                 for r in (5.0, 50.0, rng.uniform(1, 300)):
-                    self.assert_same(fps, meta(lat=lat, lon=lon), r, index)
+                    self.assert_same(fps, cams[-1], r, index)
+            for r in (5.0, 50.0, 300.0):
+                assert_pairs_match(index, cams, r)
 
     def test_near_pole_wide_longitude_rings(self):
         # near a pole a few meters span many degrees of longitude, so
@@ -347,6 +372,164 @@ class TestFootprintIndex:
         cam = meta(lat=lat, lon=cam_lon)
         scene = self.assert_same([east, west, across], cam, 80.0)
         assert {b for b, _ in scene.buildings} == {"east", "west", "across"}
+
+
+class TestCandidateLookup:
+    """The cell lookup names the pairs that the mask over every pair
+    names, on scenes built to reach the lookup's bounds."""
+
+    def test_random_global_scenes(self):
+        # rings anywhere, across the antimeridian, at one camera group's
+        # antipodal meridian, too big to file in a cell, and near a pole
+        # spanning wide longitudes; cameras by each, radii 1 m to 5 km
+        rng = random.Random(37)
+        seen = {"broken": 0, "unfiled": 0, "pole": 0}
+        for _ in range(25):
+            centres = [(rng.uniform(-70, 70), rng.uniform(-180, 180))
+                       for _ in range(3)]
+            centres.append((rng.uniform(-70, 70),
+                            rng.choice((-1.0, 1.0)) * 179.9995))
+            lat0, lon0 = centres[0]
+            centres.append((lat0, lon0 - math.copysign(180.0, lon0)))
+            fps, cams = [], []
+            for origin in centres:
+                for _ in range(rng.randint(1, 8)):
+                    d, a = rng.uniform(0, 300), rng.uniform(0, 2 * math.pi)
+                    size = rng.choice((rng.uniform(2, 40),
+                                       rng.uniform(100, 3000)))
+                    ring = polygon(rng, d * math.cos(a), d * math.sin(a),
+                                   size)
+                    fps.append(ring_fp([geo_far(origin, p) for p in ring],
+                                       f"b{len(fps):03d}"))
+                cams += [meta(lat=lat, lon=lon) for lat, lon in (
+                    geo_far(origin, (rng.uniform(-200, 200),
+                                     rng.uniform(-200, 200)))
+                    for _ in range(3))]
+            for i in range(5):
+                lon = rng.uniform(-180, 180)
+                span = rng.choice((0.5, 20.0, 170.0, 300.0))
+                fps.append(ring_fp(
+                    [(rng.uniform(89.99, 89.9995),
+                      (lon + rng.uniform(0, span) + 180) % 360 - 180)
+                     for _ in range(4)], f"p{i}"))
+            cams.append(meta(lat=rng.uniform(89.992, 89.999),
+                             lon=rng.uniform(-180, 180)))
+            index = FootprintIndex(FootprintSet.of(fps))
+            for r in (1.0, 50.0, 2000.0, 5000.0, rng.uniform(1, 5000)):
+                cam, fp = assert_pairs_match(index, cams, r)
+                assert_pairs_match(index, rng.sample(cams, 4), r)
+                lon_c = np.array([m.lon for m in cams])[cam]
+                dlo, dhi = index.lon_lo[fp] - lon_c, index.lon_hi[fp] - lon_c
+                seen["broken"] += int((((dlo < -180) != (dhi < -180))
+                                       | ((dlo > 180) != (dhi > 180))).sum())
+                seen["unfiled"] += int(np.isin(fp, index.unfiled).sum())
+                seen["pole"] += int((cam == len(cams) - 1).sum())
+        # every case the lookup hands to the exact test or to the mask
+        # came up
+        assert min(seen.values()) > 0, seen
+
+    def test_empty_index_and_empty_group(self):
+        cams = [meta(lat=40.0, lon=-74.0), meta(lat=89.9999, lon=0.0),
+                meta(lat=0.0, lon=180.0)]
+        empty = FootprintIndex(FootprintSet.of([]))
+        origin = (40.0, -74.0)
+        one = FootprintIndex(FootprintSet.of(
+            [footprint_at(origin, [(0, 10), (5, 10), (5, 15)])]))
+        for r in (1.0, 50.0):
+            assert len(assert_pairs_match(empty, cams, r)[0]) == 0
+            assert len(assert_pairs_match(one, [], r)[0]) == 0
+        assert assert_pairs_match(one, cams, 50.0)[0].tolist() == [0]
+
+    def test_many_footprints_in_one_cell(self):
+        rng = random.Random(41)
+        origin = (40.00001, -74.00001)
+        fps = [footprint_at(origin, [(x, y), (x + w, y), (x, y + w)],
+                            f"b{i:03d}")
+               for i, (x, y, w) in enumerate(
+                   (rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(1, 9))
+                   for _ in range(400))]
+        index = FootprintIndex(FootprintSet.of(fps))
+        assert np.unique(index.cell_key, return_counts=True)[1].max() >= 300
+        cams = [meta(lat=lat, lon=lon) for lat, lon in (
+            local_to_geodetic(origin, (rng.uniform(-80, 80),
+                                       rng.uniform(-80, 80)))
+            for _ in range(12))]
+        for r in (1.0, 10.0, 50.0, 200.0):
+            assert_pairs_match(index, cams, r)
+
+    def test_box_corners_and_reaches_on_cell_edges(self):
+        # boxes, cameras and reaches on the cells' grid lines near 40 N,
+        # 74 W, with radii of whole and half cells
+        cell = projection._CELL_DEG
+        rng = random.Random(43)
+
+        def corner(i, j):
+            return (-90.0 + (520_000 + i) * cell,
+                    -180.0 + (424_000 + j) * cell)
+
+        fps = []
+        for k in range(150):
+            i, j = rng.randrange(-8, 8), rng.randrange(-8, 8)
+            h, w = rng.choice((0.5, 1, 2)), rng.choice((0.5, 1, 2))
+            (a, b), (c, d) = corner(i, j), corner(i + h, j + w)
+            fps.append(ring_fp([(a, b), (a, d), (c, d), (c, b)], f"b{k:03d}"))
+        index = FootprintIndex(FootprintSet.of(fps))
+        cams = [meta(lat=lat, lon=lon) for lat, lon in
+                (corner(rng.randrange(-10, 10) / rng.choice((1, 2)),
+                        rng.randrange(-10, 10) / rng.choice((1, 2)))
+                 for _ in range(20))]
+        for m in (0.5, 1, 2, 3, 5):
+            r = m * cell * METERS_PER_DEGREE
+            for radius in (r, r - projection.CLIP_SLACK_M):
+                assert_pairs_match(index, cams, radius)
+
+    def test_reaches_round_the_globe_and_cameras_past_a_pole(self):
+        # a camera 1e-4 degrees east of the prime meridian at 89.9 N whose
+        # longitude reach comes within a box's width of 180 degrees, so
+        # that its reach would meet its antipodal meridian's boxes; and
+        # cameras a little past either pole, whose cosine is negative
+        box = [(89.9, -179.9999), (89.9, -179.9996), (89.9003, -179.9996)]
+        fps = [ring_fp([(lat, lon + k * 1e-4) for lat, lon in box], f"a{k}")
+               for k in range(5)]
+        fps += [ring_fp([(s * lat, lon) for lat, lon in
+                         [(89.9999, 1.0), (89.9999, 1.0003),
+                          (89.9998, 1.0003)]], f"p{s}") for s in (1, -1)]
+        index = FootprintIndex(FootprintSet.of(fps))
+        cam = meta(lat=89.9, lon=1e-4)
+        cos_lat = math.cos(math.radians(cam.lat))
+        for reach_lon in np.linspace(179.999, 180.0001, 41).tolist():
+            r = (reach_lon * cos_lat * METERS_PER_DEGREE
+                 - projection.CLIP_SLACK_M)
+            assert_pairs_match(index, [cam], r)
+        cams = [meta(lat=s * (90.0 + d), lon=1.0) for s in (1, -1)
+                for d in (1e-5, 1e-4, 1e-3)]
+        for r in (5.0, 50.0, 500.0):
+            assert_pairs_match(index, cams, r)
+
+    def test_tiled_city_grid(self):
+        # synthetic streets tiled 4 x 3, 400 m apart east-west and 100 m
+        # north-south, looked up in groups of 1, 7 and all cameras
+        origin = (35.0, 139.0)
+        fps, cams = [], []
+        for k in range(12):
+            street = generate_scene(800 + k, SceneConfig(
+                n_buildings=30, n_cameras=5, with_ground_truth=False))
+            dx, dy = 400.0 * (k % 4) - 600.0, 100.0 * (k // 4)
+
+            def move(p):
+                x, y = geodetic_to_local(street.origin, p)
+                return local_to_geodetic(origin, (x + dx, y + dy))
+
+            fps += [ring_fp([move(p) for p in fp.ring[:-1]],
+                            f"k{k}_{fp.building_id}", fp.category)
+                    for fp in street.footprints]
+            cams += [meta(lat=lat, lon=lon) for lat, lon in
+                     (move((m.lat, m.lon)) for m in street.metas)]
+        index = FootprintIndex(FootprintSet.of(fps))
+        for r in (1.0, 50.0, 200.0, 2000.0):
+            for size in (1, 7, len(cams)):
+                for i in range(0, len(cams), size):
+                    assert_pairs_match(index, cams[i:i + size], r)
 
 
 class TestOneSceneForm:
