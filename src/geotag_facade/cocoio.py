@@ -23,8 +23,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import LoadError
 from .ingest import (CategoryMapping, DetectionSet, _FieldError, _bbox,
-                     _integers, _key, _number_or_none, _numbers, _ok,
-                     _read_json)
+                     _gc_paused, _integers, _key, _number_or_none, _numbers,
+                     _ok, _read_json)
 from .matcher import AnnotationSet
 from .metrics import EvalBoxSet
 from .projection import footprint_names
@@ -130,6 +130,7 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
                           encoding="utf-8")
 
 
+@_gc_paused()
 def read_coco(path):
     """Read a COCO file into eval box columns plus per-panorama sizes.
 
@@ -270,6 +271,7 @@ def _interval(d):
         d["min_distance"], d.get("px_lo"), d.get("px_hi"))
 
 
+@_gc_paused()
 def read_trace(path):
     """Read one ``intervals_<pano>.json`` written by :func:`write_trace`;
     returns (pano_id, intervals, radius_m, config), the intervals as

@@ -1,6 +1,7 @@
 """Run configuration shared by the pipeline driver and the CLI."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigError
@@ -35,8 +36,12 @@ class RunConfig:
     clip_hi: float = 0.9
 
     def __post_init__(self):
-        if not self.radius_m > 0:
-            raise ConfigError(f"radius_m must be positive, got {self.radius_m}")
+        # every artifact echoes the config, and its readers refuse
+        # NaN and Infinity
+        if not (self.radius_m > 0 and math.isfinite(self.radius_m)):
+            raise ConfigError(
+                f"radius_m must be a positive finite number, got "
+                f"{self.radius_m}")
         if not self.step_deg > 0:
             raise ConfigError(f"step_deg must be positive, got {self.step_deg}")
         if not rays_per_turn(self.step_deg):
@@ -48,6 +53,10 @@ class RunConfig:
         if self.threshold_mode not in ("adaptive", "fixed"):
             raise ConfigError(
                 f"unknown threshold_mode {self.threshold_mode!r}")
+        if not math.isfinite(self.fixed_threshold):
+            # scores lie in [0, 1], so -1 and 1.5 keep or drop every box
+            raise ConfigError(f"fixed_threshold must be a finite number, "
+                              f"got {self.fixed_threshold}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 <= self.clip_lo <= self.clip_hi <= 1.0):

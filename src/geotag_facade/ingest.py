@@ -13,7 +13,9 @@ Four file formats enter the pipeline:
 Loaders are pure: same bytes in, same domain objects out, in the same
 order. Invalid records are rejected per record and listed in a
 :class:`LoadReport`; structural problems (malformed JSON, duplicate join
-keys) raise instead. Every JSON value becomes a typed field through the
+keys) raise instead. Every reader runs with the cyclic collector paused
+(:func:`_gc_paused`): a parsed JSON tree holds no cycle, so walking it
+would free nothing. Every JSON value becomes a typed field through the
 field readers below, which ``cocoio`` and ``render`` share. Footprint
 rings arrive as arrays: every ring is read into one flat vertex array
 and checked there, all rings at once, and a :class:`FootprintSet` holds
@@ -23,10 +25,12 @@ record unless one is asked for.
 """
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
@@ -470,6 +474,24 @@ def _simple(lat, lon):
 # Loaders
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector for the block, and on any exit restore
+    the state found: a caller that had it off keeps it off. The pause is
+    process-wide while it lasts. Each reader runs its whole body under
+    it, as a decorator (``@_gc_paused()``), since its checks walk the
+    parsed tree too. The collector's allocation count runs on through
+    the pause, so a collection that comes due in a read runs at its
+    exit, over the young objects still alive then."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_json(path):
     raw = Path(path).read_bytes()
     try:
@@ -478,6 +500,7 @@ def _read_json(path):
         raise ParseError(path, e.msg, offset=e.pos) from e
 
 
+@_gc_paused()
 def load_category_mapping(path) -> CategoryMapping:
     """Load a per-city label-to-category config and check id contiguity."""
     doc = _read_json(path)
@@ -529,6 +552,7 @@ def _outer_rings(geometry):
             for poly in (coords if multi else [coords]) if poly]
 
 
+@_gc_paused()
 def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
     """Load building footprints from a GeoJSON FeatureCollection.
 
@@ -609,6 +633,7 @@ _META_FIELDS = ("pano_id", "lat", "lon", "north_px", "width", "height")
 MAX_PANORAMA_SIZE = 2 ** 53
 
 
+@_gc_paused()
 def load_panorama_meta(path) -> PanoramaSet:
     """Load panorama metadata from JSON lines, one record per panorama.
 
@@ -685,6 +710,7 @@ def load_panorama_meta(path) -> PanoramaSet:
     return PanoramaSet(metas=metas, report=report)
 
 
+@_gc_paused()
 def load_detections(path) -> DetectionSet:
     """Load detector boxes from a COCO-results-style JSON array.
 

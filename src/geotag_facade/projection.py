@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import ne
 from typing import NamedTuple
 
 import numpy as np
@@ -281,10 +282,15 @@ class FootprintIndex:
             self.lon_hi = np.maximum.reduceat(self.lon, self.ring_start)
         else:
             self.lat_lo = self.lat_hi = self.lon_lo = self.lon_hi = self.lat
+        # one sort of the ids as str: each id in it ranks one above the
+        # one before if it differs. Not through a numpy <U array, which
+        # drops trailing NULs and so would merge "a" and "a\x00"
         ids = footprints.building_ids
-        rank_of = {b: r for r, b in enumerate(sorted(set(ids)))}
-        self.rank = np.fromiter(map(rank_of.__getitem__, ids), np.int64,
-                                len(ids))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ordered = [*map(ids.__getitem__, order)]
+        self.rank = np.zeros(len(ids), np.int64)
+        self.rank[order[1:]] = np.cumsum(np.fromiter(
+            map(ne, ordered[1:], ordered), np.int64, max(len(ids) - 1, 0)))
         # each box that fits, filed under the cell of its south-west corner
         height, width = self.lat_hi - self.lat_lo, self.lon_hi - self.lon_lo
         filed = ((height <= _CELL_BOX_DEG) & (width <= _CELL_BOX_DEG)

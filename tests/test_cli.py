@@ -160,7 +160,11 @@ def test_trace_missing_input_fatal(tmp_path):
     ("annotate", ["--batch-size", 0], "batch_size"),
     ("trace", ["--step-deg", 7], "does not divide 360"),
     ("annotate", ["--iou-x", 1.5], "iou_x_min"),
-], ids=["radius", "batch-size", "step-deg", "iou-x"])
+    ("trace", ["--radius", "inf"], "radius_m"),
+    ("annotate", ["--threshold-mode", "fixed", "--fixed-threshold", "nan"],
+     "fixed_threshold"),
+], ids=["radius", "batch-size", "step-deg", "iou-x", "radius-inf",
+        "fixed-threshold-nan"])
 def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys, command,
                                         flags, needle):
     out = tmp_path / "o"
@@ -184,6 +188,20 @@ def test_iou_x_min_range():
     for bad in (-0.1, 1.0, 1.5, float("nan")):
         with pytest.raises(ConfigError, match="iou_x_min"):
             RunConfig(iou_x_min=bad)
+
+
+def test_non_finite_radius_and_fixed_threshold():
+    """Every artifact echoes the config, and its readers refuse NaN and
+    Infinity; a finite threshold outside [0, 1] keeps or drops every box."""
+    from geotag_facade import ConfigError, RunConfig
+    for ok in (-1.0, 0.0, 1.5):
+        assert RunConfig(fixed_threshold=ok).fixed_threshold == ok
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="fixed_threshold"):
+            RunConfig(fixed_threshold=bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="radius_m"):
+            RunConfig(radius_m=bad)
 
 
 @pytest.mark.parametrize("iou_thr", [0, -0.5, 1.5, "nan"])

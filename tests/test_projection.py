@@ -252,6 +252,23 @@ class TestFootprintIndex:
         assert len(FootprintIndex(FootprintSet.of(fps))) == 7
         assert len(FootprintIndex(FootprintSet.of(iter(fps)))) == 7
 
+    def test_rank_is_the_place_in_sorted_distinct_ids(self):
+        """The one-sort rank equals a dict over ``sorted(set(ids))`` on
+        ids that repeat, are non-ASCII, differ only by a trailing NUL
+        (which a numpy ``<U`` array would drop) or prefix one another."""
+        pool = ["a", "a\x00", "a\x00\x00", "ab", "abc", "a#1", "a#2", "b",
+                "é", "é\x00", "日", "日本", "", "\x00", "9", "10"]
+        rng = random.Random(5)
+        ring = [(0, 10), (5, 10), (5, 15)]
+        for n in (0, 1, 2, 3, 16, 40, 300):
+            ids = pool[:n] if n <= len(pool) else rng.choices(pool, k=n)
+            rng.shuffle(ids)
+            rank_of = {b: r for r, b in enumerate(sorted(set(ids)))}
+            index = FootprintIndex(FootprintSet.of(
+                footprint_at((40.0, -74.0), ring, bid) for bid in ids))
+            assert index.rank.dtype == np.int64
+            assert index.rank.tolist() == [rank_of[b] for b in ids]
+
     def test_seeded_random_scenes(self):
         rng = random.Random(13)
         for _ in range(60):
