@@ -1,17 +1,21 @@
 """The package's files: deterministic writers and readers.
 
 All writers emit canonical JSON (sorted keys, fixed separators, trailing
-newline) so identical runs produce identical bytes; :func:`write_coco`
-lays its annotations out from templates, to the same bytes. Every
-artifact carries the run configuration and sha256 hashes of the inputs
-it came from, a COCO file in its ``info`` block. Only this module knows
-the trace file layout: :func:`write_trace` writes it from a run's
-interval columns, and :func:`read_trace` reads it back as rows.
+newline) so identical runs produce identical bytes. :func:`write_coco`
+and :func:`write_trace` lay their records out from templates, to the
+same bytes: every scalar of a file's (or a run's) records is encoded in
+one call of json's C encoder (:func:`_encoded`), where ``json`` would
+walk each record in its pure-Python indenting encoder. Every artifact
+carries the run configuration and sha256 hashes of the inputs it came
+from, a COCO file in its ``info`` block. Only this module knows the
+trace file layout: :func:`write_trace` writes it from a run's interval
+columns, and :func:`read_trace` reads it back as rows.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from contextlib import suppress
 from functools import lru_cache
 from itertools import chain, repeat
@@ -27,7 +31,6 @@ from .ingest import (CategoryMapping, DetectionSet, _FieldError, _bbox,
                      _ok, _read_json)
 from .matcher import AnnotationSet
 from .metrics import EvalBoxSet
-from .projection import footprint_names
 from .raytrace import IntervalTable, VisibilityInterval
 
 
@@ -46,6 +49,14 @@ def canonical_json(obj) -> str:
 def json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=_plain)
+
+
+def _encoded(values: list) -> list:
+    """The JSON text of each scalar of ``values``, all encoded in one call
+    of json's C encoder, whose output separates them by newlines (an
+    encoded scalar holds none)."""
+    text = json.dumps(values, separators=("\n", ":"), default=_plain)
+    return text[1:-1].split("\n") if values else []
 
 
 def write_json(path, obj) -> None:
@@ -115,15 +126,15 @@ def write_coco(path, metas, annotations, mapping: CategoryMapping,
     image_id = {img["pano_id"]: img["id"] for img in images}
     body = "[]"
     if len(anns):  # values in _ANNOTATION_KEYS order, iscrowd aside
-        values = json.dumps([*chain.from_iterable(zip(
+        values = _encoded([*chain.from_iterable(zip(
             map(mul, anns.w, anns.h), anns.x, anns.y, anns.w, anns.h,
             anns.building_id, anns.category, range(1, len(anns) + 1),
             map(image_id.__getitem__, anns.pano_id), anns.iou_x,
-            anns.score))], separators=("\n", ":"), default=_plain)
+            anns.score))])
         present = zip(*(map(is_not, getattr(anns, key), repeat(None))
                         for key in _OPTIONAL))
         body = "[\n" + ",\n".join(map(_template, present)) % tuple(
-            values[1:-1].split("\n")) + "\n ]"
+            values) + "\n ]"
     rest = canonical_json({"info": info or {}, "images": images,
                            "categories": coco_categories(mapping)})
     Path(path).write_text('{\n "annotations": ' + body + ",\n" + rest[2:],
@@ -235,26 +246,70 @@ def write_detections(path, dets: DetectionSet, category_count: int,
     write_json(path, records)
 
 
+# an interval record as a trace file's list lays it out, its keys in
+# canonical (sorted) order, with ``%s`` for each value
+_INTERVAL_KEYS = ("angle_hi", "angle_lo", "building_id", "category",
+                  "min_distance", "px_hi", "px_lo")
+_INTERVAL = "  {\n" + ",\n".join(
+    f'   "{key}": %s' for key in _INTERVAL_KEYS) + "\n  }"
+# what no file name holds
+_NOT_IN_NAME = {"\0", os.sep, os.altsep} - {None}
+
+
+def _intervals(count: int) -> str:
+    """A trace file's list of ``count`` interval records."""
+    return "[\n" + ",\n".join([_INTERVAL] * count) + "\n ]" if count \
+        else "[]"
+
+
+def _trace_name(pano_id) -> str:
+    """``intervals_<pano_id>.json``, or a ``LoadError`` naming the
+    panorama when no file can have that name: it holds a NUL or a path
+    separator, or has no bytes in the file system's encoding (a lone
+    surrogate)."""
+    name = f"intervals_{pano_id}.json"
+    with suppress(UnicodeError):
+        os.fsencode(name)
+        if _NOT_IN_NAME.isdisjoint(name):
+            return name
+    raise LoadError(f"panorama {pano_id!r}: its trace file "
+                    f"intervals_<pano_id>.json cannot be named after it")
+
+
 def write_trace(out, metas, table: IntervalTable, footprints, config: dict,
                 input_hashes: dict) -> None:
     """Write ``intervals_<pano>.json`` into directory ``out`` for each
     camera of ``table`` (camera ``c`` is ``metas[c]``) that no footprint
     holds, straight from the table's columns; ``footprints``, the run's
-    set, names each row's owner. No interval row is built."""
-    records = [{"building_id": bid, "category": cat, "angle_lo": a,
-                "angle_hi": b, "px_lo": p, "px_hi": q, "min_distance": d}
-               for (bid, cat), a, b, p, q, d in zip(
-                   footprint_names(footprints, table.owner),
-                   table.angle_lo.tolist(), table.angle_hi.tolist(),
-                   table.px_lo.tolist(), table.px_hi.tolist(),
-                   table.min_distance.tolist())]
-    bounds = table.offsets.tolist()
-    for c, (meta, blocker) in enumerate(zip(metas, table.containing)):
-        if blocker is None:
-            write_json(Path(out) / f"intervals_{meta.pano_id}.json", {
-                "pano_id": meta.pano_id, "config": config,
-                "input_hashes": input_hashes,
-                "intervals": records[bounds[c]:bounds[c + 1]]})
+    set, names each row's owner. No interval row is built.
+
+    Every file name is checked before any file is written: a pano_id
+    that cannot name a file (:func:`_trace_name`) raises ``LoadError``.
+    Each file is the run's ``config`` and ``input_hashes``, encoded
+    once, then the camera's records laid out from one template, then its
+    ``pano_id``; every interval value of the run is encoded in one
+    :func:`_encoded` call.
+    """
+    traced = [(c, meta, _trace_name(meta.pano_id))
+              for c, (meta, blocker) in enumerate(zip(metas, table.containing))
+              if blocker is None]
+    owner = table.owner.tolist()
+    values = _encoded([*chain.from_iterable(zip(  # in _INTERVAL_KEYS order
+        table.angle_hi.tolist(), table.angle_lo.tolist(),
+        map(footprints.building_ids.__getitem__, owner),
+        map(footprints.categories.__getitem__, owner),
+        table.min_distance.tolist(), table.px_hi.tolist(),
+        table.px_lo.tolist()))])
+    # "intervals" and "pano_id" sort after these keys: cut the closing "}"
+    head = canonical_json({"config": config, "input_hashes": input_hashes}
+                          )[:-3] + ',\n "intervals": '
+    bounds, k = table.offsets.tolist(), len(_INTERVAL_KEYS)
+    for c, meta, name in traced:
+        lo, hi = bounds[c], bounds[c + 1]
+        body = _intervals(hi - lo) % tuple(values[k * lo:k * hi])
+        with open(os.path.join(out, name), "w", encoding="utf-8") as f:
+            f.write(f'{head}{body},\n "pano_id": '
+                    f'{json.dumps(meta.pano_id)}\n}}\n')
 
 
 def _interval(d):

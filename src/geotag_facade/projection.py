@@ -520,8 +520,10 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
     (intersects or lies inside the disc). Rings with any vertex beyond
     the flat-plane range are too far to matter and are skipped (and
     counted). A camera strictly inside a ring keeps the rest of its
-    scene but is marked as held by it. The projection and each threshold
-    decision are those of the one-ring scalar form, value for value.
+    scene but is marked as held by it, and all its walls are back faces,
+    so the sweep gives it no rays and no intervals. The projection and
+    each threshold decision are those of the one-ring scalar form, value
+    for value.
     A wall is a back face (``front`` False) when its ring is strictly
     convex and the camera lies clearly on the ring's inner side of its
     line: a ray meets one of the ring's front faces no farther away, so
@@ -580,6 +582,7 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
         if containing[c] is None:
             containing[c] = index.footprints.building_ids[f]
     back = cull[pair] & ((p - q) * sense > _FACE_MARGIN * (abs(p) + abs(q)))
+    back |= np.isin(cam, cam[holds])[pair]  # a held camera is not swept
     edge = np.flatnonzero(kept[pair] & wall)
     walls = wall_arrays(cam[pair[edge]], x[edge], y[edge], bx[edge],
                         by[edge], index.rank[fp[pair[edge]]], ~back[edge])

@@ -120,7 +120,7 @@ class IntervalTable:
     :func:`projection.footprint_names` gives the names); the other
     columns are the :class:`VisibilityInterval` fields. ``containing``
     gives, per camera, the id of the footprint strictly holding it, or
-    None; the rows of a held camera are never read.
+    None; a held camera is not swept and has no rows.
     """
 
     containing: list

@@ -472,6 +472,29 @@ def test_bad_footprints_file_is_a_one_line_error(scene_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def _last_pano_id(pano_id):
+    def breakage(text):
+        *lines, last = text.splitlines()
+        return "\n".join([*lines, json.dumps(
+            dict(json.loads(last), pano_id=pano_id))]) + "\n"
+    return breakage
+
+
+@pytest.mark.parametrize("pano_id", ["nul\x00byte", "sub/dir",
+                                     "lone\ud800surrogate"],
+                         ids=["nul", "slash", "lone-surrogate"])
+def test_pano_id_that_cannot_name_a_file_writes_no_file(scene_dir, tmp_path,
+                                                        capsys, pano_id):
+    # the last camera's file would be written after the others'
+    rc, out = _trace_copy(scene_dir, tmp_path, "metas.jsonl",
+                          _last_pano_id(pano_id))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: panorama ") and repr(pano_id) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def _string_feature(doc):
     doc["features"][0] = "feature"
 
