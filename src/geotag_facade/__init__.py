@@ -18,8 +18,8 @@ from .matcher import (AnnotationSet, CoarseAnnotation, filter_detections,
 from .metrics import (AccuracyReport, EvalBox, EvalBoxSet, average_precision,
                       coarse_accuracy, coco_summary, iou_2d)
 from .projection import (EARTH_RADIUS_KM, METERS_PER_DEGREE, FootprintIndex,
-                         LocalScene, LocalXY, WallSegment, angle_to_pixel,
-                         clip_scene, geodetic_to_local, local_to_geodetic)
+                         LocalScene, LocalXY, WallSegment, clip_scene,
+                         geodetic_to_local, local_to_geodetic)
 from .raytrace import (RaySweep, VisibilityInterval, intervals_from_sweep,
                        intervals_to_pixel, trace_sweep)
 from .synth import (GroundTruthBox, NoiseConfig, SceneConfig, SyntheticScene,

@@ -262,15 +262,24 @@ def _intervals(count: int) -> str:
         else "[]"
 
 
-def _trace_name(pano_id) -> str:
+def _name_max(out) -> int:
+    """The longest file name, in bytes, directory ``out`` takes; 255 when
+    the system cannot tell."""
+    with suppress(OSError, ValueError):
+        if (limit := os.pathconf(out, "PC_NAME_MAX")) > 0:
+            return limit
+    return 255
+
+
+def _trace_name(pano_id, name_max: int) -> str:
     """``intervals_<pano_id>.json``, or a ``LoadError`` naming the
     panorama when no file can have that name: it holds a NUL or a path
-    separator, or has no bytes in the file system's encoding (a lone
-    surrogate)."""
+    separator, has no bytes in the file system's encoding (a lone
+    surrogate), or more than ``name_max`` of them."""
     name = f"intervals_{pano_id}.json"
     with suppress(UnicodeError):
-        os.fsencode(name)
-        if _NOT_IN_NAME.isdisjoint(name):
+        if (len(os.fsencode(name)) <= name_max
+                and _NOT_IN_NAME.isdisjoint(name)):
             return name
     raise LoadError(f"panorama {pano_id!r}: its trace file "
                     f"intervals_<pano_id>.json cannot be named after it")
@@ -290,7 +299,8 @@ def write_trace(out, metas, table: IntervalTable, footprints, config: dict,
     ``pano_id``; every interval value of the run is encoded in one
     :func:`_encoded` call.
     """
-    traced = [(c, meta, _trace_name(meta.pano_id))
+    name_max = _name_max(out)
+    traced = [(c, meta, _trace_name(meta.pano_id, name_max))
               for c, (meta, blocker) in enumerate(zip(metas, table.containing))
               if blocker is None]
     owner = table.owner.tolist()

@@ -428,13 +428,21 @@ def _check_rings(values, count):
             kept)
 
 
+def ranges(first, count):
+    """(owner, index) of runs laid end to end, the package's one
+    expansion of them: run ``k`` is the ``count[k]`` consecutive indices
+    from ``first[k]``, and ``owner`` gives the run of each index."""
+    index = np.repeat(first - (np.cumsum(count) - count), count)
+    index += np.arange(len(index))
+    return np.repeat(np.arange(len(count)), count), index
+
+
 def _edge_pairs(m, i0, i1):
     """Vertex indices (i, i + 1, j, j + 1, mod m) of the edge pairs of an
     m-vertex ring that share no vertex, with i in [i0, i1) and j > i."""
     i = np.arange(i0, i1)
-    n = np.maximum(m - (i == 0) - i - 2, 0)
-    i = np.repeat(i, n)
-    j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n) + i + 2
+    k, j = ranges(i + 2, np.maximum(m - (i == 0) - i - 2, 0))
+    i = i[k]
     return i, (i + 1) % m, j, (j + 1) % m
 
 
@@ -498,6 +506,9 @@ def _read_json(path):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise ParseError(path, e.msg, offset=e.pos) from e
+    except UnicodeDecodeError as e:
+        raise ParseError(path, f"not {e.encoding} text: {e.reason}",
+                         offset=e.start) from e
 
 
 @_gc_paused()
@@ -658,6 +669,10 @@ def load_panorama_meta(path) -> PanoramaSet:
             except json.JSONDecodeError as e:
                 raise ParseError(path, f"line {lineno}: {e.msg}",
                                  offset=line_offset + e.pos) from e
+            except UnicodeDecodeError as e:
+                raise ParseError(path, f"line {lineno}: not {e.encoding} "
+                                 f"text: {e.reason}",
+                                 offset=line_offset + e.start) from e
             if not isinstance(rec, dict):
                 report.reject(f"line {lineno}", "not an object")
                 continue

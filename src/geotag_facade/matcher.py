@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import RunConfig, rays_per_turn
-from .ingest import DetectionBox, DetectionSet, FootprintSet
+from .ingest import DetectionBox, DetectionSet, FootprintSet, ranges
 from .metrics import iou_1d_arrays
 from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
                          pixel_span)
@@ -210,10 +210,7 @@ def match_intervals(x, w, width, first, count, px_lo, px_hi, rank,
     Returns (box, row, iou) arrays of the winners, in box order; a box
     without one is absent.
     """
-    ends = np.cumsum(count)
-    box = np.repeat(np.arange(len(x)), count)
-    row = (np.repeat(first - (ends - count), count)
-           + np.arange(ends[-1] if len(ends) else 0))
+    box, row = ranges(first, count)
     pano_w = width[box]
     mid = np.mod(x + w / 2.0, width)[box]
     lo = np.mod(px_lo[row], pano_w)
@@ -366,9 +363,7 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     # each box of the run, camera by camera: its row of dets and camera
     first, n = np.array([span.get(m.pano_id, (0, 0)) for m in order],
                         np.int64).reshape(-1, 2).T
-    start = np.cumsum(n) - n
-    cam = np.repeat(np.arange(len(order)), n)
-    rows = np.repeat(first - start, n) + np.arange(len(cam))
+    cam, rows = ranges(first, n)
     held = np.array([b is not None for b in table.containing], bool)
     limit = np.array([m.height for m in order], float) + 1e-9
     # a box's vertical extent must stay in the image
@@ -376,7 +371,8 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     score = dets.score[rows]
     kept = valid.copy()
     size = config.batch_size
-    bounds = [*start[::size].tolist(), len(cam)]  # each batch's first box
+    # each batch's first box
+    bounds = [*(np.cumsum(n) - n)[::size].tolist(), len(cam)]
     thresholds, scores = [], score[:0]  # those the previous batch kept
     for lo, hi in zip(bounds, bounds[1:]):
         thresholds.append(fit_threshold(scores, config))

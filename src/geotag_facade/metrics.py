@@ -16,9 +16,10 @@ rules of the scalar code they replaced. Accuracy walks its pairs in
 Python; the AP matching walks only the ranked predictions that want a
 ground truth another one also wants, and the rest take their best
 candidate in one array pass. Every (category, IoU threshold, area
-bucket) AP curve is then scored in one batched array pass. ``iou_2d``
-is the kernel's one-pair case, so the 2-D formula exists once.
-``iou_1d_arrays``, the matcher's 1-D IoU, is the only one, and it
+bucket) AP curve is then scored in one batched array pass; runs laid
+end to end (a key's columns, a curve's ranks) expand by ``ingest.ranges``.
+``iou_2d`` is the kernel's one-pair case, so the 2-D formula exists
+once. ``iou_1d_arrays``, the matcher's 1-D IoU, is the only one, and it
 shares the wrapped overlap with the 2-D kernel. The scalar forms of
 the kernels, the matching and the AP are test references in
 ``tests/oracle_utils.py``.
@@ -31,6 +32,8 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
+
+from .ingest import ranges
 
 AP_RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 COCO_IOU_GRID = [round(0.50 + 0.05 * i, 2) for i in range(10)]
@@ -231,11 +234,8 @@ def _pairs(row_key: np.ndarray, col_key: np.ndarray, n_keys: int):
     counts = np.bincount(col_key, minlength=n_keys)
     by_key = np.argsort(col_key, kind="stable")
     starts = np.cumsum(counts) - counts  # each key's first slot in by_key
-    per_row = counts[row_key]
-    i = np.repeat(np.arange(len(row_key)), per_row)
-    # pair k of row r takes slot starts[key of r] + (k - first pair of r)
-    shift = starts[row_key] - (np.cumsum(per_row) - per_row)
-    return i, by_key[np.repeat(shift, per_row) + np.arange(len(i))]
+    i, slot = ranges(starts[row_key], counts[row_key])
+    return i, by_key[slot]
 
 
 def _pano_widths(panos, width_by_pano) -> np.ndarray:
@@ -295,12 +295,10 @@ def _overlapping(rows: EvalBoxSet, cols: EvalBoxSet, row_pano, col_pano,
     order = np.argsort(key)  # by panorama, then start
     key, hi, box = key[order], hi[keep][order], box[keep][order]
     # each piece meets the pieces after it that start before it ends
-    count = np.searchsorted(key, _complex(key.real, hi)) - np.arange(
-        1, len(key) + 1)
-    first = np.repeat(np.arange(len(key)), count)
-    a = box[first]
-    b = box[np.arange(len(first)) - np.repeat(np.cumsum(count) - count,
-                                              count) + first + 1]
+    after = np.arange(1, len(key) + 1)
+    piece, other = ranges(after, np.searchsorted(
+        key, _complex(key.real, hi)) - after)
+    a, b = box[piece], box[other]
     is_row = a < len(rows)
     cross = np.flatnonzero(is_row != (b < len(rows)))
     i = np.where(is_row, a, b)[cross]
@@ -469,8 +467,7 @@ def _batched_ap(flags: np.ndarray, lengths: np.ndarray,
     base = ends - lengths
     cum = np.append(0, np.cumsum(flags))  # true positives before each flag
     tp_before, n_tp = cum[base], cum[ends] - cum[base]
-    curve = np.repeat(np.arange(n_curves), lengths)
-    rank = np.arange(len(flags)) - base[curve]
+    curve, rank = ranges(np.zeros(n_curves, np.int64), lengths)
     # tp + fp is rank + 1 exactly, as integers held in floats are
     precision = (cum[1:] - tp_before[curve]).astype(float) / (rank + 1)
     # a rank's recall reaches a point once its tp reaches the least

@@ -5,15 +5,14 @@ Three frames are involved:
 * geodetic WGS84 (lat, lon) degrees
 * the camera-centered local plane: x meters east, y meters north, built
   with a small-angle spherical model (one cosine per camera, sphere
-  radius 6371.393 km)
+  radius 6371.393 km) by :func:`_local_xy` alone, for floats and arrays
 * the panorama's horizontal pixel axis, where heading is linear in the
   pixel column and ``north_px`` is the column that looks at true north
 
 Headings are degrees clockwise from true north in [0, 360). By default
 clockwise equals increasing pixel x; ``flip_heading`` reverses it. Both
-conventions live only in :func:`heading_px`, which :func:`angle_to_pixel`
-applies to one panorama, and :func:`pixel_span`, which maps a run of
-headings onto a span of increasing pixel x through it.
+conventions live only in :func:`heading_px` and :func:`pixel_span`,
+which maps a run of headings onto a span of increasing pixel x.
 
 Clipping works on a group of cameras at once (:func:`clip_group`);
 :func:`clip_scene` is its one-camera view, a :class:`LocalScene` of
@@ -29,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRangeError
-from .ingest import FootprintSet, PanoramaMeta
+from .ingest import FootprintSet, PanoramaMeta, ranges
 
 EARTH_RADIUS_KM = 6371.393
 METERS_PER_DEGREE = math.pi * EARTH_RADIUS_KM * 1000.0 / 180.0
@@ -44,18 +43,16 @@ class LocalXY(NamedTuple):
     y: float  # meters north of the camera
 
 
-def _wrap_lon(dlon: float) -> float:
-    if dlon > 180.0:
-        return dlon - 360.0
-    if dlon < -180.0:
-        return dlon + 360.0
-    return dlon
+def _wrap_lons(dlon):
+    """Longitude differences wrapped by a turn into [-180, 180]."""
+    return np.where(dlon > 180.0, dlon - 360.0,
+                    np.where(dlon < -180.0, dlon + 360.0, dlon))
 
 
 def _local_xy(lat, lon, lat0, lon0, cos_lat0):
-    """(x, y) meters of (lat, lon) on the plane centered at (lat0, lon0);
-    ``cos_lat0`` is ``cos(radians(lat0))``, computed once per origin."""
-    return (_wrap_lon(lon - lon0) * cos_lat0 * METERS_PER_DEGREE,
+    """(x, y) meters of (lat, lon), floats or arrays, on the plane centered
+    at (lat0, lon0); ``cos_lat0`` is ``cos(radians(lat0))``."""
+    return (_wrap_lons(lon - lon0) * cos_lat0 * METERS_PER_DEGREE,
             (lat - lat0) * METERS_PER_DEGREE)
 
 
@@ -66,8 +63,8 @@ def geodetic_to_local(origin, point) -> LocalXY:
     :class:`OutOfRangeError` when the result exceeds 10 km, where the
     small-angle model is no longer trustworthy.
     """
-    x, y = _local_xy(point[0], point[1], origin[0], origin[1],
-                     math.cos(math.radians(origin[0])))
+    x, y = map(float, _local_xy(point[0], point[1], origin[0], origin[1],
+                                math.cos(math.radians(origin[0]))))
     if math.hypot(x, y) > MAX_LOCAL_RANGE_M:
         raise OutOfRangeError(
             f"point is {math.hypot(x, y):.0f} m from origin, "
@@ -91,15 +88,9 @@ def local_to_geodetic(origin, p) -> tuple:
     return (lat, lon)
 
 
-def angle_to_pixel(theta_deg: float, meta: PanoramaMeta,
-                   flip_heading: bool = False) -> float:
-    """Pixel column looking along heading ``theta_deg``. Fractional."""
-    return heading_px(theta_deg, meta.north_px, meta.width, flip_heading)
-
-
 def heading_px(theta_deg, north_px, width, flip_heading: bool = False):
-    """:func:`angle_to_pixel` from the anchor and width; takes floats or
-    arrays alike, with the same operations in the same order."""
+    """Fractional pixel column looking along heading ``theta_deg``, floats
+    or arrays alike, with the same operations in the same order."""
     span = theta_deg / 360.0 * width
     px = north_px - span if flip_heading else north_px + span
     return px % width
@@ -321,7 +312,7 @@ class FootprintIndex:
         edges with them. A box farther than ``radius_m`` (plus a rounding
         slack) therefore holds a ring beyond the radius that cannot
         contain the camera. Longitude differences wrap as in
-        :func:`_wrap_lon`, which is monotone only between its +-180
+        :func:`_wrap_lons`, which is monotone only between its +-180
         degree breaks: a box whose two edges fall on different sides of
         a break, such as a ring straddling the antimeridian seen from
         near it, is kept unless its north-south gap alone puts it out
@@ -393,18 +384,14 @@ class FootprintIndex:
         hi = np.minimum(edge[2:4].ravel(), self.cols[1])
         side = np.flatnonzero(lo <= hi)
         c = side % len(cams)
-        rows = (edge[5] - edge[4] + 1)[c]
-        row = np.repeat(edge[4][c] - (np.cumsum(rows) - rows), rows)
-        row += np.arange(len(row))
+        # each cell row of each range, then each box filed in it
+        r, row = ranges(edge[4][c], (edge[5] - edge[4] + 1)[c])
         key = row * _CELL_COLS
         start, end = np.searchsorted(self.cell_key, np.concatenate((
-            key + np.repeat(lo[side], rows),
-            key + np.repeat(hi[side] + 1, rows)))).reshape(2, -1)
-        count = end - start
-        at = np.repeat(start - (np.cumsum(count) - count), count)
-        at += np.arange(len(at))
-        cam = np.repeat(np.repeat(cams[c], rows), count)
-        fp = self.cell_fp[at]
+            key + lo[side][r], key + hi[side][r] + 1))).reshape(2, -1)
+        k, slot = ranges(start, end - start)
+        cam = cams[c[r[k]]]
+        fp = self.cell_fp[slot]
         gy = np.maximum((self.lat_lo[fp] - lat[cam]) * METERS_PER_DEGREE,
                         (lat[cam] - self.lat_hi[fp]) * METERS_PER_DEGREE)
         near = np.flatnonzero(gy <= reach)
@@ -438,12 +425,6 @@ def _cell(deg) -> np.ndarray:
     """The cell row of each of ``deg`` degrees north of -90, or its
     column if east of -180; monotone in ``deg``."""
     return np.floor(deg / _CELL_DEG).astype(np.int64)
-
-
-def _wrap_lons(dlon: np.ndarray) -> np.ndarray:
-    """:func:`_wrap_lon` over an array."""
-    return np.where(dlon > 180.0, dlon - 360.0,
-                    np.where(dlon < -180.0, dlon + 360.0, dlon))
 
 
 def _camera_arrays(metas):
@@ -537,20 +518,17 @@ def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
         raise ValueError("radius_m must be positive")
     cam, fp = index.candidate_pairs(metas, radius_m)
     count = index.ring_len[fp]
+    pair, vertex = ranges(index.ring_start[fp], count)
     first = np.cumsum(count) - count  # each pair's first vertex
-    size = int(count.sum())
-    vertex = np.repeat(index.ring_start[fp] - first, count) + np.arange(size)
-    pair = np.repeat(np.arange(len(fp)), count)
-    lat0, lon0, cos_lat = (v[cam[pair]] for v in _camera_arrays(metas))
-    x = _wrap_lons(index.lon[vertex] - lon0) * cos_lat * METERS_PER_DEGREE
-    y = (index.lat[vertex] - lat0) * METERS_PER_DEGREE
-    nxt = np.arange(1, size + 1)
+    x, y = _local_xy(index.lat[vertex], index.lon[vertex],
+                     *(v[cam[pair]] for v in _camera_arrays(metas)))
+    nxt = np.arange(1, len(vertex) + 1)
     nxt[first + count - 1] = first
     bx, by = x[nxt], y[nxt]
     ex, ey = bx - x, by - y
     wall = _exact_hypot(ex, ey, 1e-9) > 1e-9
     p, q = x * by, bx * y  # p - q: twice the signed area of (camera, a, b)
-    if size:
+    if len(vertex):
         far = np.logical_or.reduceat(
             _exact_hypot(x, y, MAX_LOCAL_RANGE_M) > MAX_LOCAL_RANGE_M, first)
         # nearest point of each edge to the camera, then of each ring

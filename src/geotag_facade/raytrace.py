@@ -264,6 +264,7 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
         j0 = int(np.searchsorted(ends, p0, side="right"))
         j1 = int(np.searchsorted(starts, p1, side="left"))
         c = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
+        # np.repeat: an ingest.ranges gather slowed annotate 9.7 % on 2 vCPU
         ray = (np.repeat(first[j0:j1] - starts[j0:j1], c)
                + np.arange(p0, p1))
         hit, t = _pair_hits(grid, ray, np.repeat(walls[:, j0:j1], c, axis=1),

@@ -2,12 +2,14 @@
 
 These deliberately avoid the package's own arithmetic: haversine instead
 of the flat-plane model, shift-enumeration instead of piece
-decomposition for circular overlap. They stay simple and slow.
+decomposition for circular overlap, a run-by-run loop
+(``reference_ranges``) for ``ingest.ranges``. They stay simple and slow.
 
 The rest are former package code kept as references for the code that
 replaced it: ``linear_clip_scene``, the scalar clip of one camera that
-projects every footprint one vertex at a time, with its per-ring helpers
-(``_point_in_ring``, ``_ring_min_distance``); the candidate mask over
+projects every footprint one vertex at a time, with its own longitude
+wrap (``_wrap_lon``) and its per-ring helpers (``_point_in_ring``,
+``_ring_min_distance``); the candidate mask over
 every (camera, footprint) pair (``reference_candidate_pairs``), which
 the cell lookup of ``FootprintIndex.candidate_pairs`` replaced; the
 scalar ray-wall distance and the per-sample sweep view (``RayHit``,
@@ -28,7 +30,8 @@ scores pairs with the scalar IoU; and the scalar 1-D IoU chain
 replaced and ``reference_iou_2d`` builds on.
 
 Last come former exports that only tests used: the heading helpers
-``normalize_angle`` and ``pixel_to_angle``; ``trace_panorama``, the
+``normalize_angle``, ``angle_to_pixel`` (over ``heading_px``) and
+``pixel_to_angle``; ``trace_panorama``, the
 package's one-camera trace (``clip_scene``, ``trace_sweep``,
 ``intervals_from_sweep``, ``intervals_to_pixel``), which
 ``trace_run`` replaced; the rows of ``trace_run``'s table
@@ -87,8 +90,8 @@ from geotag_facade.metrics import (AP_RECALL_POINTS, COCO_IOU_GRID,
 from geotag_facade.projection import (_MASK_CELLS, CLIP_SLACK_M,
                                       MAX_LOCAL_RANGE_M, METERS_PER_DEGREE,
                                       FootprintIndex, LocalScene, WallSegment,
-                                      _camera_arrays, _wrap_lon, _wrap_lons,
-                                      clip_scene, footprint_names)
+                                      _camera_arrays, _wrap_lons, clip_scene,
+                                      footprint_names, heading_px)
 from geotag_facade.raytrace import (PARALLEL_EPS, TIE_EPS_M, RaySweep,
                                     VisibilityInterval, intervals_from_sweep,
                                     intervals_to_pixel, run_table,
@@ -155,6 +158,24 @@ def brute_iou_2d(box_a, box_b, width=None):
         hseg = brute_overlap_1d(ax, ax + aw, bx, bx + bw, width)
     inter = hseg * v
     return inter / (aw * ah + bw * bh - inter)
+
+
+def _wrap_lon(dlon: float) -> float:
+    """A longitude difference wrapped by a turn into [-180, 180]."""
+    if dlon > 180.0:
+        return dlon - 360.0
+    if dlon < -180.0:
+        return dlon + 360.0
+    return dlon
+
+
+def reference_ranges(first, count):
+    """The (owner, index) lists of ``ingest.ranges``, run by run."""
+    owner, index = [], []
+    for k, (f, n) in enumerate(zip(first, count)):
+        owner += [k] * n
+        index += range(f, f + n)
+    return owner, index
 
 
 def _point_in_ring(px: float, py: float, xs, ys) -> bool:
@@ -768,6 +789,12 @@ def reference_coco_summary(preds, gts,
 def normalize_angle(theta_deg: float) -> float:
     """Normalize a heading into [0, 360). Idempotent."""
     return theta_deg % 360.0
+
+
+def angle_to_pixel(theta_deg: float, meta: PanoramaMeta,
+                   flip_heading: bool = False) -> float:
+    """Pixel column looking along heading ``theta_deg``. Fractional."""
+    return heading_px(theta_deg, meta.north_px, meta.width, flip_heading)
 
 
 def pixel_to_angle(x: float, meta: PanoramaMeta,

@@ -388,14 +388,16 @@ def test_eval_reads_an_integer_bbox_as_its_float(scene_dir, tmp_path,
 
 def _trace_copy(scene_dir, tmp_path, name, breakage):
     """Run ``trace`` on copies of the scene's inputs, ``name`` changed by
-    ``breakage(text) -> text``, or ``annotate`` when ``name`` is the
-    detections; returns (exit code, output directory)."""
+    ``breakage(text) -> text or bytes``, or ``annotate`` when ``name`` is
+    the detections; returns (exit code, output directory)."""
     paths = {}
     for n in ("footprints.geojson", "metas.jsonl", "mapping.json",
               "detections.json"):
         text = (scene_dir / n).read_text()
         paths[n] = tmp_path / n
-        paths[n].write_text(breakage(text) if n == name else text)
+        text = breakage(text) if n == name else text
+        paths[n].write_bytes(text if isinstance(text, bytes)
+                             else text.encode())
     out = tmp_path / "o"
     argv = ["trace", "--footprints", paths["footprints.geojson"],
             "--metas", paths["metas.jsonl"],
@@ -481,8 +483,8 @@ def _last_pano_id(pano_id):
 
 
 @pytest.mark.parametrize("pano_id", ["nul\x00byte", "sub/dir",
-                                     "lone\ud800surrogate"],
-                         ids=["nul", "slash", "lone-surrogate"])
+                                     "lone\ud800surrogate", "x" * 300],
+                         ids=["nul", "slash", "lone-surrogate", "too-long"])
 def test_pano_id_that_cannot_name_a_file_writes_no_file(scene_dir, tmp_path,
                                                         capsys, pano_id):
     # the last camera's file would be written after the others'
@@ -493,6 +495,55 @@ def test_pano_id_that_cannot_name_a_file_writes_no_file(scene_dir, tmp_path,
     assert err.startswith("error: panorama ") and repr(pano_id) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+NOT_UTF8 = b"\xff\xff\xff"
+
+
+def _second_line_not_utf8(text):
+    """The text with byte 10 of its second line made a \\xff byte."""
+    first, second, rest = text.encode().split(b"\n", 2)
+    return b"\n".join((first, second[:10] + b"\xff" + second[11:], rest))
+
+
+@pytest.mark.parametrize("name, breakage", [
+    ("mapping.json", lambda text: NOT_UTF8),
+    ("footprints.geojson", lambda text: NOT_UTF8),
+    ("metas.jsonl", _second_line_not_utf8),
+    ("detections.json", lambda text: NOT_UTF8),
+], ids=["mapping", "footprints", "metas-line", "detections"])
+def test_input_that_is_not_utf8_is_a_one_line_error(scene_dir, tmp_path,
+                                                    capsys, name, breakage):
+    rc, out = _trace_copy(scene_dir, tmp_path, name, breakage)
+    err = capsys.readouterr().err
+    # a metas.jsonl line reports its start plus the byte's place in it
+    offset = 0 if name != "metas.jsonl" else (
+        (scene_dir / name).read_bytes().index(b"\n") + 1 + 10)
+    assert rc == 1
+    assert err.startswith(f"error: {tmp_path / name}: ")
+    assert err.endswith(f"not utf-8 text: invalid start byte "
+                        f"(byte offset {offset})\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "render"])
+def test_artifact_that_is_not_utf8_is_a_one_line_error(scene_dir, tmp_path,
+                                                       capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"{" + NOT_UTF8 + b"}")
+    out = tmp_path / "out"
+    scene = ["--footprints", scene_dir / "footprints.geojson",
+             "--metas", scene_dir / "metas.jsonl",
+             "--mapping", scene_dir / "mapping.json"]
+    rc = run(["eval", "--gt", bad, "--pred", scene_dir / "gt.json", "--out",
+              out] if command == "eval" else
+             ["render", *scene, "--intervals", bad, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {bad}: not utf-8 text: invalid start byte "
+                   f"(byte offset 1)\n")
+    assert not out.exists()
 
 
 def _string_feature(doc):

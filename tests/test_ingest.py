@@ -10,9 +10,10 @@ import pytest
 from geotag_facade import (CategoryMapping, DetectionSet, LoadError,
                            ParseError, load_category_mapping,
                            load_footprints, load_panorama_meta)
+from geotag_facade.ingest import ranges
 
 from oracle_utils import (load_detections_as_reference,
-                          reference_load_footprints)
+                          reference_load_footprints, reference_ranges)
 
 
 def write(tmp_path, name, obj):
@@ -518,3 +519,37 @@ def test_shipped_city_mapping(path):
     assert m.category_ids == list(range(1, CITY_CATEGORIES[path.stem] + 1))
     for c in m.category_ids:
         assert c in m.names and m.name_of(c) != f"category_{c}"
+
+
+class TestRanges:
+    """``ranges`` equals the run-by-run loop, dtype int64 throughout."""
+
+    @staticmethod
+    def assert_same(first, count):
+        first = np.array(first, np.int64)
+        count = np.array(count, np.int64)
+        owner, index = ranges(first, count)
+        want_owner, want_index = reference_ranges(first.tolist(),
+                                                  count.tolist())
+        assert owner.dtype == index.dtype == np.int64
+        assert owner.tolist() == want_owner
+        assert index.tolist() == want_index
+
+    def test_named_cases(self):
+        self.assert_same([], [])
+        self.assert_same([7], [0])
+        self.assert_same([0, 0, 0], [0, 0, 0])
+        self.assert_same([3], [1])
+        self.assert_same([5, 0, 5], [2, 0, 3])  # runs may overlap
+        self.assert_same([9, 2, 0], [1, 3, 2])  # and go back
+        self.assert_same([2 ** 31 - 1, 2 ** 32, 2 ** 62], [3, 2, 1])
+
+    def test_seeded_random_runs(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.choice((0, 1, 2, rng.randint(3, 60)))
+            top = rng.choice((50, 2 ** 31, 2 ** 40))
+            first = [rng.randrange(top) for _ in range(n)]
+            count = [rng.choice((0, 0, 1, rng.randint(2, 40)))
+                     for _ in range(n)]
+            self.assert_same(first, count)

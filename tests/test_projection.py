@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from geotag_facade import (DegenerateSceneError, FootprintIndex,
-                           OutOfRangeError, PanoramaMeta, angle_to_pixel,
-                           clip_scene, geodetic_to_local, local_to_geodetic)
+                           OutOfRangeError, PanoramaMeta, clip_scene,
+                           geodetic_to_local, local_to_geodetic)
 from geotag_facade import projection
 from geotag_facade.ingest import BuildingFootprint, FootprintSet
 from geotag_facade.projection import METERS_PER_DEGREE, clip_group
 from geotag_facade.synth import SceneConfig, generate_scene
 
-from oracle_utils import (haversine_m, linear_clip_scene, normalize_angle,
-                          pixel_to_angle, reference_candidate_pairs)
+from oracle_utils import (angle_to_pixel, haversine_m, linear_clip_scene,
+                          normalize_angle, pixel_to_angle,
+                          reference_candidate_pairs)
 
 
 def meta(north_px=512.0, width=2048, height=1024, lat=0.0, lon=0.0,
@@ -618,3 +619,72 @@ class TestOneSceneForm:
                 if s.building_id == "shared"] == [2] * 8
         assert scene.rank_to_bidx.tolist() == [2, 1, 0]
 
+
+
+class TestOneProjection:
+    """``_local_xy`` is one rule for floats and for arrays, and
+    clip_group's walls are ``_local_xy`` of their rings' vertices, bit
+    for bit."""
+
+    @staticmethod
+    def assert_walls_project_rings(index, cams, radius_m):
+        """Returns the (camera, footprint) pairs kept."""
+        group = clip_group(index, cams, radius_m)
+        want = []
+        for c, f in zip(group.kept_cam.tolist(), group.kept_fp.tolist()):
+            cam, lo = cams[c], int(index.ring_start[f])
+            lat = index.lat[lo:lo + int(index.ring_len[f])]
+            lon = index.lon[lo:lo + len(lat)]
+            cos_lat = math.cos(math.radians(cam.lat))
+            xy = [tuple(map(float, projection._local_xy(
+                a, o, cam.lat, cam.lon, cos_lat)))
+                for a, o in zip(lat.tolist(), lon.tolist())]
+            x, y = projection._local_xy(lat, lon, cam.lat, cam.lon, cos_lat)
+            assert np.array_equal(np.column_stack((x, y)).view(np.int64),
+                                  np.array(xy).view(np.int64))
+            want += [(c, *a, *b) for a, b in zip(xy, xy[1:] + xy[:1])
+                     if math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-9]
+        want = np.array(want, float).reshape(-1, 5)
+        w = group.walls
+        assert w.cam.tolist() == want[:, 0].tolist()
+        assert np.array_equal(  # the bits, so that -0.0 is not 0.0
+            np.column_stack((w.ax, w.ay, w.bx, w.by)).view(np.int64),
+            want[:, 1:].view(np.int64))
+        return list(zip(group.kept_cam.tolist(), group.kept_fp.tolist()))
+
+    def test_seeded_scenes(self):
+        kept = 0
+        for seed in (3, 41, 2003):
+            street = generate_scene(seed, SceneConfig(
+                n_buildings=30, n_cameras=6, with_ground_truth=False))
+            index = FootprintIndex(street.footprint_set)
+            for r in (20.0, 50.0, 150.0):
+                kept += len(self.assert_walls_project_rings(
+                    index, street.metas, r))
+        rng = random.Random(37)
+        for _ in range(10):
+            origin = (rng.uniform(-70, 70), rng.uniform(-180, 180))
+            fps = [ring_fp([geo_far(origin, p) for p in polygon(
+                rng, rng.uniform(-120, 120), rng.uniform(-120, 120),
+                rng.uniform(2, 30))], f"b{i:02d}") for i in range(30)]
+            cams = [meta(lat=origin[0] + rng.uniform(-5e-4, 5e-4),
+                         lon=origin[1] + rng.uniform(-5e-4, 5e-4))
+                    for _ in range(4)]
+            kept += len(self.assert_walls_project_rings(
+                FootprintIndex(FootprintSet.of(fps)), cams, 100.0))
+        assert kept > 300
+
+    def test_rings_across_the_antimeridian(self):
+        # about 55 m of longitude lie between the camera and 180 degrees
+        cam = meta(lat=10.0, lon=179.9995)
+        rng = random.Random(41)
+        fps = [ring_fp([geo_far((cam.lat, cam.lon), p) for p in polygon(
+            rng, rng.uniform(20, 90), rng.uniform(-60, 60),
+            rng.uniform(5, 20))], f"b{i:02d}") for i in range(20)]
+        index = FootprintIndex(FootprintSet.of(fps))
+        kept = self.assert_walls_project_rings(index, [cam], 100.0)
+        across = {i for i, fp in enumerate(fps)
+                  if len({lon > 0 for _, lon in fp.ring}) == 2}
+        assert len(across) >= 5
+        # every ring across 180 degrees lies within 200 m of the camera
+        assert across <= {f for _, f in kept}

@@ -476,6 +476,6 @@ class TestIntervalsToPixel:
         out = intervals_to_pixel([iv], META, flip_heading=True)[0]
         span_px = (out.px_hi - out.px_lo) % META.width
         assert span_px == pytest.approx(20 / 360 * META.width)
-        from geotag_facade import angle_to_pixel
+        from oracle_utils import angle_to_pixel
         assert out.px_lo == angle_to_pixel(30.0, META, flip_heading=True)
         assert out.px_hi == angle_to_pixel(10.0, META, flip_heading=True)
