@@ -500,12 +500,19 @@ def _gc_paused():
             gc.enable()
 
 
+def _byte_offset(raw: bytes, e: json.JSONDecodeError) -> int:
+    """The byte of ``raw`` at which ``json.loads(raw)`` failed: ``e.pos``
+    counts characters of the text ``raw`` was decoded to."""
+    return len(e.doc[:e.pos].encode(json.detect_encoding(raw),
+                                    "surrogatepass"))
+
+
 def _read_json(path):
     raw = Path(path).read_bytes()
     try:
         return json.loads(raw)
     except json.JSONDecodeError as e:
-        raise ParseError(path, e.msg, offset=e.pos) from e
+        raise ParseError(path, e.msg, offset=_byte_offset(raw, e)) from e
     except UnicodeDecodeError as e:
         raise ParseError(path, f"not {e.encoding} text: {e.reason}",
                          offset=e.start) from e
@@ -659,7 +666,8 @@ def load_panorama_meta(path) -> PanoramaSet:
         offset = 0
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            line_offset = offset
+            # the file offset of the stripped line's first byte
+            line_offset = offset + len(raw) - len(raw.lstrip())
             offset += len(raw)
             if not line:
                 continue
@@ -668,7 +676,8 @@ def load_panorama_meta(path) -> PanoramaSet:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(path, f"line {lineno}: {e.msg}",
-                                 offset=line_offset + e.pos) from e
+                                 offset=line_offset + _byte_offset(line, e)
+                                 ) from e
             except UnicodeDecodeError as e:
                 raise ParseError(path, f"line {lineno}: not {e.encoding} "
                                  f"text: {e.reason}",

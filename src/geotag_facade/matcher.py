@@ -22,10 +22,16 @@ run into one :class:`IntervalTable`: one clip, sweep and run split per
 group of cameras, as many as fit in ``GROUP_RAYS`` rays, which bounds
 the sweep's memory, then one pixel mapping for the run, whose interval
 columns are held whole. The cap weighs the fixed cost each group pays
-(about 0.7 ms) against the sweep's cache footprint: at 32,768 rays a
-0.1-degree group holds 9 cameras and a 1-degree group 91. When it was
-chosen, a cap of 8,192 rays traced a 0.1-degree street 29 % slower,
-and one of 65,536 swept slower again and took 8 % more peak memory.
+against the sweep's memory: at 32,768 rays a 0.1-degree group holds 9
+cameras and a 1-degree group 91. It was chosen on the ray-by-ray sweep,
+where a cap of 8,192 rays traced a 0.1-degree street 29 % slower, and
+one of 65,536 swept slower again and took 8 % more peak memory. The
+stretch sweep (``raytrace.sweep_pieces``) tests few rays, so a street
+group's cost is now mostly its fixed cost, about 1 ms: in process on 2
+vCPU, the benchmark's 0.1-degree street annotates in 30-32 ms at this
+cap, 23 ms at 65,536 rays and 18.5 ms at 131,072. Its 1-degree city,
+still swept ray by ray, then peaks at 51.5 and 54 MB instead of 46.5
+MB, so the cap stays.
 Then the boxes, rows of the :class:`DetectionSet`'s columns,
 are checked and score-filtered batch by batch as array masks; a
 batch's threshold depends on the scores the previous batch kept, never
@@ -52,16 +58,17 @@ from .ingest import DetectionBox, DetectionSet, FootprintSet, ranges
 from .metrics import iou_1d_arrays
 from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
                          pixel_span)
-from .raytrace import IntervalTable, nearest_walls, run_table, sweep_grid
+from .raytrace import IntervalTable, run_table, sweep_grid, sweep_pieces
 
 log = logging.getLogger(__name__)
 
 DEFAULT_FIRST_THRESHOLD = 0.3
 SIGMA_FACTOR = 0.5
 # Rays traced together: a group holds this many rays' worth of cameras,
-# and at least one. Each group pays a fixed cost of about 0.7 ms in
-# clipping, the sweep's set-up and the run split, and the sweep's arrays
-# grow with the group: see the module docstring for why this size.
+# and at least one. Each group pays a fixed cost of about 0.7 ms (1 ms by
+# stretches) in clipping, the sweep's set-up and the run split, and the
+# sweep's arrays grow with the group: see the module docstring for why
+# this size.
 GROUP_RAYS = 1 << 15
 
 
@@ -284,12 +291,13 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
     ``c`` being ``metas[c]``; the package's one per-panorama trace, which
     annotation matches and the ``trace`` command writes.
 
-    The cameras are clipped (:func:`clip_group`), swept
-    (:func:`nearest_walls`) and split into runs (:func:`run_table`) in
-    groups of ``GROUP_RAYS // rays_per_turn`` (at least one); then one
-    pass maps every run onto its panorama's pixels. No interval row is
-    built. One WARNING counts the candidate (camera, footprint) pairs
-    skipped because the ring reaches past the flat-plane range.
+    The cameras are clipped (:func:`clip_group`), swept into pieces of
+    one owner (:func:`sweep_pieces`) and split into runs
+    (:func:`run_table`) in groups of ``GROUP_RAYS // rays_per_turn`` (at
+    least one); then one pass maps every run onto its panorama's pixels.
+    No per-ray column and no interval row is built. One WARNING counts
+    the candidate (camera, footprint) pairs skipped because the ring
+    reaches past the flat-plane range.
     """
     metas = list(metas)
     size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
@@ -304,8 +312,8 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
         clip = clip_group(index, group, config.radius_m)
         containing += clip.containing
         out_of_range += clip.out_of_range
-        # unbound, the sweep's per-ray columns are freed before the next clip
-        start, end, own, low = run_table(*nearest_walls(
+        # unbound, the sweep's pieces are freed before the next clip
+        start, end, own, low = run_table(*sweep_pieces(
             clip.walls, grid, len(group), config.radius_m), n)
         runs.append((start + i * n, end + i * n, own,
                      clip.owner_fp(start // n, own), low))

@@ -12,21 +12,46 @@ direction, and ``n_hat`` the unit normal; the hit point is then checked
 to lie within the segment. Rays parallel to a wall never hit it.
 
 A back face (see ``projection.clip_group``) gets no rays, as one of its
-ring's front faces is met no farther away. Every other wall is tested
-only against the rays inside the short arc between its two endpoint
-headings, widened by one grid ray on each side; a wall that passes
-within rounding reach of the camera (an arc near 180 degrees, or a wall
-through the camera) gets every ray. On a street at 0.1 degrees that is
-about 2.5 % of the rays x walls product (5 % with the back faces). The
-(ray, wall) pairs are evaluated in blocks of at most ``_PAIR_BLOCK``,
-which bounds memory, with the same per-pair arithmetic and the same tie
-rule as a dense sweep, so the result is bit-identical to testing every
-ray against every wall.
+ring's front faces is met no farther away. Every other wall is a
+candidate only for the rays inside the short arc between its two
+endpoint headings, widened by one grid ray on each side; a wall that
+passes within rounding reach of the camera (an arc near 180 degrees, or
+a wall through the camera) is a candidate for every ray. On a street at
+0.1 degrees that is about 2.5 % of the rays x walls product (5 % with
+the back faces).
 
-Consecutive grid samples hitting the same building merge into runs,
-visibility intervals, which are finally mapped onto the panorama's pixel
-axis by :func:`projection.heading_px`, the one home of the heading
-conventions.
+:func:`nearest_walls` is the one per-ray test: it evaluates (ray, wall)
+candidate pairs in blocks of at most ``_PAIR_BLOCK``, which bounds
+memory, with the same per-pair arithmetic and the same tie rule as a
+dense sweep, so its result is bit-identical to testing every ray
+against every wall. :func:`trace_sweep` runs it on every ray of one
+camera, and the tests hold every other path to it.
+
+A group's sweep (:func:`sweep_pieces`) need not test every ray. It cuts
+each camera's circle into stretches, runs of rays that one set of front
+faces covers: the cuts are each candidate run's ends and the rays next
+to them, the two rays either side of each point where a face crosses
+the radius circle, and the quarter turns. Only the two end rays of a
+stretch go through :func:`nearest_walls`. The rays between are filled
+without a pair test when every covering line lies beyond the radius at
+both ends (a miss), or when one face W is the nearest hit at both ends
+and every other covering face V lies beyond the radius at both ends or
+stays more than ``_GAP_M`` behind W there, scaled as ``(t_V - t_W) *
+|denom_V| * |denom_W|``. That scaled gap is ``d_V * cos_W - d_W *
+cos_V``, a sinusoid in the heading; on an arc under 180 degrees it
+cannot reach zero inside once it has the same sign at both ends, and its
+least value is at an end. So W owns every ray between, and its least
+distance, at the ends or beside its perpendicular foot, is the same
+distance expression evaluated there. Any other stretch sends its inner
+rays to :func:`nearest_walls`. A group whose front faces average fewer
+than ``STRETCH_MIN_RAYS`` candidate rays, as a city at 1 degree, sends
+every ray there. On a street at 0.1 degrees the end rays take about 5 %
+of the candidate pairs.
+
+Consecutive grid samples, or pieces of them, owned by the same building
+merge into runs (:func:`run_table`), visibility intervals, which are
+finally mapped onto the panorama's pixel axis by
+:func:`projection.heading_px`, the one home of the heading conventions.
 
 The kernels work on a group of cameras at once: ray ``k`` of the group's
 camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
@@ -49,20 +74,31 @@ import numpy as np
 
 from .config import rays_per_turn
 from .errors import DegenerateSceneError
-from .ingest import PanoramaMeta
+from .ingest import PanoramaMeta, ranges
 from .projection import LocalScene, SceneArrays, pixel_span
 
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
 # candidate (ray, segment) pairs evaluated at once, which bounds the
-# sweep's per-block arrays to about 1 MB; a full group (matcher.GROUP_RAYS
-# rays, about 1.2 pairs each with back faces given none) takes about five
-# blocks. Blocks twice this size swept full groups 20 % slower and used
-# 1.2 MB more, measured when a ray had about 2.5 pairs.
+# sweep's per-block arrays to about 1 MB; a full group swept ray by ray
+# (matcher.GROUP_RAYS rays, about 1.2 pairs each with back faces given
+# none) takes about five blocks, and a street group's stretch ends (about
+# 1,700 pairs) one. Blocks twice this size swept full groups 20 % slower
+# and used 1.2 MB more, measured ray by ray when a ray had about 2.5 pairs.
 _PAIR_BLOCK = 1 << 13
 # A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
 # of its segment; this relative reach is over 400 times that.
 _ROUNDING_REACH = 1e-12
+# A group whose front faces average fewer candidate rays than this is
+# swept ray by ray: its stretches are short, and finding them costs about
+# what the rays do. The benchmark's city at 1 degree averages about 22
+# (both paths trace it in 12.5-12.7 ms on 2 vCPU), at 0.5 degrees about
+# 44 (20 ms ray by ray, 16 ms by stretches); its street at 0.1 degrees
+# about 200.
+STRETCH_MIN_RAYS = 32
+# A filled stretch's other faces stay this far (scaled, m) behind its
+# nearest one, far above TIE_EPS_M and any rounding of the distances.
+_GAP_M = 1e-6
 
 
 @dataclass
@@ -202,15 +238,24 @@ def sweep_grid(step_deg: float, cameras: int = 1) -> SweepGrid:
                      np.tile(np.cos(rad), cameras))
 
 
-def _pair_hits(grid: SweepGrid, ray, walls, radius_m: float):
-    """(hit, t): the pairs ``(ray[i], walls[:, i])`` that hit their wall,
-    and the distance of each. The block's temporaries, about 1 MB, are
-    freed on return, before its hits are kept."""
-    dx, dy = grid.dirs_x[ray], grid.dirs_y[ray]
-    nx, ny, a_dot_n, ax, ay, ex, ey, len2 = walls
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+def _distance(dx, dy, nx, ny, a_dot_n):
+    """(denom, t): the cosine of rays of directions ``(dx, dy)`` with a
+    wall's unit normal, and their distance to the wall's line, the
+    sweep's one distance expression."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         denom = dx * nx + dy * ny
-        t = a_dot_n / denom
+        return denom, a_dot_n / denom
+
+
+def _pair_hits(dirs, ray, walls, radius_m: float):
+    """(hit, t): the pairs ``(ray[i], walls[:, i])`` that hit their wall,
+    and the distance of each, ray ``r`` having direction ``(dirs[0][r],
+    dirs[1][r])``. The block's temporaries, about 1 MB, are freed on
+    return, before its hits are kept."""
+    nx, ny, a_dot_n, ax, ay, ex, ey, len2 = walls
+    dx, dy = dirs[0][ray], dirs[1][ray]
+    denom, t = _distance(dx, dy, nx, ny, a_dot_n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = ((t * dx - ax) * ex + (t * dy - ay) * ey) / len2
     ok = np.abs(denom) >= PARALLEL_EPS
     ok &= t > 0.0
@@ -222,41 +267,50 @@ def _pair_hits(grid: SweepGrid, ray, walls, radius_m: float):
 
 
 def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
-                  radius_m: float):
-    """Nearest-wall query at each grid heading of each camera of a group.
+                  radius_m: float, runs=None, rays=None):
+    """Nearest-wall query at each grid heading of each camera of a group:
+    the sweep's one per-ray test.
 
     ``arr`` holds the walls of ``cameras`` cameras, and ``grid`` their
     direction table; ray ``k`` of camera ``c`` is ray ``c * n + k``. Each
     front face is tested only against its camera's rays in its angular
-    span, and a back face against none (see :func:`_ray_runs`). The (ray,
-    segment) candidate pairs are laid out flat and evaluated in blocks of
-    at most ``_PAIR_BLOCK`` pairs, so memory stays bounded whatever the
-    step, group and segment count.
+    span, and a back face against none (``runs``, :func:`_ray_runs` when
+    not given). ``rays``, sorted, picks the rays to test, every ray when
+    None. The (ray, segment) candidate pairs are laid out flat and
+    evaluated in blocks of at most ``_PAIR_BLOCK`` pairs, so memory stays
+    bounded whatever the step, group and segment count.
     Each pair runs the same elementwise ``denom``, ``t``, parallel,
     ``t > 0``, radius and ``s`` expressions as a dense rays x segments
     sweep, and each block keeps only the hits that may still tie. The
     kept hits are joined and filtered one column at a time, so each is
     held once.
 
-    Returns (rank, distances) per ray, with -1/inf on miss. The tie rule
-    is unchanged: every hit within TIE_EPS_M of the nearest is tied, the
-    tie goes to the smallest building rank (the lexicographically
-    smallest id), and the distance is the nearest tied hit of that
-    building. Only minima are taken, so the result does not depend on
-    the order pairs are visited.
+    Returns (rank, distances) per tested ray, with -1/inf on miss. The
+    tie rule is unchanged: every hit within TIE_EPS_M of the nearest is
+    tied, the tie goes to the smallest building rank (the
+    lexicographically smallest id), and the distance is the nearest tied
+    hit of that building. Only minima are taken, so the result does not
+    depend on the order pairs are visited.
     """
     n = len(grid.thetas)
-    size = n * cameras
-    seg, first, count = _ray_runs(arr, radius_m, n)
-    if len(seg) == 0:
-        return np.full(size, -1, np.int64), np.full(size, np.inf)
+    seg, first, count = _ray_runs(arr, radius_m, n) if runs is None else runs
     first = first + arr.cam[seg] * n
+    dirs = grid.dirs_x, grid.dirs_y
+    size = n * cameras
+    if rays is not None:  # the tested rays' places in ``rays``
+        lo = np.searchsorted(rays, first)
+        count = np.searchsorted(rays, first + count) - lo
+        first = lo
+        dirs = grid.dirs_x[rays], grid.dirs_y[rays]
+        size = len(rays)
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        return np.full(size, -1, np.int64), np.full(size, np.inf)
     walls = np.stack((arr.nx, arr.ny, arr.a_dot_n, arr.ax, arr.ay, arr.ex,
                       arr.ey, arr.len2))[:, seg]
     rank = arr.rank[seg]
-    ends = np.cumsum(count)
     starts = ends - count
-    total = int(ends[-1])
     dmin = np.full(size, np.inf)
     rays, ts, ranks = [], [], []  # per block: the hits that may still tie
     for p0 in range(0, total, _PAIR_BLOCK):
@@ -267,7 +321,7 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
         # np.repeat: an ingest.ranges gather slowed annotate 9.7 % on 2 vCPU
         ray = (np.repeat(first[j0:j1] - starts[j0:j1], c)
                + np.arange(p0, p1))
-        hit, t = _pair_hits(grid, ray, np.repeat(walls[:, j0:j1], c, axis=1),
+        hit, t = _pair_hits(dirs, ray, np.repeat(walls[:, j0:j1], c, axis=1),
                             radius_m)
         ray = ray[hit]
         np.minimum.at(dmin, ray, t)
@@ -295,6 +349,169 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
     return top, dist
 
 
+def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
+                 radius_m: float):
+    """The nearest wall at every ray of a group, as pieces: (start, end,
+    owner, low) arrays in ray order, each piece a run of rays ``start``
+    to ``end`` of one owner (building rank, -1 on miss) whose least
+    distance is ``low``, the pieces tiling the group's rays.
+
+    A group whose front faces average fewer than ``STRETCH_MIN_RAYS``
+    candidate rays takes :func:`nearest_walls` at every ray, one piece
+    each; any other takes the stretch sweep (:func:`_stretch_pieces`).
+    Either way the (rank, distance) of every ray, and so every run of
+    :func:`run_table`, is bit for bit that of :func:`nearest_walls`.
+    """
+    n = len(grid.thetas)
+    runs = _ray_runs(arr, radius_m, n)
+    fronts = int(np.count_nonzero(arr.front))
+    if int(runs[2].sum()) < STRETCH_MIN_RAYS * fronts:
+        ray = np.arange(n * cameras)
+        return (ray, ray, *nearest_walls(arr, grid, cameras, radius_m, runs))
+    return _stretch_pieces(arr, grid, cameras, radius_m, runs)
+
+
+def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
+    """The first ray of each stretch of a group, sorted: the group's rays
+    cut wherever the set of front faces covering them may change, and
+    around every place where that set's hits may change without it.
+
+    The cuts are each candidate run's ends and the rays beside them
+    (``first``, ``first + 1``, ``last``, ``last + 1``), so a face's
+    stretches inside its span start one grid ray past its endpoint
+    headings; the two rays either side of each point where a face
+    crosses the radius circle; and each camera's quarter turns, its
+    first ray among them, so that no stretch leaves its camera and each
+    spans under 90 degrees.
+    """
+    step = 360.0 / n
+    seg, first, count = runs
+    first = first + arr.cam[seg] * n
+    stop = first + count
+    face = np.flatnonzero(arr.front)
+    ax, ay, ex, ey = (v[face] for v in (arr.ax, arr.ay, arr.ex, arr.ey))
+    len2, dist = arr.len2[face], np.abs(arr.a_dot_n[face])
+    # where the line meets the circle: the foot of the perpendicular
+    # plus or minus half the chord, in units of the wall; a line just
+    # beyond the radius counts as tangent, where rounding may let a ray
+    # through
+    foot = -(ax * ex + ay * ey) / len2
+    half = np.sqrt(np.maximum(radius_m * radius_m - dist * dist, 0.0) / len2)
+    u = np.concatenate((foot - half, foot + half))
+    on = (np.tile(dist <= radius_m * (1.0 + 1e-9), 2)
+          & (u >= -1e-6) & (u <= 1.0 + 1e-6))
+    k = np.tile(np.arange(len(face)), 2)[on]
+    u = u[on]
+    heading = np.degrees(np.arctan2(ax[k] + u * ex[k], ay[k] + u * ey[k]))
+    ray = np.floor(heading % 360.0 / step).astype(np.int64) % n
+    base = arr.cam[face[k]] * n
+    quarter = (np.arange(cameras)[:, None] * n
+               + np.arange(4) * n // 4).ravel()
+    cuts = np.sort(np.concatenate((first, first + 1, stop - 1, stop,
+                                   base + ray, base + (ray + 1) % n,
+                                   quarter)))
+    # np.unique's hashing took 12 % of a street's trace
+    return cuts[(np.diff(cuts, prepend=-1) != 0) & (cuts < n * cameras)]
+
+
+def _stretch_pieces(arr, grid: SweepGrid, cameras: int, radius_m: float,
+                    runs):
+    """:func:`sweep_pieces` by stretches (:func:`_stretch_cuts`): a
+    stretch's two end rays take :func:`nearest_walls`, and the rays
+    between them are filled when the ends show what they hold.
+
+    * **Miss fill.** Every covering face's line lies beyond the radius
+      at both ends. No radius crossing lies between, so none is hit.
+    * **Face fill.** One covering face W is the nearest hit at both
+      ends, and every other covering face V either lies beyond the
+      radius at both ends or has its line in front of the camera with
+      the scaled gap ``(t_V - t_W) * |denom_V| * |denom_W|`` above
+      ``_GAP_M`` at both ends. That gap is ``d_V * cos_W - d_W * cos_V``,
+      a sinusoid in the heading; on an arc under 180 degrees, positive
+      at both ends, it is concave and least at an end. So V stays more
+      than ``_GAP_M`` beyond W, never tied, and W, hit at both ends of
+      an arc inside its span, is hit between them. Its least distance
+      is at the rays nearest its perpendicular foot or at an end of the
+      run, where the same distance expression is evaluated.
+
+    The cuts keep every radius crossing and every endpoint heading of a
+    covering face at least a grid ray from the rays between the ends,
+    where rounding cannot move them across. A stretch neither fill takes
+    sends its inner rays to :func:`nearest_walls`, and so does every
+    stretch of a camera with a full-turn face (:func:`_ray_runs`), whose
+    span does not bound where it is hit.
+    """
+    n = len(grid.thetas)
+    start = _stretch_cuts(arr, runs, n, cameras, radius_m)
+    end = np.append(start[1:], n * cameras) - 1
+    ends = np.stack((start, end), axis=1).ravel()  # in order, and
+    ends = ends[np.append(True, ends[1:] != ends[:-1])]  # each ray once
+    top, dist = nearest_walls(arr, grid, cameras, radius_m, runs, ends)
+    seg, first, count = runs
+    whole = np.zeros(cameras, bool)
+    whole[arr.cam[seg[count == n]]] = True
+    # the stretches with rays between their ends, and each (candidate
+    # run, stretch) pair where the run covers the stretch
+    inner = np.flatnonzero((end - start > 1) & ~whole[start // n])
+    lo, hi = start[inner], end[inner]
+    first = first + arr.cam[seg] * n
+    at = np.searchsorted(lo, first)
+    pair, j = ranges(at, np.searchsorted(lo, first + count) - at)
+    face = seg[pair]
+    nx, ny, a_dot_n = arr.nx[face], arr.ny[face], arr.a_dot_n[face]
+    cos_l, t_l = _distance(grid.dirs_x[lo[j]], grid.dirs_y[lo[j]], nx, ny,
+                           a_dot_n)
+    cos_r, t_r = _distance(grid.dirs_x[hi[j]], grid.dirs_y[hi[j]], nx, ny,
+                           a_dot_n)
+    cos_l, cos_r = np.abs(cos_l), np.abs(cos_r)
+    at_l, at_r = np.searchsorted(ends, lo)[j], np.searchsorted(ends, hi)[j]
+    rank = arr.rank[face]
+    won = ((rank == top[at_l]) & (t_l == dist[at_l])
+           & (rank == top[at_r]) & (t_r == dist[at_r]))
+    m = len(inner)
+    w = np.full(m, -1, np.int64)
+    tw_l, tw_r, cw_l, cw_r = np.full((4, m), np.nan)
+    w[j[won]], tw_l[j[won]], tw_r[j[won]] = face[won], t_l[won], t_r[won]
+    cw_l[j[won]], cw_r[j[won]] = cos_l[won], cos_r[won]
+    beyond = (t_l > radius_m) & (t_r > radius_m)
+    with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf
+        clear = ((t_l > 0.0) & (t_r > 0.0)
+                 & ((t_l - tw_l[j]) * cos_l * cw_l[j] > _GAP_M)
+                 & ((t_r - tw_r[j]) * cos_r * cw_r[j] > _GAP_M))
+    miss = np.bincount(j[~beyond], minlength=m) == 0
+    fill = ((np.bincount(j[won], minlength=m) == 1)
+            & (np.bincount(j[~(beyond | clear | won)], minlength=m) == 0))
+    # a filled run's least distance: at its ends or beside W's foot,
+    # as the distance falls toward the foot and rises past it
+    k = np.flatnonzero(fill)
+    wall = w[k]
+    f_lo, f_hi = lo[k] + 1, hi[k] - 1
+    foot = np.floor(np.degrees(np.arctan2(
+        arr.a_dot_n[wall] * arr.nx[wall], arr.a_dot_n[wall] * arr.ny[wall]))
+        % 360.0 / (360.0 / n)).astype(np.int64)
+    base = lo[k] - lo[k] % n
+    probe = np.clip(np.stack((f_lo, f_hi, base + foot % n,
+                              base + (foot + 1) % n)), f_lo, f_hi)
+    low = _distance(grid.dirs_x[probe], grid.dirs_y[probe], arr.nx[wall],
+                    arr.ny[wall], arr.a_dot_n[wall])[1].min(axis=0)
+    redo = np.ones(len(start), bool)
+    redo[inner[miss | fill]] = False
+    redo = np.flatnonzero(redo & (end - start > 1))
+    ray = ranges(start[redo] + 1, end[redo] - start[redo] - 1)[1]
+    r_top, r_dist = (nearest_walls(arr, grid, cameras, radius_m, runs, ray)
+                     if len(ray) else (ray, np.zeros(0)))
+    miss = np.flatnonzero(miss)
+    piece = (np.concatenate(c) for c in zip(
+        (ends, ends, top, dist),
+        (lo[miss] + 1, hi[miss] - 1, np.full(len(miss), -1, np.int64),
+         np.full(len(miss), np.inf)),
+        (f_lo, f_hi, arr.rank[wall], low),
+        (ray, ray, r_top, r_dist)))
+    start, end, owner, low = piece
+    order = np.argsort(start, kind="stable")
+    return start[order], end[order], owner[order], low[order]
+
+
 def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
     """Sweep the full circle at ``step_deg`` and keep nearest hits.
 
@@ -314,26 +531,31 @@ def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
                     buildings=scene.buildings)
 
 
-def run_table(owner: np.ndarray, distances: np.ndarray, n: int):
+def run_table(start: np.ndarray, end: np.ndarray, owner: np.ndarray,
+              low: np.ndarray, n: int):
     """Maximal runs of equal ``owner >= 0`` within each camera's samples.
 
-    ``owner`` and ``distances`` hold ``n`` samples per camera, camera
-    after camera. Runs are cut at camera boundaries, and a camera's
-    first and last runs merge across its 0-degree seam when they have
-    the same owner. Returns (start, end, owner, min_distance) arrays in
-    sample order; a merged run keeps its later part's start and its
-    first part's end, so its ``end < start``.
+    The pieces, samples ``start[i]`` to ``end[i]`` of owner ``owner[i]``
+    and least distance ``low[i]``, tile ``n`` samples per camera, camera
+    after camera, in order; a piece never spans two cameras. A run joins
+    consecutive pieces of one owner. Runs are cut at camera boundaries,
+    and a camera's first and last runs merge across its 0-degree seam
+    when they have the same owner. Returns (start, end, owner,
+    min_distance) arrays in sample order; a merged run keeps its later
+    part's start and its first part's end, so its ``end < start``.
     """
-    total = len(owner)
-    empty = np.zeros(0, np.int64)
-    if total == 0:
+    if len(start) == 0:
+        empty = np.zeros(0, np.int64)
         return empty, empty, empty, np.zeros(0)
-    cuts = np.union1d(np.flatnonzero(np.diff(owner)) + 1,
-                      np.arange(n, total, n))
-    start = np.concatenate(([0], cuts))
-    end = np.concatenate((cuts - 1, [total - 1]))
-    low = np.minimum.reduceat(distances, start)
-    own = owner[start]
+    head = np.empty(len(start), bool)
+    head[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=head[1:])
+    head[np.searchsorted(start, np.arange(n, end[-1] + 1, n))] = True
+    head = np.flatnonzero(head)  # each run's first piece
+    low = np.minimum.reduceat(low, head)
+    own = owner[head]
+    end = end[np.append(head[1:], len(start)) - 1]
+    start = start[head]
     hit = np.flatnonzero(own >= 0)
     start, end, own, low = start[hit], end[hit], own[hit], low[hit]
     if len(start) == 0:
@@ -360,8 +582,9 @@ def intervals_from_sweep(sweep: RaySweep) -> list:
     extensions. Intervals come in ascending ``angle_lo``, the sample
     order :func:`run_table` returns them in.
     """
-    start, end, own, low = run_table(sweep.building_idx, sweep.distances,
-                                     len(sweep))
+    ray = np.arange(len(sweep))
+    start, end, own, low = run_table(ray, ray, sweep.building_idx,
+                                     sweep.distances, len(sweep))
     return [VisibilityInterval(bid, cat, a, b, d)
             for (bid, cat), a, b, d in zip(
                 [sweep.buildings[b] for b in own.tolist()],

@@ -164,8 +164,9 @@ def oracle_intervals_for_scene(scene: LocalScene,
     thetas = np.arange(n, dtype=float) * resolution_deg
     bidx, dist = oracle_hits(scene, thetas)
     out = []
-    for start, end, b, low in zip(*(a.tolist()
-                                    for a in run_table(bidx, dist, n))):
+    ray = np.arange(n)
+    for start, end, b, low in zip(*(a.tolist() for a in run_table(
+            ray, ray, bidx, dist, n))):
         n_run = (end - start) % n + 1
         if n_run >= n:  # the whole circle, nothing to refine
             angle_lo, angle_hi = 0.0, (n - 1) * resolution_deg

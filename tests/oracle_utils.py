@@ -953,7 +953,8 @@ def reference_annotations(metas, footprints, dets, config: RunConfig):
 def _runs(building_idx: np.ndarray):
     """Maximal runs of equal hit index, merged across the 0-degree seam."""
     n = len(building_idx)
-    start, end, own, _ = run_table(building_idx, np.zeros(n), n)
+    ray = np.arange(n)
+    start, end, own, _ = run_table(ray, ray, building_idx, np.zeros(n), n)
     return [list(r) for r in zip(start.tolist(), end.tolist(), own.tolist())]
 
 

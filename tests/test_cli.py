@@ -190,6 +190,24 @@ def test_iou_x_min_range():
             RunConfig(iou_x_min=bad)
 
 
+@pytest.mark.parametrize("fields, needle", [
+    (dict(step_deg=0.0), "step_deg must be positive"),
+    (dict(step_deg=-1.0), "step_deg must be positive"),
+    (dict(step_deg=float("nan")), "step_deg must be positive"),
+    (dict(step_deg=0.7), "step_deg 0.7 does not divide 360"),
+    (dict(threshold_mode="otsu"), "unknown threshold_mode 'otsu'"),
+    (dict(clip_lo=-0.1), "need 0 <= clip_lo <= clip_hi <= 1"),
+    (dict(clip_hi=1.5), "need 0 <= clip_lo <= clip_hi <= 1"),
+    (dict(clip_lo=0.6, clip_hi=0.5), "need 0 <= clip_lo <= clip_hi <= 1"),
+], ids=["step-zero", "step-negative", "step-nan", "step-not-dividing",
+        "threshold-mode", "clip-lo", "clip-hi", "clip-crossed"])
+def test_run_config_errors(fields, needle):
+    from geotag_facade import ConfigError, RunConfig
+    with pytest.raises(ConfigError) as e:
+        RunConfig(**fields)
+    assert needle in str(e.value)
+
+
 def test_non_finite_radius_and_fixed_threshold():
     """Every artifact echoes the config, and its readers refuse NaN and
     Infinity; a finite threshold outside [0, 1] keeps or drops every box."""
@@ -543,6 +561,28 @@ def test_artifact_that_is_not_utf8_is_a_one_line_error(scene_dir, tmp_path,
     assert rc == 1
     assert err == (f"error: {bad}: not utf-8 text: invalid start byte "
                    f"(byte offset 1)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    # four 2-byte characters come before the stray comma's brace
+    ("mapping.json", '{"a": "\u00e9\u00e9\u00e9\u00e9", }',
+     "Expecting property name enclosed in double quotes (byte offset 18)"),
+    # the line loop strips the line's three leading spaces
+    ("metas.jsonl", '   {"pano_id": 1,}',
+     "line 1: Expecting property name enclosed in double quotes "
+     "(byte offset 17)"),
+], ids=["multibyte", "indented-line"])
+def test_malformed_json_reports_the_offset_in_bytes(scene_dir, tmp_path,
+                                                    capsys, name, text,
+                                                    message):
+    rc, out = _trace_copy(scene_dir, tmp_path, name,
+                          lambda _: text.encode())
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {tmp_path / name}: {message}\n"
+    offset = int(message.rsplit(" ", 1)[1].rstrip(")"))
+    assert (tmp_path / name).read_bytes()[offset:offset + 1] == b"}"
     assert not out.exists()
 
 

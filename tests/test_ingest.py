@@ -10,7 +10,7 @@ import pytest
 from geotag_facade import (CategoryMapping, DetectionSet, LoadError,
                            ParseError, load_category_mapping,
                            load_footprints, load_panorama_meta)
-from geotag_facade.ingest import ranges
+from geotag_facade.ingest import load_detections, ranges
 
 from oracle_utils import (load_detections_as_reference,
                           reference_load_footprints, reference_ranges)
@@ -398,6 +398,15 @@ class TestPanoramaMeta:
         ps = load_panorama_meta(self.write_jsonl(tmp_path, recs))
         assert [m.pano_id for m in ps.metas] == ["p3", "p1", "p2"]
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # blank and whitespace-only lines count as no record at all
+        p = tmp_path / "m.jsonl"
+        p.write_text("\n" + json.dumps(meta_line(pano_id="a")) + "\n  \t\n\n"
+                     + json.dumps(meta_line(pano_id="b")) + "\n \n")
+        ps = load_panorama_meta(p)
+        assert [m.pano_id for m in ps.metas] == ["a", "b"]
+        assert ps.report.n_input == 2 and ps.report.n_rejected == 0
+
     def test_nan_fields_rejected(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text('{"pano_id": "n", "lat": NaN, "lon": 0, '
@@ -430,6 +439,14 @@ class TestDetections:
         p = write(tmp_path, "d.json", [det(bbox=(10, 10, -5, 20))])
         ds = load_detections_as_reference(p)
         assert ds.n_boxes == 0 and ds.report.n_rejected == 1
+
+    def test_box_top_above_the_image_rejected(self, tmp_path):
+        p = write(tmp_path, "d.json", [det(bbox=(10, -0.5, 5, 20)),
+                                       det("b", bbox=(10, 0, 5, 20))])
+        ds = load_detections(p)
+        assert ds.pano_ids == ["b"] and ds.n_boxes == 1
+        assert ds.report.rejected == [("result[0]",
+                                       "box top -0.5 above the image")]
 
     def test_score_out_of_range_rejected(self, tmp_path):
         p = write(tmp_path, "d.json", [det(score=1.5), det(score=-0.1)])
@@ -499,6 +516,11 @@ class TestCategoryMapping:
         assert m.resolve("??") == 6
         assert m.category_ids == [1, 2, 3, 4, 5, 6]
         assert m.name_of(1) == "one" and m.name_of(2) == "category_2"
+
+    def test_no_categories_rejected(self, tmp_path):
+        p = write(tmp_path, "m.json", {"entries": {}})
+        with pytest.raises(LoadError, match="mapping has no categories"):
+            load_category_mapping(p)
 
     def test_gap_in_ids_rejected(self, tmp_path):
         p = write(tmp_path, "m.json", {"entries": {"a": 1, "b": 3}})

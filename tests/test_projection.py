@@ -56,6 +56,16 @@ class TestGeodeticLocal:
         assert lat == pytest.approx(40.001, abs=1e-6)
         assert lon == -74.0
 
+    @pytest.mark.parametrize("lon0, east", [(179.9999, 50.0),
+                                            (-179.9999, -50.0)])
+    def test_inverse_wraps_across_the_antimeridian(self, lon0, east):
+        # 50 m past the antimeridian lands on its far side, in (-180, 180]
+        lat, lon = local_to_geodetic((0.0, lon0), (east, 0.0))
+        assert lat == 0.0 and -180.0 < lon <= 180.0
+        assert math.copysign(1.0, lon) == -math.copysign(1.0, lon0)
+        assert geodetic_to_local((0.0, lon0), (lat, lon)).x == \
+            pytest.approx(east, abs=1e-6)
+
     def test_round_trip_random(self):
         rng = random.Random(7)
         for _ in range(10_000):
