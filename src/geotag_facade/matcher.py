@@ -28,10 +28,10 @@ where a cap of 8,192 rays traced a 0.1-degree street 29 % slower, and
 one of 65,536 swept slower again and took 8 % more peak memory. The
 stretch sweep (``raytrace.sweep_pieces``) tests few rays, so a street
 group's cost is now mostly its fixed cost, about 1 ms: in process on 2
-vCPU, the benchmark's 0.1-degree street annotates in 30-32 ms at this
-cap, 23 ms at 65,536 rays and 18.5 ms at 131,072. Its 1-degree city,
-still swept ray by ray, then peaks at 51.5 and 54 MB instead of 46.5
-MB, so the cap stays.
+vCPU, the benchmark's 0.1-degree street annotates in 34-38 ms at this
+cap, 24-26 ms at 65,536 rays and 19-21 ms at 131,072, while its
+1-degree city then peaks at 47.7 and 49.7 MB instead of 45.0 MB (6 and
+10 % more). The cap is unchanged.
 Then the boxes, rows of the :class:`DetectionSet`'s columns,
 are checked and score-filtered batch by batch as array masks; a
 batch's threshold depends on the scores the previous batch kept, never

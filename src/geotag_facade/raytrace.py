@@ -31,22 +31,24 @@ A group's sweep (:func:`sweep_pieces`) need not test every ray. It cuts
 each camera's circle into stretches, runs of rays that one set of front
 faces covers: the cuts are each candidate run's ends and the rays next
 to them, the two rays either side of each point where a face crosses
-the radius circle, and the quarter turns. Only the two end rays of a
-stretch go through :func:`nearest_walls`. The rays between are filled
-without a pair test when every covering line lies beyond the radius at
-both ends (a miss), or when one face W is the nearest hit at both ends
-and every other covering face V lies beyond the radius at both ends or
-stays more than ``_GAP_M`` behind W there, scaled as ``(t_V - t_W) *
-|denom_V| * |denom_W|``. That scaled gap is ``d_V * cos_W - d_W *
-cos_V``, a sinusoid in the heading; on an arc under 180 degrees it
-cannot reach zero inside once it has the same sign at both ends, and its
-least value is at an end. So W owns every ray between, and its least
-distance, at the ends or beside its perpendicular foot, is the same
-distance expression evaluated there. Any other stretch sends its inner
-rays to :func:`nearest_walls`. A group whose front faces average fewer
-than ``STRETCH_MIN_RAYS`` candidate rays, as a city at 1 degree, sends
-every ray there. On a street at 0.1 degrees the end rays take about 5 %
-of the candidate pairs.
+the radius circle, and each camera's first ray. Only the two end rays
+of a stretch go through :func:`nearest_walls`. The rays between are
+filled without a pair test when every covering line lies beyond the
+radius at both ends (a miss), or when one face W is the nearest hit at
+both ends and every other covering face V lies beyond the radius at
+both ends or stays more than ``_GAP_M`` behind W there, scaled as
+``(t_V - t_W) * |denom_V| * |denom_W|``. That scaled gap is ``d_V *
+cos_W - d_W * cos_V``, a sinusoid in the heading. The stretch lies
+inside W's span, as W's run ends are cuts, and so spans under 180
+degrees; on such an arc the sinusoid cannot reach zero inside once it
+has the same sign at both ends, and its least value is at an end. So W
+owns every ray between, and its least distance, at the ends or beside
+its perpendicular foot, is the same distance expression evaluated
+there. Any other stretch sends its inner rays to :func:`nearest_walls`.
+On a street at 0.1 degrees the end rays take about 5 % of the candidate
+pairs; on a city at 1 degree, where a front face averages about 22
+candidate rays, the stretch sweep costs about what testing every ray
+does.
 
 Consecutive grid samples, or pieces of them, owned by the same building
 merge into runs (:func:`run_table`), visibility intervals, which are
@@ -80,22 +82,15 @@ from .projection import LocalScene, SceneArrays, pixel_span
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
 # candidate (ray, segment) pairs evaluated at once, which bounds the
-# sweep's per-block arrays to about 1 MB; a full group swept ray by ray
-# (matcher.GROUP_RAYS rays, about 1.2 pairs each with back faces given
-# none) takes about five blocks, and a street group's stretch ends (about
-# 1,700 pairs) one. Blocks twice this size swept full groups 20 % slower
-# and used 1.2 MB more, measured ray by ray when a ray had about 2.5 pairs.
+# sweep's per-block arrays to about 1 MB; a city group's stretch ends at
+# 1 degree (about 13,000 pairs) take two blocks, and a street group's at
+# 0.1 degrees (about 1,700) one. Blocks twice this size swept full groups
+# 20 % slower and used 1.2 MB more, measured when every ray of a group
+# was tested, at about 2.5 pairs a ray.
 _PAIR_BLOCK = 1 << 13
 # A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
 # of its segment; this relative reach is over 400 times that.
 _ROUNDING_REACH = 1e-12
-# A group whose front faces average fewer candidate rays than this is
-# swept ray by ray: its stretches are short, and finding them costs about
-# what the rays do. The benchmark's city at 1 degree averages about 22
-# (both paths trace it in 12.5-12.7 ms on 2 vCPU), at 0.5 degrees about
-# 44 (20 ms ray by ray, 16 ms by stretches); its street at 0.1 degrees
-# about 200.
-STRETCH_MIN_RAYS = 32
 # A filled stretch's other faces stay this far (scaled, m) behind its
 # nearest one, far above TIE_EPS_M and any rounding of the distances.
 _GAP_M = 1e-6
@@ -349,28 +344,6 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
     return top, dist
 
 
-def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
-                 radius_m: float):
-    """The nearest wall at every ray of a group, as pieces: (start, end,
-    owner, low) arrays in ray order, each piece a run of rays ``start``
-    to ``end`` of one owner (building rank, -1 on miss) whose least
-    distance is ``low``, the pieces tiling the group's rays.
-
-    A group whose front faces average fewer than ``STRETCH_MIN_RAYS``
-    candidate rays takes :func:`nearest_walls` at every ray, one piece
-    each; any other takes the stretch sweep (:func:`_stretch_pieces`).
-    Either way the (rank, distance) of every ray, and so every run of
-    :func:`run_table`, is bit for bit that of :func:`nearest_walls`.
-    """
-    n = len(grid.thetas)
-    runs = _ray_runs(arr, radius_m, n)
-    fronts = int(np.count_nonzero(arr.front))
-    if int(runs[2].sum()) < STRETCH_MIN_RAYS * fronts:
-        ray = np.arange(n * cameras)
-        return (ray, ray, *nearest_walls(arr, grid, cameras, radius_m, runs))
-    return _stretch_pieces(arr, grid, cameras, radius_m, runs)
-
-
 def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
     """The first ray of each stretch of a group, sorted: the group's rays
     cut wherever the set of front faces covering them may change, and
@@ -380,9 +353,10 @@ def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
     (``first``, ``first + 1``, ``last``, ``last + 1``), so a face's
     stretches inside its span start one grid ray past its endpoint
     headings; the two rays either side of each point where a face
-    crosses the radius circle; and each camera's quarter turns, its
-    first ray among them, so that no stretch leaves its camera and each
-    spans under 90 degrees.
+    crosses the radius circle; and each camera's first ray, so that no
+    stretch leaves its camera. A stretch with rays between its ends that
+    a face covers lies inside that face's span, which is under 180
+    degrees; one no face covers is a miss however long it is.
     """
     step = 360.0 / n
     seg, first, count = runs
@@ -405,18 +379,21 @@ def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
     heading = np.degrees(np.arctan2(ax[k] + u * ex[k], ay[k] + u * ey[k]))
     ray = np.floor(heading % 360.0 / step).astype(np.int64) % n
     base = arr.cam[face[k]] * n
-    quarter = (np.arange(cameras)[:, None] * n
-               + np.arange(4) * n // 4).ravel()
     cuts = np.sort(np.concatenate((first, first + 1, stop - 1, stop,
                                    base + ray, base + (ray + 1) % n,
-                                   quarter)))
+                                   np.arange(cameras) * n)))
     # np.unique's hashing took 12 % of a street's trace
     return cuts[(np.diff(cuts, prepend=-1) != 0) & (cuts < n * cameras)]
 
 
-def _stretch_pieces(arr, grid: SweepGrid, cameras: int, radius_m: float,
-                    runs):
-    """:func:`sweep_pieces` by stretches (:func:`_stretch_cuts`): a
+def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
+                 radius_m: float):
+    """The nearest wall at every ray of a group, as pieces: (start, end,
+    owner, low) arrays in ray order, each piece a run of rays ``start``
+    to ``end`` of one owner (building rank, -1 on miss) whose least
+    distance is ``low``, the pieces tiling the group's rays.
+
+    The group's rays are cut into stretches (:func:`_stretch_cuts`). A
     stretch's two end rays take :func:`nearest_walls`, and the rays
     between them are filled when the ends show what they hold.
 
@@ -427,11 +404,12 @@ def _stretch_pieces(arr, grid: SweepGrid, cameras: int, radius_m: float,
       radius at both ends or has its line in front of the camera with
       the scaled gap ``(t_V - t_W) * |denom_V| * |denom_W|`` above
       ``_GAP_M`` at both ends. That gap is ``d_V * cos_W - d_W * cos_V``,
-      a sinusoid in the heading; on an arc under 180 degrees, positive
-      at both ends, it is concave and least at an end. So V stays more
-      than ``_GAP_M`` beyond W, never tied, and W, hit at both ends of
-      an arc inside its span, is hit between them. Its least distance
-      is at the rays nearest its perpendicular foot or at an end of the
+      a sinusoid in the heading. The stretch lies inside W's span, so
+      it spans under 180 degrees, and on it the gap, positive at both
+      ends, is concave and least at an end. So V stays more than
+      ``_GAP_M`` beyond W, never tied, and W, hit at both ends of an
+      arc inside its span, is hit between them. Its least distance is
+      at the rays nearest its perpendicular foot or at an end of the
       run, where the same distance expression is evaluated.
 
     The cuts keep every radius crossing and every endpoint heading of a
@@ -439,9 +417,12 @@ def _stretch_pieces(arr, grid: SweepGrid, cameras: int, radius_m: float,
     where rounding cannot move them across. A stretch neither fill takes
     sends its inner rays to :func:`nearest_walls`, and so does every
     stretch of a camera with a full-turn face (:func:`_ray_runs`), whose
-    span does not bound where it is hit.
+    span does not bound where it is hit. The (rank, distance) of every
+    ray, and so every run of :func:`run_table`, is bit for bit that of
+    :func:`nearest_walls`.
     """
     n = len(grid.thetas)
+    runs = _ray_runs(arr, radius_m, n)
     start = _stretch_cuts(arr, runs, n, cameras, radius_m)
     end = np.append(start[1:], n * cameras) - 1
     ends = np.stack((start, end), axis=1).ravel()  # in order, and

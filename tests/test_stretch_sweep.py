@@ -1,12 +1,11 @@
-"""The stretch sweep equals the per-ray sweep it stands in for.
+"""The stretch sweep equals the per-ray test it stands in for.
 
 ``raytrace.sweep_pieces`` takes a group's rays by stretches: only the two
 end rays of each stretch run the per-ray test (``nearest_walls``), and
-the rays between are filled when the ends show what they hold. Here the
-stretch path is forced on every group (``STRETCH_MIN_RAYS`` 0) and its
-``trace_run`` table is held, column by column, to the per-ray path's
-(``STRETCH_MIN_RAYS`` beyond any group) under three group caps and four
-steps, on the scenes where a fill could go wrong: walls through and
+the rays between are filled when the ends show what they hold. Here its
+``trace_run`` table is held, column by column, to the table of a sweep
+that runs ``nearest_walls`` on every ray, under three group caps and
+four steps, on the scenes where a fill could go wrong: walls through and
 tangent to the radius circle, walls whose line crosses it just past their
 ends, shared, collinear, nearly parallel and crossing walls, vertices on
 grid headings, overlapping and non-convex rings, and a wall through the
@@ -140,15 +139,21 @@ SCENES = {
 }
 
 
+def per_ray_pieces(arr, grid, cameras, radius_m):
+    """``sweep_pieces`` by ``nearest_walls`` at every ray, one piece each."""
+    ray = np.arange(len(grid.thetas) * cameras)
+    return (ray, ray, *nearest_walls(arr, grid, cameras, radius_m))
+
+
 def tables(monkeypatch, index, metas, config):
-    """The per-ray and the forced stretch ``trace_run`` tables under each
-    group cap."""
-    out = []
+    """The per-ray ``trace_run`` table, then the stretch sweep's under
+    each group cap."""
+    with monkeypatch.context() as m:
+        m.setattr(matcher, "sweep_pieces", per_ray_pieces)
+        out = [trace_run(index, metas, config)]
     for cap in CAPS:
         monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
-        for crossover in (1 << 62, 0):
-            monkeypatch.setattr(raytrace, "STRETCH_MIN_RAYS", crossover)
-            out.append(trace_run(index, metas, config))
+        out.append(trace_run(index, metas, config))
     return out
 
 
@@ -210,9 +215,9 @@ def test_stretch_path_on_the_benchmark_inputs(monkeypatch, tmp_path,
 
 
 def test_stretch_sweep_tests_a_tenth_of_the_pairs_of_a_street(monkeypatch):
-    # at 0.1 degrees, as the benchmark's street-fine workload sweeps, with
-    # the default crossover: the end rays' pairs are all the per-ray test
-    # sees, against every candidate pair of the ray-by-ray sweep
+    # at 0.1 degrees, as the benchmark's street-fine workload sweeps: the
+    # end rays' pairs are all the per-ray test sees, against every
+    # candidate pair of a sweep that tests every ray
     sc = generate_scene(3, SceneConfig(n_buildings=14, n_cameras=5,
                                        with_ground_truth=False))
     walls = clip_group(FootprintIndex(sc.footprint_set), sc.metas, 50.0).walls
@@ -228,8 +233,7 @@ def test_stretch_sweep_tests_a_tenth_of_the_pairs_of_a_street(monkeypatch):
     got = run_table(*sweep_pieces(walls, grid, cameras, 50.0), n)
     candidate = int(_ray_runs(walls, 50.0, n)[2].sum())
     assert 0 < sum(tested) <= 0.1 * candidate
-    ray = np.arange(n * cameras)
-    want = run_table(ray, ray, *nearest_walls(walls, grid, cameras, 50.0), n)
+    want = run_table(*per_ray_pieces(walls, grid, cameras, 50.0), n)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
