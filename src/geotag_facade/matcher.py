@@ -19,19 +19,12 @@ before, the annotations depend on that order too.
 
 Annotate runs in three passes. :func:`trace_run` traces the shuffled
 run into one :class:`IntervalTable`: one clip, sweep and run split per
-group of cameras, as many as fit in ``GROUP_RAYS`` rays, which bounds
-the sweep's memory, then one pixel mapping for the run, whose interval
-columns are held whole. The cap weighs the fixed cost each group pays
-against the sweep's memory: at 32,768 rays a 0.1-degree group holds 9
-cameras and a 1-degree group 91. It was chosen on the ray-by-ray sweep,
-where a cap of 8,192 rays traced a 0.1-degree street 29 % slower, and
-one of 65,536 swept slower again and took 8 % more peak memory. The
-stretch sweep (``raytrace.sweep_pieces``) tests few rays, so a street
-group's cost is now mostly its fixed cost, about 1 ms: in process on 2
-vCPU, the benchmark's 0.1-degree street annotates in 34-38 ms at this
-cap, 24-26 ms at 65,536 rays and 19-21 ms at 131,072, while its
-1-degree city then peaks at 47.7 and 49.7 MB instead of 45.0 MB (6 and
-10 % more). The cap is unchanged.
+group of cameras, as many as fit in ``GROUP_RAYS`` rays, then one pixel
+mapping for the run, whose interval columns are held whole. The cap
+bounds a group's clip arrays and the sweep's per-ray fallback (every
+ray of a group may go to ``raytrace.nearest_walls``), against the fixed
+cost each group pays: at 32,768 rays a 0.1-degree group holds 9 cameras
+and a 1-degree group 91.
 Then the boxes, rows of the :class:`DetectionSet`'s columns,
 are checked and score-filtered batch by batch as array masks; a
 batch's threshold depends on the scores the previous batch kept, never
@@ -65,10 +58,9 @@ log = logging.getLogger(__name__)
 DEFAULT_FIRST_THRESHOLD = 0.3
 SIGMA_FACTOR = 0.5
 # Rays traced together: a group holds this many rays' worth of cameras,
-# and at least one. Each group pays a fixed cost of about 0.7 ms (1 ms by
-# stretches) in clipping, the sweep's set-up and the run split, and the
-# sweep's arrays grow with the group: see the module docstring for why
-# this size.
+# and at least one. The cap bounds a group's clip arrays and the sweep's
+# per-ray fallback; each group pays a fixed cost of about 1 ms in
+# clipping, the sweep's set-up and the run split.
 GROUP_RAYS = 1 << 15
 
 
@@ -301,7 +293,7 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
     """
     metas = list(metas)
     size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
-    grid = sweep_grid(config.step_deg, min(size, len(metas)))
+    grid = sweep_grid(config.step_deg)
     n = len(grid.thetas)
     containing, out_of_range = [], 0
     # each run's first and last sample in the run's sweep, building rank,

@@ -55,12 +55,14 @@ merge into runs (:func:`run_table`), visibility intervals, which are
 finally mapped onto the panorama's pixel axis by
 :func:`projection.heading_px`, the one home of the heading conventions.
 
-The kernels work on a group of cameras at once: ray ``k`` of the group's
-camera ``c`` is ray ``c * n + k`` of one sweep, runs are cut at camera
-boundaries and merged across each camera's seam. ``matcher.trace_run``
-traces a run's cameras that way, group by group, into one
-:class:`IntervalTable`, one array per interval field, which annotation
-matches and ``cocoio.write_trace`` writes as it is.
+The kernels work on a group of cameras at once. Ray ``k`` of the
+group's camera ``c`` is group ray ``c * n + k``, numbered once, by
+:func:`_ray_runs`; the grid (:class:`SweepGrid`) holds one turn of
+headings, and every kernel reads group ray ``r``'s direction at ``r %
+n``. Runs are cut at camera boundaries and merged across each camera's
+seam. ``matcher.trace_run`` traces a run's cameras that way, group by
+group, into one :class:`IntervalTable`, one array per interval field,
+which annotation matches and ``cocoio.write_trace`` writes as it is.
 :func:`trace_sweep`, :func:`intervals_from_sweep` and
 :func:`intervals_to_pixel` are one-camera views of the same kernels
 (:func:`nearest_walls`, :func:`run_table`, :func:`projection.pixel_span`)
@@ -182,8 +184,10 @@ def _ray_runs(arr, radius_m: float, n: int):
     camera, and a zero-length segment.
 
     Returns (seg, first, count): segment ``seg[k]`` is tested against
-    rays ``first[k]`` to ``first[k] + count[k] - 1``, all inside
-    ``[0, n)``; an arc across the 0-degree seam is split into two runs.
+    group rays ``first[k]`` to ``first[k] + count[k] - 1``, all of its
+    own camera's: ray ``k`` of the group's camera ``c`` is group ray
+    ``c * n + k``, numbered here once for every kernel. An arc across
+    the 0-degree seam is split into two runs.
     """
     step = 360.0 / n
     bx, by = arr.ax + arr.ex, arr.ay + arr.ey
@@ -207,30 +211,45 @@ def _ray_runs(arr, radius_m: float, n: int):
     count = count[seg].astype(np.int64)
     head = np.minimum(count, n - first)
     seam = np.flatnonzero(count > head)
-    return (np.concatenate((seg, seg[seam])),
-            np.concatenate((first, np.zeros(len(seam), np.int64))),
+    seg = np.concatenate((seg, seg[seam]))
+    first = np.concatenate((first, np.zeros(len(seam), np.int64)))
+    return (seg, first + arr.cam[seg] * n,
             np.concatenate((head, count[seam] - head[seam])))
 
 
+def _rays_beside(x, y, base, n: int):
+    """The two grid rays either side of the heading of each point ``(x,
+    y)``, the one at or before it and the next, as group rays of the
+    camera whose first ray is ``base``."""
+    k = np.floor(np.degrees(np.arctan2(x, y)) % 360.0 / (360.0 / n)
+                 ).astype(np.int64)
+    return base + k % n, base + (k + 1) % n
+
+
 class SweepGrid(NamedTuple):
-    """The sweep's grid headings, and their unit directions repeated once
-    per camera of a group."""
+    """The sweep's grid headings over one turn, and their unit
+    directions. Every camera of a group shares them: group ray ``r``
+    points along heading ``r % n`` (:meth:`dirs`)."""
 
     thetas: np.ndarray
     dirs_x: np.ndarray
     dirs_y: np.ndarray
 
+    def dirs(self, ray):
+        """The unit directions (x, y) of group rays ``ray``."""
+        k = ray % len(self.thetas)
+        return self.dirs_x[k], self.dirs_y[k]
 
-def sweep_grid(step_deg: float, cameras: int = 1) -> SweepGrid:
-    """Headings ``k * step_deg`` for ``k < 360 / step_deg``, and the
-    direction table for ``cameras`` cameras."""
+
+def sweep_grid(step_deg: float) -> SweepGrid:
+    """Headings ``k * step_deg`` for ``k < 360 / step_deg``, and their
+    unit directions."""
     n = rays_per_turn(step_deg)
     if not n:
         raise ValueError(f"step_deg {step_deg} does not divide 360")
     thetas = np.arange(n, dtype=float) * step_deg
     rad = np.radians(thetas)
-    return SweepGrid(thetas, np.tile(np.sin(rad), cameras),
-                     np.tile(np.cos(rad), cameras))
+    return SweepGrid(thetas, np.sin(rad), np.cos(rad))
 
 
 def _distance(dx, dy, nx, ny, a_dot_n):
@@ -261,43 +280,36 @@ def _pair_hits(dirs, ray, walls, radius_m: float):
     return hit, t[hit]
 
 
-def nearest_walls(arr: SceneArrays, grid: SweepGrid, cameras: int,
-                  radius_m: float, runs=None, rays=None):
-    """Nearest-wall query at each grid heading of each camera of a group:
-    the sweep's one per-ray test.
+def nearest_walls(arr: SceneArrays, grid: SweepGrid, radius_m: float,
+                  runs, rays):
+    """Nearest-wall query at group rays ``rays`` (sorted) of a group of
+    cameras: the sweep's one per-ray test.
 
-    ``arr`` holds the walls of ``cameras`` cameras, and ``grid`` their
-    direction table; ray ``k`` of camera ``c`` is ray ``c * n + k``. Each
-    front face is tested only against its camera's rays in its angular
-    span, and a back face against none (``runs``, :func:`_ray_runs` when
-    not given). ``rays``, sorted, picks the rays to test, every ray when
-    None. The (ray, segment) candidate pairs are laid out flat and
-    evaluated in blocks of at most ``_PAIR_BLOCK`` pairs, so memory stays
-    bounded whatever the step, group and segment count.
+    ``arr`` holds the walls of the group's cameras, and ``runs``
+    (:func:`_ray_runs`) the group rays each front face is tested
+    against, those of its own camera in its angular span; a back face
+    is tested against none. Only the runs' rays in ``rays`` are tested.
+    The (ray, segment) candidate pairs are laid out flat and evaluated
+    in blocks of at most ``_PAIR_BLOCK`` pairs, so memory stays bounded
+    whatever the step, group and segment count.
     Each pair runs the same elementwise ``denom``, ``t``, parallel,
     ``t > 0``, radius and ``s`` expressions as a dense rays x segments
     sweep, and each block keeps only the hits that may still tie. The
     kept hits are joined and filtered one column at a time, so each is
     held once.
 
-    Returns (rank, distances) per tested ray, with -1/inf on miss. The
-    tie rule is unchanged: every hit within TIE_EPS_M of the nearest is
-    tied, the tie goes to the smallest building rank (the
+    Returns (rank, distances) per ray of ``rays``, with -1/inf on miss.
+    The tie rule is unchanged: every hit within TIE_EPS_M of the nearest
+    is tied, the tie goes to the smallest building rank (the
     lexicographically smallest id), and the distance is the nearest tied
     hit of that building. Only minima are taken, so the result does not
     depend on the order pairs are visited.
     """
-    n = len(grid.thetas)
-    seg, first, count = _ray_runs(arr, radius_m, n) if runs is None else runs
-    first = first + arr.cam[seg] * n
-    dirs = grid.dirs_x, grid.dirs_y
-    size = n * cameras
-    if rays is not None:  # the tested rays' places in ``rays``
-        lo = np.searchsorted(rays, first)
-        count = np.searchsorted(rays, first + count) - lo
-        first = lo
-        dirs = grid.dirs_x[rays], grid.dirs_y[rays]
-        size = len(rays)
+    seg, first, count = runs
+    at = np.searchsorted(rays, first)  # each run's rays' places in ``rays``
+    first, count = at, np.searchsorted(rays, first + count) - at
+    dirs = grid.dirs(rays)
+    size = len(rays)
     ends = np.cumsum(count)
     total = int(ends[-1]) if len(ends) else 0
     if total == 0:
@@ -358,9 +370,7 @@ def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
     a face covers lies inside that face's span, which is under 180
     degrees; one no face covers is a miss however long it is.
     """
-    step = 360.0 / n
     seg, first, count = runs
-    first = first + arr.cam[seg] * n
     stop = first + count
     face = np.flatnonzero(arr.front)
     ax, ay, ex, ey = (v[face] for v in (arr.ax, arr.ay, arr.ex, arr.ey))
@@ -376,11 +386,9 @@ def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
           & (u >= -1e-6) & (u <= 1.0 + 1e-6))
     k = np.tile(np.arange(len(face)), 2)[on]
     u = u[on]
-    heading = np.degrees(np.arctan2(ax[k] + u * ex[k], ay[k] + u * ey[k]))
-    ray = np.floor(heading % 360.0 / step).astype(np.int64) % n
-    base = arr.cam[face[k]] * n
-    cuts = np.sort(np.concatenate((first, first + 1, stop - 1, stop,
-                                   base + ray, base + (ray + 1) % n,
+    cross = _rays_beside(ax[k] + u * ex[k], ay[k] + u * ey[k],
+                         arr.cam[face[k]] * n, n)
+    cuts = np.sort(np.concatenate((first, first + 1, stop - 1, stop, *cross,
                                    np.arange(cameras) * n)))
     # np.unique's hashing took 12 % of a street's trace
     return cuts[(np.diff(cuts, prepend=-1) != 0) & (cuts < n * cameras)]
@@ -427,7 +435,7 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     end = np.append(start[1:], n * cameras) - 1
     ends = np.stack((start, end), axis=1).ravel()  # in order, and
     ends = ends[np.append(True, ends[1:] != ends[:-1])]  # each ray once
-    top, dist = nearest_walls(arr, grid, cameras, radius_m, runs, ends)
+    top, dist = nearest_walls(arr, grid, radius_m, runs, ends)
     seg, first, count = runs
     whole = np.zeros(cameras, bool)
     whole[arr.cam[seg[count == n]]] = True
@@ -435,15 +443,12 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     # run, stretch) pair where the run covers the stretch
     inner = np.flatnonzero((end - start > 1) & ~whole[start // n])
     lo, hi = start[inner], end[inner]
-    first = first + arr.cam[seg] * n
     at = np.searchsorted(lo, first)
     pair, j = ranges(at, np.searchsorted(lo, first + count) - at)
     face = seg[pair]
     nx, ny, a_dot_n = arr.nx[face], arr.ny[face], arr.a_dot_n[face]
-    cos_l, t_l = _distance(grid.dirs_x[lo[j]], grid.dirs_y[lo[j]], nx, ny,
-                           a_dot_n)
-    cos_r, t_r = _distance(grid.dirs_x[hi[j]], grid.dirs_y[hi[j]], nx, ny,
-                           a_dot_n)
+    cos_l, t_l = _distance(*grid.dirs(lo[j]), nx, ny, a_dot_n)
+    cos_r, t_r = _distance(*grid.dirs(hi[j]), nx, ny, a_dot_n)
     cos_l, cos_r = np.abs(cos_l), np.abs(cos_r)
     at_l, at_r = np.searchsorted(ends, lo)[j], np.searchsorted(ends, hi)[j]
     rank = arr.rank[face]
@@ -467,20 +472,16 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     k = np.flatnonzero(fill)
     wall = w[k]
     f_lo, f_hi = lo[k] + 1, hi[k] - 1
-    foot = np.floor(np.degrees(np.arctan2(
-        arr.a_dot_n[wall] * arr.nx[wall], arr.a_dot_n[wall] * arr.ny[wall]))
-        % 360.0 / (360.0 / n)).astype(np.int64)
-    base = lo[k] - lo[k] % n
-    probe = np.clip(np.stack((f_lo, f_hi, base + foot % n,
-                              base + (foot + 1) % n)), f_lo, f_hi)
-    low = _distance(grid.dirs_x[probe], grid.dirs_y[probe], arr.nx[wall],
-                    arr.ny[wall], arr.a_dot_n[wall])[1].min(axis=0)
+    foot = _rays_beside(arr.a_dot_n[wall] * arr.nx[wall],
+                        arr.a_dot_n[wall] * arr.ny[wall], lo[k] - lo[k] % n, n)
+    probe = np.clip(np.stack((f_lo, f_hi, *foot)), f_lo, f_hi)
+    low = _distance(*grid.dirs(probe), arr.nx[wall], arr.ny[wall],
+                    arr.a_dot_n[wall])[1].min(axis=0)
     redo = np.ones(len(start), bool)
     redo[inner[miss | fill]] = False
     redo = np.flatnonzero(redo & (end - start > 1))
     ray = ranges(start[redo] + 1, end[redo] - start[redo] - 1)[1]
-    r_top, r_dist = (nearest_walls(arr, grid, cameras, radius_m, runs, ray)
-                     if len(ray) else (ray, np.zeros(0)))
+    r_top, r_dist = nearest_walls(arr, grid, radius_m, runs, ray)
     miss = np.flatnonzero(miss)
     piece = (np.concatenate(c) for c in zip(
         (ends, ends, top, dist),
@@ -504,7 +505,9 @@ def trace_sweep(scene: LocalScene, step_deg: float = 1.0) -> RaySweep:
             f"camera of {scene.pano_id} is inside footprint "
             f"{scene.containing_building}")
     grid = sweep_grid(step_deg)
-    rank, dist = nearest_walls(scene.arrays, grid, 1, scene.radius_m)
+    arr, ray = scene.arrays, np.arange(len(grid.thetas))
+    rank, dist = nearest_walls(arr, grid, scene.radius_m,
+                               _ray_runs(arr, scene.radius_m, len(ray)), ray)
     bidx = np.full(len(rank), -1, np.int64)
     hit = rank >= 0
     bidx[hit] = scene.rank_to_bidx[rank[hit]]

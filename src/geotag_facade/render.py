@@ -10,6 +10,7 @@ intervals come as rows, such as ``cocoio.read_trace`` reads from a
 from __future__ import annotations
 
 import math
+import re
 import zlib
 
 from .projection import _local_xy
@@ -48,8 +49,13 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     ``footprints`` may be empty; then only the camera marker and the
     field-of-view circle appear. ``intervals`` need pixel fields only
     for the strip. ``comment`` (e.g. config echo) lands in an XML
-    comment so the artifact carries its provenance.
+    comment so the artifact carries its provenance, with a space after
+    each dash that another follows, as a comment holds no ``--``.
+    Building and panorama ids are escaped as XML text.
     """
+    # here, not at the top: xml.sax.saxutils imports urllib.request and
+    # ssl, about 2 MB of peak RSS in every command that imports the CLI
+    from xml.sax.saxutils import escape
     margin = 20.0
     half = radius_m * SCALE + margin
     cx = cy = half
@@ -64,7 +70,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
     if comment:
-        parts.append(f"<!-- {comment.replace('--', '- -')} -->")
+        parts.append(f"<!-- {re.sub('-(?=-)', '- ', comment)} -->")
     parts.append(f'<rect width="{_fmt(width)}" height="{_fmt(height)}" '
                  'fill="white"/>')
 
@@ -89,7 +95,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
             f'<path class="interval-arc" d="'
             f'{_arc_path(cx, cy, radius_m * SCALE * 0.96, iv.angle_lo, iv.angle_hi)}" '
             f'fill="none" stroke="{_color(iv.building_id)}" stroke-width="4">'
-            f'<title>{iv.building_id}</title></path>')
+            f'<title>{escape(iv.building_id)}</title></path>')
 
     # pixel-axis strip
     sx = width / meta.width
@@ -113,7 +119,8 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
                 f'fill="{_color(iv.building_id)}" fill-opacity="0.8"/>')
     parts.append(f'<text x="4" y="{_fmt(strip_y + strip_h + 16.0)}" '
                  f'font-size="12" font-family="monospace">'
-                 f'{meta.pano_id} R={radius_m:g}m north_px={meta.north_px:g}'
+                 f'{escape(meta.pano_id)} R={radius_m:g}m '
+                 f'north_px={meta.north_px:g}'
                  '</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -13,6 +13,7 @@ densely (default 0.01 degree) and their endpoints refined by bisection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,14 @@ class SceneConfig:
     with_ground_truth: bool = True
 
     def __post_init__(self):
-        if self.corridor_width < 6.0:
-            raise ConfigError("corridor_width must be at least 6 m")
+        # scene.json and gt.json echo the config, and JSON has no NaN or
+        # Infinity
+        if not 6.0 <= self.corridor_width < math.inf:
+            raise ConfigError("corridor_width must be a finite number of at "
+                              f"least 6 m, got {self.corridor_width}")
+        if not 0.0 < self.radius_m < math.inf:
+            raise ConfigError("radius_m must be a positive finite number, "
+                              f"got {self.radius_m}")
         if self.n_buildings < 0 or self.n_cameras < 1:
             raise ConfigError("need n_buildings >= 0 and n_cameras >= 1")
         if self.category_count < 1:
@@ -225,6 +232,8 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> SyntheticSce
     Buildings never overlap (disjoint slots per street side) and never
     contain a camera (cameras stay near the centerline).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     config = config or SceneConfig()
     rng = np.random.default_rng(seed)
     k = config.category_count
@@ -330,8 +339,9 @@ class NoiseConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 0.5):
                 raise ConfigError(f"{name} must be in [0, 0.5]")
-        if self.fp_rate < 0:
-            raise ConfigError("fp_rate must be >= 0")
+        if not 0.0 <= self.fp_rate < math.inf:
+            raise ConfigError(
+                f"fp_rate must be a finite number >= 0, got {self.fp_rate}")
 
 
 def _pixel_gaps(intervals, width, margin=12.0):

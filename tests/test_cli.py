@@ -181,6 +181,29 @@ def test_bad_config_is_a_one_line_error(scene_dir, tmp_path, capsys, command,
     assert not out.exists()  # refused before any input was read
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--radius", 0], "radius_m"),
+    (["--radius", -5], "radius_m"),
+    (["--radius", "nan"], "radius_m"),
+    (["--radius", "inf"], "radius_m"),
+    (["--corridor-width", "nan"], "corridor_width"),
+    (["--fp-rate", "nan"], "fp_rate"),
+    (["--fp-rate", "inf"], "fp_rate"),
+    (["--seed", -1], "seed"),
+], ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf",
+        "corridor-width-nan", "fp-rate-nan", "fp-rate-inf", "seed-negative"])
+def test_bad_synth_number_is_a_one_line_error(tmp_path, capsys, flags,
+                                              needle):
+    out = tmp_path / "o"
+    rc = run(["synth", "--n-buildings", 2, "--n-cameras", 1, "--out", out,
+              *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_iou_x_min_range():
     from geotag_facade import ConfigError, RunConfig
     for ok in (0.0, 0.3, 0.999):
@@ -954,6 +977,29 @@ class TestRender:
         run(self.render_args(scene_dir, trace_out, s1))
         run(self.render_args(scene_dir, trace_out, s2))
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_svg_parses_with_markup_in_ids_and_dashes_in_config(self):
+        import xml.etree.ElementTree as ET
+        from geotag_facade.cocoio import json_line
+        from geotag_facade.ingest import PanoramaMeta
+        from geotag_facade.raytrace import VisibilityInterval
+        from geotag_facade.render import render_scene_svg
+        ids = ["Smith & Sons", "a<b"]
+        meta = PanoramaMeta(pano_id="p&<q>", lat=40.0, lon=-73.0,
+                            north_px=0.0, width=2048, height=1024)
+        ivs = [VisibilityInterval(b, 1, 10.0 + 40.0 * k, 40.0 + 40.0 * k,
+                                  12.0, 100.0 + 300.0 * k, 300.0 + 300.0 * k)
+               for k, b in enumerate(ids)]
+        comment = json_line({"config": {"note": "a---b--", "end": "-"}})
+        svg = render_scene_svg([], meta, ivs, 50.0, comment=comment)
+        parser = ET.XMLParser(target=ET.TreeBuilder(insert_comments=True))
+        root = ET.fromstring(svg, parser=parser)
+        ns = "{http://www.w3.org/2000/svg}"
+        assert [t.text for t in root.iter(ns + "title")] == ids
+        assert root.find(ns + "text").text.startswith("p&<q> R=50m")
+        note, = [c.text for c in root.iter(ET.Comment)]
+        assert "--" not in note
+        assert note.replace(" ", "") == comment
 
     @pytest.mark.parametrize("breakage, needle", [
         (lambda text: text[:len(text) // 2], "byte offset"),

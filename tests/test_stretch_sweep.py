@@ -141,8 +141,10 @@ SCENES = {
 
 def per_ray_pieces(arr, grid, cameras, radius_m):
     """``sweep_pieces`` by ``nearest_walls`` at every ray, one piece each."""
-    ray = np.arange(len(grid.thetas) * cameras)
-    return (ray, ray, *nearest_walls(arr, grid, cameras, radius_m))
+    n = len(grid.thetas)
+    ray = np.arange(n * cameras)
+    return (ray, ray, *nearest_walls(arr, grid, radius_m,
+                                     _ray_runs(arr, radius_m, n), ray))
 
 
 def tables(monkeypatch, index, metas, config):
@@ -222,7 +224,7 @@ def test_stretch_sweep_tests_a_tenth_of_the_pairs_of_a_street(monkeypatch):
                                        with_ground_truth=False))
     walls = clip_group(FootprintIndex(sc.footprint_set), sc.metas, 50.0).walls
     cameras = len(sc.metas)
-    grid = sweep_grid(0.1, cameras)
+    grid = sweep_grid(0.1)
     n = len(grid.thetas)
     real, tested = raytrace._pair_hits, []
 

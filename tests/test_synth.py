@@ -82,6 +82,34 @@ class TestOracle:
         assert sweep.building_idx[[0, 10, 90, 180]].tolist() == [1, 1, 0, -1]
 
 
+    def test_building_seen_all_the_way_round(self):
+        # four slabs of one building, overlapping at the corners, ring
+        # the camera: one interval over the whole circle, nothing to refine
+        from geotag_facade import RunConfig, trace_run
+        from geotag_facade.projection import local_to_geodetic
+        boxes = [(-14.0, 10.0, 14.0, 14.0), (-14.0, -14.0, 14.0, -10.0),
+                 (10.0, -14.0, 14.0, 14.0), (-14.0, -14.0, -10.0, 14.0)]
+        fps = []
+        for x0, y0, x1, y1 in boxes:
+            ring = [local_to_geodetic((0.0, 0.0), p)
+                    for p in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+            fps.append(BuildingFootprint(building_id="ring",
+                                         ring=(*ring, ring[0]),
+                                         raw_label="x", category=3))
+        index = FootprintIndex(FootprintSet.of(fps))
+        meta = PanoramaMeta(pano_id="p", lat=0.0, lon=0.0, north_px=0.0,
+                            width=2048, height=1024)
+        iv, = oracle_intervals_for_scene(clip_scene(index, meta, 50.0))
+        assert (iv.building_id, iv.category) == ("ring", 3)
+        assert (iv.angle_lo, iv.angle_hi) == (0.0, pytest.approx(359.99))
+        assert iv.min_distance == pytest.approx(10.0)
+        table = trace_run(index, [meta], RunConfig(step_deg=1.0))
+        assert table.offsets.tolist() == [0, 1]
+        assert index.footprints.building_ids[table.owner[0]] == "ring"
+        assert (table.angle_lo[0], table.angle_hi[0]) == (0.0, 359.0)
+        assert table.min_distance[0] == pytest.approx(10.0)
+
+
 class TestGenerateScene:
     def test_deterministic(self):
         a = generate_scene(1, SceneConfig(n_buildings=6, n_cameras=2))
