@@ -43,36 +43,26 @@ def _add_trace_args(p):
     p.add_argument("--flip-heading", action="store_true")
 
 
-def _run_config(args) -> RunConfig:
-    """The run's settings from the command's flags, whose destinations
-    are RunConfig's field names; settings without a flag keep
-    RunConfig's defaults."""
-    return RunConfig(**{f.name: getattr(args, f.name)
-                        for f in fields(RunConfig) if hasattr(args, f.name)})
+def _config(cls, args):
+    """A ``cls`` dataclass from the command's flags, whose destinations
+    are its field names; fields without a flag keep their defaults."""
+    return cls(**{f.name: getattr(args, f.name)
+                  for f in fields(cls) if hasattr(args, f.name)})
 
 
 def cmd_synth(args) -> int:
-    cfg = SceneConfig(n_buildings=args.n_buildings,
-                      corridor_width=args.corridor_width,
-                      category_count=args.category_count,
-                      radius_m=args.radius,
-                      n_cameras=args.n_cameras)
-    noise = NoiseConfig(shift_frac=args.shift_frac, scale_frac=args.scale_frac,
-                        fp_rate=args.fp_rate)
-    scene = generate_scene(args.seed, cfg)
+    scene = generate_scene(args.seed, _config(SceneConfig, args))
+    noise = _config(NoiseConfig, args)
     dets = perturb_detections(scene, noise, seed=args.seed + 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    features = []
-    for fp in scene.footprints:
-        features.append({
-            "type": "Feature",
-            "properties": {"building_id": fp.building_id,
-                           "label": fp.raw_label},
-            "geometry": {"type": "Polygon",
-                         "coordinates": [[[lon, lat] for lat, lon in fp.ring]]},
-        })
+    features = [{"type": "Feature",
+                 "properties": {"building_id": fp.building_id,
+                                "label": fp.raw_label},
+                 "geometry": {"type": "Polygon", "coordinates": [
+                     [[lon, lat] for lat, lon in fp.ring]]}}
+                for fp in scene.footprints]
     cocoio.write_json(out / "footprints.geojson",
                       {"type": "FeatureCollection", "features": features})
     with open(out / "metas.jsonl", "w", encoding="utf-8") as fh:
@@ -102,7 +92,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    config = _run_config(args)
+    config = _config(RunConfig, args)
     mapping = load_category_mapping(args.mapping)
     footprints = load_footprints(args.footprints, mapping)
     panos = load_panorama_meta(args.metas)
@@ -133,7 +123,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    config = _run_config(args)
+    config = _config(RunConfig, args)
     mapping = load_category_mapping(args.mapping)
     footprints = load_footprints(args.footprints, mapping)
     panos = load_panorama_meta(args.metas)
@@ -231,14 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene directory")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n-buildings", type=int, default=12)
-    p.add_argument("--n-cameras", type=int, default=4)
-    p.add_argument("--corridor-width", type=float, default=12.0)
-    p.add_argument("--category-count", type=int, default=5)
-    p.add_argument("--radius", type=float, default=50.0)
-    p.add_argument("--shift-frac", type=float, default=0.0)
-    p.add_argument("--scale-frac", type=float, default=0.0)
-    p.add_argument("--fp-rate", type=float, default=0.0)
+    p.add_argument("--n-buildings", type=int, default=SceneConfig.n_buildings)
+    p.add_argument("--n-cameras", type=int, default=SceneConfig.n_cameras)
+    p.add_argument("--corridor-width", type=float,
+                   default=SceneConfig.corridor_width)
+    p.add_argument("--category-count", type=int,
+                   default=SceneConfig.category_count)
+    p.add_argument("--radius", dest="radius_m", metavar="RADIUS",
+                   type=float, default=SceneConfig.radius_m)
+    p.add_argument("--shift-frac", type=float, default=NoiseConfig.shift_frac)
+    p.add_argument("--scale-frac", type=float, default=NoiseConfig.scale_frac)
+    p.add_argument("--fp-rate", type=float, default=NoiseConfig.fp_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

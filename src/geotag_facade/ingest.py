@@ -640,8 +640,12 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
         if accepted else ([], [], [])
     ok = np.array([records[r][1] is None for r in parsed], bool)
     keep = np.repeat(ok, kept)
-    log.info("loaded %d footprints from %s (%d rejected)",
-             len(ids), path, report.n_rejected)
+    if records and not ids:  # a run with no buildings annotates nothing
+        log.warning("loaded 0 footprints from %s: all %d rejected, the first "
+                    "(%s) for: %s", path, len(records), *report.rejected[0])
+    else:
+        log.info("loaded %d footprints from %s (%d rejected)",
+                 len(ids), path, report.n_rejected)
     return FootprintSet(ids, raw_labels, categories, lat[keep], lon[keep],
                         kept[ok], report)
 

@@ -46,11 +46,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import RunConfig, rays_per_turn
+from .config import RunConfig
 from .ingest import DetectionBox, DetectionSet, FootprintSet, ranges
 from .metrics import iou_1d_arrays
 from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
-                         pixel_span)
+                         id_ranks, pixel_span)
 from .raytrace import IntervalTable, run_table, sweep_grid, sweep_pieces
 
 log = logging.getLogger(__name__)
@@ -174,15 +174,15 @@ def match_box(box: DetectionBox, intervals, iou_min: float,
               width: float) -> MatchResult | None:
     """Match one box against a panorama's visibility interval rows, as
     the one-box case of :func:`match_intervals`: ties go to the smaller
-    building id, then the earlier row. None when nothing qualifies."""
+    building id (:func:`projection.id_ranks`), then the earlier row.
+    None when nothing qualifies."""
     ivs = list(intervals)
-    rank = {b: r for r, b in enumerate(sorted({iv.building_id for iv in ivs}))}
     won, row, iou = match_intervals(
         np.array([box.x], float), np.array([box.w], float),
         np.array([width], float), np.zeros(1, np.int64), np.array([len(ivs)]),
         np.array([iv.px_lo for iv in ivs], float),
         np.array([iv.px_hi for iv in ivs], float),
-        np.array([rank[iv.building_id] for iv in ivs], np.int64), iou_min)
+        id_ranks([iv.building_id for iv in ivs]), iou_min)
     if not len(won):
         return None
     iv = ivs[row[0]]
@@ -285,16 +285,16 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
 
     The cameras are clipped (:func:`clip_group`), swept into pieces of
     one owner (:func:`sweep_pieces`) and split into runs
-    (:func:`run_table`) in groups of ``GROUP_RAYS // rays_per_turn`` (at
-    least one); then one pass maps every run onto its panorama's pixels.
-    No per-ray column and no interval row is built. One WARNING counts
-    the candidate (camera, footprint) pairs skipped because the ring
-    reaches past the flat-plane range.
+    (:func:`run_table`) in groups of ``GROUP_RAYS // n`` cameras, at
+    least one, for the grid's ``n`` rays a turn; then one pass maps every
+    run onto its panorama's pixels. No per-ray column and no interval
+    row is built. One WARNING counts the candidate (camera, footprint)
+    pairs skipped because the ring reaches past the flat-plane range.
     """
     metas = list(metas)
-    size = max(1, GROUP_RAYS // rays_per_turn(config.step_deg))
     grid = sweep_grid(config.step_deg)
     n = len(grid.thetas)
+    size = max(1, GROUP_RAYS // n)
     containing, out_of_range = [], 0
     # each run's first and last sample in the run's sweep, building rank,
     # owning footprint and distance, after the columns' empty seed

@@ -19,7 +19,9 @@ candidate in one array pass. Every (category, IoU threshold, area
 bucket) AP curve is then scored in one batched array pass; runs laid
 end to end (a key's columns, a curve's ranks) expand by ``ingest.ranges``.
 ``iou_2d`` is the kernel's one-pair case, so the 2-D formula exists
-once. ``iou_1d_arrays``, the matcher's 1-D IoU, is the only one, and it
+once; ``_piece_arrays``, the one seam cut of a pixel span, serves it,
+``_overlapping``, ``render``'s strip and ``synth``'s false-positive
+gaps. ``iou_1d_arrays``, the matcher's 1-D IoU, is the only one, and it
 shares the wrapped overlap with the 2-D kernel. The scalar forms of
 the kernels, the matching and the AP are test references in
 ``tests/oracle_utils.py``.
@@ -187,7 +189,9 @@ def _length_arrays(lo, hi, width):
 def _piece_arrays(lo, hi, width):
     """The two (start, end, present) linear pieces of each circular
     interval, the second present only on a wrap (``_interval_pieces``
-    in ``tests/oracle_utils.py``, over arrays)."""
+    in ``tests/oracle_utils.py``, over arrays or scalars): the package's
+    one cut of a span at the seam. A span at least ``width`` long is the
+    whole circle."""
     start = np.mod(lo, width)
     length = _length_arrays(lo, hi, width)
     end = start + length

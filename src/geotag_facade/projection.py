@@ -154,10 +154,6 @@ class WallSegment:
     building_id: str
     category: int
 
-    @property
-    def length(self) -> float:
-        return math.hypot(self.bx - self.ax, self.by - self.ay)
-
 
 @dataclass
 class SceneArrays:
@@ -199,9 +195,24 @@ def wall_arrays(cam, ax, ay, bx, by, rank, front) -> SceneArrays:
                        len2=length * length, rank=rank, front=front)
 
 
+def id_ranks(ids) -> np.ndarray:
+    """The str-order rank of each id of the sequence ``ids``, equal ids
+    sharing one: the one rank of building ids, which breaks distance
+    ties, for :class:`FootprintIndex`, :class:`LocalScene` and
+    ``matcher.match_box``.
+    One sort as str, not through a numpy <U array, which drops trailing
+    NULs and so would merge "a" and "a\\x00"."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ordered = [*map(ids.__getitem__, order)]
+    rank = np.zeros(len(ids), np.int64)
+    rank[order[1:]] = np.cumsum(np.fromiter(
+        map(ne, ordered[1:], ordered), np.int64, max(len(ids) - 1, 0)))
+    return rank
+
+
 def _segment_arrays(segments, buildings):
-    """(arrays, rank_to_bidx) of a WallSegment list: the one place a
-    scene's buildings are ranked, lexicographically by id."""
+    """(arrays, rank_to_bidx) of a WallSegment list, its buildings
+    ranked by :func:`id_ranks`."""
     n = len(segments)
     ax = np.fromiter((s.ax for s in segments), float, n)
     ay = np.fromiter((s.ay for s in segments), float, n)
@@ -209,11 +220,10 @@ def _segment_arrays(segments, buildings):
     by = np.fromiter((s.by for s in segments), float, n)
     id_of = {bid: i for i, (bid, _) in enumerate(buildings)}
     bidx = np.fromiter((id_of[s.building_id] for s in segments), np.int64, n)
-    order = np.array(sorted(range(len(buildings)),
-                            key=lambda i: buildings[i][0]), np.int64)
-    rank = np.argsort(order)[bidx]  # the inverse permutation of order
-    return (wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank,
-                        np.ones(n, bool)), order)
+    # each building is listed once, so the ranks are a permutation
+    rank = id_ranks([bid for bid, _ in buildings])
+    return (wall_arrays(np.zeros(n, np.int64), ax, ay, bx, by, rank[bidx],
+                        np.ones(n, bool)), np.argsort(rank))
 
 
 class LocalScene:
@@ -252,8 +262,8 @@ class FootprintIndex:
     arrays it takes as they are: every outer ring's vertices (the
     closing one dropped) in one lat and one lon array, with each ring's
     first vertex and vertex count. Adds each ring's lat/lon bounding box
-    and each footprint's building rank under lexicographic id order
-    (footprints sharing an id share a rank). Files each box that fits a
+    and each footprint's building rank (:func:`id_ranks`; footprints
+    sharing an id share a rank). Files each box that fits a
     cell of ``_CELL_DEG`` degrees under the cell of its south-west
     corner: ``cell_key`` is the boxes' cell keys (row, then column),
     sorted, and ``cell_fp`` their footprints, which
@@ -273,15 +283,7 @@ class FootprintIndex:
             self.lon_hi = np.maximum.reduceat(self.lon, self.ring_start)
         else:
             self.lat_lo = self.lat_hi = self.lon_lo = self.lon_hi = self.lat
-        # one sort of the ids as str: each id in it ranks one above the
-        # one before if it differs. Not through a numpy <U array, which
-        # drops trailing NULs and so would merge "a" and "a\x00"
-        ids = footprints.building_ids
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ordered = [*map(ids.__getitem__, order)]
-        self.rank = np.zeros(len(ids), np.int64)
-        self.rank[order[1:]] = np.cumsum(np.fromiter(
-            map(ne, ordered[1:], ordered), np.int64, max(len(ids) - 1, 0)))
+        self.rank = id_ranks(footprints.building_ids)
         # each box that fits, filed under the cell of its south-west corner
         height, width = self.lat_hi - self.lat_lo, self.lon_hi - self.lon_lo
         filed = ((height <= _CELL_BOX_DEG) & (width <= _CELL_BOX_DEG)
@@ -486,11 +488,6 @@ class ClipGroup:
         return self.kept_fp[first[np.searchsorted(keys,
                                                   cam * stride + rank)]]
 
-    def owners(self, cam, rank) -> list:
-        """(building_id, category) of each :meth:`owner_fp`."""
-        return footprint_names(self.index.footprints,
-                               self.owner_fp(cam, rank))
-
 
 def clip_group(index: FootprintIndex, metas, radius_m: float) -> ClipGroup:
     """Clip the footprints around a group of cameras in one array pass.
@@ -586,10 +583,12 @@ def clip_scene(index: FootprintIndex, meta: PanoramaMeta,
                 for ax, ay, bx, by, (bid, cat)
                 in zip(walls.ax.tolist(), walls.ay.tolist(),
                        walls.bx.tolist(), walls.by.tolist(),
-                       group.owners(walls.cam, walls.rank))]
-    rank = index.rank[group.kept_fp]
-    first = np.sort(np.unique(rank, return_index=True)[1])
-    buildings = group.owners(np.zeros(len(first), np.int64), rank[first])
+                       footprint_names(index.footprints, group.owner_fp(
+                           walls.cam, walls.rank)))]
+    # each building's first kept footprint, which owner_fp names it by
+    first = np.unique(index.rank[group.kept_fp], return_index=True)[1]
+    buildings = footprint_names(index.footprints,
+                                group.kept_fp[np.sort(first)])
     return LocalScene(pano_id=meta.pano_id, origin=(meta.lat, meta.lon),
                       radius_m=radius_m, segments=segments,
                       buildings=buildings,

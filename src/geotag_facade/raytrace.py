@@ -59,10 +59,12 @@ The kernels work on a group of cameras at once. Ray ``k`` of the
 group's camera ``c`` is group ray ``c * n + k``, numbered once, by
 :func:`_ray_runs`; the grid (:class:`SweepGrid`) holds one turn of
 headings, and every kernel reads group ray ``r``'s direction at ``r %
-n``. Runs are cut at camera boundaries and merged across each camera's
-seam. ``matcher.trace_run`` traces a run's cameras that way, group by
-group, into one :class:`IntervalTable`, one array per interval field,
-which annotation matches and ``cocoio.write_trace`` writes as it is.
+n``; :func:`sweep_grid` is the one heading grid, for ``trace_run``,
+:func:`trace_sweep` and the ``synth`` oracle. Runs are cut at camera
+boundaries and merged across each camera's seam. ``matcher.trace_run``
+traces a run's cameras that way, group by group, into one
+:class:`IntervalTable`, one array per interval field, which annotation
+matches and ``cocoio.write_trace`` writes as it is.
 :func:`trace_sweep`, :func:`intervals_from_sweep` and
 :func:`intervals_to_pixel` are one-camera views of the same kernels
 (:func:`nearest_walls`, :func:`run_table`, :func:`projection.pixel_span`)

@@ -2,10 +2,11 @@
 
 Top: map view with the footprints, the camera, the field-of-view circle
 and one arc per visibility interval, color-keyed by building. Bottom:
-a strip showing the same intervals on the panorama's pixel axis, seam
-splits included. Text SVG keeps the output diffable in tests. The
-intervals come as rows, such as ``cocoio.read_trace`` reads from a
-``trace`` file; this module only draws.
+a strip showing the same intervals on the panorama's pixel axis, cut
+at the seam by ``metrics._piece_arrays`` as eval cuts them. Text SVG
+keeps the output diffable in tests. The intervals come as rows, such as
+``cocoio.read_trace`` reads from a ``trace`` file; this module only
+draws.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import re
 import zlib
 
+from .metrics import _piece_arrays
 from .projection import _local_xy
 
 SCALE = 4.0  # map-view pixels per meter
@@ -22,8 +24,22 @@ PALETTE = (
 )
 
 
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f"
+                      "\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data: markup escaped, and each character
+    XML 1.0 cannot carry (``_NOT_XML``: a C0 control but tab, LF and CR,
+    a lone surrogate, U+FFFE or U+FFFF) replaced with U+FFFD."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return _NOT_XML.sub("\ufffd", text)
+
+
 def _color(building_id: str) -> str:
-    return PALETTE[zlib.crc32(building_id.encode("utf-8")) % len(PALETTE)]
+    # surrogatepass: any str id, lone surrogates too, has its bytes
+    return PALETTE[zlib.crc32(building_id.encode("utf-8", "surrogatepass"))
+                   % len(PALETTE)]
 
 
 def _fmt(v: float) -> str:
@@ -51,11 +67,8 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     for the strip. ``comment`` (e.g. config echo) lands in an XML
     comment so the artifact carries its provenance, with a space after
     each dash that another follows, as a comment holds no ``--``.
-    Building and panorama ids are escaped as XML text.
+    Building and panorama ids are written as XML text (:func:`_xml_text`).
     """
-    # here, not at the top: xml.sax.saxutils imports urllib.request and
-    # ssl, about 2 MB of peak RSS in every command that imports the CLI
-    from xml.sax.saxutils import escape
     margin = 20.0
     half = radius_m * SCALE + margin
     cx = cy = half
@@ -65,10 +78,9 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     height = strip_y + strip_h + 30.0
 
     cos_lat = math.cos(math.radians(meta.lat))
-    parts = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">']
     if comment:
         parts.append(f"<!-- {re.sub('-(?=-)', '- ', comment)} -->")
     parts.append(f'<rect width="{_fmt(width)}" height="{_fmt(height)}" '
@@ -95,7 +107,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
             f'<path class="interval-arc" d="'
             f'{_arc_path(cx, cy, radius_m * SCALE * 0.96, iv.angle_lo, iv.angle_hi)}" '
             f'fill="none" stroke="{_color(iv.building_id)}" stroke-width="4">'
-            f'<title>{escape(iv.building_id)}</title></path>')
+            f'<title>{_xml_text(iv.building_id)}</title></path>')
 
     # pixel-axis strip
     sx = width / meta.width
@@ -105,12 +117,8 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
     for iv in intervals:
         if iv.px_lo is None or iv.px_hi is None:
             continue
-        start = iv.px_lo % meta.width
-        length = (iv.px_hi - iv.px_lo) % meta.width
-        spans = ([(start, meta.width), (0.0, start + length - meta.width)]
-                 if start + length > meta.width else [(start, start + length)])
-        for lo, hi in spans:
-            if hi - lo <= 0:
+        for lo, hi, _ in _piece_arrays(iv.px_lo, iv.px_hi, meta.width):
+            if hi - lo <= 0:  # an absent or empty piece
                 continue
             parts.append(
                 f'<rect class="interval-band" x="{_fmt(lo * sx)}" '
@@ -119,7 +127,7 @@ def render_scene_svg(footprints, meta, intervals, radius_m: float,
                 f'fill="{_color(iv.building_id)}" fill-opacity="0.8"/>')
     parts.append(f'<text x="4" y="{_fmt(strip_y + strip_h + 16.0)}" '
                  f'font-size="12" font-family="monospace">'
-                 f'{escape(meta.pano_id)} R={radius_m:g}m '
+                 f'{_xml_text(meta.pano_id)} R={radius_m:g}m '
                  f'north_px={meta.north_px:g}'
                  '</text>')
     parts.append("</svg>")

@@ -22,10 +22,11 @@ from .config import rays_per_turn
 from .errors import ConfigError
 from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      DetectionSet, FootprintSet, PanoramaMeta)
+from .metrics import _piece_arrays
 from .projection import (FootprintIndex, LocalScene, clip_scene,
                          local_to_geodetic)
 from .raytrace import (PARALLEL_EPS, TIE_EPS_M, VisibilityInterval,
-                       intervals_to_pixel, run_table)
+                       intervals_to_pixel, run_table, sweep_grid)
 
 _ORACLE_CHUNK = 4096
 BISECTION_TOL_DEG = 1e-4
@@ -164,11 +165,11 @@ def _refine_boundary(scene, theta_out, theta_in, target) -> float:
 
 def oracle_intervals_for_scene(scene: LocalScene,
                                resolution_deg: float = 0.01) -> list:
-    """Dense sweep plus bisection-refined interval endpoints."""
-    n = rays_per_turn(resolution_deg)
-    if not n:
-        raise ValueError(f"resolution {resolution_deg} does not divide 360")
-    thetas = np.arange(n, dtype=float) * resolution_deg
+    """Dense sweep plus bisection-refined interval endpoints, on the
+    engine's heading grid (:func:`raytrace.sweep_grid`, which raises
+    ValueError for a step that does not divide 360)."""
+    thetas = sweep_grid(resolution_deg).thetas
+    n = len(thetas)
     bidx, dist = oracle_hits(scene, thetas)
     out = []
     ray = np.arange(n)
@@ -345,32 +346,20 @@ class NoiseConfig:
 
 
 def _pixel_gaps(intervals, width, margin=12.0):
-    """Linear [lo, hi] stretches of the pixel circle no interval covers."""
-    pieces = []
-    for iv in intervals:
-        start = iv.px_lo % width
-        length = (iv.px_hi - iv.px_lo) % width
-        end = start + length
-        if end <= width:
-            pieces.append((start, end))
-        else:
-            pieces.append((start, width))
-            pieces.append((0.0, end - width))
-    pieces.sort()
-    gaps = []
-    cursor = 0.0
-    for s, e in pieces:
+    """Linear [lo, hi] stretches of the pixel circle no interval covers,
+    each interval cut at the seam by :func:`metrics._piece_arrays`; an
+    empty interval still splits a gap at its start."""
+    (lo1, hi1, _), (_, hi2, wrap) = _piece_arrays(
+        np.array([iv.px_lo for iv in intervals], float),
+        np.array([iv.px_hi for iv in intervals], float), width)
+    pieces = sorted([*zip(lo1.tolist(), hi1.tolist()),
+                     *((0.0, hi) for hi in hi2[wrap].tolist())])
+    gaps, cursor = [], 0.0
+    for s, e in [*pieces, (width, width)]:  # the last gap ends at the seam
         if s > cursor:
-            gaps.append((cursor, s))
+            gaps.append((cursor + margin, s - margin))
         cursor = max(cursor, e)
-    if cursor < width:
-        gaps.append((cursor, width))
-    out = []
-    for lo, hi in gaps:
-        lo, hi = lo + margin, hi - margin
-        if hi - lo >= 40.0:
-            out.append((lo, hi))
-    return out
+    return [(lo, hi) for lo, hi in gaps if hi - lo >= 40.0]
 
 
 def perturb_detections(scene: SyntheticScene, noise: NoiseConfig,

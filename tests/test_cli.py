@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +149,43 @@ def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
         anns.append(json.loads((out / "coarse_annotations.json")
                                .read_text())["annotations"])
     assert anns[0] and all(a == anns[0] for a in anns[1:])
+
+
+def test_a_mapping_that_maps_no_footprint_warns(scene_dir, tmp_path,
+                                                capsys):
+    # the synth labels (cat_1 to cat_5) are not New York's
+    mapping = Path(__file__).resolve().parent.parent / "configs" \
+        / "new_york.json"
+    outs, rcs = {}, {}
+    for level in ("WARNING", "ERROR"):
+        out = outs[level] = tmp_path / level
+        argv = trace_argv(scene_dir, out)
+        argv[argv.index("--mapping") + 1] = mapping
+        rcs[level] = run(["--log-level", level, "annotate", *argv[1:],
+                          "--detections", scene_dir / "detections.json"])
+        err = capsys.readouterr().err
+        if level == "WARNING":
+            assert err.splitlines() == [
+                f"WARNING geotag_facade.ingest: loaded 0 footprints from "
+                f"{scene_dir / 'footprints.geojson'}: all 10 rejected, the "
+                f"first (b000) for: label 'cat_4' not in mapping and no "
+                f"default"]
+        else:
+            assert err == ""
+    assert rcs == {"WARNING": 0, "ERROR": 0}
+    assert artifacts(outs["WARNING"]) == artifacts(outs["ERROR"])
+
+
+def test_importing_the_cli_leaves_network_and_sax_modules_out():
+    # xml.sax.saxutils pulls urllib.request and ssl, about 3 MB of peak
+    # RSS in every command
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, geotag_facade.cli; print(sorted(m for m in "
+             "('ssl', 'urllib.request', 'xml.sax') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_trace_missing_input_fatal(tmp_path):
@@ -1035,6 +1076,72 @@ class TestRender:
         assert needle in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not svg.exists()
+
+    def test_svg_parses_with_characters_xml_forbids_in_ids(self):
+        # a vertical tab, a lone surrogate (both valid JSON strings), a
+        # C0 control and U+FFFF: each becomes U+FFFD, and markup escapes
+        import xml.etree.ElementTree as ET
+        from geotag_facade.ingest import PanoramaMeta
+        from geotag_facade.raytrace import VisibilityInterval
+        from geotag_facade.render import render_scene_svg
+        ids = ["a\u000bb", "x\ud800y", "c\x01&\uffff"]
+        meta = PanoramaMeta(pano_id="p\udfff<q>", lat=40.0, lon=-73.0,
+                            north_px=0.0, width=2048, height=1024)
+        ivs = [VisibilityInterval(b, 1, 10.0 + 40.0 * k, 40.0 + 40.0 * k,
+                                  12.0, 100.0 + 300.0 * k, 300.0 + 300.0 * k)
+               for k, b in enumerate(ids)]
+        svg = render_scene_svg([], meta, ivs, 50.0)
+        root = ET.fromstring(svg.encode("utf-8"))
+        ns = "{http://www.w3.org/2000/svg}"
+        assert [t.text for t in root.iter(ns + "title")] == [
+            "a\ufffdb", "x\ufffdy", "c\ufffd&\ufffd"]
+        assert root.find(ns + "text").text.startswith("p\ufffd<q> R=50m")
+
+    def test_seam_cut_of_the_strip(self):
+        # a span across the seam is two bands, one from its start to the
+        # right edge and one from the left edge; a span of a whole width
+        # or more is the whole strip, as eval measures it
+        from geotag_facade.ingest import PanoramaMeta
+        from geotag_facade.raytrace import VisibilityInterval
+        from geotag_facade.render import render_scene_svg
+        meta = PanoramaMeta(pano_id="p", lat=40.0, lon=-73.0, north_px=0.0,
+                            width=1000, height=500)
+
+        def bands(px_lo, px_hi):
+            iv = VisibilityInterval("b", 1, 0.0, 10.0, 5.0, px_lo, px_hi)
+            svg = render_scene_svg([], meta, [iv], 10.0)
+            return [(float(x), float(w)) for x, w in re.findall(
+                r'class="interval-band" x="([^"]+)" y="[^"]+" '
+                r'width="([^"]+)"', svg)]
+        sx = (2 * (10.0 * 4.0 + 20.0)) / 1000  # the map's width per pixel
+        assert bands(900.0, 100.0) == pytest.approx(
+            [(900 * sx, 100 * sx), (0.0, 100 * sx)])
+        assert bands(900.0, 1100.0) == bands(900.0, 100.0)
+        assert bands(200.0, 300.0) == pytest.approx([(200 * sx, 100 * sx)])
+        assert bands(200.0, 200.0) == []
+        assert bands(200.0, 1200.0) == pytest.approx(
+            [(200 * sx, 800 * sx), (0.0, 200 * sx)])
+
+    def test_render_of_a_lone_surrogate_id_exits_0(self, scene_dir,
+                                                     tmp_path, capsys):
+        doc = json.loads((scene_dir / "footprints.geojson").read_text())
+        for f in doc["features"]:
+            f["properties"]["building_id"] = \
+                "x\ud800y" + f["properties"]["building_id"]
+        fps = tmp_path / "f.geojson"
+        fps.write_text(json.dumps(doc))  # \ud800 as a JSON escape
+        trace_out = tmp_path / "t"
+        assert run(trace_argv(scene_dir, trace_out, fps)) == 0
+        svg = tmp_path / "o.svg"
+        args = self.render_args(scene_dir, trace_out, svg)
+        args[args.index("--footprints") + 1] = fps
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
+        import xml.etree.ElementTree as ET
+        titles = [t.text for t in ET.parse(svg).getroot().iter(
+            "{http://www.w3.org/2000/svg}title")]
+        assert titles and all(t.startswith("x\ufffdy") for t in titles)
 
     def test_empty_scene_renders_camera_and_fov_only(self, tmp_path):
         d = tmp_path / "empty_scene"

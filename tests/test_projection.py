@@ -279,6 +279,7 @@ class TestFootprintIndex:
                 footprint_at((40.0, -74.0), ring, bid) for bid in ids))
             assert index.rank.dtype == np.int64
             assert index.rank.tolist() == [rank_of[b] for b in ids]
+            assert projection.id_ranks(ids).tolist() == index.rank.tolist()
 
     def test_seeded_random_scenes(self):
         rng = random.Random(13)

@@ -70,7 +70,7 @@ class TestRayWallDistance:
         rng = np.random.default_rng(2)
         for _ in range(300):
             s = seg(*rng.uniform(-30, 30, 4))
-            if s.length < 1e-6:
+            if math.hypot(s.bx - s.ax, s.by - s.ay) < 1e-6:
                 continue
             theta = rng.uniform(0, 360)
             d = ray_wall_distance(

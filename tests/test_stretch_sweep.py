@@ -9,7 +9,9 @@ four steps, on the scenes where a fill could go wrong: walls through and
 tangent to the radius circle, walls whose line crosses it just past their
 ends, shared, collinear, nearly parallel and crossing walls, vertices on
 grid headings, overlapping and non-convex rings, and a wall through the
-camera.
+camera; and three scenes a seeded search found, where the sweep needs its
+radius cuts' tangent tolerance, its full-turn exclusion and the right
+end of its beyond-the-radius test.
 """
 import math
 import sys
@@ -136,6 +138,22 @@ SCENES = {
     "wall-through-camera": [
         fp_local([(-4.0, -2.0), (6.0, 3.0), (2.0, 11.0), (-8.0, 6.0)], "edge"),
         slab((-20.0, 15.0), (20.0, 15.0), "behind")],
+    # The last three scenes were found by a seeded search of scenes where
+    # a sweep without one of its conditions differs from the per-ray one.
+    # A line one ulp beyond the radius, its foot 1.3e-7 degrees off the
+    # 195-degree ray, which rounds to a hit 49.99999999999999 m away: the
+    # radius cuts hold it only through their tangent tolerance
+    "tangent-just-beyond": [tangent_wall(50.0, 194.9999998735582,
+                                         2.844728867461736, "beyond")],
+    # a wall 1.5e-9 m from the camera gets every ray, and the camera's
+    # stretches span more than its half turn: none may be filled
+    "wall-by-camera": [tangent_wall(1.5e-9, 60.0, 30.0, "touch")],
+    # a wall through the radius circle on the 134.8-degree ray, where the
+    # cut and the ray's distance round to opposite sides of the circle:
+    # the next stretch starts beyond the radius and ends inside it
+    "radius-on-grid-ray": [slab((29.02809093711828, -40.77510914167483),
+                                (43.5408511075804, -28.30310078475267), "on",
+                                depth=2.8826291728733184)],
 }
 
 
@@ -199,6 +217,18 @@ def test_scenes_reach_the_cases_they_name():
     walls = clip_group(FootprintIndex(FootprintSet.of(
         SCENES["wall-through-camera"])), [cam()], 50.0).walls
     assert rays_per_turn(1.0) in _ray_runs(walls, 50.0, 360)[2]
+    # a line beyond the radius, by the sweep's own distance, hit once
+    walls = clip_group(FootprintIndex(FootprintSet.of(
+        SCENES["tangent-just-beyond"])), [cam()], 50.0).walls
+    assert (np.abs(walls.a_dot_n[walls.front]) > 50.0).all()
+    (_, lo, hi, d), = rows("tangent-just-beyond", 1.0)
+    assert lo == hi == 195.0 and d <= 50.0
+    # a full-turn run, though the wall is seen over less than a half turn
+    walls = clip_group(FootprintIndex(FootprintSet.of(
+        SCENES["wall-by-camera"])), [cam()], 50.0).walls
+    assert _ray_runs(walls, 50.0, 360)[2].tolist() == [360]
+    (_, lo, hi, _), = rows("wall-by-camera", 1.0)
+    assert (lo, hi) == (331.0, 149.0)
 
 
 @pytest.mark.parametrize("workload", sorted(bench.SPECS["tiny"]))

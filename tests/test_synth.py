@@ -10,9 +10,10 @@ from geotag_facade.metrics import iou_2d
 from geotag_facade.projection import (FootprintIndex, LocalScene,
                                       WallSegment, clip_scene,
                                       geodetic_to_local)
-from geotag_facade.raytrace import trace_sweep
-from geotag_facade.synth import (NoiseConfig, SceneConfig, generate_scene,
-                                 oracle_hits, oracle_intervals_for_scene,
+from geotag_facade.raytrace import VisibilityInterval, trace_sweep
+from geotag_facade.synth import (NoiseConfig, SceneConfig, _pixel_gaps,
+                                 generate_scene, oracle_hits,
+                                 oracle_intervals_for_scene,
                                  oracle_visibility, perturb_detections)
 
 
@@ -63,6 +64,11 @@ class TestOracle:
     def test_empty_scene(self):
         bidx, dist = oracle_hits(scene_of([]), np.arange(360.0))
         assert (bidx == -1).all() and not np.isfinite(dist).any()
+
+    @pytest.mark.parametrize("res", [0.7, 7.0, 400.0])
+    def test_resolution_must_divide_360(self, res):
+        with pytest.raises(ValueError, match="does not divide 360"):
+            oracle_intervals_for_scene(scene_of(square_segs(0, 20, 10)), res)
 
     def test_shared_wall_goes_to_the_smaller_id(self):
         # "zeta" is listed first, and both buildings own the wall due north
@@ -270,6 +276,17 @@ class TestPerturbDetections:
                     inside = (lo < mid < hi if lo <= hi
                               else (mid > lo or mid < hi))
                     assert not inside
+
+    def test_pixel_gaps_cut_spans_at_the_seam(self):
+        # a span across the seam covers both image edges; the gaps keep a
+        # 12 px margin and drop any under 40 px
+        def iv(lo, hi):
+            return VisibilityInterval("b", 1, 0.0, 1.0, 5.0, lo, hi)
+        assert _pixel_gaps([], 1000) == [(12.0, 988.0)]
+        assert _pixel_gaps([iv(900.0, 100.0), iv(400.0, 500.0)], 1000) == [
+            (112.0, 388.0), (512.0, 888.0)]
+        assert _pixel_gaps([iv(900.0, 1100.0)], 1000) == [(112.0, 888.0)]
+        assert _pixel_gaps([iv(0.0, 970.0)], 1000) == []
 
     def test_noise_fraction_guard(self):
         with pytest.raises(ConfigError):
