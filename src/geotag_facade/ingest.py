@@ -570,6 +570,17 @@ def _outer_rings(geometry):
             for poly in (coords if multi else [coords]) if poly]
 
 
+def _warn_if_all_rejected(report: LoadReport, what: str) -> bool:
+    """Log a WARNING, naming the first rejection, when ``report``
+    rejected every one of its N > 0 records: a run without any of
+    ``what`` annotates nothing. Returns whether it did."""
+    if not report.n_input or report.n_accepted:
+        return False
+    log.warning("loaded 0 %s from %s: all %d rejected, the first (%s) for: "
+                "%s", what, report.path, report.n_input, *report.rejected[0])
+    return True
+
+
 @_gc_paused()
 def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
     """Load building footprints from a GeoJSON FeatureCollection.
@@ -640,10 +651,7 @@ def load_footprints(path, mapping: CategoryMapping) -> FootprintSet:
         if accepted else ([], [], [])
     ok = np.array([records[r][1] is None for r in parsed], bool)
     keep = np.repeat(ok, kept)
-    if records and not ids:  # a run with no buildings annotates nothing
-        log.warning("loaded 0 footprints from %s: all %d rejected, the first "
-                    "(%s) for: %s", path, len(records), *report.rejected[0])
-    else:
+    if not _warn_if_all_rejected(report, "footprints"):
         log.info("loaded %d footprints from %s (%d rejected)",
                  len(ids), path, report.n_rejected)
     return FootprintSet(ids, raw_labels, categories, lat[keep], lon[keep],
@@ -735,6 +743,7 @@ def load_panorama_meta(path) -> PanoramaSet:
             metas.append(PanoramaMeta(pano_id=pano_id, lat=lat, lon=lon,
                                       north_px=north_px, width=width,
                                       height=height))
+    _warn_if_all_rejected(report, "panoramas")
     return PanoramaSet(metas=metas, report=report)
 
 
@@ -784,4 +793,5 @@ def load_detections(path) -> DetectionSet:
             continue
         keys.append(_key(pano_id))
         boxes.append((x, y, w, h, score))
+    _warn_if_all_rejected(report, "detections")
     return DetectionSet._grouped(keys, boxes, report)

@@ -19,12 +19,13 @@ before, the annotations depend on that order too.
 
 Annotate runs in three passes. :func:`trace_run` traces the shuffled
 run into one :class:`IntervalTable`: one clip, sweep and run split per
-group of cameras, as many as fit in ``GROUP_RAYS`` rays, then one pixel
-mapping for the run, whose interval columns are held whole. The cap
-bounds a group's clip arrays and the sweep's per-ray fallback (every
-ray of a group may go to ``raytrace.nearest_walls``), against the fixed
-cost each group pays: at 32,768 rays a 0.1-degree group holds 9 cameras
-and a 1-degree group 91.
+group of at most ``GROUP_CAMERAS`` cameras, then one pixel mapping for
+the run, whose interval columns are held whole. A group's clip and
+sweep arrays grow with its cameras' walls and stretches, not with the
+rays of the step, and the sweep tests the rays no stretch fill decides
+in slices of a bounded size (``raytrace.sweep_pieces``); so the cap
+counts cameras, against the fixed cost each group pays, and a
+0.1-degree street of 200 cameras traces in 3 groups.
 Then the boxes, rows of the :class:`DetectionSet`'s columns,
 are checked and score-filtered batch by batch as array masks; a
 batch's threshold depends on the scores the previous batch kept, never
@@ -57,11 +58,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_FIRST_THRESHOLD = 0.3
 SIGMA_FACTOR = 0.5
-# Rays traced together: a group holds this many rays' worth of cameras,
-# and at least one. The cap bounds a group's clip arrays and the sweep's
-# per-ray fallback; each group pays a fixed cost of about 1 ms in
-# clipping, the sweep's set-up and the run split.
-GROUP_RAYS = 1 << 15
+# Cameras traced together. The cap bounds a group's clip arrays and its
+# sweep's walls and stretches, about 44 walls and 70 to 80 stretches a
+# camera on the benchmark's streets at any step; each group pays a fixed
+# cost of about 1 ms in clipping, the sweep's set-up and the run split.
+GROUP_CAMERAS = 96
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,16 +286,16 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
 
     The cameras are clipped (:func:`clip_group`), swept into pieces of
     one owner (:func:`sweep_pieces`) and split into runs
-    (:func:`run_table`) in groups of ``GROUP_RAYS // n`` cameras, at
-    least one, for the grid's ``n`` rays a turn; then one pass maps every
-    run onto its panorama's pixels. No per-ray column and no interval
+    (:func:`run_table`) in groups of ``GROUP_CAMERAS`` cameras, the last
+    group holding the rest; then one pass maps every run onto its
+    panorama's pixels. No per-ray column and no interval
     row is built. One WARNING counts the candidate (camera, footprint)
     pairs skipped because the ring reaches past the flat-plane range.
     """
     metas = list(metas)
     grid = sweep_grid(config.step_deg)
     n = len(grid.thetas)
-    size = max(1, GROUP_RAYS // n)
+    size = GROUP_CAMERAS
     containing, out_of_range = [], 0
     # each run's first and last sample in the run's sweep, building rank,
     # owning footprint and distance, after the columns' empty seed

@@ -44,11 +44,15 @@ degrees; on such an arc the sinusoid cannot reach zero inside once it
 has the same sign at both ends, and its least value is at an end. So W
 owns every ray between, and its least distance, at the ends or beside
 its perpendicular foot, is the same distance expression evaluated
-there. Any other stretch sends its inner rays to :func:`nearest_walls`.
-On a street at 0.1 degrees the end rays take about 5 % of the candidate
-pairs; on a city at 1 degree, where a front face averages about 22
-candidate rays, the stretch sweep costs about what testing every ray
-does.
+there. Any other stretch sends its inner rays to :func:`nearest_walls`,
+a slice of at most ``_FALLBACK_RAYS`` rays at a time, laid out as its
+pair blocks are (:func:`_blocks`); each slice's rays are joined into
+pieces before the next slice is tested. So the sweep's per-ray arrays
+stay within a few MB whatever a group's cameras and step, even when
+every camera stands on a wall and no stretch is filled. On a street at
+0.1 degrees the end rays take about 5 % of the candidate pairs; on a
+city at 1 degree, where a front face averages about 22 candidate rays,
+the stretch sweep costs about what testing every ray does.
 
 Consecutive grid samples, or pieces of them, owned by the same building
 merge into runs (:func:`run_table`), visibility intervals, which are
@@ -92,6 +96,11 @@ TIE_EPS_M = 1e-9      # distance ties within this window break by building id
 # 20 % slower and used 1.2 MB more, measured when every ray of a group
 # was tested, at about 2.5 pairs a ray.
 _PAIR_BLOCK = 1 << 13
+# fallback rays tested at once (sweep_pieces), which bounds a group's
+# per-ray arrays whatever its cameras and step: 96 cameras each on a
+# wall, where no stretch is filled, trace at 0.05 degrees with a
+# tracemalloc peak of about 4.4 MB, against 58 MB in one slice
+_FALLBACK_RAYS = 1 << 15
 # A computed hit lies within about 10 * 2**-52 * (far-end distance + radius)
 # of its segment; this relative reach is over 400 times that.
 _ROUNDING_REACH = 1e-12
@@ -282,6 +291,26 @@ def _pair_hits(dirs, ray, walls, radius_m: float):
     return hit, t[hit]
 
 
+def _blocks(first, count, size: int):
+    """Runs of items laid out flat and cut into blocks of at most
+    ``size`` items, run ``j`` holding items ``first[j]`` to ``first[j] +
+    count[j] - 1``. Yields (j0, j1, c, item) per block: runs ``j0`` to
+    ``j1 - 1`` reach into it with ``c`` items each, and ``item`` holds
+    the block's items in run order. No array longer than a block is
+    built."""
+    ends = np.cumsum(count)
+    starts = ends - count
+    total = int(ends[-1]) if len(ends) else 0
+    for p0 in range(0, total, size):
+        p1 = min(p0 + size, total)
+        j0 = int(np.searchsorted(ends, p0, side="right"))
+        j1 = int(np.searchsorted(starts, p1, side="left"))
+        c = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
+        # np.repeat: an ingest.ranges gather slowed annotate 9.7 % on 2 vCPU
+        yield j0, j1, c, (np.repeat(first[j0:j1] - starts[j0:j1], c)
+                          + np.arange(p0, p1))
+
+
 def nearest_walls(arr: SceneArrays, grid: SweepGrid, radius_m: float,
                   runs, rays):
     """Nearest-wall query at group rays ``rays`` (sorted) of a group of
@@ -292,8 +321,8 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, radius_m: float,
     against, those of its own camera in its angular span; a back face
     is tested against none. Only the runs' rays in ``rays`` are tested.
     The (ray, segment) candidate pairs are laid out flat and evaluated
-    in blocks of at most ``_PAIR_BLOCK`` pairs, so memory stays bounded
-    whatever the step, group and segment count.
+    in blocks of at most ``_PAIR_BLOCK`` pairs (:func:`_blocks`), so
+    memory stays bounded whatever the step, group and segment count.
     Each pair runs the same elementwise ``denom``, ``t``, parallel,
     ``t > 0``, radius and ``s`` expressions as a dense rays x segments
     sweep, and each block keeps only the hits that may still tie. The
@@ -312,24 +341,14 @@ def nearest_walls(arr: SceneArrays, grid: SweepGrid, radius_m: float,
     first, count = at, np.searchsorted(rays, first + count) - at
     dirs = grid.dirs(rays)
     size = len(rays)
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
+    if not count.any():
         return np.full(size, -1, np.int64), np.full(size, np.inf)
     walls = np.stack((arr.nx, arr.ny, arr.a_dot_n, arr.ax, arr.ay, arr.ex,
                       arr.ey, arr.len2))[:, seg]
     rank = arr.rank[seg]
-    starts = ends - count
     dmin = np.full(size, np.inf)
     rays, ts, ranks = [], [], []  # per block: the hits that may still tie
-    for p0 in range(0, total, _PAIR_BLOCK):
-        p1 = min(p0 + _PAIR_BLOCK, total)
-        j0 = int(np.searchsorted(ends, p0, side="right"))
-        j1 = int(np.searchsorted(starts, p1, side="left"))
-        c = np.minimum(ends[j0:j1], p1) - np.maximum(starts[j0:j1], p0)
-        # np.repeat: an ingest.ranges gather slowed annotate 9.7 % on 2 vCPU
-        ray = (np.repeat(first[j0:j1] - starts[j0:j1], c)
-               + np.arange(p0, p1))
+    for j0, j1, c, ray in _blocks(first, count, _PAIR_BLOCK):
         hit, t = _pair_hits(dirs, ray, np.repeat(walls[:, j0:j1], c, axis=1),
                             radius_m)
         ray = ray[hit]
@@ -396,6 +415,19 @@ def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
     return cuts[(np.diff(cuts, prepend=-1) != 0) & (cuts < n * cameras)]
 
 
+def _join(ray, owner, dist):
+    """(start, end, owner, low) pieces of the sorted rays ``ray``: each
+    piece a run of consecutive rays of one ``owner``, ``low`` the least
+    of their ``dist``."""
+    cut = np.empty(len(ray), bool)
+    cut[0] = True
+    np.not_equal(ray[1:], ray[:-1] + 1, out=cut[1:])
+    cut[1:] |= owner[1:] != owner[:-1]
+    head = np.flatnonzero(cut)
+    return (ray[head], ray[np.append(head[1:], len(ray)) - 1], owner[head],
+            np.minimum.reduceat(dist, head))
+
+
 def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
                  radius_m: float):
     """The nearest wall at every ray of a group, as pieces: (start, end,
@@ -427,9 +459,14 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     where rounding cannot move them across. A stretch neither fill takes
     sends its inner rays to :func:`nearest_walls`, and so does every
     stretch of a camera with a full-turn face (:func:`_ray_runs`), whose
-    span does not bound where it is hit. The (rank, distance) of every
-    ray, and so every run of :func:`run_table`, is bit for bit that of
-    :func:`nearest_walls`.
+    span does not bound where it is hit. These rays go in slices of at
+    most ``_FALLBACK_RAYS``, cut across stretches and cameras alike
+    (:func:`_blocks`), and each slice's rays are joined into pieces of
+    consecutive rays of one owner (:func:`_join`) before the next slice
+    is tested, so no per-ray array outgrows a slice. The (rank,
+    distance) of every ray, and so every run of :func:`run_table`, which
+    joins pieces of one owner and takes their least distance, is bit for
+    bit that of :func:`nearest_walls`, wherever the slices are cut.
     """
     n = len(grid.thetas)
     runs = _ray_runs(arr, radius_m, n)
@@ -482,16 +519,20 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     redo = np.ones(len(start), bool)
     redo[inner[miss | fill]] = False
     redo = np.flatnonzero(redo & (end - start > 1))
-    ray = ranges(start[redo] + 1, end[redo] - start[redo] - 1)[1]
-    r_top, r_dist = nearest_walls(arr, grid, radius_m, runs, ray)
     miss = np.flatnonzero(miss)
-    piece = (np.concatenate(c) for c in zip(
-        (ends, ends, top, dist),
-        (lo[miss] + 1, hi[miss] - 1, np.full(len(miss), -1, np.int64),
-         np.full(len(miss), np.inf)),
-        (f_lo, f_hi, arr.rank[wall], low),
-        (ray, ray, r_top, r_dist)))
-    start, end, owner, low = piece
+    pieces = [(ends, ends, top, dist),
+              (lo[miss] + 1, hi[miss] - 1, np.full(len(miss), -1, np.int64),
+               np.full(len(miss), np.inf)),
+              (f_lo, f_hi, arr.rank[wall], low)]
+    # the other inner rays take the per-ray test a slice at a time, and
+    # each slice is joined into pieces before the next is tested; a
+    # stretch's end rays lie between its inner rays and the next's, so
+    # no joined piece leaves its stretch, and so its camera
+    for *_, ray in _blocks(start[redo] + 1, end[redo] - start[redo] - 1,
+                           _FALLBACK_RAYS):
+        pieces.append(_join(ray, *nearest_walls(arr, grid, radius_m, runs,
+                                                ray)))
+    start, end, owner, low = map(np.concatenate, zip(*pieces))
     order = np.argsort(start, kind="stable")
     return start[order], end[order], owner[order], low[order]
 

@@ -22,7 +22,7 @@ from .config import rays_per_turn
 from .errors import ConfigError
 from .ingest import (BuildingFootprint, CategoryMapping, DetectionBox,
                      DetectionSet, FootprintSet, PanoramaMeta)
-from .metrics import _piece_arrays
+from .metrics import _length_arrays, _piece_arrays
 from .projection import (FootprintIndex, LocalScene, clip_scene,
                          local_to_geodetic)
 from .raytrace import (PARALLEL_EPS, TIE_EPS_M, VisibilityInterval,
@@ -307,7 +307,7 @@ def _ground_truth_boxes(scene: SyntheticScene, rng) -> list:
         for iv in scene.gt_intervals[meta.pano_id]:
             if iv.width_deg < cfg.min_facade_deg:
                 continue
-            w = (iv.px_hi - iv.px_lo) % meta.width
+            w = _length_arrays(iv.px_lo, iv.px_hi, meta.width)
             if w <= 0:
                 continue
             y_top = float(rng.uniform(0.12, 0.35)) * meta.height

@@ -91,10 +91,9 @@ def test_log_level_sends_log_lines_to_stderr_only(scene_dir, tmp_path,
 
 
 def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
-                                                      capsys, monkeypatch):
+                                                      capsys, group_cameras):
     # with a 12 km radius, a copy of the street 11 km north is a candidate
     # for every camera but lies past the 10 km flat-plane range
-    from geotag_facade import matcher
     from geotag_facade.projection import METERS_PER_DEGREE
     doc = json.loads((scene_dir / "footprints.geojson").read_text())
     near = doc["features"]
@@ -134,10 +133,10 @@ def test_footprints_beyond_flat_plane_range_warn_once(scene_dir, tmp_path,
     # annotate says it once per run too, with the run's total, in one
     # batch or three and in one group or three, and labels the same boxes
     anns = []
-    default = matcher.GROUP_RAYS
+    default = group_cameras.default
     for fps, batch_size, cap in ((None, 1, default), (both, 64, default),
-                                 (both, 1, default), (both, 1, 360)):
-        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+                                 (both, 1, default), (both, 1, 1)):
+        group_cameras(cap)
         out = tmp_path / f"ann-{len(anns)}"
         argv = trace_argv(scene_dir, out, fps, "--radius", 12_000,
                           "--batch-size", batch_size)
@@ -170,6 +169,32 @@ def test_a_mapping_that_maps_no_footprint_warns(scene_dir, tmp_path,
                 f"{scene_dir / 'footprints.geojson'}: all 10 rejected, the "
                 f"first (b000) for: label 'cat_4' not in mapping and no "
                 f"default"]
+        else:
+            assert err == ""
+    assert rcs == {"WARNING": 0, "ERROR": 0}
+    assert artifacts(outs["WARNING"]) == artifacts(outs["ERROR"])
+
+
+def test_panoramas_none_of_which_is_read_warn(scene_dir, tmp_path, capsys):
+    # every metas.jsonl record has a negative width: annotate says so on
+    # stderr, and exits and writes as it did without the line
+    metas = tmp_path / "metas.jsonl"
+    metas.write_text("".join(
+        json.dumps({**json.loads(line), "width": -5}) + "\n"
+        for line in (scene_dir / "metas.jsonl").read_text().splitlines()))
+    outs, rcs = {}, {}
+    for level in ("WARNING", "ERROR"):
+        out = outs[level] = tmp_path / level
+        argv = trace_argv(scene_dir, out)
+        argv[argv.index("--metas") + 1] = metas
+        rcs[level] = run(["--log-level", level, "annotate", *argv[1:],
+                          "--detections", scene_dir / "detections.json"])
+        err = capsys.readouterr().err
+        if level == "WARNING":
+            assert err.splitlines() == [
+                f"WARNING geotag_facade.ingest: loaded 0 panoramas from "
+                f"{metas}: all 3 rejected, the first (s00003_c00) for: "
+                f"non-positive size -5x1024"]
         else:
             assert err == ""
     assert rcs == {"WARNING": 0, "ERROR": 0}

@@ -75,13 +75,10 @@ def lat_at(meters):
     return lat, beyond
 
 
-DEFAULT_CAP = matcher.GROUP_RAYS
-
-
-def caps(config):
-    """Group caps: one camera per group, three, a whole batch, and the
-    default."""
-    return (1, 3 * rays_per_turn(config.step_deg), 1 << 40, DEFAULT_CAP)
+def caps():
+    """Group caps: one camera per group, three, nine, the whole run, and
+    the default."""
+    return (1, 3, 9, 1 << 40, matcher.GROUP_CAMERAS)
 
 
 def out_of_range_count(caplog):
@@ -94,15 +91,15 @@ def out_of_range_count(caplog):
             if found else 0)
 
 
-def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
+def assert_groups_match(group_cameras, caplog, footprints, metas, config):
     """trace_run's rows under every cap equal both one-camera paths;
     returns the out-of-range count its WARNING gives."""
     index = FootprintIndex(FootprintSet.of(footprints))
     want = [reference_trace_panorama(footprints, m, config) for m in metas]
     assert [trace_panorama(index, m, config) for m in metas] == want
     seen = set()
-    for cap in caps(config):
-        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+    for cap in caps():
+        group_cameras(cap)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger=matcher.__name__):
             assert trace_rows(index, metas, config) == want
@@ -113,8 +110,8 @@ def assert_groups_match(monkeypatch, caplog, footprints, metas, config):
 
 @pytest.mark.parametrize("step, flip", [(1.0, False), (0.5, True),
                                         (7.5, False), (0.1, False)])
-def test_synthetic_streets(monkeypatch, caplog, step, flip):
-    # at 0.1 degrees the default cap holds 9 of the 10 cameras, and their
+def test_synthetic_streets(group_cameras, caplog, step, flip):
+    # groups of 9 hold 9 of the 10 cameras, and at 0.1 degrees their
     # candidate pairs span many sweep blocks
     footprints, metas = [], []
     for seed in (3, 4):
@@ -123,7 +120,7 @@ def test_synthetic_streets(monkeypatch, caplog, step, flip):
         footprints += sc.footprints
         metas += sc.metas
     config = RunConfig(step_deg=step, flip_heading=flip)
-    assert assert_groups_match(monkeypatch, caplog, footprints, metas,
+    assert assert_groups_match(group_cameras, caplog, footprints, metas,
                                config) == 0
 
 
@@ -133,7 +130,7 @@ TABLE_COLUMNS = ("offsets", "rank", "owner", "angle_lo", "angle_hi",
 
 @pytest.mark.parametrize("step, flip", [(1.0, False), (1.0, True),
                                         (0.1, False), (0.1, True)])
-def test_run_table_columns_under_every_cap(monkeypatch, step, flip):
+def test_run_table_columns_under_every_cap(group_cameras, step, flip):
     # the columns the rows leave out (offsets, rank) too: the table is
     # the same, column by column, whatever the groups
     footprints, metas = [], []
@@ -147,8 +144,8 @@ def test_run_table_columns_under_every_cap(monkeypatch, step, flip):
     index = FootprintIndex(FootprintSet.of(footprints))
     config = RunConfig(step_deg=step, flip_heading=flip)
     tables = []
-    for cap in (1, 720, 1 << 40):
-        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+    for cap in (1, 2, 1 << 40):
+        group_cameras(cap)
         tables.append(trace_run(index, metas, config))
     want = tables[-1]
     assert want.containing[3] == footprints[0].building_id
@@ -161,7 +158,7 @@ def test_run_table_columns_under_every_cap(monkeypatch, step, flip):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def test_random_layouts(monkeypatch, caplog):
+def test_random_layouts(group_cameras, caplog):
     rng = random.Random(29)
     for trial in range(4):
         fps = []
@@ -181,17 +178,17 @@ def test_random_layouts(monkeypatch, caplog):
         config = RunConfig(radius_m=rng.choice((30.0, 50.0, 80.0)),
                            step_deg=rng.choice((0.5, 1.0, 2.0)),
                            flip_heading=bool(trial % 2))
-        assert_groups_match(monkeypatch, caplog, fps, metas, config)
+        assert_groups_match(group_cameras, caplog, fps, metas, config)
 
 
-def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch, caplog):
+def test_degenerate_and_empty_cameras_inside_a_group(group_cameras, caplog):
     fps = [square(0, 25, 10, "north"), square(0, 0, 6, "trap"),
            square(60, 0, 8, "east"), square(60, 30, 8, "east2", 2)]
     metas = [cam(-20, 5, "a"), cam(0, 0, "inside"), cam(3000, 0, "empty"),
              cam(60, 12, "b"), cam(60, 0, "inside2"), cam(-3000, 0, "nil"),
              cam(30, 10, "c")]
     config = RunConfig()
-    assert_groups_match(monkeypatch, caplog, fps, metas, config)
+    assert_groups_match(group_cameras, caplog, fps, metas, config)
     got = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
                      config)
     assert got[1] == (None, "trap") and got[4] == (None, "east")
@@ -199,7 +196,7 @@ def test_degenerate_and_empty_cameras_inside_a_group(monkeypatch, caplog):
     assert all(got[k][0] for k in (0, 3, 6))
 
 
-def test_runs_across_the_seam_at_group_boundaries(monkeypatch, caplog):
+def test_runs_across_the_seam_at_group_boundaries(group_cameras, caplog):
     # one long wall due north of every camera: each camera's run wraps
     # across 0 degrees, and each camera's last ray and the next camera's
     # first ray hit the same building, so runs must be cut between them
@@ -208,14 +205,14 @@ def test_runs_across_the_seam_at_group_boundaries(monkeypatch, caplog):
     metas = [cam(x, 0, f"s{i}") for i, x in enumerate(range(-40, 41, 10))]
     for step in (1.0, 0.5):
         config = RunConfig(step_deg=step)
-        assert_groups_match(monkeypatch, caplog, fps, metas, config)
+        assert_groups_match(group_cameras, caplog, fps, metas, config)
         for ivs, _ in trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
                                  config):
             wall = [iv for iv in ivs if iv.building_id == "wall"]
             assert len(wall) == 1 and wall[0].angle_hi < wall[0].angle_lo
 
 
-def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
+def test_shared_building_id_takes_each_cameras_first_footprint(group_cameras,
                                                                 caplog):
     # "dup" names two footprints with different categories: the west
     # camera keeps both and labels "dup" with the first one's category,
@@ -224,7 +221,7 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
            square(30, -15, 8, "dup", 2)]
     metas = [cam(0, 0, "west"), cam(60, 0, "east"), cam(-10, 0, "w2")]
     config = RunConfig()
-    assert_groups_match(monkeypatch, caplog, fps, metas, config)
+    assert_groups_match(group_cameras, caplog, fps, metas, config)
     got = dict(zip((m.pano_id for m in metas),
                    trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
                               config)))
@@ -234,7 +231,7 @@ def test_shared_building_id_takes_each_cameras_first_footprint(monkeypatch,
             if iv.building_id == "dup"} == {2}
 
 
-def test_ring_exactly_at_the_radius(monkeypatch, caplog):
+def test_ring_exactly_at_the_radius(group_cameras, caplog):
     fps = [square(10, 40, 8, "rim"), square(-20, 0, 6, "near")]
     metas = [cam(0, 0, "a"), cam(5, -5, "b")]
     pts = [local_to_geodetic((0.0, 0.0), p)
@@ -244,13 +241,13 @@ def test_ring_exactly_at_the_radius(monkeypatch, caplog):
     d = _ring_min_distance(xs, ys)
     for radius, kept in ((d, True), (math.nextafter(d, 0.0), False)):
         config = RunConfig(radius_m=radius)
-        assert_groups_match(monkeypatch, caplog, fps, metas, config)
+        assert_groups_match(group_cameras, caplog, fps, metas, config)
         scene = clip_scene(FootprintIndex(FootprintSet.of(fps)), metas[0],
                            radius)
         assert (("rim", 1) in scene.buildings) is kept
 
 
-def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch,
+def test_ring_reaching_exactly_to_the_flat_plane_range(group_cameras,
                                                         caplog):
     # a thin ring from 20 m to exactly 10 km north of the camera at (0, 0)
     # is kept; one ulp farther it is skipped and counted
@@ -260,14 +257,14 @@ def test_ring_reaching_exactly_to_the_flat_plane_range(monkeypatch,
                square(-20, -10, 6, "near")]
         metas = [cam(0, 0, "a"), cam(-20, 10, "b")]
         config = RunConfig()
-        assert assert_groups_match(monkeypatch, caplog, fps, metas,
+        assert assert_groups_match(group_cameras, caplog, fps, metas,
                                    config) == skipped
         ivs = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
                          config)[0][0]
         assert ("long" in {iv.building_id for iv in ivs}) is not skipped
 
 
-def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch, caplog):
+def test_ring_exactly_one_nanometre_from_the_camera(group_cameras, caplog):
     # the camera at (0, 0) lies inside a ring whose north edge runs
     # exactly 1e-9 m north of it: not strictly inside, so it is traced;
     # one ulp farther the camera is inside and skipped
@@ -278,13 +275,13 @@ def test_ring_exactly_one_nanometre_from_the_camera(monkeypatch, caplog):
                       "shell"),
                square(30, 30, 6, "other")]
         metas = [cam(30, 10, "a"), cam(0, 0, "o"), cam(30, 50, "b")]
-        assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+        assert_groups_match(group_cameras, caplog, fps, metas, RunConfig())
         got = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
                          RunConfig())[1]
         assert (got == (None, "shell")) is inside
 
 
-def test_edge_exactly_one_nanometre_long(monkeypatch, caplog):
+def test_edge_exactly_one_nanometre_long(group_cameras, caplog):
     # two vertices 1e-9 m apart make a zero-length edge, which is dropped;
     # one ulp longer it is a wall
     lon = 20.0 / METERS_PER_DEGREE
@@ -292,7 +289,7 @@ def test_edge_exactly_one_nanometre_long(monkeypatch, caplog):
     for lat in lat_at(1e-9):
         fps = [fp_geo([(0.0, lon), (lat, lon), (top, lon + top)], "tri")]
         metas = [cam(0, 0, "a"), cam(10, -10, "b")]
-        assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+        assert_groups_match(group_cameras, caplog, fps, metas, RunConfig())
 
 
 def test_exact_hypot_decides_like_math_hypot():
@@ -325,7 +322,7 @@ def front_walls(footprints, meta, radius_m=50.0):
                                           walls.by.tolist()))
 
 
-def test_square_seen_head_on_has_one_front_wall(monkeypatch, caplog):
+def test_square_seen_head_on_has_one_front_wall(group_cameras, caplog):
     fps = [square(0, 25, 10, "sq"), square(-30, -5, 6, "side", 2)]
     front, ends = front_walls(fps[:1], cam(0, 0))
     assert front.count(True) == 1
@@ -333,7 +330,7 @@ def test_square_seen_head_on_has_one_front_wall(monkeypatch, caplog):
     assert ay == by < 21.0  # the south wall, facing the camera
     metas = [cam(0, 0, "o"), cam(-12, 40, "nw"), cam(30, 25, "e")]
     for step in (1.0, 0.1):
-        assert_groups_match(monkeypatch, caplog, fps, metas,
+        assert_groups_match(group_cameras, caplog, fps, metas,
                             RunConfig(step_deg=step))
 
 
@@ -347,7 +344,7 @@ def test_square_seen_head_on_has_one_front_wall(monkeypatch, caplog):
     # a square with a vertex on its south side, where the ring goes straight
     [(-5, 20), (2, 20), (5, 20), (5, 30), (-5, 30)],
 ], ids=["l-shape", "star", "collinear"])
-def test_rings_that_are_not_strictly_convex_keep_every_wall(monkeypatch,
+def test_rings_that_are_not_strictly_convex_keep_every_wall(group_cameras,
                                                             caplog, pts):
     fps = [fp_local(pts, "ring"), square(25, 0, 6, "east", 3)]
     metas = [cam(0, 0, "o"), cam(4, 28, "in-l"), cam(-20, 45, "nw")]
@@ -355,10 +352,10 @@ def test_rings_that_are_not_strictly_convex_keep_every_wall(monkeypatch,
     kept = [f for f in (front_walls(fps[:1], m)[0] for m in metas) if f]
     assert len(kept) >= 2
     assert all(f == [True] * len(pts) for f in kept)
-    assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+    assert_groups_match(group_cameras, caplog, fps, metas, RunConfig())
 
 
-def test_ring_straddling_the_antimeridian_from_both_sides(monkeypatch,
+def test_ring_straddling_the_antimeridian_from_both_sides(group_cameras,
                                                           caplog):
     lat, lon = 20.0 / METERS_PER_DEGREE, 5.0 / METERS_PER_DEGREE
     fps = [fp_geo([(lat, 180.0 - lon), (lat, lon - 180.0),
@@ -371,11 +368,11 @@ def test_ring_straddling_the_antimeridian_from_both_sides(monkeypatch,
         front, _ = front_walls(fps, meta)
         assert len(front) == 4 and 1 <= front.count(True) <= 2
     for step in (1.0, 0.5):
-        assert_groups_match(monkeypatch, caplog, fps, metas,
+        assert_groups_match(group_cameras, caplog, fps, metas,
                             RunConfig(step_deg=step))
 
 
-def test_cameras_on_and_inside_rings_in_one_group(monkeypatch, caplog):
+def test_cameras_on_and_inside_rings_in_one_group(group_cameras, caplog):
     # "edge" has its first wall through the camera at (0, 0): every wall
     # is a front face there, since from the camera's spot on the ring the
     # rays that enter it meet its far walls first
@@ -385,19 +382,19 @@ def test_cameras_on_and_inside_rings_in_one_group(monkeypatch, caplog):
              cam(-15, 20, "b")]
     front, _ = front_walls(fps[:1], metas[1])
     assert front == [True] * 4
-    assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+    assert_groups_match(group_cameras, caplog, fps, metas, RunConfig())
     got = trace_rows(FootprintIndex(FootprintSet.of(fps)), metas,
                      RunConfig())
     assert got[2] == (None, "held")
     assert "edge" in {iv.building_id for iv in got[1][0]}
 
 
-def test_overlapping_rings_of_one_building(monkeypatch, caplog):
+def test_overlapping_rings_of_one_building(group_cameras, caplog):
     fps = [square(0, 25, 10, "dup"), square(4, 29, 10, "dup", 2),
            square(-20, 25, 6, "west", 3)]
     metas = [cam(0, 0, "s"), cam(15, 45, "ne"), cam(-8, 32, "gap"),
              cam(20, 10, "e")]
-    assert_groups_match(monkeypatch, caplog, fps, metas, RunConfig())
+    assert_groups_match(group_cameras, caplog, fps, metas, RunConfig())
 
 
 def _gap(theta_deg, r, half):
@@ -421,7 +418,7 @@ def _gap(theta_deg, r, half):
     (fp_local([(2, 24), *_gap(30.0, 20.0, 0.4e-9), (18, 14), (22, 26),
                (8, 34)], "gap"), 30),
 ], ids=["vertex-due-north", "dropped-edge"])
-def test_ring_a_ray_slips_into_keeps_every_wall(monkeypatch, caplog, fp,
+def test_ring_a_ray_slips_into_keeps_every_wall(group_cameras, caplog, fp,
                                                 ray):
     # the sweep of every wall meets the ring's far wall on that ray, well
     # beyond its neighbour's hit on the near walls, so a convex ring with
@@ -432,7 +429,7 @@ def test_ring_a_ray_slips_into_keeps_every_wall(monkeypatch, caplog, fp,
     assert sweep.distances[ray] > 1.3 * sweep.distances[ray + 1]
     front, _ = front_walls([fp], meta)
     assert all(front)
-    assert_groups_match(monkeypatch, caplog, [fp], [meta, cam(5, -3, "b")],
+    assert_groups_match(group_cameras, caplog, [fp], [meta, cam(5, -3, "b")],
                         RunConfig())
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import math
 import random
 from pathlib import Path
@@ -38,6 +39,15 @@ def square(lon0, lat0, size=0.0001):
 MAPPING = CategoryMapping(city="t", entries={"R1": 1, "R2": 2}, default=None)
 
 
+def warnings_of(caplog, read):
+    """The WARNING lines ``read()`` logs from the readers' module."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="geotag_facade.ingest"):
+        read()
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING]
+
+
 class TestFootprints:
     def test_three_valid_features(self, tmp_path):
         fc = {"type": "FeatureCollection", "features": [
@@ -65,6 +75,21 @@ class TestFootprints:
               "features": [feature("b0", square(-74.0, 40.7), label="R1")]}
         fs = load_footprints(write(tmp_path, "f.json", fc), mapping)
         assert len(fs) == 1 and fs.footprints[0].category == 5
+
+    def test_none_accepted_warns(self, tmp_path, caplog):
+        fc = {"type": "FeatureCollection", "features": [
+            feature("b0", square(-74.0, 40.7), label="zz"),
+            feature("b1", [[-74.0, 40.7], [-74.001, 40.7], [-74.0, 40.7]])]}
+        p = write(tmp_path, "f.json", fc)
+        assert warnings_of(caplog, lambda: load_footprints(p, MAPPING)) == [
+            f"loaded 0 footprints from {p}: all 2 rejected, the first (b0) "
+            f"for: label 'zz' not in mapping and no default"]
+        # one accepted, or none given, is no warning
+        fc["features"].append(feature("b2", square(-74.0, 40.8)))
+        for doc in (fc, {"type": "FeatureCollection", "features": []}):
+            p = write(tmp_path, "f.json", doc)
+            assert warnings_of(caplog,
+                               lambda: load_footprints(p, MAPPING)) == []
 
     def test_unknown_label_without_default_rejected(self, tmp_path):
         fc = {"type": "FeatureCollection",
@@ -385,8 +410,18 @@ class TestPanoramaMeta:
         with pytest.raises(LoadError):
             load_panorama_meta(p)
 
+    def test_none_accepted_warns(self, tmp_path, caplog):
+        p = self.write_jsonl(tmp_path, [meta_line(width=-5),
+                                        meta_line("b", north_px=4096)])
+        assert warnings_of(caplog, lambda: load_panorama_meta(p)) == [
+            f"loaded 0 panoramas from {p}: all 2 rejected, the first (a) "
+            f"for: non-positive size -5x1024"]
+        # one accepted, or none given, is no warning
+        for recs in ([meta_line(width=-5), meta_line("b")], []):
+            p = self.write_jsonl(tmp_path, recs)
+            assert warnings_of(caplog, lambda: load_panorama_meta(p)) == []
+
     def test_non_equirect_warns_but_loads(self, tmp_path, caplog):
-        import logging
         with caplog.at_level(logging.WARNING):
             ps = load_panorama_meta(self.write_jsonl(
                 tmp_path, [meta_line(width=2000, height=1024)]))
@@ -452,6 +487,16 @@ class TestDetections:
         p = write(tmp_path, "d.json", [det(score=1.5), det(score=-0.1)])
         ds = load_detections_as_reference(p)
         assert ds.n_boxes == 0 and ds.report.n_rejected == 2
+
+    def test_none_accepted_warns(self, tmp_path, caplog):
+        p = write(tmp_path, "d.json", [det(score=1.5), det(bbox=(0, 0, 0, 5))])
+        assert warnings_of(caplog, lambda: load_detections(p)) == [
+            f"loaded 0 detections from {p}: all 2 rejected, the first "
+            f"(result[0]) for: score 1.5 outside [0, 1]"]
+        # one accepted, or none given, is no warning
+        for recs in ([det(score=1.5), det()], []):
+            p = write(tmp_path, "d.json", recs)
+            assert warnings_of(caplog, lambda: load_detections(p)) == []
 
     def test_image_id_alias(self, tmp_path):
         p = write(tmp_path, "d.json",

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -450,20 +451,16 @@ class TestGenerateCoarseAnnotations:
             scene.metas, scene.footprint_set, dets, config)
         assert all(t == 0.7 for _, t in report.threshold_history)
 
-    def test_annotations_do_not_depend_on_group_cap(self, monkeypatch):
-        from geotag_facade import matcher
-        from geotag_facade.config import rays_per_turn
+    def test_annotations_do_not_depend_on_group_cap(self, group_cameras):
         scene, dets = pipeline_inputs(n_cameras=12, noise=NoiseConfig(
             shift_frac=0.02, scale_frac=0.02, fp_rate=0.2))
-        default = matcher.GROUP_RAYS
         for step in (1.0, 0.1):
             config = RunConfig(seed=3, batch_size=5, step_deg=step)
             runs = []
-            # one camera per group, three, the whole run and the default
-            # (9 cameras at 0.1 degrees): groups of 3 and 9 straddle the
-            # batches of 5
-            for cap in (1, 3 * rays_per_turn(step), 1 << 40, default):
-                monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+            # one camera per group, three, nine, the whole run and the
+            # default: groups of 3 and 9 straddle the batches of 5
+            for cap in (1, 3, 9, 1 << 40, group_cameras.default):
+                group_cameras(cap)
                 runs.append(generate_coarse_annotations(
                     scene.metas, scene.footprint_set, dets, config))
             assert runs[0][0] and len(runs[0][1].batches) == 3
@@ -473,8 +470,8 @@ class TestGenerateCoarseAnnotations:
                 assert anns == want
                 assert report.to_dict() == want_report.to_dict()
 
-    def test_annotate_builds_no_rows_and_matches_in_batches(self,
-                                                            monkeypatch):
+    def test_annotate_builds_no_rows_and_matches_in_batches(
+            self, monkeypatch, group_cameras):
         # 7 panoramas in batches of 3 and groups of 2: annotate reads the
         # run's table across group and batch boundaries, and builds no
         # interval row and calls no per-box match on the way
@@ -489,7 +486,7 @@ class TestGenerateCoarseAnnotations:
             raise AssertionError("annotate went through rows")
         monkeypatch.setattr(raytrace, "VisibilityInterval", refuse)
         monkeypatch.setattr(matcher, "match_box", refuse)
-        monkeypatch.setattr(matcher, "GROUP_RAYS", 2 * 360)
+        group_cameras(2)
         anns, report = generate_coarse_annotations(
             scene.metas, scene.footprint_set, dets, config)
         assert [b.n_panoramas for b in report.batches] == [3, 3, 1]
@@ -498,7 +495,8 @@ class TestGenerateCoarseAnnotations:
         assert report.to_dict() == want_report.to_dict()
 
     @pytest.mark.parametrize("batch_size", [1, 3, 7, 100])
-    def test_one_match_pass_per_run(self, monkeypatch, batch_size):
+    def test_one_match_pass_per_run(self, monkeypatch, group_cameras,
+                                    batch_size):
         # whatever the batches and the groups, annotate matches every
         # kept box of the run in one match_intervals call
         from geotag_facade import matcher
@@ -514,8 +512,8 @@ class TestGenerateCoarseAnnotations:
             calls.append(len(args[0]))
             return match_intervals(*args)
         monkeypatch.setattr(matcher, "match_intervals", counted)
-        for cap in (1, 2 * 360, 1 << 40):
-            monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+        for cap in (1, 2, 1 << 40):
+            group_cameras(cap)
             calls.clear()
             anns, report = generate_coarse_annotations(
                 scene.metas, scene.footprint_set, dets, config)
@@ -543,7 +541,7 @@ class TestGenerateCoarseAnnotations:
                                        for p, bs in dets.by_pano.items()}
         assert report.totals["dropped_missing_meta"] == dets.n_boxes > 0
 
-    def test_groups_fill_across_batches(self, monkeypatch):
+    def test_groups_fill_across_batches(self, monkeypatch, group_cameras):
         # 7 panoramas in batches of 2 and groups of 3 cameras: tracing the
         # run as one table makes ceil(7 / 3) = 3 groups, where tracing
         # each batch on its own made 4 (2, 2, 2, 1)
@@ -556,13 +554,39 @@ class TestGenerateCoarseAnnotations:
             sizes.append(len(group))
             return clip_group(index, group, radius_m)
         monkeypatch.setattr(matcher, "clip_group", counted)
-        monkeypatch.setattr(matcher, "GROUP_RAYS", 3 * 360)
+        group_cameras(3)
         anns, report = generate_coarse_annotations(
             scene.metas, scene.footprint_set, dets,
             RunConfig(seed=3, batch_size=2))
         assert sizes == [3, 3, 1]
         assert [b.n_panoramas for b in report.batches] == [2, 2, 2, 1]
         assert len(anns) == len(scene.gt_boxes)
+
+    @pytest.mark.parametrize("cameras", [1, 96, 97, 200])
+    def test_a_fine_street_traces_in_groups_of_cameras(self, monkeypatch,
+                                                       cameras):
+        # at 0.1 degrees, as the benchmark's street-fine workload sweeps,
+        # a group holds GROUP_CAMERAS cameras, as at any step: its 200
+        # panoramas make 3 groups
+        from geotag_facade import matcher
+        from geotag_facade.projection import FootprintIndex
+        scene = generate_scene(5, SceneConfig(n_buildings=14, n_cameras=5,
+                                              with_ground_truth=False))
+        metas = [replace(m, pano_id=f"{m.pano_id}-{k}")
+                 for k in range(40) for m in scene.metas][:cameras]
+        sizes = []
+        clip_group = matcher.clip_group
+
+        def counted(index, group, radius_m):
+            sizes.append(len(group))
+            return clip_group(index, group, radius_m)
+        monkeypatch.setattr(matcher, "clip_group", counted)
+        table = matcher.trace_run(FootprintIndex(scene.footprint_set), metas,
+                                  RunConfig(step_deg=0.1))
+        assert len(sizes) == math.ceil(cameras / matcher.GROUP_CAMERAS)
+        assert sum(sizes) == cameras == len(table.offsets) - 1
+        assert set(sizes[:-1]) <= {matcher.GROUP_CAMERAS}
+        assert len(table.rank) > 0
 
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's

@@ -15,6 +15,7 @@ end of its beyond-the-radius test.
 """
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ import citygen  # noqa: E402
 import run as bench  # noqa: E402
 
 STEPS = (1.0, 0.2, 0.1, 0.05)
-CAPS = (1, 720, 1 << 40)
+CAPS = (1, 2, 1 << 40)  # cameras a group
+SLICES = (1, 7)  # fallback rays a slice, besides the default
 COLUMNS = ("offsets", "rank", "owner", "angle_lo", "angle_hi",
            "min_distance", "px_lo", "px_hi")
 
@@ -165,15 +167,21 @@ def per_ray_pieces(arr, grid, cameras, radius_m):
                                      _ray_runs(arr, radius_m, n), ray))
 
 
-def tables(monkeypatch, index, metas, config):
+def tables(monkeypatch, group_cameras, index, metas, config):
     """The per-ray ``trace_run`` table, then the stretch sweep's under
-    each group cap."""
+    each group cap, and, with the whole run in one group, under each
+    fallback slice size of ``SLICES``, whose slices cut through stretches
+    and cameras."""
     with monkeypatch.context() as m:
         m.setattr(matcher, "sweep_pieces", per_ray_pieces)
         out = [trace_run(index, metas, config)]
     for cap in CAPS:
-        monkeypatch.setattr(matcher, "GROUP_RAYS", cap)
+        group_cameras(cap)
         out.append(trace_run(index, metas, config))
+    for rays in SLICES:
+        with monkeypatch.context() as m:
+            m.setattr(raytrace, "_FALLBACK_RAYS", rays)
+            out.append(trace_run(index, metas, config))
     return out
 
 
@@ -187,10 +195,11 @@ def assert_identical(got, want):
 
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("scene", sorted(SCENES))
-def test_stretch_path_equals_the_per_ray_path(monkeypatch, scene, step):
+def test_stretch_path_equals_the_per_ray_path(monkeypatch, group_cameras,
+                                              scene, step):
     index = FootprintIndex(FootprintSet.of(SCENES[scene]))
-    want, *rest = tables(monkeypatch, index, [cam(), *OTHERS],
-                         RunConfig(step_deg=step))
+    want, *rest = tables(monkeypatch, group_cameras, index,
+                         [cam(), *OTHERS], RunConfig(step_deg=step))
     assert len(want.rank) > 0
     for got in rest:
         assert_identical(got, want)
@@ -232,14 +241,14 @@ def test_scenes_reach_the_cases_they_name():
 
 
 @pytest.mark.parametrize("workload", sorted(bench.SPECS["tiny"]))
-def test_stretch_path_on_the_benchmark_inputs(monkeypatch, tmp_path,
-                                              workload):
+def test_stretch_path_on_the_benchmark_inputs(monkeypatch, group_cameras,
+                                              tmp_path, workload):
     citygen.generate(bench.SPECS["tiny"][workload], 1, tmp_path)
     inputs = bench.load_inputs(tmp_path)
     index = FootprintIndex(inputs.footprints)
     metas = list(inputs.panos)
     for step in STEPS:
-        want, *rest = tables(monkeypatch, index, metas,
+        want, *rest = tables(monkeypatch, group_cameras, index, metas,
                              RunConfig(radius_m=citygen.RADIUS_M,
                                        step_deg=step))
         for got in rest:
@@ -268,6 +277,51 @@ def test_stretch_sweep_tests_a_tenth_of_the_pairs_of_a_street(monkeypatch):
     want = run_table(*per_ray_pieces(walls, grid, cameras, 50.0), n)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def on_edge_cameras(footprints, k):
+    """``k`` cameras, camera ``c`` part way along an edge of footprint
+    ``c % len(footprints)``: each stands on a wall, which is a candidate
+    for every ray, so none of its stretches is filled."""
+    first = np.cumsum(footprints.ring_len) - footprints.ring_len
+    metas = []
+    for c in range(k):
+        f, e = c % len(footprints), c // len(footprints)
+        a, b = (first[f] + (e + i) % footprints.ring_len[f] for i in (0, 1))
+        t = 0.25 + 0.5 * c / k
+        lat, lon = (float(v[a] + t * (v[b] - v[a]))
+                    for v in (footprints.lat, footprints.lon))
+        metas.append(PanoramaMeta(pano_id=f"e{c}", lat=lat, lon=lon,
+                                  north_px=100.0, width=2048, height=1024))
+    return metas
+
+
+def test_fallback_memory_does_not_grow_with_the_step(tmp_path):
+    # one group of cameras on the walls of a street: every ray of the
+    # group goes to the per-ray test, a slice at a time, so the trace's
+    # peak stays put as the step halves
+    citygen.generate(bench.SPECS["tiny"]["street-fine"], 1, tmp_path)
+    footprints = bench.load_inputs(tmp_path).footprints
+    index = FootprintIndex(footprints)
+    metas = on_edge_cameras(footprints, matcher.GROUP_CAMERAS)
+    peaks = {}
+    for step in (0.1, 0.05):
+        config = RunConfig(radius_m=citygen.RADIUS_M, step_deg=step)
+        walls = clip_group(index, metas, config.radius_m).walls
+        n = rays_per_turn(step)
+        seg, _, count = _ray_runs(walls, config.radius_m, n)
+        assert set(walls.cam[seg[count == n]].tolist()) == \
+            set(range(len(metas)))
+        tracemalloc.start()
+        try:
+            table = trace_run(index, metas, config)
+            peaks[step] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.containing == [None] * len(metas)
+        assert len(table.rank) >= len(metas)
+    assert peaks[0.05] <= 1.15 * peaks[0.1]
+    assert max(peaks.values()) < 8e6
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 360])
