@@ -549,6 +549,11 @@ def load_category_mapping(path) -> CategoryMapping:
     if sorted(ids) != list(range(1, len(ids) + 1)):
         raise LoadError(
             f"{path}: category ids must form a contiguous 1..K set, got {sorted(ids)}")
+    unknown = names.keys() - {str(i) for i in ids}
+    if unknown:
+        raise LoadError(f"{path}: names key {min(unknown)!r} is not a "
+                        f"category id 1..{len(ids)} written without leading "
+                        f"zeros")
     return CategoryMapping(city=str(doc.get("city", "")), entries=entries,
                            default=default,
                            names={int(k): v for k, v in names.items()})

@@ -297,9 +297,9 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
     n = len(grid.thetas)
     size = GROUP_CAMERAS
     containing, out_of_range = [], 0
-    # each run's first and last sample in the run's sweep, building rank,
-    # owning footprint and distance, after the columns' empty seed
-    runs = [(np.zeros(0, np.int64),) * 5]
+    # each run's first and last sample in the run's sweep, owning
+    # footprint and distance, after the columns' empty seed
+    runs = [(np.zeros(0, np.int64),) * 4]
     for i in range(0, len(metas), size):
         group = metas[i:i + size]
         clip = clip_group(index, group, config.radius_m)
@@ -308,13 +308,13 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
         # unbound, the sweep's pieces are freed before the next clip
         start, end, own, low = run_table(*sweep_pieces(
             clip.walls, grid, len(group), config.radius_m), n)
-        runs.append((start + i * n, end + i * n, own,
+        runs.append((start + i * n, end + i * n,
                      clip.owner_fp(start // n, own), low))
     if out_of_range:
         log.warning("skipped %d (camera, footprint) pairs: the footprint "
                     "has a vertex beyond the %.0f m flat-plane range",
                     out_of_range, MAX_LOCAL_RANGE_M)
-    start, end, rank, owner, low = map(np.concatenate, zip(*runs))
+    start, end, owner, low = map(np.concatenate, zip(*runs))
     cam = start // n
     angle_lo, angle_hi = grid.thetas[start % n], grid.thetas[end % n]
     north = np.array([m.north_px for m in metas], float)[cam]
@@ -323,7 +323,7 @@ def trace_run(index: FootprintIndex, metas, config: RunConfig
                               config.flip_heading)
     return IntervalTable(
         containing=containing,
-        offsets=np.searchsorted(cam, np.arange(len(metas) + 1)), rank=rank,
+        offsets=np.searchsorted(cam, np.arange(len(metas) + 1)),
         owner=owner, angle_lo=angle_lo, angle_hi=angle_hi, min_distance=low,
         px_lo=px_lo, px_hi=px_hi)
 
@@ -358,7 +358,8 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
                            if p not in meta_ids}
 
     random.Random(config.seed).shuffle(order)
-    table = trace_run(FootprintIndex(footprints), order, config)
+    index = FootprintIndex(footprints)
+    table = trace_run(index, order, config)
     report.skipped_panoramas = held_panoramas(order, table.containing)
 
     # each box of the run, camera by camera: its row of dets and camera
@@ -385,8 +386,8 @@ def generate_coarse_annotations(metas, footprints: FootprintSet,
     box, row, iou = match_intervals(
         dets.x[rows], dets.w[rows],
         np.array([m.width for m in order], float)[on], table.offsets[on],
-        np.diff(table.offsets)[on], table.px_lo, table.px_hi, table.rank,
-        config.iou_x_min)
+        np.diff(table.offsets)[on], table.px_lo, table.px_hi,
+        index.rank[table.owner], config.iou_x_min)
 
     def per_batch(cams):  # a count per batch, of cameras or their boxes
         return np.bincount(cams // size, minlength=len(thresholds)).tolist()

@@ -116,11 +116,6 @@ def pixel_span(angle_lo, angle_hi, north_px, width,
 _HYPOT_BAND = 1e-12
 # (camera, footprint) cells of one candidate mask, which bounds its memory
 _MASK_CELLS = 1 << 14
-# A group of at most this many (camera, footprint) pairs takes one mask,
-# which costs it less than the cells' fixed cost of about 0.1 ms: on
-# 2 vCPU the cells took 126 us against the mask's 101 us at 1,350 pairs
-# and 124 against 61 at 2,000, but 156 against 203 at 4,050.
-_MASK_GROUP_CELLS = 1 << 11
 # The candidate lookup's grid, in degrees of latitude and of longitude: a
 # box is filed under the cell of its south-west corner.
 _CELL_DEG = 2.5e-4
@@ -320,30 +315,14 @@ class FootprintIndex:
         near it, is kept unless its north-south gap alone puts it out
         of reach. That gap is tested first, on the pairs the cells name
         (:meth:`_cell_pairs`); the rest of the test runs on the pairs it
-        passes. A group of at most ``_MASK_GROUP_CELLS`` (camera,
-        footprint) pairs, where the cells' fixed cost is the larger,
-        tests every pair's gap by one mask (:meth:`_mask_pairs`) instead.
-        Either way every pair the test can keep is tested, so the result
-        is the same; ``reference_candidate_pairs`` in
-        ``tests/oracle_utils.py``, the mask over every pair, is the form
-        the tests hold it to.
+        passes. Every pair the test can keep is tested, so the result
+        equals ``reference_candidate_pairs`` in ``tests/oracle_utils.py``,
+        the mask over every pair, which the tests hold it to.
         """
         lat, lon, cos_lat = _camera_arrays(metas)
         reach = radius_m + CLIP_SLACK_M
-        if len(metas) * len(self) <= _MASK_GROUP_CELLS:
-            return self._kept(self._mask_pairs(
-                lat, np.arange(len(metas)), reach), lon, cos_lat, reach)
-        cam, fp = self._kept(self._cell_pairs(lat, lon, cos_lat, reach),
-                             lon, cos_lat, reach)
-        order = np.argsort(cam * len(self) + fp)
-        return cam[order], fp[order]
-
-    def _kept(self, pairs, lon, cos_lat, reach: float):
-        """(cam, fp) of the ``pairs`` chunks (:meth:`_mask_pairs`) that
-        pass the rest of the test, in their order."""
-        cam, fp, gy = (np.concatenate(a) for a in zip(
-            (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
-            *pairs))
+        cam, fp, gy = map(np.concatenate,
+                          zip(*self._cell_pairs(lat, lon, cos_lat, reach)))
         dlo = self.lon_lo[fp] - lon[cam]
         dhi = self.lon_hi[fp] - lon[cam]
         broken = (((dlo < -180.0) != (dhi < -180.0))
@@ -352,7 +331,8 @@ class FootprintIndex:
                         -_wrap_lons(dhi) * cos_lat[cam] * METERS_PER_DEGREE)
         gap = np.hypot(np.maximum(gx, 0.0), np.maximum(gy, 0.0))
         keep = np.flatnonzero(broken | (gap <= reach))
-        return cam[keep], fp[keep]
+        order = keep[np.argsort(cam[keep] * len(self) + fp[keep])]
+        return cam[order], fp[order]
 
     def _cell_pairs(self, lat, lon, cos_lat, reach: float) -> list:
         """[(cam, fp, gy)] chunks, as :meth:`_mask_pairs` gives them, of

@@ -90,9 +90,10 @@ from .projection import LocalScene, SceneArrays, pixel_span
 PARALLEL_EPS = 1e-12  # |s_hat . n_hat| below this counts as parallel
 TIE_EPS_M = 1e-9      # distance ties within this window break by building id
 # candidate (ray, segment) pairs evaluated at once, which bounds the
-# sweep's per-block arrays to about 1 MB; a city group's stretch ends at
-# 1 degree (about 13,000 pairs) take two blocks, and a street group's at
-# 0.1 degrees (about 1,700) one. Blocks twice this size swept full groups
+# sweep's per-block arrays to about 1 MB; on the benchmark's seed-1
+# inputs the stretch ends of a 96-camera group take 2 blocks on the city
+# at 1 degree (9,162 to 15,294 pairs a group) and 3 on the street at
+# 0.1 degrees (about 18,300). Blocks twice this size swept full groups
 # 20 % slower and used 1.2 MB more, measured when every ray of a group
 # was tested, at about 2.5 pairs a ray.
 _PAIR_BLOCK = 1 << 13
@@ -157,19 +158,19 @@ class IntervalTable:
     per field.
 
     Camera ``c``'s intervals are rows ``offsets[c]`` to ``offsets[c + 1]
-    - 1``, in angle order. Per row, ``rank`` is the building's rank in
-    id order (which breaks ties) and ``owner`` the index, in the run's
+    - 1``, in angle order. Per row, ``owner`` is the index, in the run's
     footprint set, of the footprint that names the building and its
     category (:meth:`ClipGroup.owner_fp`;
-    :func:`projection.footprint_names` gives the names); the other
-    columns are the :class:`VisibilityInterval` fields. ``containing``
-    gives, per camera, the id of the footprint strictly holding it, or
-    None; a held camera is not swept and has no rows.
+    :func:`projection.footprint_names` gives the names), and
+    ``FootprintIndex.rank[owner]`` the building's rank in id order,
+    which breaks ties; the other columns are the
+    :class:`VisibilityInterval` fields. ``containing`` gives, per camera,
+    the id of the footprint strictly holding it, or None; a held camera
+    is not swept and has no rows.
     """
 
     containing: list
     offsets: np.ndarray
-    rank: np.ndarray
     owner: np.ndarray
     angle_lo: np.ndarray
     angle_hi: np.ndarray

@@ -547,9 +547,13 @@ def _names(value):
                            "category id to a string, got '1': ['x']"),
     (_names({"1": None}), "names must map the decimal digits of a "
                           "category id to a string, got '1': None"),
+    (_names({"1": "one", "01": "uno"}), "names key '01' is not a category "
+                                        "id 1..5"),
+    (_names({"7": "seven"}), "names key '7' is not a category id 1..5"),
 ], ids=["entries-list", "entry-not-integer", "entry-fraction", "entry-bool",
         "entry-huge", "names-key-underscore", "names-key-space",
-        "names-value-list", "names-value-null"])
+        "names-value-list", "names-value-null", "names-key-leading-zero",
+        "names-key-unknown-id"])
 def test_bad_mapping_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                          breakage, needle):
     rc, out = _trace_copy(scene_dir, tmp_path, "mapping.json", breakage)

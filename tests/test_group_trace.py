@@ -124,14 +124,14 @@ def test_synthetic_streets(group_cameras, caplog, step, flip):
                                config) == 0
 
 
-TABLE_COLUMNS = ("offsets", "rank", "owner", "angle_lo", "angle_hi",
-                 "min_distance", "px_lo", "px_hi")
+TABLE_COLUMNS = ("offsets", "owner", "angle_lo", "angle_hi", "min_distance",
+                 "px_lo", "px_hi")
 
 
 @pytest.mark.parametrize("step, flip", [(1.0, False), (1.0, True),
                                         (0.1, False), (0.1, True)])
 def test_run_table_columns_under_every_cap(group_cameras, step, flip):
-    # the columns the rows leave out (offsets, rank) too: the table is
+    # the column the rows leave out (offsets) too: the table is
     # the same, column by column, whatever the groups
     footprints, metas = [], []
     for seed in (5, 6):
@@ -150,7 +150,7 @@ def test_run_table_columns_under_every_cap(group_cameras, step, flip):
     want = tables[-1]
     assert want.containing[3] == footprints[0].building_id
     assert want.containing.count(None) == len(metas) - 1
-    assert len(want.offsets) == len(metas) + 1 and len(want.rank) > 50
+    assert len(want.offsets) == len(metas) + 1 and len(want.owner) > 50
     for got in tables[:-1]:
         assert got.containing == want.containing
         for name in TABLE_COLUMNS:

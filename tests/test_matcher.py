@@ -38,27 +38,30 @@ def table_of(*cameras):
     """An IntervalTable holding each camera's interval rows, and the
     owners it names. Each row is its own owner, as it has the
     building_id and category a footprint names, and ``names`` names the
-    rows as a footprint set does."""
+    rows as a footprint set does and ranks their ids as its
+    ``FootprintIndex`` does."""
     rows = [iv for ivs in cameras for iv in ivs]
     ids = sorted({iv.building_id for iv in rows})
-    names = SimpleNamespace(building_ids=[iv.building_id for iv in rows],
-                            categories=[iv.category for iv in rows])
+    names = SimpleNamespace(
+        building_ids=[iv.building_id for iv in rows],
+        categories=[iv.category for iv in rows],
+        rank=np.array([ids.index(iv.building_id) for iv in rows], np.int64))
 
     def column(name):
         return np.array([getattr(iv, name) for iv in rows], float)
     return IntervalTable(
         containing=[None] * len(cameras),
         offsets=np.cumsum([0] + [len(ivs) for ivs in cameras]),
-        rank=np.array([ids.index(iv.building_id) for iv in rows], np.int64),
         owner=np.arange(len(rows)), angle_lo=column("angle_lo"),
         angle_hi=column("angle_hi"), min_distance=column("min_distance"),
         px_lo=column("px_lo"), px_hi=column("px_hi")), names
 
 
-def match_table(boxes, cams, widths, table, iou_min=0.3):
+def match_table(boxes, cams, widths, table, names, iou_min=0.3):
     """One ``match_intervals`` pass over ``table``, as annotate runs it:
-    box ``i`` lies on camera ``cams[i]`` of ``widths[i]`` pixels. Raises
-    on any numpy warning. Returns (box, owner, iou) of the winners."""
+    box ``i`` lies on camera ``cams[i]`` of ``widths[i]`` pixels, and a
+    row's building ranks as ``names.rank`` ranks its owner. Raises on any
+    numpy warning. Returns (box, owner, iou) of the winners."""
     cams = np.array(cams, np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -66,14 +69,15 @@ def match_table(boxes, cams, widths, table, iou_min=0.3):
             np.array([b.x for b in boxes], float),
             np.array([b.w for b in boxes], float), np.array(widths, float),
             table.offsets[cams], np.diff(table.offsets)[cams], table.px_lo,
-            table.px_hi, table.rank, iou_min)
+            table.px_hi, names.rank[table.owner], iou_min)
     return won, table.owner[row], iou
 
 
 def batch_match_box(box, intervals, iou_min, width):
     """``match_box`` through annotate's pass: a run of one box."""
     table, names = table_of(intervals)
-    won, owner, iou = match_table([box], [0], [width], table, iou_min)
+    won, owner, iou = match_table([box], [0], [width], table, names,
+                                  iou_min)
     if not len(won):
         return None
     (building_id, category), = footprint_names(names, owner)
@@ -316,7 +320,7 @@ def test_batch_equals_match_box_on_seeded_batches(seed):
             if m is not None]
     boxes = [b for b, _, _ in on]
     won, owner, iou = match_table(boxes, [c for _, c, _ in on],
-                                  [w for _, _, w in on], table)
+                                  [w for _, _, w in on], table, names)
     names = footprint_names(names, owner)
     assert [(boxes[i], bid, cat, v) for i, (bid, cat), v
             in zip(won.tolist(), names, iou.tolist())] == want
@@ -586,7 +590,7 @@ class TestGenerateCoarseAnnotations:
         assert len(sizes) == math.ceil(cameras / matcher.GROUP_CAMERAS)
         assert sum(sizes) == cameras == len(table.offsets) - 1
         assert set(sizes[:-1]) <= {matcher.GROUP_CAMERAS}
-        assert len(table.rank) > 0
+        assert len(table.owner) > 0
 
     def test_annotations_recheck_from_provenance(self):
         # every annotation's midpoint sits inside its source building's

@@ -223,15 +223,12 @@ def ring_fp(geo_ring, building_id, category=1):
 
 def assert_pairs_match(index, cams, radius_m):
     """candidate_pairs equals reference_candidate_pairs, array for array
-    and dtype for dtype: as the group takes it, through the cells
-    whatever its size, and through the cells with the masks of unfiled
-    boxes and out-of-bounds cameras cut into chunks of 7 cells."""
+    and dtype for dtype: through the cells, and through the cells with
+    the masks of unfiled boxes and out-of-bounds cameras cut into chunks
+    of 7 cells."""
     want = reference_candidate_pairs(index, cams, radius_m)
-    for group_cells, mask_cells in ((projection._MASK_GROUP_CELLS,
-                                     projection._MASK_CELLS),
-                                    (-1, projection._MASK_CELLS), (-1, 7)):
+    for mask_cells in (projection._MASK_CELLS, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(projection, "_MASK_GROUP_CELLS", group_cells)
             mp.setattr(projection, "_MASK_CELLS", mask_cells)
             got = index.candidate_pairs(cams, radius_m)
         for g, w in zip(got, want, strict=True):

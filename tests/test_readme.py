@@ -58,4 +58,4 @@ def test_readme_examples_run_in_order(tmp_path, monkeypatch):
     for k, block in enumerate(python_blocks()):
         exec(compile(block, f"README.md python block {k}", "exec"), namespace)
     assert len(namespace["annotations"]) > 0
-    assert len(namespace["table"].rank) > 0
+    assert len(namespace["table"].owner) > 0

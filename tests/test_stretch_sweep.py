@@ -4,14 +4,15 @@
 end rays of each stretch run the per-ray test (``nearest_walls``), and
 the rays between are filled when the ends show what they hold. Here its
 ``trace_run`` table is held, column by column, to the table of a sweep
-that runs ``nearest_walls`` on every ray, under three group caps and
-four steps, on the scenes where a fill could go wrong: walls through and
-tangent to the radius circle, walls whose line crosses it just past their
-ends, shared, collinear, nearly parallel and crossing walls, vertices on
-grid headings, overlapping and non-convex rings, and a wall through the
-camera; and three scenes a seeded search found, where the sweep needs its
-radius cuts' tangent tolerance, its full-turn exclusion and the right
-end of its beyond-the-radius test.
+that runs ``nearest_walls`` on every ray, under three group caps, small
+fallback slices and small pair blocks, at four steps, on the scenes
+where a fill could go wrong: walls through and tangent to the radius
+circle, walls whose line crosses it just past their ends, shared,
+collinear, nearly parallel and crossing walls, vertices on grid
+headings, overlapping and non-convex rings, and a wall through the
+camera; and three scenes a seeded search found, where the sweep needs
+its radius cuts' tangent tolerance, its full-turn exclusion and the
+right end of its beyond-the-radius test.
 """
 import math
 import sys
@@ -37,9 +38,12 @@ import run as bench  # noqa: E402
 
 STEPS = (1.0, 0.2, 0.1, 0.05)
 CAPS = (1, 2, 1 << 40)  # cameras a group
-SLICES = (1, 7)  # fallback rays a slice, besides the default
-COLUMNS = ("offsets", "rank", "owner", "angle_lo", "angle_hi",
-           "min_distance", "px_lo", "px_hi")
+# module settings each also traced under, with the whole run in one
+# group: fallback slices of 1 and 7 rays, and pair blocks of 97 pairs,
+# which cut the end rays' pair tests into many blocks
+SETTINGS = (("_FALLBACK_RAYS", 1), ("_FALLBACK_RAYS", 7), ("_PAIR_BLOCK", 97))
+COLUMNS = ("offsets", "owner", "angle_lo", "angle_hi", "min_distance",
+           "px_lo", "px_hi")
 
 
 def cam(x=0.0, y=0.0, pano_id="o"):
@@ -170,17 +174,17 @@ def per_ray_pieces(arr, grid, cameras, radius_m):
 def tables(monkeypatch, group_cameras, index, metas, config):
     """The per-ray ``trace_run`` table, then the stretch sweep's under
     each group cap, and, with the whole run in one group, under each
-    fallback slice size of ``SLICES``, whose slices cut through stretches
-    and cameras."""
+    setting of ``SETTINGS``: fallback slices that cut through stretches
+    and cameras, and pair blocks that cut through the end rays' pairs."""
     with monkeypatch.context() as m:
         m.setattr(matcher, "sweep_pieces", per_ray_pieces)
         out = [trace_run(index, metas, config)]
     for cap in CAPS:
         group_cameras(cap)
         out.append(trace_run(index, metas, config))
-    for rays in SLICES:
+    for name, value in SETTINGS:
         with monkeypatch.context() as m:
-            m.setattr(raytrace, "_FALLBACK_RAYS", rays)
+            m.setattr(raytrace, name, value)
             out.append(trace_run(index, metas, config))
     return out
 
@@ -200,7 +204,7 @@ def test_stretch_path_equals_the_per_ray_path(monkeypatch, group_cameras,
     index = FootprintIndex(FootprintSet.of(SCENES[scene]))
     want, *rest = tables(monkeypatch, group_cameras, index,
                          [cam(), *OTHERS], RunConfig(step_deg=step))
-    assert len(want.rank) > 0
+    assert len(want.owner) > 0
     for got in rest:
         assert_identical(got, want)
 
@@ -319,7 +323,7 @@ def test_fallback_memory_does_not_grow_with_the_step(tmp_path):
         finally:
             tracemalloc.stop()
         assert table.containing == [None] * len(metas)
-        assert len(table.rank) >= len(metas)
+        assert len(table.owner) >= len(metas)
     assert peaks[0.05] <= 1.15 * peaks[0.1]
     assert max(peaks.values()) < 8e6
 

@@ -141,7 +141,7 @@ def test_a_held_camera_is_not_swept(scene):
         c = [m.pano_id for m in metas].index("held")
         assert table.containing[c] == footprints.building_ids[0]
         assert table.offsets[c] == table.offsets[c + 1]
-        assert len(table.rank) > 0
+        assert len(table.owner) > 0
     walls = clip_group(FootprintIndex(footprints), metas,
                        config.radius_m).walls
     held = walls.cam == c
@@ -180,7 +180,7 @@ def hand_run(cameras):
         containing=[None if rs is not None else "holder"
                     for _, rs in cameras],
         offsets=np.cumsum([0] + [len(rs or ()) for _, rs in cameras]),
-        rank=np.arange(len(rows)), owner=np.arange(len(rows)),
+        owner=np.arange(len(rows)),
         angle_lo=column(2), angle_hi=column(3), min_distance=column(4),
         px_lo=column(5), px_hi=column(6))
     metas = [SimpleNamespace(pano_id=p) for p, _ in cameras]
