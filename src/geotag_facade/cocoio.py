@@ -150,7 +150,8 @@ def read_coco(path):
     Raises ``ParseError`` when the file is not JSON, and ``LoadError``
     naming the entry whose field ``ingest``'s field readers reject,
     whose id or panorama repeats an earlier image's, or whose
-    ``image_id`` names no image.
+    ``image_id`` names no image; an annotation's fields are read once
+    each, ``image_id``, ``bbox``, ``category_id``, then ``score``.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -159,66 +160,71 @@ def read_coco(path):
     if not (isinstance(images, list) and isinstance(annotations, list)):
         raise LoadError(f"{path}: images and annotations must be lists")
 
-    def fail(where, what, value):
-        raise LoadError(f"{path}: {where}: {what}, got {value!r}")
+    def fail(entries, i, what, *got):  # got: the bad value, if shown
+        raise LoadError(f"{path}: {entries}[{i}]: {what}" + "".join(
+            f", got {v!r}" for v in got))
 
     pano_of, width_by_pano, height_by_pano = {}, {}, {}
     for i, img in enumerate(images):
-        where = f"images[{i}]"
         if not isinstance(img, dict) or "id" not in img:
-            fail(where, "expected an object with an id", img)
-        if not _ok(_key, img["id"]):
-            fail(where, "id must be a number or a string", img["id"])
-        image = _key(img["id"])  # 1 and "1" name one image, 1.0 another
+            fail("images", i, "expected an object with an id", img)
+        try:  # 1 and "1" name one image, 1.0 another
+            image = _key(img["id"])
+        except _FieldError:
+            fail("images", i, "id must be a number or a string", img["id"])
         if image in pano_of:
-            fail(where, "id must be unique", img["id"])
+            fail("images", i, "id must be unique", img["id"])
         width = img.get("width")
         if not (width is None or _ok(_integers, width) and width > 0):
-            fail(where, "width must be null or a positive whole number",
+            fail("images", i, "width must be null or a positive whole number",
                  width)
         pano = img.get("pano_id")
         if not pano:
             pano = img.get("file_name", "")
             if not isinstance(pano, str):
-                fail(where, "file_name must be a string", pano)
+                fail("images", i, "file_name must be a string", pano)
             pano = Path(pano).stem
-        elif not _ok(_key, pano):
-            fail(where, "pano_id must be a number or a string", pano)
-        pano = _key(pano)  # a number by its str(), as the loaders key it
+        try:  # a number by its str(), as the loaders key it
+            pano = _key(pano)
+        except _FieldError:
+            fail("images", i, "pano_id must be a number or a string", pano)
         if pano in width_by_pano:  # its boxes would join the other's
-            fail(where, "pano_id must be unique", pano)
+            fail("images", i, "pano_id must be unique", pano)
         pano_of[image] = pano
         width_by_pano[pano] = width
         height_by_pano[pano] = img.get("height")
     panos, boxes, categories, scores = [], [], [], []
-    for i, a in enumerate(annotations):
-        with suppress(KeyError, TypeError, _FieldError):  # all at once
-            image_id, bbox, score = a["image_id"], a["bbox"], a.get("score")
-            image_id = _key(image_id)
-            _bbox(bbox, *(() if score is None else (score,)))
-            category, = _integers(a["category_id"])
-            if bbox[2] > 0 and bbox[3] > 0:
-                panos.append(pano_of[image_id])
-                boxes.append(bbox)
-                categories.append(category)
-                scores.append(score)
-                continue
-        where = f"annotations[{i}]"  # a bad one: name its first bad field
+    for i, a in enumerate(annotations):  # each field read once, in order
         if not isinstance(a, dict):
-            fail(where, "expected an object", a)
+            fail("annotations", i, "expected an object", a)
         image_id, bbox = a.get("image_id"), a.get("bbox")
-        if not (_ok(_key, image_id) and _key(image_id) in pano_of):
-            raise LoadError(f"{path}: {where}: image_id {image_id!r} names "
-                            "no image")
-        if not (_ok(_bbox, bbox) and bbox[2] > 0 and bbox[3] > 0):
-            fail(where, "bbox must be 4 finite numbers with w > 0 and h > 0",
-                 bbox)
-        if "category_id" not in a:
-            raise LoadError(f"{path}: {where}: no category_id")
-        if not _ok(_integers, a["category_id"]):
-            fail(where, "category_id must be a number with an exact whole "
-                 "value", a["category_id"])
-        fail(where, "score must be null or a finite number", a.get("score"))
+        try:
+            pano = pano_of[_key(image_id)]
+        except (_FieldError, KeyError):
+            fail("annotations", i, f"image_id {image_id!r} names no image")
+        try:
+            box = _bbox(bbox)
+        except _FieldError:
+            box = None
+        if box is None or not (box[2] > 0 and box[3] > 0):
+            fail("annotations", i, "bbox must be 4 finite numbers with w > 0 "
+                 "and h > 0", bbox)
+        try:
+            category, = _integers(a["category_id"])
+        except KeyError:
+            fail("annotations", i, "no category_id")
+        except _FieldError:
+            fail("annotations", i, "category_id must be a number with an "
+                 "exact whole value", a["category_id"])
+        try:
+            _number_or_none(score := a.get("score"))
+        except _FieldError:
+            fail("annotations", i, "score must be null or a finite number",
+                 score)
+        panos.append(pano)
+        boxes.append(box)
+        categories.append(category)
+        scores.append(score)
     x, y, w, h = np.array(boxes, float).reshape(-1, 4).T
     return (EvalBoxSet(panos, x, y, w, h, categories, np.array(scores, float)),
             width_by_pano, height_by_pano, doc.get("info", {}))

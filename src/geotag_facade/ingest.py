@@ -13,7 +13,9 @@ Four file formats enter the pipeline:
 Loaders are pure: same bytes in, same domain objects out, in the same
 order. Invalid records are rejected per record and listed in a
 :class:`LoadReport`; structural problems (malformed JSON, duplicate join
-keys) raise instead. Every reader runs with the cyclic collector paused
+keys) raise instead, and so do bytes that are not JSON, or JSON that
+Python cannot hold, in :func:`_decode`, the one decode of every reader
+(``cocoio``'s too). Every reader runs with the cyclic collector paused
 (:func:`_gc_paused`): a parsed JSON tree holds no cycle, so walking it
 would free nothing. Every JSON value becomes a typed field through the
 field readers below, which ``cocoio`` and ``render`` share. Footprint
@@ -279,7 +281,7 @@ def _number(v) -> float:
 
 def _numbers(*values):
     """``values`` as finite floats. All are read as numbers before any is
-    tested finite (``json.loads`` admits NaN and Infinity)."""
+    tested finite (the JSON decode admits NaN and Infinity)."""
     for v in values:  # finite floats, the common case, pass at once
         if type(v) is not float or v - v != 0.0:
             break
@@ -500,22 +502,30 @@ def _gc_paused():
             gc.enable()
 
 
-def _byte_offset(raw: bytes, e: json.JSONDecodeError) -> int:
-    """The byte of ``raw`` at which ``json.loads(raw)`` failed: ``e.pos``
-    counts characters of the text ``raw`` was decoded to."""
-    return len(e.doc[:e.pos].encode(json.detect_encoding(raw),
-                                    "surrogatepass"))
+def _decode(raw: bytes, path, line=None, at=0):
+    """``raw``, file ``path``'s bytes from byte ``at`` on (its line
+    ``line``, if given), as JSON; else a ``ParseError`` naming the file,
+    the line and the fault's byte offset (none when Python cannot hold
+    the JSON)."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as e:  # e.pos counts decoded characters
+        cause, why, offset = e, e.msg, at + len(e.doc[:e.pos].encode(
+            json.detect_encoding(raw), "surrogatepass"))
+    except UnicodeDecodeError as e:
+        cause, why = e, f"not {e.encoding} text: {e.reason}"
+        offset = at + e.start
+    except ValueError as e:  # more digits than int() reads
+        digits = sys.get_int_max_str_digits()
+        cause, why, offset = e, f"an integer longer than {digits} digits", None
+    except RecursionError as e:
+        cause, why, offset = e, "arrays or objects nested too deep", None
+    raise ParseError(path, why if line is None else f"line {line}: {why}",
+                     offset=offset) from cause
 
 
 def _read_json(path):
-    raw = Path(path).read_bytes()
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ParseError(path, e.msg, offset=_byte_offset(raw, e)) from e
-    except UnicodeDecodeError as e:
-        raise ParseError(path, f"not {e.encoding} text: {e.reason}",
-                         offset=e.start) from e
+    return _decode(Path(path).read_bytes(), path)
 
 
 @_gc_paused()
@@ -689,16 +699,7 @@ def load_panorama_meta(path) -> PanoramaSet:
             if not line:
                 continue
             report.n_input += 1
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(path, f"line {lineno}: {e.msg}",
-                                 offset=line_offset + _byte_offset(line, e)
-                                 ) from e
-            except UnicodeDecodeError as e:
-                raise ParseError(path, f"line {lineno}: not {e.encoding} "
-                                 f"text: {e.reason}",
-                                 offset=line_offset + e.start) from e
+            rec = _decode(line, path, lineno, line_offset)
             if not isinstance(rec, dict):
                 report.reject(f"line {lineno}", "not an object")
                 continue
@@ -738,6 +739,9 @@ def load_panorama_meta(path) -> PanoramaSet:
             if abs(lat) > 90.0:
                 report.reject(pano_id, f"latitude {lat} outside [-90, 90]")
                 continue
+            if abs(lon) > 180.0:
+                report.reject(pano_id, f"longitude {lon} outside [-180, 180]")
+                continue
             if pano_id in seen:
                 raise LoadError(
                     f"{path}: duplicate pano_id {pano_id!r} (ambiguous join key)")
@@ -772,12 +776,13 @@ def load_detections(path) -> DetectionSet:
             report.reject(key, "not an object")
             continue
         pano_id = rec.get("pano_id", rec.get("image_id"))
-        bbox = rec.get("bbox")
-        score = rec.get("score")
+        bbox, score = rec.get("bbox"), rec.get("score")
         if pano_id is None or bbox is None or score is None:
             report.reject(key, "missing pano_id/image_id, bbox, or score")
             continue
-        if not _ok(_key, pano_id):
+        try:
+            pano_id = _key(pano_id)
+        except _FieldError:
             report.reject(key, "pano_id/image_id must be a string or a number")
             continue
         try:
@@ -796,7 +801,7 @@ def load_detections(path) -> DetectionSet:
         if y < 0:
             report.reject(key, f"box top {y} above the image")
             continue
-        keys.append(_key(pano_id))
+        keys.append(pano_id)
         boxes.append((x, y, w, h, score))
     _warn_if_all_rejected(report, "detections")
     return DetectionSet._grouped(keys, boxes, report)

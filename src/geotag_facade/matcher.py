@@ -43,13 +43,12 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
 from .ingest import DetectionBox, DetectionSet, FootprintSet, ranges
-from .metrics import iou_1d_arrays
+from .metrics import _RowView, iou_1d_arrays
 from .projection import (MAX_LOCAL_RANGE_M, FootprintIndex, clip_group,
                          id_ranks, pixel_span)
 from .raytrace import IntervalTable, run_table, sweep_grid, sweep_pieces
@@ -95,11 +94,10 @@ class CoarseAnnotation:
 
 
 @dataclass(eq=False)
-class AnnotationSet:
+class AnnotationSet(_RowView):
     """Annotations in emit order, one list per :class:`CoarseAnnotation`
-    field. Iterating or indexing gives the rows, derived once; setting a
-    row writes its fields into the lists. The set equals any sequence of
-    the same rows.
+    field, read as :class:`CoarseAnnotation` rows. Setting a row writes
+    its fields into the lists.
     """
 
     pano_id: list
@@ -120,27 +118,14 @@ class AnnotationSet:
         return cls(*([getattr(a, f.name, None) for a in rows]
                      for f in fields(cls)))
 
-    @cached_property
-    def rows(self) -> list:
+    def _rows(self) -> list:
         return [*map(CoarseAnnotation, *(getattr(self, f.name)
                                           for f in fields(self)))]
-
-    def __len__(self):
-        return len(self.pano_id)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
 
     def __setitem__(self, i, row):
         for f in fields(self):
             getattr(self, f.name)[i] = getattr(row, f.name)
         self.__dict__.pop("rows", None)
-
-    def __eq__(self, other):
-        return self.rows == list(other)
 
 
 def fit_threshold(scores, config: RunConfig) -> float:

@@ -7,7 +7,8 @@ onto a shared linear domain before measuring.
 
 The evaluators read boxes as columns, an :class:`EvalBoxSet`: the one
 ``read_coco`` returns, or one read from another column set (such as an
-``AnnotationSet``) or from rows. Panoramas and categories become
+``AnnotationSet``) or from rows; both sets read as rows through one
+base, :class:`_RowView`. Panoramas and categories become
 integer codes, and one call of the kernel ``_pair_ious`` scores the
 pairs: for accuracy, those of a panorama whose horizontal spans overlap,
 found by a sort and sweep (``_overlapping``); for AP, every pair that
@@ -56,12 +57,33 @@ class EvalBox:
     score: float | None = None
 
 
+class _RowView:
+    """Rows of a column set, built by its ``_rows`` when first read (its
+    ``len`` reads a column); it equals any sequence of the same rows."""
+
+    @cached_property
+    def rows(self) -> list:
+        return self._rows()
+
+    def __len__(self):
+        return len(self.pano_id)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other):
+        return self.rows == list(other)
+
+
 @dataclass(eq=False)
-class EvalBoxSet:
+class EvalBoxSet(_RowView):
     """Eval boxes as columns: ``pano_id`` and ``category`` lists, and
     float64 ``x``, ``y``, ``w``, ``h`` and ``score`` arrays, NaN where a
-    box has no score. Iterating or indexing gives :class:`EvalBox` rows,
-    derived once; the set equals any sequence of the same rows.
+    box has no score. Its rows are :class:`EvalBox` records, a NaN score
+    read as None.
     """
 
     pano_id: list
@@ -92,23 +114,10 @@ class EvalBoxSet:
                    *(np.array(getattr(boxes, k), float) for k in "xywh"),
                    list(boxes.category), np.array(score, float))
 
-    @cached_property
-    def rows(self) -> list:
+    def _rows(self) -> list:
         score = [None if s != s else s for s in self.score.tolist()]
         return [*map(EvalBox, self.pano_id, self.x.tolist(), self.y.tolist(),
                      self.w.tolist(), self.h.tolist(), self.category, score)]
-
-    def __len__(self):
-        return len(self.pano_id)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __eq__(self, other):
-        return self.rows == list(other)
 
     @property
     def xywh(self) -> np.ndarray:

@@ -55,8 +55,10 @@ city at 1 degree, where a front face averages about 22 candidate rays,
 the stretch sweep costs about what testing every ray does.
 
 Consecutive grid samples, or pieces of them, owned by the same building
-merge into runs (:func:`run_table`), visibility intervals, which are
-finally mapped onto the panorama's pixel axis by
+merge into runs, visibility intervals, through one run merge
+(:func:`_merge`): :func:`run_table` cuts it at each camera's first
+piece, and the sweep's fallback slices at each jump in ray numbers. The
+intervals are finally mapped onto the panorama's pixel axis by
 :func:`projection.heading_px`, the one home of the heading conventions.
 
 The kernels work on a group of cameras at once. Ray ``k`` of the
@@ -416,17 +418,14 @@ def _stretch_cuts(arr, runs, n: int, cameras: int, radius_m: float):
     return cuts[(np.diff(cuts, prepend=-1) != 0) & (cuts < n * cameras)]
 
 
-def _join(ray, owner, dist):
-    """(start, end, owner, low) pieces of the sorted rays ``ray``: each
-    piece a run of consecutive rays of one ``owner``, ``low`` the least
-    of their ``dist``."""
-    cut = np.empty(len(ray), bool)
-    cut[0] = True
-    np.not_equal(ray[1:], ray[:-1] + 1, out=cut[1:])
-    cut[1:] |= owner[1:] != owner[:-1]
-    head = np.flatnonzero(cut)
-    return (ray[head], ray[np.append(head[1:], len(ray)) - 1], owner[head],
-            np.minimum.reduceat(dist, head))
+def _merge(start, end, owner, low, cut):
+    """(start, end, owner, low) runs of the pieces ``start[i]`` to
+    ``end[i]`` of ``owner[i]``, least distance ``low[i]``: consecutive
+    pieces of one owner join unless ``cut[i]`` parts pieces i and i + 1."""
+    new = cut | (owner[1:] != owner[:-1])  # piece i + 1 starts a run
+    head = np.flatnonzero(np.concatenate(([True], new)))
+    return (start[head], end[np.append(head[1:], len(start)) - 1],
+            owner[head], np.minimum.reduceat(low, head))
 
 
 def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
@@ -463,11 +462,12 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     span does not bound where it is hit. These rays go in slices of at
     most ``_FALLBACK_RAYS``, cut across stretches and cameras alike
     (:func:`_blocks`), and each slice's rays are joined into pieces of
-    consecutive rays of one owner (:func:`_join`) before the next slice
-    is tested, so no per-ray array outgrows a slice. The (rank,
-    distance) of every ray, and so every run of :func:`run_table`, which
-    joins pieces of one owner and takes their least distance, is bit for
-    bit that of :func:`nearest_walls`, wherever the slices are cut.
+    consecutive rays of one owner by the run merge, :func:`_merge`, cut
+    where the ray numbers jump, before the next slice is tested; so no
+    per-ray array outgrows a slice. The (rank, distance) of every ray,
+    and so every run of :func:`run_table`, which merges pieces the same
+    way, is bit for bit that of :func:`nearest_walls`, wherever the
+    slices are cut.
     """
     n = len(grid.thetas)
     runs = _ray_runs(arr, radius_m, n)
@@ -531,8 +531,8 @@ def sweep_pieces(arr: SceneArrays, grid: SweepGrid, cameras: int,
     # no joined piece leaves its stretch, and so its camera
     for *_, ray in _blocks(start[redo] + 1, end[redo] - start[redo] - 1,
                            _FALLBACK_RAYS):
-        pieces.append(_join(ray, *nearest_walls(arr, grid, radius_m, runs,
-                                                ray)))
+        top, dist = nearest_walls(arr, grid, radius_m, runs, ray)
+        pieces.append(_merge(ray, ray, top, dist, ray[1:] != ray[:-1] + 1))
     start, end, owner, low = map(np.concatenate, zip(*pieces))
     order = np.argsort(start, kind="stable")
     return start[order], end[order], owner[order], low[order]
@@ -566,24 +566,18 @@ def run_table(start: np.ndarray, end: np.ndarray, owner: np.ndarray,
     The pieces, samples ``start[i]`` to ``end[i]`` of owner ``owner[i]``
     and least distance ``low[i]``, tile ``n`` samples per camera, camera
     after camera, in order; a piece never spans two cameras. A run joins
-    consecutive pieces of one owner. Runs are cut at camera boundaries,
-    and a camera's first and last runs merge across its 0-degree seam
-    when they have the same owner. Returns (start, end, owner,
-    min_distance) arrays in sample order; a merged run keeps its later
-    part's start and its first part's end, so its ``end < start``.
+    consecutive pieces of one owner (:func:`_merge`), cut at camera
+    boundaries, and a camera's first and last runs merge across its
+    0-degree seam when they have the same owner. Returns (start, end,
+    owner, min_distance) arrays in sample order; a merged run keeps its
+    later part's start and its first part's end, so its ``end < start``.
     """
     if len(start) == 0:
         empty = np.zeros(0, np.int64)
         return empty, empty, empty, np.zeros(0)
-    head = np.empty(len(start), bool)
-    head[0] = True
-    np.not_equal(owner[1:], owner[:-1], out=head[1:])
-    head[np.searchsorted(start, np.arange(n, end[-1] + 1, n))] = True
-    head = np.flatnonzero(head)  # each run's first piece
-    low = np.minimum.reduceat(low, head)
-    own = owner[head]
-    end = end[np.append(head[1:], len(start)) - 1]
-    start = start[head]
+    camera = np.zeros(len(start) - 1, bool)  # piece i + 1 starts a camera
+    camera[np.searchsorted(start, np.arange(n, end[-1] + 1, n)) - 1] = True
+    start, end, own, low = _merge(start, end, owner, low, camera)
     hit = np.flatnonzero(own >= 0)
     start, end, own, low = start[hit], end[hit], own[hit], low[hit]
     if len(start) == 0:

@@ -399,6 +399,14 @@ def _duplicate_file_name_stem(doc):
     doc["images"][1]["file_name"] = f"{doc['images'][0]['pano_id']}.png"
 
 
+def _annotation(*drop, **fields):
+    def breakage(doc):
+        doc["annotations"][0].update(fields)
+        for key in drop:
+            del doc["annotations"][0][key]
+    return breakage
+
+
 HUGE = 10 ** 400  # an integer too large for a float
 
 
@@ -441,6 +449,15 @@ HUGE = 10 ** 400  # an integer too large for a float
     (_duplicate_pano_id, "images[1]: pano_id must be unique, got 's00003_c00'"),
     (_duplicate_file_name_stem, "images[1]: pano_id must be unique, got "
                                 "'s00003_c00'"),
+    # two bad fields: the first of image_id, bbox, category_id and score
+    # is named
+    (_annotation(image_id=10 ** 6, bbox=[10, 10, 0, 50]),
+     "annotations[0]: image_id 1000000 names no image"),
+    (_annotation("category_id", bbox=[10, 10, 0, 50]),
+     "annotations[0]: bbox must be 4 finite numbers"),
+    (_annotation("category_id", score="x"), "annotations[0]: no category_id"),
+    (_annotation(category_id=1.5, score=float("nan")),
+     "annotations[0]: category_id must be a number"),
 ], ids=["invalid-json", "unknown-image", "bbox-zero-width", "bbox-3-numbers",
         "bbox-nan", "no-category", "width-string", "width-zero",
         "image-without-id", "image-string", "annotation-string",
@@ -451,7 +468,9 @@ HUGE = 10 ** 400  # an integer too large for a float
         "score-bool", "score-nan", "score-huge-int", "category-fraction",
         "category-nan", "category-huge-float", "width-fraction",
         "duplicate-image-id", "duplicate-pano-id",
-        "duplicate-file-name-stem"])
+        "duplicate-file-name-stem", "unknown-image-and-bbox-zero-width",
+        "bbox-zero-width-and-no-category", "no-category-and-score-string",
+        "category-fraction-and-score-nan"])
 def test_eval_bad_coco_is_a_one_line_error(scene_dir, tmp_path, capsys,
                                            breakage, needle):
     text = (scene_dir / "gt.json").read_text()
@@ -679,6 +698,88 @@ def test_malformed_json_reports_the_offset_in_bytes(scene_dir, tmp_path,
     assert not out.exists()
 
 
+LONG_INTEGER = "1" * 5000  # more digits than int() reads from text
+DEEP_ARRAYS = "[" * 100_000 + "]" * 100_000
+_MARK = "@json-text@"
+
+
+def _written_as(raw, edit):
+    """``breakage(text) -> text``: the JSON ``text`` with the value that
+    ``edit(doc, value)`` sets written as the JSON text ``raw``, which
+    json.dumps refuses (a long integer) or cannot reach (deep nesting)."""
+    def breakage(text):
+        doc = json.loads(text)
+        edit(doc, _MARK)
+        return json.dumps(doc).replace(json.dumps(_MARK), raw)
+    return breakage
+
+
+def _second_meta_height(raw):
+    def breakage(text):
+        first, second, rest = text.split("\n", 2)
+        second = _written_as(raw, lambda rec, v: rec.update(height=v))(second)
+        return "\n".join((first, second, rest))
+    return breakage
+
+
+def _set_first_entry(doc, value):
+    doc["entries"][next(iter(doc["entries"]))] = value
+
+
+def _set_vertex(doc, value):
+    doc["features"][0]["geometry"]["coordinates"][0][1][0] = value
+
+
+_TRACE_INPUTS = {
+    "mapping": ("mapping.json", lambda raw: _written_as(raw, _set_first_entry)),
+    "footprints": ("footprints.geojson",
+                   lambda raw: _written_as(raw, _set_vertex)),
+    "metas-line": ("metas.jsonl", _second_meta_height),
+    "detections": ("detections.json", lambda raw: _written_as(
+        raw, lambda doc, v: doc[0].update(score=v))),
+}
+
+
+@pytest.mark.parametrize("raw, needle", [
+    (LONG_INTEGER, f"an integer longer than {sys.get_int_max_str_digits()} "
+                   f"digits"),
+    (DEEP_ARRAYS, "arrays or objects nested too deep"),
+], ids=["long-integer", "deep-arrays"])
+@pytest.mark.parametrize("target", [*_TRACE_INPUTS, "eval-gt",
+                                    "render-intervals"])
+def test_json_python_cannot_hold_is_a_one_line_error(scene_dir, tmp_path,
+                                                     capsys, target, raw,
+                                                     needle):
+    if target in _TRACE_INPUTS:
+        name, breakage = _TRACE_INPUTS[target]
+        rc, out = _trace_copy(scene_dir, tmp_path, name, breakage(raw))
+        bad = tmp_path / name
+    elif target == "eval-gt":
+        bad, out = tmp_path / "gt.json", tmp_path / "eval.json"
+        bad.write_text(_written_as(
+            raw, lambda doc, v: doc["annotations"][0].update(bbox=v))(
+                (scene_dir / "gt.json").read_text()))
+        rc = run(["eval", "--gt", bad, "--pred", scene_dir / "gt.json",
+                  "--mode", "both", "--out", out])
+    else:
+        trace_out, out = tmp_path / "t", tmp_path / "o.svg"
+        assert run(trace_argv(scene_dir, trace_out)) == 0
+        bad = sorted(trace_out.glob("intervals_*.json"))[0]
+        bad.write_text(_written_as(
+            raw, lambda doc, v: doc["intervals"][0].update(min_distance=v))(
+                bad.read_text()))
+        capsys.readouterr()
+        rc = run(["render", "--footprints", scene_dir / "footprints.geojson",
+                  "--metas", scene_dir / "metas.jsonl",
+                  "--mapping", scene_dir / "mapping.json",
+                  "--intervals", bad, "--out", out])
+    err = capsys.readouterr().err
+    line = "line 2: " if target == "metas-line" else ""
+    assert rc == 1
+    assert err == f"error: {bad}: {line}{needle}\n"
+    assert not out.exists()
+
+
 def _string_feature(doc):
     doc["features"][0] = "feature"
 
@@ -773,6 +874,8 @@ def _first_meta(*drop, **fields):
     ("footprints.geojson", _first_feature_properties(label={"x": 1}),
      "footprints", "b000", "building_id and label must be strings or "
                            "numbers"),
+    ("metas.jsonl", _first_meta(lon=1000.0), "metas", "s00003_c00",
+     "longitude 1000.0 outside [-180, 180]"),
 ], ids=["feature-string", "vertex-text", "meta-line-number",
         "vertex-huge-int", "bbox-huge-int", "meta-width-fraction",
         "meta-width-huge-int", "meta-width-above-2-53",
@@ -782,7 +885,7 @@ def _first_meta(*drop, **fields):
         "meta-pano-id-bool", "meta-pano-id-list", "meta-pano-id-list-no-lat",
         "detection-pano-id-object",
         "detection-image-id-bool", "feature-building-id-list",
-        "feature-label-object"])
+        "feature-label-object", "meta-lon-outside"])
 def test_bad_record_is_rejected_into_the_report(scene_dir, tmp_path, name,
                                                 breakage, report, key,
                                                 reason):
